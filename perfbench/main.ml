@@ -4,15 +4,16 @@
 
      dune exec perfbench/main.exe -- --workload W --seed N --seconds S --trace 0|1
          one run of one workload; the last stdout line is the result
-     dune exec perfbench/main.exe -- perf --seed N [--only W] [--quick] [--seconds S] [--json]
-         every workload (or W), end-to-end then traced, each run in
-         its own child process, one at a time
+     dune exec perfbench/main.exe -- perf --seed N [--only W] [--quick]
+         every workload (or W): five end-to-end runs, then a traced
+         one, each in its own child process, one at a time; prints a
+         JSON document
      dune exec perfbench/main.exe -- compare OLD.json NEW.json
-         one row per (workload, metric) of two [perf --json] documents
+         one row per (workload, metric) of two [perf] documents
 
-   Metric names, units, directions and bounds come from BENCHMARK.json;
-   expected output digests from perfbench/expected.json.  Trace files
-   and scratch state go to _perf/. *)
+   Metric names, units, directions and bounds come from BENCHMARK.json
+   and perfbench/declaration.json, expected output digests from the
+   latter.  Trace files and scratch state go to _perf/. *)
 
 open Perfbench
 module Json = Dssoc_json.Json
@@ -21,7 +22,7 @@ let die fmt = Printf.ksprintf (fun msg -> prerr_endline ("perfbench: " ^ msg); e
 
 let or_die = function Ok v -> v | Error msg -> die "%s" msg
 
-let decl () = or_die (Decl.load "BENCHMARK.json")
+let decl () = or_die (Decl.load ~benchmark:"BENCHMARK.json" ~declaration:"perfbench/declaration.json")
 
 (* Parse [--key value] and bare [--flag] arguments. *)
 let parse_flags ~flags args =
@@ -71,7 +72,6 @@ let run_one args =
     | Some "1" -> true
     | Some v -> die "--trace wants 0 or 1, got %S" v
   in
-  let expected = or_die (Decl.load_expected "perfbench/expected.json") in
   mkdir_p out_dir;
   let o =
     {
@@ -81,7 +81,7 @@ let run_one args =
       out_dir;
     }
   in
-  let m = Workloads.run ~expected ~trace ~name o setup in
+  let m = Workloads.run ~digests:(Decl.details decl name).Decl.digests ~trace ~name o setup in
   List.iter (fun p -> prerr_endline ("perfbench: " ^ p)) (List.rev m.Measure.problems);
   print_endline (Report.detail_line ~workload:name ~seed:o.Workloads.seed ~trace m);
   match Report.declared m (if trace then decl.Decl.per_layer else decl.Decl.end_to_end) with
@@ -116,47 +116,45 @@ let child args =
     | _ -> Error "no result lines")
   | _ -> Error ("child failed: " ^ String.concat " " args)
 
+(* End-to-end runs per workload: enough for the run-to-run quartiles
+   [compare] judges a change by. *)
+let timed_runs = 5
+
 let perf args =
-  let opts = parse_flags ~flags:[ "--quick"; "--json" ] args in
+  let opts = parse_flags ~flags:[ "--quick" ] args in
   let decl = decl () in
   let seed = seed_of opts and quick = get opts "--quick" <> None in
-  let seconds =
-    Option.value ~default:(if quick then 0.0 else decl.Decl.run_seconds) (float_opt opts "--seconds")
-  in
+  let seconds = if quick then 0.0 else decl.Decl.run_seconds in
   let names =
     match get opts "--only" with
     | None -> decl.Decl.workloads
     | Some w when List.mem w decl.Decl.workloads -> [ w ]
     | Some w -> die "unknown workload %S" w
   in
+  let run w trace =
+    Printf.eprintf "perfbench: %s, trace %s\n%!" w trace;
+    or_die
+      (child
+         ([ "--workload"; w; "--seed"; Int64.to_string seed; "--seconds"; Printf.sprintf "%g" seconds; "--trace"; trace ]
+         @ if quick then [ "--quick" ] else []))
+  in
   let workloads =
     List.map
       (fun w ->
-        let runs =
-          List.map
-            (fun trace ->
-              Printf.eprintf "perfbench: %s, trace %s\n%!" w trace;
-              or_die
-                (child
-                   ([ "--workload"; w; "--seed"; Int64.to_string seed; "--seconds"; Printf.sprintf "%g" seconds; "--trace"; trace ]
-                   @ if quick then [ "--quick" ] else [])))
-            [ "0"; "1" ]
-        in
-        (w, or_die (Report.workload_entry decl ~runs)))
+        let timed = List.init timed_runs (fun _ -> run w "0") in
+        (w, or_die (Report.workload_entry decl ~timed ~traced:(run w "1"))))
       names
   in
-  let doc =
-    Json.obj
-      [
-        ("code_rev", Json.str (Dssoc_explore.Cache.detect_code_rev ()));
-        ("seed", Json.str (Int64.to_string seed));
-        ("quick", Json.bool quick);
-        ("seconds", Json.float seconds);
-        ("workloads", Json.obj workloads);
-      ]
-  in
-  if get opts "--json" <> None then print_endline (Json.to_string doc)
-  else Format.printf "%a@." Report.pp_perf doc
+  print_endline
+    (Json.to_string
+       (Json.obj
+          [
+            ("code_rev", Json.str (Dssoc_explore.Cache.detect_code_rev ()));
+            ("seed", Json.str (Int64.to_string seed));
+            ("quick", Json.bool quick);
+            ("seconds", Json.float seconds);
+            ("workloads", Json.obj workloads);
+          ]))
 
 let compare_files = function
   | [ old_path; new_path ] ->

@@ -71,33 +71,72 @@ let result_line m values =
 (* The perf document                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* One workload's entry, from the detail and result lines of its two
-   child runs (end-to-end, then traced). *)
-let workload_entry (decl : Decl.t) ~runs =
+type run = {
+  attempted : int;
+  failed : int;
+  values : (string * float) list;  (** the result line's metrics *)
+  series : (string * Json.t) list;  (** the detail line's series *)
+}
+
+let run_of (detail_j, result_j) =
   let field j k conv = Result.bind (Json.member k j) conv in
-  let* runs =
-    Decl.all
-      (fun (detail_j, result_j) ->
-        let* attempted = field result_j "attempted" Json.to_int in
-        let* failed = field result_j "failed" Json.to_int in
-        let* values = field result_j "metrics" Json.to_obj in
-        let* series = field detail_j "series" Json.to_obj in
-        Ok (attempted, failed, List.map fst values, series))
-      runs
-  in
+  let* attempted = field result_j "attempted" Json.to_int in
+  let* failed = field result_j "failed" Json.to_int in
+  let* metrics = field result_j "metrics" Json.to_obj in
+  let* values = Decl.all (fun (k, v) -> Result.map (fun x -> (k, x)) (field v "value" Json.to_float)) metrics in
+  let* series = field detail_j "series" Json.to_obj in
+  Ok { attempted; failed; values; series }
+
+(* One workload's entry, from the detail and result lines of its timed
+   runs and of its traced run.  An end-to-end metric is summarised over
+   the timed runs' values, so its quartiles are the run-to-run spread
+   [compare] judges by; a per-layer metric keeps the traced run's
+   summary over its points. *)
+let workload_entry (decl : Decl.t) ~timed ~traced =
+  let* timed = Decl.all run_of timed in
+  let* traced = run_of traced in
+  let runs = timed @ [ traced ] in
   let sum f = List.fold_left (fun acc r -> acc + f r) 0 runs in
-  let attempted = sum (fun (a, _, _, _) -> a) and failed = sum (fun (_, f, _, _) -> f) in
-  let metric series name =
+  let attempted = sum (fun r -> r.attempted) and failed = sum (fun r -> r.failed) in
+  let describe name fields =
     Option.map
       (fun (d : Decl.metric) ->
-        let stats = Option.value ~default:(Json.obj []) (List.assoc_opt name series) in
-        let keep k = Option.to_list (Option.map (fun j -> (k, j)) (Json.member_opt k stats)) in
         ( name,
           Json.obj
             (("unit", Json.str d.Decl.unit_)
             :: ("better", Json.str (if d.Decl.higher_better then "higher" else "lower"))
-            :: List.concat_map keep [ "median"; "q1"; "q3"; "n" ]) ))
+            :: fields) ))
       (Decl.find decl name)
+  in
+  let across name values =
+    let s = Harness.summarize values in
+    describe name
+      [
+        ("median", Json.float s.Harness.median);
+        ("q1", Json.float s.Harness.q1);
+        ("q3", Json.float s.Harness.q3);
+        ("n", Json.int s.Harness.n);
+        ("values", Json.list (List.map Json.float values));
+      ]
+  in
+  let end_to_end =
+    match timed with
+    | [] -> []
+    | first :: _ ->
+      List.filter_map
+        (fun (name, _) -> across name (List.map (fun r -> List.assoc name r.values) timed))
+        first.values
+  in
+  let failed_frac =
+    across "failed_frac" (List.map (fun r -> float_of_int r.failed /. float_of_int (max 1 r.attempted)) runs)
+  in
+  let per_layer =
+    List.filter_map
+      (fun (name, _) ->
+        let stats = Option.value ~default:(Json.obj []) (List.assoc_opt name traced.series) in
+        let keep k = Option.to_list (Option.map (fun j -> (k, j)) (Json.member_opt k stats)) in
+        describe name (List.concat_map keep [ "median"; "q1"; "q3"; "n" ]))
+      traced.values
   in
   Ok
     (Json.obj
@@ -105,39 +144,14 @@ let workload_entry (decl : Decl.t) ~runs =
          ("correct", Json.bool (failed = 0));
          ("attempted", Json.int attempted);
          ("failed", Json.int failed);
-         ("failed_frac", Json.float (float_of_int failed /. float_of_int (max 1 attempted)));
-         ( "metrics",
-           Json.obj (List.concat_map (fun (_, _, names, series) -> List.filter_map (metric series) names) runs) );
+         ("metrics", Json.obj (end_to_end @ Option.to_list failed_frac @ per_layer));
          ( "detail",
            Json.obj
-             (List.mapi
-                (fun i (_, _, _, series) -> ((if i = 0 then "timed" else "traced"), Json.obj series))
-                runs) );
+             [
+               ("timed", Json.list (List.map (fun r -> Json.obj r.series) timed));
+               ("traced", Json.obj traced.series);
+             ] );
        ])
-
-let pp_perf ppf doc =
-  let num j = match Json.to_float j with Ok f -> Printf.sprintf "%.6g" f | Error _ -> "-" in
-  let field k j = Option.value ~default:Json.Null (Json.member_opt k j) in
-  List.iter
-    (fun (w, entry) ->
-      Format.fprintf ppf "@.%s  (attempted %s, failed %s)@." w (num (field "attempted" entry))
-        (num (field "failed" entry));
-      let rows =
-        List.map
-          (fun (name, mj) ->
-            [
-              name;
-              (match field "unit" mj with Json.String u -> u | _ -> "");
-              num (field "median" mj);
-              num (field "q1" mj);
-              num (field "q3" mj);
-              num (field "n" mj);
-            ])
-          (Result.value ~default:[] (Json.to_obj (field "metrics" entry)))
-      in
-      Format.fprintf ppf "%s"
-        (Dssoc_stats.Table.render ~header:[ "metric"; "unit"; "median"; "q1"; "q3"; "n" ] ~rows))
-    (Result.value ~default:[] (Json.to_obj (field "workloads" doc)))
 
 (* ------------------------------------------------------------------ *)
 (* compare                                                            *)
@@ -177,6 +191,7 @@ type row = {
   new_q1 : float;
   new_q3 : float;
   verdict : verdict;
+  should_move : string;  (** per-layer rows: the end-to-end metric this layer metric should move on this workload *)
 }
 
 let compare_docs (decl : Decl.t) old_doc new_doc =
@@ -210,17 +225,18 @@ let compare_docs (decl : Decl.t) old_doc new_doc =
                     new_q1 = nq1;
                     new_q3 = nq3;
                     verdict = verdict ~bound:d.Decl.bound ~old_spread ~worsening;
+                    should_move = Option.value ~default:"" (Decl.moves decl ~metric:d.Decl.name ~workload:w);
                   }
               | _ -> None)
             | _ -> None)
-          (decl.Decl.end_to_end @ decl.Decl.per_layer)
+          (decl.Decl.end_to_end @ decl.Decl.gates @ decl.Decl.per_layer)
       | _ -> [])
     decl.Decl.workloads
 
 let render_rows rows =
   let f = Printf.sprintf "%.6g" in
   Dssoc_stats.Table.render
-    ~header:[ "workload"; "metric"; "old median"; "old q1..q3"; "new median"; "new q1..q3"; "verdict" ]
+    ~header:[ "workload"; "metric"; "old median"; "old q1..q3"; "new median"; "new q1..q3"; "verdict"; "should move" ]
     ~rows:
       (List.map
          (fun r ->
@@ -232,5 +248,6 @@ let render_rows rows =
              f r.new_median;
              f r.new_q1 ^ ".." ^ f r.new_q3;
              verdict_name r.verdict;
+             r.should_move;
            ])
          rows)

@@ -63,7 +63,10 @@ let decl =
         { Decl.name = "rate"; unit_ = "1/s"; higher_better = true; bound = Some 0.1 };
         { Decl.name = "lat"; unit_ = "ms"; higher_better = false; bound = Some 0.1 };
       ];
+    gates = [ { Decl.name = "failed_frac"; unit_ = "ratio"; higher_better = false; bound = Some 0.0 } ];
     per_layer = [ { Decl.name = "count"; unit_ = "count"; higher_better = false; bound = None } ];
+    details = [ { Decl.w_name = "w"; seed = ""; pass = ""; digests = [] } ];
+    should_move = [ { Decl.layer_metric = "count"; moves = "rate"; on = [ "w" ] } ];
   }
 
 let doc metrics =
@@ -74,13 +77,27 @@ let doc metrics =
   Json.obj [ ("workloads", Json.obj [ ("w", Json.obj [ ("metrics", Json.obj (List.map m metrics)) ]) ]) ]
 
 let test_compare_docs () =
-  let old_doc = doc [ ("rate", 100.0, 99.0, 101.0); ("lat", 10.0, 9.9, 10.1); ("count", 5.0, 5.0, 5.0) ] in
-  let new_doc = doc [ ("rate", 80.0, 79.0, 81.0); ("lat", 9.0, 8.9, 9.1); ("count", 5.0, 5.0, 5.0) ] in
-  let rows = Report.compare_docs decl old_doc new_doc in
-  Alcotest.(check (list (pair string string)))
+  let verdicts old_doc new_doc =
+    List.map
+      (fun r -> (r.Report.metric, Report.verdict_name r.Report.verdict, r.Report.should_move))
+      (Report.compare_docs decl old_doc new_doc)
+  in
+  let old_doc =
+    doc [ ("rate", 100.0, 99.0, 101.0); ("lat", 10.0, 9.9, 10.1); ("failed_frac", 0.0, 0.0, 0.0); ("count", 5.0, 5.0, 5.0) ]
+  in
+  Alcotest.(check (list (triple string string string)))
     "verdicts"
-    [ ("rate", "regressed"); ("lat", "improved"); ("count", "same") ]
-    (List.map (fun r -> (r.Report.metric, Report.verdict_name r.Report.verdict)) rows)
+    [ ("rate", "regressed", ""); ("lat", "improved", ""); ("failed_frac", "within bound", ""); ("count", "same", "rate") ]
+    (verdicts old_doc
+       (doc [ ("rate", 80.0, 79.0, 81.0); ("lat", 9.0, 8.9, 9.1); ("failed_frac", 0.0, 0.0, 0.0); ("count", 5.0, 5.0, 5.0) ]));
+  (* Any failure where the old document had none is a regression, and
+     an old spread wider than the bound leaves a change unresolved. *)
+  Alcotest.(check (list (triple string string string)))
+    "failures and wide spreads"
+    [ ("rate", "unresolved", ""); ("lat", "within bound", ""); ("failed_frac", "regressed", ""); ("count", "worse", "rate") ]
+    (verdicts
+       (doc [ ("rate", 100.0, 80.0, 120.0); ("lat", 10.0, 9.9, 10.1); ("failed_frac", 0.0, 0.0, 0.0); ("count", 5.0, 5.0, 5.0) ])
+       (doc [ ("rate", 70.0, 69.0, 71.0); ("lat", 10.5, 10.4, 10.6); ("failed_frac", 0.01, 0.0, 0.02); ("count", 6.0, 6.0, 6.0) ]))
 
 (* ---------------- result documents ---------------- *)
 
@@ -102,15 +119,38 @@ let test_result_round_trip () =
   Alcotest.check close_to "rate" 2.0 (value "rate");
   Alcotest.check close_to "lat" 0.25 (value "lat");
   let detail = Json.parse_exn (Report.detail_line ~workload:"w" ~seed:1L ~trace:false m) in
-  let entry = Result.get_ok (Report.workload_entry decl ~runs:[ (detail, j) ]) in
+  let traced_m = Measure.create () in
+  List.iter (Measure.add traced_m "count") [ 4.0; 5.0; 6.0 ];
+  let traced_values = Result.get_ok (Report.declared traced_m decl.Decl.per_layer) in
+  let traced =
+    ( Json.parse_exn (Report.detail_line ~workload:"w" ~seed:1L ~trace:true traced_m),
+      Json.parse_exn (Report.result_line traced_m traced_values) )
+  in
+  let entry = Result.get_ok (Report.workload_entry decl ~timed:[ (detail, j); (detail, j) ] ~traced) in
   let again = Json.parse_exn (Json.to_string entry) in
   Alcotest.(check bool) "perf entry survives printing" true (again = entry);
+  let stat name k =
+    Result.get_ok
+      (Result.bind (Json.member "metrics" entry) (fun ms ->
+           Result.bind (Json.member name ms) (fun v -> Result.bind (Json.member k v) Json.to_float)))
+  in
+  Alcotest.check close_to "end-to-end: one sample per timed run" 2.0 (stat "rate" "n");
+  Alcotest.check close_to "failed_frac over every run" 0.5 (stat "failed_frac" "median");
+  Alcotest.check close_to "per-layer: the traced run's points" 3.0 (stat "count" "n");
   Alcotest.(check (result unit (list string)))
     "missing metric named" (Error [ "count" ])
     (Result.map ignore (Report.declared m decl.Decl.per_layer))
 
+let load_decl () =
+  match Decl.load ~benchmark:"../../BENCHMARK.json" ~declaration:"../declaration.json" with
+  | Ok d -> d
+  | Error msg -> Alcotest.fail msg
+
+(* Loading validates the two files against each other: every workload
+   and every per-layer metric is declared, and should_move names only
+   declared metrics and workloads. *)
 let test_declaration () =
-  let d = Result.get_ok (Decl.load "../../BENCHMARK.json") in
+  let d = load_decl () in
   Alcotest.(check (list string))
     "every declared workload is implemented" d.Decl.workloads
     (List.filter (fun w -> List.mem_assoc w Workloads.all) d.Decl.workloads);
@@ -122,12 +162,12 @@ let test_declaration () =
 let out_dir = "_perf_test"
 
 let test_quick_run name () =
-  let d = Result.get_ok (Decl.load "../../BENCHMARK.json") in
+  let d = load_decl () in
   if not (Sys.file_exists out_dir) then Sys.mkdir out_dir 0o755;
   let o = { Workloads.seed = 1L; seconds = 0.0; quick = true; out_dir } in
   List.iter
     (fun (trace, metrics) ->
-      let m = Workloads.run ~expected:[] ~trace ~name o (List.assoc name Workloads.all) in
+      let m = Workloads.run ~digests:[] ~trace ~name o (List.assoc name Workloads.all) in
       Alcotest.(check (list string)) "problems" [] m.Measure.problems;
       Alcotest.(check int) "failed" 0 m.Measure.failed;
       Alcotest.(check (result unit (list string)))
