@@ -53,10 +53,10 @@ let time f =
    before it).  Within a round every variant runs once; the starting
    variant alternates between rounds, so machine-load drift hits all
    variants alike instead of the one that always runs second.  A new
-   round is not started when the median round so far predicts it would
-   end past the budget, which keeps a run close to [budget_s] even when
-   one round is long.  Returns each variant's measured seconds, in
-   round order. *)
+   round is started only when the median round so far predicts that
+   its midpoint falls within the budget, so a run ends at the round
+   boundary nearest to [budget_s] even when rounds are long.  Returns
+   each variant's measured seconds, in round order. *)
 let sample ?(min_rounds = 1) ~budget_s (variants : (unit -> float) array) =
   let k = Array.length variants in
   let times = Array.make k [] in
@@ -64,7 +64,7 @@ let sample ?(min_rounds = 1) ~budget_s (variants : (unit -> float) array) =
   let t0 = Mclock.now_ns () in
   let continue_ () =
     let n = List.length !rounds in
-    n < min_rounds || seconds_since t0 +. median !rounds < budget_s
+    n < min_rounds || seconds_since t0 +. (median !rounds /. 2.0) < budget_s
   in
   while continue_ () do
     let r0 = Mclock.now_ns () in

@@ -3,15 +3,14 @@
    Every workload evaluates design points on the emulator the way a
    user does, and a run measures one workload: its set-up (median of
    repeated input builds), its timed passes (as many as fit the run's
-   budget), the Table I model error, and its peak heap.  Each workload
-   exercises one path and is paired with one that bypasses it:
-   fig9-dse.virtual and fig9-dse.compiled run the same short points on
-   the two engines (the compiled one pays a plan compile per cell,
-   amortised over ten replicates); fig10-dse.* run long points where
-   every compiled point pays a full compile; fig9-dse.warm serves the
-   short campaign from the result cache; storm-faults is the only
-   workload that drives the fabric ledger and the retry paths; and
-   serve-ramp drives admission, shedding and the watchdog. *)
+   budget), the Table I model error, and its peak heap.  fig9-dse runs
+   a campaign of short points cold on both engines and then resumes it
+   from the result cache: per-point fixed costs and plan compiles
+   amortised over ten replicates.  fig10-dse runs a campaign of long
+   points cold on both engines, where the event loop and the policies
+   dominate and every compiled point pays a full compile.  storm-faults
+   is the only workload that drives the fabric ledger and the retry
+   paths, and serve-ramp drives admission, shedding and the watchdog. *)
 
 module Prng = Dssoc_util.Prng
 module Mclock = Dssoc_util.Mclock
@@ -36,12 +35,15 @@ type opts = {
   out_dir : string;  (** trace files and the scratch cache, inside the checkout *)
 }
 
+(* One timed pass: the points it evaluated, the seconds it took, its
+   output fingerprints, and the detail samples it took. *)
+type pass = { points : int; wall_s : float; fps : string list; samples : (string * float) list }
+
 (* What set-up hands to the rest of a run. *)
 type prepared = {
   passes : Measure.t -> budget_s:float -> interleave:(unit -> float) -> string list;
-      (** run the timed passes, alternating with [interleave] and
-          recording end-to-end samples; returns the passes' output
-          fingerprints *)
+      (** run the timed passes through [repeat_passes]; returns the
+          passes' output fingerprints *)
   verify : Measure.t -> string list -> string;
       (** check the passes' outputs against each other and against a
           second computation; returns the fingerprint compared with the
@@ -83,26 +85,68 @@ let traced_of_grid grid =
     }
 
 (* ------------------------------------------------------------------ *)
+(* Timed passes                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Every pass of a workload with fixed inputs must produce the same
+   output. *)
+let same_outputs m fps =
+  Measure.check m "timed passes produced different outputs"
+    (fps <> [] && List.for_all (( = ) (List.hd fps)) fps);
+  match fps with fp :: _ -> fp | [] -> ""
+
+let peak_heap_mb () = float_of_int ((Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8)) /. 1e6
+
+(* Alternate timed passes with [interleave] (the set-up probe) until
+   the budget is spent, and record each pass's throughput and detail
+   samples.  When three or more passes ran, the first is a warm-up and
+   is not recorded: it grows the heap and fills the per-domain memos
+   that later passes reuse.  The peak heap is read when the first pass
+   ends, so it measures the same work however many passes fit the
+   budget.  Returns every pass's output fingerprints. *)
+let repeat_passes m ~budget_s ~interleave f =
+  let passes = ref [] in
+  ignore
+    (Harness.sample ~budget_s
+       [|
+         (fun () ->
+           match Measure.attempt m "timed pass" f with
+           | Some p ->
+             if !passes = [] then Measure.add m "peak_heap_mb" (peak_heap_mb ());
+             passes := p :: !passes;
+             p.wall_s
+           | None -> 0.0);
+         interleave;
+       |]);
+  let passes = List.rev !passes in
+  let recorded = match passes with _ :: (_ :: _ :: _ as rest) -> rest | all -> all in
+  List.iter
+    (fun p ->
+      Measure.add m "points_per_s" (float_of_int p.points /. p.wall_s);
+      Measure.add m "pass_s" p.wall_s;
+      List.iter (fun (name, v) -> Measure.add m name v) p.samples)
+    recorded;
+  List.concat_map (fun p -> p.fps) passes
+
+(* The throughput and the median and 95th percentile host latency of
+   the points of one part of a pass, named [kind]. *)
+let part_samples ~kind ~points ~wall_s latencies_ms =
+  [
+    ("points_per_s." ^ kind, float_of_int points /. wall_s);
+    ("point_ms.p50." ^ kind, Harness.median latencies_ms);
+    ("point_ms.p95." ^ kind, Harness.percentile latencies_ms 0.95);
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Sweep campaigns                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* The end-to-end samples of one timed pass: its throughput, and the
-   median and 95th percentile of its points' host latencies.  (On
-   fig9-dse.compiled the 90th percentile would sit exactly on the edge
-   between the nine points that compile a plan and the 81 that replay
-   one.) *)
-let add_pass m ~points ~wall_s latencies_ms =
-  Measure.add m "points_per_s" (float_of_int points /. wall_s);
-  Measure.add m "point_ms.p50" (Harness.median latencies_ms);
-  Measure.add m "point_ms.p95" (Harness.percentile latencies_ms 0.95);
-  Measure.add m "pass_s" wall_s
-
-(* One timed sweep.  [on_row] runs in the domain that evaluated the
-   row, so the gap between two rows of one domain is the host latency
-   of the later point; a domain's first point is timed from [t0], the
-   start of the pass, which is the start of the sweep unless the caller
-   did work for the pass before it. *)
-let timed_sweep m ?cache ?(t0 = Mclock.now_ns ()) ~engine grid =
+(* One timed sweep, as one part of a pass.  [on_row] runs in the domain
+   that evaluated the row, so the gap between two rows of one domain is
+   the host latency of the later point; a domain's first point is timed
+   from [t0], the start of the sweep unless the caller did work for it
+   first. *)
+let timed_sweep ~kind ?cache ?(t0 = Mclock.now_ns ()) ~engine grid =
   let last = Hashtbl.create 2 in
   let latencies = ref [] in
   let on_row _ =
@@ -114,33 +158,24 @@ let timed_sweep m ?cache ?(t0 = Mclock.now_ns ()) ~engine grid =
   in
   let table, stats = Sweep.run_stats ~jobs ~engine ?cache ~on_row grid in
   let wall_s = Harness.seconds_since t0 in
-  add_pass m ~points:stats.Sweep.points ~wall_s !latencies;
-  (Measure.md5 (Sweep.to_csv table), stats, wall_s)
+  let points = stats.Sweep.points in
+  ( stats,
+    {
+      points;
+      wall_s;
+      fps = [ Measure.md5 (Sweep.to_csv table) ];
+      samples = part_samples ~kind ~points ~wall_s !latencies;
+    } )
 
-(* Every pass of a workload with fixed inputs must produce the same
-   output. *)
-let same_outputs m fps =
-  Measure.check m "timed passes produced different outputs"
-    (fps <> [] && List.for_all (( = ) (List.hd fps)) fps);
-  match fps with fp :: _ -> fp | [] -> ""
-
-(* Alternate timed passes with [interleave] (the set-up probe) until
-   the budget is spent, at least two rounds.  A pass returns its output
-   fingerprints and its measured seconds. *)
-let repeat_passes m ~budget_s ~interleave f =
-  let fps = ref [] in
-  ignore
-    (Harness.sample ~min_rounds:2 ~budget_s
-       [|
-         (fun () ->
-           match Measure.attempt m "timed pass" f with
-           | Some (pass_fps, wall_s) ->
-             fps := List.rev_append pass_fps !fps;
-             wall_s
-           | None -> 0.0);
-         interleave;
-       |]);
-  List.rev !fps
+(* The parts of a pass, as one pass. *)
+let combine parts =
+  let sum f = List.fold_left (fun acc p -> acc +. f p) 0.0 parts in
+  {
+    points = List.fold_left (fun acc p -> acc + p.points) 0 parts;
+    wall_s = sum (fun p -> p.wall_s);
+    fps = List.concat_map (fun p -> p.fps) parts;
+    samples = List.concat_map (fun p -> p.samples) parts;
+  }
 
 (* Quick mode keeps two configurations, one with an accelerator, and two
    replicates, so a compiled pass both compiles and reuses a plan. *)
@@ -164,38 +199,6 @@ let fig10_grid o =
       ()
   else Presets.fig10 ~base_seed:o.seed ()
 
-(* A cold campaign on one engine.  Every pass builds a fresh grid, so
-   the compiled engine's per-domain plan memo (keyed on the workload's
-   identity) never carries a plan from one pass to the next.  With
-   [cross], the other engine runs the campaign once more afterwards
-   and the two tables must be byte-equal; fig10 skips that (a virtual
-   fig10 campaign takes longer than the run's budget), and its two
-   engines are held to one expected digest instead. *)
-let cold_sweep ~grid ~engine ~cross o =
-  let setup_grid = grid o in
-  {
-    passes =
-      (fun m ~budget_s ~interleave ->
-        repeat_passes m ~budget_s ~interleave (fun () ->
-            let fp, stats, wall_s = timed_sweep m ~engine (grid o) in
-            Measure.add m "explore.plan_compiles" (float_of_int stats.Sweep.plan_compiles);
-            Measure.add m "explore.plan_reuses" (float_of_int stats.Sweep.plan_reuses);
-            ([ fp ], wall_s)));
-    verify =
-      (fun m fps ->
-        let fp = same_outputs m fps in
-        let other = match engine with `Virtual -> `Compiled | `Compiled -> `Virtual in
-        (if cross then
-           match
-             Measure.attempt m "cross-engine sweep" (fun () ->
-                 Measure.md5 (Sweep.to_csv (Sweep.run ~jobs ~engine:other (grid o))))
-           with
-           | Some other_fp -> Measure.check m "virtual and compiled sweep tables differ" (other_fp = fp)
-           | None -> ());
-        fp);
-    traced = traced_of_grid setup_grid;
-  }
-
 let rec rm_rf path =
   if Sys.file_exists path then
     if Sys.is_directory path then begin
@@ -204,54 +207,89 @@ let rec rm_rf path =
     end
     else Sys.remove path
 
-(* The short campaign resumed from the result cache: one cold sweep
-   fills a fresh store, then every timed pass opens it with a new
-   handle and re-sweeps.  Opening loads and parses the whole shard
-   file, which is what resuming costs, so a pass is timed from before
-   the open and the first point's latency includes it.  Every point
-   must be a hit and the warm table must equal the cold one. *)
-let warm_sweep o =
-  let setup_grid = fig9_grid o in
+(* A campaign, cold on both engines: a pass sweeps it on the virtual
+   engine and on the compiled one, in alternating order.  Every sweep
+   builds a fresh grid, so the compiled engine's per-domain plan memo
+   (keyed on the workload's identity) never carries a plan from one
+   sweep to the next.  With [resume], one cold sweep fills a fresh
+   result cache before the passes, and every pass then also re-sweeps
+   the campaign from it through a new handle.  Opening loads and parses
+   the whole shard file, which is what resuming costs, so that sweep is
+   timed from before the open; every one of its points must be a hit.
+   All tables must be byte-equal. *)
+let campaign ~grid ~resume o =
+  let setup_grid = grid o in
   let dir = Filename.concat o.out_dir (Printf.sprintf "cache-%d" (Unix.getpid ())) in
   let open_cache () = Cache.open_ ~code_rev:"perfbench" ~dir () in
-  let cold = ref "" in
+  let fill m =
+    Measure.attempt m "cache fill" (fun () ->
+        let cache = open_cache () in
+        let (table, _), fill_s =
+          Fun.protect
+            ~finally:(fun () -> Cache.close cache)
+            (fun () -> Harness.time (fun () -> Sweep.run_stats ~jobs ~cache (grid o)))
+        in
+        Measure.add m "explore.cache_fill_s" fill_s;
+        Measure.md5 (Sweep.to_csv table))
+  in
+  let cold engine =
+    let kind = match engine with `Virtual -> "virtual" | `Compiled -> "compiled" in
+    let stats, part = timed_sweep ~kind ~engine (grid o) in
+    match engine with
+    | `Virtual -> part
+    | `Compiled ->
+      {
+        part with
+        samples =
+          part.samples
+          @ [
+              ("explore.plan_compiles", float_of_int stats.Sweep.plan_compiles);
+              ("explore.plan_reuses", float_of_int stats.Sweep.plan_reuses);
+            ];
+      }
+  in
+  let warm m =
+    let grid = grid o in
+    let t0 = Mclock.now_ns () in
+    let cache = open_cache () in
+    let stats, part =
+      Fun.protect
+        ~finally:(fun () -> Cache.close cache)
+        (fun () -> timed_sweep ~kind:"warm" ~cache ~t0 ~engine:`Virtual grid)
+    in
+    Measure.check m "warm sweep not fully served from the cache"
+      (stats.Sweep.cache_hits = stats.Sweep.points && stats.Sweep.cache_misses = 0);
+    {
+      part with
+      samples =
+        part.samples
+        @ [
+            ("explore.cache_hits", float_of_int stats.Sweep.cache_hits);
+            ("explore.cache_misses", float_of_int stats.Sweep.cache_misses);
+          ];
+    }
+  in
+  let passes m ~budget_s ~interleave =
+    let k = ref 0 in
+    repeat_passes m ~budget_s ~interleave (fun () ->
+        let engines = if !k mod 2 = 0 then [ `Virtual; `Compiled ] else [ `Compiled; `Virtual ] in
+        incr k;
+        let cold = List.map cold engines in
+        combine (if resume then cold @ [ warm m ] else cold))
+  in
   {
     passes =
       (fun m ~budget_s ~interleave ->
-        rm_rf dir;
-        Fun.protect
-          ~finally:(fun () -> rm_rf dir)
-          (fun () ->
-            (match
-               Measure.attempt m "cache fill" (fun () ->
-                   let cache = open_cache () in
-                   let (table, _), fill_s =
-                     Harness.time (fun () -> Sweep.run_stats ~jobs ~cache (fig9_grid o))
-                   in
-                   Cache.close cache;
-                   Measure.add m "explore.cache_fill_s" fill_s;
-                   Measure.md5 (Sweep.to_csv table))
-             with
-            | Some fp -> cold := fp
-            | None -> ());
-            repeat_passes m ~budget_s ~interleave (fun () ->
-                let grid = fig9_grid o in
-                let t0 = Mclock.now_ns () in
-                let cache = open_cache () in
-                let fp, stats, wall_s =
-                  Fun.protect
-                    ~finally:(fun () -> Cache.close cache)
-                    (fun () -> timed_sweep m ~cache ~t0 ~engine:`Virtual grid)
-                in
-                Measure.add m "explore.cache_hits" (float_of_int stats.Sweep.cache_hits);
-                Measure.add m "explore.cache_misses" (float_of_int stats.Sweep.cache_misses);
-                Measure.check m "warm pass not fully served from the cache"
-                  (stats.Sweep.cache_hits = stats.Sweep.points && stats.Sweep.cache_misses = 0);
-                ([ fp ], wall_s))));
-    verify =
-      (fun m fps ->
-        Measure.check m "warm table differs from the cold table" (same_outputs m fps = !cold);
-        !cold);
+        if resume then begin
+          rm_rf dir;
+          Fun.protect
+            ~finally:(fun () -> rm_rf dir)
+            (fun () ->
+              let filled = fill m in
+              Option.to_list filled @ passes m ~budget_s ~interleave)
+        end
+        else passes m ~budget_s ~interleave);
+    verify = same_outputs;
     traced = traced_of_grid setup_grid;
   }
 
@@ -306,21 +344,26 @@ let storm o =
                   incr next;
                   Harness.time (fun () -> emulate k))
             in
-            List.iter
-              (fun ((r, _), _) ->
-                Measure.add m "fault.retries" (float_of_int r.Stats.resilience.Stats.task_retries);
-                Measure.add m "fault.injected" (float_of_int r.Stats.resilience.Stats.faults_injected);
-                Measure.add m "soc.fabric_stall_sim_ms"
-                  (float_of_int r.Stats.fabric.Stats.fabric_stall_ns /. 1e6);
-                (* An abort is a typed outcome of the fault plan (a task
-                   exhausted its attempts), not a failed operation of
-                   the benchmark. *)
-                Measure.add m "fault.aborted"
-                  (match r.Stats.verdict with Stats.Aborted _ -> 1.0 | _ -> 0.0))
-              runs;
             let wall_s = List.fold_left (fun acc (_, s) -> acc +. s) 0.0 runs in
-            add_pass m ~points:per_pass ~wall_s (List.map (fun (_, s) -> s *. 1e3) runs);
-            (List.map (fun ((_, fp), _) -> fp) runs, wall_s)));
+            {
+              points = per_pass;
+              wall_s;
+              fps = List.map (fun ((_, fp), _) -> fp) runs;
+              samples =
+                part_samples ~kind:"virtual" ~points:per_pass ~wall_s (List.map (fun (_, s) -> s *. 1e3) runs)
+                @ List.concat_map
+                    (fun ((r, _), _) ->
+                      [
+                        ("fault.retries", float_of_int r.Stats.resilience.Stats.task_retries);
+                        ("fault.injected", float_of_int r.Stats.resilience.Stats.faults_injected);
+                        ("soc.fabric_stall_sim_ms", float_of_int r.Stats.fabric.Stats.fabric_stall_ns /. 1e6);
+                        (* An abort is a typed outcome of the fault plan (a
+                           task exhausted its attempts), not a failed
+                           operation of the benchmark. *)
+                        ("fault.aborted", match r.Stats.verdict with Stats.Aborted _ -> 1.0 | _ -> 0.0);
+                      ])
+                    runs;
+            }));
     verify =
       (fun m fps ->
         (match Measure.attempt m "storm repeat" (fun () -> snd (emulate 0)) with
@@ -405,33 +448,36 @@ let serve o =
          specs)
   in
   (* One ramp: the three rates in turn, each a point. *)
-  let ramp m =
+  let ramp () =
     let runs =
       List.map
         (fun (label, sp) ->
           let oc, run_s = Harness.time (fun () -> ok (Server.run sp)) in
-          List.iter
-            (fun (tr : Server.tenant_report) ->
-              Measure.add m
-                (Printf.sprintf "serve.shed.%s.%s" tr.Server.tr_name label)
-                (float_of_int tr.Server.tr_shed);
-              Measure.add m
-                (Printf.sprintf "serve.p95_sim_ms.%s.%s" tr.Server.tr_name label)
-                tr.Server.tr_p95_ms)
-            oc.Server.oc_tenants;
-          (Server.render_report oc, run_s))
+          let tenants =
+            List.concat_map
+              (fun (tr : Server.tenant_report) ->
+                [
+                  (Printf.sprintf "serve.shed.%s.%s" tr.Server.tr_name label, float_of_int tr.Server.tr_shed);
+                  (Printf.sprintf "serve.p95_sim_ms.%s.%s" tr.Server.tr_name label, tr.Server.tr_p95_ms);
+                ])
+              oc.Server.oc_tenants
+          in
+          (Server.render_report oc, run_s, tenants))
         specs
     in
-    let wall_s = List.fold_left (fun acc (_, s) -> acc +. s) 0.0 runs in
-    add_pass m ~points:(List.length runs) ~wall_s (List.map (fun (_, s) -> s *. 1e3) runs);
-    (Measure.md5 (String.concat "\n" (List.map fst runs)), wall_s)
+    let points = List.length runs in
+    let wall_s = List.fold_left (fun acc (_, s, _) -> acc +. s) 0.0 runs in
+    {
+      points;
+      wall_s;
+      fps = [ Measure.md5 (String.concat "\n" (List.map (fun (r, _, _) -> r) runs)) ];
+      samples =
+        part_samples ~kind:"virtual" ~points ~wall_s (List.map (fun (_, s, _) -> s *. 1e3) runs)
+        @ List.concat_map (fun (_, _, t) -> t) runs;
+    }
   in
   {
-    passes =
-      (fun m ~budget_s ~interleave ->
-        repeat_passes m ~budget_s ~interleave (fun () ->
-            let fp, wall_s = ramp m in
-            ([ fp ], wall_s)));
+    passes = (fun m ~budget_s ~interleave -> repeat_passes m ~budget_s ~interleave ramp);
     verify = same_outputs;
     traced = (fun k -> traced.(k mod Array.length traced));
   }
@@ -440,11 +486,8 @@ let serve o =
 
 let all =
   [
-    ("fig9-dse.virtual", cold_sweep ~grid:fig9_grid ~engine:`Virtual ~cross:true);
-    ("fig9-dse.compiled", cold_sweep ~grid:fig9_grid ~engine:`Compiled ~cross:true);
-    ("fig9-dse.warm", warm_sweep);
-    ("fig10-dse.virtual", cold_sweep ~grid:fig10_grid ~engine:`Virtual ~cross:false);
-    ("fig10-dse.compiled", cold_sweep ~grid:fig10_grid ~engine:`Compiled ~cross:false);
+    ("fig9-dse", campaign ~grid:fig9_grid ~resume:true);
+    ("fig10-dse", campaign ~grid:fig10_grid ~resume:false);
     ("storm-faults", storm);
     ("serve-ramp", serve);
   ]
@@ -469,8 +512,6 @@ let model_err_pct () =
   in
   100.0 *. List.fold_left ( +. ) 0.0 errs /. float_of_int (List.length errs)
 
-let peak_heap_mb () = float_of_int ((Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8)) /. 1e6
-
 (* One run of one workload: with [trace] off the end-to-end passes and
    checks, with it on the traced pass.  [digests] (seed -> expected
    output fingerprint) is consulted for the seeds it lists, outside
@@ -478,26 +519,21 @@ let peak_heap_mb () = float_of_int ((Gc.quick_stat ()).Gc.top_heap_words * (Sys.
 let run ~digests ~trace ~name o setup =
   let m = Measure.create () in
   (* One set-up sample: a full input build, from an empty minor heap.
-     Samples are taken three times up front and then once per round of
-     timed passes, so a slow moment of the host skews only some of
-     them.  (Forcing a major collection here instead doubled the peak
-     heap of the fig10 workloads.) *)
+     The passes use the inputs of one untimed build; the samples are
+     taken three at a time between passes, so a slow moment of the host
+     skews only some of them, and only once the first pass has grown the
+     heap: builds in a fresh process take up to twice as long and vary
+     far more, because they grow the heap as they go.  (Forcing a major
+     collection here instead doubled the peak heap of fig10.) *)
   let probe () =
     Gc.minor ();
     match Measure.attempt m "set-up" (fun () -> Harness.time (fun () -> setup o)) with
-    | Some (p, s) ->
+    | Some (_, s) ->
       Measure.add m "setup_s" s;
-      Some (p, s)
-    | None -> None
+      s
+    | None -> 0.0
   in
-  let prepared =
-    if trace then Measure.attempt m "set-up" (fun () -> setup o)
-    else begin
-      ignore (probe ());
-      ignore (probe ());
-      Option.map fst (probe ())
-    end
-  in
+  let prepared = Measure.attempt m "set-up" (fun () -> setup o) in
   (match prepared with
   | None -> ()
   | Some p when trace ->
@@ -506,13 +542,12 @@ let run ~digests ~trace ~name o setup =
     (match Measure.attempt m "model error" model_err_pct with
     | Some e -> Measure.add m "model_err_pct" e
     | None -> ());
-    let interleave () = match probe () with Some (_, s) -> s | None -> 0.0 in
+    let interleave () = probe () +. probe () +. probe () in
     let fp = p.verify m (p.passes m ~budget_s:o.seconds ~interleave) in
     m.Measure.digest <- Some fp;
     if not o.quick then begin
       match List.assoc_opt (Int64.to_string o.seed) digests with
       | Some d -> Measure.check m (Printf.sprintf "output digest %s, expected %s" fp d) (fp = d)
       | None -> ()
-    end;
-    Measure.add m "peak_heap_mb" (peak_heap_mb ()));
+    end);
   m
