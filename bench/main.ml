@@ -661,15 +661,19 @@ let engine () =
     | `Compiled -> "compiled"
     | `Native -> "native"
   in
+  (* Compiled scenarios also report their one plan compile: wall ms and
+     MB allocated ([Gc.allocated_bytes] delta, deterministic for a given
+     build).  The workload is built before either reading. *)
   let measure (name, variant, config, wl, policy) =
-    let once =
+    let once, compile_cost =
       match variant with
       | `Virtual ->
-        fun () -> Emulator.run_exn ~engine:det_engine ~policy ~config ~workload:(wl ()) ()
+        ((fun () -> Emulator.run_exn ~engine:det_engine ~policy ~config ~workload:(wl ()) ()), None)
       | `Native ->
-        fun () ->
-          Emulator.run_exn ~engine:(Emulator.native_seeded 1L) ~policy ~config
-            ~workload:(wl ()) ()
+        ( (fun () ->
+            Emulator.run_exn ~engine:(Emulator.native_seeded 1L) ~policy ~config
+              ~workload:(wl ()) ()),
+          None )
       | `Compiled ->
         let module Compiled = Dssoc_runtime.Compiled_engine in
         let pol =
@@ -677,11 +681,15 @@ let engine () =
           | Ok p -> p
           | Error msg -> invalid_arg msg
         in
-        let plan = Compiled.compile ~config ~workload:(wl ()) ~policy:pol () in
+        let workload = wl () in
+        let a0 = Gc.allocated_bytes () and t0 = Mclock.now_ns () in
+        let plan = Compiled.compile ~config ~workload ~policy:pol () in
+        let compile_ms = float_of_int (Mclock.now_ns () - t0) /. 1e6 in
+        let compile_alloc_mb = (Gc.allocated_bytes () -. a0) /. 1048576.0 in
         let params =
           { Dssoc_runtime.Engine_core.seed = 1L; jitter = 0.0; reservation_depth = 0 }
         in
-        fun () -> Compiled.run plan params
+        ((fun () -> Compiled.run plan params), Some (compile_ms, compile_alloc_mb))
     in
     let sample = once () (* warm-up; also yields the per-run task count *) in
     let target_ns = 1_000_000_000 and min_runs = 3 in
@@ -699,7 +707,8 @@ let engine () =
       !runs,
       wall_s,
       emu_per_s,
-      emu_per_s *. float_of_int sample.Stats.task_count )
+      emu_per_s *. float_of_int sample.Stats.task_count,
+      compile_cost )
   in
   let results = List.map measure scenarios in
   (* Tracing-overhead check: re-run the fig9 3C+2F scenario with the
@@ -723,7 +732,9 @@ let engine () =
     float_of_int !runs /. (float_of_int (Mclock.now_ns () - t0) /. 1e9)
   in
   let untraced_emu_s name =
-    let _, _, _, _, _, emu_s, _ = List.find (fun (n, _, _, _, _, _, _) -> n = name) results in
+    let _, _, _, _, _, emu_s, _, _ =
+      List.find (fun (n, _, _, _, _, _, _, _) -> n = name) results
+    in
     emu_s
   in
   let traced_emu_s =
@@ -816,9 +827,16 @@ let engine () =
               ( "scenarios",
                 Json.List
                   (List.map
-                     (fun (name, variant, (sample : Stats.report), runs, wall_s, emu_s, task_s) ->
+                     (fun ( name,
+                            variant,
+                            (sample : Stats.report),
+                            runs,
+                            wall_s,
+                            emu_s,
+                            task_s,
+                            compile_cost ) ->
                        Json.Obj
-                         [
+                         ([
                            ("name", Json.String name);
                            ("engine", Json.String variant);
                            ("policy", Json.String sample.Stats.policy_name);
@@ -833,7 +851,12 @@ let engine () =
                            ("wall_s", Json.Float wall_s);
                            ("emulations_per_s", Json.Float emu_s);
                            ("tasks_per_s", Json.Float task_s);
-                         ])
+                         ]
+                         @
+                         match compile_cost with
+                         | Some (ms, mb) ->
+                           [ ("compile_ms", Json.Float ms); ("compile_alloc_mb", Json.Float mb) ]
+                         | None -> []))
                      results) );
               ( "tracing_overhead",
                 Json.Obj
@@ -865,7 +888,7 @@ let engine () =
            ]
          ~rows:
            (List.map
-              (fun (name, variant, (sample : Stats.report), runs, wall_s, emu_s, task_s) ->
+              (fun (name, variant, (sample : Stats.report), runs, wall_s, emu_s, task_s, _) ->
                 [
                   name;
                   variant;

@@ -15,7 +15,14 @@ type kernel = Store.t -> string list -> unit
 val register_object : string -> (string * kernel) list -> unit
 (** Register (or extend) a shared object.  Re-registering a symbol
     replaces it — mirroring dlopen symbol interposition, which Case
-    Study 4 exploits to swap a naive DFT for an optimized FFT. *)
+    Study 4 exploits to swap a naive DFT for an optimized FFT.
+
+    An accelerator symbol that computes the same transform as a CPU
+    symbol should be registered with the same closure value, not a
+    second closure built the same way: the compiled engine treats
+    physically distinct closures as distinct kernels and, at plan
+    compile, runs each one on a copy of the whole instance store to
+    check that their outputs agree. *)
 
 val lookup : shared_object:string -> symbol:string -> (kernel, string) result
 

@@ -266,14 +266,18 @@ let register_pulse_doppler_kernels () =
     Store.set_f32 store "velocity"
       (Radar.doppler_velocity ~peak_bin:dbin ~n_pulses:m ~prf ~carrier_hz:carrier)
   in
+  (* One closure per pulse, registered under both the CPU and the
+     accelerator symbol: the compiled engine's kernel memo then sees one
+     kernel per node instead of comparing two whole-store copies. *)
+  let ffts = Array.init m fft_p and iffts = Array.init m ifft_p in
   let cpu_syms =
     ("pd_GEN", gen) :: ("pd_DOP", dop)
     :: List.concat
          (List.init m (fun p ->
               [
-                (Printf.sprintf "pd_FFT_%d_CPU" p, fft_p p);
+                (Printf.sprintf "pd_FFT_%d_CPU" p, ffts.(p));
                 (Printf.sprintf "pd_MUL_%d" p, mul_p p);
-                (Printf.sprintf "pd_IFFT_%d_CPU" p, ifft_p p);
+                (Printf.sprintf "pd_IFFT_%d_CPU" p, iffts.(p));
               ]))
   in
   register_object "pulse_doppler.so" cpu_syms;
@@ -281,8 +285,8 @@ let register_pulse_doppler_kernels () =
     (List.concat
        (List.init m (fun p ->
             [
-              (Printf.sprintf "pd_FFT_%d_ACCEL" p, fft_p p);
-              (Printf.sprintf "pd_IFFT_%d_ACCEL" p, ifft_p p);
+              (Printf.sprintf "pd_FFT_%d_ACCEL" p, ffts.(p));
+              (Printf.sprintf "pd_IFFT_%d_ACCEL" p, iffts.(p));
             ])))
 
 let pulse_doppler () =

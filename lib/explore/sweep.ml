@@ -264,10 +264,13 @@ let fresh_counters () =
    plan is compiled once per (config x policy x workload) cell and
    replayed for every replicate — that is the compiled engine's
    intended amortization.  The memo keys on the cell labels but stores
-   the workload by physical identity: generator-built workloads are
-   fresh values per point and therefore never falsely share a plan,
-   while [Grid.fixed_workload] cells hit on every replicate. *)
-let plan_memo : (string * string * string, Workload.t * Compiled_engine.plan) Hashtbl.t
+   the config and the workload by physical identity: generator-built
+   workloads are fresh values per point and therefore never falsely
+   share a plan, a different config that happens to reuse a label (in
+   a later sweep on the same domain) recompiles, while
+   [Grid.fixed_workload] cells hit on every replicate. *)
+let plan_memo :
+    (string * string * string, Config.t * Workload.t * Compiled_engine.plan) Hashtbl.t
     Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 16)
 
@@ -311,7 +314,7 @@ let compiled_result ?counters ~obs (grid : Grid.t) (p : Grid.point) =
         let memo = Domain.DLS.get plan_memo in
         let key = (p.Grid.config_label, p.Grid.policy, p.Grid.wl_label) in
         match Hashtbl.find_opt memo key with
-        | Some (wl, plan) when wl == p.Grid.workload ->
+        | Some (cfg, wl, plan) when cfg == p.Grid.config && wl == p.Grid.workload ->
           bump (fun c -> c.c_plan_reuses);
           plan
         | _ ->
@@ -320,7 +323,7 @@ let compiled_result ?counters ~obs (grid : Grid.t) (p : Grid.point) =
               ~policy:(policy ()) ()
           in
           bump (fun c -> c.c_plan_compiles);
-          Hashtbl.replace memo key (p.Grid.workload, plan);
+          Hashtbl.replace memo key (p.Grid.config, p.Grid.workload, plan);
           plan)
     in
     Compiled_engine.run ~obs plan

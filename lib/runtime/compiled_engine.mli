@@ -34,8 +34,14 @@
     (in topological order) and records the final store; runs then blit
     that image into every instance store instead of re-executing
     identical kernels hundreds of times.  When a node's platform
-    entries resolve to different kernel functions the archetype falls
-    back to per-instance kernel execution, preserving the contract. *)
+    entries resolve to physically distinct kernel closures, each one
+    runs on its own copy of the whole store: the memo is kept when
+    all their outputs agree byte for byte, and the archetype falls
+    back to per-instance kernel execution when they differ, preserving
+    the contract either way.  Those copies make compilation cost scale
+    with store size times such nodes, so a transform that is the same
+    on every PE should be registered as one closure (see
+    {!Dssoc_apps.Kernels.register_object}). *)
 
 type plan
 

@@ -630,6 +630,124 @@ let test_compiled_rejects_fault_plans () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "Emulator surfaced no error for fault + compiled"
 
+(* ---------------- compiled engine: kernel-template memo ---------------- *)
+
+(* Compilation runs each archetype's kernel chain once and replays the
+   final store; the reference apps register one closure per transform
+   under both the CPU and the accelerator symbol, so that memo sees a
+   single kernel per node.  Keeping the SDR mix's compile cheap pins
+   that: comparing two whole-store copies per pulse-Doppler FFT node
+   used to allocate about 800 MB per compile. *)
+let test_compiled_compile_cost () =
+  let config = Config.zcu102_cores_ffts ~cores:3 ~ffts:2 in
+  let workload = Workload.validation (List.map (fun a -> (a, 1)) (Reference_apps.all ())) in
+  List.iter
+    (fun (cpu, accel) ->
+      Alcotest.(check bool) (cpu ^ " and " ^ accel ^ " are one closure") true
+        (Kernels.lookup_exn ~shared_object:"pulse_doppler.so" ~symbol:cpu
+        == Kernels.lookup_exn ~shared_object:"fft_accel.so" ~symbol:accel))
+    [ ("pd_FFT_0_CPU", "pd_FFT_0_ACCEL"); ("pd_IFFT_0_CPU", "pd_IFFT_0_ACCEL") ];
+  let before = Gc.allocated_bytes () in
+  ignore (Compiled.compile ~config ~workload ~policy:Scheduler.frfs ());
+  let mb = (Gc.allocated_bytes () -. before) /. 1048576.0 in
+  Alcotest.(check bool) (Printf.sprintf "SDR-mix compile allocates %.1f MB <= 64 MB" mb) true
+    (mb <= 64.0)
+
+(* Distinct CPU and accelerator closures for one node are still
+   supported: the memo runs each on a copy of the template store and
+   is kept only when their outputs agree; otherwise every instance
+   executes its kernels at dispatch, as in the virtual engine.  No
+   reference app reaches those branches any more, so a synthetic
+   archetype does: a source, four parallel transforms with a CPU and
+   an accelerator symbol each, and a sink. *)
+let memo_calls = ref 0
+
+let memo_ys = List.init 4 (Printf.sprintf "y%d")
+
+let register_memo_object ~accel_offset =
+  let xf dst offset store _args =
+    incr memo_calls;
+    Store.set_i32 store dst ((2 * Store.get_i32 store "x") + offset)
+  in
+  Kernels.register_object "memo_cpu.so"
+    (("src", fun store _ -> Store.set_i32 store "x" 21)
+     :: ("sum", fun store _ ->
+            Store.set_i32 store "total"
+              (List.fold_left (fun acc y -> acc + Store.get_i32 store y) 0 memo_ys))
+     :: List.map (fun y -> ("xf_" ^ y, xf y 0)) memo_ys);
+  Kernels.register_object "memo_accel.so"
+    (List.map (fun y -> ("xf_" ^ y, xf y accel_offset)) memo_ys)
+
+let memo_spec () =
+  let i32 = { Store.bytes = 4; is_ptr = false; ptr_alloc_bytes = 0; init = [] } in
+  let entry ?shared_object platform runfunc cost =
+    { App_spec.platform; runfunc; shared_object; cost_us = Some cost }
+  in
+  let node name preds platforms =
+    {
+      App_spec.node_name = name;
+      arguments = [];
+      predecessors = preds;
+      successors = [];
+      platforms;
+      kernel_class = "generic";
+      size = 1;
+      bytes_in = 0;
+      bytes_out = 0;
+    }
+  in
+  App_spec.of_edges ~app_name:"memo" ~shared_object:"memo_cpu.so"
+    ~variables:(List.map (fun v -> (v, i32)) ("x" :: "total" :: memo_ys))
+    ~nodes:
+      ((node "src" [] [ entry "cpu" "src" 5.0 ]
+        :: List.map
+             (fun y ->
+               node ("xf_" ^ y) [ "src" ]
+                 [ entry "cpu" ("xf_" ^ y) 40.0;
+                   entry ~shared_object:"memo_accel.so" "fft" ("xf_" ^ y) 10.0 ])
+             memo_ys)
+      @ [ node "sum" (List.map (( ^ ) "xf_") memo_ys) [ entry "cpu" "sum" 5.0 ] ])
+
+let test_compiled_memo_distinct_closures () =
+  let config = Config.zcu102_cores_ffts ~cores:2 ~ffts:1 in
+  let params = { Engine_core.seed = 5L; jitter = 0.02; reservation_depth = 0 } in
+  List.iter
+    (fun (case, accel_offset) ->
+      register_memo_object ~accel_offset;
+      let accel_totals = ref 0 in
+      List.iter
+        (fun policy ->
+          let label = Printf.sprintf "%s/%s" case policy in
+          let wl () = Workload.validation [ (memo_spec (), 3) ] in
+          memo_calls := 0;
+          let plan = Compiled.compile ~config ~workload:(wl ()) ~policy:(policy_of policy) () in
+          let compile_calls = !memo_calls in
+          let cr, ci = Compiled.run_detailed plan params in
+          let run_calls = !memo_calls - compile_calls in
+          let vr, vi =
+            Result.get_ok
+              (Emulator.run_detailed ~engine:(Emulator.Virtual params) ~policy ~config
+                 ~workload:(wl ()) ())
+          in
+          check_csv_identical label (Stats.records_csv vr) (Stats.records_csv cr);
+          check_stores_identical label vi ci;
+          if accel_offset = 0 then
+            Alcotest.(check int) (label ^ ": memo kept, no kernel runs per instance") 0
+              run_calls
+          else
+            Alcotest.(check int) (label ^ ": fallback runs every transform per instance")
+              (3 * 4) run_calls;
+          Array.iter
+            (fun (inst : Task.instance) ->
+              if Store.get_i32 inst.Task.store "total" <> 4 * 42 then incr accel_totals)
+            ci)
+        matrix_policies;
+      (* Non-vacuous: in the divergent case some instance's store shows
+         the accelerator's output. *)
+      Alcotest.(check bool) (case ^ ": accelerator outputs visible") (accel_offset <> 0)
+        (!accel_totals > 0))
+    [ ("equal outputs", 0); ("different outputs", 1) ]
+
 (* ---------------- compiled engine: observability lowering ---------------- *)
 
 module Analyze = Dssoc_obs.Analyze
@@ -905,6 +1023,9 @@ let () =
           Alcotest.test_case "plan purity under interleaved runs" `Quick
             test_compiled_plan_purity;
           Alcotest.test_case "fault plans rejected" `Quick test_compiled_rejects_fault_plans;
+          Alcotest.test_case "SDR-mix compile cost" `Quick test_compiled_compile_cost;
+          Alcotest.test_case "memo with distinct CPU/accel closures" `Quick
+            test_compiled_memo_distinct_closures;
           qtest qcheck_compiled_respects_adjacency;
           qtest qcheck_compiled_replays_virtual;
           qtest qcheck_compiled_rejects_faults;

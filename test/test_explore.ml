@@ -208,6 +208,30 @@ let test_sweep_compiled_obs_columns () =
         c.Sweep.crit_path_us)
     tv.Sweep.rows tc.Sweep.rows
 
+let test_sweep_compiled_plan_not_reused_across_configs () =
+  (* Regression for the per-domain plan memo: it keys on the cell
+     labels, and two configs may share a label (here 2C+2F with and
+     without a contended bus).  A second sweep of the same
+     [Grid.fixed_workload] value on the same domain must compile a new
+     plan for the new config, not replay the first sweep's. *)
+  let wl =
+    Grid.fixed_workload ~label:"mix"
+      (Workload.validation [ (Reference_apps.range_detection (), 1); (Reference_apps.wifi_rx (), 1) ])
+  in
+  let ideal = Config.zcu102_cores_ffts ~cores:2 ~ffts:2 in
+  let bus =
+    Config.with_fabric (Result.get_ok (Dssoc_soc.Fabric.of_spec "bus:bw=100MB/s,fifo=1")) ideal
+  in
+  let grid config =
+    Grid.make ~label:"memo" ~replicates:2 ~base_seed:3L ~jitter:0.02
+      ~configs:[ (config.Config.label, config) ] ~policies:[ "FRFS" ] ~workloads:[ wl ] ()
+  in
+  let csv engine config = Sweep.to_csv (Sweep.run ~jobs:1 ~engine (grid config)) in
+  Alcotest.(check string) "ideal: compiled = virtual" (csv `Virtual ideal) (csv `Compiled ideal);
+  let tv = csv `Virtual bus in
+  Alcotest.(check bool) "the bus changes the table" true (tv <> csv `Virtual ideal);
+  Alcotest.(check string) "bus after ideal: compiled = virtual" tv (csv `Compiled bus)
+
 let test_summarize_counts () =
   let g = small_grid ~jitter:0.01 ~replicates:4 () in
   let t = Sweep.run ~jobs:2 g in
@@ -258,6 +282,8 @@ let () =
           Alcotest.test_case "row fields" `Quick test_sweep_row_fields;
           Alcotest.test_case "compiled obs columns match virtual" `Slow
             test_sweep_compiled_obs_columns;
+          Alcotest.test_case "compiled plan memo rechecks the config" `Quick
+            test_sweep_compiled_plan_not_reused_across_configs;
           Alcotest.test_case "summarize" `Slow test_summarize_counts;
           Alcotest.test_case "presets" `Quick test_presets;
         ] );
