@@ -692,6 +692,14 @@ let engine () =
         ((fun () -> Compiled.run plan params), Some (compile_ms, compile_alloc_mb))
     in
     let sample = once () (* warm-up; also yields the per-run task count *) in
+    (* Minor-heap words one emulation allocates, taken on a second run
+       so one-time initialisation is excluded; deterministic for a given
+       build on the virtual and compiled engines, so CI gates it. *)
+    let minor_words =
+      let w0 = Gc.minor_words () in
+      ignore (once ());
+      Gc.minor_words () -. w0
+    in
     let target_ns = 1_000_000_000 and min_runs = 3 in
     let t0 = Mclock.now_ns () in
     let runs = ref 0 in
@@ -708,7 +716,8 @@ let engine () =
       wall_s,
       emu_per_s,
       emu_per_s *. float_of_int sample.Stats.task_count,
-      compile_cost )
+      compile_cost,
+      minor_words )
   in
   let results = List.map measure scenarios in
   (* Tracing-overhead check: re-run the fig9 3C+2F scenario with the
@@ -732,8 +741,8 @@ let engine () =
     float_of_int !runs /. (float_of_int (Mclock.now_ns () - t0) /. 1e9)
   in
   let untraced_emu_s name =
-    let _, _, _, _, _, emu_s, _, _ =
-      List.find (fun (n, _, _, _, _, _, _, _) -> n = name) results
+    let _, _, _, _, _, emu_s, _, _, _ =
+      List.find (fun (n, _, _, _, _, _, _, _, _) -> n = name) results
     in
     emu_s
   in
@@ -834,7 +843,8 @@ let engine () =
                             wall_s,
                             emu_s,
                             task_s,
-                            compile_cost ) ->
+                            compile_cost,
+                            minor_words ) ->
                        Json.Obj
                          ([
                            ("name", Json.String name);
@@ -851,6 +861,7 @@ let engine () =
                            ("wall_s", Json.Float wall_s);
                            ("emulations_per_s", Json.Float emu_s);
                            ("tasks_per_s", Json.Float task_s);
+                           ("minor_words_per_emulation", Json.Float minor_words);
                          ]
                          @
                          match compile_cost with
@@ -884,11 +895,11 @@ let engine () =
          ~header:
            [
              "scenario"; "engine"; "tasks/emu"; "runs"; "wall s"; "emulations/s"; "tasks/s";
-             "stall ms";
+             "stall ms"; "Mwords/emu";
            ]
          ~rows:
            (List.map
-              (fun (name, variant, (sample : Stats.report), runs, wall_s, emu_s, task_s, _) ->
+              (fun (name, variant, (sample : Stats.report), runs, wall_s, emu_s, task_s, _, words) ->
                 [
                   name;
                   variant;
@@ -899,6 +910,7 @@ let engine () =
                   Printf.sprintf "%.0f" task_s;
                   Printf.sprintf "%.3f"
                     (float_of_int sample.Stats.fabric.Stats.fabric_stall_ns /. 1e6);
+                  Printf.sprintf "%.1f" (words /. 1e6);
                 ])
               results));
     Printf.printf

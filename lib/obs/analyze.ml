@@ -24,11 +24,24 @@ type task_exec = {
   x_stall_ns : int;  (** fabric admission stalls inside the service window *)
 }
 
+module Int_tbl = Hashtbl.Make (Int)
+
 type t = {
   a_tasks : task_exec array;  (* completion order *)
   a_makespan_ns : int;
-  a_inject_ns : (int * int) list;  (* instance -> injection time *)
+  a_inject_ns : int Int_tbl.t;  (* instance -> first injection time *)
 }
+
+(* First position [p] in [0, n) with [f p >= v] ([strict]: [f p > v]),
+   for [f] non-decreasing; [n] if there is none. *)
+let search ?(strict = false) n (f : int -> int) v =
+  let lo = ref 0 and hi = ref n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    let x = f mid in
+    if x < v || (strict && x = v) then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
 (* Mutable accumulator for a task whose completion has not been seen
    yet.  A retried task overwrites ready/dispatch in place, so the
@@ -40,24 +53,23 @@ type pending = {
 }
 
 let of_events events =
-  let pend : (int, pending) Hashtbl.t = Hashtbl.create 64 in
+  let pend : pending Int_tbl.t = Int_tbl.create 64 in
   let pending_of task =
-    match Hashtbl.find_opt pend task with
+    match Int_tbl.find_opt pend task with
     | Some p -> p
     | None ->
         let p = { p_ready = 0; p_dispatched = 0; p_dma = 0 } in
-        Hashtbl.replace pend task p;
+        Int_tbl.replace pend task p;
         p
   in
   let tasks = Vec.create () in
-  let injects = ref [] in
+  let injects = Int_tbl.create 64 in
   let stalls = ref [] in
   List.iter
     (fun { Obs.t_ns; body } ->
       match body with
       | Obs.Instance_injected { instance; _ } ->
-          if not (List.mem_assoc instance !injects) then
-            injects := (instance, t_ns) :: !injects
+          if not (Int_tbl.mem injects instance) then Int_tbl.replace injects instance t_ns
       | Obs.Task_ready { task; _ } -> (pending_of task).p_ready <- t_ns
       | Obs.Task_dispatched { task; _ } -> (pending_of task).p_dispatched <- t_ns
       | Obs.Phase { task; phase = Obs.Dma_in | Obs.Dma_out; dur_ns; _ } ->
@@ -79,31 +91,45 @@ let of_events events =
               x_dma_ns = p.p_dma;
               x_stall_ns = 0;
             };
-          Hashtbl.remove pend task
+          Int_tbl.remove pend task
       | Obs.Stream_admitted { pe_index; stall_ns; _ } when stall_ns > 0 ->
           stalls := (t_ns, pe_index, stall_ns) :: !stalls
       | _ -> ())
     events;
   let arr = Vec.to_array tasks in
   (* Attribute each fabric stall to the task occupying that PE when the
-     stream was admitted (its DMA phase is what queued). *)
+     stream was admitted (its DMA phase is what queued): per PE, the
+     admission times sorted with prefix sums of their stalls, so a
+     task's share is two binary searches. *)
   let arr =
     if !stalls = [] then arr
-    else
+    else begin
+      let by_pe = Int_tbl.create 8 in
+      List.iter
+        (fun (t, pe_index, stall_ns) ->
+          let l = Option.value ~default:[] (Int_tbl.find_opt by_pe pe_index) in
+          Int_tbl.replace by_pe pe_index ((t, stall_ns) :: l))
+        !stalls;
+      let index = Int_tbl.create 8 in
+      Int_tbl.iter
+        (fun pe_index l ->
+          let a = Array.of_list l in
+          Array.sort (fun (t1, _) (t2, _) -> Int.compare t1 t2) a;
+          let sums = Array.make (Array.length a + 1) 0 in
+          Array.iteri (fun j (_, stall_ns) -> sums.(j + 1) <- sums.(j) + stall_ns) a;
+          Int_tbl.replace index pe_index (Array.map fst a, sums))
+        by_pe;
       Array.map
         (fun x ->
-          let s =
-            List.fold_left
-              (fun acc (t, pe_index, stall_ns) ->
-                if
-                  pe_index = x.x_pe_index && t >= x.x_dispatched_ns
-                  && t <= x.x_completed_ns
-                then acc + stall_ns
-                else acc)
-              0 !stalls
-          in
-          if s = 0 then x else { x with x_stall_ns = s })
+          match Int_tbl.find_opt index x.x_pe_index with
+          | None -> x
+          | Some (times, sums) ->
+              let n = Array.length times in
+              let lo = search n (Array.get times) x.x_dispatched_ns in
+              let hi = search ~strict:true n (Array.get times) x.x_completed_ns in
+              if hi <= lo then x else { x with x_stall_ns = sums.(hi) - sums.(lo) })
         arr
+    end
   in
   (* The engine reports its makespan as the WM-observed completion of
      the last instance, which trails the last task completion by the
@@ -111,7 +137,7 @@ let of_events events =
      WM tick of that sweep — carries exactly that time, so "latest
      event" reproduces the reported makespan. *)
   let makespan = List.fold_left (fun acc (e : Obs.event) -> max acc e.Obs.t_ns) 0 events in
-  { a_tasks = arr; a_makespan_ns = makespan; a_inject_ns = List.rev !injects }
+  { a_tasks = arr; a_makespan_ns = makespan; a_inject_ns = injects }
 
 let tasks t = Array.to_list t.a_tasks
 let makespan_ns t = t.a_makespan_ns
@@ -169,12 +195,19 @@ let empty_path =
    so gaps and services partition [0, last completion]; the terminal
    observation segment (the final WM sweep's overhead, up to the
    reported makespan) is charged separately, making the path length
-   equal the run's makespan by construction. *)
+   equal the run's makespan by construction.
+
+   Ties: the latest completion binds, and among equal completions the
+   lowest task id (then the earliest log position).  Lookups are binary
+   searches in the task's instance or PE group, sorted by (completion,
+   task id, log position) — exactly those tie-breaks — so each backward
+   step does bounded work however long the log is. *)
 let critical_path t =
   let n = Array.length t.a_tasks in
   if n = 0 then empty_path
   else begin
     let tsk i = t.a_tasks.(i) in
+    let c k = t.a_tasks.(k).x_completed_ns in
     let best = ref 0 in
     Array.iteri
       (fun i x ->
@@ -184,53 +217,88 @@ let critical_path t =
           || (x.x_completed_ns = b.x_completed_ns && x.x_task < b.x_task)
         then best := i)
       t.a_tasks;
-    let visited = Hashtbl.create 16 in
+    let order a b =
+      let xa = tsk a and xb = tsk b in
+      if xa.x_completed_ns <> xb.x_completed_ns then compare xa.x_completed_ns xb.x_completed_ns
+      else compare xa.x_task xb.x_task
+    in
+    (* [index key i]: the group of tasks sharing task [i]'s [key], sorted
+       by [order] (stably, so log position breaks the remaining ties).
+       The tasks are bucketed by [key] in one pass the first time a
+       group is needed, and each group is sorted on first use. *)
+    let index (key : task_exec -> int) =
+      let buckets =
+        lazy
+          (let tbl = Int_tbl.create 64 in
+           for k = n - 1 downto 0 do
+             let g = key (tsk k) in
+             match Int_tbl.find_opt tbl g with
+             | Some ks -> ks := k :: !ks
+             | None -> Int_tbl.add tbl g (ref [ k ])
+           done;
+           tbl)
+      in
+      let groups = Int_tbl.create 16 in
+      fun i ->
+        let g = key (tsk i) in
+        match Int_tbl.find_opt groups g with
+        | Some group -> group
+        | None ->
+            let group = Array.of_list !(Int_tbl.find (Lazy.force buckets) g) in
+            (* Engine logs list each PE's completions in order, so PE
+               groups usually arrive sorted. *)
+            let in_order = ref true in
+            for p = 1 to Array.length group - 1 do
+              if order group.(p - 1) group.(p) > 0 then in_order := false
+            done;
+            if not !in_order then Array.stable_sort order group;
+            Int_tbl.add groups g group;
+            group
+    in
+    let by_instance = index (fun x -> x.x_instance) and by_pe = index (fun x -> x.x_pe_index) in
+    (* First position in [g] whose completion is >= [v] ([strict]: > [v]). *)
+    let search ?strict g v = search ?strict (Array.length g) (fun p -> c g.(p)) v in
+    (* The task at position [p] of [g], or -1 off either end. *)
+    let at g p = if p >= 0 && p < Array.length g then g.(p) else -1 in
+    (* The last position at or before [p] not holding task [i]. *)
+    let before g p i = if p >= 0 && g.(p) = i then p - 1 else p in
+    let visited = Array.make n false in
     (* (index, edge, predecessor index option), forward order: consing
        while walking backwards reverses the walk. *)
     let chain = ref [] in
     let rec back i =
-      Hashtbl.replace visited i ();
+      visited.(i) <- true;
       let x = tsk i in
-      let dep = ref (-1) in
-      Array.iteri
-        (fun k p ->
-          if
-            k <> i && p.x_instance = x.x_instance && p.x_completed_ns = x.x_ready_ns
-            && (!dep < 0 || p.x_task < (tsk !dep).x_task)
-          then dep := k)
-        t.a_tasks;
-      let res = ref (-1) in
-      if x.x_dispatched_ns > x.x_ready_ns then
-        Array.iteri
-          (fun k p ->
-            if
-              k <> i && p.x_pe_index = x.x_pe_index
-              && p.x_completed_ns <= x.x_dispatched_ns
-              && p.x_completed_ns >= x.x_ready_ns
-            then
-              if !res < 0 then res := k
-              else
-                let r = tsk !res in
-                if
-                  p.x_completed_ns > r.x_completed_ns
-                  || (p.x_completed_ns = r.x_completed_ns && p.x_task < r.x_task)
-                then res := k)
-          t.a_tasks;
+      let res =
+        if x.x_dispatched_ns <= x.x_ready_ns then -1
+        else
+          let g = by_pe i in
+          let hi = at g (before g (search ~strict:true g x.x_dispatched_ns - 1) i) in
+          if hi < 0 || c hi < x.x_ready_ns then -1
+          else
+            let lo = search g (c hi) in
+            if g.(lo) = i then g.(lo + 1) else g.(lo)
+      in
+      let dep () =
+        let g = by_instance i in
+        let p = search g x.x_ready_ns in
+        let k = if at g p = i then at g (p + 1) else at g p in
+        if k >= 0 && c k = x.x_ready_ns then k else -1
+      in
       let pick =
-        if x.x_dispatched_ns > x.x_ready_ns && !res >= 0 then Some (!res, Resource)
-        else if !dep >= 0 then Some (!dep, Dependency)
-        else None
+        if res >= 0 then Some (res, Resource)
+        else
+          let d = dep () in
+          if d >= 0 then Some (d, Dependency) else None
       in
       match pick with
-      | Some (p, edge) when not (Hashtbl.mem visited p) ->
+      | Some (p, edge) when not visited.(p) ->
           chain := (i, edge, Some p) :: !chain;
           back p
       | _ -> chain := (i, Injection, None) :: !chain
     in
     back !best;
-    let inject_ns inst =
-      match List.assoc_opt inst t.a_inject_ns with Some v -> v | None -> 0
-    in
+    let inject_ns inst = Option.value ~default:0 (Int_tbl.find_opt t.a_inject_ns inst) in
     let slack_of i edge pred =
       let x = tsk i in
       match (edge, pred) with
@@ -239,28 +307,16 @@ let critical_path t =
           (* How much earlier the binding predecessor could have
              finished before the next-latest same-instance completion
              (or the injection itself) becomes the binding constraint. *)
-          let alt = ref (inject_ns x.x_instance) in
-          Array.iteri
-            (fun k p ->
-              if
-                k <> i && p.x_instance = x.x_instance
-                && p.x_completed_ns < x.x_ready_ns
-                && p.x_completed_ns > !alt
-              then alt := p.x_completed_ns)
-            t.a_tasks;
-          x.x_ready_ns - !alt
+          let g = by_instance i in
+          let k = at g (before g (search g x.x_ready_ns - 1) i) in
+          let alt = inject_ns x.x_instance in
+          x.x_ready_ns - if k >= 0 then max alt (c k) else alt
       | Resource, Some pr ->
-          let pc = (tsk pr).x_completed_ns in
-          let alt = ref x.x_ready_ns in
-          Array.iteri
-            (fun k q ->
-              if
-                k <> i && k <> pr && q.x_pe_index = x.x_pe_index
-                && q.x_completed_ns >= x.x_ready_ns && q.x_completed_ns < pc
-                && q.x_completed_ns > !alt
-              then alt := q.x_completed_ns)
-            t.a_tasks;
-          pc - !alt
+          (* [pr] itself completes at [pc], so the search skips it. *)
+          let pc = c pr in
+          let g = by_pe i in
+          let k = at g (before g (search g pc - 1) i) in
+          pc - if k >= 0 && c k >= x.x_ready_ns then c k else x.x_ready_ns
       | Resource, None -> 0
     in
     let prev_end = ref 0 in

@@ -76,7 +76,12 @@ val critical_path : t -> critical_path
 (** Backward walk from the last completion.  Step gaps and services
     partition [0, last completion] and [cp_observe_ns] covers the
     rest, so [cp_length_ns = makespan_ns t] (the property the test
-    suite pins on random DAGs for both engines). *)
+    suite pins on random DAGs for both engines).  The latest
+    completion binds; among equal completions the lowest task id wins.
+    Cost: O(log n) per step of the path, after one bucketing pass of
+    the tasks by instance and one by PE, each made the first time the
+    walk needs it, and a sort of each group it consults unless that
+    group is already in completion order. *)
 
 (** {1 Utilization / occupancy} *)
 

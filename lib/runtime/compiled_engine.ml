@@ -1107,12 +1107,12 @@ let run_detailed ?(obs = Obs.disabled) plan (params : Core.params) =
         add_job 0 wm_th cost
       end
     end
-  (* The reference scans its whole <= [sched_window] window, but an
-     assignment can only ever land on an idle PE and every other
-     per-entry computation is scratch — so once the idle budget is
-     exhausted the rest of the walk is unobservable (RANDOM included:
-     its candidate list, and hence any PRNG draw, is idle-gated).
-     Breaking early there is exact. *)
+  (* Same early exit as the built-ins in [Scheduler]: an assignment
+     can only ever land on an idle PE and every other per-entry
+     computation is scratch, so once the idle budget is exhausted the
+     rest of the <= [sched_window] window is unobservable (RANDOM
+     included: its draws are idle-gated).  [ops] is charged as
+     [nready * n_pes], the full window the walk stands for. *)
   and run_policy nready n_idle0 =
     let emit (t : Task.t) i =
       if Array.length !as_task = 0 then as_task := Array.make (max 1 n_pes) t;

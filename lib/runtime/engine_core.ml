@@ -351,11 +351,32 @@ let workload_manager ?(obs = Obs.disabled) ?(fault = Fault.disabled) ?service
     ~prng ~(stats : wm_stats) =
   let n_pes = Array.length handlers in
   let fault_on = Fault.enabled fault in
-  let ready : Task.t Queue.t = Queue.create () in
-  (* Tasks leave the ready queue lazily (dispatch flips them to
-     Running but only the front is ever popped), so [Queue.length]
-     overstates the live ready-list length.  The scheduler's charged
-     O(n)/O(n^2) cost must follow the *live* count, kept here. *)
+  (* The ready list is an array FIFO: entries [rq_head, rq_tail) of
+     [rq].  Tasks leave it lazily (dispatch flips them to Running but
+     only the front is ever popped), so [rq_tail - rq_head] overstates
+     the live ready-list length.  The scheduler's charged O(n)/O(n^2)
+     cost must follow the *live* count, kept here.  A stale entry whose
+     task becomes Ready again (a retry, or a drained reservation)
+     revives at its old position; the FIFO is never compacted past
+     such entries, because that would reorder fault-run schedules. *)
+  let rq = ref [||] and rq_head = ref 0 and rq_tail = ref 0 in
+  let rq_push (task : Task.t) =
+    if !rq_tail = Array.length !rq then begin
+      let live = !rq_tail - !rq_head in
+      if !rq_head > 0 && 2 * !rq_head >= Array.length !rq then
+        (* at least half the slots are popped: slide the window down *)
+        Array.blit !rq !rq_head !rq 0 live
+      else begin
+        let bigger = Array.make (max sched_window (2 * Array.length !rq)) task in
+        Array.blit !rq !rq_head bigger 0 live;
+        rq := bigger
+      end;
+      rq_head := 0;
+      rq_tail := live
+    end;
+    !rq.(!rq_tail) <- task;
+    incr rq_tail
+  in
   let ready_live = ref 0 in
   (* WM-owned dispatched-but-not-yet-monitored count, feeding the
      in-flight gauge; metrics are only ever touched on this thread. *)
@@ -369,7 +390,7 @@ let workload_manager ?(obs = Obs.disabled) ?(fault = Fault.disabled) ?service
   let make_ready (task : Task.t) =
     task.Task.status <- Task.Ready;
     task.Task.ready_at <- b.b_now ();
-    Queue.add task ready;
+    rq_push task;
     incr ready_live;
     if Obs.enabled obs then
       Obs.on_task_ready obs ~now:task.Task.ready_at ~task:task.Task.id
@@ -532,6 +553,18 @@ let workload_manager ?(obs = Obs.disabled) ?(fault = Fault.disabled) ?service
       handlers
   in
   let ready_scratch = ref [||] in
+  (* A task with a revived stale entry sits in the FIFO twice; the
+     snapshot keeps only its first entry, marking each task taken with
+     the invocation's stamp (indexed by task id). *)
+  let taken_in =
+    Array.make
+      (Array.fold_left
+         (fun acc (inst : Task.instance) ->
+           Array.fold_left (fun acc (t : Task.t) -> max acc (t.Task.id + 1)) acc inst.Task.tasks)
+         0 instances)
+      0
+  in
+  let stamp = ref 0 in
   (* One scheduling invocation: snapshot the ready window, run the
      policy, account its cost, dispatch the selected tasks.  Invoked
      after every task completion and after every injection burst, as
@@ -539,8 +572,8 @@ let workload_manager ?(obs = Obs.disabled) ?(fault = Fault.disabled) ?service
      queues, so "a scheduling algorithm incurs this overhead every
      time a task completes"). *)
   let do_schedule () =
-    while (not (Queue.is_empty ready)) && (Queue.peek ready).Task.status <> Task.Ready do
-      ignore (Queue.pop ready)
+    while !rq_head < !rq_tail && !rq.(!rq_head).Task.status <> Task.Ready do
+      incr rq_head
     done;
     let now0 = if fault_on then b.b_now () else 0 in
     let pe_ok h =
@@ -548,24 +581,22 @@ let workload_manager ?(obs = Obs.disabled) ?(fault = Fault.disabled) ?service
     in
     let usable h = h.h_inflight < h.h_capacity && pe_ok h in
     let have_idle = Array.exists usable handlers in
-    if stats.aborted = None && (not (Queue.is_empty ready)) && have_idle then begin
+    if stats.aborted = None && !rq_head < !rq_tail && have_idle then begin
       let ready_len = !ready_live in
-      let nready =
-        let taken = ref 0 in
-        (try
-           Seq.iter
-             (fun t ->
-               if t.Task.status = Task.Ready then begin
-                 if Array.length !ready_scratch = 0 then
-                   ready_scratch := Array.make sched_window t;
-                 !ready_scratch.(!taken) <- t;
-                 incr taken;
-                 if !taken >= sched_window then raise Exit
-               end)
-             (Queue.to_seq ready)
-         with Exit -> ());
-        !taken
-      in
+      if Array.length !ready_scratch = 0 then
+        ready_scratch := Array.make sched_window !rq.(!rq_head);
+      incr stamp;
+      let taken = ref 0 and j = ref !rq_head in
+      while !taken < sched_window && !j < !rq_tail do
+        let t = !rq.(!j) in
+        if t.Task.status = Task.Ready && taken_in.(t.Task.id) <> !stamp then begin
+          taken_in.(t.Task.id) <- !stamp;
+          !ready_scratch.(!taken) <- t;
+          incr taken
+        end;
+        incr j
+      done;
+      let nready = !taken in
       Array.iteri
         (fun i h ->
           let st = pes_scratch.(i) in

@@ -304,9 +304,11 @@ val workload_manager :
     window and PE states ({!Scheduler.context}, estimate queries
     backed by the dense table) — once per completion at capacity 1, as
     the paper prescribes, or batched per sweep when reservation queues
-    are configured.  The ready queue deletes dispatched entries
-    lazily; the charged O(n)/O(n²) policy cost follows a live-count
-    accounting, not [Queue.length].  Returns once every instance has
+    are configured.  The ready list is an array FIFO that deletes
+    dispatched entries lazily; the charged O(n)/O(n²) policy cost
+    follows a live-count accounting, not the FIFO's length, and a
+    task listed twice (its stale entry revived by a retry) enters the
+    snapshot once.  Returns once every instance has
     completed and all handlers have been told to stop.
 
     With [obs] (default {!Dssoc_obs.Obs.disabled}, a guaranteed no-op)

@@ -25,61 +25,76 @@ type assignment = { task : Task.t; pe_index : int }
 
 type policy = { name : string; schedule : context -> assignment list }
 
-(* The ready window lives in a scratch array the engine reuses across
-   invocations; only entries [0, nready) are meaningful. *)
-let iter_ready f ctx =
-  for j = 0 to ctx.nready - 1 do
-    f ctx.ready.(j)
-  done
-
 (* ------------------------------------------------------------------ *)
 (* Built-ins                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* Every built-in walks the ready window [0, nready) in FIFO order and
+   examines each PE for each task, so its recorded [ops] is always
+   [nready * |pes|]; that count is charged in one step.  The walk stops
+   once no PE is idle: an assignment only ever lands on an idle PE,
+   [idle] never turns true again within an invocation, and everything
+   else a pass computes per task (EFT's availability horizon, RANDOM's
+   candidate set) is scratch.  Skipping the rest of the window is
+   therefore unobservable, including RANDOM's PRNG draws, which are
+   idle-gated. *)
+
+let count_idle pes =
+  let n = ref 0 in
+  for i = 0 to Array.length pes - 1 do
+    if pes.(i).idle then incr n
+  done;
+  !n
+
+(* The loop every built-in shares: [pick task] returns the chosen idle
+   PE (or -1); [walk] commits it and keeps the idle budget. *)
+let walk ctx pick =
+  ctx.ops <- ctx.ops + (ctx.nready * Array.length ctx.pes);
+  let out = ref [] in
+  let n_idle = ref (count_idle ctx.pes) in
+  let j = ref 0 in
+  while !j < ctx.nready && !n_idle > 0 do
+    let task = ctx.ready.(!j) in
+    let i = pick task in
+    if i >= 0 then begin
+      ctx.pes.(i).idle <- false;
+      decr n_idle;
+      out := { task; pe_index = i } :: !out
+    end;
+    incr j
+  done;
+  List.rev !out
+
 let frfs =
   let schedule ctx =
-    let out = ref [] in
-    iter_ready
-      (fun task ->
-        let chosen = ref None in
-        Array.iteri
-          (fun i st ->
-            ctx.ops <- ctx.ops + 1;
-            if !chosen = None && st.idle && Task.supports task st.pe then chosen := Some i)
-          ctx.pes;
-        match !chosen with
-        | Some i ->
-          ctx.pes.(i).idle <- false;
-          out := { task; pe_index = i } :: !out
-        | None -> ())
-      ctx;
-    List.rev !out
+    let pes = ctx.pes in
+    walk ctx (fun task ->
+        let chosen = ref (-1) and i = ref 0 in
+        while !chosen < 0 && !i < Array.length pes do
+          let st = pes.(!i) in
+          if st.idle && Task.supports task st.pe then chosen := !i;
+          incr i
+        done;
+        !chosen)
   in
   { name = "FRFS"; schedule }
 
 let met =
   let schedule ctx =
-    let out = ref [] in
-    iter_ready
-      (fun task ->
-        let best = ref None in
-        Array.iteri
-          (fun i st ->
-            ctx.ops <- ctx.ops + 1;
-            if st.idle && Task.supports task st.pe then begin
-              let est = ctx.estimate task i in
-              match !best with
-              | Some (_, best_est) when best_est <= est -> ()
-              | _ -> best := Some (i, est)
-            end)
-          ctx.pes;
-        match !best with
-        | Some (i, _) ->
-          ctx.pes.(i).idle <- false;
-          out := { task; pe_index = i } :: !out
-        | None -> ())
-      ctx;
-    List.rev !out
+    let pes = ctx.pes in
+    walk ctx (fun task ->
+        let best = ref (-1) and best_est = ref 0 in
+        for i = 0 to Array.length pes - 1 do
+          let st = pes.(i) in
+          if st.idle && Task.supports task st.pe then begin
+            let est = ctx.estimate task i in
+            if !best < 0 || est < !best_est then begin
+              best := i;
+              best_est := est
+            end
+          end
+        done;
+        !best)
   in
   { name = "MET"; schedule }
 
@@ -91,85 +106,77 @@ let eft =
        *reserves* it (pushing the availability horizon) and stays in
        the ready list — the "wait for the better PE" behaviour that
        distinguishes EFT from MET. *)
-    let avail = Array.map (fun st -> if st.idle then ctx.now else st.busy_until) ctx.pes in
-    let out = ref [] in
-    iter_ready
-      (fun task ->
-        let best = ref None in
-        Array.iteri
-          (fun i st ->
-            ctx.ops <- ctx.ops + 1;
-            if st.available && Task.supports task st.pe then begin
-              let finish = max ctx.now avail.(i) + ctx.estimate task i in
-              match !best with
-              | Some (_, best_finish) when best_finish <= finish -> ()
-              | _ -> best := Some (i, finish)
-            end)
-          ctx.pes;
-        match !best with
-        | None -> ()
-        | Some (i, finish) ->
-          avail.(i) <- finish;
-          if ctx.pes.(i).idle then begin
-            ctx.pes.(i).idle <- false;
-            out := { task; pe_index = i } :: !out
-          end)
-      ctx;
-    List.rev !out
+    let pes = ctx.pes in
+    let avail = Array.make (Array.length pes) 0 in
+    for i = 0 to Array.length pes - 1 do
+      avail.(i) <- (if pes.(i).idle then ctx.now else pes.(i).busy_until)
+    done;
+    walk ctx (fun task ->
+        let best = ref (-1) and best_finish = ref 0 in
+        for i = 0 to Array.length pes - 1 do
+          let st = pes.(i) in
+          if st.available && Task.supports task st.pe then begin
+            let finish = max ctx.now avail.(i) + ctx.estimate task i in
+            if !best < 0 || finish < !best_finish then begin
+              best := i;
+              best_finish := finish
+            end
+          end
+        done;
+        if !best < 0 then -1
+        else begin
+          avail.(!best) <- !best_finish;
+          if pes.(!best).idle then !best else -1
+        end)
   in
   { name = "EFT"; schedule }
 
 let power =
   let schedule ctx =
-    let out = ref [] in
-    iter_ready
-      (fun task ->
-        let best = ref None in
-        Array.iteri
-          (fun i st ->
-            ctx.ops <- ctx.ops + 1;
-            if st.idle && Task.supports task st.pe then begin
-              let est = ctx.estimate task i in
-              (* Energy-to-completion for this task on this PE; ties
-                 broken by execution time. *)
-              let energy = float_of_int est *. Pe.busy_w st.pe.Pe.kind in
-              match !best with
-              | Some (_, best_energy, best_est)
-                when best_energy < energy || (best_energy = energy && best_est <= est) ->
-                ()
-              | _ -> best := Some (i, energy, est)
-            end)
-          ctx.pes;
-        match !best with
-        | Some (i, _, _) ->
-          ctx.pes.(i).idle <- false;
-          out := { task; pe_index = i } :: !out
-        | None -> ())
-      ctx;
-    List.rev !out
+    let pes = ctx.pes in
+    walk ctx (fun task ->
+        let best = ref (-1) and best_energy = ref 0.0 and best_est = ref 0 in
+        for i = 0 to Array.length pes - 1 do
+          let st = pes.(i) in
+          if st.idle && Task.supports task st.pe then begin
+            let est = ctx.estimate task i in
+            (* Energy-to-completion for this task on this PE; ties
+               broken by execution time. *)
+            let energy = float_of_int est *. Pe.busy_w st.pe.Pe.kind in
+            if
+              !best < 0 || energy < !best_energy
+              || (energy = !best_energy && est < !best_est)
+            then begin
+              best := i;
+              best_energy := energy;
+              best_est := est
+            end
+          end
+        done;
+        !best)
   in
   { name = "POWER"; schedule }
 
 let random =
   let schedule ctx =
-    let out = ref [] in
-    iter_ready
-      (fun task ->
-        let candidates = ref [] in
-        Array.iteri
-          (fun i st ->
-            ctx.ops <- ctx.ops + 1;
-            if st.idle && Task.supports task st.pe then candidates := i :: !candidates)
-          ctx.pes;
-        match !candidates with
-        | [] -> ()
-        | cs ->
-          let arr = Array.of_list cs in
-          let i = Prng.choose ctx.prng arr in
-          ctx.pes.(i).idle <- false;
-          out := { task; pe_index = i } :: !out)
-      ctx;
-    List.rev !out
+    let pes = ctx.pes in
+    walk ctx (fun task ->
+        let n = ref 0 in
+        for i = 0 to Array.length pes - 1 do
+          if pes.(i).idle && Task.supports task pes.(i).pe then incr n
+        done;
+        if !n = 0 then -1
+        else begin
+          (* The candidates, listed from the highest PE index down, are
+             indexed by one uniform draw — the order (and hence the
+             PE) a prepend-built candidate list gives. *)
+          let k = ref (Prng.int ctx.prng !n) and i = ref (Array.length pes) in
+          while !k >= 0 do
+            decr i;
+            if pes.(!i).idle && Task.supports task pes.(!i).pe then decr k
+          done;
+          !i
+        end)
   in
   { name = "RANDOM"; schedule }
 

@@ -46,7 +46,15 @@ type assignment = { task : Task.t; pe_index : int }
 
 type policy = { name : string; schedule : context -> assignment list }
 
-(** {1 Built-in policies} *)
+(** {1 Built-in policies}
+
+    Each built-in walks the ready window in FIFO order and stops once
+    no PE is idle: assignments only land on idle PEs and [idle] never
+    turns true again within an invocation, so the rest of the window
+    cannot change the result (nor RANDOM's draws, which are
+    idle-gated).  Their [ops] counts the full window,
+    [nready * Array.length pes], which is what the overhead model and
+    the [sched] events report. *)
 
 val frfs : policy
 (** First ready-first start: walk the ready list in order; each task

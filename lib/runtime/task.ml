@@ -84,7 +84,12 @@ let entry_matches (e : App_spec.platform_entry) (pe : Pe.t) =
 
 let platform_entry_for t pe = List.find_opt (fun e -> entry_matches e pe) t.node.App_spec.platforms
 
-let supports t pe = Option.is_some (platform_entry_for t pe)
+(* A plain recursion, so the policies' inner loops allocate nothing. *)
+let rec any_entry_matches pe = function
+  | [] -> false
+  | e :: rest -> entry_matches e pe || any_entry_matches pe rest
+
+let supports t pe = any_entry_matches pe t.node.App_spec.platforms
 
 let status_to_string = function
   | Blocked -> "blocked"

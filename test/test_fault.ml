@@ -253,6 +253,37 @@ let test_deterministic_replay () =
   Alcotest.(check bool) "fault seed matters" true
     (r3.Stats.resilience <> r1.Stats.resilience || r3.Stats.makespan_ns <> r1.Stats.makespan_ns)
 
+(* A retried task is made ready again while the stale ready-list entry
+   of its failed attempt is still queued, so the entry revives and the
+   task sits in the list twice.  The scheduling snapshot must take it
+   once: otherwise FRFS can hand it two idle PEs, its kernel runs twice
+   and its successors are released twice.  These are the contended,
+   faulted rate-1.71 runs that hit the duplicate. *)
+let test_retry_dispatched_once () =
+  let bus = Result.get_ok (Dssoc_soc.Fabric.of_spec "bus:bw=100MB/s,fifo=1") in
+  let config = Config.with_fabric bus (Config.zcu102_cores_ffts ~cores:2 ~ffts:2) in
+  let spec = "*:transient:p=0.05:recover=0.2ms,accel:dma:p=0.05,retries=6" in
+  for i = 0 to 19 do
+    let seed = Dssoc_util.Prng.derive_seed ~seed:1L ~index:i in
+    let r =
+      Result.get_ok
+        (Emulator.run
+           ~engine:(Emulator.virtual_seeded ~jitter:0.03 seed)
+           ~policy:"FRFS" ~fault:(plan_of_spec ~seed spec) ~config
+           ~workload:(Workload.table2_workload ~rate:1.71 ())
+           ())
+    in
+    let seen = Hashtbl.create 8192 in
+    List.iter
+      (fun (t : Stats.task_record) ->
+        let key = (t.Stats.instance, t.Stats.node) in
+        if Hashtbl.mem seen key then
+          Alcotest.failf "seed index %d: %s/%d:%s completed twice" i t.Stats.app t.Stats.instance
+            t.Stats.node;
+        Hashtbl.replace seen key ())
+      r.Stats.records
+  done
+
 (* ---------------- event-level safety property ---------------- *)
 
 (* No Task_dispatched event may target a PE inside one of its
@@ -384,6 +415,7 @@ let () =
           Alcotest.test_case "budget exhaustion aborts" `Slow test_budget_exhaustion_aborts;
           Alcotest.test_case "no surviving PE aborts" `Quick test_no_survivor_aborts;
           Alcotest.test_case "deterministic replay" `Slow test_deterministic_replay;
+          Alcotest.test_case "retried task dispatched once" `Slow test_retry_dispatched_once;
           qtest prop_no_dispatch_to_quarantined;
         ] );
       ( "observability",

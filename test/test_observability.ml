@@ -635,6 +635,286 @@ let test_analyze_pp_and_json () =
       | _ -> Alcotest.fail "length_ns/observe_ns missing")
   | Error _ -> Alcotest.fail "critical_path missing"
 
+(* Oracle for [Analyze.critical_path]: the scan-based walk, which
+   rescans every task at each backward step.  The library indexes the
+   same walk; both must agree step for step (edges, gaps, services,
+   slacks) on any log, ties included. *)
+let reference_critical_path ~inject (a : Analyze.t) =
+  let execs = Array.of_list (Analyze.tasks a) in
+  let n = Array.length execs in
+  if n = 0 then Analyze.critical_path a
+  else begin
+    let open Analyze in
+    let tsk i = execs.(i) in
+    let best = ref 0 in
+    Array.iteri
+      (fun i x ->
+        let b = tsk !best in
+        if
+          x.x_completed_ns > b.x_completed_ns
+          || (x.x_completed_ns = b.x_completed_ns && x.x_task < b.x_task)
+        then best := i)
+      execs;
+    let visited = Hashtbl.create 16 in
+    let chain = ref [] in
+    let rec back i =
+      Hashtbl.replace visited i ();
+      let x = tsk i in
+      let dep = ref (-1) in
+      Array.iteri
+        (fun k p ->
+          if
+            k <> i && p.x_instance = x.x_instance && p.x_completed_ns = x.x_ready_ns
+            && (!dep < 0 || p.x_task < (tsk !dep).x_task)
+          then dep := k)
+        execs;
+      let res = ref (-1) in
+      if x.x_dispatched_ns > x.x_ready_ns then
+        Array.iteri
+          (fun k p ->
+            if
+              k <> i && p.x_pe_index = x.x_pe_index
+              && p.x_completed_ns <= x.x_dispatched_ns
+              && p.x_completed_ns >= x.x_ready_ns
+            then
+              if !res < 0 then res := k
+              else
+                let r = tsk !res in
+                if
+                  p.x_completed_ns > r.x_completed_ns
+                  || (p.x_completed_ns = r.x_completed_ns && p.x_task < r.x_task)
+                then res := k)
+          execs;
+      let pick =
+        if x.x_dispatched_ns > x.x_ready_ns && !res >= 0 then Some (!res, Resource)
+        else if !dep >= 0 then Some (!dep, Dependency)
+        else None
+      in
+      match pick with
+      | Some (p, edge) when not (Hashtbl.mem visited p) ->
+          chain := (i, edge, Some p) :: !chain;
+          back p
+      | _ -> chain := (i, Injection, None) :: !chain
+    in
+    back !best;
+    let inject_ns inst = match List.assoc_opt inst inject with Some v -> v | None -> 0 in
+    let slack_of i edge pred =
+      let x = tsk i in
+      match (edge, pred) with
+      | Injection, _ -> 0
+      | Dependency, _ ->
+          let alt = ref (inject_ns x.x_instance) in
+          Array.iteri
+            (fun k p ->
+              if
+                k <> i && p.x_instance = x.x_instance
+                && p.x_completed_ns < x.x_ready_ns
+                && p.x_completed_ns > !alt
+              then alt := p.x_completed_ns)
+            execs;
+          x.x_ready_ns - !alt
+      | Resource, Some pr ->
+          let pc = (tsk pr).x_completed_ns in
+          let alt = ref x.x_ready_ns in
+          Array.iteri
+            (fun k q ->
+              if
+                k <> i && k <> pr && q.x_pe_index = x.x_pe_index
+                && q.x_completed_ns >= x.x_ready_ns && q.x_completed_ns < pc
+                && q.x_completed_ns > !alt
+              then alt := q.x_completed_ns)
+            execs;
+          pc - !alt
+      | Resource, None -> 0
+    in
+    let prev_end = ref 0 in
+    let steps =
+      List.map
+        (fun (i, edge, pred) ->
+          let x = tsk i in
+          let gap = max 0 (x.x_dispatched_ns - !prev_end) in
+          prev_end := x.x_completed_ns;
+          {
+            s_task = x;
+            s_edge = edge;
+            s_gap_ns = gap;
+            s_service_ns = x.x_completed_ns - x.x_dispatched_ns;
+            s_slack_ns = slack_of i edge pred;
+          })
+        !chain
+    in
+    let gap = List.fold_left (fun a s -> a + s.s_gap_ns) 0 steps in
+    let service = List.fold_left (fun a s -> a + s.s_service_ns) 0 steps in
+    let dma = List.fold_left (fun a s -> a + s.s_task.x_dma_ns) 0 steps in
+    let stall = List.fold_left (fun a s -> a + s.s_task.x_stall_ns) 0 steps in
+    let observe = max 0 (makespan_ns a - (tsk !best).x_completed_ns) in
+    let length = gap + service + observe in
+    {
+      cp_steps = steps;
+      cp_length_ns = length;
+      cp_gap_ns = gap;
+      cp_service_ns = service;
+      cp_observe_ns = observe;
+      cp_dma_ns = dma;
+      cp_stall_ns = stall;
+      cp_dma_frac = (if length <= 0 then 0.0 else float_of_int dma /. float_of_int length);
+    }
+  end
+
+(* First injection time per instance, as [Analyze.of_events] keeps it. *)
+let injections events =
+  List.fold_left
+    (fun acc (e : Obs.event) ->
+      match e.Obs.body with
+      | Obs.Instance_injected { instance; _ } when not (List.mem_assoc instance acc) ->
+          (instance, e.Obs.t_ns) :: acc
+      | _ -> acc)
+    [] events
+
+let critical_paths_agree events =
+  let a = Analyze.of_events events in
+  Analyze.critical_path a = reference_critical_path ~inject:(injections events) a
+
+(* One executed task of a synthetic log. *)
+type synth = { sy_task : int; sy_inst : int; sy_pe : int; sy_ready : int; sy_disp : int; sy_done : int }
+
+let synth_events ~injects ~tail tasks =
+  let ev t_ns body = { Obs.t_ns; body } in
+  let per_task s =
+    let node = Printf.sprintf "n%d" s.sy_task and pe = Printf.sprintf "pe%d" s.sy_pe in
+    [
+      ev s.sy_ready (Obs.Task_ready { task = s.sy_task; instance = s.sy_inst; app = "app"; node });
+      ev s.sy_disp
+        (Obs.Task_dispatched
+           { task = s.sy_task; instance = s.sy_inst; app = "app"; node; pe; pe_index = s.sy_pe;
+             wait_ns = s.sy_disp - s.sy_ready });
+      ev s.sy_done
+        (Obs.Task_completed
+           { task = s.sy_task; instance = s.sy_inst; app = "app"; node; pe; pe_index = s.sy_pe;
+             service_ns = s.sy_done - s.sy_disp });
+    ]
+  in
+  let body =
+    List.map (fun (inst, t) -> ev t (Obs.Instance_injected { instance = inst; app = "app" })) injects
+    @ List.concat_map per_task tasks
+  in
+  let last = List.fold_left (fun acc (e : Obs.event) -> max acc e.Obs.t_ns) 0 body in
+  List.stable_sort (fun (x : Obs.event) y -> compare x.Obs.t_ns y.Obs.t_ns) body
+  @ [ ev (last + tail) (Obs.Wm_tick { completions = 1; injected = 0 }) ]
+
+(* Random logs on a coarse 10 ns grid, so equal completion times,
+   zero-length services and zero waits are common; several tasks share
+   each PE and instance, and task ids are a shuffled permutation. *)
+let synth_log_gen =
+  QCheck.Gen.(
+    int_range 1 60 >>= fun n ->
+    int_range 1 6 >>= fun n_inst ->
+    int_range 1 4 >>= fun n_pe ->
+    shuffle_l (List.init n Fun.id) >>= fun ids ->
+    flatten_l
+      (List.map
+         (fun id ->
+           map
+             (fun (inst, pe, (r, w, sv)) ->
+               let ready = 10 * r in
+               let disp = ready + (10 * w) in
+               { sy_task = id; sy_inst = inst; sy_pe = pe; sy_ready = ready; sy_disp = disp;
+                 sy_done = disp + (10 * sv) })
+             (triple (int_bound (n_inst - 1)) (int_bound (n_pe - 1))
+                (triple (int_bound 30) (oneofl [ 0; 0; 1; 2; 3 ]) (int_bound 3))))
+         ids)
+    >>= fun tasks ->
+    flatten_l (List.init n_inst (fun i -> map (fun t -> (i, t)) (int_bound 10))) >>= fun injects ->
+    (* an instance may be missing its injection event *)
+    map
+      (fun (drop, tail) -> (List.filter (fun (i, _) -> i <> drop) injects, tail, tasks))
+      (pair (int_range (-1) (n_inst - 1)) (int_bound 50)))
+
+let prop_critical_path_matches_scan =
+  QCheck.Test.make ~name:"critical path matches the scan-based reference" ~count:500
+    (QCheck.make
+       ~print:(fun (_, _, tasks) ->
+         String.concat " "
+           (List.map
+              (fun s ->
+                Printf.sprintf "%d@i%d/pe%d:%d-%d-%d" s.sy_task s.sy_inst s.sy_pe s.sy_ready s.sy_disp
+                  s.sy_done)
+              tasks))
+       synth_log_gen)
+    (fun (injects, tail, tasks) -> critical_paths_agree (synth_events ~injects ~tail tasks))
+
+(* A long resource chain: 40 instances' tasks queue up at t=0 on three
+   PEs that run them back to back, so the walk takes ~1000 resource
+   steps; every fifth service is zero-length and the three PEs finish
+   tasks at equal times, exercising the tie-breaks at depth. *)
+let test_critical_path_long_chain () =
+  let per_pe = 1000 in
+  let tasks =
+    List.concat_map
+      (fun pe ->
+        let t = ref 0 in
+        List.init per_pe (fun k ->
+            let id = (k * 3) + pe in
+            let disp = !t in
+            let service = if k mod 5 = 0 then 0 else 10 * (1 + (k mod 3)) in
+            t := disp + service;
+            { sy_task = id; sy_inst = id mod 40; sy_pe = pe; sy_ready = 0; sy_disp = disp;
+              sy_done = disp + service }))
+      [ 0; 1; 2 ]
+  in
+  let events = synth_events ~injects:(List.init 40 (fun i -> (i, 0))) ~tail:7 tasks in
+  let cp = Analyze.critical_path (Analyze.of_events events) in
+  Alcotest.(check bool) "a long chain" true (List.length cp.Analyze.cp_steps > 500);
+  Alcotest.(check bool) "agrees with the reference" true (critical_paths_agree events)
+
+(* A path through 200 instances: in each, dependency steps hop between
+   PEs, and the instance's first task waits on PE 0 for the previous
+   instance's last task, so the walk searches hundreds of instance
+   groups. *)
+let test_critical_path_many_instances () =
+  let t = ref 0 in
+  let tasks =
+    List.concat
+      (List.init 200 (fun j ->
+           let step k pe ~ready ~service =
+             let disp = !t in
+             t := disp + service;
+             { sy_task = (3 * j) + k; sy_inst = j; sy_pe = pe; sy_ready = ready; sy_disp = disp;
+               sy_done = disp + service }
+           in
+           let first = step 0 0 ~ready:0 ~service:10 in
+           let second = step 1 (1 + (j mod 2)) ~ready:first.sy_done ~service:(10 * (j mod 3)) in
+           [ first; second; step 2 0 ~ready:second.sy_done ~service:10 ]))
+  in
+  let events = synth_events ~injects:(List.init 200 (fun i -> (i, 0))) ~tail:3 tasks in
+  let cp = Analyze.critical_path (Analyze.of_events events) in
+  (* Where the middle step takes no time (j mod 3 = 0, 67 instances),
+     the first and middle tasks complete together and the lower id,
+     the first task, binds the last one. *)
+  Alcotest.(check int) "path length" (600 - 67) (List.length cp.Analyze.cp_steps);
+  Alcotest.(check bool) "agrees with the reference" true (critical_paths_agree events)
+
+(* Real logs: a short jittered FRFS run, and the saturated EFT run at
+   rate 4.57 whose makespan is bound by a chain of thousands of
+   resource waits. *)
+let test_critical_path_emulation_logs () =
+  List.iter
+    (fun (policy, jitter, window_ms, min_steps) ->
+      let obs = Obs.make ~sink:(Obs.Sink.ring ~capacity:(1 lsl 20) ()) () in
+      ignore
+        (Emulator.run_exn ~engine:(Emulator.virtual_seeded ~jitter 5L) ~policy
+           ~config:(Config.zcu102_cores_ffts ~cores:2 ~ffts:2)
+           ~workload:(Workload.table2_workload ~window_ms ~rate:4.57 ())
+           ~obs ());
+      let events = Obs.recorded_events obs in
+      let cp = Analyze.critical_path (Analyze.of_events events) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s path has >= %d steps" policy min_steps)
+        true
+        (List.length cp.Analyze.cp_steps >= min_steps);
+      Alcotest.(check bool) (policy ^ " log agrees") true (critical_paths_agree events))
+    [ ("FRFS", 0.03, 2.0, 100); ("EFT", 0.0, 100.0, 1000) ]
+
 (* ---------------------- periodic metrics flusher ---------------------- *)
 
 let test_flush_snapshots_and_close () =
@@ -797,6 +1077,12 @@ let () =
             test_analyze_dma_and_stall_attribution;
           Alcotest.test_case "empty log" `Quick test_analyze_empty_log;
           Alcotest.test_case "pp and json" `Quick test_analyze_pp_and_json;
+          QCheck_alcotest.to_alcotest prop_critical_path_matches_scan;
+          Alcotest.test_case "critical path on a long chain" `Quick test_critical_path_long_chain;
+          Alcotest.test_case "critical path through many instances" `Quick
+            test_critical_path_many_instances;
+          Alcotest.test_case "critical path on emulation logs" `Slow
+            test_critical_path_emulation_logs;
         ] );
       ( "metrics flusher",
         [

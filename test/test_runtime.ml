@@ -606,6 +606,215 @@ let prop_eft_no_worse_than_met_when_all_idle =
       | ([], _), ([], _) -> true (* no supporting PE in the drawn kinds *)
       | _ -> false (* one policy found a placement the other missed *))
 
+(* Oracle for the built-in policies: the straightforward full-window
+   walks (every task examined against every PE, one [ops] per pair).
+   The library's versions stop once no PE is idle and charge [ops] in
+   one step; on any window — duplicates, busy and unavailable PEs,
+   arbitrary [busy_until] — they must return the same assignments,
+   leave the same PE states and [ops], and draw the same random
+   numbers. *)
+module Ref_policy = struct
+  open Scheduler
+
+  let iter_ready f ctx =
+    for j = 0 to ctx.nready - 1 do
+      f ctx.ready.(j)
+    done
+
+  let frfs ctx =
+    let out = ref [] in
+    iter_ready
+      (fun task ->
+        let chosen = ref None in
+        Array.iteri
+          (fun i st ->
+            ctx.ops <- ctx.ops + 1;
+            if !chosen = None && st.idle && Task.supports task st.pe then chosen := Some i)
+          ctx.pes;
+        match !chosen with
+        | Some i ->
+          ctx.pes.(i).idle <- false;
+          out := { task; pe_index = i } :: !out
+        | None -> ())
+      ctx;
+    List.rev !out
+
+  let met ctx =
+    let out = ref [] in
+    iter_ready
+      (fun task ->
+        let best = ref None in
+        Array.iteri
+          (fun i st ->
+            ctx.ops <- ctx.ops + 1;
+            if st.idle && Task.supports task st.pe then begin
+              let est = ctx.estimate task i in
+              match !best with
+              | Some (_, best_est) when best_est <= est -> ()
+              | _ -> best := Some (i, est)
+            end)
+          ctx.pes;
+        match !best with
+        | Some (i, _) ->
+          ctx.pes.(i).idle <- false;
+          out := { task; pe_index = i } :: !out
+        | None -> ())
+      ctx;
+    List.rev !out
+
+  let eft ctx =
+    let avail = Array.map (fun st -> if st.idle then ctx.now else st.busy_until) ctx.pes in
+    let out = ref [] in
+    iter_ready
+      (fun task ->
+        let best = ref None in
+        Array.iteri
+          (fun i st ->
+            ctx.ops <- ctx.ops + 1;
+            if st.available && Task.supports task st.pe then begin
+              let finish = max ctx.now avail.(i) + ctx.estimate task i in
+              match !best with
+              | Some (_, best_finish) when best_finish <= finish -> ()
+              | _ -> best := Some (i, finish)
+            end)
+          ctx.pes;
+        match !best with
+        | None -> ()
+        | Some (i, finish) ->
+          avail.(i) <- finish;
+          if ctx.pes.(i).idle then begin
+            ctx.pes.(i).idle <- false;
+            out := { task; pe_index = i } :: !out
+          end)
+      ctx;
+    List.rev !out
+
+  let power ctx =
+    let out = ref [] in
+    iter_ready
+      (fun task ->
+        let best = ref None in
+        Array.iteri
+          (fun i st ->
+            ctx.ops <- ctx.ops + 1;
+            if st.idle && Task.supports task st.pe then begin
+              let est = ctx.estimate task i in
+              let energy = float_of_int est *. Pe.busy_w st.pe.Pe.kind in
+              match !best with
+              | Some (_, best_energy, best_est)
+                when best_energy < energy || (best_energy = energy && best_est <= est) ->
+                ()
+              | _ -> best := Some (i, energy, est)
+            end)
+          ctx.pes;
+        match !best with
+        | Some (i, _, _) ->
+          ctx.pes.(i).idle <- false;
+          out := { task; pe_index = i } :: !out
+        | None -> ())
+      ctx;
+    List.rev !out
+
+  let random ctx =
+    let out = ref [] in
+    iter_ready
+      (fun task ->
+        let candidates = ref [] in
+        Array.iteri
+          (fun i st ->
+            ctx.ops <- ctx.ops + 1;
+            if st.idle && Task.supports task st.pe then candidates := i :: !candidates)
+          ctx.pes;
+        match !candidates with
+        | [] -> ()
+        | cs ->
+          let i = Prng.choose ctx.prng (Array.of_list cs) in
+          ctx.pes.(i).idle <- false;
+          out := { task; pe_index = i } :: !out)
+      ctx;
+    List.rev !out
+
+  let all = [ (Scheduler.frfs, frfs); (Scheduler.met, met); (Scheduler.eft, eft); (Scheduler.power, power); (Scheduler.random, random) ]
+end
+
+type pe_draw = Idle | Busy | Unavailable
+
+type window_scenario = {
+  w_pes : (int * pe_draw * int) list;  (** kind index, state, busy_until *)
+  w_ready : int list;  (** pool indices, repeats allowed *)
+  w_now : int;
+  w_seed : int;
+}
+
+let window_scenario_gen =
+  QCheck.Gen.(
+    int_range 1 6 >>= fun n_pes ->
+    list_size (return n_pes)
+      (triple
+         (int_range 0 (Array.length sched_pe_kinds - 1))
+         (frequency [ (3, return Idle); (2, return Busy); (1, return Unavailable) ])
+         (int_range 0 200_000))
+    >>= fun w_pes ->
+    int_range 0 14 >>= fun n_ready ->
+    (* a small index range makes repeated entries common *)
+    list_size (return n_ready) (int_range 0 24) >>= fun w_ready ->
+    int_range 0 100_000 >>= fun w_now ->
+    int_range 1 100_000 >>= fun w_seed -> return { w_pes; w_ready; w_now; w_seed })
+
+let window_scenario_print w =
+  Printf.sprintf "pes=[%s] ready=[%s] now=%d seed=%d"
+    (String.concat ";"
+       (List.map
+          (fun (k, d, b) ->
+            Printf.sprintf "%d/%s/%d" k
+              (match d with Idle -> "idle" | Busy -> "busy" | Unavailable -> "off")
+              b)
+          w.w_pes))
+    (String.concat ";" (List.map string_of_int w.w_ready))
+    w.w_now w.w_seed
+
+let prop_policies_match_full_walk =
+  QCheck.Test.make ~name:"built-in policies match the full-window reference walks" ~count:500
+    (QCheck.make ~print:window_scenario_print window_scenario_gen)
+    (fun w ->
+      let pool = sched_task_pool () in
+      let ready = Array.of_list (List.map (fun i -> pool.(i mod Array.length pool)) w.w_ready) in
+      let run schedule =
+        let pes =
+          Array.of_list
+            (List.mapi
+               (fun i (k, d, busy_until) ->
+                 {
+                   Scheduler.pe = Pe.make ~id:i ~kind:sched_pe_kinds.(k);
+                   idle = d = Idle;
+                   busy_until;
+                   available = d <> Unavailable;
+                 })
+               w.w_pes)
+        in
+        let prng = Prng.create ~seed:(Int64.of_int w.w_seed) in
+        let ctx =
+          {
+            Scheduler.now = w.w_now;
+            ready = Array.append ready [| pool.(0) |] (* stale slot past [nready] *);
+            nready = Array.length ready;
+            pes;
+            estimate = (fun t i -> Exec_model.estimate_ns t pes.(i).Scheduler.pe);
+            prng;
+            ops = 0;
+          }
+        in
+        let assignments =
+          List.map
+            (fun (a : Scheduler.assignment) -> (a.Scheduler.task.Task.id, a.Scheduler.pe_index))
+            (schedule ctx)
+        in
+        (assignments, ctx.Scheduler.ops, Array.map (fun p -> p.Scheduler.idle) pes, Prng.state prng)
+      in
+      List.for_all
+        (fun (policy, reference) -> run policy.Scheduler.schedule = run reference)
+        Ref_policy.all)
+
 let prop_virtual_deterministic_across_policies =
   QCheck.Test.make ~name:"virtual engine deterministic per (seed, policy)" ~count:8
     (QCheck.make
@@ -637,6 +846,7 @@ let () =
           Alcotest.test_case "overhead model" `Quick test_overhead_model;
           qtest prop_policies_respect_assignment_invariants;
           qtest prop_eft_no_worse_than_met_when_all_idle;
+          qtest prop_policies_match_full_walk;
         ] );
       ( "exec_model",
         [
