@@ -394,12 +394,12 @@ let run_point_inner ?counters ~engine_kind (grid : Grid.t) (p : Grid.point) =
     | `Compiled -> compiled_result ?counters ~obs grid p
   in
   match result with
-  | Error msg when grid.Grid.fault <> None ->
-    (* A grid can span configurations the fault plan cannot target
-       (e.g. an [accel:...] rule over a 0-FFT point).  Record the
-       rejection in the verdict column instead of killing the sweep. *)
+  | Error msg ->
+    (* A grid can span points a run rejects: configurations a fault
+       plan cannot target (an [accel:...] rule over a 0-FFT point), or
+       fabric latencies that overflow.  Record the rejection in the
+       verdict column instead of killing the sweep. *)
     aborted_row p msg
-  | Error msg -> invalid_arg msg
   | Ok r ->
     let gauge_max name =
       match Obs.Metrics.find_gauge metrics name with

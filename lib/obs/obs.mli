@@ -328,7 +328,8 @@ val on_pe_recovered : t -> now:int -> pe:string -> pe_index:int -> unit
 
 val on_stream_stalled : t -> now:int -> pe_index:int -> bytes:int -> queued:int -> unit
 (** Sink only (may run from a handler thread); the fabric occupancy
-    gauge and stall histogram are owned by the virtual engine. *)
+    gauge and stall histogram are owned by the deterministic engines'
+    shared substrate, [Dssoc_runtime.Des]. *)
 
 val on_stream_admitted :
   t -> now:int -> pe_index:int -> bytes:int -> stall_ns:int -> inflight:int -> unit

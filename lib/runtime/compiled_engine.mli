@@ -6,11 +6,13 @@
     This module instead {e compiles} one (workload x platform x policy)
     triple into a {!type:plan} of unboxed flat arrays — CSR
     predecessor/successor adjacency over dense task ids, a preresolved
-    per-(task, PE) estimate matrix and accelerator phase tables, dense
-    PE/core/task state arrays — and then {!val:run}s a monomorphic
-    event loop over integer-encoded events with no per-event closure
-    allocation, the workload-manager protocol and the chosen policy
-    inlined.
+    per-(task, PE) estimate matrix and accelerator and fabric phase
+    tables, dense PE/task state arrays — and then {!val:run}s the
+    workload-manager protocol and the chosen policy as an integer
+    program-counter state machine, with no per-event closure
+    allocation.  The clock, event heap, shared host cores and fabric
+    ledger are the virtual engine's own: both engines run on
+    {!Des}.
 
     The contract with the reference engines is {e exact replay}: for
     every supported parameter set (any seed, any jitter, any
@@ -66,7 +68,8 @@ val compile :
     the five built-ins (the compiler specializes the policy loop and
     cannot inline arbitrary closures).
     @raise Invalid_argument when some task supports no PE of the
-    configuration (same validation as the reference engines). *)
+    configuration (same validation as the reference engines), or when
+    a fabric latency overflows ({!Dssoc_soc.Fabric.fixed_ns}). *)
 
 val run : ?obs:Dssoc_obs.Obs.t -> plan -> Engine_core.params -> Stats.report
 (** Execute one emulation of the plan: instantiate fresh instances,

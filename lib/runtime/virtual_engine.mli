@@ -25,9 +25,11 @@
     the seed.
 
     The workload-manager and resource-handler protocol itself lives in
-    {!Engine_core}; this module only supplies the discrete-event
-    backend (clock, effect threads, processor-shared host cores,
-    modelled overhead charging). *)
+    {!Engine_core}, and the discrete-event substrate (clock, event
+    heap, processor-shared host cores, fabric ledger) in {!Des}, which
+    the compiled engine shares.  This module only supplies the backend
+    between them: effect threads that bridge the protocol's
+    direct-style calls onto {!Des}, and modelled overhead charging. *)
 
 type params = Engine_core.params = {
   seed : int64;
@@ -74,7 +76,8 @@ val run :
     the report's [verdict] and [resilience] fields record the outcome.
     Fault draws are keyed on the plan's own seed, not [params.seed].
     @raise Invalid_argument if some task supports no PE of the
-    configuration, or if a fault rule targets no PE. *)
+    configuration, if a fault rule targets no PE, or if a fabric
+    latency overflows ({!Dssoc_soc.Fabric.fixed_ns}). *)
 
 val run_detailed :
   ?params:params ->

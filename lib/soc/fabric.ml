@@ -30,6 +30,16 @@ let demand_ns b ~bytes =
     else int_of_float ns
   end
 
+let fixed_ns b ~pe_index ~chunks ~chunk_lat_ns =
+  let overflow () = invalid_arg "Fabric.fixed_ns: duration overflows" in
+  let hops = hops b.topology ~pe_index in
+  if b.hop_ns > max_int / hops then overflow ();
+  let per_chunk = hops * b.hop_ns in
+  if chunk_lat_ns > max_int - per_chunk then overflow ();
+  let per_chunk = per_chunk + chunk_lat_ns in
+  if chunks > 0 && per_chunk > max_int / chunks then overflow ();
+  chunks * per_chunk
+
 let fingerprint = function
   | Ideal -> "ideal"
   | Bus b ->

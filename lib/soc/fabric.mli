@@ -45,6 +45,11 @@ val demand_ns : bus -> bytes:int -> int
     [bytes <= 0].
     @raise Invalid_argument when the duration overflows [max_int]. *)
 
+val fixed_ns : bus -> pe_index:int -> chunks:int -> chunk_lat_ns:int -> int
+(** Fixed latency of one DMA phase after its link service:
+    [chunks * (chunk_lat_ns + hops * hop_ns)], with the PE's hop count.
+    @raise Invalid_argument when the duration overflows [max_int]. *)
+
 val of_spec : string -> (t, string) result
 (** Parse a CLI fabric spec: ["ideal"], or ["bus:"] followed by
     comma-separated [key=value] settings over {!default_bus} —

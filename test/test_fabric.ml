@@ -114,6 +114,27 @@ let test_demand_ns () =
     (Invalid_argument "Fabric.demand_ns: duration overflows")
     (fun () -> ignore (Fabric.demand_ns slow ~bytes:max_int))
 
+let test_fixed_ns () =
+  let b = { Fabric.default_bus with Fabric.hop_ns = 40; topology = Fabric.Mesh (2, 2) } in
+  (* PE 3 sits three hops out on a 2x2 mesh: 2 x (100 + 3 x 40) *)
+  Alcotest.(check int) "chunks x (latency + hops x hop)" 440
+    (Fabric.fixed_ns b ~pe_index:3 ~chunks:2 ~chunk_lat_ns:100);
+  Alcotest.(check int) "no chunks" 0
+    (Fabric.fixed_ns b ~pe_index:3 ~chunks:0 ~chunk_lat_ns:100);
+  let huge = { b with Fabric.hop_ns = max_int / 2 } in
+  List.iter
+    (fun (label, f) ->
+      Alcotest.check_raises label (Invalid_argument "Fabric.fixed_ns: duration overflows")
+        (fun () -> ignore (f ())))
+    [
+      ( "hops x hop overflows",
+        fun () -> Fabric.fixed_ns huge ~pe_index:3 ~chunks:1 ~chunk_lat_ns:0 );
+      ( "latency sum overflows",
+        fun () -> Fabric.fixed_ns huge ~pe_index:0 ~chunks:1 ~chunk_lat_ns:max_int );
+      ( "chunk product overflows",
+        fun () -> Fabric.fixed_ns huge ~pe_index:0 ~chunks:3 ~chunk_lat_ns:0 );
+    ]
+
 (* The satellite bugfix: Dma.transfer_ns used to wrap around on huge
    transfers; now it refuses them and stays bit-identical in range. *)
 let test_dma_transfer_overflow () =
@@ -166,9 +187,10 @@ let run_compiled ?(jitter = 0.03) ?(depth = 0) ~policy ~config ~wl () =
 
 (* ---------------- contended differential matrix ---------------- *)
 
-(* Three contention shapes: a saturating two-accelerator mix behind a
+(* Four contention shapes: a saturating two-accelerator mix behind a
    starved single-entry FIFO, the fig9-style mix on the default bus,
-   and a hop-latency-dominated bus with a small FIFO. *)
+   a hop-latency-dominated bus with a small FIFO, and a 2x2 mesh whose
+   PEs sit at different hop counts. *)
 let contended_scenarios =
   [
     ( "two-fft-saturated",
@@ -187,6 +209,12 @@ let contended_scenarios =
     ( "hop-latency-bus",
       (fun () -> Config.zcu102_cores_ffts ~cores:2 ~ffts:1),
       fabric_of "bus:bw=500MB/s,fifo=2,hop=50ns",
+      fun () ->
+        Workload.validation
+          [ (Reference_apps.range_detection (), 2); (Reference_apps.wifi_rx (), 1) ] );
+    ( "mesh-hops",
+      (fun () -> Config.zcu102_cores_ffts ~cores:2 ~ffts:2),
+      fabric_of "bus:bw=500MB/s,fifo=2,hop=100ns,hops=mesh2x2",
       fun () ->
         Workload.validation
           [ (Reference_apps.range_detection (), 2); (Reference_apps.wifi_rx (), 1) ] );
@@ -343,24 +371,41 @@ let test_saturated_bus_stalls_and_slows () =
     true
     (contended.Stats.makespan_ns > ideal.Stats.makespan_ns)
 
-let test_mesh_topology_virtual_only () =
-  let config =
-    Config.with_fabric (fabric_of "bus:bw=500MB/s,hop=100ns,hops=mesh2x2")
-      (Config.zcu102_cores_ffts ~cores:2 ~ffts:2)
+(* A hop latency near [max_int] used to wrap the fixed DMA latency
+   into a shorter run; both engines must now refuse it, and a sweep
+   must record the refusal instead of dying. *)
+let test_hop_latency_overflow () =
+  let fabric = fabric_of "bus:hop=4611686018427387000ns" in
+  let config = Config.with_fabric fabric (Config.zcu102_cores_ffts ~cores:2 ~ffts:1) in
+  let wl () = Workload.validation [ (Reference_apps.pulse_doppler (), 1) ] in
+  List.iter
+    (fun (name, engine) ->
+      match Emulator.run ~engine ~config ~workload:(wl ()) () with
+      | Error msg ->
+        Alcotest.(check string) (name ^ ": typed overflow error")
+          "Fabric.fixed_ns: duration overflows" msg
+      | Ok r -> Alcotest.failf "%s: accepted, makespan %d ns" name r.Stats.makespan_ns)
+    [
+      ("virtual", Emulator.virtual_seeded ~jitter:0.0 7L);
+      ("compiled", Emulator.compiled_seeded ~jitter:0.0 7L);
+    ];
+  let module Grid = Dssoc_explore.Grid in
+  let module Sweep = Dssoc_explore.Sweep in
+  let grid =
+    Grid.make
+      ~configs:[ (config.Config.label, config) ]
+      ~policies:[ "FRFS" ]
+      ~workloads:[ Grid.fixed_workload ~label:"pd" (wl ()) ]
+      ()
   in
-  let wl () = Workload.validation [ (Reference_apps.range_detection (), 1) ] in
-  (match
-     Emulator.run ~engine:(Emulator.virtual_seeded 7L) ~config ~workload:(wl ()) ()
-   with
-  | Ok r -> Alcotest.(check bool) "virtual prices mesh hops" true (r.Stats.makespan_ns > 0)
-  | Error e -> Alcotest.failf "virtual rejected mesh fabric: %s" e);
-  match
-    Emulator.run ~engine:(Emulator.compiled_seeded 7L) ~config ~workload:(wl ()) ()
-  with
-  | Error msg ->
-    Alcotest.(check bool) "compiled names the lowering limit" true
-      (String.length msg > 0)
-  | Ok _ -> Alcotest.fail "compiled engine accepted a mesh fabric"
+  List.iter
+    (fun engine ->
+      match (Sweep.run ~engine grid).Sweep.rows with
+      | [ r ] ->
+        Alcotest.(check bool) "sweep row aborted" true
+          (r.Sweep.verdict = Stats.Aborted "Fabric.fixed_ns: duration overflows")
+      | rows -> Alcotest.failf "expected one sweep row, got %d" (List.length rows))
+    [ `Virtual; `Compiled ]
 
 (* ---------------- random-DAG properties ---------------- *)
 
@@ -489,6 +534,7 @@ let () =
         [
           Alcotest.test_case "hop counts" `Quick test_hops;
           Alcotest.test_case "link demand" `Quick test_demand_ns;
+          Alcotest.test_case "fixed latency" `Quick test_fixed_ns;
           Alcotest.test_case "Dma.transfer_ns overflow guard" `Quick
             test_dma_transfer_overflow;
         ] );
@@ -505,8 +551,8 @@ let () =
         [
           Alcotest.test_case "saturated bus stalls and slows" `Quick
             test_saturated_bus_stalls_and_slows;
-          Alcotest.test_case "mesh topology: virtual yes, compiled no" `Quick
-            test_mesh_topology_virtual_only;
+          Alcotest.test_case "hop latency overflow is a typed error" `Quick
+            test_hop_latency_overflow;
         ] );
       ( "properties",
         [ qtest qcheck_ideal_replays_legacy; qtest qcheck_contended_replay_and_fifo_bound ] );

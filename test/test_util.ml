@@ -1,7 +1,7 @@
 module Prng = Dssoc_util.Prng
-module Heap = Dssoc_util.Heap
 module Vec = Dssoc_util.Vec
-module Time_ns = Dssoc_util.Time_ns
+module Config = Dssoc_soc.Config
+module Des = Dssoc_runtime.Des
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -103,94 +103,112 @@ let test_choose () =
   Alcotest.check_raises "empty choice" (Invalid_argument "Prng.choose: empty array") (fun () ->
       ignore (Prng.choose g [||]))
 
+(* The event heap is [Des]'s, driven through its public API: thread
+   [i] of a substrate with one thread per delay sleeps [delays.(i)] on
+   start, and the run records every wake-up as (time, thread). *)
+let des_threads n =
+  let base = Config.zcu102_cores_ffts ~cores:2 ~ffts:2 in
+  Des.create ~clock0:0
+    { base with Config.placements = List.init n (fun _ -> List.hd base.Config.placements) }
+
+let wakeups delays =
+  let n = List.length delays in
+  let delays = Array.of_list delays in
+  let d = des_threads n in
+  for th = 0 to n - 1 do
+    Des.start d th
+  done;
+  let woken = ref [] in
+  Des.run d
+    ~on_start:(fun th -> ignore (Des.sleep d th delays.(th)))
+    ~on_resume:(fun th -> woken := (!(Des.clock d), th) :: !woken);
+  (List.rev !woken, Des.depth d)
+
+(* Stable sort of (delay, thread): the wake-up order FIFO ties imply. *)
+let expected_order delays =
+  List.stable_sort (fun (a, _) (b, _) -> compare a b) (List.mapi (fun i t -> (t, i)) delays)
+
 let test_heap_basic () =
-  let h = Heap.create ~cmp:compare in
-  Alcotest.(check bool) "empty" true (Heap.is_empty h);
-  List.iter (Heap.push h) [ 5; 1; 4; 1; 3 ];
-  Alcotest.(check int) "length" 5 (Heap.length h);
-  Alcotest.(check (option int)) "peek min" (Some 1) (Heap.peek h);
-  Alcotest.(check (list int)) "drain sorted" [ 1; 1; 3; 4; 5 ] (Heap.drain h);
-  Alcotest.(check bool) "drained empty" true (Heap.is_empty h)
+  let woken, depth = wakeups [ 5; 1; 4; 1; 3 ] in
+  Alcotest.(check (list (pair int int)))
+    "wake-ups in time order" [ (1, 1); (1, 3); (3, 4); (4, 2); (5, 0) ] woken;
+  Alcotest.(check int) "drained empty" 0 depth
 
 let test_heap_fifo_ties () =
-  let h = Heap.create ~cmp:(fun (a, _) (b, _) -> compare a b) in
-  List.iter (Heap.push h) [ (1, "a"); (0, "x"); (1, "b"); (1, "c") ];
-  Alcotest.(check (list string)) "fifo among equals" [ "x"; "a"; "b"; "c" ]
-    (List.map snd (Heap.drain h))
+  let woken, _ = wakeups [ 2; 1; 2; 2 ] in
+  Alcotest.(check (list int)) "fifo among equals" [ 1; 0; 2; 3 ] (List.map snd woken)
 
-let test_heap_pop_exn () =
-  let h = Heap.create ~cmp:compare in
-  Alcotest.check_raises "pop empty" (Invalid_argument "Heap.pop_exn: empty heap") (fun () ->
-      ignore (Heap.pop_exn h))
+let delays_gen = QCheck.(list_of_size Gen.(0 -- 60) (int_range 1 1000))
 
 let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap drain = sorted input" ~count:300 QCheck.(list int) (fun l ->
-      let h = Heap.create ~cmp:compare in
-      List.iter (Heap.push h) l;
-      Heap.drain h = List.sort compare l)
+  QCheck.Test.make ~name:"heap drain = sorted input" ~count:300 delays_gen (fun delays ->
+      fst (wakeups delays) = expected_order delays)
 
-let test_heap_pop_releases_values () =
-  (* Popping must not keep values reachable through the backing array
-     (the event loop pops continuously; retained closures would pin
-     every completed event's captured state).  Two historical leaks:
-     popping the last element left it in slot 0, and the swap in [pop]
-     left a stale duplicate of the moved entry in the vacated tail
-     slot. *)
-  let h = Heap.create ~cmp:(fun (a, _) (b, _) -> compare a b) in
-  let probe = Weak.create 2 in
-  Heap.push h (1, ref 42);
-  Heap.push h (2, ref 43);
-  (match Heap.pop h with
-  | Some (_, r) -> Weak.set probe 0 (Some r)
-  | None -> Alcotest.fail "pop returned None");
-  (* Second pop empties the heap: the entry that was swapped into the
-     root (and its stale tail copy) must both be cleared. *)
-  (match Heap.pop h with
-  | Some (k, r) ->
-    Alcotest.(check int) "fifo order intact" 2 k;
-    Weak.set probe 1 (Some r)
-  | None -> Alcotest.fail "pop returned None");
-  Gc.full_major ();
-  Gc.full_major ();
-  Alcotest.(check bool) "first value collected" false (Weak.check probe 0);
-  Alcotest.(check bool) "last value collected" false (Weak.check probe 1);
-  Alcotest.(check bool) "heap still usable" true (Heap.is_empty h);
-  Heap.push h (9, ref 0);
-  Alcotest.(check int) "push after clearing works" 9 (fst (Heap.pop_exn h))
+(* Interleaved pushes and pops: every thread sleeps again on each
+   wake-up, following its own script of delays. *)
+let run_scripts check scripts =
+  let scripts = Array.of_list scripts in
+  let n = Array.length scripts in
+  let d = des_threads n in
+  let left = Array.copy scripts and live = ref n and ok = ref true in
+  let next th =
+    match left.(th) with
+    | ns :: rest ->
+      left.(th) <- rest;
+      ignore (Des.sleep d th ns)
+    | [] -> decr live
+  in
+  let step th =
+    if not (check d th !live) then ok := false;
+    next th
+  in
+  for th = 0 to n - 1 do
+    Des.start d th
+  done;
+  Des.run d ~on_start:step ~on_resume:step;
+  !ok && Des.depth d = 0
 
-let prop_heap_structural_invariants =
-  (* [Heap.invariants_ok] is the checkable form of the structural
-     contract behind [length]/[is_empty] (which the observability
-     gauge sampler reads mid-run): after every push/pop the backing
-     array is heap-ordered, tie-break sequence numbers are unique,
-     vacated slots are cleared, and [length] tracks the live count. *)
-  QCheck.Test.make ~name:"structural invariants under interleaved ops" ~count:200
-    QCheck.(list (pair bool small_int))
-    (fun ops ->
-      let h = Heap.create ~cmp:compare in
-      let live = ref 0 in
-      List.for_all
-        (fun (is_pop, v) ->
-          if is_pop then (match Heap.pop h with Some _ -> decr live | None -> ())
-          else begin
-            Heap.push h v;
-            incr live
-          end;
-          Heap.invariants_ok h
-          && Heap.length h = !live
-          && Heap.is_empty h = (!live = 0))
-        ops)
+let scripts_gen =
+  QCheck.(list_of_size Gen.(1 -- 12) (list_of_size Gen.(0 -- 8) (int_range 1 50)))
 
 let prop_heap_invariant_after_ops =
-  QCheck.Test.make ~name:"heap invariant under interleaved ops" ~count:200
-    QCheck.(list (pair bool small_int))
-    (fun ops ->
-      let h = Heap.create ~cmp:compare in
-      List.iter
-        (fun (is_pop, v) -> if is_pop then ignore (Heap.pop h) else Heap.push h v)
-        ops;
-      let rest = Heap.drain h in
-      rest = List.sort compare rest)
+  QCheck.Test.make ~name:"heap invariant under interleaved ops" ~count:200 scripts_gen
+    (fun scripts ->
+      let last = ref 0 and times = Array.make (List.length scripts) [] in
+      let monotone d th _ =
+        let now = !(Des.clock d) in
+        times.(th) <- now :: times.(th);
+        let ok = now >= !last in
+        last := now;
+        ok
+      in
+      let cumulative l =
+        List.rev (List.fold_left (fun acc x -> (x + List.hd acc) :: acc) [ 0 ] l)
+      in
+      run_scripts monotone scripts
+      && List.for_all2 (fun l t -> cumulative l = List.rev t) scripts (Array.to_list times))
+
+let prop_heap_structural_invariants =
+  (* One pending event per thread not yet done — start, deadline or
+     resume — besides the one just popped: [depth] tracks the live
+     count the [event_heap_depth] gauge samples. *)
+  QCheck.Test.make ~name:"structural invariants under interleaved ops" ~count:200 scripts_gen
+    (run_scripts (fun d _ live -> Des.depth d = live - 1))
+
+(* Two jobs share one core (the 2C+2F FFT managers' core, 100 us
+   quantum, 25 us switch): both run at 0.8/2 = 0.4 of full rate until
+   the 1000 ns job ends at 2500 ns, leaving 3000 - 1000 = 2000 ns of
+   the other at full rate, done at 4500 ns. *)
+let test_des_processor_sharing () =
+  let d = Des.create ~clock0:0 (Config.zcu102_cores_ffts ~cores:2 ~ffts:2) in
+  Des.start d 2;
+  Des.start d 3;
+  let woken = ref [] in
+  Des.run d
+    ~on_start:(fun th -> ignore (Des.work d th (if th = 2 then 1000 else 3000)))
+    ~on_resume:(fun th -> woken := (!(Des.clock d), th) :: !woken);
+  Alcotest.(check (list (pair int int))) "dilated finish times" [ (2500, 2); (4500, 3) ]
+    (List.rev !woken)
 
 let test_vec_basic () =
   let v = Vec.create () in
@@ -218,18 +236,6 @@ let test_vec_filter_sort () =
 let prop_vec_roundtrip =
   QCheck.Test.make ~name:"Vec of_list/to_list roundtrip" ~count:200 QCheck.(list int) (fun l ->
       Vec.to_list (Vec.of_list l) = l)
-
-let test_time_conversions () =
-  Alcotest.(check int) "us" 1_500 (Time_ns.of_us 1.5);
-  Alcotest.(check int) "ms" 2_500_000 (Time_ns.of_ms 2.5);
-  Alcotest.(check int) "sec" 1_000_000_000 (Time_ns.of_sec 1.0);
-  Alcotest.(check (float 1e-9)) "to_ms" 2.5 (Time_ns.to_ms 2_500_000);
-  Alcotest.(check int) "sub clamps" 0 (Time_ns.sub 5 10)
-
-let test_time_pp () =
-  Alcotest.(check string) "ns" "123ns" (Time_ns.to_string 123);
-  Alcotest.(check string) "us" "12.30us" (Time_ns.to_string 12_300);
-  Alcotest.(check string) "ms" "1.500ms" (Time_ns.to_string 1_500_000)
 
 let test_mclock_monotonic () =
   let t0 = Dssoc_util.Mclock.now_ns () in
@@ -269,12 +275,11 @@ let () =
         [
           Alcotest.test_case "basic" `Quick test_heap_basic;
           Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties;
-          Alcotest.test_case "pop_exn" `Quick test_heap_pop_exn;
-          Alcotest.test_case "pop releases values" `Quick test_heap_pop_releases_values;
           qtest prop_heap_sorts;
           qtest prop_heap_invariant_after_ops;
           qtest prop_heap_structural_invariants;
         ] );
+      ("des", [ Alcotest.test_case "processor sharing" `Quick test_des_processor_sharing ]);
       ( "vec",
         [
           Alcotest.test_case "basic" `Quick test_vec_basic;
@@ -284,8 +289,6 @@ let () =
         ] );
       ( "time",
         [
-          Alcotest.test_case "conversions" `Quick test_time_conversions;
-          Alcotest.test_case "pretty printing" `Quick test_time_pp;
           Alcotest.test_case "monotonic clock" `Quick test_mclock_monotonic;
         ] );
     ]
