@@ -371,6 +371,25 @@ let test_saturated_bus_stalls_and_slows () =
     true
     (contended.Stats.makespan_ns > ideal.Stats.makespan_ns)
 
+(* The compiled engine used to refuse mesh fabrics; both engines now
+   price mesh hops, and from one seed they agree on the makespan. *)
+let test_mesh_topology_both_engines () =
+  let config =
+    Config.with_fabric (fabric_of "bus:bw=500MB/s,hop=100ns,hops=mesh2x2")
+      (Config.zcu102_cores_ffts ~cores:2 ~ffts:2)
+  in
+  let wl () = Workload.validation [ (Reference_apps.range_detection (), 1) ] in
+  let run name engine =
+    match Emulator.run ~engine ~config ~workload:(wl ()) () with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "%s rejected mesh fabric: %s" name e
+  in
+  let vr = run "virtual" (Emulator.virtual_seeded 7L) in
+  Alcotest.(check bool) "virtual prices mesh hops" true (vr.Stats.makespan_ns > 0);
+  let cr = run "compiled" (Emulator.compiled_seeded 7L) in
+  Alcotest.(check int) "compiled matches virtual on the mesh" vr.Stats.makespan_ns
+    cr.Stats.makespan_ns
+
 (* A hop latency near [max_int] used to wrap the fixed DMA latency
    into a shorter run; both engines must now refuse it, and a sweep
    must record the refusal instead of dying. *)
@@ -551,6 +570,8 @@ let () =
         [
           Alcotest.test_case "saturated bus stalls and slows" `Quick
             test_saturated_bus_stalls_and_slows;
+          Alcotest.test_case "mesh topology: virtual yes, compiled yes" `Quick
+            test_mesh_topology_both_engines;
           Alcotest.test_case "hop latency overflow is a typed error" `Quick
             test_hop_latency_overflow;
         ] );
