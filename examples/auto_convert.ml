@@ -53,10 +53,14 @@ let () =
     [ "KERNEL_5"; "KERNEL_7" ] [ "DFT_5"; "DFT_7" ];
   (* Functional verification: the converted, substituted application
      still finds the target at the right range bin. *)
-  let ch3 = Store.get_f32_array inst1.(0).Task.store "__out_ch3" in
+  let detected = int_of_float (Store.get_f32_array inst1.(0).Task.store "__out_ch3").(0) in
+  if detected <> Driver.range_detection_echo_delay then begin
+    Format.eprintf "detected echo delay %d samples, ground truth %d: output is wrong@." detected
+      Driver.range_detection_echo_delay;
+    exit 1
+  end;
   Format.printf "@.detected echo delay: %d samples (ground truth %d) — output remains correct@."
-    (int_of_float ch3.(0))
-    Driver.range_detection_echo_delay;
+    detected Driver.range_detection_echo_delay;
   (* Future-work extension: memory-dependence analysis turns the chain
      into a parallel DAG (independent loads and DFTs run concurrently). *)
   let conv_par =

@@ -120,9 +120,13 @@ let () =
   Format.printf "%a@." Stats.pp_summary report;
   Array.iter
     (fun inst ->
-      Format.printf "instance %d: dominant tone at bin %d (expected %d)@." inst.Task.inst_id
-        (Store.get_i32 inst.Task.store "peak_bin")
-        tone_bin)
+      let bin = Store.get_i32 inst.Task.store "peak_bin" in
+      Format.printf "instance %d: dominant tone at bin %d (expected %d)@." inst.Task.inst_id bin
+        tone_bin;
+      if bin <> tone_bin then begin
+        Format.eprintf "instance %d detected the wrong tone bin@." inst.Task.inst_id;
+        exit 1
+      end)
     instances;
   (* 5. The same workload runs natively on OCaml domains. *)
   let native = Emulator.run_exn ~engine:Emulator.native_default ~config ~workload () in

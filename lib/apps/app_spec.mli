@@ -74,7 +74,10 @@ val entry_nodes : t -> node list
 (** Nodes with no predecessors (injected when an instance arrives). *)
 
 val topological_order : t -> node list
-(** Stable topological order (declaration order among ready peers). *)
+(** Stable topological order (declaration order among ready peers).
+    The deterministic engines apply an instance's kernels in this
+    order, which defines their outputs even when two unordered nodes
+    touch the same bytes (see [Dssoc_runtime.Functional]). *)
 
 val critical_path_length : t -> int
 (** Number of nodes on the longest dependency chain. *)

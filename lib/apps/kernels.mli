@@ -19,10 +19,9 @@ val register_object : string -> (string * kernel) list -> unit
 
     An accelerator symbol that computes the same transform as a CPU
     symbol should be registered with the same closure value, not a
-    second closure built the same way: the compiled engine treats
-    physically distinct closures as distinct kernels and, at plan
-    compile, runs each one on a copy of the whole instance store to
-    check that their outputs agree. *)
+    second closure built the same way: the deterministic engines
+    compute one output image per assignment of distinct closures to
+    nodes, so a second closure only costs extra images. *)
 
 val lookup : shared_object:string -> symbol:string -> (kernel, string) result
 

@@ -150,56 +150,63 @@ module Sink = struct
     r.total <- r.total + 1;
     h
 
-  (* Each case writes exactly the fields its constructor carries;
-     [decode] only reads those same offsets per tag, so slots never
-     need clearing between occupants. *)
-  let emit t t_ns body =
+  (* Body-free writers for the hot events: their hooks store the fields
+     directly, so a traced run allocates no record per such event.
+     Unused trailing fields are written as 0 / "" and never read. *)
+  let put_ints t t_ns tag a b c d e =
     match t with
     | Null -> ()
     | Ring r ->
+        if r.concurrent then Mutex.lock r.lock;
+        let i = slot r t_ns tag * istride in
+        r.ints.(i) <- a;
+        r.ints.(i + 1) <- b;
+        r.ints.(i + 2) <- c;
+        r.ints.(i + 3) <- d;
+        r.ints.(i + 4) <- e;
+        if r.concurrent then Mutex.unlock r.lock
+
+  let put_task t t_ns tag task instance c d app node pe =
+    match t with
+    | Null -> ()
+    | Ring r ->
+        if r.concurrent then Mutex.lock r.lock;
+        let h = slot r t_ns tag in
+        let i = h * istride in
+        r.ints.(i) <- task;
+        r.ints.(i + 1) <- instance;
+        r.ints.(i + 2) <- c;
+        r.ints.(i + 3) <- d;
+        let j = h * sstride in
+        r.strs.(j) <- app;
+        r.strs.(j + 1) <- node;
+        r.strs.(j + 2) <- pe;
+        if r.concurrent then Mutex.unlock r.lock
+
+  (* Each case writes the fields its constructor carries at the offsets
+     [decode] reads for its tag, so slots never need clearing between
+     occupants. *)
+  let emit t t_ns body =
+    match (t, body) with
+    | _, Task_ready { task; instance; app; node } ->
+        put_task t t_ns 1 task instance 0 0 app node ""
+    | _, Task_dispatched { task; instance; app; node; pe; pe_index; wait_ns } ->
+        put_task t t_ns 2 task instance pe_index wait_ns app node pe
+    | _, Task_completed { task; instance; app; node; pe; pe_index; service_ns } ->
+        put_task t t_ns 3 task instance pe_index service_ns app node pe
+    | _, Sched_invoked { ready; examined; ops; cost_ns; assigned } ->
+        put_ints t t_ns 4 ready examined ops cost_ns assigned
+    | _, Phase { task; pe_index; phase; start_ns; dur_ns } ->
+        put_ints t t_ns 7 task pe_index (phase_tag phase) start_ns dur_ns
+    | _, Wm_tick { completions; injected } -> put_ints t t_ns 8 completions injected 0 0 0
+    | Null, _ -> ()
+    | Ring r, _ ->
         if r.concurrent then Mutex.lock r.lock;
         (match body with
         | Instance_injected { instance; app } ->
             let h = slot r t_ns 0 in
             r.ints.(h * istride) <- instance;
             r.strs.(h * sstride) <- app
-        | Task_ready { task; instance; app; node } ->
-            let h = slot r t_ns 1 in
-            let i = h * istride in
-            r.ints.(i) <- task;
-            r.ints.(i + 1) <- instance;
-            let j = h * sstride in
-            r.strs.(j) <- app;
-            r.strs.(j + 1) <- node
-        | Task_dispatched { task; instance; app; node; pe; pe_index; wait_ns } ->
-            let h = slot r t_ns 2 in
-            let i = h * istride in
-            r.ints.(i) <- task;
-            r.ints.(i + 1) <- instance;
-            r.ints.(i + 2) <- pe_index;
-            r.ints.(i + 3) <- wait_ns;
-            let j = h * sstride in
-            r.strs.(j) <- app;
-            r.strs.(j + 1) <- node;
-            r.strs.(j + 2) <- pe
-        | Task_completed { task; instance; app; node; pe; pe_index; service_ns } ->
-            let h = slot r t_ns 3 in
-            let i = h * istride in
-            r.ints.(i) <- task;
-            r.ints.(i + 1) <- instance;
-            r.ints.(i + 2) <- pe_index;
-            r.ints.(i + 3) <- service_ns;
-            let j = h * sstride in
-            r.strs.(j) <- app;
-            r.strs.(j + 1) <- node;
-            r.strs.(j + 2) <- pe
-        | Sched_invoked { ready; examined; ops; cost_ns; assigned } ->
-            let i = slot r t_ns 4 * istride in
-            r.ints.(i) <- ready;
-            r.ints.(i + 1) <- examined;
-            r.ints.(i + 2) <- ops;
-            r.ints.(i + 3) <- cost_ns;
-            r.ints.(i + 4) <- assigned
         | Reservation_enqueued { pe_index; depth } ->
             let i = slot r t_ns 5 * istride in
             r.ints.(i) <- pe_index;
@@ -208,17 +215,6 @@ module Sink = struct
             let i = slot r t_ns 6 * istride in
             r.ints.(i) <- pe_index;
             r.ints.(i + 1) <- depth
-        | Phase { task; pe_index; phase; start_ns; dur_ns } ->
-            let i = slot r t_ns 7 * istride in
-            r.ints.(i) <- task;
-            r.ints.(i + 1) <- pe_index;
-            r.ints.(i + 2) <- phase_tag phase;
-            r.ints.(i + 3) <- start_ns;
-            r.ints.(i + 4) <- dur_ns
-        | Wm_tick { completions; injected } ->
-            let i = slot r t_ns 8 * istride in
-            r.ints.(i) <- completions;
-            r.ints.(i + 1) <- injected
         | Fault_injected { task; pe; pe_index; fault; attempt } ->
             let h = slot r t_ns 9 in
             let i = h * istride in
@@ -293,7 +289,9 @@ module Sink = struct
         | Checkpoint_written { path; instances_done } ->
             let h = slot r t_ns 19 in
             r.ints.(h * istride) <- instances_done;
-            r.strs.(h * sstride) <- path);
+            r.strs.(h * sstride) <- path
+        | Task_ready _ | Task_dispatched _ | Task_completed _ | Sched_invoked _ | Phase _
+        | Wm_tick _ -> ());
         if r.concurrent then Mutex.unlock r.lock
 
   let length = function Null -> 0 | Ring r -> r.stored
@@ -506,6 +504,12 @@ module Metrics = struct
     end;
     h.h_data.(len) <- v;
     h.h_len <- len + 1
+
+  (* [observe h (float_of_int ns /. 1e3)], converted here: a float
+     argument would be boxed at every call site. *)
+  let observe_us h ns =
+    if h.h_len = Array.length h.h_data then observe h 0.0 else h.h_len <- h.h_len + 1;
+    h.h_data.(h.h_len - 1) <- float_of_int ns /. 1e3
 
   let histogram_count h = h.h_len
   let histogram_samples h = Array.sub h.h_data 0 h.h_len
@@ -768,7 +772,7 @@ let on_task_ready t ~now ~task ~instance ~app ~node ~ready_depth =
   (match t.eng with
   | Some e -> Metrics.set e.m_ready ~t_ns:now ready_depth
   | None -> ());
-  Sink.emit t.sink now (Task_ready { task; instance; app; node })
+  Sink.put_task t.sink now 1 task instance 0 0 app node ""
 
 let on_task_dispatched t ~now ~task ~instance ~app ~node ~pe ~pe_index ~wait_ns
     ~ready_depth ~pe_depth ~inflight =
@@ -779,9 +783,9 @@ let on_task_dispatched t ~now ~task ~instance ~app ~node ~pe ~pe_index ~wait_ns
       Metrics.set e.m_inflight ~t_ns:now inflight;
       if pe_index >= 0 && pe_index < Array.length e.m_pe_depth then
         Metrics.set e.m_pe_depth.(pe_index) ~t_ns:now pe_depth;
-      Metrics.observe e.m_wait (float_of_int wait_ns /. 1e3)
+      Metrics.observe_us e.m_wait wait_ns
   | None -> ());
-  Sink.emit t.sink now (Task_dispatched { task; instance; app; node; pe; pe_index; wait_ns })
+  Sink.put_task t.sink now 2 task instance pe_index wait_ns app node pe
 
 let on_task_completed t ~now ~task ~instance ~app ~node ~pe ~pe_index ~service_ns
     ~pe_depth ~inflight =
@@ -791,17 +795,17 @@ let on_task_completed t ~now ~task ~instance ~app ~node ~pe ~pe_index ~service_n
       Metrics.set e.m_inflight ~t_ns:now inflight;
       if pe_index >= 0 && pe_index < Array.length e.m_pe_depth then
         Metrics.set e.m_pe_depth.(pe_index) ~t_ns:now pe_depth;
-      Metrics.observe e.m_service (float_of_int service_ns /. 1e3)
+      Metrics.observe_us e.m_service service_ns
   | None -> ());
-  Sink.emit t.sink now (Task_completed { task; instance; app; node; pe; pe_index; service_ns })
+  Sink.put_task t.sink now 3 task instance pe_index service_ns app node pe
 
 let on_sched t ~now ~ready ~examined ~ops ~cost_ns ~assigned =
   (match t.eng with
   | Some e ->
       Metrics.incr e.c_sched;
-      Metrics.observe e.m_sched_cost (float_of_int cost_ns /. 1e3)
+      Metrics.observe_us e.m_sched_cost cost_ns
   | None -> ());
-  Sink.emit t.sink now (Sched_invoked { ready; examined; ops; cost_ns; assigned })
+  Sink.put_ints t.sink now 4 ready examined ops cost_ns assigned
 
 let on_reservation_enqueued t ~now ~pe_index ~depth =
   Sink.emit t.sink now (Reservation_enqueued { pe_index; depth })
@@ -810,14 +814,14 @@ let on_reservation_popped t ~now ~pe_index ~depth =
   Sink.emit t.sink now (Reservation_popped { pe_index; depth })
 
 let on_phase t ~now ~task ~pe_index ~phase ~start_ns ~dur_ns =
-  Sink.emit t.sink now (Phase { task; pe_index; phase; start_ns; dur_ns })
+  Sink.put_ints t.sink now 7 task pe_index (Sink.phase_tag phase) start_ns dur_ns
 
 let on_wm_tick t ~now ~completions ~injected =
   (* The flusher runs on every sweep — including quiet ones — so its
      cadence follows the emulated clock, not the event density. *)
   (match t.flush with Some f -> Flush.tick f ~now | None -> ());
   if completions > 0 || injected > 0 then
-    Sink.emit t.sink now (Wm_tick { completions; injected })
+    Sink.put_ints t.sink now 8 completions injected 0 0 0
 
 (* Emitted by resource handlers (possibly native domains): sink only —
    metrics are WM-thread-only by contract. *)

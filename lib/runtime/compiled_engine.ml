@@ -47,10 +47,6 @@ type cls = {
       (** raw stream bytes per (node, pe); [0] = no fabric stream
           (only consumed by traced runs, for stream events) *)
   c_fb_bytes_out : int array;
-  c_store0 : Store.t;  (** pristine initial store image *)
-  c_final : Store.t option;
-      (** post-kernel store image when every node's kernel is the same
-          physical closure on all supported PEs (see compile) *)
 }
 
 type plan = {
@@ -92,16 +88,11 @@ let builtin_pcode (policy : Scheduler.policy) =
 
 let build_class ~(config : Config.t) ~(pes : Pe.t array) (spec : App_spec.t) =
   let n_pes = Array.length pes in
-  let pes_list = Array.to_list pes in
-  let tmpl = Task.instantiate ~task_id_base:0 ~inst_id:0 ~arrival_ns:0 spec in
-  Array.iter
-    (fun (t : Task.t) ->
-      if not (List.exists (Task.supports t) pes_list) then
-        invalid_arg
-          (Printf.sprintf
-             "Compiled_engine.compile: task %s/%s supports no PE of configuration %s"
-             t.Task.app_name t.Task.node.App_spec.node_name config.Config.label))
-    tmpl.Task.tasks;
+  (* One instance, validated exactly as the reference engines do. *)
+  let tmpl =
+    (Core.instantiate ~engine_name:"Compiled_engine.compile" ~config
+       ~workload:(Workload.validation [ (spec, 1) ])).(0)
+  in
   let n = Array.length tmpl.Task.tasks in
   let tbl = Exec_model.build_table ~instances:[| tmpl |] ~pes in
   let est = Array.make (max 1 (n * n_pes)) min_int in
@@ -158,67 +149,6 @@ let build_class ~(config : Config.t) ~(pes : Pe.t array) (spec : App_spec.t) =
     Array.iteri (fun j u -> if u = 0 then out := j :: !out) unmet;
     Array.of_list (List.rev !out)
   in
-  (* Kernel-template memoization: every instance of an archetype
-     starts from the same store bytes, so when the final store is
-     independent of dispatch decisions the kernel chain can run once
-     here and runs blit the image instead of re-executing identical
-     kernels per instance.  A node usually resolves to one physical
-     kernel closure across all its supported PEs; when PEs register
-     distinct closures (e.g. a CPU and an accelerator variant of the
-     same transform), each distinct kernel is executed on a copy of
-     the template context and all must produce byte-identical stores.
-     The chain runs in topological order — the DAG's dataflow makes
-     the final store linearization-independent.  Any resolution
-     failure or kernel-output divergence falls back to per-instance
-     execution, which preserves the replay contract exactly. *)
-  let final =
-    try
-      let ks =
-        Array.map
-          (fun (t : Task.t) ->
-            let resolved =
-              List.filter_map
-                (fun pe ->
-                  if Task.supports t pe then Some (Exec_model.resolve_kernel t pe)
-                  else None)
-                pes_list
-            in
-            match resolved with
-            | [] -> raise Exit
-            | k :: rest ->
-              let distinct =
-                List.fold_left
-                  (fun acc k' ->
-                    if List.exists (fun k0 -> k0 == k') acc then acc else k' :: acc)
-                  [ k ] rest
-              in
-              Array.of_list (List.rev distinct))
-          tmpl.Task.tasks
-      in
-      let stores_eq a b =
-        List.for_all
-          (fun nm -> Bytes.equal (Store.get_raw a nm) (Store.get_raw b nm))
-          (Store.names a)
-      in
-      let st = Store.create spec.App_spec.variables in
-      List.iter
-        (fun (nd : App_spec.node) ->
-          let j = Hashtbl.find by_name nd.App_spec.node_name in
-          let kn = ks.(j) in
-          if Array.length kn = 1 then kn.(0) st nd.App_spec.arguments
-          else begin
-            let ctx = Store.copy st in
-            kn.(0) st nd.App_spec.arguments;
-            for i = 1 to Array.length kn - 1 do
-              let alt = Store.copy ctx in
-              kn.(i) alt nd.App_spec.arguments;
-              if not (stores_eq alt st) then raise Exit
-            done
-          end)
-        (App_spec.topological_order spec);
-      Some st
-    with Exit | Invalid_argument _ -> None
-  in
   {
     c_spec = spec;
     c_nodes = nodes;
@@ -236,8 +166,6 @@ let build_class ~(config : Config.t) ~(pes : Pe.t array) (spec : App_spec.t) =
     c_fb_fix_out = fb_fix_out;
     c_fb_bytes_in = fb_bytes_in;
     c_fb_bytes_out = fb_bytes_out;
-    c_store0 = tmpl.Task.store;
-    c_final = final;
   }
 
 let compile ?fault ~(config : Config.t) ~(workload : Workload.t)
@@ -286,34 +214,16 @@ let compile ?fault ~(config : Config.t) ~(workload : Workload.t)
       total := !total + classes.(ci).c_n)
     item_class;
   let n_tasks = !total in
-  let est = Array.make (max 1 (n_tasks * n_pes)) min_int in
-  let ph_in = Array.make (max 1 (n_tasks * n_pes)) 0 in
-  let ph_comp = Array.make (max 1 (n_tasks * n_pes)) 0 in
-  let ph_out = Array.make (max 1 (n_tasks * n_pes)) 0 in
-  let fb_dem_in = Array.make (max 1 (n_tasks * n_pes)) (-1) in
-  let fb_dem_out = Array.make (max 1 (n_tasks * n_pes)) (-1) in
-  let fb_fix_in = Array.make (max 1 (n_tasks * n_pes)) 0 in
-  let fb_fix_out = Array.make (max 1 (n_tasks * n_pes)) 0 in
-  let fb_bytes_in = Array.make (max 1 (n_tasks * n_pes)) 0 in
-  let fb_bytes_out = Array.make (max 1 (n_tasks * n_pes)) 0 in
-  Array.iteri
-    (fun idx ci ->
-      let cls = classes.(ci) in
-      let len = cls.c_n * n_pes in
-      if len > 0 then begin
-        let dst = task_base.(idx) * n_pes in
-        Array.blit cls.c_est 0 est dst len;
-        Array.blit cls.c_ph_in 0 ph_in dst len;
-        Array.blit cls.c_ph_comp 0 ph_comp dst len;
-        Array.blit cls.c_ph_out 0 ph_out dst len;
-        Array.blit cls.c_fb_dem_in 0 fb_dem_in dst len;
-        Array.blit cls.c_fb_dem_out 0 fb_dem_out dst len;
-        Array.blit cls.c_fb_fix_in 0 fb_fix_in dst len;
-        Array.blit cls.c_fb_fix_out 0 fb_fix_out dst len;
-        Array.blit cls.c_fb_bytes_in 0 fb_bytes_in dst len;
-        Array.blit cls.c_fb_bytes_out 0 fb_bytes_out dst len
-      end)
-    item_class;
+  (* The per-(task, PE) tables: each item's rows are its class's. *)
+  let concat field fill =
+    let a = Array.make (max 1 (n_tasks * n_pes)) fill in
+    Array.iteri
+      (fun idx ci ->
+        let cls = classes.(ci) in
+        Array.blit (field cls) 0 a (task_base.(idx) * n_pes) (cls.c_n * n_pes))
+      item_class;
+    a
+  in
   {
     p_config = config;
     p_policy = policy;
@@ -326,16 +236,16 @@ let compile ?fault ~(config : Config.t) ~(workload : Workload.t)
     p_pes = pes;
     p_pe_is_cpu = Array.map (fun pe -> Pe.is_cpu pe.Pe.kind) pes;
     p_pe_busy_w = Array.map (fun pe -> Pe.busy_w pe.Pe.kind) pes;
-    p_est = est;
-    p_ph_in = ph_in;
-    p_ph_comp = ph_comp;
-    p_ph_out = ph_out;
-    p_fb_dem_in = fb_dem_in;
-    p_fb_dem_out = fb_dem_out;
-    p_fb_fix_in = fb_fix_in;
-    p_fb_fix_out = fb_fix_out;
-    p_fb_bytes_in = fb_bytes_in;
-    p_fb_bytes_out = fb_bytes_out;
+    p_est = concat (fun c -> c.c_est) min_int;
+    p_ph_in = concat (fun c -> c.c_ph_in) 0;
+    p_ph_comp = concat (fun c -> c.c_ph_comp) 0;
+    p_ph_out = concat (fun c -> c.c_ph_out) 0;
+    p_fb_dem_in = concat (fun c -> c.c_fb_dem_in) (-1);
+    p_fb_dem_out = concat (fun c -> c.c_fb_dem_out) (-1);
+    p_fb_fix_in = concat (fun c -> c.c_fb_fix_in) 0;
+    p_fb_fix_out = concat (fun c -> c.c_fb_fix_out) 0;
+    p_fb_bytes_in = concat (fun c -> c.c_fb_bytes_in) 0;
+    p_fb_bytes_out = concat (fun c -> c.c_fb_bytes_out) 0;
     p_overlay_perf = config.Config.host.Host.overlay.Host.core_class.Pe.perf_factor;
   }
 
@@ -343,12 +253,15 @@ let compile ?fault ~(config : Config.t) ~(workload : Workload.t)
 (* Instantiation (replicates Task.instantiate via the class tables)    *)
 (* ------------------------------------------------------------------ *)
 
-let instantiate_fast plan =
+(* [store ci] is the store of an instance of class [ci]: the timing
+   loop never reads it, so a report-only run shares one per class. *)
+let instantiate_fast plan ~store =
   Array.init (Array.length plan.p_item_class) (fun idx ->
-      let cls = plan.p_classes.(plan.p_item_class.(idx)) in
+      let ci = plan.p_item_class.(idx) in
+      let cls = plan.p_classes.(ci) in
       let base = plan.p_task_base.(idx) in
       let spec = cls.c_spec in
-      let store = Store.copy cls.c_store0 in
+      let store = store ci in
       let tasks =
         Array.init cls.c_n (fun j ->
             {
@@ -392,8 +305,7 @@ let instantiate_fast plan =
 
 let sched_window = Cost_model.sched_examined_cap
 
-let run_detailed ?(obs = Obs.disabled) plan (params : Core.params) =
-  let instances = instantiate_fast plan in
+let run_timed ~obs plan (params : Core.params) instances =
   let config = plan.p_config in
   let n_pes = plan.p_n_pes in
   let stride = n_pes in
@@ -416,9 +328,6 @@ let run_detailed ?(obs = Obs.disabled) plan (params : Core.params) =
      engines. *)
   let traced = Obs.enabled obs in
   Obs.attach_pes obs ~pe_labels:(Array.map (fun pe -> pe.Pe.label) plan.p_pes);
-  let inst_memo =
-    Array.map (fun ci -> Option.is_some plan.p_classes.(ci).c_final) plan.p_item_class
-  in
   let des = Des.create ~obs ~clock0:0 config in
   let now = Des.clock des in
   let jit ns = Core.jittered prng ~jitter ns in
@@ -431,31 +340,10 @@ let run_detailed ?(obs = Obs.disabled) plan (params : Core.params) =
      reference engine's queue exposes once stale (already-dispatched)
      entries are skipped — so the scheduling window never rescans stale
      entries and never allocates. *)
-  let n_tasks = if stride = 0 then 0 else Array.length est / stride in
   let tk_of =
-    if n_tasks = 0 then [||]
-    else begin
-      let d = ref None in
-      (try
-         Array.iter
-           (fun (inst : Task.instance) ->
-             if Array.length inst.Task.tasks > 0 then begin
-               d := Some inst.Task.tasks.(0);
-               raise Exit
-             end)
-           instances
-       with Exit -> ());
-      match !d with
-      | None -> [||]
-      | Some d0 ->
-        let a = Array.make n_tasks d0 in
-        Array.iter
-          (fun (inst : Task.instance) ->
-            Array.iter (fun (t : Task.t) -> a.(t.Task.id) <- t) inst.Task.tasks)
-          instances;
-        a
-    end
+    Array.concat (List.map (fun (i : Task.instance) -> i.Task.tasks) (Array.to_list instances))
   in
+  let n_tasks = Array.length tk_of in
   let rl_nxt = Array.make (max 1 n_tasks) (-1) in
   let rl_prv = Array.make (max 1 n_tasks) (-1) in
   let rl_head = ref (-1) in
@@ -531,13 +419,7 @@ let run_detailed ?(obs = Obs.disabled) plan (params : Core.params) =
       rm_task.(i) <- Some task;
       rm_started.(i) <- !now;
       let row = (task.Task.id * stride) + i in
-      if plan.p_pe_is_cpu.(i) then begin
-        if not inst_memo.(task.Task.instance_id) then begin
-          let k = Exec_model.resolve_kernel task h.Core.h_pe in
-          k task.Task.store task.Task.node.App_spec.arguments
-        end;
-        rm_work i (jit est.(row)) 2
-      end
+      if plan.p_pe_is_cpu.(i) then rm_work i (jit est.(row)) 2
       else begin
         if traced then rm_ph0.(i) <- !now;
         let dem = plan.p_fb_dem_in.(row) in
@@ -550,10 +432,6 @@ let run_detailed ?(obs = Obs.disabled) plan (params : Core.params) =
     if traced then
       Obs.on_phase obs ~now:!now ~task:task.Task.id ~pe_index:i ~phase:Obs.Dma_in
         ~start_ns:rm_ph0.(i) ~dur_ns:(!now - rm_ph0.(i));
-    if not inst_memo.(task.Task.instance_id) then begin
-      let k = Exec_model.resolve_kernel task handlers.(i).Core.h_pe in
-      k task.Task.store task.Task.node.App_spec.arguments
-    end;
     if traced then rm_ph0.(i) <- !now;
     rm_then i 4 (Des.sleep des i (jit plan.p_ph_comp.((task.Task.id * stride) + i)))
   and rm_acc_after_comp i =
@@ -941,15 +819,20 @@ let run_detailed ?(obs = Obs.disabled) plan (params : Core.params) =
   Des.run des
     ~on_start:(fun th -> if th = wm_th then wm_tick_top () else rm_await th)
     ~on_resume:(fun th -> if th = wm_th then wm_goto !wm_pc else rm_goto th rm_pc.(th));
-  (* ---- functional outputs: blit the memoized kernel image ---- *)
-  Array.iteri
-    (fun idx (inst : Task.instance) ->
-      match plan.p_classes.(plan.p_item_class.(idx)).c_final with
-      | Some final -> Store.blit_from inst.Task.store ~src:final
-      | None -> ())
-    instances;
-  ( Core.report ~host_name:config.Config.host.Host.name ~config ~policy:plan.p_policy
-      ~handlers ~instances ~stats ~fabric:(Des.counters des),
-    instances )
+  Core.report ~host_name:config.Config.host.Host.name ~config ~policy:plan.p_policy
+    ~handlers ~instances ~stats ~fabric:(Des.counters des)
 
-let run ?obs plan params = fst (run_detailed ?obs plan params)
+let run ?(obs = Obs.disabled) plan params =
+  let pristine =
+    Array.map (fun cls -> Store.create cls.c_spec.App_spec.variables) plan.p_classes
+  in
+  run_timed ~obs plan params (instantiate_fast plan ~store:(Array.get pristine))
+
+let run_detailed ?(obs = Obs.disabled) plan params =
+  let instances =
+    instantiate_fast plan ~store:(fun ci ->
+        Store.create plan.p_classes.(ci).c_spec.App_spec.variables)
+  in
+  let report = run_timed ~obs plan params instances in
+  Functional.fill_stores ~pes:(Array.to_list plan.p_pes) instances;
+  (report, instances)

@@ -30,20 +30,11 @@
     diverge silently.  The differential matrix in
     [test/test_diff_engines.ml] pins both contracts.
 
-    Because every instance of an application archetype starts from the
-    same store bytes and its kernels are deterministic dataflow
-    functions, compilation also runs each archetype's kernel chain once
-    (in topological order) and records the final store; runs then blit
-    that image into every instance store instead of re-executing
-    identical kernels hundreds of times.  When a node's platform
-    entries resolve to physically distinct kernel closures, each one
-    runs on its own copy of the whole store: the memo is kept when
-    all their outputs agree byte for byte, and the archetype falls
-    back to per-instance kernel execution when they differ, preserving
-    the contract either way.  Those copies make compilation cost scale
-    with store size times such nodes, so a transform that is the same
-    on every PE should be registered as one closure (see
-    {!Dssoc_apps.Kernels.register_object}). *)
+    Neither compilation nor {!val:run} executes a kernel: the loop is
+    timing only, and a report-only run's instances share one pristine
+    store per archetype.  {!val:run_detailed} gives each instance its
+    own store and fills it after the run with {!Functional}, exactly as
+    the virtual engine does. *)
 
 type plan
 
@@ -68,8 +59,9 @@ val compile :
     the five built-ins (the compiler specializes the policy loop and
     cannot inline arbitrary closures).
     @raise Invalid_argument when some task supports no PE of the
-    configuration (same validation as the reference engines), or when
-    a fabric latency overflows ({!Dssoc_soc.Fabric.fixed_ns}). *)
+    configuration or its kernel does not resolve on one of them (same
+    validation as the reference engines), or when a fabric latency
+    overflows ({!Dssoc_soc.Fabric.fixed_ns}). *)
 
 val run : ?obs:Dssoc_obs.Obs.t -> plan -> Engine_core.params -> Stats.report
 (** Execute one emulation of the plan: instantiate fresh instances,
@@ -82,5 +74,5 @@ val run_detailed :
   plan ->
   Engine_core.params ->
   Stats.report * Task.instance array
-(** Like {!val:run}, also returning the instances (with final store
-    contents) for functional inspection. *)
+(** Like {!val:run}, also returning the instances with their final
+    stores ({!Functional.fill_stores}) for functional inspection. *)

@@ -17,9 +17,8 @@ type engine =
       (** ahead-of-time specialization of (workload x platform x
           policy) into a flat-array event loop; replays the virtual
           engine byte-for-byte for the five built-in policies — see
-          {!Compiled_engine}.  Fault plans, enabled observability and
-          custom policies are outside its contract and turn into
-          [Error] here. *)
+          {!Compiled_engine}.  Fault plans and custom policies are
+          outside its contract and turn into [Error] here. *)
 
 val virtual_seeded : ?jitter:float -> ?reservation_depth:int -> int64 -> engine
 (** Convenience: virtual engine with the given seed (jitter defaults
@@ -56,8 +55,10 @@ val run :
     injects a deterministic fault plan and enables resilient dispatch
     — see {!Dssoc_fault.Fault} and {!Engine_core.workload_manager};
     the report's [verdict] and [resilience] fields record the
-    outcome.  Errors on unknown policy names, unsupported tasks, or a
-    fault rule targeting no PE of the configuration. *)
+    outcome.  Errors on unknown policy names, unsupported tasks, a
+    kernel that does not resolve on some supported PE (the same
+    message on every engine), or a fault rule targeting no PE of the
+    configuration. *)
 
 val run_exn :
   ?engine:engine ->
@@ -80,4 +81,5 @@ val run_detailed :
   (Stats.report * Task.instance array, string) result
 (** Like {!run} but also returns the executed instances (in workload
     order), giving access to the final variable stores for functional
-    verification. *)
+    verification; the deterministic engines compute them after the
+    run ({!Functional}). *)

@@ -169,16 +169,21 @@ let instantiate ~engine_name ~(config : Config.t) ~(workload : Workload.t) =
       items
   in
   let pes = Config.pes config in
+  let checked = ref [] in
   Array.iter
-    (fun inst ->
-      Array.iter
-        (fun (t : Task.t) ->
-          if not (List.exists (Task.supports t) pes) then
-            invalid_arg
-              (Printf.sprintf "%s: task %s/%s supports no PE of configuration %s"
-                 engine_name t.Task.app_name t.Task.node.App_spec.node_name
-                 config.Config.label))
-        inst.Task.tasks)
+    (fun (inst : Task.instance) ->
+      if not (List.memq inst.Task.app !checked) then begin
+        checked := inst.Task.app :: !checked;
+        Array.iter
+          (fun (t : Task.t) ->
+            if not (List.exists (Task.supports t) pes) then
+              invalid_arg
+                (Printf.sprintf "%s: task %s/%s supports no PE of configuration %s"
+                   engine_name t.Task.app_name t.Task.node.App_spec.node_name
+                   config.Config.label))
+          inst.Task.tasks;
+        Functional.check ~pes inst
+      end)
     instances;
   instances
 
@@ -222,11 +227,9 @@ let accel_phases (task : Task.t) pe acl =
 
 let resource_manager ?(obs = Obs.disabled) ?(fault = Fault.disabled) ?est_table
     (b : 'h backend) (h : 'h handler) =
-  (* One execution attempt.  A faulted attempt burns PE time but MUST
-     NOT run the kernel: kernels mutate the instance store in place and
-     are not idempotent, so only the final (successful) attempt may
-     execute — that keeps functional outputs identical with and
-     without retries. *)
+  (* One execution attempt.  A faulted attempt burns PE time but never
+     reaches [b_execute], where the native backend runs the kernel in
+     place: only the final (successful) attempt may mutate the store. *)
   let execute (task : Task.t) started =
     if not (Fault.enabled fault) then b.b_execute h task
     else begin

@@ -166,7 +166,8 @@ type 'h backend = {
           latency; called without the handler lock *)
   b_execute : 'h handler -> Task.t -> unit;
       (** run one task on this handler's PE, returning when it is
-          complete; called without the handler lock *)
+          complete; called without the handler lock.  Only the
+          native backend runs the kernel. *)
   b_delay : 'h handler -> int -> unit;
       (** occupy the handler's PE for a modelled duration (ns) without
           running a kernel — fault-detection latency and slowdown
@@ -198,8 +199,10 @@ val instantiate :
 (** Initialization phase (outside emulation time, Section II-A):
     allocate every instance and its memory up front, with dense task
     ids, and validate that every task supports some PE of the
-    configuration.
-    @raise Invalid_argument (prefixed with [engine_name]) otherwise. *)
+    configuration, whose kernels must resolve ({!Functional.check},
+    once per distinct spec).
+    @raise Invalid_argument (prefixed with [engine_name] for an
+    unsupported task) otherwise. *)
 
 val compile_fault :
   Dssoc_fault.Fault.plan option -> handlers:'h handler array -> Dssoc_fault.Fault.t
@@ -237,11 +240,10 @@ val resource_manager :
     With [fault] (and [est_table], which scales failure-detection
     latencies), every attempt first consults {!Dssoc_fault.Fault.decide}:
     a failing attempt occupies the PE for the modelled detection time
-    but {e never runs the kernel} (kernels mutate the instance store in
-    place and are not idempotent — only the final successful attempt
-    executes, keeping functional outputs identical with and without
-    retries), then parks the task with [last_failure] set for the
-    workload manager to process.  Slowdowns run the kernel once and
+    but never reaches {!field:b_execute} (where the native backend runs
+    the kernel, in place, so its outputs stay identical with and
+    without retries), then parks the task with [last_failure] set for
+    the workload manager to process.  Slowdowns execute once and
     append a modelled delay. *)
 
 (** {1 Service hooks (serve extension)}

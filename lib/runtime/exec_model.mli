@@ -45,5 +45,5 @@ val dma_bytes : Dssoc_apps.App_spec.node -> int * int
 
 val resolve_kernel : Task.t -> Dssoc_soc.Pe.t -> Dssoc_apps.Kernels.kernel
 (** The functional kernel to execute for this (task, PE) pairing.
-    @raise Invalid_argument on unknown shared object or symbol — app
-    parsing is supposed to catch this earlier. *)
+    @raise Invalid_argument on unknown shared object or symbol — every
+    engine checks all pairings when a run is set up ({!Functional.check}). *)

@@ -102,13 +102,10 @@ let backend des ~prng ~jitter ~(bus : Fabric.bus option) ~overlay_perf ~est_tabl
            ~chunk_lat_ns:ph.Core.dp_chunk_lat_ns)
     | _ -> work (jit ph.Core.dp_ideal_ns)
   in
+  (* Timing only: outputs come from [Functional] after the run. *)
   let execute (h : unit Core.handler) (task : Task.t) =
-    let kernel = Exec_model.resolve_kernel task h.Core.h_pe in
-    let args = task.Task.node.App_spec.arguments in
     match h.Core.h_pe.Pe.kind with
-    | Pe.Cpu _ ->
-      kernel task.Task.store args;
-      work (jit (Exec_model.lookup est_table task h.Core.h_index))
+    | Pe.Cpu _ -> work (jit (Exec_model.lookup est_table task h.Core.h_index))
     | Pe.Accel acl ->
       let dma_in, compute, dma_out = Core.accel_phases task h.Core.h_pe acl in
       let traced = Obs.enabled obs in
@@ -121,7 +118,6 @@ let backend des ~prng ~jitter ~(bus : Fabric.bus option) ~overlay_perf ~est_tabl
       let t0 = !now in
       dma h dma_in;
       phase_end Obs.Dma_in t0;
-      kernel task.Task.store args;
       (* ...then the thread sleeps while the device computes... *)
       let t1 = !now in
       sleep_ns (jit compute);
@@ -230,8 +226,8 @@ let run_managers p ~rm ~wm =
   run_threads p.pr_des
     (Array.append (Array.map (fun h () -> rm p.pr_b h) p.pr_handlers) [| wm |])
 
-let run_detailed ?(params = default_params) ?(obs = Obs.disabled) ?fault
-    ~(config : Config.t) ~(workload : Workload.t) ~(policy : Scheduler.policy) () =
+let run_timed ?(params = default_params) ?(obs = Obs.disabled) ?fault ~(config : Config.t)
+    ~(workload : Workload.t) ~(policy : Scheduler.policy) () =
   let prng = Prng.create ~seed:params.seed in
   let p =
     prepare ~params ~obs ~engine_name:"Virtual_engine.run" ~clock0:0 ~prng ?fault ~config
@@ -248,7 +244,12 @@ let run_detailed ?(params = default_params) ?(obs = Obs.disabled) ?fault
     instances )
 
 let run ?params ?obs ?fault ~config ~workload ~policy () =
-  fst (run_detailed ?params ?obs ?fault ~config ~workload ~policy ())
+  fst (run_timed ?params ?obs ?fault ~config ~workload ~policy ())
+
+let run_detailed ?params ?obs ?fault ~config ~workload ~policy () =
+  let ((_, instances) as r) = run_timed ?params ?obs ?fault ~config ~workload ~policy () in
+  Functional.fill_stores ~pes:(Config.pes config) instances;
+  r
 
 (* ------------------------------------------------------------------ *)
 (* Resident service entry point                                        *)

@@ -17,8 +17,10 @@
     - The workload manager runs on the overlay core and is charged
       completion-monitoring, ready-list-update, scheduling and
       dispatch costs per loop iteration.
-    - Every kernel is also executed functionally on the host, so
-      emulation output data is real and checkable.
+    - No kernel runs during the emulation: timing is pure in the cost
+      metadata.  {!run_detailed} then computes the real output data
+      with {!Functional} from each task's recorded PE, so it stays
+      checkable.
 
     Determinism: all randomness (execution-time jitter modelling
     run-to-run platform variance, and the RANDOM policy) flows from
@@ -89,8 +91,8 @@ val run_detailed :
   unit ->
   Stats.report * Task.instance array
 (** Like {!run} but also returns the executed instances (in workload
-    order) so callers can inspect final variable stores — the
-    functional-verification path. *)
+    order) with their final variable stores, computed after the run
+    by {!Functional.fill_stores} — the functional-verification path. *)
 
 (** {1 Resident service entry point}
 

@@ -11,6 +11,7 @@ module Core = Dssoc_runtime.Engine_core
 module Task = Dssoc_runtime.Task
 module Scheduler = Dssoc_runtime.Scheduler
 module Virtual_engine = Dssoc_runtime.Virtual_engine
+module Functional = Dssoc_runtime.Functional
 module Obs = Dssoc_obs.Obs
 
 let ( let* ) = Result.bind
@@ -705,6 +706,9 @@ let run ?(obs = Obs.disabled) ?(drain = fun ~now_ns:_ -> false) ?checkpoint ?res
   let final_now = ref 0 in
   let stop_reason = ref Running in
   let workload = workload_of ~duration_ns arrivals in
+  (* The engine models time only; a completion's output digest comes
+     from its functional image, hashed once per distinct image. *)
+  let digests = Functional.memo ~pes:(Config.pes sp.sp_config) store_digest in
   let service (instances : Task.instance array) =
     let no_running (inst : Task.instance) =
       Array.for_all (fun (t : Task.t) -> t.Task.status <> Task.Running) inst.Task.tasks
@@ -718,7 +722,7 @@ let run ?(obs = Obs.disabled) ?(drain = fun ~now_ns:_ -> false) ?checkpoint ?res
       ts.ts_latencies <- lat :: ts.ts_latencies;
       if lat > ts.ts_slo_ns then ts.ts_slo_miss <- ts.ts_slo_miss + 1;
       ts.ts_digest <-
-        chain_digest ts.ts_digest ~inst_id:i ~digest:(store_digest inst.Task.store);
+        chain_digest ts.ts_digest ~inst_id:i ~digest:(Functional.image digests inst);
       dispo.(i) <- D_completed
     in
     let shed_instance ~now ~victim_tenant i =

@@ -1,10 +1,10 @@
 (** Kernel execution-cost model.
 
-    The virtual engine executes every kernel functionally on the host
-    but charges *modelled* time from this table, calibrated against the
-    paper's measurements (Table I standalone times, the Fig. 9
-    CPU-vs-FFT-accelerator crossover, and the Case Study 4 substitution
-    factors).  CPU cost of a kernel of size [n] is
+    The deterministic engines charge *modelled* time from this table
+    (kernel outputs are computed separately, after the run), calibrated
+    against the paper's measurements (Table I standalone times, the
+    Fig. 9 CPU-vs-FFT-accelerator crossover, and the Case Study 4
+    substitution factors).  CPU cost of a kernel of size [n] is
 
     {[ base + lin*n + nlogn*n*log2 n + quad*n^2  (ns, reference core) ]}
 

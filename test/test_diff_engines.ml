@@ -212,7 +212,8 @@ let test_functional_agreement_matrix () =
               check_makespan_band vr nr;
               check_assignments_valid (label ^ "/virtual") config vi;
               check_assignments_valid (label ^ "/native") config ni;
-              check_stores_agree label vi ni)
+              check_stores_agree label vi ni;
+              Oracle.check (label ^ "/virtual") ~config vi)
             matrix_depths)
         matrix_policies)
     matrix_apps
@@ -419,8 +420,39 @@ let test_fault_parity_across_policies () =
                 (t.Stats.pe <> "fft2"))
             r.Stats.records)
         [ vr; nr ];
-      check_stores_agree label vi ni)
+      check_stores_agree label vi ni;
+      Oracle.check (label ^ "/virtual") ~config vi)
     matrix_policies
+
+(* An aborted run leaves instances part-done: their outputs are the
+   kernels of the tasks that did complete, in topological order. *)
+let test_aborted_fault_outputs () =
+  let config = Config.zcu102_cores_ffts ~cores:2 ~ffts:1 in
+  let fault =
+    Result.get_ok (Fault.of_spec ~seed:5L "*:transient:p=0.3:recover=0.2ms,retries=2")
+  in
+  let r, insts =
+    Result.get_ok
+      (Emulator.run_detailed ~engine:det_engine ~fault ~config
+         ~workload:
+           (Workload.validation
+              [ (Reference_apps.wifi_tx (), 1); (Reference_apps.range_detection (), 1) ])
+         ())
+  in
+  Alcotest.(check string) "aborted" "aborted" (Stats.verdict_name r.Stats.verdict);
+  let done_ =
+    Array.fold_left
+      (fun acc (inst : Task.instance) ->
+        Array.fold_left
+          (fun acc (t : Task.t) -> if t.Task.status = Task.Done then acc + 1 else acc)
+          acc inst.Task.tasks)
+      0 insts
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "part of the run completed (%d of %d tasks)" done_ r.Stats.task_count)
+    true
+    (done_ > 0 && done_ < r.Stats.task_count);
+  Oracle.check "aborted" ~config insts
 
 (* ---------------- event-stream parity ---------------- *)
 
@@ -583,7 +615,9 @@ let test_compiled_exact_replay () =
                   Alcotest.(check (float 1e-9)) (label ^ ": same total energy")
                     (Stats.total_energy_mj vr) (Stats.total_energy_mj cr);
                   Alcotest.(check bool) (label ^ ": same report") true (vr = cr);
-                  check_stores_identical label vi ci)
+                  check_stores_identical label vi ci;
+                  Oracle.check (label ^ "/virtual") ~config vi;
+                  Oracle.check (label ^ "/compiled") ~config ci)
                 matrix_jitters)
             matrix_depths)
         matrix_policies)
@@ -630,14 +664,14 @@ let test_compiled_rejects_fault_plans () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "Emulator surfaced no error for fault + compiled"
 
-(* ---------------- compiled engine: kernel-template memo ---------------- *)
+(* ---------------- functional outputs: one image per closure assignment ---------------- *)
 
-(* Compilation runs each archetype's kernel chain once and replays the
-   final store; the reference apps register one closure per transform
-   under both the CPU and the accelerator symbol, so that memo sees a
-   single kernel per node.  Keeping the SDR mix's compile cheap pins
-   that: comparing two whole-store copies per pulse-Doppler FFT node
-   used to allocate about 800 MB per compile. *)
+(* The reference apps register one closure per transform under both the
+   CPU and the accelerator symbol, so [Functional] computes one image
+   per archetype.  Compilation runs no kernel; the allocation bound
+   still pins the SDR mix's compile cost (a kernel memo that compared
+   two whole-store copies per pulse-Doppler FFT node once allocated
+   about 800 MB per compile). *)
 let test_compiled_compile_cost () =
   let config = Config.zcu102_cores_ffts ~cores:3 ~ffts:2 in
   let workload = Workload.validation (List.map (fun a -> (a, 1)) (Reference_apps.all ())) in
@@ -653,13 +687,13 @@ let test_compiled_compile_cost () =
   Alcotest.(check bool) (Printf.sprintf "SDR-mix compile allocates %.1f MB <= 64 MB" mb) true
     (mb <= 64.0)
 
-(* Distinct CPU and accelerator closures for one node are still
-   supported: the memo runs each on a copy of the template store and
-   is kept only when their outputs agree; otherwise every instance
-   executes its kernels at dispatch, as in the virtual engine.  No
-   reference app reaches those branches any more, so a synthetic
-   archetype does: a source, four parallel transforms with a CPU and
-   an accelerator symbol each, and a sink. *)
+(* Distinct CPU and accelerator closures for one node are supported:
+   [Functional] runs one kernel chain per closure assignment (which
+   closure each node ran, given its recorded PE), whether or not the
+   closures happen to agree.  No reference app registers distinct
+   closures any more, so a synthetic archetype does: a source, four
+   parallel transforms with a CPU and an accelerator symbol each, and
+   a sink. *)
 let memo_calls = ref 0
 
 let memo_ys = List.init 4 (Printf.sprintf "y%d")
@@ -721,9 +755,9 @@ let test_compiled_memo_distinct_closures () =
           let wl () = Workload.validation [ (memo_spec (), 3) ] in
           memo_calls := 0;
           let plan = Compiled.compile ~config ~workload:(wl ()) ~policy:(policy_of policy) () in
-          let compile_calls = !memo_calls in
+          Alcotest.(check int) (label ^ ": compile runs no kernel") 0 !memo_calls;
           let cr, ci = Compiled.run_detailed plan params in
-          let run_calls = !memo_calls - compile_calls in
+          let run_calls = !memo_calls in
           let vr, vi =
             Result.get_ok
               (Emulator.run_detailed ~engine:(Emulator.Virtual params) ~policy ~config
@@ -731,12 +765,28 @@ let test_compiled_memo_distinct_closures () =
           in
           check_csv_identical label (Stats.records_csv vr) (Stats.records_csv cr);
           check_stores_identical label vi ci;
-          if accel_offset = 0 then
-            Alcotest.(check int) (label ^ ": memo kept, no kernel runs per instance") 0
-              run_calls
-          else
-            Alcotest.(check int) (label ^ ": fallback runs every transform per instance")
-              (3 * 4) run_calls;
+          Oracle.check (label ^ "/virtual") ~config vi;
+          Oracle.check (label ^ "/compiled") ~config ci;
+          (* One chain (four transforms) per distinct assignment of the
+             transforms to CPU or accelerator closures. *)
+          let assignments =
+            List.sort_uniq compare
+              (Array.to_list
+                 (Array.map
+                    (fun (inst : Task.instance) ->
+                      Array.to_list
+                        (Array.map
+                           (fun (t : Task.t) ->
+                             List.exists
+                               (fun (pe : Dssoc_soc.Pe.t) ->
+                                 pe.Dssoc_soc.Pe.label = t.Task.pe_label
+                                 && not (Dssoc_soc.Pe.is_cpu pe.Dssoc_soc.Pe.kind))
+                               (Config.pes config))
+                           inst.Task.tasks))
+                    ci))
+          in
+          Alcotest.(check int) (label ^ ": one chain per closure assignment")
+            (4 * List.length assignments) run_calls;
           Array.iter
             (fun (inst : Task.instance) ->
               if Store.get_i32 inst.Task.store "total" <> 4 * 42 then incr accel_totals)
@@ -747,6 +797,91 @@ let test_compiled_memo_distinct_closures () =
       Alcotest.(check bool) (case ^ ": accelerator outputs visible") (accel_offset <> 0)
         (!accel_totals > 0))
     [ ("equal outputs", 0); ("different outputs", 1) ]
+
+(* ---------------- deterministic output semantics ---------------- *)
+
+let () =
+  Kernels.register_object "racy.so"
+    [
+      ("noop", fun _ _ -> ());
+      ("set1", fun store _ -> Store.set_i32 store "x" 1);
+      ("set2", fun store _ -> Store.set_i32 store "x" 2);
+    ]
+
+let racy_node name preds platforms ~bytes_in =
+  {
+    App_spec.node_name = name;
+    arguments = [ "x" ];
+    predecessors = preds;
+    successors = [];
+    platforms =
+      List.map
+        (fun (platform, runfunc) ->
+          { App_spec.platform; runfunc; shared_object = None; cost_us = None })
+        platforms;
+    kernel_class = "generic";
+    size = 1;
+    bytes_in;
+    bytes_out = 0;
+  }
+
+let racy_spec ~app_name nodes =
+  App_spec.of_edges ~app_name ~shared_object:"racy.so"
+    ~variables:[ ("x", { Store.bytes = 4; is_ptr = false; ptr_alloc_bytes = 0; init = [] }) ]
+    ~nodes
+
+(* [a] and [b] both write [x] and no path joins them: src -> mid -> b
+   on a CPU, src -> a on the FFT behind a long DMA-in.  In dispatch
+   order [a] finishes last, but the deterministic engines define the
+   outputs by topological order (src, mid, a, b), so both must give
+   x = 2 whatever the schedule. *)
+let test_racy_dag_topological_order () =
+  let config = Config.zcu102_cores_ffts ~cores:2 ~ffts:1 in
+  let spec () =
+    racy_spec ~app_name:"racy"
+      [
+        racy_node "src" [] [ ("cpu", "noop") ] ~bytes_in:0;
+        racy_node "mid" [ "src" ] [ ("cpu", "noop") ] ~bytes_in:0;
+        racy_node "b" [ "mid" ] [ ("cpu", "set2") ] ~bytes_in:0;
+        racy_node "a" [ "src" ] [ ("fft", "set1") ] ~bytes_in:(1 lsl 20);
+      ]
+  in
+  let wl () = Workload.validation [ (spec (), 1) ] in
+  let params = { Engine_core.seed = 1L; jitter = 0.0; reservation_depth = 0 } in
+  let _, vi =
+    Result.get_ok
+      (Emulator.run_detailed ~engine:(Emulator.Virtual params) ~config ~workload:(wl ()) ())
+  in
+  let plan = Compiled.compile ~config ~workload:(wl ()) ~policy:Scheduler.frfs () in
+  let _, ci = Compiled.run_detailed plan params in
+  check_stores_identical "racy" vi ci;
+  Oracle.check "racy" ~config vi;
+  Alcotest.(check int) "x follows topological order" 2 (Store.get_i32 vi.(0).Task.store "x")
+
+(* A symbol the registry lacks fails the run up front with the same
+   error on every engine — including on a PE the schedule never uses,
+   and on the native engine, whose resource-manager domain used to die
+   on it while the workload manager spun forever. *)
+let test_missing_kernel engine () =
+  let cases =
+    [
+      ( "only PE",
+        Config.zcu102_cores_ffts ~cores:1 ~ffts:0,
+        racy_spec ~app_name:"missing_cpu" [ racy_node "only" [] [ ("cpu", "nope") ] ~bytes_in:0 ] );
+      ( "unused PE",
+        Config.zcu102_cores_ffts ~cores:2 ~ffts:1,
+        racy_spec ~app_name:"missing_fft"
+          [ racy_node "only" [] [ ("cpu", "noop"); ("fft", "nope") ] ~bytes_in:0 ] );
+    ]
+  in
+  List.iter
+    (fun (case, config, spec) ->
+      match Emulator.run ~engine ~config ~workload:(Workload.validation [ (spec, 2) ]) () with
+      | Error msg ->
+        Alcotest.(check string) case
+          {|Exec_model.resolve_kernel: symbol "nope" not found in "racy.so"|} msg
+      | Ok _ -> Alcotest.failf "%s: ran with a missing kernel" case)
+    cases
 
 (* ---------------- compiled engine: observability lowering ---------------- *)
 
@@ -1014,6 +1149,14 @@ let () =
         [
           Alcotest.test_case "fault parity across the policy matrix" `Slow
             test_fault_parity_across_policies;
+          Alcotest.test_case "aborted run outputs" `Quick test_aborted_fault_outputs;
+        ] );
+      ( "missing kernel",
+        [
+          Alcotest.test_case "virtual" `Quick (test_missing_kernel det_engine);
+          Alcotest.test_case "compiled" `Quick
+            (test_missing_kernel (Emulator.compiled_seeded 1L));
+          Alcotest.test_case "native" `Quick (test_missing_kernel Emulator.native_default);
         ] );
       ( "event streams",
         [ Alcotest.test_case "task-lifecycle multiset parity" `Slow test_event_multiset_parity ] );
@@ -1026,6 +1169,8 @@ let () =
           Alcotest.test_case "SDR-mix compile cost" `Quick test_compiled_compile_cost;
           Alcotest.test_case "memo with distinct CPU/accel closures" `Quick
             test_compiled_memo_distinct_closures;
+          Alcotest.test_case "racy DAG outputs follow topological order" `Quick
+            test_racy_dag_topological_order;
           qtest qcheck_compiled_respects_adjacency;
           qtest qcheck_compiled_replays_virtual;
           qtest qcheck_compiled_rejects_faults;

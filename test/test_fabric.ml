@@ -234,6 +234,8 @@ let test_contended_virtual_compiled_matrix () =
           check_csv_identical label (Stats.records_csv vr) (Stats.records_csv cr);
           Alcotest.(check bool) (label ^ ": same report") true (vr = cr);
           check_stores_identical label vi ci;
+          Oracle.check (label ^ "/virtual") ~config vi;
+          Oracle.check (label ^ "/compiled") ~config ci;
           Alcotest.(check bool)
             (label ^ ": streams flowed")
             true
