@@ -253,8 +253,9 @@ let compile ?fault ~(config : Config.t) ~(workload : Workload.t)
 (* Instantiation (replicates Task.instantiate via the class tables)    *)
 (* ------------------------------------------------------------------ *)
 
-(* [store ci] is the store of an instance of class [ci]: the timing
-   loop never reads it, so a report-only run shares one per class. *)
+(* [store ci] is the store of an instance of class [ci].  The timing
+   loop never reads it, so a report-only run gives every instance one
+   empty placeholder. *)
 let instantiate_fast plan ~store =
   Array.init (Array.length plan.p_item_class) (fun idx ->
       let ci = plan.p_item_class.(idx) in
@@ -823,10 +824,8 @@ let run_timed ~obs plan (params : Core.params) instances =
     ~handlers ~instances ~stats ~fabric:(Des.counters des)
 
 let run ?(obs = Obs.disabled) plan params =
-  let pristine =
-    Array.map (fun cls -> Store.create cls.c_spec.App_spec.variables) plan.p_classes
-  in
-  run_timed ~obs plan params (instantiate_fast plan ~store:(Array.get pristine))
+  let placeholder = Store.create [] in
+  run_timed ~obs plan params (instantiate_fast plan ~store:(fun _ -> placeholder))
 
 let run_detailed ?(obs = Obs.disabled) plan params =
   let instances =

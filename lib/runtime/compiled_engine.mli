@@ -31,8 +31,8 @@
     [test/test_diff_engines.ml] pins both contracts.
 
     Neither compilation nor {!val:run} executes a kernel: the loop is
-    timing only, and a report-only run's instances share one pristine
-    store per archetype.  {!val:run_detailed} gives each instance its
+    timing only, and a report-only run's instances share one empty
+    placeholder store.  {!val:run_detailed} gives each instance its
     own store and fills it after the run with {!Functional}, exactly as
     the virtual engine does. *)
 
