@@ -107,8 +107,7 @@ let faults_arg =
         ~doc:
           (Printf.sprintf
              "Deterministic fault-injection plan enabling resilient dispatch (retries, \
-              quarantine, degradation).  %s  Example: \
-              'fft0:die\\@1ms,*:transient:p=0.1:recover=0.5ms'."
+              quarantine, degradation).  %s."
              Fault.spec_grammar))
 
 let fault_seed_arg =

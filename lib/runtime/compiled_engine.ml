@@ -2,10 +2,8 @@ module Pe = Dssoc_soc.Pe
 module Host = Dssoc_soc.Host
 module Config = Dssoc_soc.Config
 module Cost_model = Dssoc_soc.Cost_model
-module Fabric = Dssoc_soc.Fabric
 module App_spec = Dssoc_apps.App_spec
 module Workload = Dssoc_apps.Workload
-module Store = Dssoc_apps.Store
 module Prng = Dssoc_util.Prng
 module Obs = Dssoc_obs.Obs
 module Core = Engine_core
@@ -24,53 +22,13 @@ exception Unsupported of string
 
 type pcode = P_frfs | P_met | P_eft | P_power | P_random
 
-(* One application archetype, lowered.  Node indices are positions in
-   [c_nodes] (= App_spec declaration order = dense task id offsets). *)
-type cls = {
-  c_spec : App_spec.t;
-  c_nodes : App_spec.node array;
-  c_n : int;
-  c_unmet : int array;  (** initial unmet-predecessor counts *)
-  c_succ : int array array;  (** successor node indices, JSON order *)
-  c_entry : int array;  (** nodes with no predecessors, node order *)
-  c_est : int array;  (** (node, pe) estimate matrix; [min_int] = unsupported *)
-  c_ph_in : int array;  (** accelerator ideal DMA-in ns per (node, pe) *)
-  c_ph_comp : int array;
-  c_ph_out : int array;
-  c_fb_dem_in : int array;
-      (** bus-fabric link demand per (node, pe); [-1] = phase moves no
-          data, bypass the fabric (replay the ideal duration) *)
-  c_fb_dem_out : int array;
-  c_fb_fix_in : int array;  (** fixed chunk + hop latency per (node, pe) *)
-  c_fb_fix_out : int array;
-  c_fb_bytes_in : int array;
-      (** raw stream bytes per (node, pe); [0] = no fabric stream
-          (only consumed by traced runs, for stream events) *)
-  c_fb_bytes_out : int array;
-}
-
 type plan = {
   p_config : Config.t;
   p_policy : Scheduler.policy;
   p_pcode : pcode;
-  p_classes : cls array;
-  p_item_class : int array;
-  p_item_arrival : int array;
-  p_task_base : int array;  (** dense task-id base per workload item *)
-  p_n_pes : int;
-  p_pes : Pe.t array;
+  p_model : Exec_model.t;
   p_pe_is_cpu : bool array;
   p_pe_busy_w : float array;
-  p_est : int array;  (** (task id, pe) estimates, stride [p_n_pes] *)
-  p_ph_in : int array;
-  p_ph_comp : int array;
-  p_ph_out : int array;
-  p_fb_dem_in : int array;  (** (task id, pe) link demand; [-1] = bypass *)
-  p_fb_dem_out : int array;
-  p_fb_fix_in : int array;
-  p_fb_fix_out : int array;
-  p_fb_bytes_in : int array;
-  p_fb_bytes_out : int array;
   p_overlay_perf : float;
 }
 
@@ -85,88 +43,6 @@ let builtin_pcode (policy : Scheduler.policy) =
 (* ------------------------------------------------------------------ *)
 (* Compilation                                                         *)
 (* ------------------------------------------------------------------ *)
-
-let build_class ~(config : Config.t) ~(pes : Pe.t array) (spec : App_spec.t) =
-  let n_pes = Array.length pes in
-  (* One instance, validated exactly as the reference engines do. *)
-  let tmpl =
-    (Core.instantiate ~engine_name:"Compiled_engine.compile" ~config
-       ~workload:(Workload.validation [ (spec, 1) ])).(0)
-  in
-  let n = Array.length tmpl.Task.tasks in
-  let tbl = Exec_model.build_table ~instances:[| tmpl |] ~pes in
-  let est = Array.make (max 1 (n * n_pes)) min_int in
-  let ph_in = Array.make (max 1 (n * n_pes)) 0 in
-  let ph_comp = Array.make (max 1 (n * n_pes)) 0 in
-  let ph_out = Array.make (max 1 (n * n_pes)) 0 in
-  let fb_dem_in = Array.make (max 1 (n * n_pes)) (-1) in
-  let fb_dem_out = Array.make (max 1 (n * n_pes)) (-1) in
-  let fb_fix_in = Array.make (max 1 (n * n_pes)) 0 in
-  let fb_fix_out = Array.make (max 1 (n * n_pes)) 0 in
-  let fb_bytes_in = Array.make (max 1 (n * n_pes)) 0 in
-  let fb_bytes_out = Array.make (max 1 (n * n_pes)) 0 in
-  Array.iteri
-    (fun j (t : Task.t) ->
-      Array.iteri
-        (fun i pe ->
-          est.((j * n_pes) + i) <- Exec_model.lookup tbl t i;
-          match pe.Pe.kind with
-          | Pe.Accel acl when Task.supports t pe ->
-            let a, b, c = Core.accel_phases t pe acl in
-            let row = (j * n_pes) + i in
-            ph_in.(row) <- a.Core.dp_ideal_ns;
-            ph_comp.(row) <- b;
-            ph_out.(row) <- c.Core.dp_ideal_ns;
-            (match config.Config.fabric with
-            | Fabric.Ideal -> ()
-            | Fabric.Bus bus ->
-              let fill dem fix bytes (ph : Core.dma_phase) =
-                if ph.Core.dp_bytes > 0 then begin
-                  dem.(row) <- Fabric.demand_ns bus ~bytes:ph.Core.dp_bytes;
-                  fix.(row) <-
-                    Fabric.fixed_ns bus ~pe_index:i ~chunks:ph.Core.dp_chunks
-                      ~chunk_lat_ns:ph.Core.dp_chunk_lat_ns;
-                  bytes.(row) <- ph.Core.dp_bytes
-                end
-              in
-              fill fb_dem_in fb_fix_in fb_bytes_in a;
-              fill fb_dem_out fb_fix_out fb_bytes_out c)
-          | _ -> ())
-        pes)
-    tmpl.Task.tasks;
-  let nodes = Array.of_list spec.App_spec.nodes in
-  let by_name = Hashtbl.create (max 1 n) in
-  Array.iteri (fun j (nd : App_spec.node) -> Hashtbl.replace by_name nd.App_spec.node_name j) nodes;
-  let succ =
-    Array.map
-      (fun (nd : App_spec.node) ->
-        Array.of_list (List.map (Hashtbl.find by_name) nd.App_spec.successors))
-      nodes
-  in
-  let unmet = Array.map (fun (nd : App_spec.node) -> List.length nd.App_spec.predecessors) nodes in
-  let entry =
-    let out = ref [] in
-    Array.iteri (fun j u -> if u = 0 then out := j :: !out) unmet;
-    Array.of_list (List.rev !out)
-  in
-  {
-    c_spec = spec;
-    c_nodes = nodes;
-    c_n = n;
-    c_unmet = unmet;
-    c_succ = succ;
-    c_entry = entry;
-    c_est = est;
-    c_ph_in = ph_in;
-    c_ph_comp = ph_comp;
-    c_ph_out = ph_out;
-    c_fb_dem_in = fb_dem_in;
-    c_fb_dem_out = fb_dem_out;
-    c_fb_fix_in = fb_fix_in;
-    c_fb_fix_out = fb_fix_out;
-    c_fb_bytes_in = fb_bytes_in;
-    c_fb_bytes_out = fb_bytes_out;
-  }
 
 let compile ?fault ~(config : Config.t) ~(workload : Workload.t)
     ~(policy : Scheduler.policy) () =
@@ -188,117 +64,16 @@ let compile ?fault ~(config : Config.t) ~(workload : Workload.t)
                specializes"
               policy.Scheduler.name))
   in
-  let pes = Array.of_list (Config.pes config) in
-  let n_pes = Array.length pes in
-  (* Archetype discovery: one class per distinct spec (shared refs
-     first, structural equality as the fallback for re-parsed JSON). *)
-  let items = Array.of_list workload.Workload.items in
-  let class_specs : App_spec.t list ref = ref [] in
-  let class_of spec =
-    let rec go i = function
-      | [] ->
-        class_specs := !class_specs @ [ spec ];
-        i
-      | s :: tl -> if s == spec || s = spec then i else go (i + 1) tl
-    in
-    go 0 !class_specs
-  in
-  let item_class = Array.map (fun (it : Workload.item) -> class_of it.Workload.spec) items in
-  let classes = Array.of_list (List.map (build_class ~config ~pes) !class_specs) in
-  let n_items = Array.length items in
-  let task_base = Array.make (max 1 n_items) 0 in
-  let total = ref 0 in
-  Array.iteri
-    (fun idx ci ->
-      task_base.(idx) <- !total;
-      total := !total + classes.(ci).c_n)
-    item_class;
-  let n_tasks = !total in
-  (* The per-(task, PE) tables: each item's rows are its class's. *)
-  let concat field fill =
-    let a = Array.make (max 1 (n_tasks * n_pes)) fill in
-    Array.iteri
-      (fun idx ci ->
-        let cls = classes.(ci) in
-        Array.blit (field cls) 0 a (task_base.(idx) * n_pes) (cls.c_n * n_pes))
-      item_class;
-    a
-  in
+  let model = Exec_model.lower ~engine_name:"Compiled_engine.compile" ~config workload in
   {
     p_config = config;
     p_policy = policy;
     p_pcode = pcode;
-    p_classes = classes;
-    p_item_class = item_class;
-    p_item_arrival = Array.map (fun (it : Workload.item) -> it.Workload.arrival_ns) items;
-    p_task_base = task_base;
-    p_n_pes = n_pes;
-    p_pes = pes;
-    p_pe_is_cpu = Array.map (fun pe -> Pe.is_cpu pe.Pe.kind) pes;
-    p_pe_busy_w = Array.map (fun pe -> Pe.busy_w pe.Pe.kind) pes;
-    p_est = concat (fun c -> c.c_est) min_int;
-    p_ph_in = concat (fun c -> c.c_ph_in) 0;
-    p_ph_comp = concat (fun c -> c.c_ph_comp) 0;
-    p_ph_out = concat (fun c -> c.c_ph_out) 0;
-    p_fb_dem_in = concat (fun c -> c.c_fb_dem_in) (-1);
-    p_fb_dem_out = concat (fun c -> c.c_fb_dem_out) (-1);
-    p_fb_fix_in = concat (fun c -> c.c_fb_fix_in) 0;
-    p_fb_fix_out = concat (fun c -> c.c_fb_fix_out) 0;
-    p_fb_bytes_in = concat (fun c -> c.c_fb_bytes_in) 0;
-    p_fb_bytes_out = concat (fun c -> c.c_fb_bytes_out) 0;
+    p_model = model;
+    p_pe_is_cpu = Array.map (fun pe -> Pe.is_cpu pe.Pe.kind) model.Exec_model.pes;
+    p_pe_busy_w = Array.map (fun pe -> Pe.busy_w pe.Pe.kind) model.Exec_model.pes;
     p_overlay_perf = config.Config.host.Host.overlay.Host.core_class.Pe.perf_factor;
   }
-
-(* ------------------------------------------------------------------ *)
-(* Instantiation (replicates Task.instantiate via the class tables)    *)
-(* ------------------------------------------------------------------ *)
-
-(* [store ci] is the store of an instance of class [ci].  The timing
-   loop never reads it, so a report-only run gives every instance one
-   empty placeholder. *)
-let instantiate_fast plan ~store =
-  Array.init (Array.length plan.p_item_class) (fun idx ->
-      let ci = plan.p_item_class.(idx) in
-      let cls = plan.p_classes.(ci) in
-      let base = plan.p_task_base.(idx) in
-      let spec = cls.c_spec in
-      let store = store ci in
-      let tasks =
-        Array.init cls.c_n (fun j ->
-            {
-              Task.id = base + j;
-              instance_id = idx;
-              app_name = spec.App_spec.app_name;
-              node = cls.c_nodes.(j);
-              spec;
-              store;
-              status = Task.Blocked;
-              unmet = cls.c_unmet.(j);
-              successors = [];
-              ready_at = -1;
-              dispatched_at = -1;
-              completed_at = -1;
-              pe_label = "";
-              attempts = 0;
-              last_failure = None;
-            })
-      in
-      Array.iteri
-        (fun j (t : Task.t) ->
-          t.Task.successors <-
-            Array.to_list (Array.map (fun k -> tasks.(k)) cls.c_succ.(j)))
-        tasks;
-      {
-        Task.inst_id = idx;
-        app = spec;
-        store;
-        arrival_ns = plan.p_item_arrival.(idx);
-        tasks;
-        entry = Array.to_list (Array.map (fun k -> tasks.(k)) cls.c_entry);
-        remaining = cls.c_n;
-        completed_at = -1;
-        cancelled = false;
-      })
 
 (* ------------------------------------------------------------------ *)
 (* The monomorphic event loop                                          *)
@@ -308,17 +83,22 @@ let sched_window = Cost_model.sched_examined_cap
 
 let run_timed ~obs plan (params : Core.params) instances =
   let config = plan.p_config in
-  let n_pes = plan.p_n_pes in
+  let model = plan.p_model in
+  let n_pes = model.Exec_model.n_pes in
   let stride = n_pes in
   let wm_th = n_pes in
   let prng = Prng.create ~seed:params.Core.seed in
   let jitter = params.Core.jitter in
-  let est = plan.p_est in
+  (* Prices come from the task's class, at row [index * stride + pe];
+     the policy loops inline the two loads. *)
+  let classes = model.Exec_model.classes in
+  let cls (t : Task.t) = classes.(t.Task.instance_id) in
+  let row (t : Task.t) i = (t.Task.index * stride) + i in
   let handlers =
     Array.mapi
       (fun i pe ->
         Core.make_handler ~pe ~index:i ~reservation_depth:params.Core.reservation_depth ())
-      plan.p_pes
+      model.Exec_model.pes
   in
   let stats = Core.make_stats () in
   (* Observability lowering: [traced] is constant for the whole run, so
@@ -328,7 +108,7 @@ let run_timed ~obs plan (params : Core.params) instances =
      gauge — so [Metrics.pp] output is comparable byte-for-byte across
      engines. *)
   let traced = Obs.enabled obs in
-  Obs.attach_pes obs ~pe_labels:(Array.map (fun pe -> pe.Pe.label) plan.p_pes);
+  Obs.attach_pes obs ~pe_labels:(Array.map (fun pe -> pe.Pe.label) model.Exec_model.pes);
   let des = Des.create ~obs ~clock0:0 config in
   let now = Des.clock des in
   let jit ns = Core.jittered prng ~jitter ns in
@@ -419,13 +199,13 @@ let run_timed ~obs plan (params : Core.params) instances =
           ~depth:(Queue.length h.Core.h_pending);
       rm_task.(i) <- Some task;
       rm_started.(i) <- !now;
-      let row = (task.Task.id * stride) + i in
-      if plan.p_pe_is_cpu.(i) then rm_work i (jit est.(row)) 2
+      let c = cls task and row = row task i in
+      if plan.p_pe_is_cpu.(i) then rm_work i (jit c.Exec_model.est.(row)) 2
       else begin
         if traced then rm_ph0.(i) <- !now;
-        let dem = plan.p_fb_dem_in.(row) in
-        if dem < 0 then rm_work i (jit plan.p_ph_in.(row)) 3
-        else rm_then i 6 (Des.stream des i ~bytes:plan.p_fb_bytes_in.(row) (jit dem))
+        let dem = c.Exec_model.demand_in.(row) in
+        if dem < 0 then rm_work i (jit c.Exec_model.dma_in.(row)) 3
+        else rm_then i 6 (Des.stream des i ~bytes:c.Exec_model.bytes_in.(row) (jit dem))
       end
   and rm_work i ns pc = rm_then i pc (Des.work des i ns)
   and rm_acc_after_in i =
@@ -434,7 +214,7 @@ let run_timed ~obs plan (params : Core.params) instances =
       Obs.on_phase obs ~now:!now ~task:task.Task.id ~pe_index:i ~phase:Obs.Dma_in
         ~start_ns:rm_ph0.(i) ~dur_ns:(!now - rm_ph0.(i));
     if traced then rm_ph0.(i) <- !now;
-    rm_then i 4 (Des.sleep des i (jit plan.p_ph_comp.((task.Task.id * stride) + i)))
+    rm_then i 4 (Des.sleep des i (jit (cls task).Exec_model.compute.(row task i)))
   and rm_acc_after_comp i =
     let task = rm_cur i in
     if traced then begin
@@ -442,10 +222,10 @@ let run_timed ~obs plan (params : Core.params) instances =
         ~phase:Obs.Device_compute ~start_ns:rm_ph0.(i) ~dur_ns:(!now - rm_ph0.(i));
       rm_ph0.(i) <- !now
     end;
-    let row = (task.Task.id * stride) + i in
-    let dem = plan.p_fb_dem_out.(row) in
-    if dem < 0 then rm_work i (jit plan.p_ph_out.(row)) 5
-    else rm_then i 7 (Des.stream des i ~bytes:plan.p_fb_bytes_out.(row) (jit dem))
+    let c = cls task and row = row task i in
+    let dem = c.Exec_model.demand_out.(row) in
+    if dem < 0 then rm_work i (jit c.Exec_model.dma_out.(row)) 5
+    else rm_then i 7 (Des.stream des i ~bytes:c.Exec_model.bytes_out.(row) (jit dem))
   and rm_fab_fix i fix pc =
     (* Fixed chunk/hop latency after the shared-link service. *)
     rm_then i pc (Des.sleep des i fix)
@@ -473,10 +253,10 @@ let run_timed ~obs plan (params : Core.params) instances =
     | 4 -> rm_acc_after_comp i
     | 6 ->
       let task = rm_cur i in
-      rm_fab_fix i plan.p_fb_fix_in.((task.Task.id * stride) + i) 3
+      rm_fab_fix i (cls task).Exec_model.fixed_in.(row task i) 3
     | 7 ->
       let task = rm_cur i in
-      rm_fab_fix i plan.p_fb_fix_out.((task.Task.id * stride) + i) 5
+      rm_fab_fix i (cls task).Exec_model.fixed_out.(row task i) 5
     | _ -> assert false
   in
   (* ---- workload-manager thread (engine_core.workload_manager,
@@ -603,7 +383,7 @@ let run_timed ~obs plan (params : Core.params) instances =
     | P_frfs ->
       while !j < nready && !n_idle > 0 do
         let t = tk_of.(!cur) in
-        let row = t.Task.id * stride in
+        let est = classes.(t.Task.instance_id).Exec_model.est and row = t.Task.index * stride in
         let chosen = ref (-1) in
         for i = 0 to n_pes - 1 do
           if !chosen < 0 && idle.(i) && est.(row + i) <> min_int then chosen := i
@@ -619,7 +399,7 @@ let run_timed ~obs plan (params : Core.params) instances =
     | P_met ->
       while !j < nready && !n_idle > 0 do
         let t = tk_of.(!cur) in
-        let row = t.Task.id * stride in
+        let est = classes.(t.Task.instance_id).Exec_model.est and row = t.Task.index * stride in
         let best = ref (-1) and best_est = ref 0 in
         for i = 0 to n_pes - 1 do
           if idle.(i) then begin
@@ -645,7 +425,7 @@ let run_timed ~obs plan (params : Core.params) instances =
       done;
       while !j < nready && !n_idle > 0 do
         let t = tk_of.(!cur) in
-        let row = t.Task.id * stride in
+        let est = classes.(t.Task.instance_id).Exec_model.est and row = t.Task.index * stride in
         let best = ref (-1) and best_fin = ref 0 in
         for i = 0 to n_pes - 1 do
           let e = est.(row + i) in
@@ -671,7 +451,7 @@ let run_timed ~obs plan (params : Core.params) instances =
     | P_power ->
       while !j < nready && !n_idle > 0 do
         let t = tk_of.(!cur) in
-        let row = t.Task.id * stride in
+        let est = classes.(t.Task.instance_id).Exec_model.est and row = t.Task.index * stride in
         let best = ref (-1) and best_energy = ref 0.0 and best_est = ref 0 in
         for i = 0 to n_pes - 1 do
           if idle.(i) then begin
@@ -700,7 +480,7 @@ let run_timed ~obs plan (params : Core.params) instances =
     | P_random ->
       while !j < nready && !n_idle > 0 do
         let t = tk_of.(!cur) in
-        let row = t.Task.id * stride in
+        let est = classes.(t.Task.instance_id).Exec_model.est and row = t.Task.index * stride in
         let cn = ref 0 in
         for i = 0 to n_pes - 1 do
           if idle.(i) && est.(row + i) <> min_int then begin
@@ -746,7 +526,7 @@ let run_timed ~obs plan (params : Core.params) instances =
     h.Core.h_inflight <- h.Core.h_inflight + 1;
     incr inflight;
     h.Core.h_busy_until <-
-      max !now h.Core.h_busy_until + est.((task.Task.id * stride) + pi);
+      max !now h.Core.h_busy_until + (cls task).Exec_model.est.(row task pi);
     if traced then begin
       Obs.on_task_dispatched obs ~now:!now ~task:task.Task.id
         ~instance:task.Task.instance_id ~app:task.Task.app_name
@@ -824,14 +604,10 @@ let run_timed ~obs plan (params : Core.params) instances =
     ~handlers ~instances ~stats ~fabric:(Des.counters des)
 
 let run ?(obs = Obs.disabled) plan params =
-  let placeholder = Store.create [] in
-  run_timed ~obs plan params (instantiate_fast plan ~store:(fun _ -> placeholder))
+  run_timed ~obs plan params (Exec_model.instantiate plan.p_model ~fresh_stores:false)
 
 let run_detailed ?(obs = Obs.disabled) plan params =
-  let instances =
-    instantiate_fast plan ~store:(fun ci ->
-        Store.create plan.p_classes.(ci).c_spec.App_spec.variables)
-  in
+  let instances = Exec_model.instantiate plan.p_model ~fresh_stores:true in
   let report = run_timed ~obs plan params instances in
-  Functional.fill_stores ~pes:(Array.to_list plan.p_pes) instances;
+  Functional.fill_stores ~pes:(Array.to_list plan.p_model.Exec_model.pes) instances;
   (report, instances)

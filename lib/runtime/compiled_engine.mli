@@ -4,15 +4,14 @@
     task records, effect-based threads, `Scheduler.context` closures
     and the `Engine_core` backend record all sit on the hottest loop.
     This module instead {e compiles} one (workload x platform x policy)
-    triple into a {!type:plan} of unboxed flat arrays — CSR
-    predecessor/successor adjacency over dense task ids, a preresolved
-    per-(task, PE) estimate matrix and accelerator and fabric phase
-    tables, dense PE/task state arrays — and then {!val:run}s the
-    workload-manager protocol and the chosen policy as an integer
-    program-counter state machine, with no per-event closure
-    allocation.  The clock, event heap, shared host cores and fabric
-    ledger are the virtual engine's own: both engines run on
-    {!Des}.
+    triple into a {!type:plan} — the run's {!Exec_model.t} (each
+    distinct spec's topology and per-(node, PE) prices, the same
+    classes the other engines read) plus the specialised policy — and
+    then {!val:run}s the workload-manager protocol and the chosen
+    policy as an integer program-counter state machine over dense
+    task-id arrays, with no per-event closure allocation.  The clock,
+    event heap, shared host cores and fabric ledger are the virtual
+    engine's own: both engines run on {!Des}.
 
     The contract with the reference engines is {e exact replay}: for
     every supported parameter set (any seed, any jitter, any

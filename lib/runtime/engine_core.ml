@@ -1,9 +1,7 @@
 module Pe = Dssoc_soc.Pe
 module Config = Dssoc_soc.Config
 module Cost_model = Dssoc_soc.Cost_model
-module Fabric = Dssoc_soc.Fabric
 module App_spec = Dssoc_apps.App_spec
-module Workload = Dssoc_apps.Workload
 module Prng = Dssoc_util.Prng
 module Obs = Dssoc_obs.Obs
 module Fault = Dssoc_fault.Fault
@@ -24,33 +22,12 @@ let jittered prng ~jitter ns =
   end
 
 (* ------------------------------------------------------------------ *)
-(* DMA phases                                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* A DMA phase is no longer a fixed duration decided at dispatch time:
-   under a shared fabric its cost depends on who else is on the link.
-   The engines receive the decomposition and charge it through their
-   [b_dma] hook — [dp_ideal_ns] is the legacy per-device duration
-   (what [Fabric.Ideal] replays exactly); under a bus the phase places
-   [dp_bytes] of bandwidth demand on the shared link plus a fixed
-   latency of [dp_chunks] per-transfer setups (and per-hop fabric
-   latency, resolved per PE by the engine). *)
-type dma_phase = {
-  dp_ideal_ns : int;
-  dp_bytes : int;
-  dp_chunks : int;
-  dp_chunk_lat_ns : int;
-}
-
-let no_dma = { dp_ideal_ns = 0; dp_bytes = 0; dp_chunks = 0; dp_chunk_lat_ns = 0 }
-
-(* ------------------------------------------------------------------ *)
 (* Resource handlers                                                   *)
 (* ------------------------------------------------------------------ *)
 
 type 'h handler = {
   h_pe : Pe.t;
-  h_index : int;  (** this handler's PE index (row in the estimate table) *)
+  h_index : int;  (** this handler's PE index (column of the price classes) *)
   h_capacity : int;  (** 1 + reservation-queue depth (1 = the paper's baseline) *)
   h_pending : Task.t Queue.t;  (** dispatched by the WM, not yet executed *)
   h_completed : Task.t Queue.t;  (** executed, awaiting WM bookkeeping *)
@@ -135,9 +112,6 @@ type 'h backend = {
   b_wm_await : deadline:int option -> unit;
   b_notify_wm : unit -> unit;
   b_charge : float -> unit;
-  b_dma : 'h handler -> dma_phase -> unit;
-      (** charge one DMA phase: acquire/release shared-fabric capacity
-          (or replay [dp_ideal_ns] under {!Fabric.Ideal}) *)
   b_execute : 'h handler -> Task.t -> unit;
   b_delay : 'h handler -> int -> unit;
       (** occupy the handler's PE for a modelled duration without
@@ -151,41 +125,6 @@ type 'h backend = {
 (* ------------------------------------------------------------------ *)
 (* Shared protocol pieces                                              *)
 (* ------------------------------------------------------------------ *)
-
-let instantiate ~engine_name ~(config : Config.t) ~(workload : Workload.t) =
-  (* Initialization phase (outside emulation time, as in Section II-A):
-     allocate every instance and its memory up front. *)
-  let items = Array.of_list workload.Workload.items in
-  let task_id_base = ref 0 in
-  let instances =
-    Array.mapi
-      (fun i (item : Workload.item) ->
-        let inst =
-          Task.instantiate ~task_id_base:!task_id_base ~inst_id:i
-            ~arrival_ns:item.Workload.arrival_ns item.Workload.spec
-        in
-        task_id_base := !task_id_base + Array.length inst.Task.tasks;
-        inst)
-      items
-  in
-  let pes = Config.pes config in
-  let checked = ref [] in
-  Array.iter
-    (fun (inst : Task.instance) ->
-      if not (List.memq inst.Task.app !checked) then begin
-        checked := inst.Task.app :: !checked;
-        Array.iter
-          (fun (t : Task.t) ->
-            if not (List.exists (Task.supports t) pes) then
-              invalid_arg
-                (Printf.sprintf "%s: task %s/%s supports no PE of configuration %s"
-                   engine_name t.Task.app_name t.Task.node.App_spec.node_name
-                   config.Config.label))
-          inst.Task.tasks;
-        Functional.check ~pes inst
-      end)
-    instances;
-  instances
 
 (* Resolve an engine-facing fault plan against the run's handler
    array; shared by both backends so they compile identical plans. *)
@@ -204,28 +143,11 @@ let compile_fault plan ~(handlers : 'h handler array) =
              })
            handlers)
 
-let accel_phases (task : Task.t) pe acl =
-  let entry = Task.platform_entry_for task pe in
-  match Option.bind entry (fun e -> e.App_spec.cost_us) with
-  | Some us -> (no_dma, int_of_float (us *. 1e3), no_dma)
-  | None ->
-    let dma_in, compute, dma_out = Exec_model.accel_phases_ns task acl in
-    let bytes_in, bytes_out = Exec_model.dma_bytes task.Task.node in
-    let phase ideal bytes =
-      {
-        dp_ideal_ns = ideal;
-        dp_bytes = bytes;
-        dp_chunks = Cost_model.chunk_count acl ~bytes;
-        dp_chunk_lat_ns = acl.Pe.dma.Dssoc_soc.Dma.latency_ns;
-      }
-    in
-    (phase dma_in bytes_in, compute, phase dma_out bytes_out)
-
 (* ------------------------------------------------------------------ *)
 (* Resource manager (Fig. 4)                                           *)
 (* ------------------------------------------------------------------ *)
 
-let resource_manager ?(obs = Obs.disabled) ?(fault = Fault.disabled) ?est_table
+let resource_manager ?(obs = Obs.disabled) ?(fault = Fault.disabled) ~model
     (b : 'h backend) (h : 'h handler) =
   (* One execution attempt.  A faulted attempt burns PE time but never
      reaches [b_execute], where the native backend runs the kernel in
@@ -233,14 +155,9 @@ let resource_manager ?(obs = Obs.disabled) ?(fault = Fault.disabled) ?est_table
   let execute (task : Task.t) started =
     if not (Fault.enabled fault) then b.b_execute h task
     else begin
-      let est_ns =
-        match est_table with
-        | Some tbl -> Exec_model.lookup tbl task h.h_index
-        | None -> 0
-      in
       match
         Fault.decide fault ~pe:h.h_index ~now:started ~task_id:task.Task.id
-          ~attempt:task.Task.attempts ~est_ns
+          ~attempt:task.Task.attempts ~est_ns:(Exec_model.estimate model task h.h_index)
       with
       | Fault.Proceed -> b.b_execute h task
       | Fault.Proceed_slow extra_ns ->
@@ -350,7 +267,7 @@ let sched_window = Cost_model.sched_examined_cap
 
 let workload_manager ?(obs = Obs.disabled) ?(fault = Fault.disabled) ?service
     (b : 'h backend) ~(handlers : 'h handler array)
-    ~(instances : Task.instance array) ~est_table ~(policy : Scheduler.policy)
+    ~(instances : Task.instance array) ~model ~(policy : Scheduler.policy)
     ~prng ~(stats : wm_stats) =
   let n_pes = Array.length handlers in
   let fault_on = Fault.enabled fault in
@@ -568,6 +485,7 @@ let workload_manager ?(obs = Obs.disabled) ?(fault = Fault.disabled) ?service
       0
   in
   let stamp = ref 0 in
+  let estimate task i = Exec_model.estimate model task i in
   (* One scheduling invocation: snapshot the ready window, run the
      policy, account its cost, dispatch the selected tasks.  Invoked
      after every task completion and after every injection burst, as
@@ -614,7 +532,7 @@ let workload_manager ?(obs = Obs.disabled) ?(fault = Fault.disabled) ?service
           ready = !ready_scratch;
           nready;
           pes = pes_scratch;
-          estimate = (fun task i -> Exec_model.lookup est_table task i);
+          estimate;
           prng;
           ops = 0;
         }
@@ -655,7 +573,7 @@ let workload_manager ?(obs = Obs.disabled) ?(fault = Fault.disabled) ?service
             h.h_inflight <- h.h_inflight + 1;
             incr inflight;
             h.h_busy_until <-
-              max (b.b_now ()) h.h_busy_until + Exec_model.lookup est_table task h.h_index;
+              max (b.b_now ()) h.h_busy_until + estimate task h.h_index;
             if Obs.enabled obs then begin
               let now = task.Task.dispatched_at in
               Obs.on_task_dispatched obs ~now ~task:task.Task.id

@@ -17,8 +17,9 @@
     heap, deterministic virtual nanoseconds); the native engine
     instantiates it over OCaml 5 domains (mutex/condvar, monotonic
     wall clock).  Every protocol-level feature — reservation queues,
-    live ready-list accounting, occupancy-based utilisation, the
-    dense estimate table — therefore lands in both engines at once. *)
+    live ready-list accounting, occupancy-based utilisation — therefore
+    lands in both engines at once, and both read their tasks and
+    prices from one {!Exec_model.t}. *)
 
 (** {1 Parameters} *)
 
@@ -54,29 +55,11 @@ val jittered : Dssoc_util.Prng.t -> jitter:float -> int -> int
     0.1, result at 1 ns.  [jitter <= 0.] (or a non-positive duration)
     draws nothing and returns the input unchanged. *)
 
-(** {1 DMA phases} *)
-
-type dma_phase = {
-  dp_ideal_ns : int;
-      (** legacy per-device duration — what {!Dssoc_soc.Fabric.Ideal}
-          replays byte-exactly *)
-  dp_bytes : int;  (** bandwidth demand placed on a shared link *)
-  dp_chunks : int;  (** BRAM-sized transfers the phase decomposes into *)
-  dp_chunk_lat_ns : int;  (** per-transfer device latency (setup + completion) *)
-}
-(** One DMA direction of an accelerator execution.  Engines no longer
-    receive a fixed integer duration at dispatch time: under a shared
-    fabric the cost depends on concurrent streams, so the phase is
-    charged through the backend's {!field:b_dma} hook. *)
-
-val no_dma : dma_phase
-(** The all-zero phase (e.g. a [cost_us]-priced task moves no data). *)
-
 (** {1 Resource handlers} *)
 
 type 'h handler = {
   h_pe : Dssoc_soc.Pe.t;
-  h_index : int;  (** this handler's PE index (row in the estimate table) *)
+  h_index : int;  (** this handler's PE index (column of the price classes) *)
   h_capacity : int;  (** 1 + reservation-queue depth (1 = the paper's baseline) *)
   h_pending : Task.t Queue.t;  (** dispatched by the WM, not yet executed *)
   h_completed : Task.t Queue.t;  (** executed, awaiting WM bookkeeping *)
@@ -157,17 +140,11 @@ type 'h backend = {
           reference overlay core; the virtual backend scales it and
           occupies the overlay core, the native backend ignores it
           (its loop costs real time instead) *)
-  b_dma : 'h handler -> dma_phase -> unit;
-      (** charge one DMA phase of an accelerator execution: under
-          {!Dssoc_soc.Fabric.Ideal} replay [dp_ideal_ns] on the
-          handler's host core exactly as before; under a bus, acquire
-          shared-link capacity for [dp_bytes] (stalling FIFO-fashion
-          when the link is full) and then pay the fixed chunk/hop
-          latency; called without the handler lock *)
   b_execute : 'h handler -> Task.t -> unit;
       (** run one task on this handler's PE, returning when it is
-          complete; called without the handler lock.  Only the
-          native backend runs the kernel. *)
+          complete, priced from the run's {!Exec_model.t}; called
+          without the handler lock.  Only the native backend runs the
+          kernel. *)
   b_delay : 'h handler -> int -> unit;
       (** occupy the handler's PE for a modelled duration (ns) without
           running a kernel — fault-detection latency and slowdown
@@ -191,19 +168,6 @@ type 'h backend = {
 
 (** {1 The protocol} *)
 
-val instantiate :
-  engine_name:string ->
-  config:Dssoc_soc.Config.t ->
-  workload:Dssoc_apps.Workload.t ->
-  Task.instance array
-(** Initialization phase (outside emulation time, Section II-A):
-    allocate every instance and its memory up front, with dense task
-    ids, and validate that every task supports some PE of the
-    configuration, whose kernels must resolve ({!Functional.check},
-    once per distinct spec).
-    @raise Invalid_argument (prefixed with [engine_name] for an
-    unsupported task) otherwise. *)
-
 val compile_fault :
   Dssoc_fault.Fault.plan option -> handlers:'h handler array -> Dssoc_fault.Fault.t
 (** Compile a fault plan against the run's PE array ([None] gives
@@ -212,18 +176,10 @@ val compile_fault :
     @raise Invalid_argument when a rule targets no PE (surfaced by
     [Emulator.run] as an [Error]). *)
 
-val accel_phases :
-  Task.t -> Dssoc_soc.Pe.t -> Dssoc_soc.Pe.accel_class -> dma_phase * int * dma_phase
-(** [(dma_in, compute_ns, dma_out)] for an accelerator execution: an
-    explicit [cost_us] on the matching platform entry prices the whole
-    task as device compute (the JSON override, DMA phases {!no_dma}),
-    otherwise the device model prices the three phases — the DMA ones
-    as {!dma_phase} decompositions for the {!field:b_dma} hook. *)
-
 val resource_manager :
   ?obs:Dssoc_obs.Obs.t ->
   ?fault:Dssoc_fault.Fault.t ->
-  ?est_table:Exec_model.table ->
+  model:Exec_model.t ->
   'h backend ->
   'h handler ->
   unit
@@ -237,9 +193,9 @@ val resource_manager :
     pending queue emits a [Reservation_popped] event (sink only — this
     may run off the WM thread).
 
-    With [fault] (and [est_table], which scales failure-detection
-    latencies), every attempt first consults {!Dssoc_fault.Fault.decide}:
-    a failing attempt occupies the PE for the modelled detection time
+    With [fault], every attempt first consults {!Dssoc_fault.Fault.decide},
+    which scales failure-detection latencies by the task's [model]
+    estimate on this PE: a failing attempt occupies the PE for the modelled detection time
     but never reaches {!field:b_execute} (where the native backend runs
     the kernel, in place, so its outputs stay identical with and
     without retries), then parks the task with [last_failure] set for
@@ -295,7 +251,7 @@ val workload_manager :
   'h backend ->
   handlers:'h handler array ->
   instances:Task.instance array ->
-  est_table:Exec_model.table ->
+  model:Exec_model.t ->
   policy:Scheduler.policy ->
   prng:Dssoc_util.Prng.t ->
   stats:wm_stats ->
@@ -303,8 +259,8 @@ val workload_manager :
 (** The workload-manager loop (Fig. 3): monitor completions (releasing
     successors and charging per-PE monitoring cost), inject arrived
     instances, and invoke the policy over a snapshot of the ready
-    window and PE states ({!Scheduler.context}, estimate queries
-    backed by the dense table) — once per completion at capacity 1, as
+    window and PE states ({!Scheduler.context}, whose estimates come
+    from [model]'s classes) — once per completion at capacity 1, as
     the paper prescribes, or batched per sweep when reservation queues
     are configured.  The ready list is an array FIFO that deletes
     dispatched entries lazily; the charged O(n)/O(n²) policy cost

@@ -3,17 +3,6 @@ module Kernels = Dssoc_apps.Kernels
 module Store = Dssoc_apps.Store
 module Pe = Dssoc_soc.Pe
 
-let check ~pes (inst : Task.instance) =
-  Array.iter
-    (fun t ->
-      List.iter
-        (fun pe ->
-          if Task.supports t pe then
-            let (_ : Kernels.kernel) = Exec_model.resolve_kernel t pe in
-            ())
-        pes)
-    inst.Task.tasks
-
 type 'a memo = {
   pes : (string, Pe.t) Hashtbl.t;
   derive : Store.t -> 'a;

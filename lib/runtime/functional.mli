@@ -20,11 +20,6 @@
     and shared by every instance that maps to it; specs and closures
     are told apart by physical equality. *)
 
-val check : pes:Dssoc_soc.Pe.t list -> Task.instance -> unit
-(** Resolve every task's kernel on every PE of [pes] that supports it,
-    so a missing symbol fails before a run, on every engine.
-    @raise Invalid_argument with {!Exec_model.resolve_kernel}'s message. *)
-
 type 'a memo
 (** The images of one run, each kept as the value derived from it. *)
 

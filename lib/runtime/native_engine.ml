@@ -29,68 +29,57 @@ type nfab = {
   f_mutex : Mutex.t;
   f_cond : Condition.t;
   mutable f_inflight : int;
-  f_bus : Fabric.bus;
-  f_hop_ns : int array;  (* per-PE index: hops x per-hop latency *)
+  f_fifo_depth : int;
   f_counters : Core.fabric_counters;
 }
 
-let backend ~start ~fab ~(params : Core.params) ~(stats : Core.wm_stats) ~obs =
+let backend ~start ~fab ~model ~failed ~(params : Core.params) ~(stats : Core.wm_stats) ~obs =
   let now () = Mclock.now_ns () - start in
-  (* The b_dma hook.  The real byte copies stand in for the transfer
-     itself (in [execute], fabric or not); under a bus the modelled
-     demand and fixed chunk/hop latency are timed sleeps, gated by the
-     bounded-FIFO ledger.  Under Ideal nothing extra is charged — the
-     legacy behaviour, byte-for-byte. *)
-  let dma (h : nh Core.handler) (ph : Core.dma_phase) =
+  (* One DMA phase.  The real byte copies stand in for the transfer
+     itself (in [execute], fabric or not); a phase that streams through
+     a bus also pays its modelled link demand and fixed chunk/hop
+     latency as timed sleeps, gated by the bounded-FIFO ledger.  A
+     phase that bypasses the fabric charges nothing extra. *)
+  let dma (h : nh Core.handler) ~demand ~fixed ~bytes =
     match fab with
-    | None -> ()
-    | Some f ->
-      if ph.Core.dp_bytes > 0 then begin
-        let dem =
-          Core.jittered h.Core.h_backend.nh_prng ~jitter:params.Core.jitter
-            (Fabric.demand_ns f.f_bus ~bytes:ph.Core.dp_bytes)
-        in
-        if dem > 0 then begin
-          let c = f.f_counters in
-          Mutex.lock f.f_mutex;
-          c.Core.fc_streams <- c.Core.fc_streams + 1;
-          if f.f_inflight >= f.f_bus.Fabric.fifo_depth then begin
-            c.Core.fc_stalls <- c.Core.fc_stalls + 1;
-            if Obs.enabled obs then
-              Obs.on_stream_stalled obs ~now:(now ()) ~pe_index:h.Core.h_index
-                ~bytes:ph.Core.dp_bytes
-                ~queued:(f.f_inflight - f.f_bus.Fabric.fifo_depth + 1);
-            let t0 = now () in
-            while f.f_inflight >= f.f_bus.Fabric.fifo_depth do
-              Condition.wait f.f_cond f.f_mutex
-            done;
-            c.Core.fc_stall_ns <- c.Core.fc_stall_ns + (now () - t0)
-          end;
-          f.f_inflight <- f.f_inflight + 1;
-          if f.f_inflight > c.Core.fc_max_inflight then
-            c.Core.fc_max_inflight <- f.f_inflight;
+    | Some f when demand >= 0 ->
+      let dem = Core.jittered h.Core.h_backend.nh_prng ~jitter:params.Core.jitter demand in
+      if dem > 0 then begin
+        let c = f.f_counters in
+        Mutex.lock f.f_mutex;
+        c.Core.fc_streams <- c.Core.fc_streams + 1;
+        if f.f_inflight >= f.f_fifo_depth then begin
+          c.Core.fc_stalls <- c.Core.fc_stalls + 1;
           if Obs.enabled obs then
-            Obs.on_stream_admitted obs ~now:(now ()) ~pe_index:h.Core.h_index
-              ~bytes:ph.Core.dp_bytes ~stall_ns:0 ~inflight:f.f_inflight;
-          Mutex.unlock f.f_mutex;
-          Unix.sleepf (float_of_int dem /. 1e9);
-          Mutex.lock f.f_mutex;
-          f.f_inflight <- f.f_inflight - 1;
-          Condition.broadcast f.f_cond;
-          Mutex.unlock f.f_mutex
+            Obs.on_stream_stalled obs ~now:(now ()) ~pe_index:h.Core.h_index ~bytes
+              ~queued:(f.f_inflight - f.f_fifo_depth + 1);
+          let t0 = now () in
+          while f.f_inflight >= f.f_fifo_depth do
+            Condition.wait f.f_cond f.f_mutex
+          done;
+          c.Core.fc_stall_ns <- c.Core.fc_stall_ns + (now () - t0)
         end;
-        let fix =
-          ph.Core.dp_chunks * (ph.Core.dp_chunk_lat_ns + f.f_hop_ns.(h.Core.h_index))
-        in
-        if fix > 0 then Unix.sleepf (float_of_int fix /. 1e9)
-      end
+        f.f_inflight <- f.f_inflight + 1;
+        if f.f_inflight > c.Core.fc_max_inflight then c.Core.fc_max_inflight <- f.f_inflight;
+        if Obs.enabled obs then
+          Obs.on_stream_admitted obs ~now:(now ()) ~pe_index:h.Core.h_index ~bytes ~stall_ns:0
+            ~inflight:f.f_inflight;
+        Mutex.unlock f.f_mutex;
+        Unix.sleepf (float_of_int dem /. 1e9);
+        Mutex.lock f.f_mutex;
+        f.f_inflight <- f.f_inflight - 1;
+        Condition.broadcast f.f_cond;
+        Mutex.unlock f.f_mutex
+      end;
+      if fixed > 0 then Unix.sleepf (float_of_int fixed /. 1e9)
+    | _ -> ()
   in
   let execute (h : nh Core.handler) (task : Task.t) =
     let kernel = Exec_model.resolve_kernel task h.Core.h_pe in
     let args = task.Task.node.App_spec.arguments in
     match h.Core.h_pe.Pe.kind with
     | Pe.Cpu _ -> kernel task.Task.store args
-    | Pe.Accel acl ->
+    | Pe.Accel _ ->
       let traced = Obs.enabled obs in
       let phase_end ph t0 =
         if traced then
@@ -103,7 +92,7 @@ let backend ~start ~fab ~(params : Core.params) ~(stats : Core.wm_stats) ~obs =
       let ptr_args =
         List.filter (fun a -> (Store.spec task.Task.store a).Store.is_ptr) args
       in
-      let dma_in, compute, dma_out = Core.accel_phases task h.Core.h_pe acl in
+      let c = Exec_model.class_of model task and row = Exec_model.row model task h.Core.h_index in
       let t0 = now () in
       let scratch =
         match ptr_args with
@@ -113,16 +102,21 @@ let backend ~start ~fab ~(params : Core.params) ~(stats : Core.wm_stats) ~obs =
           List.iter (fun a -> Buffer.add_bytes buf (Store.get_raw task.Task.store a)) ptr_args;
           Some buf
       in
-      dma h dma_in;
+      dma h ~demand:c.Exec_model.demand_in.(row) ~fixed:c.Exec_model.fixed_in.(row)
+        ~bytes:c.Exec_model.bytes_in.(row);
       phase_end Obs.Dma_in t0;
       kernel task.Task.store args;
-      let compute = Core.jittered h.Core.h_backend.nh_prng ~jitter:params.Core.jitter compute in
+      let compute =
+        Core.jittered h.Core.h_backend.nh_prng ~jitter:params.Core.jitter
+          c.Exec_model.compute.(row)
+      in
       let t1 = now () in
       Unix.sleepf (float_of_int compute /. 1e9);
       phase_end Obs.Device_compute t1;
       let t2 = now () in
       Option.iter (fun buf -> ignore (Buffer.contents buf)) scratch;
-      dma h dma_out;
+      dma h ~demand:c.Exec_model.demand_out.(row) ~fixed:c.Exec_model.fixed_out.(row)
+        ~bytes:c.Exec_model.bytes_out.(row);
       phase_end Obs.Dma_out t2
   in
   {
@@ -137,12 +131,16 @@ let backend ~start ~fab ~(params : Core.params) ~(stats : Core.wm_stats) ~obs =
         done);
     b_notify_handler = (fun h -> Condition.signal h.Core.h_backend.nh_cond);
     (* The workload manager polls: completions are observed by the
-       monitoring sweep, so a completion notification is unnecessary. *)
-    b_wm_await = (fun ~deadline:_ -> Domain.cpu_relax ());
+       monitoring sweep, so a completion notification is unnecessary.
+       A resource manager that died raising is re-raised here. *)
+    b_wm_await =
+      (fun ~deadline:_ ->
+        match Atomic.get failed with
+        | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+        | None -> Domain.cpu_relax ());
     b_notify_wm = (fun () -> ());
     (* Manager bookkeeping costs real time here — nothing to model. *)
     b_charge = (fun _ -> ());
-    b_dma = dma;
     b_execute = execute;
     (* Fault-detection latencies and slowdown tails are timed sleeps,
        like the modelled device compute. *)
@@ -156,7 +154,8 @@ let backend ~start ~fab ~(params : Core.params) ~(stats : Core.wm_stats) ~obs =
 
 let run_detailed ?(params = default_params) ?(obs = Obs.disabled) ?fault
     ~(config : Config.t) ~(workload : Workload.t) ~(policy : Scheduler.policy) () =
-  let instances = Core.instantiate ~engine_name:"Native_engine.run" ~config ~workload in
+  let model = Exec_model.lower ~engine_name:"Native_engine.run" ~config workload in
+  let instances = Exec_model.instantiate model ~fresh_stores:true in
   let handlers =
     Array.of_list
       (List.mapi
@@ -169,9 +168,6 @@ let run_detailed ?(params = default_params) ?(obs = Obs.disabled) ?fault
                nh_prng = Prng.derive ~seed:params.Core.seed ~index:(i + 1);
              })
          config.Config.placements)
-  in
-  let est_table =
-    Exec_model.build_table ~instances ~pes:(Array.map (fun h -> h.Core.h_pe) handlers)
   in
   let stats = Core.make_stats () in
   let fault = Core.compile_fault fault ~handlers in
@@ -190,30 +186,33 @@ let run_detailed ?(params = default_params) ?(obs = Obs.disabled) ?fault
           f_mutex = Mutex.create ();
           f_cond = Condition.create ();
           f_inflight = 0;
-          f_bus = bus;
-          f_hop_ns =
-            Array.map
-              (fun h ->
-                Fabric.hops bus.Fabric.topology ~pe_index:h.Core.h_index
-                * bus.Fabric.hop_ns)
-              handlers;
+          f_fifo_depth = bus.Fabric.fifo_depth;
           f_counters = fabric_counters;
         }
   in
   let start = Mclock.now_ns () in
-  let b = backend ~start ~fab ~params ~stats ~obs in
+  let failed = Atomic.make None in
+  let b = backend ~start ~fab ~model ~failed ~params ~stats ~obs in
   (* One domain per PE plays its resource manager (Fig. 4)... *)
   let domains =
     Array.map
-      (fun h -> Domain.spawn (fun () -> Core.resource_manager ~obs ~fault ~est_table b h))
+      (fun h ->
+        Domain.spawn (fun () ->
+            try Core.resource_manager ~obs ~fault ~model b h
+            with e ->
+              (* A raising kernel ends this domain; the workload manager
+                 re-raises at its next await instead of waiting forever
+                 on a task that will never complete. *)
+              ignore
+                (Atomic.compare_and_set failed None (Some (e, Printexc.get_raw_backtrace ()))
+                  : bool)))
       handlers
   in
   (* ...while the calling domain plays the workload manager (Fig. 3). *)
   let prng = Prng.create ~seed:params.Core.seed in
   let wm_result =
     match
-      Core.workload_manager ~obs ~fault b ~handlers ~instances ~est_table ~policy ~prng
-        ~stats
+      Core.workload_manager ~obs ~fault b ~handlers ~instances ~model ~policy ~prng ~stats
     with
     | () -> Ok ()
     | exception e -> Error (e, Printexc.get_raw_backtrace ())

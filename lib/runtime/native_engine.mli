@@ -50,9 +50,13 @@ val run :
 
     Whatever happens — including a policy or kernel exception — every
     handler domain is stopped and joined before this function returns
-    or re-raises; a poisoned run leaks no domains.
+    or re-raises; a poisoned run leaks no domains.  A kernel that
+    raises in a handler domain stops the workload manager at its next
+    poll, and its exception is the one re-raised.
     @raise Invalid_argument if some task supports no PE of the
-    configuration, or if a fault rule targets no PE. *)
+    configuration, if a kernel does not resolve, if a fabric price
+    overflows, or if a fault rule targets no PE — all before any
+    domain spawns. *)
 
 val run_detailed :
   ?params:Engine_core.params ->

@@ -31,10 +31,10 @@ type context = {
   pes : pe_state array;
   estimate : Task.t -> int -> int;
       (** [estimate task pe_index]: modelled execution time on
-          [pes.(pe_index)].  The engines back this with a dense
-          precomputed table ({!Exec_model.build_table}), so calling it
-          in an inner loop is one array load.  Only defined when the
-          task supports that PE — check {!Task.supports} first. *)
+          [pes.(pe_index)].  The engines answer it from the run's
+          price classes ({!Exec_model.estimate}), so calling it in an
+          inner loop is two array loads.  Only defined when the task
+          supports that PE — check {!Task.supports} first. *)
   prng : Dssoc_util.Prng.t;
   mutable ops : int;
       (** policies increment this per elementary examination; the

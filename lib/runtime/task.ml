@@ -6,6 +6,7 @@ type status = Blocked | Ready | Running | Done
 
 type t = {
   id : int;
+  index : int;
   instance_id : int;
   app_name : string;
   node : App_spec.node;
@@ -34,21 +35,48 @@ type instance = {
   mutable cancelled : bool;
 }
 
-let instantiate ~task_id_base ~inst_id ~arrival_ns (spec : App_spec.t) =
-  let store = Store.create spec.App_spec.variables in
+type topology = {
+  tp_spec : App_spec.t;
+  tp_nodes : App_spec.node array;
+  tp_unmet : int array;
+  tp_succ : int array array;
+  tp_entry : int array;
+}
+
+let topology (spec : App_spec.t) =
   let nodes = Array.of_list spec.App_spec.nodes in
+  let by_name = Hashtbl.create (Array.length nodes) in
+  Array.iteri (fun j (nd : App_spec.node) -> Hashtbl.replace by_name nd.App_spec.node_name j) nodes;
+  let unmet = Array.map (fun (nd : App_spec.node) -> List.length nd.App_spec.predecessors) nodes in
+  let entry = ref [] in
+  Array.iteri (fun j u -> if u = 0 then entry := j :: !entry) unmet;
+  {
+    tp_spec = spec;
+    tp_nodes = nodes;
+    tp_unmet = unmet;
+    tp_succ =
+      Array.map
+        (fun (nd : App_spec.node) ->
+          Array.of_list (List.map (Hashtbl.find by_name) nd.App_spec.successors))
+        nodes;
+    tp_entry = Array.of_list (List.rev !entry);
+  }
+
+let instance tp ~store ~task_id_base ~inst_id ~arrival_ns =
+  let spec = tp.tp_spec in
   let tasks =
     Array.mapi
-      (fun i node ->
+      (fun j node ->
         {
-          id = task_id_base + i;
+          id = task_id_base + j;
+          index = j;
           instance_id = inst_id;
           app_name = spec.App_spec.app_name;
           node;
           spec;
           store;
           status = Blocked;
-          unmet = List.length node.App_spec.predecessors;
+          unmet = tp.tp_unmet.(j);
           successors = [];
           ready_at = -1;
           dispatched_at = -1;
@@ -57,32 +85,32 @@ let instantiate ~task_id_base ~inst_id ~arrival_ns (spec : App_spec.t) =
           attempts = 0;
           last_failure = None;
         })
-      nodes
+      tp.tp_nodes
   in
-  let by_name = Hashtbl.create (Array.length tasks) in
-  Array.iter (fun t -> Hashtbl.replace by_name t.node.App_spec.node_name t) tasks;
-  Array.iter
-    (fun t ->
-      t.successors <-
-        List.map (fun s -> Hashtbl.find by_name s) t.node.App_spec.successors)
-    tasks;
+  let pick idx = Array.fold_right (fun k acc -> tasks.(k) :: acc) idx [] in
+  Array.iteri (fun j t -> t.successors <- pick tp.tp_succ.(j)) tasks;
   {
     inst_id;
     app = spec;
     store;
     arrival_ns;
     tasks;
-    entry = Array.to_list tasks |> List.filter (fun t -> t.unmet = 0);
+    entry = pick tp.tp_entry;
     remaining = Array.length tasks;
     completed_at = -1;
     cancelled = false;
   }
 
+let instantiate ~task_id_base ~inst_id ~arrival_ns (spec : App_spec.t) =
+  instance (topology spec) ~store:(Store.create spec.App_spec.variables) ~task_id_base ~inst_id
+    ~arrival_ns
+
 let entry_matches (e : App_spec.platform_entry) (pe : Pe.t) =
   if e.App_spec.platform = "cpu" then Pe.is_cpu pe.Pe.kind
   else e.App_spec.platform = Pe.kind_name pe.Pe.kind
 
-let platform_entry_for t pe = List.find_opt (fun e -> entry_matches e pe) t.node.App_spec.platforms
+let node_entry (node : App_spec.node) pe =
+  List.find_opt (fun e -> entry_matches e pe) node.App_spec.platforms
 
 (* A plain recursion, so the policies' inner loops allocate nothing. *)
 let rec any_entry_matches pe = function

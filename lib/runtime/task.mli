@@ -12,6 +12,9 @@ type status =
 
 type t = {
   id : int;  (** unique within an emulation *)
+  index : int;
+      (** position of the node in its spec's declaration order: the
+          task's row in its instance's {!topology} and price class *)
   instance_id : int;
   app_name : string;
   node : Dssoc_apps.App_spec.node;
@@ -46,18 +49,41 @@ type instance = {
           service mode) *)
 }
 
+type topology = {
+  tp_spec : Dssoc_apps.App_spec.t;
+  tp_nodes : Dssoc_apps.App_spec.node array;  (** declaration order *)
+  tp_unmet : int array;  (** initial unmet-predecessor counts *)
+  tp_succ : int array array;  (** successor node indices, JSON order *)
+  tp_entry : int array;  (** nodes with no predecessors, node order *)
+}
+(** A spec's DAG as index arrays over node positions, worked out once
+    and shared by every instance built from it. *)
+
+val topology : Dssoc_apps.App_spec.t -> topology
+
+val instance :
+  topology ->
+  store:Dssoc_apps.Store.t ->
+  task_id_base:int ->
+  inst_id:int ->
+  arrival_ns:int ->
+  instance
+(** Build linked task records over [store], which every task of the
+    instance shares.  The tasks occupy ids
+    [task_id_base ..= task_id_base + task_count - 1]. *)
+
 val instantiate :
   task_id_base:int -> inst_id:int -> arrival_ns:int -> Dssoc_apps.App_spec.t -> instance
-(** Allocate the instance store (initialising variables per the spec)
-    and build linked task records.  Returns an instance whose tasks
-    occupy ids [task_id_base ..= task_id_base + task_count - 1]. *)
+(** {!instance} of the spec's {!topology} over a fresh store,
+    initialising variables per the spec. *)
 
 val supports : t -> Dssoc_soc.Pe.t -> bool
 (** True when some platform entry of the node matches the PE: the
     generic entry name ["cpu"] matches any CPU-class PE, anything else
     matches by exact PE-class name. *)
 
-val platform_entry_for : t -> Dssoc_soc.Pe.t -> Dssoc_apps.App_spec.platform_entry option
-(** The first matching platform entry, if any. *)
+val node_entry :
+  Dssoc_apps.App_spec.node -> Dssoc_soc.Pe.t -> Dssoc_apps.App_spec.platform_entry option
+(** The node's first platform entry matching the PE, if any. *)
 
 val status_to_string : status -> string

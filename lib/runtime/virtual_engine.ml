@@ -2,8 +2,6 @@ module Prng = Dssoc_util.Prng
 module Pe = Dssoc_soc.Pe
 module Host = Dssoc_soc.Host
 module Config = Dssoc_soc.Config
-module Fabric = Dssoc_soc.Fabric
-module App_spec = Dssoc_apps.App_spec
 module Workload = Dssoc_apps.Workload
 module Core = Engine_core
 module Obs = Dssoc_obs.Obs
@@ -74,8 +72,8 @@ let sleep_ns ns = Effect.perform (Sleep ns)
 (* The DES backend for the shared engine core                          *)
 (* ------------------------------------------------------------------ *)
 
-let backend des ~prng ~jitter ~(bus : Fabric.bus option) ~overlay_perf ~est_table
-    ~(policy : Scheduler.policy) ~n_pes ~(stats : Core.wm_stats) ~obs =
+let backend des ~prng ~jitter ~overlay_perf ~model ~(policy : Scheduler.policy) ~n_pes
+    ~(stats : Core.wm_stats) ~obs =
   let now = Des.clock des in
   let scale ns = int_of_float (Float.round (ns /. overlay_perf)) in
   (* Modelled workload-manager bookkeeping occupies the overlay core. *)
@@ -85,46 +83,45 @@ let backend des ~prng ~jitter ~(bus : Fabric.bus option) ~overlay_perf ~est_tabl
     work ns
   in
   let jit ns = Core.jittered prng ~jitter ns in
-  (* The b_dma hook.  Ideal (or a phase moving no data) replays the
-     legacy per-device duration on the manager's host core exactly as
-     before.  Under a bus the manager thread leaves its host core:
-     the stream is serviced by the shared link (fair-share among
-     in-flight streams, FIFO-stalled when the link is full), then the
-     fixed per-chunk device latency plus per-hop fabric latency is
-     paid as plain delay. *)
-  let dma (h : unit Core.handler) (ph : Core.dma_phase) =
-    match bus with
-    | Some bus when ph.Core.dp_bytes > 0 ->
-      let dem = jit (Fabric.demand_ns bus ~bytes:ph.Core.dp_bytes) in
-      Effect.perform (Fab_work (ph.Core.dp_bytes, dem));
-      sleep_ns
-        (Fabric.fixed_ns bus ~pe_index:h.Core.h_index ~chunks:ph.Core.dp_chunks
-           ~chunk_lat_ns:ph.Core.dp_chunk_lat_ns)
-    | _ -> work (jit ph.Core.dp_ideal_ns)
+  (* One DMA phase.  A phase that bypasses the fabric (ideal fabric, or
+     no bytes to move) replays its ideal duration on the manager's host
+     core.  Under a bus the manager thread leaves its host core: the
+     stream is serviced by the shared link (fair-share among in-flight
+     streams, FIFO-stalled when the link is full), then the fixed
+     per-chunk device latency plus per-hop fabric latency is paid as
+     plain delay. *)
+  let dma ~ideal ~demand ~fixed ~bytes =
+    if demand < 0 then work (jit ideal)
+    else begin
+      Effect.perform (Fab_work (bytes, jit demand));
+      sleep_ns fixed
+    end
   in
   (* Timing only: outputs come from [Functional] after the run. *)
   let execute (h : unit Core.handler) (task : Task.t) =
+    let c = Exec_model.class_of model task and row = Exec_model.row model task h.Core.h_index in
     match h.Core.h_pe.Pe.kind with
-    | Pe.Cpu _ -> work (jit (Exec_model.lookup est_table task h.Core.h_index))
-    | Pe.Accel acl ->
-      let dma_in, compute, dma_out = Core.accel_phases task h.Core.h_pe acl in
+    | Pe.Cpu _ -> work (jit c.Exec_model.est.(row))
+    | Pe.Accel _ ->
       let traced = Obs.enabled obs in
       let phase_end ph t0 =
         if traced then
           Obs.on_phase obs ~now:!now ~task:task.Task.id ~pe_index:h.Core.h_index
             ~phase:ph ~start_ns:t0 ~dur_ns:(!now - t0)
       in
-      (* DMA to device goes through the fabric hook... *)
+      (* DMA to device goes through the fabric... *)
       let t0 = !now in
-      dma h dma_in;
+      dma ~ideal:c.Exec_model.dma_in.(row) ~demand:c.Exec_model.demand_in.(row)
+        ~fixed:c.Exec_model.fixed_in.(row) ~bytes:c.Exec_model.bytes_in.(row);
       phase_end Obs.Dma_in t0;
       (* ...then the thread sleeps while the device computes... *)
       let t1 = !now in
-      sleep_ns (jit compute);
+      sleep_ns (jit c.Exec_model.compute.(row));
       phase_end Obs.Device_compute t1;
       (* ...and wakes to move the results back. *)
       let t2 = !now in
-      dma h dma_out;
+      dma ~ideal:c.Exec_model.dma_out.(row) ~demand:c.Exec_model.demand_out.(row)
+        ~fixed:c.Exec_model.fixed_out.(row) ~bytes:c.Exec_model.bytes_out.(row);
       phase_end Obs.Dma_out t2
   in
   {
@@ -137,7 +134,6 @@ let backend des ~prng ~jitter ~(bus : Fabric.bus option) ~overlay_perf ~est_tabl
     b_wm_await = (fun ~deadline -> Effect.perform (Await deadline));
     b_notify_wm = (fun () -> Des.signal des n_pes);
     b_charge = charge;
-    b_dma = dma;
     b_execute = execute;
     (* Fault-detection latencies and slowdown tails keep the PE's
        manager thread asleep (the device is wedged, not computing), so
@@ -176,15 +172,16 @@ type prepared = {
   pr_des : Des.t;
   pr_instances : Task.instance array;
   pr_handlers : unit Core.handler array;
-  pr_est_table : Exec_model.table;
+  pr_model : Exec_model.t;
   pr_stats : Core.wm_stats;
   pr_fault : Dssoc_fault.Fault.t;
   pr_b : unit Core.backend;
 }
 
-let prepare ~(params : params) ~obs ~engine_name ~clock0 ~prng ?fault
+let prepare ~(params : params) ~obs ~engine_name ~clock0 ~prng ~fresh_stores ?fault
     ~(config : Config.t) ~(workload : Workload.t) ~(policy : Scheduler.policy) () =
-  let instances = Core.instantiate ~engine_name ~config ~workload in
+  let model = Exec_model.lower ~engine_name ~config workload in
+  let instances = Exec_model.instantiate model ~fresh_stores in
   let handlers =
     Array.of_list
       (List.mapi
@@ -193,28 +190,20 @@ let prepare ~(params : params) ~obs ~engine_name ~clock0 ~prng ?fault
              ~reservation_depth:params.reservation_depth ())
          config.Config.placements)
   in
-  (* Price every (task, PE) pair once, up front; the scheduler and the
-     dispatch paths then estimate with a single array load. *)
-  let est_table =
-    Exec_model.build_table ~instances ~pes:(Array.map (fun h -> h.Core.h_pe) handlers)
-  in
   let stats = Core.make_stats () in
   let fault = Core.compile_fault fault ~handlers in
   Obs.attach_pes obs ~pe_labels:(Array.map (fun h -> h.Core.h_pe.Pe.label) handlers);
   let des = Des.create ~obs ~clock0 config in
-  let bus =
-    match config.Config.fabric with Fabric.Bus b -> Some b | Fabric.Ideal -> None
-  in
   let b =
-    backend des ~prng ~jitter:params.jitter ~bus
+    backend des ~prng ~jitter:params.jitter
       ~overlay_perf:config.Config.host.Host.overlay.Host.core_class.Pe.perf_factor
-      ~est_table ~policy ~n_pes:(Array.length handlers) ~stats ~obs
+      ~model ~policy ~n_pes:(Array.length handlers) ~stats ~obs
   in
   {
     pr_des = des;
     pr_instances = instances;
     pr_handlers = handlers;
-    pr_est_table = est_table;
+    pr_model = model;
     pr_stats = stats;
     pr_fault = fault;
     pr_b = b;
@@ -226,28 +215,30 @@ let run_managers p ~rm ~wm =
   run_threads p.pr_des
     (Array.append (Array.map (fun h () -> rm p.pr_b h) p.pr_handlers) [| wm |])
 
-let run_timed ?(params = default_params) ?(obs = Obs.disabled) ?fault ~(config : Config.t)
-    ~(workload : Workload.t) ~(policy : Scheduler.policy) () =
+let run_timed ~fresh_stores ?(params = default_params) ?(obs = Obs.disabled) ?fault
+    ~(config : Config.t) ~(workload : Workload.t) ~(policy : Scheduler.policy) () =
   let prng = Prng.create ~seed:params.seed in
   let p =
-    prepare ~params ~obs ~engine_name:"Virtual_engine.run" ~clock0:0 ~prng ?fault ~config
-      ~workload ~policy ()
+    prepare ~params ~obs ~engine_name:"Virtual_engine.run" ~clock0:0 ~prng ~fresh_stores ?fault
+      ~config ~workload ~policy ()
   in
   let { pr_instances = instances; pr_handlers = handlers; pr_fault = fault; _ } = p in
   run_managers p
-    ~rm:(Core.resource_manager ~obs ~fault ~est_table:p.pr_est_table)
+    ~rm:(Core.resource_manager ~obs ~fault ~model:p.pr_model)
     ~wm:(fun () ->
-      Core.workload_manager ~obs ~fault p.pr_b ~handlers ~instances
-        ~est_table:p.pr_est_table ~policy ~prng ~stats:p.pr_stats);
+      Core.workload_manager ~obs ~fault p.pr_b ~handlers ~instances ~model:p.pr_model
+        ~policy ~prng ~stats:p.pr_stats);
   ( Core.report ~host_name:config.Config.host.Host.name ~config ~policy ~handlers
       ~instances ~stats:p.pr_stats ~fabric:(Des.counters p.pr_des),
     instances )
 
 let run ?params ?obs ?fault ~config ~workload ~policy () =
-  fst (run_timed ?params ?obs ?fault ~config ~workload ~policy ())
+  fst (run_timed ~fresh_stores:false ?params ?obs ?fault ~config ~workload ~policy ())
 
 let run_detailed ?params ?obs ?fault ~config ~workload ~policy () =
-  let ((_, instances) as r) = run_timed ?params ?obs ?fault ~config ~workload ~policy () in
+  let ((_, instances) as r) =
+    run_timed ~fresh_stores:true ?params ?obs ?fault ~config ~workload ~policy ()
+  in
   Functional.fill_stores ~pes:(Config.pes config) instances;
   r
 
@@ -281,7 +272,7 @@ let run_service ?(params = default_params) ?(obs = Obs.disabled) ?resume
   in
   let p =
     prepare ~params ~obs ~engine_name:"Virtual_engine.run_service" ~clock0 ~prng
-      ~config ~workload ~policy ()
+      ~fresh_stores:false ~config ~workload ~policy ()
   in
   let { pr_instances = instances; pr_handlers = handlers; _ } = p in
   (match resume with
@@ -298,10 +289,10 @@ let run_service ?(params = default_params) ?(obs = Obs.disabled) ?resume
       handlers);
   let service = { (service instances) with Core.sv_resume = Option.is_some resume } in
   run_managers p
-    ~rm:(Core.resource_manager ~obs ~est_table:p.pr_est_table)
+    ~rm:(Core.resource_manager ~obs ~model:p.pr_model)
     ~wm:(fun () ->
-      Core.workload_manager ~obs ~service p.pr_b ~handlers ~instances
-        ~est_table:p.pr_est_table ~policy ~prng ~stats:p.pr_stats);
+      Core.workload_manager ~obs ~service p.pr_b ~handlers ~instances ~model:p.pr_model
+        ~policy ~prng ~stats:p.pr_stats);
   {
     sr_instances = instances;
     sr_stats = p.pr_stats;

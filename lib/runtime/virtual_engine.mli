@@ -9,18 +9,20 @@
       II-D).  A core running several manager threads processor-shares
       among them and pays a context-switch penalty, which reproduces
       the contention anomalies of Figs. 9 and 11.
-    - CPU task execution charges {!Exec_model.estimate_ns}, scaled by
-      the core class; accelerator execution splits into DMA-in /
-      device compute / DMA-out, with the manager thread occupying its
-      core only during the DMA phases (it "sleeps" while the device
-      runs, as Section II-D describes).
+    - Every duration comes from the run's {!Exec_model.t}, priced
+      once per (node, PE) before the run: CPU task execution charges
+      the estimate, scaled by the core class; accelerator execution
+      splits into DMA-in / device compute / DMA-out, with the manager
+      thread occupying its core only during the DMA phases (it
+      "sleeps" while the device runs, as Section II-D describes).
     - The workload manager runs on the overlay core and is charged
       completion-monitoring, ready-list-update, scheduling and
       dispatch costs per loop iteration.
     - No kernel runs during the emulation: timing is pure in the cost
-      metadata.  {!run_detailed} then computes the real output data
-      with {!Functional} from each task's recorded PE, so it stays
-      checkable.
+      metadata, and a report-only run's instances share one empty
+      placeholder store.  {!run_detailed} gives each instance its own
+      store and computes the real output data with {!Functional} from
+      each task's recorded PE, so it stays checkable.
 
     Determinism: all randomness (execution-time jitter modelling
     run-to-run platform variance, and the RANDOM policy) flows from
@@ -78,8 +80,10 @@ val run :
     the report's [verdict] and [resilience] fields record the outcome.
     Fault draws are keyed on the plan's own seed, not [params.seed].
     @raise Invalid_argument if some task supports no PE of the
-    configuration, if a fault rule targets no PE, or if a fabric
-    latency overflows ({!Dssoc_soc.Fabric.fixed_ns}). *)
+    configuration, if a kernel does not resolve, if a fault rule
+    targets no PE, or if a fabric price overflows
+    ({!Dssoc_soc.Fabric.fixed_ns}) — all before the run starts
+    ({!Exec_model.lower}). *)
 
 val run_detailed :
   ?params:params ->
@@ -134,7 +138,9 @@ val run_service :
 (** Run a resident service over the DES backend.  [workload] must hold
     every instance the service may ever admit; [service] receives the
     instantiated instances (ids index this array) and returns the
-    hooks that decide which of them are injected and when.  With [resume] the clock, engine PRNG and handler horizons
+    hooks that decide which of them are injected and when.  The
+    instances share one placeholder store (a service reads outputs
+    through {!Functional}).  With [resume] the clock, engine PRNG and handler horizons
     start from the checkpointed values and the workload manager skips
     its first tick ([sv_resume] is forced accordingly), reproducing
     the uninterrupted run's trajectory exactly.  Fault plans are not

@@ -517,6 +517,7 @@ let test_event_multiset_parity () =
 module Compiled = Dssoc_runtime.Compiled_engine
 module Scheduler = Dssoc_runtime.Scheduler
 module Engine_core = Dssoc_runtime.Engine_core
+module Virtual_engine = Dssoc_runtime.Virtual_engine
 module Kernels = Dssoc_apps.Kernels
 module Prng = Dssoc_util.Prng
 
@@ -883,6 +884,76 @@ let test_missing_kernel engine () =
       | Ok _ -> Alcotest.failf "%s: ran with a missing kernel" case)
     cases
 
+(* Only [run_detailed] reads stores.  A report-only virtual run and a
+   service run give every instance one shared, empty placeholder;
+   [run_detailed] gives each instance a store of its own, filled as the
+   oracle says. *)
+let test_placeholder_stores () =
+  let config = Config.zcu102_cores_ffts ~cores:2 ~ffts:1 in
+  let wl () =
+    Workload.validation [ (Reference_apps.range_detection (), 3); (Reference_apps.wifi_tx (), 2) ]
+  in
+  let params = { Engine_core.seed = 1L; jitter = 0.0; reservation_depth = 0 } in
+  let shared label = function
+    | [] -> Alcotest.failf "%s: no stores seen" label
+    | s :: rest ->
+      Alcotest.(check bool) (label ^ ": one store") true (List.for_all (( == ) s) rest);
+      Alcotest.(check (list string)) (label ^ ": the placeholder is empty") [] (Store.names s)
+  in
+  (* A report-only run returns no instances, but its policy sees them. *)
+  let seen = ref [] in
+  let spy =
+    {
+      Scheduler.name = "FRFS";
+      schedule =
+        (fun ctx ->
+          for j = 0 to ctx.Scheduler.nready - 1 do
+            seen := ctx.Scheduler.ready.(j).Task.store :: !seen
+          done;
+          Scheduler.frfs.Scheduler.schedule ctx);
+    }
+  in
+  ignore (Virtual_engine.run ~params ~config ~workload:(wl ()) ~policy:spy ());
+  shared "report-only run" !seen;
+  let service (insts : Task.instance array) =
+    let next = ref 0 in
+    let n = Array.length insts in
+    {
+      Engine_core.sv_tick =
+        (fun ops ~now ->
+          let made = ref 0 in
+          while !next < n && insts.(!next).Task.arrival_ns <= now do
+            made := !made + ops.Engine_core.so_inject insts.(!next);
+            incr next
+          done;
+          !made);
+      sv_next = (fun ~now:_ -> None);
+      sv_finished =
+        (fun ops ~now:_ ->
+          !next = n && ops.Engine_core.so_ready_live () = 0 && ops.Engine_core.so_inflight () = 0);
+      sv_resume = false;
+    }
+  in
+  let sr =
+    Virtual_engine.run_service ~params ~config ~workload:(wl ()) ~policy:Scheduler.frfs ~service ()
+  in
+  let served = sr.Virtual_engine.sr_instances in
+  Alcotest.(check bool) "service run completes every instance" true
+    (Array.for_all (fun (i : Task.instance) -> i.Task.completed_at >= 0) served);
+  shared "service run" (Array.to_list (Array.map (fun (i : Task.instance) -> i.Task.store) served));
+  let _, detailed =
+    Virtual_engine.run_detailed ~params ~config ~workload:(wl ()) ~policy:Scheduler.frfs ()
+  in
+  Array.iteri
+    (fun i (a : Task.instance) ->
+      Array.iteri
+        (fun j (b : Task.instance) ->
+          if i < j then
+            Alcotest.(check bool) "run_detailed: a store per instance" true (a.Task.store != b.Task.store))
+        detailed)
+    detailed;
+  Oracle.check "run_detailed" ~config detailed
+
 (* ---------------- compiled engine: observability lowering ---------------- *)
 
 module Analyze = Dssoc_obs.Analyze
@@ -1151,6 +1222,8 @@ let () =
             test_fault_parity_across_policies;
           Alcotest.test_case "aborted run outputs" `Quick test_aborted_fault_outputs;
         ] );
+      ( "stores",
+        [ Alcotest.test_case "placeholder unless outputs are read" `Quick test_placeholder_stores ] );
       ( "missing kernel",
         [
           Alcotest.test_case "virtual" `Quick (test_missing_kernel det_engine);

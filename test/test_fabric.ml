@@ -393,22 +393,28 @@ let test_mesh_topology_both_engines () =
     cr.Stats.makespan_ns
 
 (* A hop latency near [max_int] used to wrap the fixed DMA latency
-   into a shorter run; both engines must now refuse it, and a sweep
-   must record the refusal instead of dying. *)
+   into a shorter run; every engine must now refuse it before the run
+   starts — including the native engine, and a FRFS run whose schedule
+   never uses the accelerator — and a sweep must record the refusal
+   instead of dying. *)
 let test_hop_latency_overflow () =
   let fabric = fabric_of "bus:hop=4611686018427387000ns" in
   let config = Config.with_fabric fabric (Config.zcu102_cores_ffts ~cores:2 ~ffts:1) in
   let wl () = Workload.validation [ (Reference_apps.pulse_doppler (), 1) ] in
+  let unused_accel () = Workload.validation [ (Reference_apps.range_detection (), 1) ] in
   List.iter
-    (fun (name, engine) ->
-      match Emulator.run ~engine ~config ~workload:(wl ()) () with
+    (fun (name, engine, policy, wl) ->
+      match Emulator.run ~engine ~policy ~config ~workload:(wl ()) () with
       | Error msg ->
         Alcotest.(check string) (name ^ ": typed overflow error")
           "Fabric.fixed_ns: duration overflows" msg
       | Ok r -> Alcotest.failf "%s: accepted, makespan %d ns" name r.Stats.makespan_ns)
     [
-      ("virtual", Emulator.virtual_seeded ~jitter:0.0 7L);
-      ("compiled", Emulator.compiled_seeded ~jitter:0.0 7L);
+      ("virtual", Emulator.virtual_seeded ~jitter:0.0 7L, "FRFS", wl);
+      ("compiled", Emulator.compiled_seeded ~jitter:0.0 7L, "FRFS", wl);
+      ("native", Emulator.native_seeded 7L, "MET", unused_accel);
+      ("virtual FRFS, accelerator unused", Emulator.virtual_seeded ~jitter:0.0 7L, "FRFS",
+        unused_accel);
     ];
   let module Grid = Dssoc_explore.Grid in
   let module Sweep = Dssoc_explore.Sweep in

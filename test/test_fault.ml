@@ -16,6 +16,8 @@ module Scheduler = Dssoc_runtime.Scheduler
 module Native_engine = Dssoc_runtime.Native_engine
 module Config = Dssoc_soc.Config
 module Reference_apps = Dssoc_apps.Reference_apps
+module App_spec = Dssoc_apps.App_spec
+module Kernels = Dssoc_apps.Kernels
 module Workload = Dssoc_apps.Workload
 module Obs = Dssoc_obs.Obs
 
@@ -372,6 +374,56 @@ let test_native_poisoned_run_joins_domains () =
   in
   Alcotest.(check string) "subsequent run completes" "completed" (Stats.verdict_name r.Stats.verdict)
 
+let () = Kernels.register_object "boom.so" [ ("boom", fun _ _ -> failwith "kernel boom") ]
+
+(* A kernel that raises inside a handler domain used to kill that
+   domain while the workload manager spun forever.  The run must stop,
+   join every domain and re-raise the kernel's exception.  It runs on a
+   worker domain under a wall-clock deadline, so a regression fails
+   here instead of hanging the suite. *)
+let test_native_raising_kernel () =
+  let spec =
+    App_spec.of_edges ~app_name:"boom" ~shared_object:"boom.so" ~variables:[]
+      ~nodes:
+        [
+          {
+            App_spec.node_name = "only";
+            arguments = [];
+            predecessors = [];
+            successors = [];
+            platforms =
+              [ { App_spec.platform = "cpu"; runfunc = "boom"; shared_object = None; cost_us = None } ];
+            kernel_class = "generic";
+            size = 1;
+            bytes_in = 0;
+            bytes_out = 0;
+          };
+        ]
+  in
+  let config = Config.zcu102_cores_ffts ~cores:1 ~ffts:0 in
+  let outcome = Atomic.make None in
+  let worker =
+    Domain.spawn (fun () ->
+        Atomic.set outcome
+          (Some
+             (match
+                Emulator.run ~engine:Emulator.native_default ~config
+                  ~workload:(Workload.validation [ (spec, 1) ]) ()
+              with
+             | _ -> "returned"
+             | exception Failure msg -> msg
+             | exception e -> Printexc.to_string e)))
+  in
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while Atomic.get outcome = None && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.01
+  done;
+  match Atomic.get outcome with
+  | None -> Alcotest.fail "the native run had not returned after 10 s"
+  | Some msg ->
+    Domain.join worker;
+    Alcotest.(check string) "the kernel's exception is re-raised" "kernel boom" msg
+
 let test_emulator_surfaces_fault_plan_errors () =
   (* A rule that matches no PE must come back as an Error, not an
      exception, through the Emulator facade — on both engines. *)
@@ -426,5 +478,6 @@ let () =
             test_native_poisoned_run_joins_domains;
           Alcotest.test_case "fault-plan errors surface as Error" `Slow
             test_emulator_surfaces_fault_plan_errors;
+          Alcotest.test_case "raising kernel stops the run" `Quick test_native_raising_kernel;
         ] );
     ]

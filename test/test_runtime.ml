@@ -5,6 +5,8 @@ module Emulator = Dssoc_runtime.Emulator
 module Stats = Dssoc_runtime.Stats
 module Config = Dssoc_soc.Config
 module Pe = Dssoc_soc.Pe
+module Fabric = Dssoc_soc.Fabric
+module Cost_model = Dssoc_soc.Cost_model
 module App_spec = Dssoc_apps.App_spec
 module Store = Dssoc_apps.Store
 module Reference_apps = Dssoc_apps.Reference_apps
@@ -169,48 +171,113 @@ let test_estimate_unsupported () =
        false
      with Invalid_argument _ -> true)
 
-(* The dense per-run table the engines precompute must agree with a
-   fresh cost-model recomputation for every supported (task, PE) pair
-   of every reference app — the schedulers' decisions ride on it. *)
-let test_estimate_table_matches_recomputation () =
-  let pes =
-    [|
-      Pe.make ~id:0 ~kind:(Pe.Cpu Pe.a53);
-      Pe.make ~id:1 ~kind:(Pe.Cpu Pe.a15_big);
-      Pe.make ~id:2 ~kind:(Pe.Cpu Pe.a7_little);
-      Pe.make ~id:3 ~kind:(Pe.Accel Pe.zynq_fft);
-    |]
+(* Every reference app, two instances each, plus a range-detection
+   variant whose first FFT pins an explicit accelerator [cost_us]. *)
+let lowered_reference config =
+  let pinned =
+    let rd = Reference_apps.range_detection () in
+    let pin (e : App_spec.platform_entry) =
+      if e.App_spec.platform = "fft" then { e with App_spec.cost_us = Some 2.5 } else e
+    in
+    {
+      rd with
+      App_spec.app_name = "range_detection_pinned";
+      nodes =
+        List.map
+          (fun (nd : App_spec.node) ->
+            if nd.App_spec.node_name = "FFT_0" then
+              { nd with App_spec.platforms = List.map pin nd.App_spec.platforms }
+            else nd)
+          rd.App_spec.nodes;
+    }
   in
-  let base = ref 17 (* non-zero base: table indexing must handle it *) in
-  let instances =
-    Array.of_list
-      (List.mapi
-         (fun i spec ->
-           let inst = Task.instantiate ~task_id_base:!base ~inst_id:i ~arrival_ns:0 spec in
-           base := !base + Array.length inst.Task.tasks;
-           inst)
-         (Reference_apps.all ()))
-  in
-  let tbl = Exec_model.build_table ~instances ~pes in
-  let checked = ref 0 in
+  let wl = Workload.validation (List.map (fun s -> (s, 2)) (pinned :: Reference_apps.all ())) in
+  let m = Exec_model.lower ~engine_name:"test" ~config wl in
+  (m, Exec_model.instantiate m ~fresh_stores:false)
+
+let iter_pairs (m : Exec_model.t) instances f =
   Array.iter
-    (fun inst ->
+    (fun (inst : Task.instance) ->
       Array.iter
-        (fun (t : Task.t) ->
-          Array.iteri
-            (fun i pe ->
-              if Task.supports t pe then begin
-                incr checked;
-                Alcotest.(check int)
-                  (Printf.sprintf "%s/%s on %s" t.Task.app_name
-                     t.Task.node.App_spec.node_name pe.Pe.label)
-                  (Exec_model.estimate_ns t pe)
-                  (Exec_model.lookup tbl t i)
-              end)
-            pes)
+        (fun (t : Task.t) -> Array.iteri (fun i pe -> f t i pe) m.Exec_model.pes)
         inst.Task.tasks)
-    instances;
+    instances
+
+let pair_label (t : Task.t) (pe : Pe.t) =
+  Printf.sprintf "%s/%s on %s" t.Task.app_name t.Task.node.App_spec.node_name pe.Pe.label
+
+(* The class rows the engines and schedulers read must agree with a
+   fresh cost-model recomputation for every supported (node, PE) pair
+   of every reference app, on CPU classes of both hosts and on the
+   FFT accelerator. *)
+let test_estimate_table_matches_recomputation () =
+  let checked = ref 0 in
+  List.iter
+    (fun config ->
+      let m, instances = lowered_reference config in
+      iter_pairs m instances (fun t i pe ->
+          let e = Exec_model.estimate m t i in
+          if Task.supports t pe then begin
+            incr checked;
+            Alcotest.(check int) (pair_label t pe) (Exec_model.estimate_ns t pe) e
+          end
+          else Alcotest.(check int) (pair_label t pe ^ " unsupported") min_int e))
+    [ Config.zcu102_cores_ffts ~cores:3 ~ffts:2; Config.odroid_big_little ~big:2 ~little:2 ];
   Alcotest.(check bool) "covered many pairs" true (!checked > 1000)
+
+(* Accelerator rows: the phases equal [Cost_model.accel_phases_ns] and
+   the fabric columns equal [Fabric.demand_ns]/[Fabric.fixed_ns] with
+   each PE's own hop count, on the ideal fabric, a crossbar bus and a
+   2x2 mesh; a [cost_us] entry is all device compute and bypasses the
+   fabric. *)
+let test_class_rows_match_models () =
+  List.iter
+    (fun spec ->
+      let fabric = Result.get_ok (Fabric.of_spec spec) in
+      let config = Config.with_fabric fabric (Config.zcu102_cores_ffts ~cores:2 ~ffts:2) in
+      let m, instances = lowered_reference config in
+      let accel_rows = ref 0 and streams = ref 0 in
+      iter_pairs m instances (fun t i pe ->
+          match (pe.Pe.kind, Task.node_entry t.Task.node pe) with
+          | Pe.Accel acl, Some entry ->
+            incr accel_rows;
+            let c = Exec_model.class_of m t and row = Exec_model.row m t i in
+            let label what = Printf.sprintf "%s %s: %s" spec (pair_label t pe) what in
+            let check what expected actual = Alcotest.(check int) (label what) expected actual in
+            let node = t.Task.node in
+            let bytes given = if given > 0 then given else 8 * node.App_spec.size in
+            (* A [cost_us] entry moves no data. *)
+            let (din, comp, dout), bi, bo =
+              match entry.App_spec.cost_us with
+              | Some us -> ((0, int_of_float (us *. 1e3), 0), 0, 0)
+              | None ->
+                let bi = bytes node.App_spec.bytes_in and bo = bytes node.App_spec.bytes_out in
+                (Cost_model.accel_phases_ns ~bytes_in:bi ~bytes_out:bo ~n:node.App_spec.size acl, bi, bo)
+            in
+            let phase dir (ideal_col, demand_col, fixed_col, bytes_col) ~ideal ~bytes =
+              check (dir ^ " ideal") ideal ideal_col.(row);
+              match fabric with
+              | Fabric.Bus bus when bytes > 0 ->
+                incr streams;
+                check (dir ^ " bytes") bytes bytes_col.(row);
+                check (dir ^ " demand") (Fabric.demand_ns bus ~bytes) demand_col.(row);
+                check (dir ^ " fixed")
+                  (Fabric.fixed_ns bus ~pe_index:i ~chunks:(Cost_model.chunk_count acl ~bytes)
+                     ~chunk_lat_ns:acl.Pe.dma.Dssoc_soc.Dma.latency_ns)
+                  fixed_col.(row)
+              | _ ->
+                check (dir ^ " bypass") (-1) demand_col.(row);
+                check (dir ^ " no stream") 0 bytes_col.(row);
+                check (dir ^ " no fixed latency") 0 fixed_col.(row)
+            in
+            phase "in" Exec_model.(c.dma_in, c.demand_in, c.fixed_in, c.bytes_in) ~ideal:din ~bytes:bi;
+            check "compute" comp c.Exec_model.compute.(row);
+            phase "out" Exec_model.(c.dma_out, c.demand_out, c.fixed_out, c.bytes_out) ~ideal:dout
+              ~bytes:bo
+          | _ -> ());
+      Alcotest.(check bool) (spec ^ ": accelerator rows covered") true (!accel_rows > 500);
+      Alcotest.(check bool) (spec ^ ": streams only on a bus") (spec <> "ideal") (!streams > 0))
+    [ "ideal"; "bus:bw=500MB/s,hop=100ns"; "bus:bw=500MB/s,hop=100ns,hops=mesh2x2" ]
 
 (* ---------------------- Virtual engine integration ---------------------- *)
 
@@ -854,6 +921,8 @@ let () =
           Alcotest.test_case "unsupported" `Quick test_estimate_unsupported;
           Alcotest.test_case "table matches recomputation" `Quick
             test_estimate_table_matches_recomputation;
+          Alcotest.test_case "class rows match cost and fabric models" `Quick
+            test_class_rows_match_models;
         ] );
       ( "virtual_engine",
         [
