@@ -721,7 +721,7 @@ let engine () =
   in
   let results = List.map measure scenarios in
   (* Tracing-overhead check: re-run the fig9 3C+2F scenario with the
-     full observation bundle (ring sink + metrics, rebuilt for every
+     full observation bundle (ring sink + metrics, reset for every
      run) and compare against the null-sink measurement above.  The
      null sink is the default everywhere else in this suite; every
      emit site hides behind a single [Obs.enabled] load, so the
@@ -750,9 +750,11 @@ let engine () =
     let _, _, config, wl, policy =
       List.find (fun (n, _, _, _, _) -> n = baseline_name) scenarios
     in
-    (* One bundle reused across runs with [Obs.reset] — the sweep's
-       usage pattern (one bundle per worker domain). *)
-    let obs = Obs.make ~sink:(Obs.Sink.ring ()) ~metrics:(Obs.Metrics.create ()) () in
+    (* The observation `run --events` and `--trace` set up: a ring
+       sized off the task count plus metrics, one bundle reused across
+       runs with [Obs.reset]. *)
+    let capacity = Obs.Sink.ring_capacity ~tasks:(Workload.task_count (wl ())) in
+    let obs = Obs.make ~sink:(Obs.Sink.ring ~capacity ()) ~metrics:(Obs.Metrics.create ()) () in
     rate_of (fun () ->
         Obs.reset obs;
         ignore (Emulator.run_exn ~engine:det_engine ~policy ~config ~workload:(wl ()) ~obs ()))
@@ -763,8 +765,8 @@ let engine () =
   in
   (* Lowered-tracing overhead on the compiled engine: replay the
      heaviest compiled scenario with a full observation bundle (ring
-     sink + metrics, rebuilt per run — the sweep's usage pattern)
-     against the untraced flat-array loop measured above.  CI gates on
+     sink + metrics, as `run --events` and `--trace` record) against
+     the untraced flat-array loop measured above.  CI gates on
      this number: the traced loop shares the untraced one, so tracing
      cost beyond the gate means an emit leaked outside its
      [if traced] guard. *)
@@ -783,20 +785,12 @@ let engine () =
     let params =
       { Dssoc_runtime.Engine_core.seed = 1L; jitter = 0.0; reservation_depth = 0 }
     in
-    let task_count =
-      List.fold_left
-        (fun acc (it : Workload.item) ->
-          acc + List.length it.Workload.spec.App_spec.nodes)
-        0 (wl ()).Workload.items
-    in
-    (* Same observation setup a sweep worker uses for this point: a
-       drop-free ring sized off the task count plus metrics, reused
-       across runs with [Obs.reset]. *)
-    let obs =
-      Obs.make
-        ~sink:(Obs.Sink.ring ~capacity:(max 65536 (32 * task_count)) ())
-        ~metrics:(Obs.Metrics.create ()) ()
-    in
+    (* The ring path `run --events` and `--trace` use: a drop-free
+       ring sized off the task count plus metrics, reused across runs
+       with [Obs.reset].  Sweep rows record into a schedule sink
+       instead; this gate keeps measuring the full ring. *)
+    let capacity = Obs.Sink.ring_capacity ~tasks:(Workload.task_count (wl ())) in
+    let obs = Obs.make ~sink:(Obs.Sink.ring ~capacity ()) ~metrics:(Obs.Metrics.create ()) () in
     let untraced_once () = ignore (Compiled.run plan params) in
     let traced_once () =
       Obs.reset obs;

@@ -358,7 +358,10 @@ let run_cmd =
         match level with
         | `Off -> Obs.disabled
         | `Summary -> Obs.make ~metrics:(Obs.Metrics.create ()) ()
-        | `Full -> Obs.make ~sink:(Obs.Sink.ring ()) ~metrics:(Obs.Metrics.create ()) ()
+        | `Full ->
+          (* Sized off the workload so a full log is written whole. *)
+          let capacity = Obs.Sink.ring_capacity ~tasks:(Workload.task_count workload) in
+          Obs.make ~sink:(Obs.Sink.ring ~capacity ()) ~metrics:(Obs.Metrics.create ()) ()
       in
       let* flusher =
         match (metrics_out, Obs.metrics obs) with
@@ -395,8 +398,8 @@ let run_cmd =
       let ring_dropped = Obs.Sink.dropped (Obs.sink obs) in
       if ring_dropped > 0 then
         Printf.eprintf
-          "warning: event ring overflowed; the oldest %d events were dropped (raise the ring \
-           capacity or lower the trace level)\n"
+          "warning: event ring overflowed; the oldest %d events were dropped, so the event \
+           log and anything read from it are incomplete\n"
           ring_dropped;
       (match flusher with
       | None -> ()

@@ -274,28 +274,6 @@ let plan_memo :
     Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 16)
 
-(* One observation bundle per worker domain, reused (via [Obs.reset])
-   across the points it evaluates: a large point's ring is tens of MB
-   of flat arrays, and rebuilding that per point costs more than the
-   tracing it serves.  Reuse is keyed on the exact capacity so a
-   point's ring size — and therefore its drop behavior — never depends
-   on which worker picked it up or what ran before. *)
-let obs_memo : (int * Obs.t) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let obs_for ~capacity =
-  let memo = Domain.DLS.get obs_memo in
-  match !memo with
-  | Some (cap, obs) when cap = capacity ->
-    Obs.reset obs;
-    obs
-  | _ ->
-    let obs =
-      Obs.make ~sink:(Obs.Sink.ring ~capacity ()) ~metrics:(Obs.Metrics.create ()) ()
-    in
-    memo := Some (capacity, obs);
-    obs
-
 let compiled_result ?counters ~obs (grid : Grid.t) (p : Grid.point) =
   let bump f = match counters with Some c -> Atomic.incr (f c) | None -> () in
   let policy () =
@@ -368,20 +346,14 @@ let aborted_row (p : Grid.point) msg =
 
 let run_point_inner ?counters ~engine_kind (grid : Grid.t) (p : Grid.point) =
   (* Full observation per point: metrics feed the queue-depth /
-     latency columns, the ring sink feeds the critical-path analytics.
-     Both engines run traced — the compiled engine lowers the same
-     hooks and produces the same events, so result tables stay
-     byte-identical across engines and worker counts.  The ring is
-     sized off the task count so no point ever overwrites events
-     (a truncated log would silently skew the analytics columns). *)
-  let task_count =
-    List.fold_left
-      (fun acc (it : Workload.item) ->
-        acc + List.length it.Workload.spec.App_spec.nodes)
-      0 p.Grid.workload.Workload.items
-  in
-  let obs = obs_for ~capacity:(max 65536 (32 * task_count)) in
-  let metrics = Option.get (Obs.metrics obs) in
+     latency columns, a schedule sink feeds the critical-path
+     analytics.  Both engines run traced — the compiled engine lowers
+     the same hooks and produces the same events, so result tables
+     stay byte-identical across engines and worker counts.  The
+     schedule sink keeps only what the analysis reads, and keeps all
+     of it: no point drops an event, and none pays for an event log. *)
+  let metrics = Obs.Metrics.create () in
+  let obs = Obs.make ~sink:(Obs.Sink.schedule ()) ~metrics () in
   let result =
     match engine_kind with
     | `Virtual ->
@@ -411,7 +383,7 @@ let run_point_inner ?counters ~engine_kind (grid : Grid.t) (p : Grid.point) =
       | Some h -> Option.value ~default:0.0 (f h)
       | None -> 0.0
     in
-    let cp = Analyze.critical_path (Analyze.of_events (Obs.recorded_events obs)) in
+    let cp = Analyze.critical_path (Analyze.of_sink (Obs.sink obs)) in
     {
       index = p.Grid.index;
       config = p.Grid.config_label;

@@ -145,9 +145,9 @@ val run_timed : ?jobs:int -> ?engine:engine_kind -> Grid.t -> table * int
 
 val run_point : engine_kind:engine_kind -> Grid.t -> Grid.point -> row
 (** Evaluate a single point (the unit of work {!run} shards).  Every
-    point — virtual or compiled — runs under a metrics + ring-sink
+    point — virtual or compiled — runs under a metrics + schedule-sink
     observation bundle ({!Dssoc_obs.Obs}): metrics feed the
-    queueing/latency columns, the recorded events feed the
+    queueing/latency columns, the recorded schedule feeds the
     {!Dssoc_obs.Analyze} critical-path columns.  Neither perturbs the
     deterministic run. *)
 

@@ -10,7 +10,7 @@ module Json = Dssoc_json.Json
    emitted, so it applies identically to virtual, compiled and native
    logs (and to logs reloaded from disk via [Obs.event_of_json]). *)
 
-type task_exec = {
+type task_exec = Obs.task_exec = {
   x_task : int;
   x_instance : int;
   x_app : string;
@@ -20,8 +20,8 @@ type task_exec = {
   x_ready_ns : int;
   x_dispatched_ns : int;
   x_completed_ns : int;
-  x_dma_ns : int;  (** dma_in + dma_out phase time *)
-  x_stall_ns : int;  (** fabric admission stalls inside the service window *)
+  x_dma_ns : int;
+  x_stall_ns : int;
 }
 
 module Int_tbl = Hashtbl.Make (Int)
@@ -29,7 +29,7 @@ module Int_tbl = Hashtbl.Make (Int)
 type t = {
   a_tasks : task_exec array;  (* completion order *)
   a_makespan_ns : int;
-  a_inject_ns : int Int_tbl.t;  (* instance -> first injection time *)
+  a_inject_ns : (int, int) Hashtbl.t;  (* instance -> first injection time *)
 }
 
 (* First position [p] in [0, n) with [f p >= v] ([strict]: [f p > v]),
@@ -43,101 +43,61 @@ let search ?(strict = false) n (f : int -> int) v =
   done;
   !lo
 
-(* Mutable accumulator for a task whose completion has not been seen
-   yet.  A retried task overwrites ready/dispatch in place, so the
-   finalized record reflects the successful attempt. *)
-type pending = {
-  mutable p_ready : int;
-  mutable p_dispatched : int;
-  mutable p_dma : int;
-}
+(* Attribute each fabric stall to the task occupying that PE when the
+   stream was admitted (its DMA phase is what queued): per PE, the
+   admission times sorted with prefix sums of their stalls, so a
+   task's share is two binary searches. *)
+let attribute_stalls stalls arr =
+  if stalls = [] then arr
+  else begin
+    let by_pe = Int_tbl.create 8 in
+    List.iter
+      (fun (t, pe_index, stall_ns) ->
+        let l = Option.value ~default:[] (Int_tbl.find_opt by_pe pe_index) in
+        Int_tbl.replace by_pe pe_index ((t, stall_ns) :: l))
+      stalls;
+    let index = Int_tbl.create 8 in
+    Int_tbl.iter
+      (fun pe_index l ->
+        let a = Array.of_list l in
+        Array.sort (fun (t1, _) (t2, _) -> Int.compare t1 t2) a;
+        let sums = Array.make (Array.length a + 1) 0 in
+        Array.iteri (fun j (_, stall_ns) -> sums.(j + 1) <- sums.(j) + stall_ns) a;
+        Int_tbl.replace index pe_index (Array.map fst a, sums))
+      by_pe;
+    Array.map
+      (fun x ->
+        match Int_tbl.find_opt index x.x_pe_index with
+        | None -> x
+        | Some (times, sums) ->
+            let n = Array.length times in
+            let lo = search n (Array.get times) x.x_dispatched_ns in
+            let hi = search ~strict:true n (Array.get times) x.x_completed_ns in
+            if hi <= lo then x else { x with x_stall_ns = sums.(hi) - sums.(lo) })
+      arr
+  end
 
-let of_events events =
-  let pend : pending Int_tbl.t = Int_tbl.create 64 in
-  let pending_of task =
-    match Int_tbl.find_opt pend task with
-    | Some p -> p
-    | None ->
-        let p = { p_ready = 0; p_dispatched = 0; p_dma = 0 } in
-        Int_tbl.replace pend task p;
-        p
-  in
-  let tasks = Vec.create () in
-  let injects = Int_tbl.create 64 in
-  let stalls = ref [] in
-  List.iter
-    (fun { Obs.t_ns; body } ->
-      match body with
-      | Obs.Instance_injected { instance; _ } ->
-          if not (Int_tbl.mem injects instance) then Int_tbl.replace injects instance t_ns
-      | Obs.Task_ready { task; _ } -> (pending_of task).p_ready <- t_ns
-      | Obs.Task_dispatched { task; _ } -> (pending_of task).p_dispatched <- t_ns
-      | Obs.Phase { task; phase = Obs.Dma_in | Obs.Dma_out; dur_ns; _ } ->
-          let p = pending_of task in
-          p.p_dma <- p.p_dma + dur_ns
-      | Obs.Task_completed { task; instance; app; node; pe; pe_index; _ } ->
-          let p = pending_of task in
-          Vec.push tasks
-            {
-              x_task = task;
-              x_instance = instance;
-              x_app = app;
-              x_node = node;
-              x_pe = pe;
-              x_pe_index = pe_index;
-              x_ready_ns = p.p_ready;
-              x_dispatched_ns = p.p_dispatched;
-              x_completed_ns = t_ns;
-              x_dma_ns = p.p_dma;
-              x_stall_ns = 0;
-            };
-          Int_tbl.remove pend task
-      | Obs.Stream_admitted { pe_index; stall_ns; _ } when stall_ns > 0 ->
-          stalls := (t_ns, pe_index, stall_ns) :: !stalls
-      | _ -> ())
-    events;
-  let arr = Vec.to_array tasks in
-  (* Attribute each fabric stall to the task occupying that PE when the
-     stream was admitted (its DMA phase is what queued): per PE, the
-     admission times sorted with prefix sums of their stalls, so a
-     task's share is two binary searches. *)
-  let arr =
-    if !stalls = [] then arr
-    else begin
-      let by_pe = Int_tbl.create 8 in
-      List.iter
-        (fun (t, pe_index, stall_ns) ->
-          let l = Option.value ~default:[] (Int_tbl.find_opt by_pe pe_index) in
-          Int_tbl.replace by_pe pe_index ((t, stall_ns) :: l))
-        !stalls;
-      let index = Int_tbl.create 8 in
-      Int_tbl.iter
-        (fun pe_index l ->
-          let a = Array.of_list l in
-          Array.sort (fun (t1, _) (t2, _) -> Int.compare t1 t2) a;
-          let sums = Array.make (Array.length a + 1) 0 in
-          Array.iteri (fun j (_, stall_ns) -> sums.(j + 1) <- sums.(j) + stall_ns) a;
-          Int_tbl.replace index pe_index (Array.map fst a, sums))
-        by_pe;
-      Array.map
-        (fun x ->
-          match Int_tbl.find_opt index x.x_pe_index with
-          | None -> x
-          | Some (times, sums) ->
-              let n = Array.length times in
-              let lo = search n (Array.get times) x.x_dispatched_ns in
-              let hi = search ~strict:true n (Array.get times) x.x_completed_ns in
-              if hi <= lo then x else { x with x_stall_ns = sums.(hi) - sums.(lo) })
-        arr
-    end
-  in
-  (* The engine reports its makespan as the WM-observed completion of
-     the last instance, which trails the last task completion by the
-     final sweep's overhead charge.  The last event in the log — the
-     WM tick of that sweep — carries exactly that time, so "latest
-     event" reproduces the reported makespan. *)
-  let makespan = List.fold_left (fun acc (e : Obs.event) -> max acc e.Obs.t_ns) 0 events in
-  { a_tasks = arr; a_makespan_ns = makespan; a_inject_ns = injects }
+(* A schedule sink already holds the fold of its log; any other sink's
+   retained events are replayed into one, so live and reloaded logs
+   share that single fold.  The makespan is the latest timestamp: the
+   engine reports the WM-observed completion of the last instance,
+   which trails the last task completion by the final sweep's overhead
+   charge, and the last event in the log — the WM tick of that sweep —
+   carries exactly that time. *)
+let rec of_sink sink =
+  match Obs.Sink.recording sink with
+  | None -> of_events (Obs.Sink.events sink)
+  | Some r ->
+      {
+        a_tasks = attribute_stalls r.Obs.rc_stalls r.Obs.rc_tasks;
+        a_makespan_ns = r.Obs.rc_latest_ns;
+        a_inject_ns = r.Obs.rc_injected;
+      }
+
+and of_events events =
+  let sink = Obs.Sink.schedule () in
+  List.iter (fun { Obs.t_ns; body } -> Obs.Sink.emit sink t_ns body) events;
+  of_sink sink
 
 let tasks t = Array.to_list t.a_tasks
 let makespan_ns t = t.a_makespan_ns
@@ -298,7 +258,7 @@ let critical_path t =
       | _ -> chain := (i, Injection, None) :: !chain
     in
     back !best;
-    let inject_ns inst = Option.value ~default:0 (Int_tbl.find_opt t.a_inject_ns inst) in
+    let inject_ns inst = Option.value ~default:0 (Hashtbl.find_opt t.a_inject_ns inst) in
     let slack_of i edge pred =
       let x = tsk i in
       match (edge, pred) with

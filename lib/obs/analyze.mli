@@ -1,9 +1,11 @@
 (** Post-run analytics over a recorded event log.
 
     Engine-agnostic: the analysis reconstructs the realized schedule
-    from {!Obs.event}s alone (live from a ring sink or reloaded from a
-    JSONL file via {!Obs.event_of_json}), so it applies identically to
-    virtual, compiled and native runs.  Three products:
+    from {!Obs.event}s alone — recorded live by a schedule sink
+    ({!Obs.Sink.schedule}), retained by a ring, or reloaded from a
+    JSONL file via {!Obs.event_of_json} — so it applies identically to
+    virtual, compiled and native runs.  Every path goes through one
+    fold, the schedule sink's.  Three products:
 
     - {b critical path}: the chain of task executions that bounds the
       makespan, with each link classified as a dependency edge (the
@@ -15,7 +17,7 @@
     - {b queueing-delay breakdown}: wait / service / fabric-stall
       distributions across all tasks. *)
 
-type task_exec = {
+type task_exec = Obs.task_exec = {
   x_task : int;
   x_instance : int;
   x_app : string;
@@ -31,10 +33,19 @@ type task_exec = {
 
 type t
 
+val of_sink : Obs.Sink.t -> t
+(** The realized schedule a sink recorded.  A schedule sink already
+    holds the fold, so this only attributes fabric stalls to tasks;
+    a ring's retained events are replayed as by {!of_events}, and the
+    null sink gives the empty schedule.  Tasks without a completion
+    event (aborted runs, truncated logs) are ignored; a retried task
+    keeps its final (successful) attempt's ready and dispatch times,
+    with DMA time summed over its attempts. *)
+
 val of_events : Obs.event list -> t
-(** Build the realized schedule.  Tasks without a completion event
-    (aborted runs, truncated logs) are ignored; a retried task keeps
-    its final (successful) attempt. *)
+(** [of_sink] of a schedule sink the events are replayed into, in
+    order.  Total over any list, hostile task ids included: memory is
+    proportional to the list's length, not to any id's value. *)
 
 val tasks : t -> task_exec list
 val makespan_ns : t -> int

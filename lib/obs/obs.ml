@@ -83,6 +83,27 @@ type body =
 
 type event = { t_ns : int; body : body }
 
+type task_exec = {
+  x_task : int;
+  x_instance : int;
+  x_app : string;
+  x_node : string;
+  x_pe : string;
+  x_pe_index : int;
+  x_ready_ns : int;
+  x_dispatched_ns : int;
+  x_completed_ns : int;
+  x_dma_ns : int;
+  x_stall_ns : int;
+}
+
+type recording = {
+  rc_tasks : task_exec array;
+  rc_stalls : (int * int * int) list;
+  rc_injected : (int, int) Hashtbl.t;
+  rc_latest_ns : int;
+}
+
 module Sink = struct
   (* The ring stores events decomposed into flat preallocated arrays —
      a packed timestamp+tag word, up to five int fields, up to four
@@ -107,9 +128,43 @@ module Sink = struct
     mutable total : int;  (* lifetime emits *)
   }
 
-  type t = Null | Ring of recorder
+  (* The schedule recorder keeps what [Analyze] folds a log into and
+     nothing else, so it needs no capacity and never drops an event.
+     Pending per-task accumulators live in a flat (ready, dispatched,
+     DMA) triple per task id while ids stay within a small multiple of
+     the events seen — the engines number tasks densely from 0 — and in
+     [far] otherwise, so a reloaded log with hostile ids (negative, or
+     ~2^40) costs memory in proportion to its length, never to an id's
+     value. *)
+  type schedule = {
+    mutable pend : int array;  (* 3 ints per dense task id; 0 = none *)
+    far : (int, int array) Hashtbl.t;  (* pending triples of other ids *)
+    finished : task_exec Vec.t;  (* completion order *)
+    injected : (int, int) Hashtbl.t;  (* instance -> first injection *)
+    mutable stalls : (int * int * int) list;  (* (t_ns, pe_index, stall_ns), newest first *)
+    mutable latest : int;  (* latest timestamp, at least 0 *)
+    mutable count : int;  (* lifetime emits *)
+    s_lock : Mutex.t;
+    mutable s_concurrent : bool;
+  }
+
+  type t = Null | Ring of recorder | Schedule of schedule
 
   let null = Null
+
+  let schedule () =
+    Schedule
+      {
+        pend = [||];
+        far = Hashtbl.create 8;
+        finished = Vec.create ();
+        injected = Hashtbl.create 64;
+        stalls = [];
+        latest = 0;
+        count = 0;
+        s_lock = Mutex.create ();
+        s_concurrent = false;
+      }
 
   let ring ?(capacity = 65536) () =
     if capacity <= 0 then invalid_arg "Obs.Sink.ring: capacity must be positive";
@@ -125,13 +180,18 @@ module Sink = struct
         total = 0;
       }
 
-  let is_null = function Null -> true | Ring _ -> false
+  let ring_capacity ~tasks = max 65536 (32 * tasks)
+
+  let is_null = function Null -> true | Ring _ | Schedule _ -> false
 
   (* The single-producer engines (virtual, compiled) emit from one
      thread, so the ring skips its mutex unless the native engine has
      declared concurrent emitters via [synchronize] — handler domains
      there emit phase/reservation events concurrently with the WM. *)
-  let synchronize = function Null -> () | Ring r -> r.concurrent <- true
+  let synchronize = function
+    | Null -> ()
+    | Ring r -> r.concurrent <- true
+    | Schedule s -> s.s_concurrent <- true
 
   let phase_tag = function Dma_in -> 0 | Device_compute -> 1 | Dma_out -> 2
   let phase_of_tag = function 0 -> Dma_in | 1 -> Device_compute | _ -> Dma_out
@@ -150,12 +210,80 @@ module Sink = struct
     r.total <- r.total + 1;
     h
 
+  let lock s = if s.s_concurrent then Mutex.lock s.s_lock
+  let unlock s = if s.s_concurrent then Mutex.unlock s.s_lock
+
+  let note s t_ns =
+    if t_ns > s.latest then s.latest <- t_ns;
+    s.count <- s.count + 1
+
+  (* Offset of [task]'s pending triple in [s.pend], growing the dense
+     table to cover it while its id stays within four times the events
+     seen (plus slack); -1 if the triple belongs in [far].  The table
+     only grows while [far] is empty, so every id held in [far] stays
+     outside it and no triple is ever split between the two. *)
+  let dense s task =
+    let len = Array.length s.pend / 3 in
+    if task >= 0 && task < len then 3 * task
+    else if task >= len && task < 4 * (s.count + 1024) && Hashtbl.length s.far = 0 then begin
+      let a = Array.make (3 * max (task + 1) (2 * len)) 0 in
+      Array.blit s.pend 0 a 0 (3 * len);
+      s.pend <- a;
+      3 * task
+    end
+    else -1
+
+  let far s task =
+    match Hashtbl.find_opt s.far task with
+    | Some p -> p
+    | None ->
+        let p = Array.make 3 0 in
+        Hashtbl.replace s.far task p;
+        p
+
+  (* Field [k] of [task]'s pending triple: 0 ready, 1 dispatched, 2 DMA. *)
+  let pending s task k =
+    let i = dense s task in
+    if i >= 0 then s.pend.(i + k) else (far s task).(k)
+
+  let set_pending s task k v =
+    let i = dense s task in
+    if i >= 0 then s.pend.(i + k) <- v else (far s task).(k) <- v
+
+  (* A completion finalizes the task's pending triple (a retried task
+     has overwritten ready/dispatch in place, so the record reflects
+     the successful attempt) and forgets it. *)
+  let complete s t_ns task instance pe_index app node pe =
+    let i = dense s task in
+    let p = if i >= 0 then s.pend else far s task and o = max i 0 in
+    Vec.push s.finished
+      {
+        x_task = task;
+        x_instance = instance;
+        x_app = app;
+        x_node = node;
+        x_pe = pe;
+        x_pe_index = pe_index;
+        x_ready_ns = p.(o);
+        x_dispatched_ns = p.(o + 1);
+        x_completed_ns = t_ns;
+        x_dma_ns = p.(o + 2);
+        x_stall_ns = 0;
+      };
+    if i >= 0 then Array.fill s.pend i 3 0 else Hashtbl.remove s.far task
+
   (* Body-free writers for the hot events: their hooks store the fields
      directly, so a traced run allocates no record per such event.
      Unused trailing fields are written as 0 / "" and never read. *)
   let put_ints t t_ns tag a b c d e =
     match t with
     | Null -> ()
+    | Schedule s ->
+        lock s;
+        note s t_ns;
+        (* A DMA-in or DMA-out phase (tags 0 and 2) of task [a]. *)
+        if tag = 7 && c <> 1 then set_pending s a 2 (pending s a 2 + e);
+        unlock s
     | Ring r ->
         if r.concurrent then Mutex.lock r.lock;
         let i = slot r t_ns tag * istride in
@@ -169,6 +297,12 @@ module Sink = struct
   let put_task t t_ns tag task instance c d app node pe =
     match t with
     | Null -> ()
+    | Schedule s ->
+        lock s;
+        note s t_ns;
+        if tag = 3 then complete s t_ns task instance c app node pe
+        else set_pending s task (tag - 1) t_ns;
+        unlock s
     | Ring r ->
         if r.concurrent then Mutex.lock r.lock;
         let h = slot r t_ns tag in
@@ -200,6 +334,16 @@ module Sink = struct
         put_ints t t_ns 7 task pe_index (phase_tag phase) start_ns dur_ns
     | _, Wm_tick { completions; injected } -> put_ints t t_ns 8 completions injected 0 0 0
     | Null, _ -> ()
+    | Schedule s, _ ->
+        lock s;
+        note s t_ns;
+        (match body with
+        | Instance_injected { instance; _ } ->
+            if not (Hashtbl.mem s.injected instance) then Hashtbl.replace s.injected instance t_ns
+        | Stream_admitted { pe_index; stall_ns; _ } when stall_ns > 0 ->
+            s.stalls <- (t_ns, pe_index, stall_ns) :: s.stalls
+        | _ -> ());
+        unlock s
     | Ring r, _ ->
         if r.concurrent then Mutex.lock r.lock;
         (match body with
@@ -294,10 +438,10 @@ module Sink = struct
         | Wm_tick _ -> ());
         if r.concurrent then Mutex.unlock r.lock
 
-  let length = function Null -> 0 | Ring r -> r.stored
-  let total = function Null -> 0 | Ring r -> r.total
-  let dropped = function Null -> 0 | Ring r -> r.total - r.stored
-  let capacity = function Null -> 0 | Ring r -> Array.length r.meta
+  let length = function Null | Schedule _ -> 0 | Ring r -> r.stored
+  let total = function Null -> 0 | Ring r -> r.total | Schedule s -> s.count
+  let dropped = function Null | Schedule _ -> 0 | Ring r -> r.total - r.stored
+  let capacity = function Null | Schedule _ -> 0 | Ring r -> Array.length r.meta
 
   let clear = function
     | Null -> ()
@@ -305,6 +449,25 @@ module Sink = struct
         r.head <- 0;
         r.stored <- 0;
         r.total <- 0
+    | Schedule s ->
+        Array.fill s.pend 0 (Array.length s.pend) 0;
+        Hashtbl.reset s.far;
+        Vec.clear s.finished;
+        Hashtbl.reset s.injected;
+        s.stalls <- [];
+        s.latest <- 0;
+        s.count <- 0
+
+  let recording = function
+    | Null | Ring _ -> None
+    | Schedule s ->
+        Some
+          {
+            rc_tasks = Vec.to_array s.finished;
+            rc_stalls = s.stalls;
+            rc_injected = Hashtbl.copy s.injected;
+            rc_latest_ns = s.latest;
+          }
 
   let decode r h =
     let t_ns = r.meta.(h) asr 5 in
@@ -372,7 +535,7 @@ module Sink = struct
     { t_ns; body }
 
   let events = function
-    | Null -> []
+    | Null | Schedule _ -> []
     | Ring r ->
         let cap = Array.length r.meta in
         let start = (r.head - r.stored + cap) mod cap in
@@ -708,10 +871,9 @@ let set_flush t f = t.flush <- Some f
 
 (* A reset bundle records the next run exactly as a freshly made one:
    instruments stay registered (so cached handles and registration
-   order survive) but hold no samples, and the ring keeps its storage.
-   This is what lets sweep workers recycle one bundle across points —
-   a fig10-class ring is tens of MB of flat arrays, and rebuilding it
-   per point would cost more than the tracing itself. *)
+   order survive) but hold no samples, and the sink keeps its storage
+   — a fig10-class ring is tens of MB of flat arrays, which a caller
+   replaying many runs through one ring should not rebuild per run. *)
 let reset t =
   Sink.clear t.sink;
   (match t.metrics with Some m -> Metrics.reset m | None -> ());

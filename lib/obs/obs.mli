@@ -12,10 +12,11 @@
       (engines guard hook sites with {!enabled}, keeping the default
       path free of observation cost);
     - metrics are updated only from the workload-manager thread;
-    - the ring sink is lock-free for the single-producer engines; the
-      native engine calls {!Sink.synchronize} before spawning handler
-      domains, which makes emits mutex-protected there (handler
-      domains emit phase and reservation-pop events concurrently). *)
+    - the ring and schedule sinks are lock-free for the
+      single-producer engines; the native engine calls
+      {!Sink.synchronize} before spawning handler domains, which makes
+      emits mutex-protected there (handler domains emit phase and
+      reservation-pop events concurrently). *)
 
 type phase = Dma_in | Device_compute | Dma_out
 
@@ -107,6 +108,34 @@ type body =
 
 type event = { t_ns : int; body : body }
 
+type task_exec = {
+  x_task : int;
+  x_instance : int;
+  x_app : string;
+  x_node : string;
+  x_pe : string;
+  x_pe_index : int;
+  x_ready_ns : int;
+  x_dispatched_ns : int;
+  x_completed_ns : int;
+  x_dma_ns : int;  (** dma_in + dma_out phase time *)
+  x_stall_ns : int;  (** fabric admission stalls inside the service window *)
+}
+(** One completed task of the realized schedule, as
+    {!Dssoc_obs.Analyze} reads it (re-exported there). *)
+
+type recording = {
+  rc_tasks : task_exec array;
+      (** completed tasks in completion order, [x_stall_ns = 0] (stalls
+          are attributed by the analysis) *)
+  rc_stalls : (int * int * int) list;
+      (** [(t_ns, pe_index, stall_ns)] of every admission that stalled
+          ([stall_ns > 0]), newest first *)
+  rc_injected : (int, int) Hashtbl.t;  (** instance -> first injection time *)
+  rc_latest_ns : int;  (** latest event timestamp, at least 0 *)
+}
+(** What a schedule sink ({!Sink.schedule}) has recorded. *)
+
 (** Event sinks: where emitted events go. *)
 module Sink : sig
   type t
@@ -120,21 +149,49 @@ module Sink : sig
       the overwritten ones.
       @raise Invalid_argument if [capacity <= 0]. *)
 
+  val ring_capacity : tasks:int -> int
+  (** [max 65536 (32 * tasks)]: a ring capacity that holds the whole
+      log of a run of [tasks] tasks — a task's lifecycle, DMA phases,
+      reservation and fabric events stay well under 32 even with the
+      WM's sched and tick events shared out.  Retries add events, so a
+      heavily faulted run can still overflow it; {!dropped} tells. *)
+
+  val schedule : unit -> t
+  (** Schedule recorder: keeps only what the analysis folds an event
+      log into — per task, the pending ready/dispatch times and DMA
+      phase time; the completed tasks' records in completion order; the
+      first injection time of each instance; the stalled stream
+      admissions; the latest timestamp and the event count.  It has no
+      capacity and never drops an event, and it retains no events
+      ({!events} is [[]], {!length} 0).  Memory grows with the log's
+      length, never with the value of a task id.  A retried task's
+      later ready/dispatch overwrite the earlier ones and its DMA time
+      accumulates across attempts, exactly as a replayed log would. *)
+
   val is_null : t -> bool
 
   val synchronize : t -> unit
   (** Declare that several domains will emit into this sink
-      concurrently, making every subsequent [emit] take the ring's
+      concurrently, making every subsequent [emit] take the sink's
       mutex.  The native engine calls this before spawning handler
       domains; the single-producer engines leave the ring lock-free.
       Must be called before the concurrent emitters start.  No-op on
       the null sink. *)
 
   val emit : t -> int -> body -> unit
+
   val length : t -> int
+  (** Events retained for {!events} (0 for the null and schedule
+      sinks). *)
+
   val total : t -> int
+  (** Lifetime emits. *)
+
   val dropped : t -> int
+  (** Events a ring overwrote (always 0 for the other sinks). *)
+
   val capacity : t -> int
+  (** A ring's slot count; 0 for the null and schedule sinks. *)
 
   val clear : t -> unit
   (** Forget every recorded event and zero the lifetime counters,
@@ -142,7 +199,12 @@ module Sink : sig
       sink. *)
 
   val events : t -> event list
-  (** Retained events, oldest first. *)
+  (** A ring's retained events, oldest first; [[]] for the null and
+      schedule sinks. *)
+
+  val recording : t -> recording option
+  (** A schedule sink's record (a snapshot: later emits and {!clear}
+      do not change it); [None] for the null and ring sinks. *)
 end
 
 (** Registry of named counters, gauges and histogram series.
@@ -258,8 +320,8 @@ val reset : t -> unit
 (** Return the bundle to its just-made state: clears the sink in
     place, zeroes all metrics (instruments stay registered), and
     detaches any flusher.  A reset bundle records a following run
-    exactly as a freshly made one would — sweep workers use this to
-    recycle one bundle (and its preallocated ring) across points. *)
+    exactly as a freshly made one would, so a caller replaying many
+    runs through one ring keeps its preallocated storage. *)
 
 val attach_pes : t -> pe_labels:string array -> unit
 (** Called once per run by the engine before the WM starts: registers
@@ -351,7 +413,8 @@ val record_drops : t -> unit
 (** {2 Export} *)
 
 val recorded_events : t -> event list
-(** The sink's retained events, oldest first ([[]] for the null sink). *)
+(** The sink's retained events, oldest first ([[]] for the null and
+    schedule sinks). *)
 
 val counter_tracks : t -> (string * (int * int) list) list
 (** Every gauge's (name, step series) in registration order — the

@@ -232,6 +232,37 @@ let test_sweep_compiled_plan_not_reused_across_configs () =
   Alcotest.(check bool) "the bus changes the table" true (tv <> csv `Virtual ideal);
   Alcotest.(check string) "bus after ideal: compiled = virtual" tv (csv `Compiled bus)
 
+(* A sweep row pays for its emulation and the analytics columns, not for
+   an event log: in one domain, evaluate fig10's rate-1.71 EFT compiled
+   row, then its rate-6.92 row (29k tasks), and bound the words the
+   second allocates.  Recording into a ring sized for a drop-free log
+   and replaying it cost ~14.4 M major and ~8 M minor words on this
+   row, a fresh 9.3 M-word ring included; the schedule recorder needs
+   about 4 M major and 5.7 M minor.  Deterministic counts, so no
+   wall-clock noise. *)
+let test_sweep_row_allocation () =
+  let grid = Presets.fig10 ~policies:[ "EFT" ] () in
+  let point wl =
+    match List.find_opt (fun p -> p.Grid.wl_label = wl) (Array.to_list (Grid.points grid)) with
+    | Some p -> p
+    | None -> Alcotest.failf "fig10 has no %s point" wl
+  in
+  let first = point "rate1.71" and second = point "rate6.92" in
+  ignore (Sweep.run_point ~engine_kind:`Compiled grid first);
+  let s0 = Gc.quick_stat () in
+  let row = Sweep.run_point ~engine_kind:`Compiled grid second in
+  let s1 = Gc.quick_stat () in
+  let major = s1.Gc.major_words -. s0.Gc.major_words
+  and minor = s1.Gc.minor_words -. s0.Gc.minor_words in
+  Alcotest.(check bool) "the row is the 29k-task point" true (row.Sweep.task_count > 20_000);
+  let bounded what words bound =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s words %.2f M <= %.0f M" what (words /. 1e6) (bound /. 1e6))
+      true (words <= bound)
+  in
+  bounded "major" major 8e6;
+  bounded "minor" minor 7e6
+
 let test_summarize_counts () =
   let g = small_grid ~jitter:0.01 ~replicates:4 () in
   let t = Sweep.run ~jobs:2 g in
@@ -284,6 +315,7 @@ let () =
             test_sweep_compiled_obs_columns;
           Alcotest.test_case "compiled plan memo rechecks the config" `Quick
             test_sweep_compiled_plan_not_reused_across_configs;
+          Alcotest.test_case "row allocation is bounded" `Quick test_sweep_row_allocation;
           Alcotest.test_case "summarize" `Slow test_summarize_counts;
           Alcotest.test_case "presets" `Quick test_presets;
         ] );

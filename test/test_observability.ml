@@ -915,6 +915,279 @@ let test_critical_path_emulation_logs () =
       Alcotest.(check bool) (policy ^ " log agrees") true (critical_paths_agree events))
     [ ("FRFS", 0.03, 2.0, 100); ("EFT", 0.0, 100.0, 1000) ]
 
+(* ---------------------- schedule recorder ---------------------- *)
+
+module Compiled_engine = Dssoc_runtime.Compiled_engine
+module Engine_core = Dssoc_runtime.Engine_core
+module Scheduler = Dssoc_runtime.Scheduler
+module Fabric = Dssoc_soc.Fabric
+module Fault = Dssoc_fault.Fault
+
+(* [run obs] traced twice, into a ring and into a schedule sink: the
+   analysis built from the recorder must equal the one replayed from
+   the ring's log, field for field.  Returns the recorder's analysis
+   and the ring run's report. *)
+let recorder_matches_ring label run =
+  let ring = Obs.Sink.ring ~capacity:(1 lsl 20) () and recorder = Obs.Sink.schedule () in
+  let report = run (Obs.make ~sink:ring ()) in
+  ignore (run (Obs.make ~sink:recorder ()));
+  Alcotest.(check int) (label ^ ": ring dropped nothing") 0 (Obs.Sink.dropped ring);
+  Alcotest.(check int) (label ^ ": same event count") (Obs.Sink.total ring)
+    (Obs.Sink.total recorder);
+  let a = Analyze.of_events (Obs.Sink.events ring) and b = Analyze.of_sink recorder in
+  let same what x y =
+    Alcotest.(check bool) (Printf.sprintf "%s: same %s" label what) true (x = y)
+  in
+  same "tasks" (Analyze.tasks a) (Analyze.tasks b);
+  same "makespan" (Analyze.makespan_ns a) (Analyze.makespan_ns b);
+  let ca = Analyze.critical_path a and cb = Analyze.critical_path b in
+  same "critical-path steps (edges, slack, DMA, stall)" ca.Analyze.cp_steps cb.Analyze.cp_steps;
+  same "critical path" ca cb;
+  same "utilization" (Analyze.utilization a) (Analyze.utilization b);
+  same "occupancy" (Analyze.occupancy_by_class a) (Analyze.occupancy_by_class b);
+  same "queueing" (Analyze.queueing a) (Analyze.queueing b);
+  Alcotest.(check string) (label ^ ": same report") (Json.to_string (Analyze.to_json a))
+    (Json.to_string (Analyze.to_json b));
+  Alcotest.(check bool) (label ^ ": a ring sink replays into the same analysis") true
+    (Analyze.tasks (Analyze.of_sink ring) = Analyze.tasks b);
+  (b, report)
+
+(* No preset sweep row has a nonzero DMA share of its critical path,
+   so byte-identical sweep tables do not pin the DMA accounting: an
+   FFT-heavy mix on a starved one-deep bus does, on both engines. *)
+let test_recorder_matches_ring_contended () =
+  let config =
+    Config.with_fabric
+      (Result.get_ok (Fabric.of_spec "bus:bw=100MB/s,fifo=1"))
+      (Config.zcu102_cores_ffts ~cores:1 ~ffts:2)
+  in
+  let workload () =
+    Workload.validation
+      [ (Reference_apps.wifi_tx (), 3); (Reference_apps.range_detection (), 3) ]
+  in
+  let check label run =
+    let a, report = recorder_matches_ring label run in
+    let cp = Analyze.critical_path a in
+    Alcotest.(check bool) (label ^ ": path DMA is nonzero") true (cp.Analyze.cp_dma_ns > 0);
+    Alcotest.(check bool) (label ^ ": path fabric stall is nonzero") true
+      (cp.Analyze.cp_stall_ns > 0);
+    Alcotest.(check int) (label ^ ": every task completed") report.Stats.task_count
+      (List.length (Analyze.tasks a))
+  in
+  check "virtual" (fun obs ->
+      Emulator.run_exn ~engine:(Emulator.virtual_seeded ~jitter:0.0 7L) ~policy:"FRFS" ~obs
+        ~config ~workload:(workload ()) ());
+  let plan =
+    Compiled_engine.compile ~config ~workload:(workload ())
+      ~policy:(Result.get_ok (Scheduler.find "FRFS")) ()
+  in
+  check "compiled" (fun obs ->
+      Compiled_engine.run ~obs plan
+        { Engine_core.seed = 7L; jitter = 0.0; reservation_depth = 0 })
+
+(* Retries overwrite a task's ready/dispatch times and add to its DMA
+   time: the recorder must fold those exactly as the replayed log. *)
+let test_recorder_matches_ring_faulted () =
+  let fault =
+    Result.get_ok
+      (Fault.of_spec ~seed:11L "accel:transient:p=0.3:recover=0.05ms,accel:dma:p=0.3,retries=8")
+  in
+  let config =
+    Config.with_fabric
+      (Result.get_ok (Fabric.of_spec "bus:bw=100MB/s,fifo=1"))
+      (Config.zcu102_cores_ffts ~cores:2 ~ffts:2)
+  in
+  let _, report =
+    recorder_matches_ring "faulted" (fun obs ->
+        Emulator.run_exn ~engine:(Emulator.virtual_seeded ~jitter:0.03 3L) ~policy:"FRFS" ~obs
+          ~fault ~config
+          ~workload:
+            (Workload.validation
+               [ (Reference_apps.pulse_doppler (), 1); (Reference_apps.wifi_tx (), 2) ])
+          ())
+  in
+  Alcotest.(check bool) "faulted: tasks were retried" true
+    (report.Stats.resilience.Stats.task_retries > 0)
+
+(* Task ids no engine produces: negative, past 2^40, and far beyond
+   the events seen; ids reused after completion; a completion with no
+   ready/dispatch; a retried task whose two attempts both carry DMA. *)
+let hostile_events =
+  let big = 1 lsl 40 in
+  let ev t_ns body = { Obs.t_ns; body } in
+  let ready t task instance node = ev t (Obs.Task_ready { task; instance; app = "app"; node }) in
+  let disp t task instance node pe pe_index =
+    ev t (Obs.Task_dispatched { task; instance; app = "app"; node; pe; pe_index; wait_ns = 0 })
+  in
+  let comp t task instance node pe pe_index =
+    ev t (Obs.Task_completed { task; instance; app = "app"; node; pe; pe_index; service_ns = 0 })
+  in
+  let dma t task pe_index phase dur_ns =
+    ev t (Obs.Phase { task; pe_index; phase; start_ns = t - dur_ns; dur_ns })
+  in
+  [
+    ev 0 (Obs.Instance_injected { instance = -3; app = "app" });
+    ev 5 (Obs.Instance_injected { instance = big; app = "app" });
+    ev 7 (Obs.Instance_injected { instance = -3; app = "app" });
+    ready 10 (-5) (-3) "A";
+    disp 12 (-5) (-3) "A" "fft0" 1;
+    dma 20 (-5) 1 Obs.Dma_in 8;
+    ev 25
+      (Obs.Task_failed
+         { task = -5; instance = -3; app = "app"; node = "A"; pe = "fft0"; pe_index = 1;
+           fault = "dma_error"; attempt = 1 });
+    ev 25
+      (Obs.Task_retried
+         { task = -5; instance = -3; app = "app"; node = "A"; attempt = 1; backoff_ns = 5 });
+    ready 30 (-5) (-3) "A";
+    ready 31 big big "B";
+    disp 32 big big "B" "cpu0" 0;
+    disp 40 (-5) (-3) "A" "fft0" 1;
+    dma 50 (-5) 1 Obs.Dma_in 10;
+    dma 70 (-5) 1 Obs.Device_compute 20;
+    ev 72 (Obs.Stream_admitted { pe_index = 1; bytes = 64; stall_ns = 4; inflight = 1 });
+    dma 80 (-5) 1 Obs.Dma_out 10;
+    comp 80 (-5) (-3) "A" "fft0" 1;
+    ready 80 (big + 1) big "C";
+    comp 90 big big "B" "cpu0" 0;
+    comp 91 big big "B" "cpu0" 0;
+    disp 95 (big + 1) big "C" "cpu0" 0;
+    ready 96 1_000_000 (-3) "D";
+    disp 97 1_000_000 (-3) "D" "cpu1" 2;
+    comp 99 7 (-3) "E" "cpu1" 2;
+    comp 110 1_000_000 (-3) "D" "cpu1" 2;
+    comp 120 (big + 1) big "C" "cpu0" 0;
+    ready 126 min_int 0 "F";
+    disp 127 max_int 0 "G" "cpu1" 2;
+    ev 130 (Obs.Wm_tick { completions = 2; injected = 0 });
+  ]
+
+(* A reloaded log is a total input: whatever its task ids, the analysis
+   neither raises nor allocates in proportion to an id's value, and it
+   folds the log as it always has (the values below are the analysis of
+   this log before the schedule recorder existed). *)
+let test_analyze_hostile_task_ids () =
+  let b0 = Gc.allocated_bytes () in
+  let a = Analyze.of_events hostile_events in
+  let allocated = Gc.allocated_bytes () -. b0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "allocation bounded by the log (%.0f bytes)" allocated)
+    true (allocated < 1e6);
+  let big = 1 lsl 40 in
+  Alcotest.(check (list (list int)))
+    "tasks: id, instance, pe, ready, dispatched, completed, dma, stall"
+    [
+      [ -5; -3; 1; 30; 40; 80; 28; 4 ];
+      [ big; big; 0; 31; 32; 90; 0; 0 ];
+      [ big; big; 0; 0; 0; 91; 0; 0 ];
+      [ 7; -3; 2; 0; 0; 99; 0; 0 ];
+      [ 1_000_000; -3; 2; 96; 97; 110; 0; 0 ];
+      [ big + 1; big; 0; 80; 95; 120; 0; 0 ];
+    ]
+    (List.map
+       (fun x ->
+         Analyze.
+           [ x.x_task; x.x_instance; x.x_pe_index; x.x_ready_ns; x.x_dispatched_ns;
+             x.x_completed_ns; x.x_dma_ns; x.x_stall_ns ])
+       (Analyze.tasks a));
+  Alcotest.(check int) "makespan" 130 (Analyze.makespan_ns a);
+  let cp = Analyze.critical_path a in
+  Alcotest.(check (list (pair string (list int))))
+    "critical path: edge, (task, gap, service, slack)"
+    [ ("injection", [ big; 0; 91; 0 ]); ("resource", [ big + 1; 4; 25; 1 ]) ]
+    (List.map
+       (fun s ->
+         Analyze.
+           ( edge_name s.s_edge,
+             [ s.s_task.x_task; s.s_gap_ns; s.s_service_ns; s.s_slack_ns ] ))
+       cp.Analyze.cp_steps);
+  Alcotest.(check int) "observe tail" 10 cp.Analyze.cp_observe_ns
+
+(* Oracle for the recorder's per-task fold: one hash table of pending
+   (ready, dispatched, DMA) triples keyed by task id, finalized and
+   forgotten at each completion. *)
+let reference_tasks events =
+  let pend = Hashtbl.create 16 in
+  let get task = Option.value ~default:(0, 0, 0) (Hashtbl.find_opt pend task) in
+  List.fold_left
+    (fun acc { Obs.t_ns; body } ->
+      match body with
+      | Obs.Task_ready { task; _ } ->
+          let _, d, m = get task in
+          Hashtbl.replace pend task (t_ns, d, m);
+          acc
+      | Obs.Task_dispatched { task; _ } ->
+          let r, _, m = get task in
+          Hashtbl.replace pend task (r, t_ns, m);
+          acc
+      | Obs.Phase { task; phase = Obs.Dma_in | Obs.Dma_out; dur_ns; _ } ->
+          let r, d, m = get task in
+          Hashtbl.replace pend task (r, d, m + dur_ns);
+          acc
+      | Obs.Task_completed { task; instance; pe_index; _ } ->
+          let r, d, m = get task in
+          Hashtbl.remove pend task;
+          (task, instance, pe_index, r, d, t_ns, m) :: acc
+      | _ -> acc)
+    [] events
+  |> List.rev
+
+(* Random interleavings of lifecycle events over ids drawn from dense,
+   negative and huge ranges, with repeats: whichever of its two stores
+   the recorder keeps a task's triple in, it must fold like the oracle. *)
+let prop_recorder_fold_matches_reference =
+  let id_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, int_bound 40);
+          (2, int_range (-40) (-1));
+          (2, map (fun k -> (1 lsl 40) + k) (int_bound 5));
+          (1, map (fun k -> 100_000 + k) (int_bound 5));
+          (* just past the dense table's reach at the start of a log,
+             within it after a few dozen events *)
+          (2, map (fun k -> 4150 + k) (int_bound 5));
+        ])
+  in
+  let event_gen =
+    QCheck.Gen.(
+      map3
+        (fun kind task t ->
+          let body =
+            match kind with
+            | 0 -> Obs.Task_ready { task; instance = 0; app = "a"; node = "n" }
+            | 1 ->
+                Obs.Task_dispatched
+                  { task; instance = 0; app = "a"; node = "n"; pe = "p"; pe_index = 0; wait_ns = 0 }
+            | 2 -> Obs.Phase { task; pe_index = 0; phase = Obs.Dma_in; start_ns = 0; dur_ns = t }
+            | 3 ->
+                Obs.Phase
+                  { task; pe_index = 0; phase = Obs.Device_compute; start_ns = 0; dur_ns = t }
+            | 4 -> Obs.Wm_tick { completions = 0; injected = 0 }
+            | _ ->
+                Obs.Task_completed
+                  { task; instance = task mod 3; app = "a"; node = "n"; pe = "p"; pe_index = 0;
+                    service_ns = 0 }
+          in
+          { Obs.t_ns = t; body })
+        (int_bound 5) id_gen (int_bound 1000))
+  in
+  QCheck.Test.make ~name:"recorder fold matches the per-task reference" ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 400) event_gen))
+    (fun events ->
+      List.map
+        (fun x ->
+          Analyze.
+            ( x.x_task,
+              x.x_instance,
+              x.x_pe_index,
+              x.x_ready_ns,
+              x.x_dispatched_ns,
+              x.x_completed_ns,
+              x.x_dma_ns ))
+        (Analyze.tasks (Analyze.of_events events))
+      = reference_tasks events)
+
 (* ---------------------- periodic metrics flusher ---------------------- *)
 
 let test_flush_snapshots_and_close () =
@@ -1083,6 +1356,13 @@ let () =
             test_critical_path_many_instances;
           Alcotest.test_case "critical path on emulation logs" `Slow
             test_critical_path_emulation_logs;
+          Alcotest.test_case "recorder equals ring on a contended bus" `Quick
+            test_recorder_matches_ring_contended;
+          Alcotest.test_case "recorder equals ring under faults" `Quick
+            test_recorder_matches_ring_faulted;
+          Alcotest.test_case "hostile task ids in a reloaded log" `Quick
+            test_analyze_hostile_task_ids;
+          QCheck_alcotest.to_alcotest prop_recorder_fold_matches_reference;
         ] );
       ( "metrics flusher",
         [
