@@ -135,7 +135,9 @@ module Sink = struct
      the events seen — the engines number tasks densely from 0 — and in
      [far] otherwise, so a reloaded log with hostile ids (negative, or
      ~2^40) costs memory in proportion to its length, never to an id's
-     value. *)
+     value.  The flat triples are for speed: replaying a 29k-task fig10
+     log into a recorder that kept every pending task in a hash table
+     took twice as long, and allocated a record and a bucket per task. *)
   type schedule = {
     mutable pend : int array;  (* 3 ints per dense task id; 0 = none *)
     far : (int, int array) Hashtbl.t;  (* pending triples of other ids *)
