@@ -79,7 +79,7 @@ let engine_arg =
            domains; same as --native), or compiled (ahead-of-time specialization of the workload \
            x platform x policy triple into a flat-array event loop — replays the virtual engine \
            byte-for-byte, including traced runs' event logs and metrics, but rejects fault \
-           plans and non-built-in policies).")
+           plans).")
 
 let resolve_engine ~engine ~native ~jitter ~reservation ~seed =
   let seed = Int64.of_int seed in
@@ -1022,8 +1022,8 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Resident emulation service: open-loop tenant arrival streams with admission \
-          control, backpressure, a watchdog, and checkpoint/restore at quiescent instants.  \
-          Virtual engine only.  SIGTERM/SIGINT drain gracefully (finish in-flight work, \
+          control, backpressure, a watchdog, and checkpoint/restore at quiescent instants, \
+          on the compiled engine.  SIGTERM/SIGINT drain gracefully (finish in-flight work, \
           flush metrics, write the checkpoint if --checkpoint is set).")
     Term.(
       const run $ host_arg $ cores_arg $ ffts_arg $ big_arg $ little_arg $ policy_arg $ seed_arg

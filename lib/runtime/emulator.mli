@@ -16,9 +16,9 @@ type engine =
   | Compiled of Engine_core.params
       (** ahead-of-time specialization of (workload x platform x
           policy) into a flat-array event loop; replays the virtual
-          engine byte-for-byte for the five built-in policies — see
-          {!Compiled_engine}.  Fault plans and custom policies are
-          outside its contract and turn into [Error] here. *)
+          engine byte-for-byte for any policy — see
+          {!Compiled_engine}.  Fault plans are outside its contract
+          and turn into [Error] here. *)
 
 val virtual_seeded : ?jitter:float -> ?reservation_depth:int -> int64 -> engine
 (** Convenience: virtual engine with the given seed (jitter defaults

@@ -215,46 +215,6 @@ let resource_manager ?(obs = Obs.disabled) ?(fault = Fault.disabled) ~model
   loop ()
 
 (* ------------------------------------------------------------------ *)
-(* Service hooks (serve extension)                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Capabilities the workload manager hands to a resident service: the
-   service decides *which* instances enter the run and when, the WM
-   keeps owning the ready list, dispatch and completion monitoring. *)
-type service_ops = {
-  so_inject : Task.instance -> int;
-      (* admit one instance now: emits the injection event, makes its
-         entry tasks ready, returns how many tasks that was *)
-  so_cancel : Task.instance -> unit;
-      (* watchdog abort: withdraw the instance's Ready tasks (lazy
-         deletion, as dispatch does), purge its retry entries and
-         suppress successor release via [Task.cancelled].  The caller
-         must only cancel instances with no Running task. *)
-  so_ready_live : unit -> int;
-  so_inflight : unit -> int;
-  so_retry_empty : unit -> bool;
-}
-
-type service = {
-  sv_tick : service_ops -> now:int -> int;
-      (* one service sweep, replacing the fixed-workload injection
-         drain: run admission control over due arrivals, harvest
-         completions, run the watchdog; returns the number of tasks
-         made ready (charged like an injection burst) *)
-  sv_next : now:int -> int option;
-      (* next service deadline (arrival or watchdog expiry), strictly
-         in the future; [None] when only completions can wake the WM *)
-  sv_finished : service_ops -> now:int -> bool;
-      (* termination: every arrival consumed (or a drain was requested)
-         and the run is quiescent *)
-  sv_resume : bool;
-      (* restored from a checkpoint: skip the first WM tick and go
-         straight to the await, so the resumed clock trajectory is
-         identical to the uninterrupted run's (which awaited right
-         after the tick that observed the quiescent instant) *)
-}
-
-(* ------------------------------------------------------------------ *)
 (* Workload manager (Fig. 3)                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -265,10 +225,9 @@ type service = {
    deeper windows pointless. *)
 let sched_window = Cost_model.sched_examined_cap
 
-let workload_manager ?(obs = Obs.disabled) ?(fault = Fault.disabled) ?service
-    (b : 'h backend) ~(handlers : 'h handler array)
-    ~(instances : Task.instance array) ~model ~(policy : Scheduler.policy)
-    ~prng ~(stats : wm_stats) =
+let workload_manager ?(obs = Obs.disabled) ?(fault = Fault.disabled) (b : 'h backend)
+    ~(handlers : 'h handler array) ~(instances : Task.instance array) ~model
+    ~(policy : Scheduler.policy) ~prng ~(stats : wm_stats) =
   let n_pes = Array.length handlers in
   let fault_on = Fault.enabled fault in
   (* The ready list is an array FIFO: entries [rq_head, rq_tail) of
@@ -301,11 +260,7 @@ let workload_manager ?(obs = Obs.disabled) ?(fault = Fault.disabled) ?service
   (* WM-owned dispatched-but-not-yet-monitored count, feeding the
      in-flight gauge; metrics are only ever touched on this thread. *)
   let inflight = ref 0 in
-  (* Under a service the injection schedule is owned by the service
-     hooks (admission control decides which instances ever enter), so
-     the fixed-workload pending list starts empty and [unfinished] is
-     not the termination criterion. *)
-  let pending = ref (match service with None -> Array.to_list instances | Some _ -> []) in
+  let pending = ref (Array.to_list instances) in
   let unfinished = ref (Array.length instances) in
   let make_ready (task : Task.t) =
     task.Task.status <- Task.Ready;
@@ -436,37 +391,6 @@ let workload_manager ?(obs = Obs.disabled) ?(fault = Fault.disabled) ?service
         end)
       handlers
   in
-  (* Capabilities handed to the service hooks.  [so_cancel] withdraws
-     Ready tasks by the same lazy-deletion trick dispatch uses (status
-     flip + live-count decrement; the queue entry goes stale). *)
-  let service_ops =
-    {
-      so_inject =
-        (fun (inst : Task.instance) ->
-          if Obs.enabled obs then
-            Obs.on_instance_injected obs ~now:(b.b_now ()) ~instance:inst.Task.inst_id
-              ~app:inst.Task.app.App_spec.app_name;
-          List.iter make_ready inst.Task.entry;
-          List.length inst.Task.entry);
-      so_cancel =
-        (fun (inst : Task.instance) ->
-          inst.Task.cancelled <- true;
-          Array.iter
-            (fun (t : Task.t) ->
-              if t.Task.status = Task.Ready then begin
-                t.Task.status <- Task.Blocked;
-                decr ready_live
-              end)
-            inst.Task.tasks;
-          retry_q :=
-            List.filter
-              (fun (_, (t : Task.t)) -> t.Task.instance_id <> inst.Task.inst_id)
-              !retry_q);
-      so_ready_live = (fun () -> !ready_live);
-      so_inflight = (fun () -> !inflight);
-      so_retry_empty = (fun () -> !retry_q = []);
-    }
-  in
   let pes_scratch =
     Array.map
       (fun h -> { Scheduler.pe = h.h_pe; idle = false; busy_until = 0; available = true })
@@ -550,18 +474,24 @@ let workload_manager ?(obs = Obs.disabled) ?(fault = Fault.disabled) ?service
          ready queue). *)
       List.iter
         (fun (a : Scheduler.assignment) ->
-          let task = a.Scheduler.task and h = handlers.(a.Scheduler.pe_index) in
+          let task = a.Scheduler.task and pi = a.Scheduler.pe_index in
           if
-            fault_on
-            && (h.h_quarantined_until > b.b_now ()
-               || dead_at h ~now:(b.b_now ())
-               || h.h_inflight >= h.h_capacity)
+            task.Task.status <> Task.Ready
+            || pi < 0 || pi >= n_pes
+            || estimate task pi = min_int
+            || fault_on
+               && (handlers.(pi).h_quarantined_until > b.b_now ()
+                  || dead_at handlers.(pi) ~now:(b.b_now ())
+                  || handlers.(pi).h_inflight >= handlers.(pi).h_capacity)
           then
-            (* A custom policy ignored [Scheduler.pe_state.available]
-               (or overcommitted); drop the assignment — the task stays
-               in the ready list for the next invocation. *)
+            (* A custom policy listed the task twice, named a PE that
+               does not exist or cannot run it, or (under faults)
+               ignored [Scheduler.pe_state.available] or overcommitted:
+               drop the assignment — a task still Ready stays in the
+               ready list for the next invocation. *)
             ()
           else begin
+            let h = handlers.(pi) in
             b.b_charge Cost_model.dispatch_per_task_ns;
             b.b_lock h;
             task.Task.status <- Task.Running;
@@ -595,42 +525,34 @@ let workload_manager ?(obs = Obs.disabled) ?(fault = Fault.disabled) ?service
      accounting, and releasing newly ready successors. *)
   let process_completion (task : Task.t) =
     task.Task.status <- Task.Done;
-    (* A resident service never reads the per-task record list and
-       would grow it without bound; its per-tenant aggregates are kept
-       by the service layer instead. *)
-    (match service with
-    | Some _ -> ()
-    | None ->
-      stats.records <-
-        {
-          Stats.app = task.Task.app_name;
-          instance = task.Task.instance_id;
-          node = task.Task.node.App_spec.node_name;
-          pe = task.Task.pe_label;
-          ready_ns = task.Task.ready_at;
-          dispatched_ns = task.Task.dispatched_at;
-          completed_ns = task.Task.completed_at;
-        }
-        :: stats.records);
+    stats.records <-
+      {
+        Stats.app = task.Task.app_name;
+        instance = task.Task.instance_id;
+        node = task.Task.node.App_spec.node_name;
+        pe = task.Task.pe_label;
+        ready_ns = task.Task.ready_at;
+        dispatched_ns = task.Task.dispatched_at;
+        completed_ns = task.Task.completed_at;
+      }
+      :: stats.records;
     let inst = instances.(task.Task.instance_id) in
-    if not inst.Task.cancelled then begin
-      inst.Task.remaining <- inst.Task.remaining - 1;
-      if inst.Task.remaining = 0 then begin
-        inst.Task.completed_at <- b.b_now ();
-        decr unfinished
-      end;
-      let newly_ready = ref 0 in
-      List.iter
-        (fun (succ : Task.t) ->
-          succ.Task.unmet <- succ.Task.unmet - 1;
-          if succ.Task.unmet = 0 then begin
-            make_ready succ;
-            incr newly_ready
-          end)
-        task.Task.successors;
-      if !newly_ready > 0 then
-        b.b_charge (Cost_model.ready_update_per_task_ns *. float_of_int !newly_ready)
-    end
+    inst.Task.remaining <- inst.Task.remaining - 1;
+    if inst.Task.remaining = 0 then begin
+      inst.Task.completed_at <- b.b_now ();
+      decr unfinished
+    end;
+    let newly_ready = ref 0 in
+    List.iter
+      (fun (succ : Task.t) ->
+        succ.Task.unmet <- succ.Task.unmet - 1;
+        if succ.Task.unmet = 0 then begin
+          make_ready succ;
+          incr newly_ready
+        end)
+      task.Task.successors;
+    if !newly_ready > 0 then
+      b.b_charge (Cost_model.ready_update_per_task_ns *. float_of_int !newly_ready)
   in
   let rec loop () =
     let tick = b.b_wm_tick_start () in
@@ -699,9 +621,7 @@ let workload_manager ?(obs = Obs.disabled) ?(fault = Fault.disabled) ?service
         drain ()
       | _ -> ()
     in
-    (match service with
-    | None -> if stats.aborted = None then drain ()
-    | Some sv -> if stats.aborted = None then injected := sv.sv_tick service_ops ~now);
+    if stats.aborted = None then drain ();
     if !injected > 0 then begin
       b.b_charge (Cost_model.ready_update_per_task_ns *. float_of_int !injected);
       do_schedule ()
@@ -743,11 +663,7 @@ let workload_manager ?(obs = Obs.disabled) ?(fault = Fault.disabled) ?service
       Obs.on_wm_tick obs ~now:(b.b_now ()) ~completions:!completions
         ~injected:!injected;
     (* -- terminate or wait for the next event -- *)
-    let finished =
-      match service with
-      | None -> !unfinished = 0 && !pending = []
-      | Some sv -> sv.sv_finished service_ops ~now:(b.b_now ())
-    in
+    let finished = !unfinished = 0 && !pending = [] in
     (* An aborted run stops once in-flight work has drained: doomed
        tasks never complete, so [unfinished] cannot reach zero. *)
     let gave_up = stats.aborted <> None && !inflight = 0 in
@@ -768,10 +684,6 @@ let workload_manager ?(obs = Obs.disabled) ?(fault = Fault.disabled) ?service
         else begin
           let best = ref (match !pending with [] -> None | i :: _ -> Some i.Task.arrival_ns) in
           let add t = match !best with Some b when b <= t -> () | _ -> best := Some t in
-          (match service with
-          | Some sv -> (
-            match sv.sv_next ~now:(b.b_now ()) with Some t -> add t | None -> ())
-          | None -> ());
           if fault_on then begin
             (match !retry_q with (t, _) :: _ -> add t | [] -> ());
             Array.iter
@@ -791,14 +703,6 @@ let workload_manager ?(obs = Obs.disabled) ?(fault = Fault.disabled) ?service
       loop ()
     end
   in
-  (* A checkpoint is only taken at a quiescent instant, right after the
-     tick that observed it.  The uninterrupted run's next action at that
-     point is the await on the next service deadline — so a restored run
-     must start with that await, not with a fresh tick (whose monitoring
-     charge the uninterrupted run never paid at this clock value). *)
-  (match service with
-  | Some sv when sv.sv_resume -> b.b_wm_await ~deadline:(sv.sv_next ~now:(b.b_now ()))
-  | _ -> ());
   loop ()
 
 (* ------------------------------------------------------------------ *)

@@ -19,7 +19,10 @@
     wall clock).  Every protocol-level feature — reservation queues,
     live ready-list accounting, occupancy-based utilisation — therefore
     lands in both engines at once, and both read their tasks and
-    prices from one {!Exec_model.t}. *)
+    prices from one {!Exec_model.t}.  {!Compiled_engine} replays the
+    same protocol as an integer-pc machine; the resident server's
+    service mode lives there ({!Compiled_engine.run_service}), not
+    here. *)
 
 (** {1 Parameters} *)
 
@@ -202,52 +205,9 @@ val resource_manager :
     the workload manager to process.  Slowdowns execute once and
     append a modelled delay. *)
 
-(** {1 Service hooks (serve extension)}
-
-    A resident service (admission control, open-loop arrivals,
-    watchdog) plugs into the workload manager through these hooks.
-    The service decides {e which} instances enter the run and when;
-    the WM keeps owning the ready list, dispatch and completion
-    monitoring.  With a service installed the fixed-workload pending
-    list starts empty and termination is delegated to [sv_finished]. *)
-
-type service_ops = {
-  so_inject : Task.instance -> int;
-      (** admit one instance now: emits the injection event, makes its
-          entry tasks ready; returns how many tasks that was *)
-  so_cancel : Task.instance -> unit;
-      (** watchdog abort: marks the instance cancelled (suppressing
-          successor release), withdraws its Ready tasks by the same
-          lazy-deletion trick dispatch uses, and purges its retry
-          entries.  Only call on instances with no Running task — an
-          in-flight attempt must drain naturally first. *)
-  so_ready_live : unit -> int;  (** live ready-list length *)
-  so_inflight : unit -> int;  (** dispatched-but-unmonitored count *)
-  so_retry_empty : unit -> bool;  (** no task sleeping out a backoff *)
-}
-
-type service = {
-  sv_tick : service_ops -> now:int -> int;
-      (** one service sweep per WM tick, replacing the fixed-workload
-          injection drain: admission control over due arrivals,
-          completion harvesting, watchdog; returns the number of tasks
-          made ready (charged like an injection burst) *)
-  sv_next : now:int -> int option;
-      (** next service deadline (arrival or watchdog expiry), strictly
-          in the future; [None] when only completions can wake the WM *)
-  sv_finished : service_ops -> now:int -> bool;
-      (** termination test, evaluated at the end of every tick *)
-  sv_resume : bool;
-      (** restored from a checkpoint taken at a quiescent instant: the
-          WM skips the first tick and goes straight to the await on
-          [sv_next], reproducing the uninterrupted run's clock
-          trajectory exactly *)
-}
-
 val workload_manager :
   ?obs:Dssoc_obs.Obs.t ->
   ?fault:Dssoc_fault.Fault.t ->
-  ?service:service ->
   'h backend ->
   handlers:'h handler array ->
   instances:Task.instance array ->
@@ -266,8 +226,10 @@ val workload_manager :
     dispatched entries lazily; the charged O(n)/O(n²) policy cost
     follows a live-count accounting, not the FIFO's length, and a
     task listed twice (its stale entry revived by a retry) enters the
-    snapshot once.  Returns once every instance has
-    completed and all handlers have been told to stop.
+    snapshot once.  An assignment whose task is no longer Ready (a
+    custom policy listed it twice) or whose PE does not exist or does
+    not support the task is dropped, uncharged.  Returns once every
+    instance has completed and all handlers have been told to stop.
 
     With [obs] (default {!Dssoc_obs.Obs.disabled}, a guaranteed no-op)
     the loop emits injection / ready / scheduler-invocation / dispatch

@@ -164,19 +164,24 @@ let lower ~engine_name ~(config : Config.t) (workload : Workload.t) =
   let pes = Array.of_list (Config.pes config) in
   let items = Array.of_list workload.Workload.items in
   (* One class per distinct spec: shared refs first, structural
-     equality as the fallback for re-parsed JSON. *)
-  let known = ref [] in
+     equality as the fallback for re-parsed JSON.  Every physical spec
+     met is remembered with its class, so the deep comparison runs once
+     per physical spec, not once per item. *)
+  let known = ref [] and seen = ref [] in
   let class_of (spec : App_spec.t) =
-    let find eq = List.find_opt (fun c -> eq c.topology.Task.tp_spec spec) !known in
-    match find ( == ) with
+    match List.assq_opt spec !seen with
     | Some c -> c
-    | None -> (
-      match find ( = ) with
-      | Some c -> c
-      | None ->
-        let c = build_class ~engine_name ~config ~pes spec in
-        known := c :: !known;
-        c)
+    | None ->
+      let c =
+        match List.find_opt (fun c -> c.topology.Task.tp_spec = spec) !known with
+        | Some c -> c
+        | None ->
+          let c = build_class ~engine_name ~config ~pes spec in
+          known := c :: !known;
+          c
+      in
+      seen := (spec, c) :: !seen;
+      c
   in
   {
     pes;

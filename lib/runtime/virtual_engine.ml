@@ -164,23 +164,10 @@ let backend des ~prng ~jitter ~overlay_perf ~model ~(policy : Scheduler.policy) 
 (* Top-level run                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Everything a virtual run needs, built identically for the one-shot
-   and the resident-service entry points.  [clock0]/[prng] are the
-   starting virtual time and engine PRNG — zero / freshly seeded for a
-   normal run, the checkpointed values for a restored service. *)
-type prepared = {
-  pr_des : Des.t;
-  pr_instances : Task.instance array;
-  pr_handlers : unit Core.handler array;
-  pr_model : Exec_model.t;
-  pr_stats : Core.wm_stats;
-  pr_fault : Dssoc_fault.Fault.t;
-  pr_b : unit Core.backend;
-}
-
-let prepare ~(params : params) ~obs ~engine_name ~clock0 ~prng ~fresh_stores ?fault
+let run_timed ~fresh_stores ?(params = default_params) ?(obs = Obs.disabled) ?fault
     ~(config : Config.t) ~(workload : Workload.t) ~(policy : Scheduler.policy) () =
-  let model = Exec_model.lower ~engine_name ~config workload in
+  let prng = Prng.create ~seed:params.seed in
+  let model = Exec_model.lower ~engine_name:"Virtual_engine.run" ~config workload in
   let instances = Exec_model.instantiate model ~fresh_stores in
   let handlers =
     Array.of_list
@@ -193,43 +180,23 @@ let prepare ~(params : params) ~obs ~engine_name ~clock0 ~prng ~fresh_stores ?fa
   let stats = Core.make_stats () in
   let fault = Core.compile_fault fault ~handlers in
   Obs.attach_pes obs ~pe_labels:(Array.map (fun h -> h.Core.h_pe.Pe.label) handlers);
-  let des = Des.create ~obs ~clock0 config in
+  let des = Des.create ~obs ~clock0:0 config in
   let b =
     backend des ~prng ~jitter:params.jitter
       ~overlay_perf:config.Config.host.Host.overlay.Host.core_class.Pe.perf_factor
       ~model ~policy ~n_pes:(Array.length handlers) ~stats ~obs
   in
-  {
-    pr_des = des;
-    pr_instances = instances;
-    pr_handlers = handlers;
-    pr_model = model;
-    pr_stats = stats;
-    pr_fault = fault;
-    pr_b = b;
-  }
-
-(* Resource managers are threads [0 .. n_pes-1], the workload manager
-   thread [n_pes]; their first events are pushed in that order. *)
-let run_managers p ~rm ~wm =
-  run_threads p.pr_des
-    (Array.append (Array.map (fun h () -> rm p.pr_b h) p.pr_handlers) [| wm |])
-
-let run_timed ~fresh_stores ?(params = default_params) ?(obs = Obs.disabled) ?fault
-    ~(config : Config.t) ~(workload : Workload.t) ~(policy : Scheduler.policy) () =
-  let prng = Prng.create ~seed:params.seed in
-  let p =
-    prepare ~params ~obs ~engine_name:"Virtual_engine.run" ~clock0:0 ~prng ~fresh_stores ?fault
-      ~config ~workload ~policy ()
-  in
-  let { pr_instances = instances; pr_handlers = handlers; pr_fault = fault; _ } = p in
-  run_managers p
-    ~rm:(Core.resource_manager ~obs ~fault ~model:p.pr_model)
-    ~wm:(fun () ->
-      Core.workload_manager ~obs ~fault p.pr_b ~handlers ~instances ~model:p.pr_model
-        ~policy ~prng ~stats:p.pr_stats);
+  (* Resource managers are threads [0 .. n_pes-1], the workload manager
+     thread [n_pes]; their first events are pushed in that order. *)
+  run_threads des
+    (Array.append
+       (Array.map (fun h () -> Core.resource_manager ~obs ~fault ~model b h) handlers)
+       [|
+         (fun () ->
+           Core.workload_manager ~obs ~fault b ~handlers ~instances ~model ~policy ~prng ~stats);
+       |]);
   ( Core.report ~host_name:config.Config.host.Host.name ~config ~policy ~handlers
-      ~instances ~stats:p.pr_stats ~fabric:(Des.counters p.pr_des),
+      ~instances ~stats ~fabric:(Des.counters des),
     instances )
 
 let run ?params ?obs ?fault ~config ~workload ~policy () =
@@ -241,70 +208,3 @@ let run_detailed ?params ?obs ?fault ~config ~workload ~policy () =
   in
   Functional.fill_stores ~pes:(Config.pes config) instances;
   r
-
-(* ------------------------------------------------------------------ *)
-(* Resident service entry point                                        *)
-(* ------------------------------------------------------------------ *)
-
-type handler_snapshot = { hs_busy_until : int; hs_busy_ns : int; hs_tasks_run : int }
-
-type resume_state = {
-  rs_clock : int;
-  rs_prng : int64 * int64 * int64 * int64;
-  rs_handlers : handler_snapshot array;
-}
-
-type service_run = {
-  sr_instances : Task.instance array;
-  sr_stats : Core.wm_stats;
-  sr_fabric : Core.fabric_counters;
-  sr_prng : int64 * int64 * int64 * int64;
-  sr_handlers : handler_snapshot array;
-}
-
-let run_service ?(params = default_params) ?(obs = Obs.disabled) ?resume
-    ~(config : Config.t) ~(workload : Workload.t) ~(policy : Scheduler.policy)
-    ~(service : Task.instance array -> Core.service) () =
-  let clock0, prng =
-    match resume with
-    | None -> (0, Prng.create ~seed:params.seed)
-    | Some r -> (r.rs_clock, Prng.of_state r.rs_prng)
-  in
-  let p =
-    prepare ~params ~obs ~engine_name:"Virtual_engine.run_service" ~clock0 ~prng
-      ~fresh_stores:false ~config ~workload ~policy ()
-  in
-  let { pr_instances = instances; pr_handlers = handlers; _ } = p in
-  (match resume with
-  | None -> ()
-  | Some r ->
-    if Array.length r.rs_handlers <> Array.length handlers then
-      invalid_arg "Virtual_engine.run_service: resume PE count mismatch";
-    Array.iteri
-      (fun i h ->
-        let s = r.rs_handlers.(i) in
-        h.Core.h_busy_until <- s.hs_busy_until;
-        h.Core.h_busy_ns <- s.hs_busy_ns;
-        h.Core.h_tasks_run <- s.hs_tasks_run)
-      handlers);
-  let service = { (service instances) with Core.sv_resume = Option.is_some resume } in
-  run_managers p
-    ~rm:(Core.resource_manager ~obs ~model:p.pr_model)
-    ~wm:(fun () ->
-      Core.workload_manager ~obs ~service p.pr_b ~handlers ~instances ~model:p.pr_model
-        ~policy ~prng ~stats:p.pr_stats);
-  {
-    sr_instances = instances;
-    sr_stats = p.pr_stats;
-    sr_fabric = Des.counters p.pr_des;
-    sr_prng = Prng.state prng;
-    sr_handlers =
-      Array.map
-        (fun h ->
-          {
-            hs_busy_until = h.Core.h_busy_until;
-            hs_busy_ns = h.Core.h_busy_ns;
-            hs_tasks_run = h.Core.h_tasks_run;
-          })
-        handlers;
-  }

@@ -97,52 +97,3 @@ val run_detailed :
 (** Like {!run} but also returns the executed instances (in workload
     order) with their final variable stores, computed after the run
     by {!Functional.fill_stores} — the functional-verification path. *)
-
-(** {1 Resident service entry point}
-
-    Used by {!Dssoc_serve.Server}: the workload carries the full
-    materialized arrival schedule, injection/termination are delegated
-    to the {!Engine_core.service} hooks, and the run can be restored
-    from a checkpoint taken at a quiescent instant (empty ready list,
-    nothing in flight, empty admission queues).  At such an instant
-    the only engine state that matters for the future of the run is
-    the virtual clock, the engine PRNG, and the per-handler scheduling
-    horizon — captured in {!resume_state}. *)
-
-type handler_snapshot = { hs_busy_until : int; hs_busy_ns : int; hs_tasks_run : int }
-
-type resume_state = {
-  rs_clock : int;  (** virtual time of the quiescent instant *)
-  rs_prng : int64 * int64 * int64 * int64;  (** {!Dssoc_util.Prng.state} *)
-  rs_handlers : handler_snapshot array;  (** in placement order *)
-}
-
-type service_run = {
-  sr_instances : Task.instance array;
-  sr_stats : Engine_core.wm_stats;
-  sr_fabric : Engine_core.fabric_counters;
-  sr_prng : int64 * int64 * int64 * int64;
-  sr_handlers : handler_snapshot array;
-}
-
-val run_service :
-  ?params:params ->
-  ?obs:Dssoc_obs.Obs.t ->
-  ?resume:resume_state ->
-  config:Dssoc_soc.Config.t ->
-  workload:Dssoc_apps.Workload.t ->
-  policy:Scheduler.policy ->
-  service:(Task.instance array -> Engine_core.service) ->
-  unit ->
-  service_run
-(** Run a resident service over the DES backend.  [workload] must hold
-    every instance the service may ever admit; [service] receives the
-    instantiated instances (ids index this array) and returns the
-    hooks that decide which of them are injected and when.  The
-    instances share one placeholder store (a service reads outputs
-    through {!Functional}).  With [resume] the clock, engine PRNG and handler horizons
-    start from the checkpointed values and the workload manager skips
-    its first tick ([sv_resume] is forced accordingly), reproducing
-    the uninterrupted run's trajectory exactly.  Fault plans are not
-    supported in service mode (their timeline is not checkpointable).
-    @raise Invalid_argument on a PE-count mismatch with [resume]. *)

@@ -10,9 +10,10 @@ module Reference_apps = Dssoc_apps.Reference_apps
 module Core = Dssoc_runtime.Engine_core
 module Task = Dssoc_runtime.Task
 module Scheduler = Dssoc_runtime.Scheduler
-module Virtual_engine = Dssoc_runtime.Virtual_engine
+module Compiled_engine = Dssoc_runtime.Compiled_engine
 module Functional = Dssoc_runtime.Functional
 module Obs = Dssoc_obs.Obs
+module Vec = Dssoc_util.Vec
 
 let ( let* ) = Result.bind
 
@@ -361,12 +362,42 @@ let fingerprint sp =
 (* Internal per-instance state; only the final four survive a drain. *)
 type disp = D_pending | D_queued | D_admitted | D_completed | D_shed | D_timed_out
 
+(* An int ring buffer: an admission queue admits from the front and,
+   under Degrade, sheds from the back.  Degrade can push past the
+   queue bound (the arrival displaces another tenant's instance), so
+   it grows. *)
+module Deque = struct
+  type t = { mutable buf : int array; mutable head : int; mutable len : int }
+
+  let create () = { buf = Array.make 8 0; head = 0; len = 0 }
+  let length q = q.len
+  let slot q k = (q.head + k) land (Array.length q.buf - 1)
+
+  let push q x =
+    if q.len = Array.length q.buf then begin
+      q.buf <- Array.init (2 * q.len) (fun k -> if k < q.len then q.buf.(slot q k) else 0);
+      q.head <- 0
+    end;
+    q.buf.(slot q q.len) <- x;
+    q.len <- q.len + 1
+
+  let pop_front q =
+    let x = q.buf.(q.head) in
+    q.head <- slot q 1;
+    q.len <- q.len - 1;
+    x
+
+  let pop_back q =
+    q.len <- q.len - 1;
+    q.buf.(slot q q.len)
+end
+
 type tstate = {
   ts_spec : tenant_spec;
   ts_slo_ns : int;
   mutable ts_sched : int array;  (* instance ids in tenant arrival order *)
   mutable ts_cursor : int;
-  mutable ts_queue : int list;  (* admission queue, head = oldest *)
+  ts_queue : Deque.t;  (* admission queue, oldest first *)
   mutable ts_offered : int;
   mutable ts_admitted : int;
   mutable ts_completed : int;
@@ -394,7 +425,7 @@ let dispositions_string dispo =
       | D_timed_out -> 'T'
       | D_queued | D_admitted -> 'X' (* impossible at a quiescent instant *))
 
-let checkpoint_json ~fp ~clock ~prng ~(handlers : Virtual_engine.handler_snapshot array)
+let checkpoint_json ~fp ~clock ~prng ~(handlers : Compiled_engine.handler_snapshot array)
     ~(states : tstate array) ~dispo =
   let s0, s1, s2, s3 = prng in
   Json.obj
@@ -407,12 +438,12 @@ let checkpoint_json ~fp ~clock ~prng ~(handlers : Virtual_engine.handler_snapsho
       ( "handlers",
         Json.list
           (Array.to_list handlers
-          |> List.map (fun (h : Virtual_engine.handler_snapshot) ->
+          |> List.map (fun (h : Compiled_engine.handler_snapshot) ->
                  Json.obj
                    [
-                     ("busy_until", Json.int h.Virtual_engine.hs_busy_until);
-                     ("busy_ns", Json.int h.Virtual_engine.hs_busy_ns);
-                     ("tasks_run", Json.int h.Virtual_engine.hs_tasks_run);
+                     ("busy_until", Json.int h.Compiled_engine.hs_busy_until);
+                     ("busy_ns", Json.int h.Compiled_engine.hs_busy_ns);
+                     ("tasks_run", Json.int h.Compiled_engine.hs_tasks_run);
                    ])) );
       ( "tenants",
         Json.list
@@ -486,7 +517,7 @@ let load_checkpoint ~path ~fp ~(states : tstate array) ~dispo =
         let* bn = mem_int "busy_ns" h in
         let* tr = mem_int "tasks_run" h in
         go
-          ({ Virtual_engine.hs_busy_until = bu; hs_busy_ns = bn; hs_tasks_run = tr } :: acc)
+          ({ Compiled_engine.hs_busy_until = bu; hs_busy_ns = bn; hs_tasks_run = tr } :: acc)
           rest
     in
     go [] l
@@ -569,7 +600,7 @@ let load_checkpoint ~path ~fp ~(states : tstate array) ~dispo =
                              from already finished)" path)
     else Ok ()
   in
-  Ok { Virtual_engine.rs_clock = clock; rs_prng = prng; rs_handlers = handlers }
+  Ok { Compiled_engine.rs_clock = clock; rs_prng = prng; rs_handlers = handlers }
 
 (* ------------------------------------------------------------------ *)
 (* Report                                                              *)
@@ -667,7 +698,7 @@ let run ?(obs = Obs.disabled) ?(drain = fun ~now_ns:_ -> false) ?checkpoint ?res
              ts_slo_ns = int_of_float (tn.tn_slo_ms *. 1e6);
              ts_sched = [||];
              ts_cursor = 0;
-             ts_queue = [];
+             ts_queue = Deque.create ();
              ts_offered = 0;
              ts_admitted = 0;
              ts_completed = 0;
@@ -702,7 +733,17 @@ let run ?(obs = Obs.disabled) ?(drain = fun ~now_ns:_ -> false) ?checkpoint ?res
       idx;
     idx
   in
-  let active = ref [] in
+  (* Admitted instances in admission order: completions and time-outs
+     are processed in this order, which the per-tenant digest chains and
+     the event log depend on. *)
+  let active = Vec.create () in
+  let watchdog = adm.ad_timeout_ns > 0 in
+  let deadline i = meta.(i).ar_t + adm.ad_timeout_ns in
+  (* The earliest watchdog deadline over [active] ([max_int] when none)
+     and the engine's completed-instance count at the last harvest: a
+     tick harvests only when one of them says there is work. *)
+  let wd_first = ref max_int in
+  let harvested = ref 0 in
   let final_now = ref 0 in
   let stop_reason = ref Running in
   let workload = workload_of ~duration_ns arrivals in
@@ -731,7 +772,7 @@ let run ?(obs = Obs.disabled) ?(drain = fun ~now_ns:_ -> false) ?checkpoint ?res
       dispo.(i) <- D_shed;
       if Obs.enabled obs then
         Obs.on_tenant_shed obs ~now ~tenant:ts.ts_spec.tn_name ~instance:i
-          ~queue_depth:(List.length ts.ts_queue)
+          ~queue_depth:(Deque.length ts.ts_queue)
     in
     let time_out ~now i =
       let a = meta.(i) in
@@ -742,35 +783,34 @@ let run ?(obs = Obs.disabled) ?(drain = fun ~now_ns:_ -> false) ?checkpoint ?res
         Obs.on_instance_timed_out obs ~now ~tenant:ts.ts_spec.tn_name ~instance:i
           ~age_ns:(now - a.ar_t)
     in
-    (* remove the newest queued instance of [ti] *)
-    let pop_back ts =
-      match List.rev ts.ts_queue with
-      | [] -> None
-      | last :: rev_rest ->
-        ts.ts_queue <- List.rev rev_rest;
-        Some last
+    let enqueue ts i =
+      Deque.push ts.ts_queue i;
+      dispo.(i) <- D_queued
     in
-    let sv_tick (ops : Core.service_ops) ~now =
+    let sv_tick (ops : Compiled_engine.service_ops) ~now =
       (* 1. harvest completions; run the watchdog over admitted work *)
-      active :=
-        List.filter
+      let completed = ops.Compiled_engine.so_completed () in
+      if completed <> !harvested || !wd_first <= now then begin
+        harvested := completed;
+        wd_first := max_int;
+        Vec.filter_in_place
           (fun i ->
             let inst = instances.(i) in
             if inst.Task.completed_at >= 0 then begin
               record_completion i;
               false
             end
-            else if
-              adm.ad_timeout_ns > 0
-              && now >= meta.(i).ar_t + adm.ad_timeout_ns
-              && no_running inst
-            then begin
-              ops.Core.so_cancel inst;
+            else if watchdog && now >= deadline i && no_running inst then begin
+              ops.Compiled_engine.so_cancel inst;
               time_out ~now i;
               false
             end
-            else true)
-          !active;
+            else begin
+              if watchdog then wd_first := min !wd_first (deadline i);
+              true
+            end)
+          active
+      end;
       (* 2. consume due arrivals through admission control *)
       Array.iteri
         (fun ti ts ->
@@ -779,31 +819,23 @@ let run ?(obs = Obs.disabled) ?(drain = fun ~now_ns:_ -> false) ?checkpoint ?res
             let i = ts.ts_sched.(ts.ts_cursor) in
             if meta.(i).ar_t > now then continue_ := false
             else begin
-              let room = List.length ts.ts_queue < adm.ad_queue in
+              let room = Deque.length ts.ts_queue < adm.ad_queue in
               match adm.ad_policy with
               | Block ->
                 if room then begin
                   ts.ts_cursor <- ts.ts_cursor + 1;
                   ts.ts_offered <- ts.ts_offered + 1;
-                  ts.ts_queue <- ts.ts_queue @ [ i ];
-                  dispo.(i) <- D_queued
+                  enqueue ts i
                 end
                 else continue_ := false (* stream stalls until the queue drains *)
               | Shed ->
                 ts.ts_cursor <- ts.ts_cursor + 1;
                 ts.ts_offered <- ts.ts_offered + 1;
-                if room then begin
-                  ts.ts_queue <- ts.ts_queue @ [ i ];
-                  dispo.(i) <- D_queued
-                end
-                else shed_instance ~now ~victim_tenant:ti i
+                if room then enqueue ts i else shed_instance ~now ~victim_tenant:ti i
               | Degrade ->
                 ts.ts_cursor <- ts.ts_cursor + 1;
                 ts.ts_offered <- ts.ts_offered + 1;
-                if room then begin
-                  ts.ts_queue <- ts.ts_queue @ [ i ];
-                  dispo.(i) <- D_queued
-                end
+                if room then enqueue ts i
                 else begin
                   (* displace the newest queued instance of the
                      lowest-priority tenant strictly below ours (first
@@ -813,7 +845,7 @@ let run ?(obs = Obs.disabled) ?(drain = fun ~now_ns:_ -> false) ?checkpoint ?res
                     (fun vi vts ->
                       if
                         vts.ts_spec.tn_priority < ts.ts_spec.tn_priority
-                        && vts.ts_queue <> []
+                        && Deque.length vts.ts_queue > 0
                       then
                         match !victim with
                         | Some best
@@ -823,11 +855,9 @@ let run ?(obs = Obs.disabled) ?(drain = fun ~now_ns:_ -> false) ?checkpoint ?res
                     states;
                   match !victim with
                   | Some vti ->
-                    (match pop_back states.(vti) with
-                    | Some v -> shed_instance ~now ~victim_tenant:vti v
-                    | None -> ());
-                    ts.ts_queue <- ts.ts_queue @ [ i ];
-                    dispo.(i) <- D_queued
+                    shed_instance ~now ~victim_tenant:vti
+                      (Deque.pop_back states.(vti).ts_queue);
+                    enqueue ts i
                   | None -> shed_instance ~now ~victim_tenant:ti i
                 end
             end
@@ -837,27 +867,27 @@ let run ?(obs = Obs.disabled) ?(drain = fun ~now_ns:_ -> false) ?checkpoint ?res
          list has room *)
       let made = ref 0 in
       let continue_ = ref true in
-      while !continue_ && ops.Core.so_ready_live () < adm.ad_max_ready do
+      while !continue_ && ops.Compiled_engine.so_ready_live () < adm.ad_max_ready do
         let picked = ref None in
         Array.iter
-          (fun ti -> if !picked = None && states.(ti).ts_queue <> [] then picked := Some ti)
+          (fun ti ->
+            if !picked = None && Deque.length states.(ti).ts_queue > 0 then picked := Some ti)
           pull_order;
         match !picked with
         | None -> continue_ := false
         | Some ti ->
           let ts = states.(ti) in
-          let i = List.hd ts.ts_queue in
-          ts.ts_queue <- List.tl ts.ts_queue;
-          if adm.ad_timeout_ns > 0 && now >= meta.(i).ar_t + adm.ad_timeout_ns then
-            time_out ~now i
+          let i = Deque.pop_front ts.ts_queue in
+          if watchdog && now >= deadline i then time_out ~now i
           else begin
-            made := !made + ops.Core.so_inject instances.(i);
+            made := !made + ops.Compiled_engine.so_inject instances.(i);
             ts.ts_admitted <- ts.ts_admitted + 1;
             dispo.(i) <- D_admitted;
-            active := !active @ [ i ];
+            Vec.push active i;
+            if watchdog then wd_first := min !wd_first (deadline i);
             if Obs.enabled obs then
               Obs.on_tenant_admitted obs ~now ~tenant:ts.ts_spec.tn_name ~instance:i
-                ~queue_depth:(List.length ts.ts_queue)
+                ~queue_depth:(Deque.length ts.ts_queue)
           end
       done;
       !made
@@ -874,17 +904,21 @@ let run ?(obs = Obs.disabled) ?(drain = fun ~now_ns:_ -> false) ?checkpoint ?res
             if t > now then add t
           end)
         states;
-      if adm.ad_timeout_ns > 0 then
-        List.iter
+      (* The earliest deadline is the answer unless it has passed (an
+         expired instance still has a task running, or expired during
+         this tick): then look for the earliest one still ahead. *)
+      if !wd_first > now then (if !wd_first < max_int then add !wd_first)
+      else
+        Vec.iter
           (fun i ->
-            let e = meta.(i).ar_t + adm.ad_timeout_ns in
+            let e = deadline i in
             if e > now then add e)
-          !active;
+          active;
       !best
     in
-    let sv_finished (ops : Core.service_ops) ~now =
-      let queues_empty = Array.for_all (fun ts -> ts.ts_queue = []) states in
-      let idle = queues_empty && !active = [] in
+    let sv_finished (ops : Compiled_engine.service_ops) ~now =
+      let queues_empty = Array.for_all (fun ts -> Deque.length ts.ts_queue = 0) states in
+      let idle = queues_empty && Vec.is_empty active in
       let all_consumed =
         Array.for_all (fun ts -> ts.ts_cursor >= Array.length ts.ts_sched) states
       in
@@ -895,9 +929,8 @@ let run ?(obs = Obs.disabled) ?(drain = fun ~now_ns:_ -> false) ?checkpoint ?res
       end
       else if
         idle && drain ~now_ns:now
-        && ops.Core.so_ready_live () = 0
-        && ops.Core.so_inflight () = 0
-        && ops.Core.so_retry_empty ()
+        && ops.Compiled_engine.so_ready_live () = 0
+        && ops.Compiled_engine.so_inflight () = 0
       then begin
         final_now := now;
         stop_reason := Drained;
@@ -905,14 +938,14 @@ let run ?(obs = Obs.disabled) ?(drain = fun ~now_ns:_ -> false) ?checkpoint ?res
       end
       else false
     in
-    { Core.sv_tick; sv_next; sv_finished; sv_resume = false }
+    { Compiled_engine.sv_tick; sv_next; sv_finished }
   in
-  let params =
-    { Virtual_engine.seed = sp.sp_seed; jitter = sp.sp_jitter; reservation_depth = 0 }
-  in
+  let params = { Core.seed = sp.sp_seed; jitter = sp.sp_jitter; reservation_depth = 0 } in
   match
-    Virtual_engine.run_service ~params ~obs ?resume ~config:sp.sp_config ~workload
-      ~policy:sp.sp_policy ~service ()
+    let plan =
+      Compiled_engine.compile ~config:sp.sp_config ~workload ~policy:sp.sp_policy ()
+    in
+    Compiled_engine.run_service ~obs ?resume plan params ~service
   with
   | exception Invalid_argument msg -> Error msg
   | sr ->
@@ -922,8 +955,8 @@ let run ?(obs = Obs.disabled) ?(drain = fun ~now_ns:_ -> false) ?checkpoint ?res
       match (drained, checkpoint) with
       | true, Some path ->
         let json =
-          checkpoint_json ~fp ~clock ~prng:sr.Virtual_engine.sr_prng
-            ~handlers:sr.Virtual_engine.sr_handlers ~states ~dispo
+          checkpoint_json ~fp ~clock ~prng:sr.Compiled_engine.sr_prng
+            ~handlers:sr.Compiled_engine.sr_handlers ~states ~dispo
         in
         write_checkpoint ~path json;
         let done_ =

@@ -1,5 +1,7 @@
 (** Emulation-as-a-service: a resident multi-tenant workload server on
-    top of the virtual engine.
+    top of the compiled engine's workload manager
+    ({!Dssoc_runtime.Compiled_engine.run_service}), with any scheduling
+    policy.
 
     Instead of a fixed-count workload, each {e tenant} registers an
     open-loop arrival stream (application mix, Poisson arrival rate,
@@ -22,8 +24,8 @@
 
     A watchdog aborts admitted instances that exceed a configurable
     wall bound with a typed {!Timed_out} disposition: their Ready
-    tasks are withdrawn through the workload manager's lazy-deletion
-    machinery and in-flight attempts drain naturally first.
+    tasks are withdrawn from the workload manager's ready list and
+    in-flight attempts drain naturally first.
 
     {b Checkpoint/restore.}  The server only checkpoints at {e natural
     quiescent instants} — empty ready list, nothing in flight, empty
@@ -127,7 +129,7 @@ val run :
   spec ->
   (outcome, string) result
 (** Run the service to completion (all generated arrivals resolved) on
-    the virtual engine.
+    the compiled engine.
 
     [drain] is polled once per quiescence opportunity; once it returns
     true the server stops at the next quiescent instant and — when

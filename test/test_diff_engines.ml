@@ -18,6 +18,7 @@ module Store = Dssoc_apps.Store
 module Reference_apps = Dssoc_apps.Reference_apps
 module Workload = Dssoc_apps.Workload
 module Obs = Dssoc_obs.Obs
+module Server = Dssoc_serve.Server
 
 let det_engine = Emulator.virtual_seeded ~jitter:0.0 1L
 
@@ -525,6 +526,75 @@ let qtest = QCheck_alcotest.to_alcotest
 
 let policy_of name = Result.get_ok (Scheduler.find name)
 
+(* Two policies outside the built-ins, which the compiled engine calls
+   through their closures.  LIFO_TEST walks the window newest first,
+   each task to the first idle PE that supports it, counting one op per
+   PE examined.  HIGH_PE_TEST walks it oldest first, each task to the
+   highest-indexed idle supporting PE or, on one PRNG draw in four, to
+   the idle supporting PE with the earliest estimated finish; it counts
+   every draw and every PE examined. *)
+let lifo_policy =
+  {
+    Scheduler.name = "LIFO_TEST";
+    schedule =
+      (fun ctx ->
+        let pes = ctx.Scheduler.pes in
+        let out = ref [] in
+        for j = ctx.Scheduler.nready - 1 downto 0 do
+          let t = ctx.Scheduler.ready.(j) in
+          let chosen = ref (-1) in
+          Array.iteri
+            (fun i st ->
+              ctx.Scheduler.ops <- ctx.Scheduler.ops + 1;
+              if !chosen < 0 && st.Scheduler.idle && Task.supports t st.Scheduler.pe then
+                chosen := i)
+            pes;
+          if !chosen >= 0 then begin
+            pes.(!chosen).Scheduler.idle <- false;
+            out := { Scheduler.task = t; pe_index = !chosen } :: !out
+          end
+        done;
+        List.rev !out);
+  }
+
+let high_pe_policy =
+  {
+    Scheduler.name = "HIGH_PE_TEST";
+    schedule =
+      (fun ctx ->
+        let pes = ctx.Scheduler.pes in
+        let out = ref [] in
+        for j = 0 to ctx.Scheduler.nready - 1 do
+          let t = ctx.Scheduler.ready.(j) in
+          let by_finish = Prng.int ctx.Scheduler.prng 4 = 0 in
+          ctx.Scheduler.ops <- ctx.Scheduler.ops + 1;
+          let chosen = ref (-1) and best = ref max_int in
+          for i = Array.length pes - 1 downto 0 do
+            let st = pes.(i) in
+            ctx.Scheduler.ops <- ctx.Scheduler.ops + 1;
+            if st.Scheduler.idle && Task.supports t st.Scheduler.pe then
+              if by_finish then begin
+                let fin =
+                  max ctx.Scheduler.now st.Scheduler.busy_until + ctx.Scheduler.estimate t i
+                in
+                if fin < !best then begin
+                  best := fin;
+                  chosen := i
+                end
+              end
+              else if !chosen < 0 then chosen := i
+          done;
+          if !chosen >= 0 then begin
+            pes.(!chosen).Scheduler.idle <- false;
+            out := { Scheduler.task = t; pe_index = !chosen } :: !out
+          end
+        done;
+        List.rev !out);
+  }
+
+let () = List.iter Scheduler.register [ lifo_policy; high_pe_policy ]
+let custom_policies = [ "LIFO_TEST"; "HIGH_PE_TEST" ]
+
 (* On divergence, show the first differing line rather than two
    multi-thousand-line blobs. *)
 let check_lines_identical label what vtext ctext =
@@ -621,7 +691,7 @@ let test_compiled_exact_replay () =
                   Oracle.check (label ^ "/compiled") ~config ci)
                 matrix_jitters)
             matrix_depths)
-        matrix_policies)
+        (matrix_policies @ custom_policies))
     compiled_scenarios
 
 let test_compiled_plan_purity () =
@@ -919,25 +989,23 @@ let test_placeholder_stores () =
     let next = ref 0 in
     let n = Array.length insts in
     {
-      Engine_core.sv_tick =
+      Compiled.sv_tick =
         (fun ops ~now ->
           let made = ref 0 in
           while !next < n && insts.(!next).Task.arrival_ns <= now do
-            made := !made + ops.Engine_core.so_inject insts.(!next);
+            made := !made + ops.Compiled.so_inject insts.(!next);
             incr next
           done;
           !made);
       sv_next = (fun ~now:_ -> None);
       sv_finished =
         (fun ops ~now:_ ->
-          !next = n && ops.Engine_core.so_ready_live () = 0 && ops.Engine_core.so_inflight () = 0);
-      sv_resume = false;
+          !next = n && ops.Compiled.so_ready_live () = 0 && ops.Compiled.so_inflight () = 0);
     }
   in
-  let sr =
-    Virtual_engine.run_service ~params ~config ~workload:(wl ()) ~policy:Scheduler.frfs ~service ()
-  in
-  let served = sr.Virtual_engine.sr_instances in
+  let plan = Compiled.compile ~config ~workload:(wl ()) ~policy:Scheduler.frfs () in
+  let sr = Compiled.run_service plan params ~service in
+  let served = sr.Compiled.sr_instances in
   Alcotest.(check bool) "service run completes every instance" true
     (Array.for_all (fun (i : Task.instance) -> i.Task.completed_at >= 0) served);
   shared "service run" (Array.to_list (Array.map (fun (i : Task.instance) -> i.Task.store) served));
@@ -1014,7 +1082,7 @@ let test_compiled_obs_parity () =
                     cp.Analyze.cp_length_ns)
                 matrix_jitters)
             matrix_depths)
-        matrix_policies)
+        (matrix_policies @ custom_policies))
     compiled_scenarios
 
 (* ---------------- compiled engine: random-DAG properties ---------------- *)
@@ -1182,6 +1250,94 @@ let qcheck_crit_path_equals_makespan =
         (Obs.to_jsonl (Obs.recorded_events vobs))
         (Obs.to_jsonl (Obs.recorded_events cobs)))
 
+(* A custom policy's unusable assignments are dropped, not committed.
+   BAD_TEST answers FRFS's assignments, then FRFS's first task again, a
+   task on a PE that cannot run it and one on a PE that does not exist.
+   Every task must still run exactly once, identically on both
+   engines. *)
+let test_custom_policy_bad_assignments () =
+  let extras = ref 0 in
+  let bad =
+    {
+      Scheduler.name = "BAD_TEST";
+      schedule =
+        (fun ctx ->
+          let pes = ctx.Scheduler.pes in
+          match Scheduler.frfs.Scheduler.schedule ctx with
+          | [] -> []
+          | first :: _ as good ->
+            let unsupported = ref [] in
+            for j = 0 to ctx.Scheduler.nready - 1 do
+              let t = ctx.Scheduler.ready.(j) in
+              Array.iteri
+                (fun i st ->
+                  if !unsupported = [] && not (Task.supports t st.Scheduler.pe) then
+                    unsupported := [ { Scheduler.task = t; pe_index = i } ])
+                pes
+            done;
+            if !unsupported <> [] then incr extras;
+            good
+            @ [ first; { first with Scheduler.pe_index = Array.length pes } ]
+            @ !unsupported);
+    }
+  in
+  Scheduler.register bad;
+  let config = Config.zcu102_cores_ffts ~cores:2 ~ffts:1 in
+  let wl () =
+    Workload.validation
+      [ (Reference_apps.range_detection (), 3); (Reference_apps.wifi_tx (), 2);
+        (Reference_apps.pulse_doppler (), 1) ]
+  in
+  let tasks = Array.fold_left (fun n (it : Task.instance) -> n + Array.length it.Task.tasks) 0 in
+  let run engine =
+    Result.get_ok (Emulator.run_detailed ~engine ~policy:"BAD_TEST" ~config ~workload:(wl ()) ())
+  in
+  let params = { Engine_core.seed = 5L; jitter = 0.03; reservation_depth = 0 } in
+  let vr, vi = run (Emulator.Virtual params) in
+  let cr, ci = run (Emulator.Compiled params) in
+  Alcotest.(check bool) "the policy made unsupported assignments" true (!extras > 0);
+  List.iter
+    (fun (label, (r : Stats.report), insts) ->
+      let keys =
+        List.map (fun (x : Stats.task_record) -> (x.Stats.instance, x.Stats.node)) r.Stats.records
+      in
+      Alcotest.(check int) (label ^ ": every task ran") (tasks insts) (List.length keys);
+      Alcotest.(check int) (label ^ ": no task ran twice") (List.length keys)
+        (List.length (List.sort_uniq compare keys));
+      Alcotest.(check bool) (label ^ ": completed") true (r.Stats.verdict = Stats.Completed);
+      Oracle.check label ~config insts)
+    [ ("virtual", vr, vi); ("compiled", cr, ci) ];
+  check_csv_identical "bad assignments" (Stats.records_csv vr) (Stats.records_csv cr);
+  Alcotest.(check bool) "same report" true (vr = cr)
+
+(* A resident server with a custom policy runs on the compiled engine's
+   closure call; its report is pinned byte for byte. *)
+let golden_custom_server =
+  {|serve report: clock 8.573 ms, 2 tenants
+tenant           prio  offered  admitted  completed  shed  timeout  thr/ms  p95_ms  slo_ms  slo_miss  verdict       digest
+gold                1       48        48         41     0        7   4.782   1.142   3.000         0  timeout       d68aa67829e77a20aa7644b2a403d424
+bulk                0       64        64         52     0       12   6.066   1.324   5.000         0  timeout       b6583cf1fdc4267d255429ab5f9719ee
+total: offered 112, admitted 112, completed 93, shed 0, timed-out 19
+|}
+
+let test_custom_policy_server () =
+  let ok = function Ok x -> x | Error e -> failwith e in
+  let spec =
+    {
+      Server.sp_config = Config.zcu102_cores_ffts ~cores:3 ~ffts:1;
+      sp_policy = lifo_policy;
+      sp_seed = 7L;
+      sp_jitter = 0.0;
+      sp_duration_ms = 8.0;
+      sp_admission = ok (Server.admission_of_spec "policy=degrade:queue=6:max-ready=12:timeout=2ms");
+      sp_tenants =
+        ok
+          (Server.tenants_of_spec
+             "gold:apps=range_detection+wifi_tx:rate=6:prio=1:slo=3ms;bulk:apps=range_detection:rate=10:slo=5ms");
+    }
+  in
+  Alcotest.(check string) "report" golden_custom_server (Server.render_report (ok (Server.run spec)))
+
 let qcheck_compiled_rejects_faults =
   QCheck.Test.make ~name:"compile rejects fault plans on random DAGs" ~count:10
     QCheck.(make Gen.(int_range 0 10_000))
@@ -1247,6 +1403,9 @@ let () =
           qtest qcheck_compiled_respects_adjacency;
           qtest qcheck_compiled_replays_virtual;
           qtest qcheck_compiled_rejects_faults;
+          Alcotest.test_case "custom policy's unusable assignments dropped" `Quick
+            test_custom_policy_bad_assignments;
+          Alcotest.test_case "server with a custom policy" `Quick test_custom_policy_server;
         ] );
       ( "observability lowering",
         [
