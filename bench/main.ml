@@ -771,7 +771,7 @@ let engine () =
      cost beyond the gate means an emit leaked outside its
      [if traced] guard. *)
   let compiled_traced_name = "fig10/rate3.42/3C+2F/EFT/compiled" in
-  let compiled_baseline_emu_s, compiled_traced_emu_s =
+  let compiled_baseline_emu_s, compiled_traced_emu_s, compiled_events =
     let _, _, config, wl, policy =
       List.find (fun (n, _, _, _, _) -> n = compiled_traced_name) scenarios
     in
@@ -802,6 +802,9 @@ let engine () =
        otherwise dominate the tracing cost being measured. *)
     untraced_once ();
     traced_once ();
+    (* Events one traced emulation records: deterministic for a given
+       build, so CI pins it exactly. *)
+    let events = Obs.Sink.total (Obs.sink obs) in
     let t_untraced = ref 0 and t_traced = ref 0 and runs = ref 0 in
     let target_ns = 2_000_000_000 and min_runs = 5 in
     while !runs < min_runs || !t_untraced + !t_traced < target_ns do
@@ -815,7 +818,7 @@ let engine () =
       incr runs
     done;
     let rate t = float_of_int !runs /. (float_of_int t /. 1e9) in
-    (rate !t_untraced, rate !t_traced)
+    (rate !t_untraced, rate !t_traced, events)
   in
   let compiled_overhead_pct =
     (compiled_baseline_emu_s -. compiled_traced_emu_s) /. compiled_baseline_emu_s *. 100.0
@@ -878,6 +881,7 @@ let engine () =
                     ("null_sink_emulations_per_s", Json.Float compiled_baseline_emu_s);
                     ("full_trace_emulations_per_s", Json.Float compiled_traced_emu_s);
                     ("overhead_pct", Json.Float compiled_overhead_pct);
+                    ("events_per_emulation", Json.Int compiled_events);
                   ] );
             ]))
   else begin
@@ -914,9 +918,10 @@ let engine () =
       baseline_name baseline_emu_s traced_emu_s overhead_pct;
     Printf.printf
       "\nCompiled-engine lowered tracing on %s:\n\
-       untraced %.1f emu/s, full ring sink + metrics %.1f emu/s (%.1f%% overhead).\n"
+       untraced %.1f emu/s, full ring sink + metrics %.1f emu/s (%.1f%% overhead),\n\
+       %d events per traced emulation.\n"
       compiled_traced_name compiled_baseline_emu_s compiled_traced_emu_s
-      compiled_overhead_pct;
+      compiled_overhead_pct compiled_events;
     Printf.printf
       "\nEach run is a complete emulation (instantiation, event loop, statistics);\n\
        emulations/s is the design-space-exploration currency — points evaluated per\n\

@@ -78,6 +78,22 @@ let test_digest_stability () =
   Alcotest.(check bool) "digest_of_parts is injective on part boundaries" true
     (Cache.digest_of_parts [ "ab"; "c" ] <> Cache.digest_of_parts [ "a"; "bc" ])
 
+(* Cache shards written before the deterministic engines were unified
+   must keep serving: a point's digest still hashes the engine name the
+   user asked for, and its recipe is unchanged.  Pinned for a faulted
+   fig9 point on both engine names. *)
+let test_digest_pinned () =
+  let fault =
+    Result.get_ok (Fault.of_spec ~seed:7L "accel:dma:p=0.1,*:transient:p=0.05:recover=0.2ms")
+  in
+  let g = { (Dssoc_explore.Presets.fig9 ~replicates:2 ()) with Grid.fault = Some fault } in
+  let p = (Grid.points g).(3) in
+  List.iter
+    (fun (engine, want) ->
+      Alcotest.(check string) (Sweep.engine_name engine) want
+        (Sweep.point_digest ~engine ~code_rev:"r1" g p))
+    [ (`Virtual, "3451eb87db55ab89f4bdf3758afee477"); (`Compiled, "b093cb2b18e0f4ace30b119e6b8d609e") ]
+
 (* The v2 digest must separate rows by interconnect: an Ideal-fabric
    point and a Bus-fabric point of the otherwise identical grid may
    not share a cache entry, and distinct bus parameters may not share
@@ -472,6 +488,7 @@ let () =
         [
           Alcotest.test_case "stability and sensitivity" `Quick test_digest_stability;
           Alcotest.test_case "fabric separates rows" `Quick test_digest_fabric_conflict;
+          Alcotest.test_case "pinned recipe" `Quick test_digest_pinned;
           Alcotest.test_case "row codec round-trip" `Quick test_row_codec_roundtrip;
         ] );
       ( "cache",

@@ -263,6 +263,32 @@ let test_sweep_row_allocation () =
   bounded "major" major 8e6;
   bounded "minor" minor 7e6
 
+(* A faulted fig9 campaign: the 0-FFT points cannot host the plan's
+   [accel:] rule and record [aborted] rows, the others run resiliently.
+   The CSV is pinned to its MD5 as captured before the deterministic
+   engines were unified. *)
+let test_sweep_faulted_fig9_pinned () =
+  let fault =
+    Result.get_ok
+      (Dssoc_fault.Fault.of_spec ~seed:7L "accel:dma:p=0.1,*:transient:p=0.05:recover=0.2ms")
+  in
+  let grid = { (Presets.fig9 ~replicates:2 ()) with Grid.fault = Some fault } in
+  List.iter
+    (fun engine ->
+      let t, _ = Sweep.run_stats ~jobs:1 ~engine grid in
+      let aborted =
+        List.length
+          (List.filter
+             (fun (r : Sweep.row) ->
+               match r.Sweep.verdict with Dssoc_runtime.Stats.Aborted _ -> true | _ -> false)
+             t.Sweep.rows)
+      in
+      let name = Sweep.engine_name engine in
+      Alcotest.(check int) (name ^ ": the 0-FFT points abort") 6 aborted;
+      Alcotest.(check string) (name ^ ": CSV") "263a777de7df50215ec08c4eca7b92b0"
+        (Digest.to_hex (Digest.string (Sweep.to_csv t))))
+    [ `Virtual ]
+
 let test_summarize_counts () =
   let g = small_grid ~jitter:0.01 ~replicates:4 () in
   let t = Sweep.run ~jobs:2 g in
@@ -316,6 +342,7 @@ let () =
           Alcotest.test_case "compiled plan memo rechecks the config" `Quick
             test_sweep_compiled_plan_not_reused_across_configs;
           Alcotest.test_case "row allocation is bounded" `Quick test_sweep_row_allocation;
+          Alcotest.test_case "faulted fig9 CSV pinned" `Slow test_sweep_faulted_fig9_pinned;
           Alcotest.test_case "summarize" `Slow test_summarize_counts;
           Alcotest.test_case "presets" `Quick test_presets;
         ] );
