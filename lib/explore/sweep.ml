@@ -281,30 +281,22 @@ let compiled_result ?counters ~obs (grid : Grid.t) (p : Grid.point) =
   in
   match
     let plan =
-      match grid.Grid.fault with
-      | Some fault ->
-        (* Outside the replay contract: let [compile] reject it so the
-           sweep reports the same error a per-point [Emulator.run]
-           would have. *)
-        Compiled_engine.compile ~fault ~config:p.Grid.config ~workload:p.Grid.workload
-          ~policy:(policy ()) ()
-      | None -> (
-        let memo = Domain.DLS.get plan_memo in
-        let key = (p.Grid.config_label, p.Grid.policy, p.Grid.wl_label) in
-        match Hashtbl.find_opt memo key with
-        | Some (cfg, wl, plan) when cfg == p.Grid.config && wl == p.Grid.workload ->
-          bump (fun c -> c.c_plan_reuses);
-          plan
-        | _ ->
-          let plan =
-            Compiled_engine.compile ~config:p.Grid.config ~workload:p.Grid.workload
-              ~policy:(policy ()) ()
-          in
-          bump (fun c -> c.c_plan_compiles);
-          Hashtbl.replace memo key (p.Grid.config, p.Grid.workload, plan);
-          plan)
+      let memo = Domain.DLS.get plan_memo in
+      let key = (p.Grid.config_label, p.Grid.policy, p.Grid.wl_label) in
+      match Hashtbl.find_opt memo key with
+      | Some (cfg, wl, plan) when cfg == p.Grid.config && wl == p.Grid.workload ->
+        bump (fun c -> c.c_plan_reuses);
+        plan
+      | _ ->
+        let plan =
+          Compiled_engine.compile ~config:p.Grid.config ~workload:p.Grid.workload
+            ~policy:(policy ()) ()
+        in
+        bump (fun c -> c.c_plan_compiles);
+        Hashtbl.replace memo key (p.Grid.config, p.Grid.workload, plan);
+        plan
     in
-    Compiled_engine.run ~obs plan
+    Compiled_engine.run ~obs ?fault:grid.Grid.fault plan
       {
         Engine_core.seed = p.Grid.seed;
         jitter = grid.Grid.jitter;
@@ -312,7 +304,6 @@ let compiled_result ?counters ~obs (grid : Grid.t) (p : Grid.point) =
       }
   with
   | report -> Ok report
-  | exception Compiled_engine.Unsupported msg -> Error msg
   | exception Invalid_argument msg -> Error msg
 
 let aborted_row (p : Grid.point) msg =

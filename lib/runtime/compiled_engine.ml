@@ -7,8 +7,7 @@ module Workload = Dssoc_apps.Workload
 module Prng = Dssoc_util.Prng
 module Obs = Dssoc_obs.Obs
 module Core = Engine_core
-
-exception Unsupported of string
+module Fault = Dssoc_fault.Fault
 
 (* The compiled engine replays the virtual engine's event sequence
    exactly: both run on [Des], so the event heap, host-core sharing and
@@ -49,15 +48,7 @@ let pcode_of (policy : Scheduler.policy) =
 (* Compilation                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let compile ?fault ~(config : Config.t) ~(workload : Workload.t)
-    ~(policy : Scheduler.policy) () =
-  (match fault with
-  | Some _ ->
-    raise
-      (Unsupported
-         "fault plans are outside the compiled engine's replay contract (use the \
-          virtual or native engine)")
-  | None -> ());
+let compile ~(config : Config.t) ~(workload : Workload.t) ~(policy : Scheduler.policy) () =
   let model = Exec_model.lower ~engine_name:"Compiled_engine.compile" ~config workload in
   {
     p_config = config;
@@ -110,7 +101,7 @@ let sched_window = Cost_model.sched_examined_cap
 (* One run of the machine.  [service] replaces the fixed-workload
    injection drain and termination test with the hooks; [resume]
    starts the clock and the per-PE horizons from a checkpoint. *)
-let exec ~obs ~service ~resume ~prng plan (params : Core.params) instances =
+let exec ~obs ~fault ~service ~resume ~prng plan (params : Core.params) instances =
   let config = plan.p_config in
   let model = plan.p_model in
   let n_pes = model.Exec_model.n_pes in
@@ -140,6 +131,8 @@ let exec ~obs ~service ~resume ~prng plan (params : Core.params) instances =
         h.Core.h_busy_ns <- s.hs_busy_ns;
         h.Core.h_tasks_run <- s.hs_tasks_run)
       handlers);
+  let fault = Core.compile_fault fault ~handlers in
+  let fault_on = Fault.enabled fault in
   let stats = Core.make_stats () in
   (* A resident service never reads per-task records and would grow
      the list without bound; its aggregates live in the service. *)
@@ -171,9 +164,12 @@ let exec ~obs ~service ~resume ~prng plan (params : Core.params) instances =
   let sl_task : Task.t array ref = ref [||] in
   let sl_nxt = ref [||] and sl_prv = ref [||] in
   let sl_free = ref [||] and n_free = ref 0 and n_slots = ref 0 in
+  (* Under a fault plan, each slot's position in the reference FIFO
+     (see [make_ready]). *)
+  let sl_pos = ref [||] in
   let rl_head = ref (-1) in
   let rl_tail = ref (-1) in
-  let rl_append (t : Task.t) =
+  let rl_alloc (t : Task.t) =
     let sl =
       if !n_free > 0 then begin
         decr n_free;
@@ -192,6 +188,7 @@ let exec ~obs ~service ~resume ~prng plan (params : Core.params) instances =
           sl_task := grow !sl_task t;
           sl_nxt := grow !sl_nxt (-1);
           sl_prv := grow !sl_prv (-1);
+          if fault_on then sl_pos := grow !sl_pos 0;
           sl_free := Array.make cap 0
         end;
         incr n_slots;
@@ -199,10 +196,15 @@ let exec ~obs ~service ~resume ~prng plan (params : Core.params) instances =
       end
     in
     !sl_task.(sl) <- t;
-    if !rl_tail < 0 then rl_head := sl else !sl_nxt.(!rl_tail) <- sl;
-    !sl_prv.(sl) <- !rl_tail;
-    !sl_nxt.(sl) <- -1;
-    rl_tail := sl
+    sl
+  in
+  (* Link slot [sl] in before slot [next] ([-1]: at the tail). *)
+  let rl_link sl next =
+    let p = if next < 0 then !rl_tail else !sl_prv.(next) in
+    !sl_prv.(sl) <- p;
+    !sl_nxt.(sl) <- next;
+    if p < 0 then rl_head := sl else !sl_nxt.(p) <- sl;
+    if next < 0 then rl_tail := sl else !sl_prv.(next) <- sl
   in
   let rl_unlink sl =
     let p = !sl_prv.(sl) and n = !sl_nxt.(sl) in
@@ -210,6 +212,40 @@ let exec ~obs ~service ~resume ~prng plan (params : Core.params) instances =
     if n >= 0 then !sl_prv.(n) <- p else rl_tail := p;
     !sl_free.(!n_free) <- sl;
     incr n_free
+  in
+  (* The reference ready list is a FIFO of entries that deletes lazily:
+     every make_ready pushes an entry, and stale entries leave only from
+     the head, when a scheduling round starts.  A task that becomes
+     Ready again (a retry, or a drained reservation) therefore sits at
+     its earliest entry still in the FIFO, not at the tail.  Under a
+     fault plan — the only way a task becomes Ready twice — the list
+     keeps that order: [fifo_pos] numbers the entries, [fifo_head] is
+     the FIFO's head as of the last scheduling round, [entries] keeps
+     each task's entry positions from the head on, and a revived task
+     is linked in before the first task with a later position. *)
+  let fifo_pos = ref 0 and fifo_head = ref 0 in
+  let entries =
+    if fault_on then
+      Array.make (Array.fold_left (fun n (i : Task.instance) -> n + Array.length i.Task.tasks) 0 instances) []
+    else [||]
+  in
+  let rl_insert (t : Task.t) =
+    let pos = !fifo_pos in
+    incr fifo_pos;
+    let live = List.filter (fun e -> e >= !fifo_head) entries.(t.Task.id) in
+    entries.(t.Task.id) <- live @ [ pos ];
+    let sl = rl_alloc t in
+    match live with
+    | [] ->
+      !sl_pos.(sl) <- pos;
+      rl_link sl (-1)
+    | first :: _ ->
+      !sl_pos.(sl) <- first;
+      let next = ref !rl_head in
+      while !next >= 0 && !sl_pos.(!next) < first do
+        next := !sl_nxt.(!next)
+      done;
+      rl_link sl !next
   in
   (* The slot of a Ready task, for the callers that hold only the task
      (a custom policy's assignment, a cancellation): a walk from the
@@ -240,6 +276,8 @@ let exec ~obs ~service ~resume ~prng plan (params : Core.params) instances =
   let idle = Array.make (max 1 n_pes) false in
   let avail = Array.make (max 1 n_pes) 0 in
   let cand = Array.make (max 1 n_pes) 0 in
+  (* Under a fault plan, whether each PE may take work this round. *)
+  let pe_up = Array.make (max 1 n_pes) true in
   (* One invocation's assignments, in the policy's order.  A custom
      policy may return more than one per PE (the dispatch loop drops
      the unusable ones). *)
@@ -261,12 +299,17 @@ let exec ~obs ~service ~resume ~prng plan (params : Core.params) instances =
   let make_ready (t : Task.t) =
     t.Task.status <- Task.Ready;
     t.Task.ready_at <- !now;
-    rl_append t;
+    if fault_on then rl_insert t else rl_link (rl_alloc t) (-1);
     incr ready_live;
     if traced then
       Obs.on_task_ready obs ~now:t.Task.ready_at ~task:t.Task.id
         ~instance:t.Task.instance_id ~app:t.Task.app_name
         ~node:t.Task.node.App_spec.node_name ~ready_depth:!ready_live
+  in
+  (* The resilient-dispatch bookkeeping is the reference engine's own. *)
+  let res =
+    Core.resilience ~fault ~obs ~stats ~handlers ~instances ~inflight ~make_ready ~lock:ignore
+      ~unlock:ignore
   in
   (* Capabilities handed to a service.  Cancelling withdraws the
      instance's Ready tasks from the ready list; its successors are
@@ -300,6 +343,8 @@ let exec ~obs ~service ~resume ~prng plan (params : Core.params) instances =
   let rm_pc = Array.make (max 1 n_pes) 0 in
   let rm_task : Task.t option array = Array.make (max 1 n_pes) None in
   let rm_started = Array.make (max 1 n_pes) 0 in
+  (* A slowed attempt's extra PE time, slept after its execution. *)
+  let rm_tail = Array.make (max 1 n_pes) 0 in
   (* Start of the current accelerator phase, for traced Phase spans. *)
   let rm_ph0 = Array.make (max 1 n_pes) 0 in
   let rm_cur i =
@@ -320,14 +365,28 @@ let exec ~obs ~service ~resume ~prng plan (params : Core.params) instances =
           ~depth:(Queue.length h.Core.h_pending);
       rm_task.(i) <- Some task;
       rm_started.(i) <- !now;
-      let c = cls task and row = row task i in
-      if plan.p_pe_is_cpu.(i) then rm_work i (jit c.Exec_model.est.(row)) 2
+      if not fault_on then rm_exec i task
       else begin
-        if traced then rm_ph0.(i) <- !now;
-        let dem = c.Exec_model.demand_in.(row) in
-        if dem < 0 then rm_work i (jit c.Exec_model.dma_in.(row)) 3
-        else rm_then i 6 (Des.stream des i ~bytes:c.Exec_model.bytes_in.(row) (jit dem))
+        (* A failing attempt never executes, so it draws no jitter. *)
+        match
+          Core.decide_attempt ~fault ~obs h task ~now:!now
+            ~est_ns:(cls task).Exec_model.est.(row task i)
+        with
+        | Fault.Proceed -> rm_exec i task
+        | Fault.Proceed_slow extra_ns ->
+          rm_tail.(i) <- extra_ns;
+          rm_exec i task
+        | Fault.Fail { after_ns; _ } -> rm_then i 8 (Des.sleep des i after_ns)
       end
+  and rm_exec i task =
+    let c = cls task and row = row task i in
+    if plan.p_pe_is_cpu.(i) then rm_work i (jit c.Exec_model.est.(row)) 2
+    else begin
+      if traced then rm_ph0.(i) <- !now;
+      let dem = c.Exec_model.demand_in.(row) in
+      if dem < 0 then rm_work i (jit c.Exec_model.dma_in.(row)) 3
+      else rm_then i 6 (Des.stream des i ~bytes:c.Exec_model.bytes_in.(row) (jit dem))
+    end
   and rm_work i ns pc = rm_then i pc (Des.work des i ns)
   and rm_acc_after_in i =
     let task = rm_cur i in
@@ -350,26 +409,35 @@ let exec ~obs ~service ~resume ~prng plan (params : Core.params) instances =
   and rm_fab_fix i fix pc =
     (* Fixed chunk/hop latency after the shared-link service. *)
     rm_then i pc (Des.sleep des i fix)
+  and rm_executed i =
+    let extra = rm_tail.(i) in
+    if extra > 0 then begin
+      rm_tail.(i) <- 0;
+      rm_then i 8 (Des.sleep des i extra)
+    end
+    else rm_finish i
   and rm_finish i =
     let task = rm_cur i in
     let h = handlers.(i) in
     task.Task.completed_at <- !now;
+    (* Every attempt occupied the PE; only successes count as run. *)
     h.Core.h_busy_ns <- h.Core.h_busy_ns + (!now - rm_started.(i));
-    h.Core.h_tasks_run <- h.Core.h_tasks_run + 1;
+    if task.Task.last_failure = None then h.Core.h_tasks_run <- h.Core.h_tasks_run + 1;
     Queue.add task h.Core.h_completed;
     Des.signal des wm_th;
     rm_drain i
   and rm_goto i pc =
     match pc with
     | 1 -> rm_wake i
-    | 2 -> rm_finish i
+    | 2 -> rm_executed i
     | 5 ->
       if traced then begin
         let task = rm_cur i in
         Obs.on_phase obs ~now:!now ~task:task.Task.id ~pe_index:i
           ~phase:Obs.Dma_out ~start_ns:rm_ph0.(i) ~dur_ns:(!now - rm_ph0.(i))
       end;
-      rm_finish i
+      rm_executed i
+    | 8 -> rm_finish i
     | 3 -> rm_acc_after_in i
     | 4 -> rm_acc_after_comp i
     | 6 ->
@@ -380,8 +448,8 @@ let exec ~obs ~service ~resume ~prng plan (params : Core.params) instances =
       rm_fab_fix i (cls task).Exec_model.fixed_out.(row task i) 5
     | _ -> assert false
   in
-  (* ---- workload-manager thread (engine_core.workload_manager,
-     fault off; observability lowered at the same protocol points) ---- *)
+  (* ---- workload-manager thread (engine_core.workload_manager;
+     observability lowered at the same protocol points) ---- *)
   let rec wm_then pc suspended = if suspended then wm_pc := pc else wm_goto pc
   and wm_charge ns pc =
     let c = scale ns in
@@ -392,6 +460,8 @@ let exec ~obs ~service ~resume ~prng plan (params : Core.params) instances =
       tick_completions := 0;
       tick_injected := 0
     end;
+    (* Planned deaths take effect before any dispatch of the tick. *)
+    if fault_on then Core.sweep_deaths res ~now:!now;
     wm_charge (Cost_model.monitor_per_pe_ns *. float_of_int n_pes) 10
   and wm_sweep_start () =
     sw_hi := 0;
@@ -410,49 +480,52 @@ let exec ~obs ~service ~resume ~prng plan (params : Core.params) instances =
       | Some task ->
         h.Core.h_inflight <- h.Core.h_inflight - 1;
         decr inflight;
-        if traced then begin
-          incr tick_completions;
-          Obs.on_task_completed obs ~now:task.Task.completed_at ~task:task.Task.id
-            ~instance:task.Task.instance_id ~app:task.Task.app_name
-            ~node:task.Task.node.App_spec.node_name ~pe:task.Task.pe_label
-            ~pe_index:h.Core.h_index
-            ~service_ns:(task.Task.completed_at - task.Task.dispatched_at)
-            ~pe_depth:h.Core.h_inflight ~inflight:!inflight
-        end;
-        task.Task.status <- Task.Done;
-        if records then
-          stats.Core.records <-
-            {
-              Stats.app = task.Task.app_name;
-              instance = task.Task.instance_id;
-              node = task.Task.node.App_spec.node_name;
-              pe = task.Task.pe_label;
-              ready_ns = task.Task.ready_at;
-              dispatched_ns = task.Task.dispatched_at;
-              completed_ns = task.Task.completed_at;
-            }
-            :: stats.Core.records;
-        let inst = instances.(task.Task.instance_id) in
-        let newly = ref 0 in
-        if not inst.Task.cancelled then begin
-          inst.Task.remaining <- inst.Task.remaining - 1;
-          if inst.Task.remaining = 0 then begin
-            inst.Task.completed_at <- !now;
-            decr unfinished
-          end;
-          List.iter
-            (fun (succ : Task.t) ->
-              succ.Task.unmet <- succ.Task.unmet - 1;
-              if succ.Task.unmet = 0 then begin
-                make_ready succ;
-                incr newly
-              end)
-            task.Task.successors
-        end;
-        if !newly > 0 then
-          wm_charge (Cost_model.ready_update_per_task_ns *. float_of_int !newly) 11
-        else wm_after_completion ()
+        if fault_on && Core.handle_failure res h task ~now:!now then wm_after_completion ()
+        else wm_completed h task
     end
+  and wm_completed h task =
+    if traced then begin
+      incr tick_completions;
+      Obs.on_task_completed obs ~now:task.Task.completed_at ~task:task.Task.id
+        ~instance:task.Task.instance_id ~app:task.Task.app_name
+        ~node:task.Task.node.App_spec.node_name ~pe:task.Task.pe_label
+        ~pe_index:h.Core.h_index
+        ~service_ns:(task.Task.completed_at - task.Task.dispatched_at)
+        ~pe_depth:h.Core.h_inflight ~inflight:!inflight
+    end;
+    task.Task.status <- Task.Done;
+    if records then
+      stats.Core.records <-
+        {
+          Stats.app = task.Task.app_name;
+          instance = task.Task.instance_id;
+          node = task.Task.node.App_spec.node_name;
+          pe = task.Task.pe_label;
+          ready_ns = task.Task.ready_at;
+          dispatched_ns = task.Task.dispatched_at;
+          completed_ns = task.Task.completed_at;
+        }
+        :: stats.Core.records;
+    let inst = instances.(task.Task.instance_id) in
+    let newly = ref 0 in
+    if not inst.Task.cancelled then begin
+      inst.Task.remaining <- inst.Task.remaining - 1;
+      if inst.Task.remaining = 0 then begin
+        inst.Task.completed_at <- !now;
+        decr unfinished
+      end;
+      List.iter
+        (fun (succ : Task.t) ->
+          succ.Task.unmet <- succ.Task.unmet - 1;
+          if succ.Task.unmet = 0 then begin
+            make_ready succ;
+            incr newly
+          end)
+        task.Task.successors
+    end;
+    if !newly > 0 then
+      wm_charge (Cost_model.ready_update_per_task_ns *. float_of_int !newly) 11
+    else wm_after_completion ()
   and wm_after_completion () =
     if handlers.(!sw_hi).Core.h_capacity <= 1 then do_schedule 0
     else begin
@@ -461,13 +534,21 @@ let exec ~obs ~service ~resume ~prng plan (params : Core.params) instances =
     end
   and do_schedule ret =
     ds_ret := ret;
+    if fault_on then begin
+      (* The reference pops the stale entries ahead of its first Ready
+         one as a round starts. *)
+      fifo_head := if !rl_head >= 0 then !sl_pos.(!rl_head) else !fifo_pos;
+      for i = 0 to n_pes - 1 do
+        pe_up.(i) <- Core.pe_ok res handlers.(i) ~now:!now
+      done
+    end;
     let n_idle = ref 0 in
     for i = 0 to n_pes - 1 do
-      let b = handlers.(i).Core.h_inflight < handlers.(i).Core.h_capacity in
+      let b = handlers.(i).Core.h_inflight < handlers.(i).Core.h_capacity && pe_up.(i) in
       idle.(i) <- b;
       if b then incr n_idle
     done;
-    if !ready_live = 0 || !n_idle = 0 then ds_end ()
+    if stats.Core.aborted <> None || !ready_live = 0 || !n_idle = 0 then ds_end ()
     else begin
       let ready_len = !ready_live in
       let nready = if ready_len < sched_window then ready_len else sched_window in
@@ -566,7 +647,7 @@ let exec ~obs ~service ~resume ~prng plan (params : Core.params) instances =
         let best = ref (-1) and best_fin = ref 0 in
         for i = 0 to n_pes - 1 do
           let e = est.(row + i) in
-          if e <> min_int then begin
+          if e <> min_int && pe_up.(i) then begin
             let fin = max now_v avail.(i) + e in
             if !best < 0 || fin < !best_fin then begin
               best := i;
@@ -647,6 +728,7 @@ let exec ~obs ~service ~resume ~prng plan (params : Core.params) instances =
       done;
       for i = 0 to n_pes - 1 do
         let st = cx_pes.(i) in
+        st.Scheduler.available <- pe_up.(i);
         st.Scheduler.idle <- idle.(i);
         st.Scheduler.busy_until <- handlers.(i).Core.h_busy_until
       done;
@@ -675,18 +757,20 @@ let exec ~obs ~service ~resume ~prng plan (params : Core.params) instances =
     wm_dispatch_next ()
   and wm_dispatch_next () =
     if !ds_pos >= !as_n then ds_end ()
-    else if custom && not (dispatchable !ds_pos) then begin
+    else if (custom || fault_on) && not (dispatchable !ds_pos) then begin
       incr ds_pos;
       wm_dispatch_next ()
     end
     else wm_charge Cost_model.dispatch_per_task_ns 13
   (* A custom policy's assignment is dropped, uncharged, unless its
      task is still Ready (not listed twice) and its PE exists and
-     supports it. *)
+     supports it; under a fault plan, any assignment is, unless its PE
+     can still take work now. *)
   and dispatchable j =
     let task = !as_task.(j) and pi = !as_pe.(j) in
     task.Task.status = Task.Ready && pi >= 0 && pi < n_pes
     && (cls task).Exec_model.est.(row task pi) <> min_int
+    && ((not fault_on) || Core.usable res handlers.(pi) ~now:!now)
   and wm_dispatch_commit () =
     let j = !ds_pos in
     let task = !as_task.(j) and pi = !as_pe.(j) in
@@ -719,8 +803,11 @@ let exec ~obs ~service ~resume ~prng plan (params : Core.params) instances =
     match !ds_ret with
     | 0 -> wm_sweep_cont ()
     | 1 -> wm_inject ()
+    | 2 -> wm_fault_tail ()
     | _ -> wm_tick_tail ()
   and wm_inject () =
+    if stats.Core.aborted <> None then wm_fault_tail ()
+    else
     match service with
     | Some sv ->
       let injected = sv.sv_tick ops ~now:!now in
@@ -749,8 +836,10 @@ let exec ~obs ~service ~resume ~prng plan (params : Core.params) instances =
   and wm_injected injected =
     if injected > 0 then
       wm_charge (Cost_model.ready_update_per_task_ns *. float_of_int injected) 14
-    else wm_tick_tail ()
+    else wm_fault_tail ()
   and wm_after_inject () = do_schedule 2
+  and wm_fault_tail () =
+    if fault_on && Core.fault_tick res ~now:!now then do_schedule 3 else wm_tick_tail ()
   and wm_tick_tail () =
     Des.sample_depth des;
     if traced then
@@ -761,7 +850,8 @@ let exec ~obs ~service ~resume ~prng plan (params : Core.params) instances =
       | Some sv -> sv.sv_finished ops ~now:!now
       | None -> !unfinished = 0 && !pending_idx >= n_items
     in
-    if finished then
+    (* An aborted run stops once in-flight work has drained. *)
+    if finished || (stats.Core.aborted <> None && !inflight = 0) then
       Array.iter
         (fun (h : unit Core.handler) ->
           h.Core.h_stop <- true;
@@ -769,16 +859,23 @@ let exec ~obs ~service ~resume ~prng plan (params : Core.params) instances =
         handlers
     else wm_await ()
   and wm_await () =
-    wm_then 15
-      (match service with
-      | None ->
-        if !pending_idx < n_items then
-          Des.await_until des wm_th instances.(!pending_idx).Task.arrival_ns
-        else Des.await des wm_th
-      | Some sv -> (
-        match sv.sv_next ~now:!now with
-        | Some t -> Des.await_until des wm_th t
-        | None -> Des.await des wm_th))
+    match service with
+    | None when not fault_on ->
+      wm_then 15
+        (if !pending_idx < n_items then
+           Des.await_until des wm_th instances.(!pending_idx).Task.arrival_ns
+         else Des.await des wm_th)
+    | None ->
+      wm_await_until
+        (Core.wm_deadline res
+           (if !pending_idx < n_items then Some instances.(!pending_idx).Task.arrival_ns
+            else None))
+    | Some sv ->
+      let next = sv.sv_next ~now:!now in
+      wm_await_until (if fault_on then Core.wm_deadline res next else next)
+  and wm_await_until = function
+    | Some t -> wm_then 15 (Des.await_until des wm_th t)
+    | None -> wm_then 15 (Des.await des wm_th)
   and wm_goto pc =
     match pc with
     | 10 -> wm_sweep_start ()
@@ -803,23 +900,25 @@ let exec ~obs ~service ~resume ~prng plan (params : Core.params) instances =
     ~on_resume:(fun th -> if th = wm_th then wm_goto !wm_pc else rm_goto th rm_pc.(th));
   (handlers, stats, des)
 
-let run_timed ~obs plan (params : Core.params) instances =
+let run_timed ~obs ~fault plan (params : Core.params) instances =
   let prng = Prng.create ~seed:params.Core.seed in
-  let handlers, stats, des = exec ~obs ~service:None ~resume:None ~prng plan params instances in
+  let handlers, stats, des =
+    exec ~obs ~fault ~service:None ~resume:None ~prng plan params instances
+  in
   let config = plan.p_config in
   Core.report ~host_name:config.Config.host.Host.name ~config ~policy:plan.p_policy
     ~handlers ~instances ~stats ~fabric:(Des.counters des)
 
-let run ?(obs = Obs.disabled) plan params =
-  run_timed ~obs plan params (Exec_model.instantiate plan.p_model ~fresh_stores:false)
+let run ?(obs = Obs.disabled) ?fault plan params =
+  run_timed ~obs ~fault plan params (Exec_model.instantiate plan.p_model ~fresh_stores:false)
 
-let run_detailed ?(obs = Obs.disabled) plan params =
+let run_detailed ?(obs = Obs.disabled) ?fault plan params =
   let instances = Exec_model.instantiate plan.p_model ~fresh_stores:true in
-  let report = run_timed ~obs plan params instances in
+  let report = run_timed ~obs ~fault plan params instances in
   Functional.fill_stores ~pes:(Array.to_list plan.p_model.Exec_model.pes) instances;
   (report, instances)
 
-let run_service ?(obs = Obs.disabled) ?resume plan (params : Core.params) ~service =
+let run_service ?(obs = Obs.disabled) ?fault ?resume plan (params : Core.params) ~service =
   let prng =
     match resume with
     | Some r -> Prng.of_state r.rs_prng
@@ -827,7 +926,7 @@ let run_service ?(obs = Obs.disabled) ?resume plan (params : Core.params) ~servi
   in
   let instances = Exec_model.instantiate plan.p_model ~fresh_stores:false in
   let handlers, _, _ =
-    exec ~obs ~service:(Some (service instances)) ~resume ~prng plan params instances
+    exec ~obs ~fault ~service:(Some (service instances)) ~resume ~prng plan params instances
   in
   {
     sr_instances = instances;

@@ -45,12 +45,7 @@
 
 type plan
 
-exception Unsupported of string
-(** Raised by {!val:compile} for a fault plan, the one input outside
-    the compiled engine's replay contract. *)
-
 val compile :
-  ?fault:Dssoc_fault.Fault.plan ->
   config:Dssoc_soc.Config.t ->
   workload:Dssoc_apps.Workload.t ->
   policy:Scheduler.policy ->
@@ -60,21 +55,26 @@ val compile :
     internal scratch buffers: it can be kept, reused and interleaved
     with other plans — every {!val:run} starts from fresh instances.
     Observability is a per-run concern ([?obs] on {!val:run} /
-    {!val:run_detailed}), not a compile-time one.
-    @raise Unsupported for a fault plan.
+    {!val:run_detailed}), and so is a fault plan: a plan stays a pure
+    function of the triple.
     @raise Invalid_argument when some task supports no PE of the
     configuration or its kernel does not resolve on one of them (same
     validation as the reference engines), or when a fabric latency
     overflows ({!Dssoc_soc.Fabric.fixed_ns}). *)
 
-val run : ?obs:Dssoc_obs.Obs.t -> plan -> Engine_core.params -> Stats.report
+val run :
+  ?obs:Dssoc_obs.Obs.t -> ?fault:Dssoc_fault.Fault.plan -> plan -> Engine_core.params -> Stats.report
 (** Execute one emulation of the plan: instantiate fresh instances,
-    replay the workload-manager protocol, assemble the report exactly
-    as the virtual engine would.  With [?obs], also emit the virtual
-    engine's exact event log and metrics. *)
+    run the workload-manager protocol, assemble the report.  With
+    [?obs], also emit the event log and metrics.  [fault] (default
+    none) injects the plan's deterministic fault schedule and turns on
+    resilient dispatch; the report's [verdict] and [resilience] fields
+    record the outcome.
+    @raise Invalid_argument when a fault rule targets no PE. *)
 
 val run_detailed :
   ?obs:Dssoc_obs.Obs.t ->
+  ?fault:Dssoc_fault.Fault.plan ->
   plan ->
   Engine_core.params ->
   Stats.report * Task.instance array
@@ -140,6 +140,7 @@ type service_run = {
 
 val run_service :
   ?obs:Dssoc_obs.Obs.t ->
+  ?fault:Dssoc_fault.Fault.plan ->
   ?resume:resume_state ->
   plan ->
   Engine_core.params ->

@@ -27,12 +27,10 @@ let run ?(engine = Virtual Engine_core.default_params) ?(policy = "FRFS") ?obs ?
         | Native params ->
           Native_engine.run ~params ?obs ?fault ~config ~workload ~policy ()
         | Compiled params ->
-          Compiled_engine.run ?obs
-            (Compiled_engine.compile ?fault ~config ~workload ~policy ())
+          Compiled_engine.run ?obs ?fault
+            (Compiled_engine.compile ~config ~workload ~policy ())
             params)
-    with
-    | Invalid_argument msg -> Error msg
-    | Compiled_engine.Unsupported msg -> Error msg)
+    with Invalid_argument msg -> Error msg)
 
 let run_exn ?engine ?policy ?obs ?fault ~config ~workload () =
   match run ?engine ?policy ?obs ?fault ~config ~workload () with
@@ -52,9 +50,7 @@ let run_detailed ?(engine = Virtual Engine_core.default_params) ?(policy = "FRFS
         | Native params ->
           Native_engine.run_detailed ~params ?obs ?fault ~config ~workload ~policy ()
         | Compiled params ->
-          Compiled_engine.run_detailed ?obs
-            (Compiled_engine.compile ?fault ~config ~workload ~policy ())
+          Compiled_engine.run_detailed ?obs ?fault
+            (Compiled_engine.compile ~config ~workload ~policy ())
             params)
-    with
-    | Invalid_argument msg -> Error msg
-    | Compiled_engine.Unsupported msg -> Error msg)
+    with Invalid_argument msg -> Error msg)

@@ -144,6 +144,219 @@ let compile_fault plan ~(handlers : 'h handler array) =
            handlers)
 
 (* ------------------------------------------------------------------ *)
+(* Resilient dispatch: the non-suspending fault bookkeeping            *)
+(* ------------------------------------------------------------------ *)
+
+(* One fault-plan consultation at the start of an attempt.  A failing
+   attempt is marked for the workload manager; the caller then models
+   the attempt's PE time (execution, slowdown tail or detection
+   latency), which is where the engines differ. *)
+let decide_attempt ~fault ~obs (h : 'h handler) (task : Task.t) ~now ~est_ns =
+  let d =
+    Fault.decide fault ~pe:h.h_index ~now ~task_id:task.Task.id ~attempt:task.Task.attempts
+      ~est_ns
+  in
+  let injected name =
+    if Obs.enabled obs then
+      Obs.on_fault_injected obs ~now ~task:task.Task.id ~pe:h.h_pe.Pe.label ~pe_index:h.h_index
+        ~fault:name ~attempt:task.Task.attempts
+  in
+  (match d with
+  | Fault.Proceed -> ()
+  | Fault.Proceed_slow _ -> injected "slowdown"
+  | Fault.Fail { reason; quarantine_ns; _ } ->
+    injected (Fault.failure_name reason);
+    task.Task.last_failure <- Some (reason, quarantine_ns));
+  d
+
+type 'h resilience = {
+  r_fault : Fault.t;
+  r_obs : Obs.t;
+  r_stats : wm_stats;
+  r_handlers : 'h handler array;
+  r_instances : Task.instance array;
+  r_inflight : int ref;  (** the workload manager's dispatched-but-unmonitored count *)
+  r_make_ready : Task.t -> unit;
+  r_lock : 'h handler -> unit;
+  r_unlock : 'h handler -> unit;
+  mutable r_retry_q : (int * Task.t) list;
+      (** tasks sleeping out a retry backoff, sorted by release time *)
+}
+
+let resilience ~fault ~obs ~stats ~handlers ~instances ~inflight ~make_ready ~lock ~unlock =
+  {
+    r_fault = fault;
+    r_obs = obs;
+    r_stats = stats;
+    r_handlers = handlers;
+    r_instances = instances;
+    r_inflight = inflight;
+    r_make_ready = make_ready;
+    r_lock = lock;
+    r_unlock = unlock;
+    r_retry_q = [];
+  }
+
+let abort r reason = if r.r_stats.aborted = None then r.r_stats.aborted <- Some reason
+let pe_alive h = h.h_quarantined_until <> max_int
+
+let has_alive_support r (task : Task.t) =
+  Array.exists (fun h -> pe_alive h && Task.supports task h.h_pe) r.r_handlers
+
+let no_surviving_pe (t : Task.t) =
+  Printf.sprintf "task %s/%s supports no surviving PE" t.Task.app_name
+    t.Task.node.App_spec.node_name
+
+(* Permanent loss of a PE: quarantine it forever, drain its reservation
+   queue back to the ready list (those tasks never started, so
+   re-dispatching them elsewhere is safe), and give up on the run if
+   some unfinished task now has no surviving PE. *)
+let kill_pe r h ~now =
+  if pe_alive h then begin
+    let stats = r.r_stats in
+    h.h_quarantined_until <- max_int;
+    stats.quarantines <- stats.quarantines + 1;
+    stats.pe_deaths <- stats.pe_deaths + 1;
+    if Obs.enabled r.r_obs then
+      Obs.on_pe_quarantined r.r_obs ~now ~pe:h.h_pe.Pe.label ~pe_index:h.h_index
+        ~until_ns:max_int ~permanent:true;
+    r.r_lock h;
+    let drained = List.of_seq (Queue.to_seq h.h_pending) in
+    Queue.clear h.h_pending;
+    r.r_unlock h;
+    List.iter
+      (fun t ->
+        h.h_inflight <- h.h_inflight - 1;
+        decr r.r_inflight;
+        r.r_make_ready t)
+      drained;
+    Array.iter
+      (fun inst ->
+        Array.iter
+          (fun (t : Task.t) ->
+            if t.Task.status <> Task.Done && not (has_alive_support r t) then
+              abort r (no_surviving_pe t))
+          inst.Task.tasks)
+      r.r_instances
+  end
+
+let quarantine_pe r h ~until ~now =
+  if pe_alive h && until > h.h_quarantined_until then begin
+    h.h_quarantined_until <- until;
+    r.r_stats.quarantines <- r.r_stats.quarantines + 1;
+    if Obs.enabled r.r_obs then
+      Obs.on_pe_quarantined r.r_obs ~now ~pe:h.h_pe.Pe.label ~pe_index:h.h_index ~until_ns:until
+        ~permanent:false
+  end
+
+let handle_failure r h (task : Task.t) ~now =
+  match task.Task.last_failure with
+  | None -> false
+  | Some (reason, quarantine_ns) ->
+    task.Task.last_failure <- None;
+    let stats = r.r_stats and obs = r.r_obs and fault = r.r_fault in
+    stats.faults <- stats.faults + 1;
+    if Obs.enabled obs then
+      Obs.on_task_failed obs ~now ~task:task.Task.id ~instance:task.Task.instance_id
+        ~app:task.Task.app_name ~node:task.Task.node.App_spec.node_name ~pe:h.h_pe.Pe.label
+        ~pe_index:h.h_index ~fault:(Fault.failure_name reason) ~attempt:task.Task.attempts;
+    (match reason with
+    | Fault.Pe_dead -> kill_pe r h ~now
+    | _ when quarantine_ns = max_int -> kill_pe r h ~now
+    | _ when quarantine_ns > 0 -> quarantine_pe r h ~until:(now + quarantine_ns) ~now
+    | _ -> ());
+    if not (has_alive_support r task) then abort r (no_surviving_pe task)
+    else if task.Task.attempts >= Fault.max_attempts fault then
+      abort r
+        (Printf.sprintf "task %s/%s exhausted its %d-attempt budget" task.Task.app_name
+           task.Task.node.App_spec.node_name (Fault.max_attempts fault))
+    else begin
+      stats.retries <- stats.retries + 1;
+      let backoff = Fault.backoff_ns fault ~attempt:task.Task.attempts in
+      let at = now + backoff in
+      task.Task.status <- Task.Blocked;
+      let rec ins = function
+        | ((t, _) as hd) :: tl when t <= at -> hd :: ins tl
+        | rest -> (at, task) :: rest
+      in
+      r.r_retry_q <- ins r.r_retry_q;
+      if Obs.enabled obs then
+        Obs.on_task_retried obs ~now ~task:task.Task.id ~instance:task.Task.instance_id
+          ~app:task.Task.app_name ~node:task.Task.node.App_spec.node_name
+          ~attempt:task.Task.attempts ~backoff_ns:backoff
+    end;
+    true
+
+(* A PE at or past its scheduled death time must never receive work,
+   even if the proactive kill sweep has not reached it yet: a dispatch
+   that slips through consumes an attempt without a fault draw and
+   changes the schedule. *)
+let dead_at r h ~now =
+  match Fault.death_ns r.r_fault ~pe:h.h_index with Some t -> now >= t | None -> false
+
+let pe_ok r h ~now = h.h_quarantined_until <= now && not (dead_at r h ~now)
+let usable r h ~now = h.h_inflight < h.h_capacity && pe_ok r h ~now
+
+(* Planned deaths fire proactively, so a PE dies at its scheduled time
+   even if nothing was dispatched to it. *)
+let sweep_deaths r ~now =
+  Array.iter
+    (fun h ->
+      if dead_at r h ~now && pe_alive h then begin
+        r.r_stats.faults <- r.r_stats.faults + 1;
+        kill_pe r h ~now
+      end)
+    r.r_handlers
+
+(* The fault timeline at the tail of a WM iteration: deaths whose time
+   was crossed within the iteration, quarantine expiry, then release of
+   due retries.  True when a scheduling round should follow. *)
+let fault_tick r ~now =
+  sweep_deaths r ~now;
+  let recovered = ref false in
+  Array.iter
+    (fun h ->
+      if h.h_quarantined_until > 0 && pe_alive h && now >= h.h_quarantined_until then begin
+        h.h_quarantined_until <- 0;
+        recovered := true;
+        if Obs.enabled r.r_obs then
+          Obs.on_pe_recovered r.r_obs ~now ~pe:h.h_pe.Pe.label ~pe_index:h.h_index
+      end)
+    r.r_handlers;
+  let released = ref 0 in
+  let rec release () =
+    match r.r_retry_q with
+    | (t, task) :: rest when t <= now && r.r_stats.aborted = None ->
+      r.r_retry_q <- rest;
+      r.r_make_ready task;
+      incr released;
+      release ()
+    | _ -> ()
+  in
+  release ();
+  !released > 0 || !recovered
+
+(* Under a plan, the WM's next wake-up besides completions: [next] (the
+   engine's own arrival deadline), the first retry release, quarantine
+   lifts and planned deaths.  An aborted run waits only for in-flight
+   work. *)
+let wm_deadline r next =
+  if r.r_stats.aborted <> None then None
+  else begin
+    let best = ref next in
+    let add t = match !best with Some b when b <= t -> () | _ -> best := Some t in
+    (match r.r_retry_q with (t, _) :: _ -> add t | [] -> ());
+    Array.iter
+      (fun h ->
+        if pe_alive h then begin
+          if h.h_quarantined_until > 0 then add h.h_quarantined_until;
+          match Fault.death_ns r.r_fault ~pe:h.h_index with Some t -> add t | None -> ()
+        end)
+      r.r_handlers;
+    !best
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Resource manager (Fig. 4)                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -156,24 +369,14 @@ let resource_manager ?(obs = Obs.disabled) ?(fault = Fault.disabled) ~model
     if not (Fault.enabled fault) then b.b_execute h task
     else begin
       match
-        Fault.decide fault ~pe:h.h_index ~now:started ~task_id:task.Task.id
-          ~attempt:task.Task.attempts ~est_ns:(Exec_model.estimate model task h.h_index)
+        decide_attempt ~fault ~obs h task ~now:started
+          ~est_ns:(Exec_model.estimate model task h.h_index)
       with
       | Fault.Proceed -> b.b_execute h task
       | Fault.Proceed_slow extra_ns ->
-        if Obs.enabled obs then
-          Obs.on_fault_injected obs ~now:started ~task:task.Task.id
-            ~pe:h.h_pe.Pe.label ~pe_index:h.h_index ~fault:"slowdown"
-            ~attempt:task.Task.attempts;
         b.b_execute h task;
         if extra_ns > 0 then b.b_delay h extra_ns
-      | Fault.Fail { after_ns; reason; quarantine_ns } ->
-        if Obs.enabled obs then
-          Obs.on_fault_injected obs ~now:started ~task:task.Task.id
-            ~pe:h.h_pe.Pe.label ~pe_index:h.h_index
-            ~fault:(Fault.failure_name reason) ~attempt:task.Task.attempts;
-        if after_ns > 0 then b.b_delay h after_ns;
-        task.Task.last_failure <- Some (reason, quarantine_ns)
+      | Fault.Fail { after_ns; _ } -> if after_ns > 0 then b.b_delay h after_ns
     end
   in
   let rec loop () =
@@ -272,125 +475,17 @@ let workload_manager ?(obs = Obs.disabled) ?(fault = Fault.disabled) (b : 'h bac
         ~instance:task.Task.instance_id ~app:task.Task.app_name
         ~node:task.Task.node.App_spec.node_name ~ready_depth:!ready_live
   in
-  (* ---- fault handling (all WM-owned; no-ops when [fault_on] is false) ---- *)
-  (* Tasks sleeping out a retry backoff, sorted by release time. *)
-  let retry_q : (int * Task.t) list ref = ref [] in
-  let insert_retry at task =
-    let rec ins = function
-      | ((t, _) as hd) :: tl when t <= at -> hd :: ins tl
-      | rest -> (at, task) :: rest
-    in
-    retry_q := ins !retry_q
-  in
-  let abort reason = if stats.aborted = None then stats.aborted <- Some reason in
-  let pe_alive h = h.h_quarantined_until <> max_int in
-  let has_alive_support (task : Task.t) =
-    Array.exists (fun h -> pe_alive h && Task.supports task h.h_pe) handlers
-  in
-  (* Permanent loss of a PE: quarantine it forever, drain its
-     reservation queue back to the ready list (those tasks never
-     started, so re-dispatching them elsewhere is safe), and give up
-     on the run if some unfinished task now has no surviving PE. *)
-  let kill_pe (h : 'h handler) ~now =
-    if pe_alive h then begin
-      h.h_quarantined_until <- max_int;
-      stats.quarantines <- stats.quarantines + 1;
-      stats.pe_deaths <- stats.pe_deaths + 1;
-      if Obs.enabled obs then
-        Obs.on_pe_quarantined obs ~now ~pe:h.h_pe.Pe.label ~pe_index:h.h_index
-          ~until_ns:max_int ~permanent:true;
-      let drained = ref [] in
-      b.b_lock h;
-      Queue.iter (fun t -> drained := t :: !drained) h.h_pending;
-      Queue.clear h.h_pending;
-      b.b_unlock h;
-      List.iter
-        (fun (t : Task.t) ->
-          h.h_inflight <- h.h_inflight - 1;
-          decr inflight;
-          make_ready t)
-        (List.rev !drained);
-      Array.iter
-        (fun inst ->
-          Array.iter
-            (fun (t : Task.t) ->
-              if t.Task.status <> Task.Done && not (has_alive_support t) then
-                abort
-                  (Printf.sprintf "task %s/%s supports no surviving PE" t.Task.app_name
-                     t.Task.node.App_spec.node_name))
-            inst.Task.tasks)
-        instances
-    end
-  in
-  let quarantine_pe (h : 'h handler) ~until ~now =
-    if pe_alive h && until > h.h_quarantined_until then begin
-      h.h_quarantined_until <- until;
-      stats.quarantines <- stats.quarantines + 1;
-      if Obs.enabled obs then
-        Obs.on_pe_quarantined obs ~now ~pe:h.h_pe.Pe.label ~pe_index:h.h_index
-          ~until_ns:until ~permanent:false
-    end
-  in
-  (* WM bookkeeping of one failed execution attempt: count it,
-     quarantine the PE as the fault plan dictates, then either
-     schedule a retry (capped exponential backoff) or abort. *)
-  let handle_failure (h : 'h handler) (task : Task.t) reason quarantine_ns =
-    stats.faults <- stats.faults + 1;
-    let now = b.b_now () in
-    if Obs.enabled obs then
-      Obs.on_task_failed obs ~now ~task:task.Task.id ~instance:task.Task.instance_id
-        ~app:task.Task.app_name ~node:task.Task.node.App_spec.node_name
-        ~pe:h.h_pe.Pe.label ~pe_index:h.h_index ~fault:(Fault.failure_name reason)
-        ~attempt:task.Task.attempts;
-    (match reason with
-    | Fault.Pe_dead -> kill_pe h ~now
-    | _ when quarantine_ns = max_int -> kill_pe h ~now
-    | _ when quarantine_ns > 0 -> quarantine_pe h ~until:(now + quarantine_ns) ~now
-    | _ -> ());
-    if not (has_alive_support task) then
-      abort
-        (Printf.sprintf "task %s/%s supports no surviving PE" task.Task.app_name
-           task.Task.node.App_spec.node_name)
-    else if task.Task.attempts >= Fault.max_attempts fault then
-      abort
-        (Printf.sprintf "task %s/%s exhausted its %d-attempt budget" task.Task.app_name
-           task.Task.node.App_spec.node_name (Fault.max_attempts fault))
-    else begin
-      stats.retries <- stats.retries + 1;
-      let backoff = Fault.backoff_ns fault ~attempt:task.Task.attempts in
-      task.Task.status <- Task.Blocked;
-      insert_retry (now + backoff) task;
-      if Obs.enabled obs then
-        Obs.on_task_retried obs ~now ~task:task.Task.id ~instance:task.Task.instance_id
-          ~app:task.Task.app_name ~node:task.Task.node.App_spec.node_name
-          ~attempt:task.Task.attempts ~backoff_ns:backoff
-    end
+  (* Fault handling is WM-owned and shared with the compiled engine's
+     machine; its entry points are no-ops unless [fault_on]. *)
+  let res =
+    resilience ~fault ~obs ~stats ~handlers ~instances ~inflight ~make_ready ~lock:b.b_lock
+      ~unlock:b.b_unlock
   in
   (* Scratch structures reused by every scheduling invocation: the
      policy-facing PE states are refreshed in place, and the ready
      window is snapshotted into a reusable array (sized once to the
      examination cap).  Reallocating these per invocation — once per
      task completion — dominated the scheduler hot path. *)
-  (* A PE at or past its scheduled death time must never receive work,
-     even if the proactive kill sweep has not reached it yet: the
-     engines' clocks pass the death time at different wall points, and
-     a dispatch that slips through on one engine but not the other
-     consumes an attempt (without a fault draw) and desynchronises the
-     replay. *)
-  let dead_at h ~now =
-    match Fault.death_ns fault ~pe:h.h_index with
-    | Some t -> now >= t
-    | None -> false
-  in
-  let sweep_deaths ~now =
-    Array.iter
-      (fun h ->
-        if dead_at h ~now && pe_alive h then begin
-          stats.faults <- stats.faults + 1;
-          kill_pe h ~now
-        end)
-      handlers
-  in
   let pes_scratch =
     Array.map
       (fun h -> { Scheduler.pe = h.h_pe; idle = false; busy_until = 0; available = true })
@@ -421,11 +516,8 @@ let workload_manager ?(obs = Obs.disabled) ?(fault = Fault.disabled) (b : 'h bac
       incr rq_head
     done;
     let now0 = if fault_on then b.b_now () else 0 in
-    let pe_ok h =
-      (not fault_on) || (h.h_quarantined_until <= now0 && not (dead_at h ~now:now0))
-    in
-    let usable h = h.h_inflight < h.h_capacity && pe_ok h in
-    let have_idle = Array.exists usable handlers in
+    let pe_ok h = (not fault_on) || pe_ok res h ~now:now0 in
+    let have_idle = Array.exists (fun h -> h.h_inflight < h.h_capacity && pe_ok h) handlers in
     if stats.aborted = None && !rq_head < !rq_tail && have_idle then begin
       let ready_len = !ready_live in
       if Array.length !ready_scratch = 0 then
@@ -479,10 +571,7 @@ let workload_manager ?(obs = Obs.disabled) ?(fault = Fault.disabled) (b : 'h bac
             task.Task.status <> Task.Ready
             || pi < 0 || pi >= n_pes
             || estimate task pi = min_int
-            || fault_on
-               && (handlers.(pi).h_quarantined_until > b.b_now ()
-                  || dead_at handlers.(pi) ~now:(b.b_now ())
-                  || handlers.(pi).h_inflight >= handlers.(pi).h_capacity)
+            || (fault_on && not (usable res handlers.(pi) ~now:(b.b_now ())))
           then
             (* A custom policy listed the task twice, named a PE that
                does not exist or cannot run it, or (under faults)
@@ -560,7 +649,7 @@ let workload_manager ?(obs = Obs.disabled) ?(fault = Fault.disabled) (b : 'h bac
        first tick may already carry due arrivals (the virtual clock is
        past t=0 once setup costs are charged), and a death must take
        effect before any dispatch decision of the same tick. *)
-    if fault_on then sweep_deaths ~now:(b.b_now ());
+    if fault_on then sweep_deaths res ~now:(b.b_now ());
     (* -- one completion-monitoring sweep over the resource handlers -- *)
     b.b_charge (Cost_model.monitor_per_pe_ns *. float_of_int n_pes);
     let batch_completions = ref false in
@@ -581,11 +670,7 @@ let workload_manager ?(obs = Obs.disabled) ?(fault = Fault.disabled) (b : 'h bac
             b.b_unlock h;
             h.h_inflight <- h.h_inflight - 1;
             decr inflight;
-            (match task.Task.last_failure with
-            | Some (reason, quarantine_ns) ->
-              task.Task.last_failure <- None;
-              handle_failure h task reason quarantine_ns
-            | None ->
+            if not (handle_failure res h task ~now:(b.b_now ())) then begin
               incr completions;
               if Obs.enabled obs then
                 Obs.on_task_completed obs ~now:task.Task.completed_at
@@ -594,7 +679,8 @@ let workload_manager ?(obs = Obs.disabled) ?(fault = Fault.disabled) (b : 'h bac
                   ~pe:task.Task.pe_label ~pe_index:h.h_index
                   ~service_ns:(task.Task.completed_at - task.Task.dispatched_at)
                   ~pe_depth:h.h_inflight ~inflight:!inflight;
-              process_completion task);
+              process_completion task
+            end;
             if h.h_capacity <= 1 then
               (* No reservation queue: the scheduler runs once per
                  completed task, as in the paper. *)
@@ -627,37 +713,7 @@ let workload_manager ?(obs = Obs.disabled) ?(fault = Fault.disabled) (b : 'h bac
       do_schedule ()
     end;
     (* -- fault timeline: planned deaths, quarantine expiry, retries -- *)
-    if fault_on then begin
-      let now = b.b_now () in
-      (* Planned deaths fire proactively, so a PE dies at its scheduled
-         time on both engines even if nothing was dispatched to it.
-         (Also swept at the top of the iteration; this catches deaths
-         whose time was crossed by charges within the iteration.) *)
-      sweep_deaths ~now;
-      let recovered = ref false in
-      Array.iter
-        (fun h ->
-          if h.h_quarantined_until > 0 && pe_alive h && now >= h.h_quarantined_until
-          then begin
-            h.h_quarantined_until <- 0;
-            recovered := true;
-            if Obs.enabled obs then
-              Obs.on_pe_recovered obs ~now ~pe:h.h_pe.Pe.label ~pe_index:h.h_index
-          end)
-        handlers;
-      let released = ref 0 in
-      let rec release () =
-        match !retry_q with
-        | (t, task) :: rest when t <= now && stats.aborted = None ->
-          retry_q := rest;
-          make_ready task;
-          incr released;
-          release ()
-        | _ -> ()
-      in
-      release ();
-      if !released > 0 || !recovered then do_schedule ()
-    end;
+    if fault_on && fault_tick res ~now:(b.b_now ()) then do_schedule ();
     b.b_wm_tick_end tick;
     if Obs.enabled obs then
       Obs.on_wm_tick obs ~now:(b.b_now ()) ~completions:!completions
@@ -676,29 +732,8 @@ let workload_manager ?(obs = Obs.disabled) ?(fault = Fault.disabled) (b : 'h bac
           b.b_unlock h)
         handlers
     else begin
-      let deadline =
-        if stats.aborted <> None then
-          (* Only waiting for in-flight tasks; their completions wake
-             the WM. *)
-          None
-        else begin
-          let best = ref (match !pending with [] -> None | i :: _ -> Some i.Task.arrival_ns) in
-          let add t = match !best with Some b when b <= t -> () | _ -> best := Some t in
-          if fault_on then begin
-            (match !retry_q with (t, _) :: _ -> add t | [] -> ());
-            Array.iter
-              (fun h ->
-                if pe_alive h then begin
-                  if h.h_quarantined_until > 0 then add h.h_quarantined_until;
-                  match Fault.death_ns fault ~pe:h.h_index with
-                  | Some t -> add t
-                  | None -> ()
-                end)
-              handlers
-          end;
-          !best
-        end
-      in
+      let next = match !pending with [] -> None | i :: _ -> Some i.Task.arrival_ns in
+      let deadline = if fault_on then wm_deadline res next else next in
       b.b_wm_await ~deadline;
       loop ()
     end

@@ -179,6 +179,74 @@ val compile_fault :
     @raise Invalid_argument when a rule targets no PE (surfaced by
     [Emulator.run] as an [Error]). *)
 
+(** {1 Resilient dispatch}
+
+    The fault bookkeeping that never suspends, shared by
+    {!workload_manager} and {!Compiled_engine}'s machine so that both
+    run one implementation of it.  Each engine keeps only what
+    suspends: the modelled PE time of an attempt and its own ready
+    list. *)
+
+val decide_attempt :
+  fault:Dssoc_fault.Fault.t ->
+  obs:Dssoc_obs.Obs.t ->
+  'h handler ->
+  Task.t ->
+  now:int ->
+  est_ns:int ->
+  Dssoc_fault.Fault.decision
+(** Consult the plan at the start of an attempt ({!Dssoc_fault.Fault.decide}
+    for the task's current attempt): emits [Fault_injected] for a
+    slowdown or failure and marks a failing task's [last_failure]. *)
+
+type 'h resilience
+(** A run's fault state: the compiled plan and the retry queue, plus
+    the workload manager's pieces it updates. *)
+
+val resilience :
+  fault:Dssoc_fault.Fault.t ->
+  obs:Dssoc_obs.Obs.t ->
+  stats:wm_stats ->
+  handlers:'h handler array ->
+  instances:Task.instance array ->
+  inflight:int ref ->
+  make_ready:(Task.t -> unit) ->
+  lock:('h handler -> unit) ->
+  unlock:('h handler -> unit) ->
+  'h resilience
+(** [inflight] is the workload manager's dispatched-but-unmonitored
+    count, [make_ready] its ready-list insertion; [lock]/[unlock] guard
+    a handler's pending queue while a dead PE's reservations drain. *)
+
+val handle_failure : 'h resilience -> 'h handler -> Task.t -> now:int -> bool
+(** Monitor one completed attempt: [false] if it succeeded.  Otherwise
+    clear its [last_failure], count the fault, kill or quarantine the
+    PE as the failure dictates (a killed PE's reservation queue drains
+    back to the ready list), then either queue a retry after a capped
+    exponential backoff or abort the run (attempt budget spent, or no
+    surviving PE supports the task), and return [true]. *)
+
+val pe_ok : 'h resilience -> 'h handler -> now:int -> bool
+(** Neither quarantined nor at or past its planned death time. *)
+
+val usable : 'h resilience -> 'h handler -> now:int -> bool
+(** {!pe_ok} with room for one more dispatch. *)
+
+val sweep_deaths : 'h resilience -> now:int -> unit
+(** Kill every live PE whose planned death time has come. *)
+
+val fault_tick : 'h resilience -> now:int -> bool
+(** The fault timeline at the tail of a workload-manager iteration:
+    {!sweep_deaths}, quarantine expiry, then the release of due
+    retries (none once the run has aborted).  [true] when a PE
+    recovered or a task was released, so a scheduling round follows. *)
+
+val wm_deadline : 'h resilience -> int option -> int option
+(** The workload manager's next wake-up under a plan: the earliest of
+    the given deadline (the next arrival), the first retry release,
+    and live PEs' quarantine lifts and planned deaths; [None] once the
+    run has aborted (only in-flight completions wake it then). *)
+
 val resource_manager :
   ?obs:Dssoc_obs.Obs.t ->
   ?fault:Dssoc_fault.Fault.t ->
