@@ -588,43 +588,25 @@ let engine () =
   let mix () = Workload.validation (List.map (fun a -> (a, 1)) (Reference_apps.all ())) in
   (* Fig. 9-class: the four reference apps once each, across DSSoC
      configurations.  Fig. 10-class: performance mode at a fixed
-     injection rate under the cheap and the expensive policy.  One
-     native scenario tracks the real-domain backend of the same
-     Engine_core protocol (its makespan is wall time, not simulated
-     time, so only throughput is comparable across machines).  The
-     compiled scenarios replay the matching virtual runs through
-     Compiled_engine — the plan is compiled once outside the timing
-     loop (that is the engine's intended reuse pattern), so
-     emulations/s measures the specialized event loop alone. *)
+     injection rate under the cheap and the expensive policy.  The
+     deterministic scenarios run Compiled_engine with the plan compiled
+     once outside the timing loop (that is the engine's intended reuse
+     pattern), so emulations/s measures the event loop alone.  One
+     native scenario tracks the real-domain backend of the Engine_core
+     protocol (its makespan is wall time, not simulated time, so only
+     throughput is comparable across machines). *)
+  let ideal_3c2f = Config.zcu102_cores_ffts ~cores:3 ~ffts:2 in
+  let rate342 () = Workload.table2_workload ~rate:3.42 () in
   let scenarios =
     [
-      ("fig9/mix/1C+0F/FRFS", `Virtual, Config.zcu102_cores_ffts ~cores:1 ~ffts:0, mix, "FRFS");
-      ("fig9/mix/3C+2F/FRFS", `Virtual, Config.zcu102_cores_ffts ~cores:3 ~ffts:2, mix, "FRFS");
-      ( "fig9/mix/3C+2F/FRFS/compiled",
+      ( "fig9/mix/1C+0F/FRFS/compiled",
         `Compiled,
-        Config.zcu102_cores_ffts ~cores:3 ~ffts:2,
+        Config.zcu102_cores_ffts ~cores:1 ~ffts:0,
         mix,
         "FRFS" );
-      ( "fig10/rate3.42/3C+2F/FRFS",
-        `Virtual,
-        Config.zcu102_cores_ffts ~cores:3 ~ffts:2,
-        (fun () -> Workload.table2_workload ~rate:3.42 ()),
-        "FRFS" );
-      ( "fig10/rate3.42/3C+2F/FRFS/compiled",
-        `Compiled,
-        Config.zcu102_cores_ffts ~cores:3 ~ffts:2,
-        (fun () -> Workload.table2_workload ~rate:3.42 ()),
-        "FRFS" );
-      ( "fig10/rate3.42/3C+2F/EFT",
-        `Virtual,
-        Config.zcu102_cores_ffts ~cores:3 ~ffts:2,
-        (fun () -> Workload.table2_workload ~rate:3.42 ()),
-        "EFT" );
-      ( "fig10/rate3.42/3C+2F/EFT/compiled",
-        `Compiled,
-        Config.zcu102_cores_ffts ~cores:3 ~ffts:2,
-        (fun () -> Workload.table2_workload ~rate:3.42 ()),
-        "EFT" );
+      ("fig9/mix/3C+2F/FRFS/compiled", `Compiled, ideal_3c2f, mix, "FRFS");
+      ("fig10/rate3.42/3C+2F/FRFS/compiled", `Compiled, ideal_3c2f, rate342, "FRFS");
+      ("fig10/rate3.42/3C+2F/EFT/compiled", `Compiled, ideal_3c2f, rate342, "EFT");
       ( "fig9/mix/2C+1F/FRFS/native",
         `Native,
         Config.zcu102_cores_ffts ~cores:2 ~ffts:1,
@@ -632,8 +614,8 @@ let engine () =
         "FRFS" );
     ]
     (* DMA storm: both accelerators stream through the interconnect at
-       once.  The ideal pair is the zero-contention baseline; the bus
-       pair charges every stream through a starved 100 MB/s, 1-deep
+       once.  The ideal scenario is the zero-contention baseline; the
+       bus one charges every stream through a starved 100 MB/s, 1-deep
        fabric, so emulations/s prices the fabric event machinery and
        total_fabric_stall_ns in the JSON shows the queueing it models. *)
     @ (let storm_config = Config.zcu102_cores_ffts ~cores:2 ~ffts:2 in
@@ -643,12 +625,7 @@ let engine () =
          | Error msg -> invalid_arg msg
        in
        [
-         ("storm/mix/2C+2F/FRFS/ideal", `Virtual, storm_config, mix, "FRFS");
-         ( "storm/mix/2C+2F/FRFS/bus100",
-           `Virtual,
-           Config.with_fabric storm_bus storm_config,
-           mix,
-           "FRFS" );
+         ("storm/mix/2C+2F/FRFS/ideal/compiled", `Compiled, storm_config, mix, "FRFS");
          ( "storm/mix/2C+2F/FRFS/bus100/compiled",
            `Compiled,
            Config.with_fabric storm_bus storm_config,
@@ -656,19 +633,13 @@ let engine () =
            "FRFS" );
        ])
   in
-  let variant_name = function
-    | `Virtual -> "virtual"
-    | `Compiled -> "compiled"
-    | `Native -> "native"
-  in
+  let variant_name = function `Compiled -> "compiled" | `Native -> "native" in
   (* Compiled scenarios also report their one plan compile: wall ms and
      MB allocated ([Gc.allocated_bytes] delta, deterministic for a given
      build).  The workload is built before either reading. *)
   let measure (name, variant, config, wl, policy) =
     let once, compile_cost =
       match variant with
-      | `Virtual ->
-        ((fun () -> Emulator.run_exn ~engine:det_engine ~policy ~config ~workload:(wl ()) ()), None)
       | `Native ->
         ( (fun () ->
             Emulator.run_exn ~engine:(Emulator.native_seeded 1L) ~policy ~config
@@ -694,7 +665,7 @@ let engine () =
     let sample = once () (* warm-up; also yields the per-run task count *) in
     (* Minor-heap words one emulation allocates, taken on a second run
        so one-time initialisation is excluded; deterministic for a given
-       build on the virtual and compiled engines, so CI gates it. *)
+       build on the compiled engine, so CI gates it. *)
     let minor_words =
       let w0 = Gc.minor_words () in
       ignore (once ());
@@ -720,49 +691,6 @@ let engine () =
       minor_words )
   in
   let results = List.map measure scenarios in
-  (* Tracing-overhead check: re-run the fig9 3C+2F scenario with the
-     full observation bundle (ring sink + metrics, reset for every
-     run) and compare against the null-sink measurement above.  The
-     null sink is the default everywhere else in this suite; every
-     emit site hides behind a single [Obs.enabled] load, so the
-     scenarios measured above must stay within 2% of a build without
-     observability at all — a regression there means the guard has
-     been lost. *)
-  let baseline_name = "fig9/mix/3C+2F/FRFS" in
-  let rate_of once =
-    once () (* warm-up *);
-    let target_ns = 1_000_000_000 and min_runs = 3 in
-    let t0 = Mclock.now_ns () in
-    let runs = ref 0 in
-    while !runs < min_runs || Mclock.now_ns () - t0 < target_ns do
-      once ();
-      incr runs
-    done;
-    float_of_int !runs /. (float_of_int (Mclock.now_ns () - t0) /. 1e9)
-  in
-  let untraced_emu_s name =
-    let _, _, _, _, _, emu_s, _, _, _ =
-      List.find (fun (n, _, _, _, _, _, _, _, _) -> n = name) results
-    in
-    emu_s
-  in
-  let traced_emu_s =
-    let _, _, config, wl, policy =
-      List.find (fun (n, _, _, _, _) -> n = baseline_name) scenarios
-    in
-    (* The observation `run --events` and `--trace` set up: a ring
-       sized off the task count plus metrics, one bundle reused across
-       runs with [Obs.reset]. *)
-    let capacity = Obs.Sink.ring_capacity ~tasks:(Workload.task_count (wl ())) in
-    let obs = Obs.make ~sink:(Obs.Sink.ring ~capacity ()) ~metrics:(Obs.Metrics.create ()) () in
-    rate_of (fun () ->
-        Obs.reset obs;
-        ignore (Emulator.run_exn ~engine:det_engine ~policy ~config ~workload:(wl ()) ~obs ()))
-  in
-  let baseline_emu_s = untraced_emu_s baseline_name in
-  let overhead_pct =
-    (baseline_emu_s -. traced_emu_s) /. baseline_emu_s *. 100.0
-  in
   (* Lowered-tracing overhead on the compiled engine: replay the
      heaviest compiled scenario with a full observation bundle (ring
      sink + metrics, as `run --events` and `--trace` record) against
@@ -866,14 +794,6 @@ let engine () =
                            [ ("compile_ms", Json.Float ms); ("compile_alloc_mb", Json.Float mb) ]
                          | None -> []))
                      results) );
-              ( "tracing_overhead",
-                Json.Obj
-                  [
-                    ("scenario", Json.String baseline_name);
-                    ("null_sink_emulations_per_s", Json.Float baseline_emu_s);
-                    ("full_trace_emulations_per_s", Json.Float traced_emu_s);
-                    ("overhead_pct", Json.Float overhead_pct);
-                  ] );
               ( "compiled_tracing_overhead",
                 Json.Obj
                   [
@@ -886,7 +806,7 @@ let engine () =
             ]))
   else begin
     header
-      "Engine throughput: full emulations per second (virtual jitter-0, compiled replay, one \
+      "Engine throughput: full emulations per second (deterministic engine at jitter 0, one \
        native scenario)";
     print_string
       (Table.render
@@ -911,11 +831,6 @@ let engine () =
                   Printf.sprintf "%.1f" (words /. 1e6);
                 ])
               results));
-    Printf.printf
-      "\nTracing overhead on %s: null sink %.1f emu/s,\n\
-       full ring sink + metrics %.1f emu/s (%.1f%% overhead).  The table above\n\
-       uses the default null sink, whose per-event cost is one Obs.enabled load.\n"
-      baseline_name baseline_emu_s traced_emu_s overhead_pct;
     Printf.printf
       "\nCompiled-engine lowered tracing on %s:\n\
        untraced %.1f emu/s, full ring sink + metrics %.1f emu/s (%.1f%% overhead),\n\

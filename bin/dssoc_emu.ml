@@ -57,7 +57,9 @@ let seed_arg =
   Arg.(
     value & opt int 1
     & info [ "seed" ] ~docv:"SEED"
-        ~doc:"Random seed (virtual: all randomness; native: RANDOM policy and sleep jitter).")
+        ~doc:
+          "Random seed (deterministic engine: all randomness; native: RANDOM policy and sleep \
+           jitter).")
 
 let jitter_arg =
   Arg.(
@@ -68,27 +70,27 @@ let jitter_arg =
            device-compute sleeps only).")
 
 let native_arg =
-  Arg.(value & flag & info [ "native" ] ~doc:"Run on real OCaml domains instead of the virtual engine.")
+  Arg.(
+    value & flag
+    & info [ "native" ] ~doc:"Run on real OCaml domains instead of the deterministic engine.")
 
 let engine_arg =
   Arg.(
     value & opt string "virtual"
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
-          "Engine: virtual (default; deterministic virtual-time simulation), native (real OCaml \
-           domains; same as --native), or compiled (ahead-of-time specialization of the workload \
-           x platform x policy triple into a flat-array event loop — replays the virtual engine \
-           byte-for-byte, including traced runs' event logs and metrics, but rejects fault \
-           plans).")
+          "Engine: virtual (default) or compiled, two names of the deterministic virtual-time \
+           engine (the workload x platform x policy triple compiled into a flat-array event \
+           loop; the names print the same output for every input, fault plans included), or \
+           native (real OCaml domains; same as --native).")
 
 let resolve_engine ~engine ~native ~jitter ~reservation ~seed =
   let seed = Int64.of_int seed in
   match (String.lowercase_ascii engine, native) with
-  | "virtual", false -> Ok (Emulator.virtual_seeded ~jitter ~reservation_depth:reservation seed)
+  | ("virtual" | "compiled"), false ->
+    Ok (Emulator.virtual_seeded ~jitter ~reservation_depth:reservation seed)
   | ("virtual" | "native"), _ ->
     Ok (Emulator.native_seeded ~jitter ~reservation_depth:reservation seed)
-  | "compiled", false ->
-    Ok (Emulator.compiled_seeded ~jitter ~reservation_depth:reservation seed)
   | "compiled", true -> Error "--native conflicts with --engine compiled"
   | other, _ ->
     Error (Printf.sprintf "unknown engine %S (try virtual, native or compiled)" other)
@@ -495,11 +497,10 @@ let sweep_cmd =
       value & opt string "virtual"
       & info [ "engine" ] ~docv:"ENGINE"
           ~doc:
-            "Evaluation engine: virtual (default) or compiled.  The compiled engine produces \
-             the same table faster: its lowered observability hooks replay the virtual \
-             engine's event stream byte-for-byte, so every column — including the \
-             metrics-derived and critical-path ones — is byte-identical.  It cannot evaluate \
-             fault plans.")
+            "Evaluation engine: virtual (default) or compiled, two names of the one \
+             deterministic engine: both produce the same table, fault plans included.  The \
+             name still keys the result cache, so rows cached under one name are not served \
+             to the other.")
   in
   let cache_arg =
     Arg.(
@@ -567,9 +568,7 @@ let sweep_cmd =
       let* engine =
         match String.lowercase_ascii engine_name with
         | "virtual" -> Ok `Virtual
-        | "compiled" ->
-          if faults = None then Ok `Compiled
-          else Error "--faults conflicts with --engine compiled (fault plans are outside its replay contract)"
+        | "compiled" -> Ok `Compiled
         | other -> Error (Printf.sprintf "unknown sweep engine %S (try virtual or compiled)" other)
       in
       let* shard =
@@ -667,9 +666,8 @@ let sweep_cmd =
           (float_of_int s.Sweep.elapsed_ns /. 1e9);
         if cache <> None then
           Printf.eprintf "cache: %d hits, %d misses\n" s.Sweep.cache_hits s.Sweep.cache_misses;
-        if engine = `Compiled then
-          Printf.eprintf "plans: %d compiled, %d reused\n" s.Sweep.plan_compiles
-            s.Sweep.plan_reuses
+        Printf.eprintf "plans: %d compiled, %d reused\n" s.Sweep.plan_compiles
+          s.Sweep.plan_reuses
       in
       let with_out k =
         match out with

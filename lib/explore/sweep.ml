@@ -1,4 +1,3 @@
-module Emulator = Dssoc_runtime.Emulator
 module Stats = Dssoc_runtime.Stats
 module Scheduler = Dssoc_runtime.Scheduler
 module Compiled_engine = Dssoc_runtime.Compiled_engine
@@ -260,10 +259,10 @@ let fresh_counters () =
     c_plan_reuses = Atomic.make 0;
   }
 
-(* Compiled plans are pure and reusable, so within one worker domain a
-   plan is compiled once per (config x policy x workload) cell and
-   replayed for every replicate — that is the compiled engine's
-   intended amortization.  The memo keys on the cell labels but stores
+(* Compiled plans are pure and reusable (a fault plan is a run input),
+   so within one worker domain a plan is compiled once per (config x
+   policy x workload) cell and replayed for every replicate — that is
+   the compiled engine's intended amortization.  The memo keys on the cell labels but stores
    the config and the workload by physical identity: generator-built
    workloads are fresh values per point and therefore never falsely
    share a plan, a different config that happens to reuse a label (in
@@ -274,7 +273,7 @@ let plan_memo :
     Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 16)
 
-let compiled_result ?counters ~obs (grid : Grid.t) (p : Grid.point) =
+let emulate ?counters ~obs (grid : Grid.t) (p : Grid.point) =
   let bump f = match counters with Some c -> Atomic.incr (f c) | None -> () in
   let policy () =
     match Scheduler.find p.Grid.policy with Ok pol -> pol | Error msg -> invalid_arg msg
@@ -335,28 +334,17 @@ let aborted_row (p : Grid.point) msg =
     crit_path_dma_frac = 0.0;
   }
 
-let run_point_inner ?counters ~engine_kind (grid : Grid.t) (p : Grid.point) =
+(* Both engine names evaluate a point on the one deterministic engine;
+   the name only keys the result cache ({!point_digest}). *)
+let run_point_inner ?counters (grid : Grid.t) (p : Grid.point) =
   (* Full observation per point: metrics feed the queue-depth /
      latency columns, a schedule sink feeds the critical-path
-     analytics.  Both engines run traced — the compiled engine lowers
-     the same hooks and produces the same events, so result tables
-     stay byte-identical across engines and worker counts.  The
-     schedule sink keeps only what the analysis reads, and keeps all
-     of it: no point drops an event, and none pays for an event log. *)
+     analytics.  The schedule sink keeps only what the analysis reads,
+     and keeps all of it: no point drops an event, and none pays for an
+     event log. *)
   let metrics = Obs.Metrics.create () in
   let obs = Obs.make ~sink:(Obs.Sink.schedule ()) ~metrics () in
-  let result =
-    match engine_kind with
-    | `Virtual ->
-      let engine =
-        Emulator.virtual_seeded ~jitter:grid.Grid.jitter
-          ~reservation_depth:grid.Grid.reservation_depth p.Grid.seed
-      in
-      Emulator.run ~engine ~policy:p.Grid.policy ~obs ?fault:grid.Grid.fault
-        ~config:p.Grid.config ~workload:p.Grid.workload ()
-    | `Compiled -> compiled_result ?counters ~obs grid p
-  in
-  match result with
+  match emulate ?counters ~obs grid p with
   | Error msg ->
     (* A grid can span points a run rejects: configurations a fault
        plan cannot target (an [accel:...] rule over a 0-FFT point), or
@@ -403,7 +391,7 @@ let run_point_inner ?counters ~engine_kind (grid : Grid.t) (p : Grid.point) =
       crit_path_dma_frac = cp.Analyze.cp_dma_frac;
     }
 
-let run_point ~engine_kind grid p = run_point_inner ~engine_kind grid p
+let run_point ~engine_kind:_ grid p = run_point_inner grid p
 
 type eval_ctx = {
   e_grid : Grid.t;
@@ -427,7 +415,7 @@ let eval_point ctx (p : Grid.point) =
   let row =
     match ctx.e_cache with
     | None ->
-      let r = run_point_inner ~counters:ctx.e_counters ~engine_kind:ctx.e_engine ctx.e_grid p in
+      let r = run_point_inner ~counters:ctx.e_counters ctx.e_grid p in
       Atomic.incr ctx.e_counters.c_misses;
       r
     | Some cache -> (
@@ -443,7 +431,7 @@ let eval_point ctx (p : Grid.point) =
         | Error msg ->
           failwith (Printf.sprintf "Sweep: corrupt cache row %s: %s" digest msg))
       | None ->
-        let r = run_point_inner ~counters:ctx.e_counters ~engine_kind:ctx.e_engine ctx.e_grid p in
+        let r = run_point_inner ~counters:ctx.e_counters ctx.e_grid p in
         Atomic.incr ctx.e_counters.c_misses;
         Cache.add cache ~digest (row_payload r);
         r)

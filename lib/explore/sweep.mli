@@ -1,7 +1,7 @@
 (** Parallel design-space sweep engine.
 
     Evaluates every point of a {!Grid.t} through the deterministic
-    virtual engine, sharding points across a {!Pool} of OCaml 5
+    engine ({!Dssoc_runtime.Compiled_engine}), sharding points across a {!Pool} of OCaml 5
     domains, and aggregates the per-point reports into a result table
     in point-enumeration order.
 
@@ -56,6 +56,10 @@ type row = {
 type table = { grid_label : string; rows : row list  (** in point order *) }
 
 type engine_kind = [ `Virtual | `Compiled ]
+(** The engine name a sweep was asked for.  Both names evaluate points
+    on the one deterministic engine; the name still keys the result
+    cache ({!point_digest}), so shards written under either name stay
+    valid. *)
 
 val engine_name : engine_kind -> string
 
@@ -85,8 +89,8 @@ type stats = {
   points : int;  (** points this run covered (after shard filtering) *)
   cache_hits : int;
   cache_misses : int;  (** points actually evaluated *)
-  plan_compiles : int;  (** compiled engine only: plans AOT-compiled *)
-  plan_reuses : int;  (** compiled engine only: points served by a memoized plan *)
+  plan_compiles : int;  (** plans compiled ({!Dssoc_runtime.Compiled_engine.compile}) *)
+  plan_reuses : int;  (** points served by a memoized plan *)
   elapsed_ns : int;  (** wall clock, {!Dssoc_util.Mclock} *)
 }
 
@@ -101,17 +105,15 @@ val run_stats :
 (** Evaluate the grid on [jobs] domains (default
     {!Pool.default_jobs}; clamped to at least 1).
 
-    [engine] selects the evaluation backend (default [`Virtual]):
-    [`Compiled] lowers each grid cell through
+    [engine] names the engine (default [`Virtual]); it keys the cache
+    and nothing else.  Each grid cell is lowered through
     {!Dssoc_runtime.Compiled_engine} once per (config x policy x
-    workload) per worker domain and replays the plan for every
-    replicate (counted in [stats]).  Compiled runs are traced through
-    the same lowered observability hooks, so every column — including
-    the metrics-derived [max_ready_depth], [max_inflight],
+    workload) per worker domain, and the plan is replayed for every
+    replicate, under the grid fault plan if any (counted in [stats]).
+    Runs are traced through the lowered observability hooks, which
+    fill the metrics-derived [max_ready_depth], [max_inflight],
     [mean_wait_us], [p95_service_us] and the analytics-derived
-    [crit_path_us], [crit_path_dma_frac] — is byte-identical to the
-    virtual engine's.  A grid fault plan still aborts every compiled
-    point (outside the replay contract).
+    [crit_path_us], [crit_path_dma_frac] columns.
 
     [cache] consults the content-addressed store before evaluating a
     point and appends every newly computed row to it (flushed before
@@ -144,8 +146,9 @@ val run_timed : ?jobs:int -> ?engine:engine_kind -> Grid.t -> table * int
     and worker counts. *)
 
 val run_point : engine_kind:engine_kind -> Grid.t -> Grid.point -> row
-(** Evaluate a single point (the unit of work {!run} shards).  Every
-    point — virtual or compiled — runs under a metrics + schedule-sink
+(** Evaluate a single point (the unit of work {!run} shards); the
+    engine name does not change the row.  Every point runs under a
+    metrics + schedule-sink
     observation bundle ({!Dssoc_obs.Obs}): metrics feed the
     queueing/latency columns, the recorded schedule feeds the
     {!Dssoc_obs.Analyze} critical-path columns.  Neither perturbs the

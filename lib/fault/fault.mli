@@ -7,8 +7,8 @@
 
     Determinism is the whole point: every probabilistic draw is keyed
     purely on [(fault_seed, task id, attempt)] via {!Prng.derive_seed}
-    — never on the PE, wall clock or dispatch order — so the virtual
-    and native engines replay byte-identical fault schedules, exactly
+    — never on the PE, wall clock or dispatch order — so the
+    deterministic and native engines replay identical fault schedules, exactly
     as sweep sharding seeds grid points order-independently.  Timed
     events (permanent PE death, quarantine expiry) are expressed in
     emulation time and read through each backend's own clock. *)

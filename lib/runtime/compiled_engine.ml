@@ -9,15 +9,16 @@ module Obs = Dssoc_obs.Obs
 module Core = Engine_core
 module Fault = Dssoc_fault.Fault
 
-(* The compiled engine replays the virtual engine's event sequence
-   exactly: both run on [Des], so the event heap, host-core sharing and
-   the fabric ledger are shared code, and what must match is the
-   protocol — every [Des] call in the order [Engine_core] makes it, and
-   PRNG draw interleaving.  Everything below that looks like duplicated
-   protocol logic is deliberate — each block mirrors a specific
+(* The machine replays the event sequence of Engine_core's direct-style
+   workload and resource managers (the test suite's reference engine
+   runs those over effect threads on the same [Des]): what must match
+   is the protocol — every [Des] call in the order [Engine_core] makes
+   it, and PRNG draw interleaving.  Each block below mirrors a specific
    suspension point of engine_core.ml, with the effect-handler closures
-   flattened into integer program counters.  Divergences are caught by
-   the differential matrix in test_diff_engines.ml.  Service mode (the
+   flattened into integer program counters; the fault bookkeeping that
+   never suspends is Engine_core's own, called here.  Divergences are
+   caught by the differential matrix in test_diff_engines.ml, and the
+   fault paths are also pinned to digests there.  Service mode (the
    resident server's hooks and resume) exists only here; its output is
    pinned by the serve goldens in test_serve.ml. *)
 
@@ -139,7 +140,7 @@ let exec ~obs ~fault ~service ~resume ~prng plan (params : Core.params) instance
   let records = Option.is_none service in
   (* Observability lowering: [traced] is constant for the whole run, so
      the untraced loop pays one predictable branch per hook site.
-     Metric registration order is the virtual engine's — engine handles
+     Metric registration order is the reference engine's — engine handles
      here, then [Des.create]'s fabric instruments and event-heap depth
      gauge — so [Metrics.pp] output is comparable byte-for-byte across
      engines. *)
@@ -225,9 +226,11 @@ let exec ~obs ~fault ~service ~resume ~prng plan (params : Core.params) instance
      is linked in before the first task with a later position. *)
   let fifo_pos = ref 0 and fifo_head = ref 0 in
   let entries =
-    if fault_on then
-      Array.make (Array.fold_left (fun n (i : Task.instance) -> n + Array.length i.Task.tasks) 0 instances) []
-    else [||]
+    if not fault_on then [||]
+    else
+      Array.make
+        (Array.fold_left (fun n (i : Task.instance) -> n + Array.length i.Task.tasks) 0 instances)
+        []
   in
   let rl_insert (t : Task.t) =
     let pos = !fifo_pos in

@@ -1,36 +1,39 @@
-(** Ahead-of-time compiled emulation engine.
+(** The deterministic emulation engine.
 
-    The virtual engine interprets the workload every run: polymorphic
-    task records, effect-based threads, `Scheduler.context` closures
-    and the `Engine_core` backend record all sit on the hottest loop.
-    This module instead {e compiles} one (workload x platform x policy)
-    triple into a {!type:plan} — the run's {!Exec_model.t} (each
-    distinct spec's topology and per-(node, PE) prices, the same
-    classes the other engines read) plus the specialised policy — and
-    then {!val:run}s the workload-manager protocol and the chosen
-    policy as an integer program-counter state machine over dense
+    This module {e compiles} one (workload x platform x policy) triple
+    into a {!type:plan} — the run's {!Exec_model.t} (each distinct
+    spec's topology and per-(node, PE) prices, the classes every engine
+    reads) plus the specialised policy — and then {!val:run}s the
+    workload manager and the per-PE resource managers (Figs. 3-4 of the
+    paper) as an integer program-counter state machine over dense
     task-id arrays, with no per-event closure allocation.  The clock,
-    event heap, shared host cores and fabric ledger are the virtual
-    engine's own: both engines run on {!Des}.
+    event heap, shared host cores and fabric ledger are {!Des}'s.  It
+    is the engine behind both deterministic names of {!Emulator}
+    ([Virtual] and [Compiled]), {!Dssoc_explore.Sweep} and the
+    resident server.
 
-    The contract with the reference engines is {e exact replay}: for
-    every supported parameter set (any seed, any jitter, any
-    reservation depth, any policy) a compiled run produces the same
-    event sequence as the virtual engine — the same [Stats.report]
-    (byte-identical [records_csv]) and the same final instance stores.
+    Every deterministic input takes this one path: any seed, jitter,
+    reservation depth and policy, traced or not, fault plan or not.
     The five built-in policies are specialised into the loop; any other
     policy is called through its closure with a {!Scheduler.context}
-    built exactly as {!Engine_core.workload_manager} builds it.
-    Observability is lowered into the loop rather than interpreted: a
-    traced run ([?obs] on {!val:run}) emits the same events with the
-    same timestamps in the same order as the virtual engine
-    (byte-identical {!Dssoc_obs.Obs.to_jsonl}) and populates the same
-    metrics registry, while an untraced run pays only one predictable
-    branch per hook site.  Fault plans, which v1 cannot replay
-    bit-for-bit, are rejected at compile time with
-    {!exception:Unsupported} rather than allowed to diverge silently.
-    The differential matrix in [test/test_diff_engines.ml] pins both
-    contracts.
+    built as {!Engine_core.workload_manager} builds it.  A fault plan
+    ([?fault] on {!val:run}) turns on resilient dispatch: attempts
+    consult the plan, failures are retried with capped backoff or abort
+    the run, PEs are quarantined, recover or die (a dead PE's
+    reservation queue drains back to the ready list).  That bookkeeping
+    is {!Engine_core}'s own ({!Engine_core.handle_failure} and its
+    siblings); the machine adds only what suspends.  Observability is
+    lowered into the loop rather than interpreted: a traced run emits
+    the event log and populates the metrics registry, while an
+    untraced run pays only one predictable branch per hook site.
+
+    The test suite keeps a second implementation of the same semantics
+    as a reference: the direct-style {!Engine_core} protocol over
+    effect threads on {!Des}.  Its differential matrix pins exact
+    replay — the same [Stats.report] (byte-identical [records_csv]),
+    final stores, JSONL event log and [Metrics.pp] — with and without
+    fault plans, and digests captured before the two were unified pin
+    the shared fault bookkeeping.
 
     The same machine is the resident server's engine
     ({!val:run_service}): service hooks replace the fixed workload's
@@ -40,8 +43,7 @@
     Neither compilation nor {!val:run} executes a kernel: the loop is
     timing only, and a report-only run's instances share one empty
     placeholder store.  {!val:run_detailed} gives each instance its
-    own store and fills it after the run with {!Functional}, exactly as
-    the virtual engine does. *)
+    own store and fills it after the run with {!Functional}. *)
 
 type plan
 
@@ -59,11 +61,15 @@ val compile :
     function of the triple.
     @raise Invalid_argument when some task supports no PE of the
     configuration or its kernel does not resolve on one of them (same
-    validation as the reference engines), or when a fabric latency
+    validation as the native engine), or when a fabric latency
     overflows ({!Dssoc_soc.Fabric.fixed_ns}). *)
 
 val run :
-  ?obs:Dssoc_obs.Obs.t -> ?fault:Dssoc_fault.Fault.plan -> plan -> Engine_core.params -> Stats.report
+  ?obs:Dssoc_obs.Obs.t ->
+  ?fault:Dssoc_fault.Fault.plan ->
+  plan ->
+  Engine_core.params ->
+  Stats.report
 (** Execute one emulation of the plan: instantiate fresh instances,
     run the workload-manager protocol, assemble the report.  With
     [?obs], also emit the event log and metrics.  [fault] (default

@@ -1,7 +1,8 @@
-(** The discrete-event substrate of the deterministic engines.
+(** The discrete-event substrate of the deterministic engine.
 
-    Both {!Virtual_engine} and {!Compiled_engine} run on this module:
-    one virtual nanosecond clock, one int-coded event heap, and the two
+    {!Compiled_engine} runs on this module, and so does the test
+    suite's reference engine (the {!Engine_core} protocol over effect
+    threads): one virtual nanosecond clock, one int-coded event heap, and the two
     contention mechanisms of the timing model (Section II-D of the
     paper):
 

@@ -14,43 +14,33 @@ let compiled_seeded ?(jitter = 0.03) ?(reservation_depth = 0) seed =
 
 let native_default = Native Native_engine.default_params
 
-let run ?(engine = Virtual Engine_core.default_params) ?(policy = "FRFS") ?obs ?fault
-    ~config ~workload () =
-  match Scheduler.find policy with
+let with_policy name f =
+  match Scheduler.find name with
   | Error _ as e -> e
-  | Ok policy -> (
-    try
-      Ok
-        (match engine with
-        | Virtual params ->
-          Virtual_engine.run ~params ?obs ?fault ~config ~workload ~policy ()
-        | Native params ->
-          Native_engine.run ~params ?obs ?fault ~config ~workload ~policy ()
-        | Compiled params ->
-          Compiled_engine.run ?obs ?fault
-            (Compiled_engine.compile ~config ~workload ~policy ())
-            params)
-    with Invalid_argument msg -> Error msg)
+  | Ok policy -> ( try Ok (f policy) with Invalid_argument msg -> Error msg)
+
+let run ?(engine = Virtual Engine_core.default_params) ?(policy = "FRFS") ?obs ?fault ~config
+    ~workload () =
+  with_policy policy (fun policy ->
+      match engine with
+      | Native params -> Native_engine.run ~params ?obs ?fault ~config ~workload ~policy ()
+      | Virtual params | Compiled params ->
+        Compiled_engine.run ?obs ?fault
+          (Compiled_engine.compile ~config ~workload ~policy ())
+          params)
 
 let run_exn ?engine ?policy ?obs ?fault ~config ~workload () =
   match run ?engine ?policy ?obs ?fault ~config ~workload () with
   | Ok r -> r
   | Error msg -> invalid_arg (Printf.sprintf "Emulator.run_exn: %s" msg)
 
-let run_detailed ?(engine = Virtual Engine_core.default_params) ?(policy = "FRFS") ?obs
-    ?fault ~config ~workload () =
-  match Scheduler.find policy with
-  | Error _ as e -> e
-  | Ok policy -> (
-    try
-      Ok
-        (match engine with
-        | Virtual params ->
-          Virtual_engine.run_detailed ~params ?obs ?fault ~config ~workload ~policy ()
-        | Native params ->
-          Native_engine.run_detailed ~params ?obs ?fault ~config ~workload ~policy ()
-        | Compiled params ->
-          Compiled_engine.run_detailed ?obs ?fault
-            (Compiled_engine.compile ~config ~workload ~policy ())
-            params)
-    with Invalid_argument msg -> Error msg)
+let run_detailed ?(engine = Virtual Engine_core.default_params) ?(policy = "FRFS") ?obs ?fault
+    ~config ~workload () =
+  with_policy policy (fun policy ->
+      match engine with
+      | Native params ->
+        Native_engine.run_detailed ~params ?obs ?fault ~config ~workload ~policy ()
+      | Virtual params | Compiled params ->
+        Compiled_engine.run_detailed ?obs ?fault
+          (Compiled_engine.compile ~config ~workload ~policy ())
+          params)

@@ -2,27 +2,27 @@
 
     Wraps engine selection, policy lookup and workload construction so
     examples, the CLI and the benchmark harness share one entry
-    point.  Both engines run the same {!Engine_core} protocol and take
-    the same {!Engine_core.params}; they differ only in backend
-    (discrete-event simulation vs. real OCaml 5 domains). *)
+    point.  There are two engines, and both take the same
+    {!Engine_core.params}: the deterministic one ({!Compiled_engine},
+    virtual nanoseconds on {!Des}) and the native one (real OCaml 5
+    domains).  [Virtual] and [Compiled] are two names of the
+    deterministic engine. *)
 
 type engine =
   | Virtual of Engine_core.params
-      (** deterministic virtual-time simulation (used by all figure
-          benches) *)
+      (** the deterministic virtual-time engine ({!Compiled_engine});
+          used by all figure benches *)
   | Native of Engine_core.params
-      (** OCaml 5 domains executing the same handler protocol in real
-          time on the machine running the emulator *)
+      (** OCaml 5 domains executing the {!Engine_core} handler protocol
+          in real time on the machine running the emulator *)
   | Compiled of Engine_core.params
-      (** ahead-of-time specialization of (workload x platform x
-          policy) into a flat-array event loop; replays the virtual
-          engine byte-for-byte for any policy — see
-          {!Compiled_engine}.  Fault plans are outside its contract
-          and turn into [Error] here. *)
+      (** the same engine as [Virtual], under the name of its
+          implementation *)
 
 val virtual_seeded : ?jitter:float -> ?reservation_depth:int -> int64 -> engine
-(** Convenience: virtual engine with the given seed (jitter defaults
-    to 0.03, reservation queues off — see {!Engine_core.params}). *)
+(** Convenience: the deterministic engine with the given seed (jitter
+    defaults to 0.03, reservation queues off — see
+    {!Engine_core.params}). *)
 
 val native_seeded : ?jitter:float -> ?reservation_depth:int -> int64 -> engine
 (** Convenience: native engine with the given seed (jitter defaults to
@@ -30,11 +30,11 @@ val native_seeded : ?jitter:float -> ?reservation_depth:int -> int64 -> engine
     modelled device-compute sleeps — reservation queues off). *)
 
 val compiled_seeded : ?jitter:float -> ?reservation_depth:int -> int64 -> engine
-(** Convenience: compiled engine with the given seed (same defaults as
-    {!virtual_seeded}, whose runs it replays exactly).  Each call to
-    {!run} compiles the triple afresh; callers that re-run one
-    workload many times should use {!Compiled_engine.compile} once and
-    {!Compiled_engine.run} per emulation instead. *)
+(** Convenience: {!virtual_seeded} under its other name (same defaults
+    and runs).  Each call to {!run} on either name compiles the triple
+    afresh; callers that re-run one workload many times should use
+    {!Compiled_engine.compile} once and {!Compiled_engine.run} per
+    emulation instead. *)
 
 val native_default : engine
 (** Native engine with {!Native_engine.default_params}. *)
@@ -48,12 +48,13 @@ val run :
   workload:Dssoc_apps.Workload.t ->
   unit ->
   (Stats.report, string) result
-(** Defaults: deterministic virtual engine (seed 1, 3% jitter), FRFS,
+(** Defaults: the deterministic engine (seed 1, 3% jitter), FRFS,
     observation disabled, no fault injection.  [obs] threads an
     observation bundle (event sink and/or metrics registry) through
     the selected engine's run — see {!Dssoc_obs.Obs}.  [fault]
     injects a deterministic fault plan and enables resilient dispatch
-    — see {!Dssoc_fault.Fault} and {!Engine_core.workload_manager};
+    on either engine — see {!Dssoc_fault.Fault} and
+    {!Engine_core.handle_failure};
     the report's [verdict] and [resilience] fields record the
     outcome.  Errors on unknown policy names, unsupported tasks, a
     kernel that does not resolve on some supported PE (the same

@@ -1,5 +1,5 @@
-(** The shared engine core: one workload-manager / resource-handler
-    protocol, two execution backends.
+(** The shared engine core: the workload-manager / resource-handler
+    protocol in direct style, and the pieces every engine shares.
 
     The paper's runtime contract (Sections II-B/II-C, Figs. 3-4) is a
     single protocol: a workload manager injects arriving application
@@ -9,20 +9,19 @@
     completions; each resource handler runs an [idle]/[run]/[complete]/
     [stop] state machine that executes dispatched tasks on its PE.
 
-    This module implements that protocol {e once}, parameterized over a
-    small {!type:backend} record — how to read the clock, block and
-    wake the two kinds of actors, charge modelled workload-manager
-    overhead, and actually execute a task on a PE.  The virtual engine
-    instantiates it over a discrete-event simulation (effects + event
-    heap, deterministic virtual nanoseconds); the native engine
-    instantiates it over OCaml 5 domains (mutex/condvar, monotonic
-    wall clock).  Every protocol-level feature — reservation queues,
-    live ready-list accounting, occupancy-based utilisation — therefore
-    lands in both engines at once, and both read their tasks and
-    prices from one {!Exec_model.t}.  {!Compiled_engine} replays the
-    same protocol as an integer-pc machine; the resident server's
-    service mode lives there ({!Compiled_engine.run_service}), not
-    here. *)
+    This module implements that protocol in direct style,
+    parameterized over a small {!type:backend} record — how to read
+    the clock, block and wake the two kinds of actors, charge modelled
+    workload-manager overhead, and actually execute a task on a PE.
+    The native engine instantiates it over OCaml 5 domains
+    (mutex/condvar, monotonic wall clock); the test suite's reference
+    engine instantiates it over effect threads on {!Des}.  The
+    deterministic engine, {!Compiled_engine}, replays the same protocol
+    as an integer-pc machine and calls the non-suspending pieces it
+    shares with {!workload_manager} — handlers, statistics, jitter,
+    report assembly and the resilient-dispatch bookkeeping — from here.
+    The resident server's service mode lives there
+    ({!Compiled_engine.run_service}), not here. *)
 
 (** {1 Parameters} *)
 
@@ -30,10 +29,10 @@ type params = {
   seed : int64;
       (** root of all engine randomness: execution-time jitter and the
           RANDOM policy's draws (both engines), equal seeds giving
-          equal virtual-engine runs bit-for-bit *)
+          equal deterministic runs bit-for-bit *)
   jitter : float;
       (** stddev of the multiplicative Gaussian noise on modelled task
-          times; [0.] gives perfectly repeatable virtual runs, the
+          times; [0.] gives perfectly repeatable deterministic runs, the
           default [0.03] gives the spread the paper's Fig. 9 box plots
           show across 50 iterations on real hardware.  The native
           engine applies it to the modelled device-compute sleep of
@@ -79,7 +78,7 @@ type 'h handler = {
 (** One per PE.  The queues and [h_stop] are shared between the
     workload manager and the handler's resource manager and must only
     be touched under the backend's {!field:b_lock} (a no-op for the
-    single-threaded virtual engine); [h_inflight], [h_busy_until] and
+    single-threaded deterministic engines); [h_inflight], [h_busy_until] and
     [h_quarantined_until] are written by the workload manager only,
     [h_busy_ns] and [h_tasks_run] by the resource manager only (read
     after join). *)
@@ -140,7 +139,7 @@ type 'h backend = {
   b_charge : float -> unit;
       (** account modelled workload-manager bookkeeping cost
           (monitoring, ready-list updates, dispatch), ns on the
-          reference overlay core; the virtual backend scales it and
+          reference overlay core; a discrete-event backend scales it and
           occupies the overlay core, the native backend ignores it
           (its loop costs real time instead) *)
   b_execute : 'h handler -> Task.t -> unit;
@@ -151,7 +150,7 @@ type 'h backend = {
   b_delay : 'h handler -> int -> unit;
       (** occupy the handler's PE for a modelled duration (ns) without
           running a kernel — fault-detection latency and slowdown
-          tails; called without the handler lock.  The virtual backend
+          tails; called without the handler lock.  A discrete-event backend
           advances its clock, the native backend sleeps scaled wall
           time. *)
   b_sched_start : unit -> int;
@@ -161,7 +160,7 @@ type 'h backend = {
           ready-list length and the policy's recorded elementary
           operations, return the scheduling cost (ns) to record —
           modelled ({!Scheduler.overhead_ns}, charged on the overlay
-          core) for the virtual backend, measured wall time for the
+          core) for a discrete-event backend, measured wall time for the
           native one *)
   b_wm_tick_start : unit -> int;
   b_wm_tick_end : int -> unit;
@@ -178,74 +177,6 @@ val compile_fault :
     replay identical fault schedules.
     @raise Invalid_argument when a rule targets no PE (surfaced by
     [Emulator.run] as an [Error]). *)
-
-(** {1 Resilient dispatch}
-
-    The fault bookkeeping that never suspends, shared by
-    {!workload_manager} and {!Compiled_engine}'s machine so that both
-    run one implementation of it.  Each engine keeps only what
-    suspends: the modelled PE time of an attempt and its own ready
-    list. *)
-
-val decide_attempt :
-  fault:Dssoc_fault.Fault.t ->
-  obs:Dssoc_obs.Obs.t ->
-  'h handler ->
-  Task.t ->
-  now:int ->
-  est_ns:int ->
-  Dssoc_fault.Fault.decision
-(** Consult the plan at the start of an attempt ({!Dssoc_fault.Fault.decide}
-    for the task's current attempt): emits [Fault_injected] for a
-    slowdown or failure and marks a failing task's [last_failure]. *)
-
-type 'h resilience
-(** A run's fault state: the compiled plan and the retry queue, plus
-    the workload manager's pieces it updates. *)
-
-val resilience :
-  fault:Dssoc_fault.Fault.t ->
-  obs:Dssoc_obs.Obs.t ->
-  stats:wm_stats ->
-  handlers:'h handler array ->
-  instances:Task.instance array ->
-  inflight:int ref ->
-  make_ready:(Task.t -> unit) ->
-  lock:('h handler -> unit) ->
-  unlock:('h handler -> unit) ->
-  'h resilience
-(** [inflight] is the workload manager's dispatched-but-unmonitored
-    count, [make_ready] its ready-list insertion; [lock]/[unlock] guard
-    a handler's pending queue while a dead PE's reservations drain. *)
-
-val handle_failure : 'h resilience -> 'h handler -> Task.t -> now:int -> bool
-(** Monitor one completed attempt: [false] if it succeeded.  Otherwise
-    clear its [last_failure], count the fault, kill or quarantine the
-    PE as the failure dictates (a killed PE's reservation queue drains
-    back to the ready list), then either queue a retry after a capped
-    exponential backoff or abort the run (attempt budget spent, or no
-    surviving PE supports the task), and return [true]. *)
-
-val pe_ok : 'h resilience -> 'h handler -> now:int -> bool
-(** Neither quarantined nor at or past its planned death time. *)
-
-val usable : 'h resilience -> 'h handler -> now:int -> bool
-(** {!pe_ok} with room for one more dispatch. *)
-
-val sweep_deaths : 'h resilience -> now:int -> unit
-(** Kill every live PE whose planned death time has come. *)
-
-val fault_tick : 'h resilience -> now:int -> bool
-(** The fault timeline at the tail of a workload-manager iteration:
-    {!sweep_deaths}, quarantine expiry, then the release of due
-    retries (none once the run has aborted).  [true] when a PE
-    recovered or a task was released, so a scheduling round follows. *)
-
-val wm_deadline : 'h resilience -> int option -> int option
-(** The workload manager's next wake-up under a plan: the earliest of
-    the given deadline (the next arrival), the first retry release,
-    and live PEs' quarantine lifts and planned deaths; [None] once the
-    run has aborted (only in-flight completions wake it then). *)
 
 val resource_manager :
   ?obs:Dssoc_obs.Obs.t ->
@@ -317,6 +248,76 @@ val workload_manager :
     (recorded in [stats.aborted], stopping dispatch and injection and
     draining in-flight work) when a task exhausts its attempt budget
     or loses every supporting PE. *)
+
+(** {1 Resilient dispatch}
+
+    The fault bookkeeping that never suspends, shared by
+    {!workload_manager} and {!Compiled_engine}'s machine so that both
+    run one implementation of it.  Each engine keeps only what
+    suspends: the modelled PE time of an attempt and its own ready
+    list. *)
+
+val decide_attempt :
+  fault:Dssoc_fault.Fault.t ->
+  obs:Dssoc_obs.Obs.t ->
+  'h handler ->
+  Task.t ->
+  now:int ->
+  est_ns:int ->
+  Dssoc_fault.Fault.decision
+(** Consult the plan at the start of an attempt ({!Dssoc_fault.Fault.decide}
+    for the task's current attempt): emits [Fault_injected] for a
+    slowdown or failure and marks a failing task's [last_failure]. *)
+
+type 'h resilience
+(** A run's fault state: the compiled plan and the retry queue, plus
+    the workload manager's pieces it updates. *)
+
+val resilience :
+  fault:Dssoc_fault.Fault.t ->
+  obs:Dssoc_obs.Obs.t ->
+  stats:wm_stats ->
+  handlers:'h handler array ->
+  instances:Task.instance array ->
+  inflight:int ref ->
+  make_ready:(Task.t -> unit) ->
+  lock:('h handler -> unit) ->
+  unlock:('h handler -> unit) ->
+  'h resilience
+(** [inflight] is the workload manager's dispatched-but-unmonitored
+    count, [make_ready] its ready-list insertion; [lock]/[unlock] guard
+    a handler's pending queue while a dead PE's reservations drain. *)
+
+val handle_failure : 'h resilience -> 'h handler -> Task.t -> now:int -> bool
+(** Monitor one completed attempt: [false] if it succeeded.  Otherwise
+    clear its [last_failure], count the fault, kill or quarantine the
+    PE as the failure dictates (a killed PE's reservation queue drains
+    back to the ready list), then either queue a retry after a capped
+    exponential backoff or abort the run (attempt budget spent, or no
+    surviving PE supports the task), and return [true]. *)
+
+val pe_ok : 'h resilience -> 'h handler -> now:int -> bool
+(** Neither quarantined nor at or past its planned death time. *)
+
+val usable : 'h resilience -> 'h handler -> now:int -> bool
+(** {!pe_ok} with room for one more dispatch. *)
+
+val sweep_deaths : 'h resilience -> now:int -> unit
+(** Kill every live PE whose planned death time has come. *)
+
+val fault_tick : 'h resilience -> now:int -> bool
+(** The fault timeline at the tail of a workload-manager iteration:
+    {!sweep_deaths}, quarantine expiry, then the release of due
+    retries (none once the run has aborted).  [true] when a PE
+    recovered or a task was released, so a scheduling round follows. *)
+
+val wm_deadline : 'h resilience -> int option -> int option
+(** The workload manager's next wake-up under a plan: the earliest of
+    the given deadline (the next arrival), the first retry release,
+    and live PEs' quarantine lifts and planned deaths; [None] once the
+    run has aborted (only in-flight completions wake it then). *)
+
+(** {1 Report} *)
 
 val report :
   host_name:string ->

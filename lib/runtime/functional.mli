@@ -1,6 +1,6 @@
 (** Functional outputs of a deterministic run.
 
-    The virtual and compiled engines model time only: a duration is
+    The deterministic engine models time only: a duration is
     {!Exec_model.estimate_ns}, pure in the task's cost metadata and the
     PE class.  This module computes what the kernels produce, after the
     run, from each task's recorded PE ([Task.pe_label]; under faults,

@@ -2,15 +2,16 @@
 
     One OCaml 5 domain per PE plays the resource-manager thread; the
     calling domain plays the workload manager.  Both run the shared
-    {!Engine_core} protocol — the very same workload-manager loop and
-    resource-handler state machine as the virtual engine — over a
+    {!Engine_core} protocol — the workload-manager loop and
+    resource-handler state machine that {!Compiled_engine} replays as a
+    program-counter machine — over a
     backend of mutex/condvar handler queues, a polling manager loop
     and the monotonic wall clock ({!Dssoc_util.Mclock}).
 
     Kernels execute for real and times are wall-clock measurements, so
     results vary with the machine — this engine demonstrates the
     framework is a genuine user-space runtime and cross-checks the
-    virtual engine's functional outputs.  Hardware accelerators do not
+    deterministic engine's functional outputs.  Hardware accelerators do not
     exist on the host, so an accelerator PE performs its DMA phases as
     real buffer copies and emulates device compute with a timed sleep
     of the modelled duration (substitution documented in DESIGN.md).
@@ -19,7 +20,7 @@
     rather than determines a native run: the seed drives the RANDOM
     policy and the jitter on modelled device-compute sleeps, and
     [reservation_depth] configures the same per-PE reservation queues
-    as the virtual engine. *)
+    as the deterministic engine. *)
 
 val default_params : Engine_core.params
 (** seed 7, no jitter, no reservation queues (the engine's historical
@@ -43,8 +44,8 @@ val run :
     metrics are only updated by the workload-manager domain.
 
     [fault] (default none) injects the plan's deterministic fault
-    schedule — the same schedule the virtual engine replays for the
-    same plan, since draws are keyed on (task, attempt) rather than
+    schedule — the same schedule the deterministic engine replays for
+    the same plan, since draws are keyed on (task, attempt) rather than
     timing — and turns on resilient dispatch (see
     {!Engine_core.workload_manager}).
 

@@ -1,7 +1,13 @@
-(* Differential tests between the two emulation engines.
+(* Differential tests between the emulation engines.
 
-   The virtual engine is a discrete-event simulation; the native
-   engine runs tasks on real OCaml domains under wall-clock time.
+   The deterministic engine is the compiled integer-pc machine; the
+   reference engine ([Virtual_engine], test-local) runs the direct-style
+   [Engine_core] protocol over the same discrete-event substrate, and
+   the pc machine must replay it exactly.  The native engine runs tasks
+   on real OCaml domains under wall-clock time.  Against the
+   deterministic engines its timings legitimately differ, but on small
+   configurations where the scheduler has no real freedom the
+   *decisions* must agree:
    Their timings legitimately differ, but on small configurations
    where the scheduler has no real freedom the *decisions* must agree:
    same task set, same per-task DAG ordering, same PE assignments and
@@ -19,21 +25,20 @@ module Reference_apps = Dssoc_apps.Reference_apps
 module Workload = Dssoc_apps.Workload
 module Obs = Dssoc_obs.Obs
 module Server = Dssoc_serve.Server
+module Scheduler = Dssoc_runtime.Scheduler
+module Engine_core = Dssoc_runtime.Engine_core
 
-let det_engine = Emulator.virtual_seeded ~jitter:0.0 1L
+let policy_of name = Result.get_ok (Scheduler.find name)
 
-(* The reference side of every exact comparison with the integer-pc
-   machine. *)
-let reference ~params ?obs ?fault ~config ~workload ~policy () =
-  Result.get_ok
-    (Emulator.run_detailed ~engine:(Emulator.Virtual params) ~policy ?obs ?fault ~config ~workload
-       ())
+(* A run of the reference engine, by default jitter-free with seed 1
+   (the native comparisons' setting). *)
+let reference ?(params = { Engine_core.seed = 1L; jitter = 0.0; reservation_depth = 0 }) ?obs
+    ?fault ?(policy = "FRFS") ~config ~workload () =
+  Virtual_engine.run_detailed ~params ?obs ?fault ~config ~workload ~policy:(policy_of policy) ()
 
 let run_both config spec instances =
   let wl () = Workload.validation [ (spec, instances) ] in
-  let vr, vi =
-    Result.get_ok (Emulator.run_detailed ~engine:det_engine ~config ~workload:(wl ()) ())
-  in
+  let vr, vi = reference ~config ~workload:(wl ()) () in
   let nr, ni =
     Result.get_ok (Emulator.run_detailed ~engine:Emulator.native_default ~config ~workload:(wl ()) ())
   in
@@ -205,10 +210,9 @@ let test_functional_agreement_matrix () =
               let label = Printf.sprintf "%s/%s/depth%d" app_name policy depth in
               let wl () = Workload.validation [ (spec_fn (), 1) ] in
               let vr, vi =
-                Result.get_ok
-                  (Emulator.run_detailed
-                     ~engine:(Emulator.virtual_seeded ~jitter:0.0 ~reservation_depth:depth 1L)
-                     ~policy ~config ~workload:(wl ()) ())
+                reference
+                  ~params:{ Engine_core.seed = 1L; jitter = 0.0; reservation_depth = depth }
+                  ~policy ~config ~workload:(wl ()) ()
               in
               let nr, ni =
                 Result.get_ok
@@ -236,10 +240,8 @@ let test_functional_agreement_matrix () =
 
 let run_virtual_depth config spec instances depth =
   let wl = Workload.validation [ (spec, instances) ] in
-  Result.get_ok
-    (Emulator.run_detailed
-       ~engine:(Emulator.virtual_seeded ~jitter:0.0 ~reservation_depth:depth 1L)
-       ~config ~workload:wl ())
+  reference ~params:{ Engine_core.seed = 1L; jitter = 0.0; reservation_depth = depth } ~config
+    ~workload:wl ()
 
 let test_reservation_chain_parity () =
   (* Linear chain on two CPUs: one task ready at a time, so depth 1
@@ -387,11 +389,7 @@ let test_fault_parity_across_policies () =
   List.iter
     (fun policy ->
       let label = "faults/" ^ policy in
-      let vr, vi =
-        Result.get_ok
-          (Emulator.run_detailed ~engine:det_engine ~policy ~fault:(fault_plan ()) ~config
-             ~workload:(wl ()) ())
-      in
+      let vr, vi = reference ~policy ~fault:(fault_plan ()) ~config ~workload:(wl ()) () in
       let nr, ni =
         Result.get_ok
           (Emulator.run_detailed ~engine:Emulator.native_default ~policy
@@ -440,12 +438,11 @@ let test_aborted_fault_outputs () =
     Result.get_ok (Fault.of_spec ~seed:5L "*:transient:p=0.3:recover=0.2ms,retries=2")
   in
   let r, insts =
-    Result.get_ok
-      (Emulator.run_detailed ~engine:det_engine ~fault ~config
-         ~workload:
-           (Workload.validation
-              [ (Reference_apps.wifi_tx (), 1); (Reference_apps.range_detection (), 1) ])
-         ())
+    reference ~fault ~config
+      ~workload:
+        (Workload.validation
+           [ (Reference_apps.wifi_tx (), 1); (Reference_apps.range_detection (), 1) ])
+      ()
   in
   Alcotest.(check string) "aborted" "aborted" (Stats.verdict_name r.Stats.verdict);
   let done_ =
@@ -488,15 +485,19 @@ let test_event_multiset_parity () =
     Workload.validation
       [ (Reference_apps.wifi_tx (), 1); (Reference_apps.range_detection (), 2) ]
   in
-  let observe engine =
+  let observe run =
     let obs = Obs.make ~sink:(Obs.Sink.ring ()) () in
-    ignore
-      (Result.get_ok (Emulator.run_detailed ~engine ~config ~workload:(wl ()) ~obs ()));
+    ignore (run ~obs);
     Alcotest.(check int) "nothing dropped" 0 (Obs.Sink.dropped (Obs.sink obs));
     lifecycle_multiset obs
   in
-  let vm = observe det_engine in
-  let nm = observe (Emulator.native_seeded 1L) in
+  let vm = observe (fun ~obs -> reference ~obs ~config ~workload:(wl ()) ()) in
+  let nm =
+    observe (fun ~obs ->
+        Result.get_ok
+          (Emulator.run_detailed ~engine:(Emulator.native_seeded 1L) ~config ~workload:(wl ())
+             ~obs ()))
+  in
   Alcotest.(check bool) "non-trivial stream" true (List.length vm > 10);
   Alcotest.(check int) "same lifecycle event count" (List.length vm) (List.length nm);
   Alcotest.(check bool) "same task-event multiset" true (vm = nm);
@@ -523,15 +524,11 @@ let test_event_multiset_parity () =
    and a fig10 performance trace. *)
 
 module Compiled = Dssoc_runtime.Compiled_engine
-module Scheduler = Dssoc_runtime.Scheduler
-module Engine_core = Dssoc_runtime.Engine_core
-module Virtual_engine = Dssoc_runtime.Virtual_engine
 module Kernels = Dssoc_apps.Kernels
 module Prng = Dssoc_util.Prng
 
 let qtest = QCheck_alcotest.to_alcotest
 
-let policy_of name = Result.get_ok (Scheduler.find name)
 
 (* Two policies outside the built-ins, which the compiled engine calls
    through their closures.  LIFO_TEST walks the window newest first,
@@ -1024,11 +1021,7 @@ let test_compiled_memo_distinct_closures () =
           Alcotest.(check int) (label ^ ": compile runs no kernel") 0 !memo_calls;
           let cr, ci = Compiled.run_detailed plan params in
           let run_calls = !memo_calls in
-          let vr, vi =
-            Result.get_ok
-              (Emulator.run_detailed ~engine:(Emulator.Virtual params) ~policy ~config
-                 ~workload:(wl ()) ())
-          in
+          let vr, vi = reference ~params ~policy ~config ~workload:(wl ()) () in
           check_csv_identical label (Stats.records_csv vr) (Stats.records_csv cr);
           check_stores_identical label vi ci;
           Oracle.check (label ^ "/virtual") ~config vi;
@@ -1114,10 +1107,7 @@ let test_racy_dag_topological_order () =
   in
   let wl () = Workload.validation [ (spec (), 1) ] in
   let params = { Engine_core.seed = 1L; jitter = 0.0; reservation_depth = 0 } in
-  let _, vi =
-    Result.get_ok
-      (Emulator.run_detailed ~engine:(Emulator.Virtual params) ~config ~workload:(wl ()) ())
-  in
+  let _, vi = reference ~params ~config ~workload:(wl ()) () in
   let plan = Compiled.compile ~config ~workload:(wl ()) ~policy:Scheduler.frfs () in
   let _, ci = Compiled.run_detailed plan params in
   check_stores_identical "racy" vi ci;
@@ -1360,10 +1350,7 @@ let qcheck_compiled_replays_virtual =
       let params =
         { Engine_core.seed = Int64.of_int (seed + 1); jitter = 0.03; reservation_depth = depth }
       in
-      let vr =
-        Result.get_ok
-          (Emulator.run ~engine:(Emulator.Virtual params) ~policy ~config ~workload:(wl ()) ())
-      in
+      let vr, _ = reference ~params ~policy ~config ~workload:(wl ()) () in
       let plan =
         Compiled.compile ~config ~workload:(wl ()) ~policy:(policy_of policy) ()
       in
@@ -1389,11 +1376,7 @@ let qcheck_crit_path_equals_makespan =
         { Engine_core.seed = Int64.of_int (seed + 1); jitter = 0.03; reservation_depth = depth }
       in
       let vobs = traced_obs () and cobs = traced_obs () in
-      let vr =
-        Result.get_ok
-          (Emulator.run ~engine:(Emulator.Virtual params) ~policy ~obs:vobs ~config
-             ~workload:(wl ()) ())
-      in
+      let vr, _ = reference ~params ~policy ~obs:vobs ~config ~workload:(wl ()) () in
       let plan = Compiled.compile ~config ~workload:(wl ()) ~policy:(policy_of policy) () in
       let cr = Compiled.run ~obs:cobs plan params in
       let cp_len obs =
@@ -1502,7 +1485,7 @@ let test_custom_policy_bad_assignments () =
     Result.get_ok (Emulator.run_detailed ~engine ~policy:"BAD_TEST" ~config ~workload:(wl ()) ())
   in
   let params = { Engine_core.seed = 5L; jitter = 0.03; reservation_depth = 0 } in
-  let vr, vi = run (Emulator.Virtual params) in
+  let vr, vi = reference ~params ~policy:"BAD_TEST" ~config ~workload:(wl ()) () in
   let cr, ci = run (Emulator.Compiled params) in
   Alcotest.(check bool) "the policy made unsupported assignments" true (!extras > 0);
   List.iter
@@ -1577,7 +1560,8 @@ let () =
         [ Alcotest.test_case "placeholder unless outputs are read" `Quick test_placeholder_stores ] );
       ( "missing kernel",
         [
-          Alcotest.test_case "virtual" `Quick (test_missing_kernel det_engine);
+          Alcotest.test_case "virtual" `Quick
+            (test_missing_kernel (Emulator.virtual_seeded ~jitter:0.0 1L));
           Alcotest.test_case "compiled" `Quick
             (test_missing_kernel (Emulator.compiled_seeded 1L));
           Alcotest.test_case "native" `Quick (test_missing_kernel Emulator.native_default);

@@ -176,44 +176,96 @@ let test_sweep_row_fields () =
   Alcotest.(check bool) "chain on one PE: policies within overhead noise" true
     (float_of_int (abs (m "FRFS" - m "MET")) /. float_of_int (m "FRFS") < 0.25)
 
+(* Each row of [table] against the test-local reference engine's traced
+   run of its point: the report fields, the metrics-derived columns read
+   from the reference's registry, and the critical-path columns
+   replayed from its event log (the sweep reads a schedule recorder
+   instead). *)
+let check_rows_against_reference (g : Grid.t) (table : Sweep.table) =
+  let module Obs = Dssoc_obs.Obs in
+  let module Analyze = Dssoc_obs.Analyze in
+  let module Stats = Dssoc_runtime.Stats in
+  List.iter2
+    (fun (p : Grid.point) (row : Sweep.row) ->
+      let label =
+        Printf.sprintf "%s/%s/%s/%d" row.Sweep.config row.Sweep.policy row.Sweep.workload
+          row.Sweep.replicate
+      in
+      let metrics = Obs.Metrics.create () in
+      let obs = Obs.make ~sink:(Obs.Sink.ring ~capacity:(1 lsl 18) ()) ~metrics () in
+      let r =
+        Virtual_engine.run
+          ~params:
+            {
+              Dssoc_runtime.Engine_core.seed = p.Grid.seed;
+              jitter = g.Grid.jitter;
+              reservation_depth = g.Grid.reservation_depth;
+            }
+          ~obs ~config:p.Grid.config ~workload:p.Grid.workload
+          ~policy:(Result.get_ok (Dssoc_runtime.Scheduler.find p.Grid.policy))
+          ()
+      in
+      let gauge name =
+        Option.fold ~none:0 ~some:Obs.Metrics.gauge_max (Obs.Metrics.find_gauge metrics name)
+      in
+      let hist f name =
+        match Obs.Metrics.find_histogram metrics name with
+        | Some h -> Option.value ~default:0.0 (f h)
+        | None -> 0.0
+      in
+      let cp = Analyze.critical_path (Analyze.of_events (Obs.recorded_events obs)) in
+      Alcotest.(check int) (label ^ ": makespan") r.Stats.makespan_ns row.Sweep.makespan_ns;
+      Alcotest.(check int) (label ^ ": sched_invocations") r.Stats.sched_invocations
+        row.Sweep.sched_invocations;
+      Alcotest.(check int) (label ^ ": max_ready_depth") (gauge "ready_queue_depth")
+        row.Sweep.max_ready_depth;
+      Alcotest.(check int) (label ^ ": max_inflight") (gauge "in_flight_tasks")
+        row.Sweep.max_inflight;
+      Alcotest.(check (float 0.0)) (label ^ ": mean_wait_us")
+        (hist Obs.Metrics.histogram_mean "task_wait_us")
+        row.Sweep.mean_wait_us;
+      Alcotest.(check (float 0.0)) (label ^ ": p95_service_us")
+        (hist (fun h -> Obs.Metrics.histogram_quantile h 0.95) "task_service_us")
+        row.Sweep.p95_service_us;
+      Alcotest.(check (float 0.0)) (label ^ ": crit_path_us")
+        (float_of_int cp.Analyze.cp_length_ns /. 1e3)
+        row.Sweep.crit_path_us;
+      Alcotest.(check (float 0.0)) (label ^ ": crit_path_dma_frac") cp.Analyze.cp_dma_frac
+        row.Sweep.crit_path_dma_frac)
+    (Array.to_list (Grid.points g))
+    table.Sweep.rows
+
 let test_sweep_compiled_obs_columns () =
   (* Regression for the compiled engine's lowered observability: on a
-     fig9-class preset the compiled table must be byte-identical to
-     the virtual one — in particular the four metrics-derived columns
-     and the two critical-path columns, which used to read zero under
-     the compiled engine — and the columns must be live, not
-     vacuously-equal zeros. *)
+     fig9-class preset the table must be byte-identical under both
+     engine names and match the reference engine point by point — in
+     particular the four metrics-derived columns and the two
+     critical-path columns, which used to read zero under the compiled
+     engine — and the columns must be live, not vacuously-equal
+     zeros. *)
   let g = Result.get_ok (Presets.by_name ~replicates:1 "fig9") in
   let tv = Sweep.run ~jobs:2 ~engine:`Virtual g in
   let tc = Sweep.run ~jobs:2 ~engine:`Compiled g in
-  Alcotest.(check string) "CSV byte-identical across engines" (Sweep.to_csv tv) (Sweep.to_csv tc);
-  List.iter2
-    (fun (v : Sweep.row) (c : Sweep.row) ->
-      let label = Printf.sprintf "%s/%s/%s" v.Sweep.config v.Sweep.policy v.Sweep.workload in
-      Alcotest.(check int) (label ^ ": max_ready_depth") v.Sweep.max_ready_depth
-        c.Sweep.max_ready_depth;
-      Alcotest.(check int) (label ^ ": max_inflight") v.Sweep.max_inflight c.Sweep.max_inflight;
-      Alcotest.(check (float 0.0)) (label ^ ": mean_wait_us") v.Sweep.mean_wait_us
-        c.Sweep.mean_wait_us;
-      Alcotest.(check (float 0.0)) (label ^ ": p95_service_us") v.Sweep.p95_service_us
-        c.Sweep.p95_service_us;
-      Alcotest.(check (float 0.0)) (label ^ ": crit_path_us") v.Sweep.crit_path_us
-        c.Sweep.crit_path_us;
-      Alcotest.(check (float 0.0)) (label ^ ": crit_path_dma_frac") v.Sweep.crit_path_dma_frac
-        c.Sweep.crit_path_dma_frac;
+  Alcotest.(check string) "CSV byte-identical across engine names" (Sweep.to_csv tv)
+    (Sweep.to_csv tc);
+  check_rows_against_reference g tc;
+  List.iter
+    (fun (c : Sweep.row) ->
+      let label = Printf.sprintf "%s/%s/%s" c.Sweep.config c.Sweep.policy c.Sweep.workload in
       Alcotest.(check bool) (label ^ ": obs columns live") true
         (c.Sweep.max_inflight > 0 && c.Sweep.p95_service_us > 0.0 && c.Sweep.crit_path_us > 0.0);
       Alcotest.(check (float 1e-6)) (label ^ ": crit path equals makespan")
         (float_of_int c.Sweep.makespan_ns /. 1e3)
         c.Sweep.crit_path_us)
-    tv.Sweep.rows tc.Sweep.rows
+    tc.Sweep.rows
 
 let test_sweep_compiled_plan_not_reused_across_configs () =
   (* Regression for the per-domain plan memo: it keys on the cell
      labels, and two configs may share a label (here 2C+2F with and
      without a contended bus).  A second sweep of the same
      [Grid.fixed_workload] value on the same domain must compile a new
-     plan for the new config, not replay the first sweep's. *)
+     plan for the new config, not replay the first sweep's: the bus
+     table must match the reference engine's runs of its points. *)
   let wl =
     Grid.fixed_workload ~label:"mix"
       (Workload.validation [ (Reference_apps.range_detection (), 1); (Reference_apps.wifi_rx (), 1) ])
@@ -226,11 +278,13 @@ let test_sweep_compiled_plan_not_reused_across_configs () =
     Grid.make ~label:"memo" ~replicates:2 ~base_seed:3L ~jitter:0.02
       ~configs:[ (config.Config.label, config) ] ~policies:[ "FRFS" ] ~workloads:[ wl ] ()
   in
-  let csv engine config = Sweep.to_csv (Sweep.run ~jobs:1 ~engine (grid config)) in
-  Alcotest.(check string) "ideal: compiled = virtual" (csv `Virtual ideal) (csv `Compiled ideal);
-  let tv = csv `Virtual bus in
-  Alcotest.(check bool) "the bus changes the table" true (tv <> csv `Virtual ideal);
-  Alcotest.(check string) "bus after ideal: compiled = virtual" tv (csv `Compiled bus)
+  let run engine config = Sweep.run ~jobs:1 ~engine (grid config) in
+  let ti = run `Virtual ideal in
+  Alcotest.(check string) "ideal: compiled = virtual" (Sweep.to_csv ti)
+    (Sweep.to_csv (run `Compiled ideal));
+  let tb = run `Compiled bus in
+  Alcotest.(check bool) "the bus changes the table" true (Sweep.to_csv tb <> Sweep.to_csv ti);
+  check_rows_against_reference (grid bus) tb
 
 (* A sweep row pays for its emulation and the analytics columns, not for
    an event log: in one domain, evaluate fig10's rate-1.71 EFT compiled
@@ -265,8 +319,8 @@ let test_sweep_row_allocation () =
 
 (* A faulted fig9 campaign: the 0-FFT points cannot host the plan's
    [accel:] rule and record [aborted] rows, the others run resiliently.
-   The CSV is pinned to its MD5 as captured before the deterministic
-   engines were unified. *)
+   The CSV, byte-identical under both engine names, is pinned to its
+   MD5 as captured before the deterministic engines were unified. *)
 let test_sweep_faulted_fig9_pinned () =
   let fault =
     Result.get_ok
@@ -287,7 +341,7 @@ let test_sweep_faulted_fig9_pinned () =
       Alcotest.(check int) (name ^ ": the 0-FFT points abort") 6 aborted;
       Alcotest.(check string) (name ^ ": CSV") "263a777de7df50215ec08c4eca7b92b0"
         (Digest.to_hex (Digest.string (Sweep.to_csv t))))
-    [ `Virtual ]
+    [ `Virtual; `Compiled ]
 
 let test_summarize_counts () =
   let g = small_grid ~jitter:0.01 ~replicates:4 () in

@@ -175,11 +175,12 @@ let check_stores_identical label (vi : Task.instance array) (ci : Task.instance 
         (Store.names v.Task.store))
     vi
 
+(* The test-local reference engine, the other side of every exact
+   comparison with the compiled engine. *)
 let run_virtual ?(jitter = 0.03) ?(depth = 0) ~policy ~config ~wl () =
-  Result.get_ok
-    (Emulator.run_detailed
-       ~engine:(Emulator.virtual_seeded ~jitter ~reservation_depth:depth 7L)
-       ~policy ~config ~workload:(wl ()) ())
+  Virtual_engine.run_detailed
+    ~params:{ Engine_core.seed = 7L; jitter; reservation_depth = depth }
+    ~config ~workload:(wl ()) ~policy:(policy_of policy) ()
 
 let run_compiled ?(jitter = 0.03) ?(depth = 0) ~policy ~config ~wl () =
   let plan = Compiled.compile ~config ~workload:(wl ()) ~policy:(policy_of policy) () in
@@ -265,11 +266,10 @@ let test_contended_obs_parity () =
         (fun policy ->
           let label = scen ^ "/" ^ policy in
           let vobs = traced () and cobs = traced () in
-          let vr, _ =
-            Result.get_ok
-              (Emulator.run_detailed
-                 ~engine:(Emulator.virtual_seeded ~jitter:0.03 7L)
-                 ~policy ~obs:vobs ~config ~workload:(wl ()) ())
+          let vr =
+            Virtual_engine.run
+              ~params:{ Engine_core.seed = 7L; jitter = 0.03; reservation_depth = 0 }
+              ~obs:vobs ~config ~workload:(wl ()) ~policy:(policy_of policy) ()
           in
           let plan = Compiled.compile ~config ~workload:(wl ()) ~policy:(policy_of policy) () in
           let cr =
@@ -386,7 +386,11 @@ let test_mesh_topology_both_engines () =
     | Ok r -> r
     | Error e -> Alcotest.failf "%s rejected mesh fabric: %s" name e
   in
-  let vr = run "virtual" (Emulator.virtual_seeded 7L) in
+  let vr =
+    Virtual_engine.run
+      ~params:{ Engine_core.seed = 7L; jitter = 0.03; reservation_depth = 0 }
+      ~config ~workload:(wl ()) ~policy:Scheduler.frfs ()
+  in
   Alcotest.(check bool) "virtual prices mesh hops" true (vr.Stats.makespan_ns > 0);
   let cr = run "compiled" (Emulator.compiled_seeded 7L) in
   Alcotest.(check int) "compiled matches virtual on the mesh" vr.Stats.makespan_ns
@@ -500,9 +504,8 @@ let qcheck_ideal_replays_legacy =
         { Engine_core.seed = Int64.of_int (seed + 1); jitter = 0.03; reservation_depth = depth }
       in
       let run cfg =
-        Result.get_ok
-          (Emulator.run_detailed ~engine:(Emulator.Virtual params) ~policy ~config:cfg
-             ~workload:(wl ()) ())
+        Virtual_engine.run_detailed ~params ~config:cfg ~workload:(wl ()) ~policy:(policy_of policy)
+          ()
       in
       let lr, li = run legacy in
       let ir, ii = run config in
@@ -531,9 +534,7 @@ let qcheck_contended_replay_and_fifo_bound =
         { Engine_core.seed = Int64.of_int (seed + 1); jitter = 0.03; reservation_depth = 0 }
       in
       let vr, vi =
-        Result.get_ok
-          (Emulator.run_detailed ~engine:(Emulator.Virtual params) ~policy ~config
-             ~workload:(wl ()) ())
+        Virtual_engine.run_detailed ~params ~config ~workload:(wl ()) ~policy:(policy_of policy) ()
       in
       let plan = Compiled.compile ~config ~workload:(wl ()) ~policy:(policy_of policy) () in
       let cr, ci = Compiled.run_detailed plan params in

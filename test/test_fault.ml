@@ -169,7 +169,7 @@ let test_backoff_and_watchdog () =
   Alcotest.(check int) "watchdog floor" 1_000_000 (Fault.watchdog_ns t ~est_ns:10);
   Alcotest.(check int) "watchdog scales" 8_000_000 (Fault.watchdog_ns t ~est_ns:1_000_000)
 
-(* ---------------- resilient runs (virtual engine) ---------------- *)
+(* ---------------- resilient runs (deterministic engine) ---------------- *)
 
 let det_engine = Emulator.virtual_seeded ~jitter:0.0 1L
 
@@ -178,9 +178,25 @@ let config () = Config.zcu102_cores_ffts ~cores:2 ~ffts:1
 let workload () =
   Workload.validation [ (Reference_apps.range_detection (), 2); (Reference_apps.wifi_tx (), 1) ]
 
-let run_fault plan =
-  Result.get_ok
-    (Emulator.run ~engine:det_engine ~fault:plan ~config:(config ()) ~workload:(workload ()) ())
+(* A resilient run on the deterministic engine, checked against the
+   test-local reference engine: the two must agree on the whole report
+   before any test reads it. *)
+let run_checked ?(params = { Dssoc_runtime.Engine_core.seed = 1L; jitter = 0.0; reservation_depth = 0 })
+    ?(policy = "FRFS") ?obs ~fault ~config ~workload () =
+  let r =
+    Result.get_ok
+      (Emulator.run ~engine:(Emulator.Virtual params) ~policy ?obs ~fault ~config ~workload ())
+  in
+  let reference =
+    Virtual_engine.run ~params ~fault ~config ~workload
+      ~policy:(Result.get_ok (Scheduler.find policy)) ()
+  in
+  Alcotest.(check string) "records CSV = reference's" (Stats.records_csv reference)
+    (Stats.records_csv r);
+  Alcotest.(check bool) "report = reference's" true (r = reference);
+  r
+
+let run_fault plan = run_checked ~fault:plan ~config:(config ()) ~workload:(workload ()) ()
 
 let test_fault_free_pristine () =
   (* No plan — and an empty plan — must leave the run Completed with
@@ -236,10 +252,7 @@ let test_no_survivor_aborts () =
   (* A cpu-only workload whose only PE dies has nowhere left to go. *)
   let config = Config.zcu102_cores_ffts ~cores:1 ~ffts:0 in
   let workload = Workload.validation [ (Reference_apps.wifi_tx (), 1) ] in
-  let r =
-    Result.get_ok
-      (Emulator.run ~engine:det_engine ~fault:(plan_of_spec "cpu0:die@0") ~config ~workload ())
-  in
+  let r = run_checked ~fault:(plan_of_spec "cpu0:die@0") ~config ~workload () in
   match r.Stats.verdict with
   | Stats.Aborted _ -> Alcotest.(check bool) "nothing completed" true (r.Stats.records = [])
   | v -> Alcotest.failf "expected an abort, got %s" (Stats.verdict_name v)
@@ -268,12 +281,11 @@ let test_retry_dispatched_once () =
   for i = 0 to 19 do
     let seed = Dssoc_util.Prng.derive_seed ~seed:1L ~index:i in
     let r =
-      Result.get_ok
-        (Emulator.run
-           ~engine:(Emulator.virtual_seeded ~jitter:0.03 seed)
-           ~policy:"FRFS" ~fault:(plan_of_spec ~seed spec) ~config
-           ~workload:(Workload.table2_workload ~rate:1.71 ())
-           ())
+      run_checked
+        ~params:{ Dssoc_runtime.Engine_core.seed; jitter = 0.03; reservation_depth = 0 }
+        ~fault:(plan_of_spec ~seed spec) ~config
+        ~workload:(Workload.table2_workload ~rate:1.71 ())
+        ()
     in
     let seen = Hashtbl.create 8192 in
     List.iter
@@ -317,12 +329,7 @@ let prop_no_dispatch_to_quarantined =
         plan_of_spec ~seed:(Int64.of_int seed) "fft2:die@100us,*:transient:p=0.15:recover=0.3ms"
       in
       let obs = Obs.make ~sink:(Obs.Sink.ring ~capacity:(1 lsl 16) ()) () in
-      let r =
-        Result.get_ok
-          (Emulator.run ~engine:det_engine ~policy ~obs ~fault:plan ~config:(config ())
-             ~workload:(workload ()) ())
-      in
-      ignore r;
+      ignore (run_checked ~policy ~obs ~fault:plan ~config:(config ()) ~workload:(workload ()) ());
       quarantine_violations (Obs.recorded_events obs) = 0)
 
 (* ---------------- obs drop accounting (satellite) ---------------- *)

@@ -100,14 +100,17 @@ let test_gantt_many_apps () =
 
 (* ---------------------- golden exporter outputs ---------------------- *)
 
-(* Fixed scenario: 1x wifi_tx on 2Core+1FFT, deterministic virtual
-   engine (jitter 0, seed 1).  Regenerate the golden strings with
+(* Fixed scenario: 1x wifi_tx on 2Core+1FFT, jitter 0, seed 1, on the
+   test-local reference engine; the compiled engine is pinned to the
+   same literals below.  Regenerate the golden strings with
    [dune exec goldengen/gen.exe] equivalents if the execution model
    deliberately changes, and mention the change in CHANGES.md. *)
+let det_params = { Dssoc_runtime.Engine_core.seed = 1L; jitter = 0.0; reservation_depth = 0 }
+
 let golden_run () =
   let config = Config.zcu102_cores_ffts ~cores:2 ~ffts:1 in
   let workload = Workload.validation [ (Reference_apps.wifi_tx (), 1) ] in
-  Emulator.run_exn ~engine:(Emulator.virtual_seeded ~jitter:0.0 1L) ~config ~workload ()
+  Virtual_engine.run ~params:det_params ~config ~workload ~policy:Dssoc_runtime.Scheduler.frfs ()
 
 let golden_csv =
   "app,instance,node,pe,ready_ns,dispatched_ns,completed_ns\n\
@@ -128,7 +131,7 @@ let test_records_csv_golden () =
 
 let test_compiled_records_csv_golden () =
   (* The compiled engine must replay the golden scenario byte for
-     byte, so it is pinned against the *same* literal as the virtual
+     byte, so it is pinned against the *same* literal as the reference
      engine — one golden, two engines. *)
   let config = Config.zcu102_cores_ffts ~cores:2 ~ffts:1 in
   let workload = Workload.validation [ (Reference_apps.wifi_tx (), 1) ] in
@@ -275,7 +278,15 @@ let test_jsonl_golden () =
   let _, obs = observed_run [ (Reference_apps.wifi_tx (), 1) ] in
   Alcotest.(check string) "event log pinned" golden_jsonl
     (Obs.to_jsonl (Obs.recorded_events obs));
-  Alcotest.(check int) "nothing dropped" 0 (Obs.Sink.dropped (Obs.sink obs))
+  Alcotest.(check int) "nothing dropped" 0 (Obs.Sink.dropped (Obs.sink obs));
+  let obs = Obs.make ~sink:(Obs.Sink.ring ()) ~metrics:(Obs.Metrics.create ()) () in
+  ignore
+    (Virtual_engine.run ~params:det_params ~obs
+       ~config:(Config.zcu102_cores_ffts ~cores:2 ~ffts:1)
+       ~workload:(Workload.validation [ (Reference_apps.wifi_tx (), 1) ])
+       ~policy:Dssoc_runtime.Scheduler.frfs ());
+  Alcotest.(check string) "reference engine's event log pinned" golden_jsonl
+    (Obs.to_jsonl (Obs.recorded_events obs))
 
 let test_jsonl_parses_and_deterministic () =
   (* A workload that also exercises the FFT accelerator (phase events). *)
@@ -975,8 +986,9 @@ let test_recorder_matches_ring_contended () =
       (List.length (Analyze.tasks a))
   in
   check "virtual" (fun obs ->
-      Emulator.run_exn ~engine:(Emulator.virtual_seeded ~jitter:0.0 7L) ~policy:"FRFS" ~obs
-        ~config ~workload:(workload ()) ());
+      Virtual_engine.run
+        ~params:{ Engine_core.seed = 7L; jitter = 0.0; reservation_depth = 0 }
+        ~obs ~config ~workload:(workload ()) ~policy:Scheduler.frfs ());
   let plan =
     Compiled_engine.compile ~config ~workload:(workload ())
       ~policy:(Result.get_ok (Scheduler.find "FRFS")) ()

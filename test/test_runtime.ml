@@ -528,7 +528,11 @@ let test_native_matches_virtual_functionally () =
   let spec = Reference_apps.range_detection () in
   let wl = Workload.validation [ (spec, 1) ] in
   let config = Config.zcu102_cores_ffts ~cores:2 ~ffts:0 in
-  let _, vi = Result.get_ok (Emulator.run_detailed ~engine:det_engine ~config ~workload:wl ()) in
+  let _, vi =
+    Virtual_engine.run_detailed
+      ~params:{ Dssoc_runtime.Engine_core.seed = 1L; jitter = 0.0; reservation_depth = 0 }
+      ~config ~workload:wl ~policy:Scheduler.frfs ()
+  in
   let _, ni = Result.get_ok (Emulator.run_detailed ~engine:Emulator.native_default ~config ~workload:wl ()) in
   Alcotest.(check int) "same lag" (Store.get_i32 vi.(0).Task.store "lag")
     (Store.get_i32 ni.(0).Task.store "lag")

@@ -3,16 +3,21 @@ module Pe = Dssoc_soc.Pe
 module Host = Dssoc_soc.Host
 module Config = Dssoc_soc.Config
 module Workload = Dssoc_apps.Workload
-module Core = Engine_core
 module Obs = Dssoc_obs.Obs
+module Core = Dssoc_runtime.Engine_core
+module Des = Dssoc_runtime.Des
+module Exec_model = Dssoc_runtime.Exec_model
+module Functional = Dssoc_runtime.Functional
+module Scheduler = Dssoc_runtime.Scheduler
+module Task = Dssoc_runtime.Task
 
-type params = Engine_core.params = {
+type params = Core.params = {
   seed : int64;
   jitter : float;
   reservation_depth : int;
 }
 
-let default_params = Engine_core.default_params
+let default_params = Core.default_params
 
 (* ------------------------------------------------------------------ *)
 (* Effect threads over the discrete-event substrate                    *)

@@ -1,41 +1,37 @@
-(** Deterministic virtual-time emulation engine.
+(** The differential suite's reference engine: the deterministic
+    virtual-time engine in direct style.
 
-    Reimplements the framework's three-component runtime (application
-    handler, workload manager, resource managers) on top of a
-    discrete-event simulation with a virtual nanosecond clock:
+    It runs the shared {!Dssoc_runtime.Engine_core} workload manager
+    and resource managers — the protocol the native engine also runs —
+    as effect threads bridged onto the same discrete-event substrate
+    ({!Dssoc_runtime.Des}) the production engine
+    ({!Dssoc_runtime.Compiled_engine}'s integer-pc machine) runs on.
+    The two protocols are written independently, so an exact-replay
+    test that compares them (same records CSV, report, stores, JSONL
+    event log and [Metrics.pp]) checks the pc machine against a second
+    implementation of one semantics rather than against itself.  What
+    never suspends is shared code — handlers, statistics, jitter
+    draws, report assembly and the resilient-dispatch bookkeeping —
+    and the tests pin the last of these separately to digests.
 
     - Manager threads are lightweight processes (OCaml effects) placed
-      on modelled host cores according to the configuration (Section
-      II-D).  A core running several manager threads processor-shares
-      among them and pays a context-switch penalty, which reproduces
-      the contention anomalies of Figs. 9 and 11.
-    - Every duration comes from the run's {!Exec_model.t}, priced
-      once per (node, PE) before the run: CPU task execution charges
-      the estimate, scaled by the core class; accelerator execution
-      splits into DMA-in / device compute / DMA-out, with the manager
-      thread occupying its core only during the DMA phases (it
-      "sleeps" while the device runs, as Section II-D describes).
+      on modelled host cores according to the configuration; a core
+      running several processor-shares among them.
+    - Every duration comes from the run's
+      {!Dssoc_runtime.Exec_model.t}: CPU execution charges the
+      estimate, accelerator execution splits into DMA-in / device
+      compute / DMA-out, with the manager thread occupying its core
+      only during the DMA phases.
     - The workload manager runs on the overlay core and is charged
       completion-monitoring, ready-list-update, scheduling and
       dispatch costs per loop iteration.
-    - No kernel runs during the emulation: timing is pure in the cost
-      metadata, and a report-only run's instances share one empty
-      placeholder store.  {!run_detailed} gives each instance its own
-      store and computes the real output data with {!Functional} from
-      each task's recorded PE, so it stays checkable.
+    - No kernel runs during the emulation; {!run_detailed} computes
+      the output data afterwards with {!Dssoc_runtime.Functional}.
 
-    Determinism: all randomness (execution-time jitter modelling
-    run-to-run platform variance, and the RANDOM policy) flows from
-    the seed.
+    All randomness (execution-time jitter, the RANDOM policy) flows
+    from the seed. *)
 
-    The workload-manager and resource-handler protocol itself lives in
-    {!Engine_core}, and the discrete-event substrate (clock, event
-    heap, processor-shared host cores, fabric ledger) in {!Des}, which
-    the compiled engine shares.  This module only supplies the backend
-    between them: effect threads that bridge the protocol's
-    direct-style calls onto {!Des}, and modelled overhead charging. *)
-
-type params = Engine_core.params = {
+type params = Dssoc_runtime.Engine_core.params = {
   seed : int64;
   jitter : float;
       (** stddev of the multiplicative Gaussian noise on modelled task
@@ -61,9 +57,9 @@ val run :
   ?fault:Dssoc_fault.Fault.plan ->
   config:Dssoc_soc.Config.t ->
   workload:Dssoc_apps.Workload.t ->
-  policy:Scheduler.policy ->
+  policy:Dssoc_runtime.Scheduler.policy ->
   unit ->
-  Stats.report
+  Dssoc_runtime.Stats.report
 (** Run the workload to completion and return the collected
     statistics.
 
@@ -76,14 +72,15 @@ val run :
 
     [fault] (default none) injects the plan's deterministic fault
     schedule and turns on the resilient-dispatch machinery
-    (retries, quarantine, degradation — see {!Engine_core.workload_manager});
+    (retries, quarantine, degradation — see
+    {!Dssoc_runtime.Engine_core.workload_manager});
     the report's [verdict] and [resilience] fields record the outcome.
     Fault draws are keyed on the plan's own seed, not [params.seed].
     @raise Invalid_argument if some task supports no PE of the
     configuration, if a kernel does not resolve, if a fault rule
     targets no PE, or if a fabric price overflows
     ({!Dssoc_soc.Fabric.fixed_ns}) — all before the run starts
-    ({!Exec_model.lower}). *)
+    ({!Dssoc_runtime.Exec_model.lower}). *)
 
 val run_detailed :
   ?params:params ->
@@ -91,9 +88,10 @@ val run_detailed :
   ?fault:Dssoc_fault.Fault.plan ->
   config:Dssoc_soc.Config.t ->
   workload:Dssoc_apps.Workload.t ->
-  policy:Scheduler.policy ->
+  policy:Dssoc_runtime.Scheduler.policy ->
   unit ->
-  Stats.report * Task.instance array
+  Dssoc_runtime.Stats.report * Dssoc_runtime.Task.instance array
 (** Like {!run} but also returns the executed instances (in workload
     order) with their final variable stores, computed after the run
-    by {!Functional.fill_stores} — the functional-verification path. *)
+    by {!Dssoc_runtime.Functional.fill_stores} — the
+    functional-verification path. *)
