@@ -262,16 +262,18 @@ let fresh_counters () =
 (* Compiled plans are pure and reusable (a fault plan is a run input),
    so within one worker domain a plan is compiled once per (config x
    policy x workload) cell and replayed for every replicate — that is
-   the compiled engine's intended amortization.  The memo keys on the cell labels but stores
-   the config and the workload by physical identity: generator-built
+   the compiled engine's intended amortization.  Workers claim points
+   in index order and a cell's replicates are consecutive, so a domain
+   never returns to a cell it has left: the memo keeps only the
+   domain's last plan, and retains no plan per cell.  It matches the
+   config and the workload by physical identity: generator-built
    workloads are fresh values per point and therefore never falsely
-   share a plan, a different config that happens to reuse a label (in
-   a later sweep on the same domain) recompiles, while
+   share a plan, and a different config that happens to reuse a label
+   (in a later sweep on the same domain) recompiles, while
    [Grid.fixed_workload] cells hit on every replicate. *)
-let plan_memo :
-    (string * string * string, Config.t * Workload.t * Compiled_engine.plan) Hashtbl.t
-    Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 16)
+let plan_memo : (Config.t * Workload.t * string * Compiled_engine.plan) option ref Domain.DLS.key
+    =
+  Domain.DLS.new_key (fun () -> ref None)
 
 let emulate ?counters ~obs (grid : Grid.t) (p : Grid.point) =
   let bump f = match counters with Some c -> Atomic.incr (f c) | None -> () in
@@ -281,9 +283,9 @@ let emulate ?counters ~obs (grid : Grid.t) (p : Grid.point) =
   match
     let plan =
       let memo = Domain.DLS.get plan_memo in
-      let key = (p.Grid.config_label, p.Grid.policy, p.Grid.wl_label) in
-      match Hashtbl.find_opt memo key with
-      | Some (cfg, wl, plan) when cfg == p.Grid.config && wl == p.Grid.workload ->
+      match !memo with
+      | Some (cfg, wl, pol, plan)
+        when cfg == p.Grid.config && wl == p.Grid.workload && pol = p.Grid.policy ->
         bump (fun c -> c.c_plan_reuses);
         plan
       | _ ->
@@ -292,7 +294,7 @@ let emulate ?counters ~obs (grid : Grid.t) (p : Grid.point) =
             ~policy:(policy ()) ()
         in
         bump (fun c -> c.c_plan_compiles);
-        Hashtbl.replace memo key (p.Grid.config, p.Grid.workload, plan);
+        memo := Some (p.Grid.config, p.Grid.workload, p.Grid.policy, plan);
         plan
     in
     Compiled_engine.run ~obs ?fault:grid.Grid.fault plan
