@@ -1009,7 +1009,8 @@ let on_pe_recovered t ~now ~pe ~pe_index =
 
 (* Fabric contention, emitted by the engines' DMA-charging hook: sink
    only here — the fabric occupancy gauge and stall histogram are
-   registered and driven by the (single-threaded) virtual engine. *)
+   registered and driven by the (single-threaded) discrete-event
+   substrate, [Des]. *)
 let on_stream_stalled t ~now ~pe_index ~bytes ~queued =
   Sink.emit t.sink now (Stream_stalled { pe_index; bytes; queued })
 

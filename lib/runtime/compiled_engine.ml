@@ -809,14 +809,15 @@ let exec ~obs ~fault ~service ~resume ~prng plan (params : Core.params) instance
     | 2 -> wm_fault_tail ()
     | _ -> wm_tick_tail ()
   and wm_inject () =
+    (* An aborted run injects nothing more. *)
     if stats.Core.aborted <> None then wm_fault_tail ()
     else
-    match service with
-    | Some sv ->
-      let injected = sv.sv_tick ops ~now:!now in
-      if traced then tick_injected := injected;
-      wm_injected injected
-    | None -> wm_drain ()
+      match service with
+      | Some sv ->
+        let injected = sv.sv_tick ops ~now:!now in
+        if traced then tick_injected := injected;
+        wm_injected injected
+      | None -> wm_drain ()
   and wm_drain () =
     let injected = ref 0 in
     let now_v = !now in

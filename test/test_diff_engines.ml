@@ -459,6 +459,53 @@ let test_aborted_fault_outputs () =
     (done_ > 0 && done_ < r.Stats.task_count);
   Oracle.check "aborted" ~config insts
 
+(* A resident service's run takes a fault plan like a batch run: a
+   service that admits every instance on arrival and finishes once all
+   have completed must leave every instance and every PE exactly where
+   the batch run of the same plan does. *)
+let test_service_under_fault_plan () =
+  let module Compiled = Dssoc_runtime.Compiled_engine in
+  let config = Config.zcu102_cores_ffts ~cores:2 ~ffts:1 in
+  let wl () =
+    Workload.validation
+      [ (Reference_apps.range_detection (), 3); (Reference_apps.wifi_tx (), 2) ]
+  in
+  let fault =
+    Result.get_ok (Fault.of_spec ~seed:9L "fft2:die@40us,*:transient:p=0.2:recover=0.1ms")
+  in
+  let params = { Engine_core.seed = 3L; jitter = 0.03; reservation_depth = 1 } in
+  let plan = Compiled.compile ~config ~workload:(wl ()) ~policy:Scheduler.eft () in
+  let batch, insts = Compiled.run_detailed ~fault plan params in
+  let service (insts : Task.instance array) =
+    let next = ref 0 and n = Array.length insts in
+    {
+      Compiled.sv_tick =
+        (fun ops ~now ->
+          let made = ref 0 in
+          while !next < n && insts.(!next).Task.arrival_ns <= now do
+            made := !made + ops.Compiled.so_inject insts.(!next);
+            incr next
+          done;
+          !made);
+      sv_next = (fun ~now:_ -> None);
+      sv_finished = (fun ops ~now:_ -> ops.Compiled.so_completed () = n);
+    }
+  in
+  let sr = Compiled.run_service ~fault plan params ~service in
+  Alcotest.(check bool) "the plan struck" true (batch.Stats.resilience.Stats.task_retries > 0);
+  Alcotest.(check (list int)) "instance completion times"
+    (Array.to_list (Array.map (fun (i : Task.instance) -> i.Task.completed_at) insts))
+    (Array.to_list
+       (Array.map (fun (i : Task.instance) -> i.Task.completed_at) sr.Compiled.sr_instances));
+  Alcotest.(check (list (pair int int))) "per-PE busy time and tasks run"
+    (List.map
+       (fun (u : Stats.pe_usage) -> (u.Stats.busy_ns, u.Stats.tasks_run))
+       batch.Stats.pe_usage)
+    (Array.to_list
+       (Array.map
+          (fun (h : Compiled.handler_snapshot) -> (h.Compiled.hs_busy_ns, h.Compiled.hs_tasks_run))
+          sr.Compiled.sr_handlers))
+
 (* ---------------- event-stream parity ---------------- *)
 
 (* Timings, PE choices and event interleavings legitimately differ
@@ -517,11 +564,12 @@ let test_event_multiset_parity () =
 (* ---------------- compiled engine: exact replay ---------------- *)
 
 (* The compiled engine's contract is stronger than the native one's:
-   it must replay the virtual engine *byte for byte* — same
-   records_csv, same report, same final stores — for every built-in
-   policy, any reservation depth and any jitter.  The matrix below
-   pins that contract on the reference mix, the fig9-style workload
-   and a fig10 performance trace. *)
+   it must replay the reference engine *byte for byte* — same
+   records_csv, same report, same final stores — for every policy, any
+   reservation depth, any jitter and any fault plan.  The matrices
+   below pin that contract on the reference mix, the fig9-style
+   workload and a fig10 performance trace, and on three fault
+   plans. *)
 
 module Compiled = Dssoc_runtime.Compiled_engine
 module Kernels = Dssoc_apps.Kernels
@@ -1139,7 +1187,7 @@ let test_missing_kernel engine () =
       | Ok _ -> Alcotest.failf "%s: ran with a missing kernel" case)
     cases
 
-(* Only [run_detailed] reads stores.  A report-only virtual run and a
+(* Only [run_detailed] reads stores.  A report-only reference run and a
    service run give every instance one shared, empty placeholder;
    [run_detailed] gives each instance a store of its own, filled as the
    oracle says. *)
@@ -1212,7 +1260,7 @@ let test_placeholder_stores () =
 module Analyze = Dssoc_obs.Analyze
 
 (* The lowered hooks must make a traced compiled run indistinguishable
-   from a traced virtual run: same event stream (byte-for-byte as
+   from a traced reference run: same event stream (byte-for-byte as
    JSONL), same metrics registry contents and registration order, on
    top of the untraced exact-replay contract. *)
 let test_compiled_obs_parity () =
@@ -1555,6 +1603,7 @@ let () =
           Alcotest.test_case "fault parity across the policy matrix" `Slow
             test_fault_parity_across_policies;
           Alcotest.test_case "aborted run outputs" `Quick test_aborted_fault_outputs;
+          Alcotest.test_case "service run under a fault plan" `Quick test_service_under_fault_plan;
         ] );
       ( "stores",
         [ Alcotest.test_case "placeholder unless outputs are read" `Quick test_placeholder_stores ] );

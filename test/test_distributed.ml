@@ -92,7 +92,10 @@ let test_digest_pinned () =
     (fun (engine, want) ->
       Alcotest.(check string) (Sweep.engine_name engine) want
         (Sweep.point_digest ~engine ~code_rev:"r1" g p))
-    [ (`Virtual, "3451eb87db55ab89f4bdf3758afee477"); (`Compiled, "b093cb2b18e0f4ace30b119e6b8d609e") ]
+    [
+      (`Virtual, "3451eb87db55ab89f4bdf3758afee477");
+      (`Compiled, "b093cb2b18e0f4ace30b119e6b8d609e");
+    ]
 
 (* The v2 digest must separate rows by interconnect: an Ideal-fabric
    point and a Bus-fabric point of the otherwise identical grid may

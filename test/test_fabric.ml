@@ -6,9 +6,10 @@
 
    - [Fabric.Ideal] is the default and must replay the legacy
      per-device DMA timings byte-for-byte on every engine;
-   - under a [Bus] the virtual and compiled engines must still agree
-     byte-for-byte (records CSV, report, final stores) — contention
-     is part of the deterministic replay contract;
+   - under a [Bus] the compiled engine must still replay the
+     reference engine byte-for-byte (records CSV, report, final
+     stores) — contention is part of the deterministic replay
+     contract;
    - the native engine, whose clock measures this host, must agree
      functionally: same task population, same stores, same stream
      count (stream admission is jitter- and clock-invariant), with

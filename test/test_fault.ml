@@ -5,7 +5,8 @@
    the engine, the clock, or the PE a task happens to land on.  The
    unit tests pin that purity down; the run tests exercise the
    workload manager's retry / quarantine / degradation machinery on
-   the deterministic virtual engine; the property test checks the
+   the deterministic engine, checked against the reference engine;
+   the property test checks the
    central safety invariant — no dispatch to a quarantined PE. *)
 
 module Fault = Dssoc_fault.Fault
@@ -181,7 +182,8 @@ let workload () =
 (* A resilient run on the deterministic engine, checked against the
    test-local reference engine: the two must agree on the whole report
    before any test reads it. *)
-let run_checked ?(params = { Dssoc_runtime.Engine_core.seed = 1L; jitter = 0.0; reservation_depth = 0 })
+let run_checked
+    ?(params = { Dssoc_runtime.Engine_core.seed = 1L; jitter = 0.0; reservation_depth = 0 })
     ?(policy = "FRFS") ?obs ~fault ~config ~workload () =
   let r =
     Result.get_ok
