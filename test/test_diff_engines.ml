@@ -752,7 +752,7 @@ let fault_cells =
 let fault_of = Option.map (fun (spec, seed) -> Result.get_ok (Fault.of_spec ~seed spec))
 let md5 s = Digest.to_hex (Digest.string s)
 
-let parent_fault_digests =
+let pinned_fault_digests =
   [
     ( "die0+transient/FRFS/depth0",
       "ee32584bc5145cceb0e8d2c9c9917075", "31a40f54e777837b9f046e447e7c7d61",
@@ -882,8 +882,8 @@ let parent_fault_digests =
       "737427cd74bb93d55796d3005501bca2" );
   ]
 
-let check_parent_digests label (r : Stats.report) obs =
-  match List.find_opt (fun (l, _, _, _) -> l = label) parent_fault_digests with
+let check_pinned_digests label (r : Stats.report) obs =
+  match List.find_opt (fun (l, _, _, _) -> l = label) pinned_fault_digests with
   | None -> Alcotest.failf "%s: no pinned digests" label
   | Some (_, csv, jsonl, metrics) ->
     Alcotest.(check string) (label ^ ": records CSV digest") csv (md5 (Stats.records_csv r));
@@ -946,7 +946,7 @@ let test_compiled_exact_replay () =
       let cr, ci = Compiled.run_detailed ?fault plan params in
       check_same_run label ~config (vr, vi) (cr, ci);
       if fault <> None then
-        match List.find_opt (fun (l, _, _, _) -> l = label) parent_fault_digests with
+        match List.find_opt (fun (l, _, _, _) -> l = label) pinned_fault_digests with
         | Some (_, csv, _, _) ->
           Alcotest.(check string) (label ^ ": records CSV digest") csv (md5 (Stats.records_csv cr))
         | None -> Alcotest.failf "%s: no pinned digests" label)
@@ -1280,7 +1280,7 @@ let test_compiled_obs_parity () =
         let cp = Analyze.critical_path (Analyze.of_events (Obs.recorded_events cobs)) in
         Alcotest.(check int) (label ^ ": crit path = makespan") cr.Stats.makespan_ns
           cp.Analyze.cp_length_ns
-      | Some _ -> check_parent_digests label cr cobs)
+      | Some _ -> check_pinned_digests label cr cobs)
 
 (* ---------------- compiled engine: random-DAG properties ---------------- *)
 
