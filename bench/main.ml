@@ -692,8 +692,8 @@ let engine () =
   in
   let results = List.map measure scenarios in
   (* Lowered-tracing overhead on the compiled engine: replay the
-     heaviest compiled scenario with a full observation bundle (ring
-     sink + metrics, as `run --events` and `--trace` record) against
+     heaviest compiled scenario with a full observation bundle (event
+     log + metrics, as `run --events` and `--trace` record) against
      the untraced flat-array loop measured above.  CI gates on
      this number: the traced loop shares the untraced one, so tracing
      cost beyond the gate means an emit leaked outside its
@@ -713,12 +713,12 @@ let engine () =
     let params =
       { Dssoc_runtime.Engine_core.seed = 1L; jitter = 0.0; reservation_depth = 0 }
     in
-    (* The ring path `run --events` and `--trace` use: a drop-free
-       ring sized off the task count plus metrics, reused across runs
-       with [Obs.reset].  Sweep rows record into a schedule sink
-       instead; this gate keeps measuring the full ring. *)
-    let capacity = Obs.Sink.ring_capacity ~tasks:(Workload.task_count (wl ())) in
-    let obs = Obs.make ~sink:(Obs.Sink.ring ~capacity ()) ~metrics:(Obs.Metrics.create ()) () in
+    (* The event log `run --events` and `--trace` use, plus metrics,
+       reused across runs with [Obs.reset]: the first run grows the
+       log's blocks and later runs rewind into them.  Sweep rows record
+       into a schedule sink instead; this gate keeps measuring the full
+       log. *)
+    let obs = Obs.make ~sink:(Obs.Sink.ring ()) ~metrics:(Obs.Metrics.create ()) () in
     let untraced_once () = ignore (Compiled.run plan params) in
     let traced_once () =
       Obs.reset obs;

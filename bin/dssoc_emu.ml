@@ -44,11 +44,27 @@ let little_arg =
   Arg.(value & opt int 2 & info [ "little" ] ~docv:"N" ~doc:"LITTLE-core PEs (odroid).")
 
 let config_of host cores ffts big little =
-  match String.lowercase_ascii host with
-  | "zcu102" -> Ok (Config.zcu102_cores_ffts ~cores ~ffts)
-  | "odroid-xu3" | "odroid" -> Ok (Config.odroid_big_little ~big ~little)
-  | other -> Error (Printf.sprintf "unknown host %S (try zcu102 or odroid-xu3)" other)
-  | exception Invalid_argument msg -> Error msg
+  try
+    match String.lowercase_ascii host with
+    | "zcu102" -> Ok (Config.zcu102_cores_ffts ~cores ~ffts)
+    | "odroid-xu3" | "odroid" -> Ok (Config.odroid_big_little ~big ~little)
+    | other -> Error (Printf.sprintf "unknown host %S (try zcu102 or odroid-xu3)" other)
+  with Invalid_argument msg -> Error msg
+
+(* Each subcommand that reads or writes files runs its body under this
+   one handler: a file or cache error ends the command with one line on
+   stderr, naming the path and the reason, and exit status 1.
+   [Sys_error] messages read "PATH: reason", a cache [Conflict] names
+   its file and line, [Cache.open_]'s [Invalid_argument] names the
+   directory, and [Unix_error] comes from creating a cache directory. *)
+let reporting_errors run =
+  try run () with
+  | Sys_error msg | Cache.Conflict msg | Invalid_argument msg ->
+    prerr_endline msg;
+    1
+  | Unix.Unix_error (err, _, path) ->
+    Printf.eprintf "%s: %s\n" path (Unix.error_message err);
+    1
 
 let policy_arg =
   Arg.(value & opt string "FRFS" & info [ "policy" ] ~docv:"POLICY" ~doc:"Scheduling policy.")
@@ -155,6 +171,7 @@ let apps_cmd =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write JSON to FILE.")
   in
   let run dump out =
+    reporting_errors @@ fun () ->
     match dump with
     | Some name -> (
       match Reference_apps.by_name name with
@@ -322,6 +339,7 @@ let run_cmd =
   let run host cores ffts big little policy seed jitter native engine_name reservation mode
       apps_spec rate csv trace gantt trace_level events metrics_out metrics_period app_file
       faults fault_seed fabric =
+    reporting_errors @@ fun () ->
     let ( let* ) = Result.bind in
     let result =
       let* config = config_of host cores ffts big little in
@@ -360,10 +378,7 @@ let run_cmd =
         match level with
         | `Off -> Obs.disabled
         | `Summary -> Obs.make ~metrics:(Obs.Metrics.create ()) ()
-        | `Full ->
-          (* Sized off the workload so a full log is written whole. *)
-          let capacity = Obs.Sink.ring_capacity ~tasks:(Workload.task_count workload) in
-          Obs.make ~sink:(Obs.Sink.ring ~capacity ()) ~metrics:(Obs.Metrics.create ()) ()
+        | `Full -> Obs.make ~sink:(Obs.Sink.ring ()) ~metrics:(Obs.Metrics.create ()) ()
       in
       let* flusher =
         match (metrics_out, Obs.metrics obs) with
@@ -390,19 +405,7 @@ let run_cmd =
       1
     | Ok (report, obs, flusher) ->
       Format.printf "%a" Stats.pp_summary report;
-      (match Obs.metrics obs with
-      | None -> ()
-      | Some m ->
-        (* Fold the ring's overwrite count into the metrics first so
-           the summary surfaces silent event loss. *)
-        Obs.record_drops obs;
-        Format.printf "%a" Obs.Metrics.pp m);
-      let ring_dropped = Obs.Sink.dropped (Obs.sink obs) in
-      if ring_dropped > 0 then
-        Printf.eprintf
-          "warning: event ring overflowed; the oldest %d events were dropped, so the event \
-           log and anything read from it are incomplete\n"
-          ring_dropped;
+      Option.iter (Format.printf "%a" Obs.Metrics.pp) (Obs.metrics obs);
       (match flusher with
       | None -> ()
       | Some f ->
@@ -420,9 +423,7 @@ let run_cmd =
         let recorded = Obs.recorded_events obs in
         Out_channel.with_open_bin path (fun oc -> Obs.output_jsonl oc recorded);
         (match validate_jsonl path with
-        | Ok n ->
-          let dropped = Obs.Sink.dropped (Obs.sink obs) in
-          Printf.printf "wrote %d events to %s (%d dropped, JSONL validated)\n" n path dropped
+        | Ok n -> Printf.printf "wrote %d events to %s (JSONL validated)\n" n path
         | Error msg -> failures := msg :: !failures));
       (match trace with
       | None -> ()
@@ -561,6 +562,7 @@ let sweep_cmd =
   in
   let run grid_name jobs replicates policies seed jitter csv json summary engine_name faults
       fault_seed fabric cache_dir shard merge adaptive out code_rev =
+    reporting_errors @@ fun () ->
     let policies = Option.map (fun s -> List.map String.trim (String.split_on_char ',' s)) policies in
     let base_seed = Option.map Int64.of_int seed in
     let setup =
@@ -798,7 +800,7 @@ let analyze_cmd =
   in
   (* Strict load: an unparseable line means a truncated or corrupt log,
      and silently analysing a prefix would misreport the critical path. *)
-  let load_events_exn path =
+  let load_events path =
     In_channel.with_open_bin path (fun ic ->
         let rec go n acc =
           match In_channel.input_line ic with
@@ -817,8 +819,8 @@ let analyze_cmd =
         in
         go 0 [])
   in
-  let load_events path = try load_events_exn path with Sys_error msg -> Error msg in
   let run path json out =
+    reporting_errors @@ fun () ->
     match load_events path with
     | Error msg ->
       prerr_endline msg;
@@ -925,6 +927,7 @@ let serve_cmd =
   in
   let run host cores ffts big little policy seed jitter tenants duration admission checkpoint
       restore drain_at wall_budget metrics_out metrics_period report_out =
+    reporting_errors @@ fun () ->
     let ( let* ) = Result.bind in
     let result =
       let* config = config_of host cores ffts big little in
@@ -1051,6 +1054,7 @@ let convert_cmd =
   in
   let emulate = Arg.(value & flag & info [ "emulate" ] ~doc:"Also run the converted app on 3Core+1FFT.") in
   let run source out no_optimize parallelize emulate =
+    reporting_errors @@ fun () ->
     let name, src, inputs =
       match source with
       | None ->

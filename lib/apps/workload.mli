@@ -34,9 +34,6 @@ val performance : prng:Dssoc_util.Prng.t -> window_ns:int -> injection list -> t
 
 val job_count : t -> int
 
-val task_count : t -> int
-(** Tasks over all jobs (DAG nodes summed over the items). *)
-
 val injection_rate_per_ms : t -> float
 (** Jobs per millisecond over the window (or over the last arrival in
     validation mode); matches the x-axis of Figs. 10 and 11. *)

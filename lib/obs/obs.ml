@@ -105,27 +105,42 @@ type recording = {
 }
 
 module Sink = struct
-  (* The ring stores events decomposed into flat preallocated arrays —
-     a packed timestamp+tag word, up to five int fields, up to four
-     string fields per slot — instead of retaining the body records
-     passed to [emit].  The records themselves are transient (they die
-     in the minor heap); a ring of live records would promote every
-     recorded body to the major heap, and that promotion traffic, not
-     the stores, dominated traced-run cost.  [events] re-materializes
-     records lazily on the cold path. *)
+  (* The event log stores events decomposed into flat arrays — a packed
+     timestamp+tag word, up to five int fields, up to four string
+     fields per slot — instead of retaining the body records passed to
+     [emit].  The records themselves are transient (they die in the
+     minor heap); a log of live records would promote every recorded
+     body to the major heap, and that promotion traffic, not the
+     stores, dominated traced-run cost.  [events] re-materializes
+     records lazily on the cold path.
+
+     The log is append-only and grows in blocks of [block_slots]
+     slots; it never wraps and never drops an event.  The writers fill
+     the current block through the recorder's mutable array fields, so
+     a write costs a "block full" test and the stores. *)
 
   let istride = 5
   let sstride = 4
+  let block_slots = 4096
+
+  type block = { b_meta : int array; b_ints : int array; b_strs : string array }
+
+  let new_block () =
+    {
+      b_meta = Array.make block_slots 0;
+      b_ints = Array.make (block_slots * istride) 0;
+      b_strs = Array.make (block_slots * sstride) "";
+    }
 
   type recorder = {
-    meta : int array;  (* (t_ns lsl 5) lor tag *)
-    ints : int array;  (* [istride] int fields per slot *)
-    strs : string array;  (* [sstride] string fields per slot *)
+    blocks : block Vec.t;  (* every block allocated, in log order *)
+    mutable cur : int;  (* index of the block being written *)
+    mutable meta : int array;  (* block [cur]: (t_ns lsl 5) lor tag *)
+    mutable ints : int array;  (* block [cur]: [istride] int fields per slot *)
+    mutable strs : string array;  (* block [cur]: [sstride] string fields per slot *)
+    mutable head : int;  (* next write slot in block [cur] *)
     lock : Mutex.t;
     mutable concurrent : bool;  (* emitters on several domains? *)
-    mutable head : int;  (* next write slot *)
-    mutable stored : int;  (* live entries, <= capacity *)
-    mutable total : int;  (* lifetime emits *)
   }
 
   (* The schedule recorder keeps what [Analyze] folds a log into and
@@ -168,28 +183,35 @@ module Sink = struct
         s_concurrent = false;
       }
 
-  let ring ?(capacity = 65536) () =
-    if capacity <= 0 then invalid_arg "Obs.Sink.ring: capacity must be positive";
-    Ring
-      {
-        meta = Array.make capacity 0;
-        ints = Array.make (capacity * istride) 0;
-        strs = Array.make (capacity * sstride) "";
-        lock = Mutex.create ();
-        concurrent = false;
-        head = 0;
-        stored = 0;
-        total = 0;
-      }
+  (* Makes block [i] the one being written, from its first slot. *)
+  let enter r i =
+    let b = Vec.get r.blocks i in
+    r.cur <- i;
+    r.meta <- b.b_meta;
+    r.ints <- b.b_ints;
+    r.strs <- b.b_strs;
+    r.head <- 0
 
-  let ring_capacity ~tasks = max 65536 (32 * tasks)
+  let ring ?(capacity = block_slots) () =
+    if capacity <= 0 then invalid_arg "Obs.Sink.ring: capacity must be positive";
+    let blocks = Vec.create () in
+    for _ = 1 to (capacity + block_slots - 1) / block_slots do
+      Vec.push blocks (new_block ())
+    done;
+    let r =
+      { blocks; cur = 0; meta = [||]; ints = [||]; strs = [||]; head = 0;
+        lock = Mutex.create (); concurrent = false }
+    in
+    enter r 0;
+    Ring r
 
   let is_null = function Null -> true | Ring _ | Schedule _ -> false
 
-  (* The single-producer engines (virtual, compiled) emit from one
-     thread, so the ring skips its mutex unless the native engine has
-     declared concurrent emitters via [synchronize] — handler domains
-     there emit phase/reservation events concurrently with the WM. *)
+  (* The deterministic engine emits from one thread, so the log skips
+     its mutex unless the native engine has declared concurrent
+     emitters via [synchronize] — handler domains there emit
+     phase/reservation events concurrently with the WM, and a block is
+     then grown under the mutex like any other write. *)
   let synchronize = function
     | Null -> ()
     | Ring r -> r.concurrent <- true
@@ -198,18 +220,21 @@ module Sink = struct
   let phase_tag = function Dma_in -> 0 | Device_compute -> 1 | Dma_out -> 2
   let phase_of_tag = function 0 -> Dma_in | 1 -> Device_compute | _ -> Dma_out
 
+  (* Moves on to the next block, allocating it unless a cleared log
+     kept it from an earlier run. *)
+  let next_block r =
+    if r.cur + 1 = Vec.length r.blocks then Vec.push r.blocks (new_block ());
+    enter r (r.cur + 1)
+
   (* Claims the next slot and stores the packed timestamp+tag word;
      the caller fills the slot's field arrays.  20 constructors fit the
      5 tag bits, and emulated/monotonic timestamps stay far below the
      remaining 57 bits. *)
   let slot r t_ns tag =
+    if r.head = block_slots then next_block r;
     let h = r.head in
     r.meta.(h) <- (t_ns lsl 5) lor tag;
-    let cap = Array.length r.meta in
-    let h' = h + 1 in
-    r.head <- (if h' = cap then 0 else h');
-    if r.stored < cap then r.stored <- r.stored + 1;
-    r.total <- r.total + 1;
+    r.head <- h + 1;
     h
 
   let lock s = if s.s_concurrent then Mutex.lock s.s_lock
@@ -440,17 +465,14 @@ module Sink = struct
         | Wm_tick _ -> ());
         if r.concurrent then Mutex.unlock r.lock
 
-  let length = function Null | Schedule _ -> 0 | Ring r -> r.stored
-  let total = function Null -> 0 | Ring r -> r.total | Schedule s -> s.count
-  let dropped = function Null | Schedule _ -> 0 | Ring r -> r.total - r.stored
-  let capacity = function Null | Schedule _ -> 0 | Ring r -> Array.length r.meta
+  let total = function
+    | Null -> 0
+    | Ring r -> (r.cur * block_slots) + r.head
+    | Schedule s -> s.count
 
   let clear = function
     | Null -> ()
-    | Ring r ->
-        r.head <- 0;
-        r.stored <- 0;
-        r.total <- 0
+    | Ring r -> enter r 0
     | Schedule s ->
         Array.fill s.pend 0 (Array.length s.pend) 0;
         Hashtbl.reset s.far;
@@ -471,21 +493,21 @@ module Sink = struct
             rc_latest_ns = s.latest;
           }
 
-  let decode r h =
-    let t_ns = r.meta.(h) asr 5 in
+  let decode blk h =
+    let t_ns = blk.b_meta.(h) asr 5 in
     let i = h * istride in
-    let a = r.ints.(i)
-    and b = r.ints.(i + 1)
-    and c = r.ints.(i + 2)
-    and d = r.ints.(i + 3)
-    and e = r.ints.(i + 4) in
+    let a = blk.b_ints.(i)
+    and b = blk.b_ints.(i + 1)
+    and c = blk.b_ints.(i + 2)
+    and d = blk.b_ints.(i + 3)
+    and e = blk.b_ints.(i + 4) in
     let j = h * sstride in
-    let s1 = r.strs.(j)
-    and s2 = r.strs.(j + 1)
-    and s3 = r.strs.(j + 2)
-    and s4 = r.strs.(j + 3) in
+    let s1 = blk.b_strs.(j)
+    and s2 = blk.b_strs.(j + 1)
+    and s3 = blk.b_strs.(j + 2)
+    and s4 = blk.b_strs.(j + 3) in
     let body =
-      match r.meta.(h) land 31 with
+      match blk.b_meta.(h) land 31 with
       | 0 -> Instance_injected { instance = a; app = s1 }
       | 1 -> Task_ready { task = a; instance = b; app = s1; node = s2 }
       | 2 ->
@@ -538,10 +560,9 @@ module Sink = struct
 
   let events = function
     | Null | Schedule _ -> []
-    | Ring r ->
-        let cap = Array.length r.meta in
-        let start = (r.head - r.stored + cap) mod cap in
-        List.init r.stored (fun i -> decode r ((start + i) mod cap))
+    | Ring r as t ->
+        List.init (total t) (fun k ->
+            decode (Vec.get r.blocks (k / block_slots)) (k mod block_slots))
 end
 
 module Metrics = struct
@@ -847,7 +868,6 @@ type engine_metrics = {
   c_faults : Metrics.counter;
   c_retries : Metrics.counter;
   c_quarantines : Metrics.counter;
-  c_dropped : Metrics.counter;
 }
 
 type t = {
@@ -873,9 +893,9 @@ let set_flush t f = t.flush <- Some f
 
 (* A reset bundle records the next run exactly as a freshly made one:
    instruments stay registered (so cached handles and registration
-   order survive) but hold no samples, and the sink keeps its storage
-   — a fig10-class ring is tens of MB of flat arrays, which a caller
-   replaying many runs through one ring should not rebuild per run. *)
+   order survive) but hold no samples, and the sink keeps every block
+   it has grown, so a caller replaying many runs through one log
+   allocates blocks only on its first run. *)
 let reset t =
   Sink.clear t.sink;
   (match t.metrics with Some m -> Metrics.reset m | None -> ());
@@ -903,12 +923,11 @@ let attach_pes t ~pe_labels =
       let m_wait = Metrics.histogram m "task_wait_us" in
       let m_service = Metrics.histogram m "task_service_us" in
       let m_sched_cost = Metrics.histogram m "sched_cost_us" in
-      (* Resilience counters and the ring-drop count register after the
-         pre-existing handles so their display/export order is stable. *)
+      (* Resilience counters register after the pre-existing handles so
+         their display/export order is stable. *)
       let c_faults = Metrics.counter m "faults_injected" in
       let c_retries = Metrics.counter m "task_retries" in
       let c_quarantines = Metrics.counter m "pe_quarantines" in
-      let c_dropped = Metrics.counter m "events_dropped" in
       t.eng <-
         Some
           {
@@ -925,7 +944,6 @@ let attach_pes t ~pe_labels =
             c_faults;
             c_retries;
             c_quarantines;
-            c_dropped;
           }
 
 let on_instance_injected t ~now ~instance ~app =
@@ -1031,13 +1049,6 @@ let on_instance_timed_out t ~now ~tenant ~instance ~age_ns =
 
 let on_checkpoint_written t ~now ~path ~instances_done =
   Sink.emit t.sink now (Checkpoint_written { path; instances_done })
-
-let record_drops t =
-  match t.eng with
-  | Some e ->
-      let d = Sink.dropped t.sink in
-      Metrics.incr e.c_dropped ~by:(d - Metrics.counter_value e.c_dropped)
-  | None -> ()
 
 let recorded_events t = Sink.events t.sink
 

@@ -12,8 +12,8 @@
       (engines guard hook sites with {!enabled}, keeping the default
       path free of observation cost);
     - metrics are updated only from the workload-manager thread;
-    - the ring and schedule sinks are lock-free for the
-      single-producer engines; the native engine calls
+    - the event-log and schedule sinks are lock-free for the
+      single-producer deterministic engine; the native engine calls
       {!Sink.synchronize} before spawning handler domains, which makes
       emits mutex-protected there (handler domains emit phase and
       reservation-pop events concurrently). *)
@@ -144,17 +144,13 @@ module Sink : sig
   (** Discards everything; [emit] on it is a pattern match and return. *)
 
   val ring : ?capacity:int -> unit -> t
-  (** Preallocated ring-buffer recorder (default capacity 65536).
-      When full, the oldest events are overwritten; {!dropped} counts
-      the overwritten ones.
+  (** Event log: an append-only recorder that keeps every event it is
+      given, in emit order.  It stores events in flat arrays and grows
+      in fixed-size blocks of 4096 slots, so it never wraps and never
+      drops an event.  [capacity] only says how many slots to
+      preallocate, rounded up to whole blocks (default one block); it
+      never limits the log.
       @raise Invalid_argument if [capacity <= 0]. *)
-
-  val ring_capacity : tasks:int -> int
-  (** [max 65536 (32 * tasks)]: a ring capacity that holds the whole
-      log of a run of [tasks] tasks — a task's lifecycle, DMA phases,
-      reservation and fabric events stay well under 32 even with the
-      WM's sched and tick events shared out.  Retries add events, so a
-      heavily faulted run can still overflow it; {!dropped} tells. *)
 
   val schedule : unit -> t
   (** Schedule recorder: keeps only what the analysis folds an event
@@ -163,7 +159,7 @@ module Sink : sig
       first injection time of each instance; the stalled stream
       admissions; the latest timestamp and the event count.  It has no
       capacity and never drops an event, and it retains no events
-      ({!events} is [[]], {!length} 0).  Memory grows with the log's
+      ({!events} is [[]]).  Memory grows with the log's
       length, never with the value of a task id.  A retried task's
       later ready/dispatch overwrite the earlier ones and its DMA time
       accumulates across attempts, exactly as a replayed log would. *)
@@ -174,37 +170,28 @@ module Sink : sig
   (** Declare that several domains will emit into this sink
       concurrently, making every subsequent [emit] take the sink's
       mutex.  The native engine calls this before spawning handler
-      domains; the single-producer engines leave the ring lock-free.
+      domains; the single-producer engine leaves the log lock-free.
       Must be called before the concurrent emitters start.  No-op on
       the null sink. *)
 
   val emit : t -> int -> body -> unit
 
-  val length : t -> int
-  (** Events retained for {!events} (0 for the null and schedule
-      sinks). *)
-
   val total : t -> int
-  (** Lifetime emits. *)
-
-  val dropped : t -> int
-  (** Events a ring overwrote (always 0 for the other sinks). *)
-
-  val capacity : t -> int
-  (** A ring's slot count; 0 for the null and schedule sinks. *)
+  (** Events emitted since the sink was made or last cleared (0 for the
+      null sink).  An event log retains every one of them. *)
 
   val clear : t -> unit
-  (** Forget every recorded event and zero the lifetime counters,
-      keeping the preallocated ring storage.  No-op on the null
-      sink. *)
+  (** Forget every recorded event, keeping every block an event log
+      has grown, so a log reused across runs allocates only while a
+      run outgrows the earlier ones.  No-op on the null sink. *)
 
   val events : t -> event list
-  (** A ring's retained events, oldest first; [[]] for the null and
+  (** An event log's events, oldest first; [[]] for the null and
       schedule sinks. *)
 
   val recording : t -> recording option
   (** A schedule sink's record (a snapshot: later emits and {!clear}
-      do not change it); [None] for the null and ring sinks. *)
+      do not change it); [None] for the null sink and an event log. *)
 end
 
 (** Registry of named counters, gauges and histogram series.
@@ -321,7 +308,7 @@ val reset : t -> unit
     place, zeroes all metrics (instruments stay registered), and
     detaches any flusher.  A reset bundle records a following run
     exactly as a freshly made one would, so a caller replaying many
-    runs through one ring keeps its preallocated storage. *)
+    runs through one event log keeps the blocks it has grown. *)
 
 val attach_pes : t -> pe_labels:string array -> unit
 (** Called once per run by the engine before the WM starts: registers
@@ -366,7 +353,7 @@ val on_phase :
 val on_wm_tick : t -> now:int -> completions:int -> injected:int -> unit
 (** Emitted at the end of a WM sweep; quiet sweeps (no completions, no
     injections) are suppressed so polling backends don't flood the
-    ring. *)
+    log. *)
 
 val on_fault_injected :
   t -> now:int -> task:int -> pe:string -> pe_index:int -> fault:string ->
@@ -403,12 +390,6 @@ val on_tenant_admitted : t -> now:int -> tenant:string -> instance:int -> queue_
 val on_tenant_shed : t -> now:int -> tenant:string -> instance:int -> queue_depth:int -> unit
 val on_instance_timed_out : t -> now:int -> tenant:string -> instance:int -> age_ns:int -> unit
 val on_checkpoint_written : t -> now:int -> path:string -> instances_done:int -> unit
-
-val record_drops : t -> unit
-(** Copy the sink's ring-overwrite count into the [events_dropped]
-    counter (registered by {!attach_pes}) so {!Metrics.pp} surfaces
-    silent event loss.  Call after a run, before printing or exporting
-    metrics.  A no-op without metrics; idempotent. *)
 
 (** {2 Export} *)
 

@@ -192,7 +192,7 @@ let check_rows_against_reference (g : Grid.t) (table : Sweep.table) =
           row.Sweep.replicate
       in
       let metrics = Obs.Metrics.create () in
-      let obs = Obs.make ~sink:(Obs.Sink.ring ~capacity:(1 lsl 18) ()) ~metrics () in
+      let obs = Obs.make ~sink:(Obs.Sink.ring ()) ~metrics () in
       let r =
         Virtual_engine.run
           ~params:

@@ -462,7 +462,6 @@ let golden_traced_metrics =
   counter  faults_injected            0
   counter  task_retries               0
   counter  pe_quarantines             0
-  counter  events_dropped             0
   gauge    event_heap_depth           last 196  max 196  (1997 samples)
 |}
 
@@ -513,7 +512,7 @@ let test_restore_replays_event_log () =
       "a:apps=wifi_tx:rate=1.2:slo=4ms;b:apps=range_detection:rate=6:slo=3ms"
   in
   let traced () =
-    Obs.make ~sink:(Obs.Sink.ring ~capacity:(1 lsl 16) ()) ~metrics:(Obs.Metrics.create ()) ()
+    Obs.make ~sink:(Obs.Sink.ring ()) ~metrics:(Obs.Metrics.create ()) ()
   in
   let path = tmp_name "ckpt.json" in
   let part = run_exn ~drain:(fun ~now_ns -> now_ns >= 5_000_000) ~checkpoint:path spec in
@@ -542,7 +541,7 @@ let test_restore_replays_event_log () =
 
 let test_golden_traced () =
   let obs =
-    Obs.make ~sink:(Obs.Sink.ring ~capacity:(1 lsl 18) ()) ~metrics:(Obs.Metrics.create ()) ()
+    Obs.make ~sink:(Obs.Sink.ring ()) ~metrics:(Obs.Metrics.create ()) ()
   in
   let oc = run_exn ~obs (ramp_spec 20.0) in
   Alcotest.(check string) "report" golden_traced_report (Server.render_report oc);
