@@ -35,6 +35,7 @@ type plan = {
   p_pe_is_cpu : bool array;
   p_pe_busy_w : float array;
   p_overlay_perf : float;
+  p_overhead : ready:int -> ops:int -> int;  (** the policy's scheduling-cost formula *)
 }
 
 let pcode_of (policy : Scheduler.policy) =
@@ -49,8 +50,9 @@ let pcode_of (policy : Scheduler.policy) =
 (* Compilation                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let compile ~(config : Config.t) ~(workload : Workload.t) ~(policy : Scheduler.policy) () =
-  let model = Exec_model.lower ~engine_name:"Compiled_engine.compile" ~config workload in
+let engine_name = "Compiled_engine.compile"
+
+let plan_of ~(config : Config.t) ~(policy : Scheduler.policy) model =
   {
     p_config = config;
     p_policy = policy;
@@ -59,7 +61,17 @@ let compile ~(config : Config.t) ~(workload : Workload.t) ~(policy : Scheduler.p
     p_pe_is_cpu = Array.map (fun pe -> Pe.is_cpu pe.Pe.kind) model.Exec_model.pes;
     p_pe_busy_w = Array.map (fun pe -> Pe.busy_w pe.Pe.kind) model.Exec_model.pes;
     p_overlay_perf = config.Config.host.Host.overlay.Host.core_class.Pe.perf_factor;
+    p_overhead =
+      Scheduler.overhead ~policy_name:policy.Scheduler.name ~pes:model.Exec_model.n_pes;
   }
+
+let compile ~config ~workload ~policy () =
+  plan_of ~config ~policy (Exec_model.lower ~engine_name ~config workload)
+
+let compile_specs ~config ~specs ~policy () =
+  plan_of ~config ~policy (Exec_model.lower_specs ~engine_name ~config specs)
+
+let model plan = plan.p_model
 
 (* ------------------------------------------------------------------ *)
 (* Resident service hooks                                              *)
@@ -112,7 +124,7 @@ let exec ~obs ~fault ~service ~resume ~prng plan (params : Core.params) instance
   (* Prices come from the task's class, at row [index * stride + pe];
      the policy loops inline the two loads. *)
   let classes = model.Exec_model.classes in
-  let cls (t : Task.t) = classes.(t.Task.instance_id) in
+  let cls (t : Task.t) = classes.(t.Task.cls) in
   let row (t : Task.t) i = (t.Task.index * stride) + i in
   let handlers =
     Array.mapi
@@ -136,8 +148,12 @@ let exec ~obs ~fault ~service ~resume ~prng plan (params : Core.params) instance
   let fault_on = Fault.enabled fault in
   let stats = Core.make_stats () in
   (* A resident service never reads per-task records and would grow
-     the list without bound; its aggregates live in the service. *)
-  let records = Option.is_none service in
+     the list without bound; its aggregates live in the service.  Nor
+     does it hold its instances in an array: the ones it injected and
+     that have not completed are looked up by id. *)
+  let service_mode = Option.is_some service in
+  let records = not service_mode in
+  let live : (int, Task.instance) Hashtbl.t = Hashtbl.create (if service_mode then 64 else 1) in
   (* Observability lowering: [traced] is constant for the whole run, so
      the untraced loop pays one predictable branch per hook site.
      Metric registration order is the reference engine's — engine handles
@@ -264,7 +280,7 @@ let exec ~obs ~fault ~service ~resume ~prng plan (params : Core.params) instance
   let inflight = ref 0 in
   let n_items = Array.length instances in
   let pending_idx = ref 0 in
-  let unfinished = ref n_items in
+  let completed = ref 0 in
   let wm_pc = ref 0 in
   let sw_hi = ref 0 in
   let sw_batch = ref false in
@@ -324,11 +340,15 @@ let exec ~obs ~fault ~service ~resume ~prng plan (params : Core.params) instance
           if traced then
             Obs.on_instance_injected obs ~now:!now ~instance:inst.Task.inst_id
               ~app:inst.Task.app.App_spec.app_name;
+          Hashtbl.replace live inst.Task.inst_id inst;
           List.iter make_ready inst.Task.entry;
           List.length inst.Task.entry);
       so_cancel =
         (fun (inst : Task.instance) ->
           inst.Task.cancelled <- true;
+          (* A retry released after the cancellation still completes
+             against the instance. *)
+          if not fault_on then Hashtbl.remove live inst.Task.inst_id;
           Array.iter
             (fun (t : Task.t) ->
               if t.Task.status = Task.Ready then begin
@@ -339,7 +359,7 @@ let exec ~obs ~fault ~service ~resume ~prng plan (params : Core.params) instance
             inst.Task.tasks);
       so_ready_live = (fun () -> !ready_live);
       so_inflight = (fun () -> !inflight);
-      so_completed = (fun () -> n_items - !unfinished);
+      so_completed = (fun () -> !completed);
     }
   in
   (* ---- resource-manager threads (engine_core.resource_manager) ---- *)
@@ -509,13 +529,17 @@ let exec ~obs ~fault ~service ~resume ~prng plan (params : Core.params) instance
           completed_ns = task.Task.completed_at;
         }
         :: stats.Core.records;
-    let inst = instances.(task.Task.instance_id) in
+    let inst =
+      if service_mode then Hashtbl.find live task.Task.instance_id
+      else instances.(task.Task.instance_id)
+    in
     let newly = ref 0 in
     if not inst.Task.cancelled then begin
       inst.Task.remaining <- inst.Task.remaining - 1;
       if inst.Task.remaining = 0 then begin
         inst.Task.completed_at <- !now;
-        decr unfinished
+        incr completed;
+        if service_mode then Hashtbl.remove live inst.Task.inst_id
       end;
       List.iter
         (fun (succ : Task.t) ->
@@ -562,12 +586,7 @@ let exec ~obs ~fault ~service ~resume ~prng plan (params : Core.params) instance
       as_n := 0;
       ds_ops := nready * n_pes;
       run_policy nready !n_idle;
-      let cost =
-        scale
-          (float_of_int
-             (Scheduler.overhead_ns ~policy_name:plan.p_policy.Scheduler.name
-                ~ready:ready_len ~pes:n_pes ~ops:!ds_ops))
-      in
+      let cost = scale (float_of_int (plan.p_overhead ~ready:ready_len ~ops:!ds_ops)) in
       ds_cost := cost;
       stats.Core.wm_ns <- stats.Core.wm_ns + cost;
       wm_then 12 (Des.work des wm_th cost)
@@ -604,7 +623,7 @@ let exec ~obs ~fault ~service ~resume ~prng plan (params : Core.params) instance
     | P_frfs ->
       while !j < nready && !n_idle > 0 do
         let t = sl_task.(!cur) in
-        let est = classes.(t.Task.instance_id).Exec_model.est and row = t.Task.index * stride in
+        let est = classes.(t.Task.cls).Exec_model.est and row = t.Task.index * stride in
         let chosen = ref (-1) in
         for i = 0 to n_pes - 1 do
           if !chosen < 0 && idle.(i) && est.(row + i) <> min_int then chosen := i
@@ -620,7 +639,7 @@ let exec ~obs ~fault ~service ~resume ~prng plan (params : Core.params) instance
     | P_met ->
       while !j < nready && !n_idle > 0 do
         let t = sl_task.(!cur) in
-        let est = classes.(t.Task.instance_id).Exec_model.est and row = t.Task.index * stride in
+        let est = classes.(t.Task.cls).Exec_model.est and row = t.Task.index * stride in
         let best = ref (-1) and best_est = ref 0 in
         for i = 0 to n_pes - 1 do
           if idle.(i) then begin
@@ -646,7 +665,7 @@ let exec ~obs ~fault ~service ~resume ~prng plan (params : Core.params) instance
       done;
       while !j < nready && !n_idle > 0 do
         let t = sl_task.(!cur) in
-        let est = classes.(t.Task.instance_id).Exec_model.est and row = t.Task.index * stride in
+        let est = classes.(t.Task.cls).Exec_model.est and row = t.Task.index * stride in
         let best = ref (-1) and best_fin = ref 0 in
         for i = 0 to n_pes - 1 do
           let e = est.(row + i) in
@@ -672,7 +691,7 @@ let exec ~obs ~fault ~service ~resume ~prng plan (params : Core.params) instance
     | P_power ->
       while !j < nready && !n_idle > 0 do
         let t = sl_task.(!cur) in
-        let est = classes.(t.Task.instance_id).Exec_model.est and row = t.Task.index * stride in
+        let est = classes.(t.Task.cls).Exec_model.est and row = t.Task.index * stride in
         let best = ref (-1) and best_energy = ref 0.0 and best_est = ref 0 in
         for i = 0 to n_pes - 1 do
           if idle.(i) then begin
@@ -701,7 +720,7 @@ let exec ~obs ~fault ~service ~resume ~prng plan (params : Core.params) instance
     | P_random ->
       while !j < nready && !n_idle > 0 do
         let t = sl_task.(!cur) in
-        let est = classes.(t.Task.instance_id).Exec_model.est and row = t.Task.index * stride in
+        let est = classes.(t.Task.cls).Exec_model.est and row = t.Task.index * stride in
         let cn = ref 0 in
         for i = 0 to n_pes - 1 do
           if idle.(i) && est.(row + i) <> min_int then begin
@@ -852,7 +871,7 @@ let exec ~obs ~fault ~service ~resume ~prng plan (params : Core.params) instance
     let finished =
       match service with
       | Some sv -> sv.sv_finished ops ~now:!now
-      | None -> !unfinished = 0 && !pending_idx >= n_items
+      | None -> !completed = n_items
     in
     (* An aborted run stops once in-flight work has drained. *)
     if finished || (stats.Core.aborted <> None && !inflight = 0) then
@@ -919,19 +938,15 @@ let run ?(obs = Obs.disabled) ?fault plan params =
 let run_detailed ?(obs = Obs.disabled) ?fault plan params =
   let instances = Exec_model.instantiate plan.p_model ~fresh_stores:true in
   let report = run_timed ~obs ~fault plan params instances in
-  Functional.fill_stores ~pes:(Array.to_list plan.p_model.Exec_model.pes) instances;
+  Functional.fill_stores plan.p_model instances;
   (report, instances)
 
-let run_service ?(obs = Obs.disabled) ?fault ?resume plan (params : Core.params) ~service =
-  let prng =
-    match resume with
-    | Some r -> Prng.of_state r.rs_prng
-    | None -> Prng.create ~seed:params.Core.seed
-  in
-  let instances = Exec_model.instantiate plan.p_model ~fresh_stores:false in
-  let handlers, _, _ =
-    exec ~obs ~fault ~service:(Some (service instances)) ~resume ~prng plan params instances
-  in
+let start_prng resume (params : Core.params) =
+  match resume with
+  | Some r -> Prng.of_state r.rs_prng
+  | None -> Prng.create ~seed:params.Core.seed
+
+let service_run ~instances ~prng handlers =
   {
     sr_instances = instances;
     sr_prng = Prng.state prng;
@@ -945,3 +960,18 @@ let run_service ?(obs = Obs.disabled) ?fault ?resume plan (params : Core.params)
           })
         handlers;
   }
+
+let run_service ?(obs = Obs.disabled) ?fault ?resume plan (params : Core.params) ~service =
+  let prng = start_prng resume params in
+  let instances = Exec_model.instantiate plan.p_model ~fresh_stores:false in
+  let handlers, _, _ =
+    exec ~obs ~fault ~service:(Some (service instances)) ~resume ~prng plan params instances
+  in
+  service_run ~instances ~prng handlers
+
+let serve ?(obs = Obs.disabled) ?resume plan (params : Core.params) service =
+  let prng = start_prng resume params in
+  let handlers, _, _ =
+    exec ~obs ~fault:None ~service:(Some service) ~resume ~prng plan params [||]
+  in
+  service_run ~instances:[||] ~prng handlers

@@ -64,6 +64,20 @@ val compile :
     validation as the native engine), or when a fabric latency
     overflows ({!Dssoc_soc.Fabric.fixed_ns}). *)
 
+val compile_specs :
+  config:Dssoc_soc.Config.t ->
+  specs:Dssoc_apps.App_spec.t list ->
+  policy:Scheduler.policy ->
+  unit ->
+  plan
+(** A plan with no workload, for a resident service ({!val:serve})
+    that builds its instances one at a time: class [k] of {!model} is
+    the [k]-th spec's ({!Exec_model.lower_specs}).  Validation and
+    exceptions are {!compile}'s. *)
+
+val model : plan -> Exec_model.t
+(** The plan's lowering. *)
+
 val run :
   ?obs:Dssoc_obs.Obs.t ->
   ?fault:Dssoc_fault.Fault.plan ->
@@ -93,7 +107,9 @@ val run_detailed :
     watchdog) plugs into the workload manager through these hooks.
     The service decides {e which} instances enter the run and when;
     the workload manager keeps owning the ready list, dispatch and
-    completion monitoring.  A service run keeps no per-task records. *)
+    completion monitoring.  A service run keeps no per-task records,
+    and the engine holds an instance only from its injection to its
+    completion or cancellation. *)
 
 type service_ops = {
   so_inject : Task.instance -> int;
@@ -140,6 +156,7 @@ type resume_state = {
 
 type service_run = {
   sr_instances : Task.instance array;
+      (** {!run_service}'s instances; empty for {!val:serve} *)
   sr_prng : int64 * int64 * int64 * int64;  (** engine PRNG state at the end *)
   sr_handlers : handler_snapshot array;
 }
@@ -161,3 +178,20 @@ val run_service :
     workload manager starts with the await on [sv_next] instead of a
     tick, reproducing the uninterrupted run's trajectory exactly.
     @raise Invalid_argument on a PE-count mismatch with [resume]. *)
+
+val serve :
+  ?obs:Dssoc_obs.Obs.t ->
+  ?resume:resume_state ->
+  plan ->
+  Engine_core.params ->
+  service ->
+  service_run
+(** Run a resident service whose instances the service builds itself,
+    when it admits them, from the plan's classes
+    ({!Exec_model.instance} over {!model}; a shared placeholder store
+    will do).  The engine keeps no array indexed by instance or task
+    id: a run's memory follows its instances in flight, not its
+    window.  Instance and task ids must stay dense and in injection
+    order only as far as the service's own outputs need them.
+    [resume] is {!run_service}'s.  No fault plan: fault injection runs
+    through {!run_service}, whose whole workload is instantiated. *)

@@ -158,7 +158,13 @@ let build_class ~engine_name ~(config : Config.t) ~(pes : Pe.t array) spec =
 (* A run's lowering                                                    *)
 (* ------------------------------------------------------------------ *)
 
-type t = { pes : Pe.t array; n_pes : int; classes : cls array; arrivals : int array }
+type t = {
+  pes : Pe.t array;
+  n_pes : int;
+  classes : cls array;
+  items : int array;
+  arrivals : int array;
+}
 
 let lower ~engine_name ~(config : Config.t) (workload : Workload.t) =
   let pes = Array.of_list (Config.pes config) in
@@ -170,43 +176,52 @@ let lower ~engine_name ~(config : Config.t) (workload : Workload.t) =
   let known = ref [] and seen = ref [] in
   let class_of (spec : App_spec.t) =
     match List.assq_opt spec !seen with
-    | Some c -> c
+    | Some k -> k
     | None ->
-      let c =
-        match List.find_opt (fun c -> c.topology.Task.tp_spec = spec) !known with
-        | Some c -> c
+      let k =
+        match List.find_opt (fun ((c : cls), _) -> c.topology.Task.tp_spec = spec) !known with
+        | Some (_, k) -> k
         | None ->
-          let c = build_class ~engine_name ~config ~pes spec in
-          known := c :: !known;
-          c
+          let k = List.length !known in
+          known := (build_class ~engine_name ~config ~pes spec, k) :: !known;
+          k
       in
-      seen := (spec, c) :: !seen;
-      c
+      seen := (spec, k) :: !seen;
+      k
   in
+  let idx = Array.map (fun (it : Workload.item) -> class_of it.Workload.spec) items in
   {
     pes;
     n_pes = Array.length pes;
-    classes = Array.map (fun (it : Workload.item) -> class_of it.Workload.spec) items;
+    classes = Array.of_list (List.rev_map fst !known);
+    items = idx;
     arrivals = Array.map (fun (it : Workload.item) -> it.Workload.arrival_ns) items;
   }
+
+let lower_specs ~engine_name ~config specs =
+  let pes = Array.of_list (Config.pes config) in
+  let classes = Array.of_list (List.map (build_class ~engine_name ~config ~pes) specs) in
+  { pes; n_pes = Array.length pes; classes; items = [||]; arrivals = [||] }
+
+let task_count m k = Array.length m.classes.(k).topology.Task.tp_nodes
+
+let instance m k ~store ~task_id_base ~inst_id ~arrival_ns =
+  Task.instance m.classes.(k).topology ~cls:k ~store ~task_id_base ~inst_id ~arrival_ns
 
 let instantiate m ~fresh_stores =
   let placeholder = lazy (Store.create []) in
   let base = ref 0 in
   Array.mapi
-    (fun i c ->
-      let tp = c.topology in
+    (fun i k ->
       let store =
-        if fresh_stores then Store.create tp.Task.tp_spec.App_spec.variables
+        if fresh_stores then Store.create m.classes.(k).topology.Task.tp_spec.App_spec.variables
         else Lazy.force placeholder
       in
-      let inst =
-        Task.instance tp ~store ~task_id_base:!base ~inst_id:i ~arrival_ns:m.arrivals.(i)
-      in
-      base := !base + Array.length tp.Task.tp_nodes;
+      let inst = instance m k ~store ~task_id_base:!base ~inst_id:i ~arrival_ns:m.arrivals.(i) in
+      base := !base + task_count m k;
       inst)
-    m.classes
+    m.items
 
-let class_of m (task : Task.t) = m.classes.(task.Task.instance_id)
+let class_of m (task : Task.t) = m.classes.(task.Task.cls)
 let row m (task : Task.t) pe_index = (task.Task.index * m.n_pes) + pe_index
 let estimate m task pe_index = (class_of m task).est.(row m task pe_index)

@@ -18,6 +18,11 @@ val estimate_ns : Task.t -> Dssoc_soc.Pe.t -> int
     model.  Pure in the task's cost metadata and the PE class.
     @raise Invalid_argument when the task does not support the PE. *)
 
+val node_kernel :
+  Dssoc_apps.App_spec.t -> Dssoc_apps.App_spec.node -> Dssoc_soc.Pe.t -> Dssoc_apps.Kernels.kernel
+(** The kernel the spec's node runs on the PE.
+    @raise Invalid_argument as {!resolve_kernel}. *)
+
 val resolve_kernel : Task.t -> Dssoc_soc.Pe.t -> Dssoc_apps.Kernels.kernel
 (** The functional kernel to execute for this (task, PE) pairing.
     @raise Invalid_argument on unknown shared object or symbol — {!lower}
@@ -53,8 +58,9 @@ type t = private {
   pes : Dssoc_soc.Pe.t array;  (** the configuration's PEs, in placement order *)
   n_pes : int;
   classes : cls array;
-      (** the class of each workload item; items whose specs are the
-          same (physically or structurally) share one *)
+      (** one per distinct spec: specs that are the same (physically or
+          structurally) share one *)
+  items : int array;  (** each workload item's class *)
   arrivals : int array;  (** each item's arrival, ns *)
 }
 
@@ -68,6 +74,25 @@ val lower :
     kernel; {!Dssoc_soc.Fabric.demand_ns}/{!Dssoc_soc.Fabric.fixed_ns}'s
     for an overflow). *)
 
+val lower_specs :
+  engine_name:string -> config:Dssoc_soc.Config.t -> Dssoc_apps.App_spec.t list -> t
+(** {!lower} for a run whose instances are built one at a time
+    ({!instance}): class [k] is the [k]-th spec's, and there are no
+    items. *)
+
+val task_count : t -> int -> int
+(** Tasks per instance of class [k]. *)
+
+val instance :
+  t ->
+  int ->
+  store:Dssoc_apps.Store.t ->
+  task_id_base:int ->
+  inst_id:int ->
+  arrival_ns:int ->
+  Task.instance
+(** [instance m k ...] is one instance of class [k] ({!Task.instance}). *)
+
 val instantiate : t -> fresh_stores:bool -> Task.instance array
 (** One instance per workload item, with dense task ids from 0.  With
     [fresh_stores] each instance gets its own initialised store;
@@ -75,7 +100,7 @@ val instantiate : t -> fresh_stores:bool -> Task.instance array
     that never read a store. *)
 
 val class_of : t -> Task.t -> cls
-(** The class of the task's instance. *)
+(** The class of the task's instance ([classes.(task.cls)]). *)
 
 val row : t -> Task.t -> int -> int
 (** [row m task pe_index]: the task's row in {!class_of}'s columns. *)

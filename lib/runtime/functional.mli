@@ -16,19 +16,24 @@
     engines; the native engine runs kernels inline in dispatch order
     and may differ.
 
-    {b Memo.}  One image is computed per (spec, closure each node ran)
-    and shared by every instance that maps to it; specs and closures
-    are told apart by physical equality. *)
+    {b Memo.}  One image is computed per (class, closure each node ran)
+    and shared by every instance that maps to it; closures are told
+    apart by physical equality.  A class numbers its nodes' distinct
+    closures, so an instance's assignment is a number and finding its
+    image one array read (classes with more than 4096 assignments
+    fall back to a search by spec and closures). *)
 
 type 'a memo
 (** The images of one run, each kept as the value derived from it. *)
 
-val memo : pes:Dssoc_soc.Pe.t list -> (Dssoc_apps.Store.t -> 'a) -> 'a memo
-(** An empty memo over the run's PEs; the derivation runs once per image. *)
+val memo : Exec_model.t -> (Dssoc_apps.Store.t -> 'a) -> 'a memo
+(** An empty memo over the run's lowering; the derivation runs once
+    per image. *)
 
 val image : 'a memo -> Task.instance -> 'a
-(** The value derived from the instance's final store. *)
+(** The value derived from the instance's final store.  The instance
+    must come from the memo's lowering. *)
 
-val fill_stores : pes:Dssoc_soc.Pe.t list -> Task.instance array -> unit
+val fill_stores : Exec_model.t -> Task.instance array -> unit
 (** Write each instance's final store into its [store], with a memo
     that lives for this call. *)

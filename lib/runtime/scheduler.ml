@@ -205,15 +205,25 @@ let names () = Hashtbl.fold (fun k _ acc -> k :: acc) registry [] |> List.sort c
 (* Overhead model                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let overhead_ns ~policy_name ~ready ~pes ~ops =
+let overhead ~policy_name ~pes =
   let open Cost_model in
-  let examined = min ready sched_examined_cap in
-  let extra =
-    match String.uppercase_ascii policy_name with
-    | "FRFS" -> sched_frfs_per_pe_ns *. float_of_int pes
-    | "RANDOM" -> sched_frfs_per_pe_ns *. float_of_int (pes + examined)
-    | "MET" | "POWER" -> sched_met_per_task_ns *. float_of_int examined
-    | "EFT" -> sched_eft_per_pair_ns *. float_of_int (examined * examined)
-    | _ -> 60.0 *. float_of_int ops
-  in
-  int_of_float (Float.round (sched_base_ns +. extra))
+  let examined ready = if ready < sched_examined_cap then ready else sched_examined_cap in
+  match String.uppercase_ascii policy_name with
+  | "FRFS" ->
+    let c = int_of_float (Float.round (sched_base_ns +. (sched_frfs_per_pe_ns *. float_of_int pes))) in
+    fun ~ready:_ ~ops:_ -> c
+  | "RANDOM" ->
+    fun ~ready ~ops:_ ->
+      int_of_float
+        (Float.round (sched_base_ns +. (sched_frfs_per_pe_ns *. float_of_int (pes + examined ready))))
+  | "MET" | "POWER" ->
+    fun ~ready ~ops:_ ->
+      int_of_float
+        (Float.round (sched_base_ns +. (sched_met_per_task_ns *. float_of_int (examined ready))))
+  | "EFT" ->
+    fun ~ready ~ops:_ ->
+      let e = examined ready in
+      int_of_float (Float.round (sched_base_ns +. (sched_eft_per_pair_ns *. float_of_int (e * e))))
+  | _ -> fun ~ready:_ ~ops -> int_of_float (Float.round (sched_base_ns +. (60.0 *. float_of_int ops)))
+
+let overhead_ns ~policy_name ~ready ~pes ~ops = overhead ~policy_name ~pes ~ready ~ops

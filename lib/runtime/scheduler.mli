@@ -100,3 +100,7 @@ val overhead_ns : policy_name:string -> ready:int -> pes:int -> ops:int -> int
     quadratic in ready-task count (the complexities stated in Case
     Study 2); unknown (custom) policies are charged per recorded
     elementary operation. *)
+
+val overhead : policy_name:string -> pes:int -> ready:int -> ops:int -> int
+(** [overhead ~policy_name ~pes] resolves {!overhead_ns}'s formula once,
+    for an engine that charges it every scheduling round. *)

@@ -8,6 +8,7 @@ type t = {
   id : int;
   index : int;
   instance_id : int;
+  cls : int;
   app_name : string;
   node : App_spec.node;
   spec : App_spec.t;
@@ -62,7 +63,7 @@ let topology (spec : App_spec.t) =
     tp_entry = Array.of_list (List.rev !entry);
   }
 
-let instance tp ~store ~task_id_base ~inst_id ~arrival_ns =
+let instance tp ~cls ~store ~task_id_base ~inst_id ~arrival_ns =
   let spec = tp.tp_spec in
   let tasks =
     Array.mapi
@@ -71,6 +72,7 @@ let instance tp ~store ~task_id_base ~inst_id ~arrival_ns =
           id = task_id_base + j;
           index = j;
           instance_id = inst_id;
+          cls;
           app_name = spec.App_spec.app_name;
           node;
           spec;
@@ -102,8 +104,8 @@ let instance tp ~store ~task_id_base ~inst_id ~arrival_ns =
   }
 
 let instantiate ~task_id_base ~inst_id ~arrival_ns (spec : App_spec.t) =
-  instance (topology spec) ~store:(Store.create spec.App_spec.variables) ~task_id_base ~inst_id
-    ~arrival_ns
+  instance (topology spec) ~cls:0 ~store:(Store.create spec.App_spec.variables) ~task_id_base
+    ~inst_id ~arrival_ns
 
 let entry_matches (e : App_spec.platform_entry) (pe : Pe.t) =
   if e.App_spec.platform = "cpu" then Pe.is_cpu pe.Pe.kind

@@ -16,6 +16,9 @@ type t = {
       (** position of the node in its spec's declaration order: the
           task's row in its instance's {!topology} and price class *)
   instance_id : int;
+  cls : int;
+      (** the instance's class in its run's lowering
+          ({!Exec_model.class_of}); [0] outside a lowering *)
   app_name : string;
   node : Dssoc_apps.App_spec.node;
   spec : Dssoc_apps.App_spec.t;
@@ -63,6 +66,7 @@ val topology : Dssoc_apps.App_spec.t -> topology
 
 val instance :
   topology ->
+  cls:int ->
   store:Dssoc_apps.Store.t ->
   task_id_base:int ->
   inst_id:int ->

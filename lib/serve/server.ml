@@ -12,6 +12,7 @@ module Task = Dssoc_runtime.Task
 module Scheduler = Dssoc_runtime.Scheduler
 module Compiled_engine = Dssoc_runtime.Compiled_engine
 module Functional = Dssoc_runtime.Functional
+module Exec_model = Dssoc_runtime.Exec_model
 module Obs = Dssoc_obs.Obs
 module Vec = Dssoc_util.Vec
 
@@ -239,77 +240,155 @@ type spec = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Arrival materialization                                             *)
+(* Arrival streams                                                     *)
 (* ------------------------------------------------------------------ *)
 
 (* The whole open-loop schedule is a pure function of the tenant seeds:
    each tenant draws Poisson inter-arrivals and weighted app picks from
-   its own derived stream, so a restored run regenerates the identical
-   schedule and only the cursors travel in the checkpoint. *)
-
-type arrival = { ar_t : int; ar_tenant : int; ar_seq : int; ar_spec : App_spec.t }
+   its own derived stream, one arrival at a time, so the server holds
+   only each stream's next arrival.  A restored run regenerates the
+   streams up to the cursors in the checkpoint. *)
 
 let tenant_seed ~seed idx tn =
   match tn.tn_seed with Some s -> s | None -> Prng.derive_seed ~seed ~index:idx
 
-let materialize sp =
-  let duration_ns = int_of_float (sp.sp_duration_ms *. 1e6) in
-  let* per_tenant =
-    let rec go idx acc = function
-      | [] -> Ok (List.rev acc)
-      | tn :: rest ->
-        let* specs =
-          let rec resolve acc = function
-            | [] -> Ok (List.rev acc)
-            | (name, w) :: tl -> (
-              match Reference_apps.by_name name with
-              | Ok a -> resolve (List.init w (fun _ -> a) @ acc) tl
-              | Error e -> Error (Printf.sprintf "tenant %s: %s" tn.tn_name e))
-          in
-          resolve [] tn.tn_apps
-        in
-        let specs = Array.of_list specs in
-        let prng = Prng.create ~seed:(tenant_seed ~seed:sp.sp_seed idx tn) in
-        let mean_ns = 1e6 /. tn.tn_rate_per_ms in
-        let rec gen t seq acc =
-          let dt = max 1 (int_of_float (Float.round (Prng.exponential prng ~mean:mean_ns))) in
-          let t = t + dt in
-          if t >= duration_ns then List.rev acc
-          else
-            let a =
-              { ar_t = t; ar_tenant = idx; ar_seq = seq;
-                ar_spec = specs.(Prng.int prng (Array.length specs)) }
-            in
-            gen t (seq + 1) (a :: acc)
-        in
-        go (idx + 1) (gen 0 0 [] :: acc) rest
-    in
-    go 0 [] sp.sp_tenants
+(* The distinct apps of all tenants, in order of first mention, and
+   each tenant's weighted mix as indices into them. *)
+let resolve_apps sp =
+  let index = Hashtbl.create 8 and specs = ref [] in
+  let app tn name =
+    match Hashtbl.find_opt index name with
+    | Some k -> Ok k
+    | None -> (
+      match Reference_apps.by_name name with
+      | Ok a ->
+        let k = Hashtbl.length index in
+        Hashtbl.replace index name k;
+        specs := a :: !specs;
+        Ok k
+      | Error e -> Error (Printf.sprintf "tenant %s: %s" tn.tn_name e))
   in
-  let all =
-    List.concat per_tenant
-    |> List.sort (fun a b -> compare (a.ar_t, a.ar_tenant, a.ar_seq) (b.ar_t, b.ar_tenant, b.ar_seq))
+  let rec mix tn acc = function
+    | [] -> Ok (Array.of_list (List.rev acc))
+    | (name, w) :: rest ->
+      let* k = app tn name in
+      mix tn (List.init w (fun _ -> k) @ acc) rest
   in
-  Ok (duration_ns, Array.of_list all)
+  let rec tenants acc = function
+    | [] -> Ok (List.rev !specs, Array.of_list (List.rev acc))
+    | tn :: rest ->
+      let* m = mix tn [] tn.tn_apps in
+      tenants (m :: acc) rest
+  in
+  tenants [] sp.sp_tenants
 
-let workload_of ~duration_ns (arrivals : arrival array) =
-  let counts = Hashtbl.create 8 in
-  let items =
-    Array.to_list arrivals
-    |> List.map (fun a ->
-           let name = a.ar_spec.App_spec.app_name in
-           let n = Option.value ~default:0 (Hashtbl.find_opt counts name) in
-           Hashtbl.replace counts name (n + 1);
-           { Workload.spec = a.ar_spec; arrival_ns = a.ar_t; instance = n })
+(* One tenant's stream; its head is the next arrival not yet merged. *)
+type stream = {
+  st_prng : Prng.t;
+  st_mix : int array;  (* app per weighted slot *)
+  st_mean_ns : float;
+  mutable st_t : int;  (* head arrival time; at or past the window end once exhausted *)
+  mutable st_seq : int;  (* head's position in the tenant's stream *)
+  mutable st_app : int;
+}
+
+let draw ~end_ns st =
+  let dt = max 1 (int_of_float (Float.round (Prng.exponential st.st_prng ~mean:st.st_mean_ns))) in
+  st.st_t <- st.st_t + dt;
+  if st.st_t < end_ns then st.st_app <- st.st_mix.(Prng.int st.st_prng (Array.length st.st_mix))
+
+(* Arrivals from the head on, counted on a copy of the stream. *)
+let remaining ~end_ns st =
+  let c = { st with st_prng = Prng.copy st.st_prng } in
+  let n = ref 0 in
+  while c.st_t < end_ns do
+    incr n;
+    draw ~end_ns c
+  done;
+  !n
+
+type arrival = {
+  ar_t : int;
+  ar_tenant : int;
+  ar_seq : int;
+  ar_id : int;  (* position in the merged schedule: the instance id *)
+  ar_app : int;
+  ar_base : int;  (* first task id of its instance *)
+}
+
+(* The tenant streams merged in (time, tenant, seq) order.  A stream's
+   times strictly increase, so the earliest head, lowest tenant first
+   on a tie, is next. *)
+type schedule = {
+  end_ns : int;
+  streams : stream array;
+  tasks_of : int array;  (* task count per app *)
+  mutable next_id : int;
+  mutable next_base : int;
+}
+
+let schedule sp ~mixes ~tasks_of =
+  let end_ns = int_of_float (sp.sp_duration_ms *. 1e6) in
+  let streams =
+    Array.of_list
+      (List.mapi
+         (fun idx tn ->
+           let st =
+             {
+               st_prng = Prng.create ~seed:(tenant_seed ~seed:sp.sp_seed idx tn);
+               st_mix = mixes.(idx);
+               st_mean_ns = 1e6 /. tn.tn_rate_per_ms;
+               st_t = 0;
+               st_seq = 0;
+               st_app = 0;
+             }
+           in
+           draw ~end_ns st;
+           st)
+         sp.sp_tenants)
   in
-  { Workload.items; window_ns = duration_ns }
+  { end_ns; streams; tasks_of; next_id = 0; next_base = 0 }
+
+(* Merge the next arrival at or before [upto], if any. *)
+let next_due sc ~upto =
+  let best = ref (-1) in
+  Array.iteri
+    (fun i st ->
+      if st.st_t < sc.end_ns && st.st_t <= upto && (!best < 0 || st.st_t < sc.streams.(!best).st_t)
+      then best := i)
+    sc.streams;
+  if !best < 0 then None
+  else begin
+    let st = sc.streams.(!best) in
+    let a =
+      { ar_t = st.st_t; ar_tenant = !best; ar_seq = st.st_seq; ar_id = sc.next_id;
+        ar_app = st.st_app; ar_base = sc.next_base }
+    in
+    sc.next_id <- sc.next_id + 1;
+    sc.next_base <- sc.next_base + sc.tasks_of.(st.st_app);
+    st.st_seq <- st.st_seq + 1;
+    draw ~end_ns:sc.end_ns st;
+    Some a
+  end
+
+let exhausted sc ti = sc.streams.(ti).st_t >= sc.end_ns
+
+(* Every arrival of the window: merged ones plus what the streams hold. *)
+let total_arrivals sc =
+  Array.fold_left (fun n st -> n + remaining ~end_ns:sc.end_ns st) sc.next_id sc.streams
 
 let materialize_debug sp =
-  match materialize sp with
+  match resolve_apps sp with
   | Error e -> failwith e
-  | Ok (_, arrivals) ->
-    Array.to_list arrivals
-    |> List.map (fun a -> (a.ar_t, a.ar_tenant, a.ar_seq, a.ar_spec.App_spec.app_name))
+  | Ok (specs, mixes) ->
+    let names = Array.of_list (List.map (fun (a : App_spec.t) -> a.App_spec.app_name) specs) in
+    let sc = schedule sp ~mixes ~tasks_of:(Array.map (fun _ -> 0) names) in
+    let rec go acc =
+      match next_due sc ~upto:max_int with
+      | None -> List.rev acc
+      | Some a -> go ((a.ar_t, a.ar_tenant, a.ar_seq, names.(a.ar_app)) :: acc)
+    in
+    go []
 
 (* ------------------------------------------------------------------ *)
 (* Digests                                                             *)
@@ -327,7 +406,7 @@ let store_digest (store : Store.t) =
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 let chain_digest prev ~inst_id ~digest =
-  Digest.to_hex (Digest.string (Printf.sprintf "%s|%d|%s" prev inst_id digest))
+  Digest.to_hex (Digest.string (String.concat "|" [ prev; string_of_int inst_id; digest ]))
 
 (* Static-spec fingerprint: a restore must replay against the same
    platform, policy, seeds, tenants and admission settings. *)
@@ -359,27 +438,47 @@ let fingerprint sp =
 (* Runtime state                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Internal per-instance state; only the final four survive a drain. *)
-type disp = D_pending | D_queued | D_admitted | D_completed | D_shed | D_timed_out
+(* Each merged arrival's state is one byte of [dispo]: 'P' pending,
+   'Q' queued, 'A' admitted, then its final disposition 'C' completed,
+   'S' shed or 'T' timed out.  Only the final three and 'P' survive a
+   drain. *)
+module Dispo = struct
+  type t = { mutable bytes : Bytes.t; mutable len : int }
 
-(* An int ring buffer: an admission queue admits from the front and,
-   under Degrade, sheds from the back.  Degrade can push past the
-   queue bound (the arrival displaces another tenant's instance), so
-   it grows. *)
+  let create () = { bytes = Bytes.make 1024 'P'; len = 0 }
+
+  let set d i c =
+    if i >= Bytes.length d.bytes then begin
+      let b = Bytes.make (max (2 * Bytes.length d.bytes) (i + 1)) 'P' in
+      Bytes.blit d.bytes 0 b 0 d.len;
+      d.bytes <- b
+    end;
+    Bytes.set d.bytes i c;
+    if i >= d.len then d.len <- i + 1
+
+  (* The first [n] arrivals' states; unmerged ones are pending. *)
+  let get d i = if i < d.len then Bytes.get d.bytes i else 'P'
+end
+
+(* A ring buffer: an admission queue admits from the front and, under
+   Degrade, sheds from the back.  Degrade can push past the queue bound
+   (the arrival displaces another tenant's instance), so it grows. *)
 module Deque = struct
-  type t = { mutable buf : int array; mutable head : int; mutable len : int }
+  type 'a t = { mutable buf : 'a array; mutable head : int; mutable len : int }
 
-  let create () = { buf = Array.make 8 0; head = 0; len = 0 }
+  let create () = { buf = [||]; head = 0; len = 0 }
   let length q = q.len
   let slot q k = (q.head + k) land (Array.length q.buf - 1)
 
   let push q x =
     if q.len = Array.length q.buf then begin
-      q.buf <- Array.init (2 * q.len) (fun k -> if k < q.len then q.buf.(slot q k) else 0);
+      q.buf <- Array.init (max 8 (2 * q.len)) (fun k -> if k < q.len then q.buf.(slot q k) else x);
       q.head <- 0
     end;
     q.buf.(slot q q.len) <- x;
     q.len <- q.len + 1
+
+  let front q = q.buf.(q.head)
 
   let pop_front q =
     let x = q.buf.(q.head) in
@@ -395,18 +494,23 @@ end
 type tstate = {
   ts_spec : tenant_spec;
   ts_slo_ns : int;
-  mutable ts_sched : int array;  (* instance ids in tenant arrival order *)
-  mutable ts_cursor : int;
-  ts_queue : Deque.t;  (* admission queue, oldest first *)
+  mutable ts_cursor : int;  (* arrivals admission control has consumed *)
+  ts_due : arrival Deque.t;
+      (* merged arrivals not yet consumed, oldest first: a Block stream
+         stalls here *)
+  ts_queue : arrival Deque.t;  (* admission queue, oldest first *)
   mutable ts_offered : int;
   mutable ts_admitted : int;
   mutable ts_completed : int;
   mutable ts_shed : int;
   mutable ts_timed_out : int;
   mutable ts_slo_miss : int;
-  mutable ts_latencies : int list;  (* newest first *)
+  ts_latencies : int Vec.t;  (* in completion order *)
   mutable ts_digest : string;
 }
+
+(* An admitted instance, in flight until it completes or times out. *)
+type admitted = { ad_tenant : int; ad_inst : Task.instance }
 
 type stop_reason = Running | Finished | Drained
 
@@ -416,17 +520,14 @@ type stop_reason = Running | Finished | Drained
 
 let checkpoint_version = 1
 
-let dispositions_string dispo =
-  String.init (Array.length dispo) (fun i ->
-      match dispo.(i) with
-      | D_pending -> 'P'
-      | D_completed -> 'C'
-      | D_shed -> 'S'
-      | D_timed_out -> 'T'
-      | D_queued | D_admitted -> 'X' (* impossible at a quiescent instant *))
+let dispositions_string dispo ~total =
+  String.init total (fun i ->
+      match Dispo.get dispo i with
+      | ('P' | 'C' | 'S' | 'T') as c -> c
+      | _ -> 'X' (* queued or admitted: impossible at a quiescent instant *))
 
 let checkpoint_json ~fp ~clock ~prng ~(handlers : Compiled_engine.handler_snapshot array)
-    ~(states : tstate array) ~dispo =
+    ~(states : tstate array) ~dispositions =
   let s0, s1, s2, s3 = prng in
   Json.obj
     [
@@ -459,10 +560,10 @@ let checkpoint_json ~fp ~clock ~prng ~(handlers : Compiled_engine.handler_snapsh
                      ("shed", Json.int ts.ts_shed);
                      ("timed_out", Json.int ts.ts_timed_out);
                      ("slo_miss", Json.int ts.ts_slo_miss);
-                     ("latencies", Json.list (List.rev_map Json.int ts.ts_latencies));
+                     ("latencies", Json.list (List.map Json.int (Vec.to_list ts.ts_latencies)));
                      ("digest", Json.str ts.ts_digest);
                    ])) );
-      ("dispositions", Json.str (dispositions_string dispo));
+      ("dispositions", Json.str dispositions);
     ]
 
 let write_checkpoint ~path json =
@@ -474,7 +575,30 @@ let mem_int key j = Result.bind (Json.member key j) Json.to_int
 let mem_str key j = Result.bind (Json.member key j) Json.to_str
 let mem_list key j = Result.bind (Json.member key j) Json.to_list
 
-let load_checkpoint ~path ~fp ~(states : tstate array) ~dispo =
+(* Skip each tenant's first [cursor] arrivals, merging in schedule order
+   so ids and task-id bases come out as in the checkpointed run; an
+   arrival merged before every cursor is reached was due but not yet
+   consumed, and waits in its tenant's [ts_due]. *)
+let replay ~path sc (states : tstate array) =
+  let behind ti = sc.streams.(ti).st_seq < states.(ti).ts_cursor in
+  let rec go () =
+    match List.find_opt behind (List.init (Array.length states) Fun.id) with
+    | None -> Ok ()
+    | Some ti when exhausted sc ti ->
+      Error
+        (Printf.sprintf "checkpoint %s: tenant %S cursor out of range" path
+           states.(ti).ts_spec.tn_name)
+    | Some _ ->
+      Option.iter
+        (fun a ->
+          let ts = states.(a.ar_tenant) in
+          if a.ar_seq >= ts.ts_cursor then Deque.push ts.ts_due a)
+        (next_due sc ~upto:max_int);
+      go ()
+  in
+  go ()
+
+let load_checkpoint ~path ~fp ~sc ~(states : tstate array) ~dispo =
   let* j = Result.map_error Json.error_to_string (Json.of_file path) in
   let* v = mem_int "version" j in
   let* () =
@@ -546,17 +670,16 @@ let load_checkpoint ~path ~fp ~(states : tstate array) ~dispo =
           let* timed_out = mem_int "timed_out" t in
           let* slo_miss = mem_int "slo_miss" t in
           let* digest = mem_str "digest" t in
-          let* lats =
-            let* l = mem_list "latencies" t in
-            let rec conv acc = function
-              | [] -> Ok acc (* chronological list folded into newest-first *)
-              | x :: rest ->
+          let* lats = mem_list "latencies" t in
+          let* () =
+            List.fold_left
+              (fun acc x ->
+                let* () = acc in
                 let* v = Json.to_int x in
-                conv (v :: acc) rest
-            in
-            conv [] l
+                Ok (Vec.push ts.ts_latencies v))
+              (Ok ()) lats
           in
-          if cursor < 0 || cursor > Array.length ts.ts_sched then
+          if cursor < 0 then
             Error (Printf.sprintf "checkpoint %s: tenant %S cursor out of range" path name)
           else begin
             ts.ts_cursor <- cursor;
@@ -566,33 +689,23 @@ let load_checkpoint ~path ~fp ~(states : tstate array) ~dispo =
             ts.ts_shed <- shed;
             ts.ts_timed_out <- timed_out;
             ts.ts_slo_miss <- slo_miss;
-            ts.ts_latencies <- lats;
             ts.ts_digest <- digest;
             go (i + 1) rest
           end
     in
     go 0 tenants
   in
+  let* () = replay ~path sc states in
   let* ds = mem_str "dispositions" j in
   let* () =
-    if String.length ds <> Array.length dispo then
+    if String.length ds <> total_arrivals sc then
       Error (Printf.sprintf "checkpoint %s: disposition count mismatch" path)
     else Ok ()
   in
   let* () =
-    let err = ref None in
-    String.iteri
-      (fun i c ->
-        match c with
-        | 'P' -> dispo.(i) <- D_pending
-        | 'C' -> dispo.(i) <- D_completed
-        | 'S' -> dispo.(i) <- D_shed
-        | 'T' -> dispo.(i) <- D_timed_out
-        | c ->
-          if !err = None then
-            err := Some (Printf.sprintf "checkpoint %s: bad disposition %C" path c))
-      ds;
-    match !err with Some e -> Error e | None -> Ok ()
+    match Seq.find (fun c -> not (String.contains "PCST" c)) (String.to_seq ds) with
+    | Some c -> Error (Printf.sprintf "checkpoint %s: bad disposition %C" path c)
+    | None -> Ok ()
   in
   let* () =
     if not (String.contains ds 'P') then
@@ -600,6 +713,7 @@ let load_checkpoint ~path ~fp ~(states : tstate array) ~dispo =
                              from already finished)" path)
     else Ok ()
   in
+  String.iteri (fun i c -> if i < sc.next_id then Dispo.set dispo i c) ds;
   Ok { Compiled_engine.rs_clock = clock; rs_prng = prng; rs_handlers = handlers }
 
 (* ------------------------------------------------------------------ *)
@@ -607,14 +721,13 @@ let load_checkpoint ~path ~fp ~(states : tstate array) ~dispo =
 (* ------------------------------------------------------------------ *)
 
 let p95_ns lats =
-  match lats with
-  | [] -> 0
-  | l ->
-    let a = Array.of_list l in
-    Array.sort compare a;
-    let n = Array.length a in
-    let idx = max 0 (int_of_float (Float.ceil (0.95 *. float_of_int n)) - 1) in
-    a.(idx)
+  let a = Vec.to_array lats in
+  let n = Array.length a in
+  if n = 0 then 0
+  else begin
+    Array.sort Int.compare a;
+    a.(max 0 (int_of_float (Float.ceil (0.95 *. float_of_int n)) - 1))
+  end
 
 let tenant_reports ~clock_ns (states : tstate array) =
   let reports =
@@ -684,11 +797,12 @@ let run ?(obs = Obs.disabled) ?(drain = fun ~now_ns:_ -> false) ?checkpoint ?res
   let* () =
     if sp.sp_duration_ms <= 0.0 then Error "serve: duration must be positive" else Ok ()
   in
-  let* duration_ns, arrivals = materialize sp in
-  let n = Array.length arrivals in
+  let* specs, mixes = resolve_apps sp in
+  let sc =
+    schedule sp ~mixes
+      ~tasks_of:(Array.of_list (List.map (fun (a : App_spec.t) -> List.length a.App_spec.nodes) specs))
+  in
   let fp = fingerprint sp in
-  (* instance id -> (tenant, seq, arrival time) *)
-  let meta = arrivals in
   let states =
     Array.of_list
       (List.map
@@ -696,8 +810,8 @@ let run ?(obs = Obs.disabled) ?(drain = fun ~now_ns:_ -> false) ?checkpoint ?res
            {
              ts_spec = tn;
              ts_slo_ns = int_of_float (tn.tn_slo_ms *. 1e6);
-             ts_sched = [||];
              ts_cursor = 0;
+             ts_due = Deque.create ();
              ts_queue = Deque.create ();
              ts_offered = 0;
              ts_admitted = 0;
@@ -705,23 +819,16 @@ let run ?(obs = Obs.disabled) ?(drain = fun ~now_ns:_ -> false) ?checkpoint ?res
              ts_shed = 0;
              ts_timed_out = 0;
              ts_slo_miss = 0;
-             ts_latencies = [];
+             ts_latencies = Vec.create ();
              ts_digest = "";
            })
          sp.sp_tenants)
   in
-  (* per-tenant schedules: instance ids in tenant arrival order *)
-  Array.iteri
-    (fun ti ts ->
-      let ids = ref [] in
-      Array.iteri (fun i a -> if a.ar_tenant = ti then ids := i :: !ids) meta;
-      ts.ts_sched <- Array.of_list (List.rev !ids))
-    states;
-  let dispo = Array.make n D_pending in
+  let dispo = Dispo.create () in
   let* resume =
     match restore with
     | None -> Ok None
-    | Some path -> Result.map Option.some (load_checkpoint ~path ~fp ~states ~dispo)
+    | Some path -> Result.map Option.some (load_checkpoint ~path ~fp ~sc ~states ~dispo)
   in
   let adm = sp.sp_admission in
   (* tenants in admission-pull order: priority descending, ties by
@@ -738,7 +845,7 @@ let run ?(obs = Obs.disabled) ?(drain = fun ~now_ns:_ -> false) ?checkpoint ?res
      the event log depend on. *)
   let active = Vec.create () in
   let watchdog = adm.ad_timeout_ns > 0 in
-  let deadline i = meta.(i).ar_t + adm.ad_timeout_ns in
+  let deadline t = t + adm.ad_timeout_ns in
   (* The earliest watchdog deadline over [active] ([max_int] when none)
      and the engine's completed-instance count at the last harvest: a
      tick harvests only when one of them says there is work. *)
@@ -746,247 +853,242 @@ let run ?(obs = Obs.disabled) ?(drain = fun ~now_ns:_ -> false) ?checkpoint ?res
   let harvested = ref 0 in
   let final_now = ref 0 in
   let stop_reason = ref Running in
-  let workload = workload_of ~duration_ns arrivals in
+  match Compiled_engine.compile_specs ~config:sp.sp_config ~specs ~policy:sp.sp_policy () with
+  | exception Invalid_argument msg -> Error msg
+  | plan ->
+  let model = Compiled_engine.model plan in
+  let placeholder = Store.create [] in
   (* The engine models time only; a completion's output digest comes
      from its functional image, hashed once per distinct image. *)
-  let digests = Functional.memo ~pes:(Config.pes sp.sp_config) store_digest in
-  let service (instances : Task.instance array) =
-    let no_running (inst : Task.instance) =
-      Array.for_all (fun (t : Task.t) -> t.Task.status <> Task.Running) inst.Task.tasks
-    in
-    let record_completion i =
-      let inst = instances.(i) in
-      let a = meta.(i) in
-      let ts = states.(a.ar_tenant) in
-      let lat = inst.Task.completed_at - a.ar_t in
-      ts.ts_completed <- ts.ts_completed + 1;
-      ts.ts_latencies <- lat :: ts.ts_latencies;
-      if lat > ts.ts_slo_ns then ts.ts_slo_miss <- ts.ts_slo_miss + 1;
-      ts.ts_digest <-
-        chain_digest ts.ts_digest ~inst_id:i ~digest:(Functional.image digests inst);
-      dispo.(i) <- D_completed
-    in
-    let shed_instance ~now ~victim_tenant i =
-      let ts = states.(victim_tenant) in
-      ts.ts_shed <- ts.ts_shed + 1;
-      dispo.(i) <- D_shed;
-      if Obs.enabled obs then
-        Obs.on_tenant_shed obs ~now ~tenant:ts.ts_spec.tn_name ~instance:i
-          ~queue_depth:(Deque.length ts.ts_queue)
-    in
-    let time_out ~now i =
-      let a = meta.(i) in
-      let ts = states.(a.ar_tenant) in
-      ts.ts_timed_out <- ts.ts_timed_out + 1;
-      dispo.(i) <- D_timed_out;
-      if Obs.enabled obs then
-        Obs.on_instance_timed_out obs ~now ~tenant:ts.ts_spec.tn_name ~instance:i
-          ~age_ns:(now - a.ar_t)
-    in
-    let enqueue ts i =
-      Deque.push ts.ts_queue i;
-      dispo.(i) <- D_queued
-    in
-    let sv_tick (ops : Compiled_engine.service_ops) ~now =
-      (* 1. harvest completions; run the watchdog over admitted work *)
-      let completed = ops.Compiled_engine.so_completed () in
-      if completed <> !harvested || !wd_first <= now then begin
-        harvested := completed;
-        wd_first := max_int;
-        Vec.filter_in_place
-          (fun i ->
-            let inst = instances.(i) in
-            if inst.Task.completed_at >= 0 then begin
-              record_completion i;
-              false
-            end
-            else if watchdog && now >= deadline i && no_running inst then begin
-              ops.Compiled_engine.so_cancel inst;
-              time_out ~now i;
-              false
-            end
-            else begin
-              if watchdog then wd_first := min !wd_first (deadline i);
-              true
-            end)
-          active
-      end;
-      (* 2. consume due arrivals through admission control *)
-      Array.iteri
-        (fun ti ts ->
-          let continue_ = ref true in
-          while !continue_ && ts.ts_cursor < Array.length ts.ts_sched do
-            let i = ts.ts_sched.(ts.ts_cursor) in
-            if meta.(i).ar_t > now then continue_ := false
-            else begin
-              let room = Deque.length ts.ts_queue < adm.ad_queue in
-              match adm.ad_policy with
-              | Block ->
-                if room then begin
-                  ts.ts_cursor <- ts.ts_cursor + 1;
-                  ts.ts_offered <- ts.ts_offered + 1;
-                  enqueue ts i
-                end
-                else continue_ := false (* stream stalls until the queue drains *)
-              | Shed ->
-                ts.ts_cursor <- ts.ts_cursor + 1;
-                ts.ts_offered <- ts.ts_offered + 1;
-                if room then enqueue ts i else shed_instance ~now ~victim_tenant:ti i
-              | Degrade ->
-                ts.ts_cursor <- ts.ts_cursor + 1;
-                ts.ts_offered <- ts.ts_offered + 1;
-                if room then enqueue ts i
-                else begin
-                  (* displace the newest queued instance of the
-                     lowest-priority tenant strictly below ours (first
-                     declared wins a priority tie) *)
-                  let victim = ref None in
-                  Array.iteri
-                    (fun vi vts ->
-                      if
-                        vts.ts_spec.tn_priority < ts.ts_spec.tn_priority
-                        && Deque.length vts.ts_queue > 0
-                      then
-                        match !victim with
-                        | Some best
-                          when states.(best).ts_spec.tn_priority
-                               <= vts.ts_spec.tn_priority -> ()
-                        | _ -> victim := Some vi)
-                    states;
-                  match !victim with
-                  | Some vti ->
-                    shed_instance ~now ~victim_tenant:vti
-                      (Deque.pop_back states.(vti).ts_queue);
-                    enqueue ts i
-                  | None -> shed_instance ~now ~victim_tenant:ti i
-                end
-            end
-          done)
-        states;
-      (* 3. pull from admission queues, priority first, while the ready
-         list has room *)
-      let made = ref 0 in
-      let continue_ = ref true in
-      while !continue_ && ops.Compiled_engine.so_ready_live () < adm.ad_max_ready do
-        let picked = ref None in
-        Array.iter
-          (fun ti ->
-            if !picked = None && Deque.length states.(ti).ts_queue > 0 then picked := Some ti)
-          pull_order;
-        match !picked with
-        | None -> continue_ := false
-        | Some ti ->
-          let ts = states.(ti) in
-          let i = Deque.pop_front ts.ts_queue in
-          if watchdog && now >= deadline i then time_out ~now i
-          else begin
-            made := !made + ops.Compiled_engine.so_inject instances.(i);
-            ts.ts_admitted <- ts.ts_admitted + 1;
-            dispo.(i) <- D_admitted;
-            Vec.push active i;
-            if watchdog then wd_first := min !wd_first (deadline i);
-            if Obs.enabled obs then
-              Obs.on_tenant_admitted obs ~now ~tenant:ts.ts_spec.tn_name ~instance:i
-                ~queue_depth:(Deque.length ts.ts_queue)
+  let digests = Functional.memo model store_digest in
+  let no_running (inst : Task.instance) =
+    Array.for_all (fun (t : Task.t) -> t.Task.status <> Task.Running) inst.Task.tasks
+  in
+  let record_completion { ad_tenant; ad_inst = inst } =
+    let ts = states.(ad_tenant) in
+    let lat = inst.Task.completed_at - inst.Task.arrival_ns in
+    ts.ts_completed <- ts.ts_completed + 1;
+    Vec.push ts.ts_latencies lat;
+    if lat > ts.ts_slo_ns then ts.ts_slo_miss <- ts.ts_slo_miss + 1;
+    ts.ts_digest <-
+      chain_digest ts.ts_digest ~inst_id:inst.Task.inst_id ~digest:(Functional.image digests inst);
+    Dispo.set dispo inst.Task.inst_id 'C'
+  in
+  let shed_instance ~now ~victim_tenant a =
+    let ts = states.(victim_tenant) in
+    ts.ts_shed <- ts.ts_shed + 1;
+    Dispo.set dispo a.ar_id 'S';
+    if Obs.enabled obs then
+      Obs.on_tenant_shed obs ~now ~tenant:ts.ts_spec.tn_name ~instance:a.ar_id
+        ~queue_depth:(Deque.length ts.ts_queue)
+  in
+  let time_out ~now ~tenant ~id ~arrival_ns =
+    let ts = states.(tenant) in
+    ts.ts_timed_out <- ts.ts_timed_out + 1;
+    Dispo.set dispo id 'T';
+    if Obs.enabled obs then
+      Obs.on_instance_timed_out obs ~now ~tenant:ts.ts_spec.tn_name ~instance:id
+        ~age_ns:(now - arrival_ns)
+  in
+  let enqueue ts a =
+    Deque.push ts.ts_queue a;
+    Dispo.set dispo a.ar_id 'Q'
+  in
+  let offer ts =
+    ts.ts_cursor <- ts.ts_cursor + 1;
+    ts.ts_offered <- ts.ts_offered + 1;
+    Deque.pop_front ts.ts_due
+  in
+  let sv_tick (ops : Compiled_engine.service_ops) ~now =
+    (* 1. harvest completions; run the watchdog over admitted work *)
+    let completed = ops.Compiled_engine.so_completed () in
+    if completed <> !harvested || !wd_first <= now then begin
+      harvested := completed;
+      wd_first := max_int;
+      Vec.filter_in_place
+        (fun ad ->
+          let inst = ad.ad_inst in
+          if inst.Task.completed_at >= 0 then begin
+            record_completion ad;
+            false
           end
-      done;
-      !made
-    in
-    let sv_next ~now =
-      let best = ref None in
-      let add t = match !best with Some b when b <= t -> () | _ -> best := Some t in
-      Array.iter
-        (fun ts ->
-          if ts.ts_cursor < Array.length ts.ts_sched then begin
-            let t = meta.(ts.ts_sched.(ts.ts_cursor)).ar_t in
-            (* a stalled (Block) stream head is in the past: admission
-               room only opens on completions, which wake the WM *)
-            if t > now then add t
+          else if watchdog && now >= deadline inst.Task.arrival_ns && no_running inst then begin
+            ops.Compiled_engine.so_cancel inst;
+            time_out ~now ~tenant:ad.ad_tenant ~id:inst.Task.inst_id
+              ~arrival_ns:inst.Task.arrival_ns;
+            false
+          end
+          else begin
+            if watchdog then wd_first := min !wd_first (deadline inst.Task.arrival_ns);
+            true
           end)
-        states;
-      (* The earliest deadline is the answer unless it has passed (an
-         expired instance still has a task running, or expired during
-         this tick): then look for the earliest one still ahead. *)
-      if !wd_first > now then (if !wd_first < max_int then add !wd_first)
-      else
-        Vec.iter
-          (fun i ->
-            let e = deadline i in
-            if e > now then add e)
-          active;
-      !best
+        active
+    end;
+    (* 2. merge the arrivals now due, then consume them through
+       admission control, tenant by tenant *)
+    let rec merge () =
+      match next_due sc ~upto:now with
+      | Some a ->
+        Deque.push states.(a.ar_tenant).ts_due a;
+        merge ()
+      | None -> ()
     in
-    let sv_finished (ops : Compiled_engine.service_ops) ~now =
-      let queues_empty = Array.for_all (fun ts -> Deque.length ts.ts_queue = 0) states in
-      let idle = queues_empty && Vec.is_empty active in
-      let all_consumed =
-        Array.for_all (fun ts -> ts.ts_cursor >= Array.length ts.ts_sched) states
-      in
-      if idle && all_consumed then begin
-        final_now := now;
-        stop_reason := Finished;
-        true
+    merge ();
+    Array.iteri
+      (fun ti ts ->
+        let continue_ = ref true in
+        while !continue_ && Deque.length ts.ts_due > 0 do
+          let room = Deque.length ts.ts_queue < adm.ad_queue in
+          match adm.ad_policy with
+          | Block ->
+            if room then enqueue ts (offer ts)
+            else continue_ := false (* stream stalls until the queue drains *)
+          | Shed ->
+            let a = offer ts in
+            if room then enqueue ts a else shed_instance ~now ~victim_tenant:ti a
+          | Degrade ->
+            let a = offer ts in
+            if room then enqueue ts a
+            else begin
+              (* displace the newest queued instance of the
+                 lowest-priority tenant strictly below ours (first
+                 declared wins a priority tie) *)
+              let victim = ref (-1) in
+              Array.iteri
+                (fun vi vts ->
+                  if
+                    vts.ts_spec.tn_priority < ts.ts_spec.tn_priority
+                    && Deque.length vts.ts_queue > 0
+                    && (!victim < 0
+                       || states.(!victim).ts_spec.tn_priority > vts.ts_spec.tn_priority)
+                  then victim := vi)
+                states;
+              if !victim >= 0 then begin
+                shed_instance ~now ~victim_tenant:!victim (Deque.pop_back states.(!victim).ts_queue);
+                enqueue ts a
+              end
+              else shed_instance ~now ~victim_tenant:ti a
+            end
+        done)
+      states;
+    (* 3. pull from admission queues, priority first, while the ready
+       list has room; an instance is built when it is admitted *)
+    let made = ref 0 in
+    let continue_ = ref true in
+    while !continue_ && ops.Compiled_engine.so_ready_live () < adm.ad_max_ready do
+      let picked = ref (-1) in
+      Array.iter
+        (fun ti -> if !picked < 0 && Deque.length states.(ti).ts_queue > 0 then picked := ti)
+        pull_order;
+      if !picked < 0 then continue_ := false
+      else begin
+        let ti = !picked in
+        let ts = states.(ti) in
+        let a = Deque.pop_front ts.ts_queue in
+        if watchdog && now >= deadline a.ar_t then
+          time_out ~now ~tenant:ti ~id:a.ar_id ~arrival_ns:a.ar_t
+        else begin
+          let inst =
+            Exec_model.instance model a.ar_app ~store:placeholder ~task_id_base:a.ar_base
+              ~inst_id:a.ar_id ~arrival_ns:a.ar_t
+          in
+          made := !made + ops.Compiled_engine.so_inject inst;
+          ts.ts_admitted <- ts.ts_admitted + 1;
+          Dispo.set dispo a.ar_id 'A';
+          Vec.push active { ad_tenant = ti; ad_inst = inst };
+          if watchdog then wd_first := min !wd_first (deadline a.ar_t);
+          if Obs.enabled obs then
+            Obs.on_tenant_admitted obs ~now ~tenant:ts.ts_spec.tn_name ~instance:a.ar_id
+              ~queue_depth:(Deque.length ts.ts_queue)
+        end
       end
-      else if
-        idle && drain ~now_ns:now
-        && ops.Compiled_engine.so_ready_live () = 0
-        && ops.Compiled_engine.so_inflight () = 0
-      then begin
-        final_now := now;
-        stop_reason := Drained;
-        true
-      end
-      else false
+    done;
+    !made
+  in
+  let sv_next ~now =
+    let best = ref max_int in
+    let add t = if t < !best then best := t in
+    Array.iteri
+      (fun ti ts ->
+        (* a stalled (Block) stream head is in the past: admission
+           room only opens on completions, which wake the WM *)
+        let t = if Deque.length ts.ts_due > 0 then (Deque.front ts.ts_due).ar_t
+          else sc.streams.(ti).st_t in
+        if t > now && t < sc.end_ns then add t)
+      states;
+    (* The earliest deadline is the answer unless it has passed (an
+       expired instance still has a task running, or expired during
+       this tick): then look for the earliest one still ahead. *)
+    if !wd_first > now then (if !wd_first < max_int then add !wd_first)
+    else
+      Vec.iter
+        (fun ad ->
+          let e = deadline ad.ad_inst.Task.arrival_ns in
+          if e > now then add e)
+        active;
+    if !best = max_int then None else Some !best
+  in
+  let sv_finished (ops : Compiled_engine.service_ops) ~now =
+    let queues_empty = Array.for_all (fun ts -> Deque.length ts.ts_queue = 0) states in
+    let idle = queues_empty && Vec.is_empty active in
+    let all_consumed =
+      Array.for_all (fun ts -> Deque.length ts.ts_due = 0) states
+      && Array.for_all (fun st -> st.st_t >= sc.end_ns) sc.streams
     in
-    { Compiled_engine.sv_tick; sv_next; sv_finished }
+    if idle && all_consumed then begin
+      final_now := now;
+      stop_reason := Finished;
+      true
+    end
+    else if
+      idle && drain ~now_ns:now
+      && ops.Compiled_engine.so_ready_live () = 0
+      && ops.Compiled_engine.so_inflight () = 0
+    then begin
+      final_now := now;
+      stop_reason := Drained;
+      true
+    end
+    else false
   in
   let params = { Core.seed = sp.sp_seed; jitter = sp.sp_jitter; reservation_depth = 0 } in
-  match
-    let plan =
-      Compiled_engine.compile ~config:sp.sp_config ~workload ~policy:sp.sp_policy ()
-    in
-    Compiled_engine.run_service ~obs ?resume plan params ~service
-  with
-  | exception Invalid_argument msg -> Error msg
-  | sr ->
-    let clock = !final_now in
-    let drained = !stop_reason = Drained in
-    let written =
-      match (drained, checkpoint) with
-      | true, Some path ->
-        let json =
-          checkpoint_json ~fp ~clock ~prng:sr.Compiled_engine.sr_prng
-            ~handlers:sr.Compiled_engine.sr_handlers ~states ~dispo
-        in
-        write_checkpoint ~path json;
-        let done_ =
-          Array.fold_left
-            (fun acc -> function D_completed | D_shed | D_timed_out -> acc + 1 | _ -> acc)
-            0 dispo
-        in
-        if Obs.enabled obs then
-          Obs.on_checkpoint_written obs ~now:clock ~path ~instances_done:done_;
-        Some path
-      | _ -> None
-    in
-    let dispositions =
-      Array.map
-        (function
-          | D_pending -> Pending
-          | D_completed -> Completed
-          | D_shed -> Rejected
-          | D_timed_out -> Timed_out
-          | D_queued | D_admitted ->
-            (* unreachable: termination implies empty queues and no
-               outstanding admitted instance *)
-            Pending)
-        dispo
-    in
-    Ok
-      {
-        oc_clock_ns = clock;
-        oc_drained = drained;
-        oc_checkpoint = written;
-        oc_tenants = tenant_reports ~clock_ns:clock states;
-        oc_dispositions = dispositions;
-      }
+  let sr =
+    Compiled_engine.serve ~obs ?resume plan params
+      { Compiled_engine.sv_tick; sv_next; sv_finished }
+  in
+  let clock = !final_now in
+  let drained = !stop_reason = Drained in
+  let total = total_arrivals sc in
+  let written =
+    match (drained, checkpoint) with
+    | true, Some path ->
+      let json =
+        checkpoint_json ~fp ~clock ~prng:sr.Compiled_engine.sr_prng
+          ~handlers:sr.Compiled_engine.sr_handlers ~states
+          ~dispositions:(dispositions_string dispo ~total)
+      in
+      write_checkpoint ~path json;
+      if Obs.enabled obs then
+        Obs.on_checkpoint_written obs ~now:clock ~path
+          ~instances_done:(Array.fold_left (fun n ts -> n + ts.ts_completed + ts.ts_shed
+                                                     + ts.ts_timed_out) 0 states);
+      Some path
+    | _ -> None
+  in
+  Ok
+    {
+      oc_clock_ns = clock;
+      oc_drained = drained;
+      oc_checkpoint = written;
+      oc_tenants = tenant_reports ~clock_ns:clock states;
+      oc_dispositions =
+        Array.init total (fun i ->
+            match Dispo.get dispo i with
+            | 'C' -> Completed
+            | 'S' -> Rejected
+            | 'T' -> Timed_out
+            | _ ->
+              (* queued or admitted is unreachable: termination implies
+                 empty queues and no outstanding admitted instance *)
+              Pending);
+    }

@@ -202,14 +202,16 @@ let run_timed ~fresh_stores ?(params = default_params) ?(obs = Obs.disabled) ?fa
        |]);
   ( Core.report ~host_name:config.Config.host.Host.name ~config ~policy ~handlers
       ~instances ~stats ~fabric:(Des.counters des),
-    instances )
+    instances,
+    model )
 
 let run ?params ?obs ?fault ~config ~workload ~policy () =
-  fst (run_timed ~fresh_stores:false ?params ?obs ?fault ~config ~workload ~policy ())
+  let report, _, _ = run_timed ~fresh_stores:false ?params ?obs ?fault ~config ~workload ~policy () in
+  report
 
 let run_detailed ?params ?obs ?fault ~config ~workload ~policy () =
-  let ((_, instances) as r) =
+  let report, instances, model =
     run_timed ~fresh_stores:true ?params ?obs ?fault ~config ~workload ~policy ()
   in
-  Functional.fill_stores ~pes:(Config.pes config) instances;
-  r
+  Functional.fill_stores model instances;
+  (report, instances)
