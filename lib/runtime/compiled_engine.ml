@@ -147,6 +147,7 @@ let exec ~obs ~fault ~service ~resume ~prng plan (params : Core.params) instance
   let fault = Core.compile_fault fault ~handlers in
   let fault_on = Fault.enabled fault in
   let stats = Core.make_stats () in
+  let aborted () = match stats.Core.aborted with None -> false | Some _ -> true in
   (* A resident service never reads per-task records and would grow
      the list without bound; its aggregates live in the service.  Nor
      does it hold its instances in an array: the ones it injected and
@@ -445,7 +446,7 @@ let exec ~obs ~fault ~service ~resume ~prng plan (params : Core.params) instance
     task.Task.completed_at <- !now;
     (* Every attempt occupied the PE; only successes count as run. *)
     h.Core.h_busy_ns <- h.Core.h_busy_ns + (!now - rm_started.(i));
-    if task.Task.last_failure = None then h.Core.h_tasks_run <- h.Core.h_tasks_run + 1;
+    if Option.is_none task.Task.last_failure then h.Core.h_tasks_run <- h.Core.h_tasks_run + 1;
     Queue.add task h.Core.h_completed;
     Des.signal des wm_th;
     rm_drain i
@@ -575,7 +576,7 @@ let exec ~obs ~fault ~service ~resume ~prng plan (params : Core.params) instance
       idle.(i) <- b;
       if b then incr n_idle
     done;
-    if stats.Core.aborted <> None || !ready_live = 0 || !n_idle = 0 then ds_end ()
+    if aborted () || !ready_live = 0 || !n_idle = 0 then ds_end ()
     else begin
       let ready_len = !ready_live in
       let nready = if ready_len < sched_window then ready_len else sched_window in
@@ -670,7 +671,8 @@ let exec ~obs ~fault ~service ~resume ~prng plan (params : Core.params) instance
         for i = 0 to n_pes - 1 do
           let e = est.(row + i) in
           if e <> min_int && pe_up.(i) then begin
-            let fin = max now_v avail.(i) + e in
+            let a = avail.(i) in
+            let fin = (if a > now_v then a else now_v) + e in
             if !best < 0 || fin < !best_fin then begin
               best := i;
               best_fin := fin
@@ -806,8 +808,8 @@ let exec ~obs ~fault ~service ~resume ~prng plan (params : Core.params) instance
     Queue.add task h.Core.h_pending;
     h.Core.h_inflight <- h.Core.h_inflight + 1;
     incr inflight;
-    h.Core.h_busy_until <-
-      max !now h.Core.h_busy_until + (cls task).Exec_model.est.(row task pi);
+    let from = if h.Core.h_busy_until > !now then h.Core.h_busy_until else !now in
+    h.Core.h_busy_until <- from + (cls task).Exec_model.est.(row task pi);
     if traced then begin
       Obs.on_task_dispatched obs ~now:!now ~task:task.Task.id
         ~instance:task.Task.instance_id ~app:task.Task.app_name
@@ -829,7 +831,7 @@ let exec ~obs ~fault ~service ~resume ~prng plan (params : Core.params) instance
     | _ -> wm_tick_tail ()
   and wm_inject () =
     (* An aborted run injects nothing more. *)
-    if stats.Core.aborted <> None then wm_fault_tail ()
+    if aborted () then wm_fault_tail ()
     else
       match service with
       | Some sv ->
@@ -874,7 +876,7 @@ let exec ~obs ~fault ~service ~resume ~prng plan (params : Core.params) instance
       | None -> !completed = n_items
     in
     (* An aborted run stops once in-flight work has drained. *)
-    if finished || (stats.Core.aborted <> None && !inflight = 0) then
+    if finished || (aborted () && !inflight = 0) then
       Array.iter
         (fun (h : unit Core.handler) ->
           h.Core.h_stop <- true;

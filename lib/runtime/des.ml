@@ -13,11 +13,19 @@ let ev_deadline = 3 (* a = thread, b = its wait generation when armed *)
 (* One heap entry is [stride] consecutive ints: time, seq, kind, a, b. *)
 let stride = 5
 
+let lane_stride = 3
+
 type t = {
   now : int ref;
   mutable heap : int array;
   mutable len : int;
   mutable seq : int;
+  (* Events pushed for the current instant skip the heap: they follow
+     every heap entry due now (pushed before the clock got here) and
+     run FIFO.  A ring of [lane_stride]-int entries: kind, a, b. *)
+  mutable lane : int array;
+  mutable lane_head : int;
+  mutable lane_len : int;
   (* per thread *)
   gen : int array;
   resumed : bool array;
@@ -89,6 +97,9 @@ let create ?(obs = Obs.disabled) ~clock0 (config : Config.t) =
     heap = Array.make (1024 * stride) 0;
     len = 0;
     seq = 0;
+    lane = Array.make (64 * lane_stride) 0;
+    lane_head = 0;
+    lane_len = 0;
     gen = Array.make n_thr 0;
     resumed = Array.make n_thr true;
     pending = Array.make n_thr false;
@@ -117,7 +128,7 @@ let create ?(obs = Obs.disabled) ~clock0 (config : Config.t) =
 
 let clock d = d.now
 let counters d = d.counters
-let depth d = d.len
+let depth d = d.len + d.lane_len
 
 (* ---- the event heap, ordered by (time, seq) ---- *)
 
@@ -134,13 +145,31 @@ let move (h : int array) ~src ~dst =
   h.(o + 3) <- h.(s + 3);
   h.(o + 4) <- h.(s + 4)
 
-let push d t kind a b =
+let lane_cap d = Array.length d.lane / lane_stride
+
+let lane_push d kind a b =
+  if d.lane_len = lane_cap d then begin
+    let cap = lane_cap d in
+    let bigger = Array.make (2 * cap * lane_stride) 0 in
+    for k = 0 to d.lane_len - 1 do
+      Array.blit d.lane ((d.lane_head + k) land (cap - 1) * lane_stride) bigger (k * lane_stride)
+        lane_stride
+    done;
+    d.lane <- bigger;
+    d.lane_head <- 0
+  end;
+  let o = (d.lane_head + d.lane_len) land (lane_cap d - 1) * lane_stride in
+  d.lane.(o) <- kind;
+  d.lane.(o + 1) <- a;
+  d.lane.(o + 2) <- b;
+  d.lane_len <- d.lane_len + 1
+
+let heap_push d t kind a b =
   if (d.len + 1) * stride > Array.length d.heap then begin
     let bigger = Array.make (2 * Array.length d.heap) 0 in
     Array.blit d.heap 0 bigger 0 (d.len * stride);
     d.heap <- bigger
   end;
-  let t = if t < !(d.now) then !(d.now) else t in
   let h = d.heap and i = ref d.len in
   (* The newest entry has the largest seq, so it only passes parents
      with a strictly later time. *)
@@ -156,6 +185,8 @@ let push d t kind a b =
   h.(o + 4) <- b;
   d.seq <- d.seq + 1;
   d.len <- d.len + 1
+
+let push d t kind a b = if t <= !(d.now) then lane_push d kind a b else heap_push d t kind a b
 
 (* Drop the root: the last entry sifts down from the root's slot. *)
 let pop_root d =
@@ -352,22 +383,37 @@ let server_event d s v =
 
 let sample_depth d =
   match d.depth_gauge with
-  | Some g -> Obs.Metrics.set g ~t_ns:!(d.now) d.len
+  | Some g -> Obs.Metrics.set g ~t_ns:!(d.now) (depth d)
   | None -> ()
 
-let run d ~on_start ~on_resume =
-  while d.len > 0 do
-    let h = d.heap in
-    let t = h.(0) and kind = h.(2) and a = h.(3) and b = h.(4) in
-    pop_root d;
-    if t > !(d.now) then d.now := t;
-    if kind = ev_resume then on_resume a
-    else if kind = ev_server then server_event d a b
-    else if kind = ev_deadline then begin
-      if b = d.gen.(a) && not d.resumed.(a) then begin
-        d.waiting.(a) <- false;
-        resume d a
-      end
+let dispatch d ~on_start ~on_resume kind a b =
+  if kind = ev_resume then on_resume a
+  else if kind = ev_server then server_event d a b
+  else if kind = ev_deadline then begin
+    if b = d.gen.(a) && not d.resumed.(a) then begin
+      d.waiting.(a) <- false;
+      resume d a
     end
-    else on_start a
+  end
+  else on_start a
+
+(* Heap entries due now first, then the lane, and only then a later
+   heap entry, which moves the clock: the (time, seq) order of one heap
+   holding everything. *)
+let run d ~on_start ~on_resume =
+  while d.len > 0 || d.lane_len > 0 do
+    let h = d.heap in
+    if d.len > 0 && (d.lane_len = 0 || h.(0) <= !(d.now)) then begin
+      let t = h.(0) and kind = h.(2) and a = h.(3) and b = h.(4) in
+      pop_root d;
+      if t > !(d.now) then d.now := t;
+      dispatch d ~on_start ~on_resume kind a b
+    end
+    else begin
+      let l = d.lane and o = d.lane_head * lane_stride in
+      let kind = l.(o) and a = l.(o + 1) and b = l.(o + 2) in
+      d.lane_head <- (d.lane_head + 1) land (lane_cap d - 1);
+      d.lane_len <- d.lane_len - 1;
+      dispatch d ~on_start ~on_resume kind a b
+    end
   done

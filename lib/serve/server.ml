@@ -293,7 +293,7 @@ type stream = {
 }
 
 let draw ~end_ns st =
-  let dt = max 1 (int_of_float (Float.round (Prng.exponential st.st_prng ~mean:st.st_mean_ns))) in
+  let dt = Int.max 1 (int_of_float (Float.round (Prng.exponential st.st_prng ~mean:st.st_mean_ns))) in
   st.st_t <- st.st_t + dt;
   if st.st_t < end_ns then st.st_app <- st.st_mix.(Prng.int st.st_prng (Array.length st.st_mix))
 
@@ -919,7 +919,7 @@ let run ?(obs = Obs.disabled) ?(drain = fun ~now_ns:_ -> false) ?checkpoint ?res
             false
           end
           else begin
-            if watchdog then wd_first := min !wd_first (deadline inst.Task.arrival_ns);
+            if watchdog then wd_first := Int.min !wd_first (deadline inst.Task.arrival_ns);
             true
           end)
         active
@@ -996,7 +996,7 @@ let run ?(obs = Obs.disabled) ?(drain = fun ~now_ns:_ -> false) ?checkpoint ?res
           ts.ts_admitted <- ts.ts_admitted + 1;
           Dispo.set dispo a.ar_id 'A';
           Vec.push active { ad_tenant = ti; ad_inst = inst };
-          if watchdog then wd_first := min !wd_first (deadline a.ar_t);
+          if watchdog then wd_first := Int.min !wd_first (deadline a.ar_t);
           if Obs.enabled obs then
             Obs.on_tenant_admitted obs ~now ~tenant:ts.ts_spec.tn_name ~instance:a.ar_id
               ~queue_depth:(Deque.length ts.ts_queue)

@@ -1,4 +1,18 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The four xoshiro words live in 32 bytes, read and written as raw
+   int64s, so a draw allocates nothing: int64 record fields would box
+   every word written. *)
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let make s0 s1 s2 s3 =
+  let t = Bytes.create 32 in
+  set64 t 0 s0;
+  set64 t 8 s1;
+  set64 t 16 s2;
+  set64 t 24 s3;
+  t
 
 (* SplitMix64 step, used only to expand the user seed into the four
    xoshiro words; a single 64-bit seed would otherwise leave most of the
@@ -17,29 +31,29 @@ let create ~seed =
   let s1 = splitmix64 sm in
   let s2 = splitmix64 sm in
   let s3 = splitmix64 sm in
-  { s0; s1; s2; s3 }
+  make s0 s1 s2 s3
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy = Bytes.copy
 
-let state t = (t.s0, t.s1, t.s2, t.s3)
+let state t = (get64 t 0, get64 t 8, get64 t 16, get64 t 24)
 
 let of_state (s0, s1, s2, s3) =
   if s0 = 0L && s1 = 0L && s2 = 0L && s3 = 0L then
     invalid_arg "Prng.of_state: all-zero state";
-  { s0; s1; s2; s3 }
+  make s0 s1 s2 s3
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+let[@inline] rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 t =
+let[@inline] bits64 t =
   let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = get64 t 0 and s1 = get64 t 8 and s2 = get64 t 16 and s3 = get64 t 24 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  set64 t 8 (logxor s1 s2);
+  set64 t 0 (logxor s0 s3);
+  set64 t 16 (logxor s2 (shift_left s1 17));
+  set64 t 24 (rotl s3 45);
   result
 
 let split t = create ~seed:(bits64 t)
