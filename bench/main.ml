@@ -699,7 +699,11 @@ let engine () =
      cost beyond the gate means an emit leaked outside its
      [if traced] guard. *)
   let compiled_traced_name = "fig10/rate3.42/3C+2F/EFT/compiled" in
-  let compiled_baseline_emu_s, compiled_traced_emu_s, compiled_events =
+  let ( compiled_baseline_emu_s,
+        compiled_traced_emu_s,
+        compiled_events,
+        compiled_overhead_pct,
+        compiled_pairs ) =
     let _, _, config, wl, policy =
       List.find (fun (n, _, _, _, _) -> n = compiled_traced_name) scenarios
     in
@@ -725,31 +729,44 @@ let engine () =
       ignore (Compiled.run ~obs plan params)
     in
     (* The overhead ratio is gated in CI, so untraced and traced runs
-       alternate within one timing loop rather than being measured in
-       separate windows — machine-load drift between windows would
-       otherwise dominate the tracing cost being measured. *)
+       alternate in pairs within one timing loop rather than being
+       measured in separate windows — machine-load drift between
+       windows would otherwise dominate the tracing cost being
+       measured.  The pairs alternate which run goes first, and the
+       gated overhead is the median of the per-pair overheads, so a
+       load burst moves one pair, not the figure. *)
     untraced_once ();
     traced_once ();
     (* Events one traced emulation records: deterministic for a given
        build, so CI pins it exactly. *)
     let events = Obs.Sink.total (Obs.sink obs) in
-    let t_untraced = ref 0 and t_traced = ref 0 and runs = ref 0 in
-    let target_ns = 2_000_000_000 and min_runs = 5 in
-    while !runs < min_runs || !t_untraced + !t_traced < target_ns do
+    let timed f =
       let t0 = Mclock.now_ns () in
-      untraced_once ();
-      let t1 = Mclock.now_ns () in
-      traced_once ();
-      let t2 = Mclock.now_ns () in
-      t_untraced := !t_untraced + (t1 - t0);
-      t_traced := !t_traced + (t2 - t1);
-      incr runs
+      f ();
+      Mclock.now_ns () - t0
+    in
+    let t_untraced = ref 0 and t_traced = ref 0 and pairs = ref [] in
+    let target_ns = 3_000_000_000 and min_pairs = 5 in
+    while List.length !pairs < min_pairs || !t_untraced + !t_traced < target_ns do
+      let u, t =
+        if List.length !pairs mod 2 = 0 then
+          let u = timed untraced_once in
+          (u, timed traced_once)
+        else
+          let t = timed traced_once in
+          (timed untraced_once, t)
+      in
+      t_untraced := !t_untraced + u;
+      t_traced := !t_traced + t;
+      pairs := (float_of_int (t - u) /. float_of_int t *. 100.0) :: !pairs
     done;
-    let rate t = float_of_int !runs /. (float_of_int t /. 1e9) in
-    (rate !t_untraced, rate !t_traced, events)
-  in
-  let compiled_overhead_pct =
-    (compiled_baseline_emu_s -. compiled_traced_emu_s) /. compiled_baseline_emu_s *. 100.0
+    let n = List.length !pairs in
+    let rate t = float_of_int n /. (float_of_int t /. 1e9) in
+    let sorted = Array.of_list (List.sort Float.compare !pairs) in
+    let median =
+      if n mod 2 = 1 then sorted.(n / 2) else (sorted.((n / 2) - 1) +. sorted.(n / 2)) /. 2.0
+    in
+    (rate !t_untraced, rate !t_traced, events, median, n)
   in
   if !json_mode then
     print_endline
@@ -801,6 +818,7 @@ let engine () =
                     ("null_sink_emulations_per_s", Json.Float compiled_baseline_emu_s);
                     ("full_trace_emulations_per_s", Json.Float compiled_traced_emu_s);
                     ("overhead_pct", Json.Float compiled_overhead_pct);
+                    ("pairs", Json.Int compiled_pairs);
                     ("events_per_emulation", Json.Int compiled_events);
                   ] );
             ]))
@@ -833,10 +851,10 @@ let engine () =
               results));
     Printf.printf
       "\nCompiled-engine lowered tracing on %s:\n\
-       untraced %.1f emu/s, full ring sink + metrics %.1f emu/s (%.1f%% overhead),\n\
-       %d events per traced emulation.\n"
+       untraced %.1f emu/s, full ring sink + metrics %.1f emu/s\n\
+       (%.1f%% overhead, the median of %d pairs), %d events per traced emulation.\n"
       compiled_traced_name compiled_baseline_emu_s compiled_traced_emu_s
-      compiled_overhead_pct compiled_events;
+      compiled_overhead_pct compiled_pairs compiled_events;
     Printf.printf
       "\nEach run is a complete emulation (instantiation, event loop, statistics);\n\
        emulations/s is the design-space-exploration currency — points evaluated per\n\

@@ -420,8 +420,7 @@ let run_cmd =
       (match events with
       | None -> ()
       | Some path ->
-        let recorded = Obs.recorded_events obs in
-        Out_channel.with_open_bin path (fun oc -> Obs.output_jsonl oc recorded);
+        Out_channel.with_open_bin path (fun oc -> Obs.output_recorded_jsonl oc obs);
         (match validate_jsonl path with
         | Ok n -> Printf.printf "wrote %d events to %s (JSONL validated)\n" n path
         | Error msg -> failures := msg :: !failures));

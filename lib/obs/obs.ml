@@ -558,11 +558,17 @@ module Sink = struct
     in
     { t_ns; body }
 
-  let events = function
-    | Null | Schedule _ -> []
+  let iter f = function
+    | Null | Schedule _ -> ()
     | Ring r as t ->
-        List.init (total t) (fun k ->
-            decode (Vec.get r.blocks (k / block_slots)) (k mod block_slots))
+        for k = 0 to total t - 1 do
+          f (decode (Vec.get r.blocks (k / block_slots)) (k mod block_slots))
+        done
+
+  let events t =
+    let acc = ref [] in
+    iter (fun e -> acc := e :: !acc) t;
+    List.rev !acc
 end
 
 module Metrics = struct
@@ -1206,16 +1212,17 @@ let to_jsonl events =
   List.iter (add_jsonl buf) events;
   Buffer.contents buf
 
-let output_jsonl oc events =
-  (* One reused line buffer: the log streams to the channel without
-     ever materialising as a single string. *)
+(* One reused line buffer: the log streams to the channel without ever
+   materialising as a single string. *)
+let write_jsonl oc iter =
   let buf = Buffer.create 512 in
-  List.iter
-    (fun e ->
+  iter (fun e ->
       Buffer.clear buf;
       add_jsonl buf e;
       Buffer.output_buffer oc buf)
-    events
+
+let output_jsonl oc events = write_jsonl oc (fun f -> List.iter f events)
+let output_recorded_jsonl oc t = write_jsonl oc (fun f -> Sink.iter f t.sink)
 
 let event_of_json j =
   let ( let* ) = Result.bind in

@@ -189,6 +189,10 @@ module Sink : sig
   (** An event log's events, oldest first; [[]] for the null and
       schedule sinks. *)
 
+  val iter : (event -> unit) -> t -> unit
+  (** {!events}, decoded and handed over one at a time: the log is
+      never a list. *)
+
   val recording : t -> recording option
   (** A schedule sink's record (a snapshot: later emits and {!clear}
       do not change it); [None] for the null sink and an event log. *)
@@ -414,3 +418,7 @@ val to_jsonl : event list -> string
 val output_jsonl : out_channel -> event list -> unit
 (** Stream the same bytes as {!to_jsonl} to a channel, reusing one
     line buffer — the log never materialises as a single string. *)
+
+val output_recorded_jsonl : out_channel -> t -> unit
+(** [output_jsonl] of {!recorded_events}, each event written as it is
+    decoded from the sink ({!Sink.iter}): no event list is built. *)

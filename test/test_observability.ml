@@ -449,7 +449,11 @@ let test_output_jsonl_streams_same_bytes () =
       Out_channel.with_open_bin path (fun oc -> Obs.output_jsonl oc events);
       let written = In_channel.with_open_bin path In_channel.input_all in
       Alcotest.(check string) "streamed bytes = to_jsonl" (Obs.to_jsonl events) written;
-      Alcotest.(check string) "golden bytes" golden_jsonl written)
+      Alcotest.(check string) "golden bytes" golden_jsonl written;
+      (* Straight from the sink, one decoded event at a time. *)
+      Out_channel.with_open_bin path (fun oc -> Obs.output_recorded_jsonl oc obs);
+      Alcotest.(check string) "streamed from the sink" golden_jsonl
+        (In_channel.with_open_bin path In_channel.input_all))
 
 (* ---------------------- analysis: hand-built schedules ---------------------- *)
 

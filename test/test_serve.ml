@@ -279,8 +279,8 @@ let test_restore_qcheck =
    metrics and a digest of the event log).  Regenerate only for a
    deliberate change to the serve or engine model. *)
 
-let ramp_spec rate =
-  mk_spec ~seed:1L ~duration_ms:20.0
+let ramp_spec ?(seed = 1L) ?(duration_ms = 20.0) rate =
+  mk_spec ~seed ~duration_ms
     ~admission:(admission_exn "policy=degrade:queue=16:max-ready=64:timeout=20ms")
     (Printf.sprintf
        "gold:apps=range_detection+wifi_tx:rate=%g:prio=1:slo=3ms;bulk:apps=range_detection:rate=%g:prio=0:slo=10ms"
@@ -550,6 +550,81 @@ let test_golden_traced () =
   Alcotest.(check string) "event log digest" golden_traced_events_md5
     (Digest.to_hex (Digest.string (Obs.to_jsonl (Obs.recorded_events obs))))
 
+(* ------------------------ lazy arrival streams ---------------------- *)
+
+let schedule_md5 sp =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (t, ti, seq, app) -> Buffer.add_string b (Printf.sprintf "%d %d %d %s\n" t ti seq app))
+    (Server.materialize_debug sp);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* perfbench's serve-ramp schedules (200 ms at 5, 10 and 20 jobs/ms),
+   pinned to digests of the schedules the server built before it drew
+   its arrival streams lazily, when it materialized them all up front. *)
+let test_ramp_schedules_pinned () =
+  List.iter
+    (fun (seed, rate, arrivals, md5) ->
+      let sp = ramp_spec ~seed ~duration_ms:200.0 rate in
+      let what = Printf.sprintf "seed %Ld, %g jobs/ms" seed rate in
+      Alcotest.(check int) (what ^ ": arrivals") arrivals
+        (List.length (Server.materialize_debug sp));
+      Alcotest.(check string) (what ^ ": schedule digest") md5 (schedule_md5 sp))
+    [
+      (1L, 5.0, 1011, "d183c2504a4ba3266b8c37275ba499ac");
+      (1L, 10.0, 2042, "cbdb30df899ea1b125a75524309d0472");
+      (1L, 20.0, 4003, "491c8f74f810fa538c5fdb730a9d44d3");
+      (2L, 5.0, 1086, "cff9b68b234bda2de2114a3df123c028");
+      (2L, 10.0, 2053, "267db21974450675616860b7064b9c14");
+      (2L, 20.0, 4071, "413e8e447e82af06880799ca30753310");
+    ]
+
+(* Random tenant sets: the lazily merged streams give the schedule the
+   eager generator (test/eager_arrivals.ml) materializes. *)
+let test_lazy_matches_eager =
+  let gen =
+    let open QCheck.Gen in
+    let app = oneofl [ "wifi_tx"; "range_detection"; "wifi_rx" ] in
+    let tenant i =
+      let* mix = list_size (1 -- 3) (pair app (1 -- 3)) in
+      let* rate = float_range 0.2 30.0 in
+      let* seed = opt (0 -- 1000) in
+      return
+        (Printf.sprintf "t%d:apps=%s:rate=%g%s" i
+           (String.concat "+" (List.map (fun (a, w) -> Printf.sprintf "%s*%d" a w) mix))
+           rate
+           (match seed with Some s -> Printf.sprintf ":seed=%d" s | None -> ""))
+    in
+    let* n = 1 -- 3 in
+    let* tenants = flatten_l (List.init n tenant) in
+    let* seed = 0 -- 10_000 in
+    let* duration_ms = float_range 0.5 20.0 in
+    return (String.concat ";" tenants, seed, duration_ms)
+  in
+  QCheck.Test.make ~count:100 ~name:"lazy arrival streams = eager materialization"
+    (QCheck.make
+       ~print:(fun (t, seed, d) -> Printf.sprintf "%s seed=%d duration=%gms" t seed d)
+       gen)
+    (fun (tenants, seed, duration_ms) ->
+      let sp = mk_spec ~seed:(Int64.of_int seed) ~duration_ms tenants in
+      Server.materialize_debug sp = Eager_arrivals.materialize sp)
+
+(* The bounded-memory benchmark command's reports
+   ([dssoc_emu serve --cores 3 --ffts 1 --tenants ... --admission ...
+   --duration-ms D]), pinned to the reports of the server that built
+   every arrival up front. *)
+let test_window_reports_pinned () =
+  let spec duration_ms =
+    mk_spec ~seed:1L ~duration_ms
+      ~admission:(admission_exn "policy=degrade:queue=16:max-ready=64:timeout=20ms")
+      "gold:apps=range_detection+wifi_tx:rate=12:prio=1:slo=3ms;bulk:apps=range_detection:rate=8:prio=0:slo=10ms"
+  in
+  List.iter
+    (fun (d, md5) ->
+      Alcotest.(check string) (Printf.sprintf "%g ms report digest" d) md5
+        (Digest.to_hex (Digest.string (Server.render_report (run_exn (spec d))))))
+    [ (200.0, "ae24125275f2100c4fa7a8323f419fd1"); (2000.0, "7b743e48d1234d0118d4851d24b20f94") ]
+
 (* ----------------------------- obs events --------------------------- *)
 
 let test_serve_events_recorded () =
@@ -580,6 +655,8 @@ let () =
           Alcotest.test_case "tenant rejects" `Quick test_tenant_spec_rejects;
           Alcotest.test_case "admission grammar" `Quick test_admission_spec;
           Alcotest.test_case "deterministic schedule" `Quick test_materialize_deterministic;
+          Alcotest.test_case "serve-ramp schedules pinned" `Quick test_ramp_schedules_pinned;
+          q test_lazy_matches_eager;
         ] );
       ( "runs",
         [
@@ -609,5 +686,6 @@ let () =
           Alcotest.test_case "block with watchdog" `Quick test_golden_block_watchdog;
           Alcotest.test_case "drain, checkpoint, restore" `Quick test_golden_drain_restore;
           Alcotest.test_case "traced run" `Quick test_golden_traced;
+          Alcotest.test_case "window reports" `Slow test_window_reports_pinned;
         ] );
     ]
