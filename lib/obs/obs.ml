@@ -230,10 +230,10 @@ module Sink = struct
      the caller fills the slot's field arrays.  20 constructors fit the
      5 tag bits, and emulated/monotonic timestamps stay far below the
      remaining 57 bits. *)
-  let slot r t_ns tag =
+  let[@inline] slot r t_ns tag =
     if r.head = block_slots then next_block r;
     let h = r.head in
-    r.meta.(h) <- (t_ns lsl 5) lor tag;
+    Array.unsafe_set r.meta h ((t_ns lsl 5) lor tag);
     r.head <- h + 1;
     h
 
@@ -301,8 +301,13 @@ module Sink = struct
 
   (* Body-free writers for the hot events: their hooks store the fields
      directly, so a traced run allocates no record per such event.
-     Unused trailing fields are written as 0 / "" and never read. *)
-  let put_ints t t_ns tag a b c d e =
+     Unused trailing fields are written as 0 / "" and never read; a
+     ready event's PE is not written at all, which spares a write
+     barrier.  [slot] returns an index below [block_slots], so the
+     stores skip bounds checks.  The writers, [slot] and the metric
+     updates are inlined into the hooks: a call spills every live
+     argument, and the hooks carry a dozen. *)
+  let[@inline] put_ints t t_ns tag a b c d e =
     match t with
     | Null -> ()
     | Schedule s ->
@@ -313,15 +318,15 @@ module Sink = struct
         unlock s
     | Ring r ->
         if r.concurrent then Mutex.lock r.lock;
-        let i = slot r t_ns tag * istride in
-        r.ints.(i) <- a;
-        r.ints.(i + 1) <- b;
-        r.ints.(i + 2) <- c;
-        r.ints.(i + 3) <- d;
-        r.ints.(i + 4) <- e;
+        let i = slot r t_ns tag * istride and ints = r.ints in
+        Array.unsafe_set ints i a;
+        Array.unsafe_set ints (i + 1) b;
+        Array.unsafe_set ints (i + 2) c;
+        Array.unsafe_set ints (i + 3) d;
+        Array.unsafe_set ints (i + 4) e;
         if r.concurrent then Mutex.unlock r.lock
 
-  let put_task t t_ns tag task instance c d app node pe =
+  let[@inline] put_task t t_ns tag task instance c d app node pe =
     match t with
     | Null -> ()
     | Schedule s ->
@@ -333,15 +338,15 @@ module Sink = struct
     | Ring r ->
         if r.concurrent then Mutex.lock r.lock;
         let h = slot r t_ns tag in
-        let i = h * istride in
-        r.ints.(i) <- task;
-        r.ints.(i + 1) <- instance;
-        r.ints.(i + 2) <- c;
-        r.ints.(i + 3) <- d;
-        let j = h * sstride in
-        r.strs.(j) <- app;
-        r.strs.(j + 1) <- node;
-        r.strs.(j + 2) <- pe;
+        let i = h * istride and ints = r.ints in
+        Array.unsafe_set ints i task;
+        Array.unsafe_set ints (i + 1) instance;
+        Array.unsafe_set ints (i + 2) c;
+        Array.unsafe_set ints (i + 3) d;
+        let j = h * sstride and strs = r.strs in
+        Array.unsafe_set strs j app;
+        Array.unsafe_set strs (j + 1) node;
+        if tag <> 1 then Array.unsafe_set strs (j + 2) pe;
         if r.concurrent then Mutex.unlock r.lock
 
   (* Each case writes the fields its constructor carries at the offsets
@@ -658,7 +663,7 @@ module Metrics = struct
   let incr ?(by = 1) c = c.c_count <- c.c_count + by
   let counter_value c = c.c_count
 
-  let set g ~t_ns v =
+  let[@inline] set g ~t_ns v =
     if v > g.g_max then g.g_max <- v;
     g.g_value <- v;
     (* Several updates at one backend timestamp collapse to the last, so
@@ -699,7 +704,7 @@ module Metrics = struct
 
   (* [observe h (float_of_int ns /. 1e3)], converted here: a float
      argument would be boxed at every call site. *)
-  let observe_us h ns =
+  let[@inline] observe_us h ns =
     if h.h_len = Array.length h.h_data then observe h 0.0 else h.h_len <- h.h_len + 1;
     h.h_data.(h.h_len - 1) <- float_of_int ns /. 1e3
 

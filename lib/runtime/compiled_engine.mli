@@ -187,11 +187,10 @@ val serve :
   service ->
   service_run
 (** Run a resident service whose instances the service builds itself,
-    when it admits them, from the plan's classes
-    ({!Exec_model.instance} over {!model}; a shared placeholder store
-    will do).  The engine keeps no array indexed by instance or task
-    id: a run's memory follows its instances in flight, not its
-    window.  Instance and task ids must stay dense and in injection
-    order only as far as the service's own outputs need them.
-    [resume] is {!run_service}'s.  No fault plan: fault injection runs
-    through {!run_service}, whose whole workload is instantiated. *)
+    when it admits them, from the plan's classes ({!Exec_model.instance}
+    over {!model}; a shared placeholder store will do).  The engine
+    keeps no array indexed by instance or task id, so a run's memory
+    follows its instances in flight, not its window; ids are the
+    service's, and the engine only reports them in events.  [resume]
+    is {!run_service}'s.  No fault plan: fault injection runs through
+    {!run_service}, whose whole workload is instantiated. *)

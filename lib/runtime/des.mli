@@ -28,7 +28,11 @@
     {b Determinism.}  Events pop in (time, insertion sequence) order,
     so equal-time events run FIFO, and every pushed event is part of
     the engines' shared contract: the [event_heap_depth] gauge and
-    every golden depend on the exact push sequence. *)
+    every golden depend on the exact push sequence.  An event pushed
+    for the current instant (most resumes and signals) skips the heap
+    for a FIFO lane that runs after the heap entries due now, which
+    were pushed before the clock got here: the same order, without the
+    sifts.  {!depth} and the gauge count both. *)
 
 type t
 
@@ -50,7 +54,7 @@ val counters : t -> Engine_core.fabric_counters
 (** Fabric contention accumulated so far (all zero under [Ideal]). *)
 
 val depth : t -> int
-(** Pending events. *)
+(** Pending events, heap and same-instant lane together. *)
 
 val start : t -> int -> unit
 (** Schedule the thread's first callback ([on_start]) at the current

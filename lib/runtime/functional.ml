@@ -115,7 +115,9 @@ let image m (inst : Task.instance) =
       else
         let t = tasks.(j) in
         if t.Task.status <> Task.Done then -1
-        else key (j + 1) (acc + kd.weight.((t.Task.index * n_pes) + pe_index m.model t.Task.pe_label))
+        else
+          let pe = pe_index m.model t.Task.pe_label in
+          key (j + 1) (acc + kd.weight.((t.Task.index * n_pes) + pe))
     in
     let k = key 0 0 in
     if k < 0 then by_list m inst

@@ -207,23 +207,20 @@ let names () = Hashtbl.fold (fun k _ acc -> k :: acc) registry [] |> List.sort c
 
 let overhead ~policy_name ~pes =
   let open Cost_model in
+  let[@inline] cost extra = int_of_float (Float.round (sched_base_ns +. extra)) in
   let examined ready = if ready < sched_examined_cap then ready else sched_examined_cap in
   match String.uppercase_ascii policy_name with
   | "FRFS" ->
-    let c = int_of_float (Float.round (sched_base_ns +. (sched_frfs_per_pe_ns *. float_of_int pes))) in
+    let c = cost (sched_frfs_per_pe_ns *. float_of_int pes) in
     fun ~ready:_ ~ops:_ -> c
   | "RANDOM" ->
-    fun ~ready ~ops:_ ->
-      int_of_float
-        (Float.round (sched_base_ns +. (sched_frfs_per_pe_ns *. float_of_int (pes + examined ready))))
+    fun ~ready ~ops:_ -> cost (sched_frfs_per_pe_ns *. float_of_int (pes + examined ready))
   | "MET" | "POWER" ->
-    fun ~ready ~ops:_ ->
-      int_of_float
-        (Float.round (sched_base_ns +. (sched_met_per_task_ns *. float_of_int (examined ready))))
+    fun ~ready ~ops:_ -> cost (sched_met_per_task_ns *. float_of_int (examined ready))
   | "EFT" ->
     fun ~ready ~ops:_ ->
       let e = examined ready in
-      int_of_float (Float.round (sched_base_ns +. (sched_eft_per_pair_ns *. float_of_int (e * e))))
-  | _ -> fun ~ready:_ ~ops -> int_of_float (Float.round (sched_base_ns +. (60.0 *. float_of_int ops)))
+      cost (sched_eft_per_pair_ns *. float_of_int (e * e))
+  | _ -> fun ~ready:_ ~ops -> cost (60.0 *. float_of_int ops)
 
 let overhead_ns ~policy_name ~ready ~pes ~ops = overhead ~policy_name ~pes ~ready ~ops

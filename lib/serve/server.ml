@@ -5,7 +5,6 @@ module Host = Dssoc_soc.Host
 module Pe = Dssoc_soc.Pe
 module App_spec = Dssoc_apps.App_spec
 module Store = Dssoc_apps.Store
-module Workload = Dssoc_apps.Workload
 module Reference_apps = Dssoc_apps.Reference_apps
 module Core = Dssoc_runtime.Engine_core
 module Task = Dssoc_runtime.Task
@@ -293,7 +292,8 @@ type stream = {
 }
 
 let draw ~end_ns st =
-  let dt = Int.max 1 (int_of_float (Float.round (Prng.exponential st.st_prng ~mean:st.st_mean_ns))) in
+  let dt = Float.round (Prng.exponential st.st_prng ~mean:st.st_mean_ns) in
+  let dt = Int.max 1 (int_of_float dt) in
   st.st_t <- st.st_t + dt;
   if st.st_t < end_ns then st.st_app <- st.st_mix.(Prng.int st.st_prng (Array.length st.st_mix))
 
@@ -327,8 +327,13 @@ type schedule = {
   mutable next_base : int;
 }
 
-let schedule sp ~mixes ~tasks_of =
+let exhausted sc st = st.st_t >= sc.end_ns
+
+let schedule sp ~specs ~mixes =
   let end_ns = int_of_float (sp.sp_duration_ms *. 1e6) in
+  let tasks_of =
+    Array.of_list (List.map (fun (a : App_spec.t) -> List.length a.App_spec.nodes) specs)
+  in
   let streams =
     Array.of_list
       (List.mapi
@@ -354,7 +359,8 @@ let next_due sc ~upto =
   let best = ref (-1) in
   Array.iteri
     (fun i st ->
-      if st.st_t < sc.end_ns && st.st_t <= upto && (!best < 0 || st.st_t < sc.streams.(!best).st_t)
+      if (not (exhausted sc st)) && st.st_t <= upto
+         && (!best < 0 || st.st_t < sc.streams.(!best).st_t)
       then best := i)
     sc.streams;
   if !best < 0 then None
@@ -371,7 +377,6 @@ let next_due sc ~upto =
     Some a
   end
 
-let exhausted sc ti = sc.streams.(ti).st_t >= sc.end_ns
 
 (* Every arrival of the window: merged ones plus what the streams hold. *)
 let total_arrivals sc =
@@ -382,7 +387,7 @@ let materialize_debug sp =
   | Error e -> failwith e
   | Ok (specs, mixes) ->
     let names = Array.of_list (List.map (fun (a : App_spec.t) -> a.App_spec.app_name) specs) in
-    let sc = schedule sp ~mixes ~tasks_of:(Array.map (fun _ -> 0) names) in
+    let sc = schedule sp ~specs ~mixes in
     let rec go acc =
       match next_due sc ~upto:max_int with
       | None -> List.rev acc
@@ -456,7 +461,7 @@ module Dispo = struct
     Bytes.set d.bytes i c;
     if i >= d.len then d.len <- i + 1
 
-  (* The first [n] arrivals' states; unmerged ones are pending. *)
+  (* Arrival [i]'s state; one not merged yet is pending. *)
   let get d i = if i < d.len then Bytes.get d.bytes i else 'P'
 end
 
@@ -580,21 +585,24 @@ let mem_list key j = Result.bind (Json.member key j) Json.to_list
    arrival merged before every cursor is reached was due but not yet
    consumed, and waits in its tenant's [ts_due]. *)
 let replay ~path sc (states : tstate array) =
-  let behind ti = sc.streams.(ti).st_seq < states.(ti).ts_cursor in
   let rec go () =
-    match List.find_opt behind (List.init (Array.length states) Fun.id) with
-    | None -> Ok ()
-    | Some ti when exhausted sc ti ->
+    let behind = ref (-1) in
+    Array.iteri
+      (fun ti ts -> if !behind < 0 && sc.streams.(ti).st_seq < ts.ts_cursor then behind := ti)
+      states;
+    if !behind < 0 then Ok ()
+    else if exhausted sc sc.streams.(!behind) then
       Error
         (Printf.sprintf "checkpoint %s: tenant %S cursor out of range" path
-           states.(ti).ts_spec.tn_name)
-    | Some _ ->
+           states.(!behind).ts_spec.tn_name)
+    else begin
       Option.iter
         (fun a ->
           let ts = states.(a.ar_tenant) in
           if a.ar_seq >= ts.ts_cursor then Deque.push ts.ts_due a)
         (next_due sc ~upto:max_int);
       go ()
+    end
   in
   go ()
 
@@ -798,10 +806,7 @@ let run ?(obs = Obs.disabled) ?(drain = fun ~now_ns:_ -> false) ?checkpoint ?res
     if sp.sp_duration_ms <= 0.0 then Error "serve: duration must be positive" else Ok ()
   in
   let* specs, mixes = resolve_apps sp in
-  let sc =
-    schedule sp ~mixes
-      ~tasks_of:(Array.of_list (List.map (fun (a : App_spec.t) -> List.length a.App_spec.nodes) specs))
-  in
+  let sc = schedule sp ~specs ~mixes in
   let fp = fingerprint sp in
   let states =
     Array.of_list
@@ -964,7 +969,8 @@ let run ?(obs = Obs.disabled) ?(drain = fun ~now_ns:_ -> false) ?checkpoint ?res
                   then victim := vi)
                 states;
               if !victim >= 0 then begin
-                shed_instance ~now ~victim_tenant:!victim (Deque.pop_back states.(!victim).ts_queue);
+                let v = !victim in
+                shed_instance ~now ~victim_tenant:v (Deque.pop_back states.(v).ts_queue);
                 enqueue ts a
               end
               else shed_instance ~now ~victim_tenant:ti a
@@ -1012,8 +1018,10 @@ let run ?(obs = Obs.disabled) ?(drain = fun ~now_ns:_ -> false) ?checkpoint ?res
       (fun ti ts ->
         (* a stalled (Block) stream head is in the past: admission
            room only opens on completions, which wake the WM *)
-        let t = if Deque.length ts.ts_due > 0 then (Deque.front ts.ts_due).ar_t
-          else sc.streams.(ti).st_t in
+        let t =
+          if Deque.length ts.ts_due > 0 then (Deque.front ts.ts_due).ar_t
+          else sc.streams.(ti).st_t
+        in
         if t > now && t < sc.end_ns then add t)
       states;
     (* The earliest deadline is the answer unless it has passed (an
@@ -1033,7 +1041,7 @@ let run ?(obs = Obs.disabled) ?(drain = fun ~now_ns:_ -> false) ?checkpoint ?res
     let idle = queues_empty && Vec.is_empty active in
     let all_consumed =
       Array.for_all (fun ts -> Deque.length ts.ts_due = 0) states
-      && Array.for_all (fun st -> st.st_t >= sc.end_ns) sc.streams
+      && Array.for_all (exhausted sc) sc.streams
     in
     if idle && all_consumed then begin
       final_now := now;
