@@ -80,9 +80,6 @@ val lower_specs :
     ({!instance}): class [k] is the [k]-th spec's, and there are no
     items. *)
 
-val task_count : t -> int -> int
-(** Tasks per instance of class [k]. *)
-
 val instance :
   t ->
   int ->
