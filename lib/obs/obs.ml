@@ -117,13 +117,29 @@ module Sink = struct
      The log is append-only and grows in blocks of [block_slots]
      slots; it never wraps and never drops an event.  The writers fill
      the current block through the recorder's mutable array fields, so
-     a write costs a "block full" test and the stores. *)
+     a write costs a "block full" test and the stores.
+
+     The engines' task events carry no strings: a run registers its
+     (app, node) names once ({!name_nodes}) and each event stores the
+     name's number in its fifth int field, from which [decode] reads
+     the app, the node and (through the PE index) the PE: a string
+     stored into a block pays a write barrier, and the hooks paid three
+     per task event.  Task events handed to [emit] keep their strings
+     in the string fields, with number [-1]. *)
 
   let istride = 5
   let sstride = 4
   let block_slots = 4096
 
   type block = { b_meta : int array; b_ints : int array; b_strs : string array }
+
+  (* One registered (app, node) with the PE labels of its run. *)
+  type name = { n_app : string; n_node : string; n_pes : string array }
+
+  (* A run's registered names, and each class's first name number. *)
+  type names = { nm : name Vec.t; mutable bases : int array }
+
+  let new_names () = { nm = Vec.create (); bases = [||] }
 
   let new_block () =
     {
@@ -139,6 +155,7 @@ module Sink = struct
     mutable ints : int array;  (* block [cur]: [istride] int fields per slot *)
     mutable strs : string array;  (* block [cur]: [sstride] string fields per slot *)
     mutable head : int;  (* next write slot in block [cur] *)
+    r_names : names;
     lock : Mutex.t;
     mutable concurrent : bool;  (* emitters on several domains? *)
   }
@@ -161,6 +178,7 @@ module Sink = struct
     mutable stalls : (int * int * int) list;  (* (t_ns, pe_index, stall_ns), newest first *)
     mutable latest : int;  (* latest timestamp, at least 0 *)
     mutable count : int;  (* lifetime emits *)
+    s_names : names;
     s_lock : Mutex.t;
     mutable s_concurrent : bool;
   }
@@ -179,6 +197,7 @@ module Sink = struct
         stalls = [];
         latest = 0;
         count = 0;
+        s_names = new_names ();
         s_lock = Mutex.create ();
         s_concurrent = false;
       }
@@ -200,7 +219,7 @@ module Sink = struct
     done;
     let r =
       { blocks; cur = 0; meta = [||]; ints = [||]; strs = [||]; head = 0;
-        lock = Mutex.create (); concurrent = false }
+        r_names = new_names (); lock = Mutex.create (); concurrent = false }
     in
     enter r 0;
     Ring r
@@ -217,6 +236,26 @@ module Sink = struct
     | Ring r -> r.concurrent <- true
     | Schedule s -> s.s_concurrent <- true
 
+  (* Registers a run's names: [nodes.(c)] is class [c]'s app and node
+     names, and node [j] of class [c] becomes name [bases.(c) + j].
+     Names accumulate until [clear], so a log spanning runs decodes
+     each run's events with its own names. *)
+  let name_nodes t ~pe_labels nodes =
+    let register ns =
+      let next = ref (Vec.length ns.nm) in
+      ns.bases <-
+        Array.map
+          (fun (app, node_names) ->
+            let base = !next in
+            Array.iter
+              (fun node -> Vec.push ns.nm { n_app = app; n_node = node; n_pes = pe_labels })
+              node_names;
+            next := base + Array.length node_names;
+            base)
+          nodes
+    in
+    match t with Null -> () | Ring r -> register r.r_names | Schedule s -> register s.s_names
+
   let phase_tag = function Dma_in -> 0 | Device_compute -> 1 | Dma_out -> 2
   let phase_of_tag = function 0 -> Dma_in | 1 -> Device_compute | _ -> Dma_out
 
@@ -230,10 +269,10 @@ module Sink = struct
      the caller fills the slot's field arrays.  20 constructors fit the
      5 tag bits, and emulated/monotonic timestamps stay far below the
      remaining 57 bits. *)
-  let[@inline] slot r t_ns tag =
+  let slot r t_ns tag =
     if r.head = block_slots then next_block r;
     let h = r.head in
-    Array.unsafe_set r.meta h ((t_ns lsl 5) lor tag);
+    r.meta.(h) <- (t_ns lsl 5) lor tag;
     r.head <- h + 1;
     h
 
@@ -301,13 +340,8 @@ module Sink = struct
 
   (* Body-free writers for the hot events: their hooks store the fields
      directly, so a traced run allocates no record per such event.
-     Unused trailing fields are written as 0 / "" and never read; a
-     ready event's PE is not written at all, which spares a write
-     barrier.  [slot] returns an index below [block_slots], so the
-     stores skip bounds checks.  The writers, [slot] and the metric
-     updates are inlined into the hooks: a call spills every live
-     argument, and the hooks carry a dozen. *)
-  let[@inline] put_ints t t_ns tag a b c d e =
+     Unused trailing fields are written as 0 / "" and never read. *)
+  let put_ints t t_ns tag a b c d e =
     match t with
     | Null -> ()
     | Schedule s ->
@@ -318,15 +352,15 @@ module Sink = struct
         unlock s
     | Ring r ->
         if r.concurrent then Mutex.lock r.lock;
-        let i = slot r t_ns tag * istride and ints = r.ints in
-        Array.unsafe_set ints i a;
-        Array.unsafe_set ints (i + 1) b;
-        Array.unsafe_set ints (i + 2) c;
-        Array.unsafe_set ints (i + 3) d;
-        Array.unsafe_set ints (i + 4) e;
+        let i = slot r t_ns tag * istride in
+        r.ints.(i) <- a;
+        r.ints.(i + 1) <- b;
+        r.ints.(i + 2) <- c;
+        r.ints.(i + 3) <- d;
+        r.ints.(i + 4) <- e;
         if r.concurrent then Mutex.unlock r.lock
 
-  let[@inline] put_task t t_ns tag task instance c d app node pe =
+  let put_task t t_ns tag task instance c d app node pe =
     match t with
     | Null -> ()
     | Schedule s ->
@@ -338,15 +372,41 @@ module Sink = struct
     | Ring r ->
         if r.concurrent then Mutex.lock r.lock;
         let h = slot r t_ns tag in
-        let i = h * istride and ints = r.ints in
-        Array.unsafe_set ints i task;
-        Array.unsafe_set ints (i + 1) instance;
-        Array.unsafe_set ints (i + 2) c;
-        Array.unsafe_set ints (i + 3) d;
-        let j = h * sstride and strs = r.strs in
-        Array.unsafe_set strs j app;
-        Array.unsafe_set strs (j + 1) node;
-        if tag <> 1 then Array.unsafe_set strs (j + 2) pe;
+        let i = h * istride in
+        r.ints.(i) <- task;
+        r.ints.(i + 1) <- instance;
+        r.ints.(i + 2) <- c;
+        r.ints.(i + 3) <- d;
+        r.ints.(i + 4) <- -1;
+        let j = h * sstride in
+        r.strs.(j) <- app;
+        r.strs.(j + 1) <- node;
+        r.strs.(j + 2) <- pe;
+        if r.concurrent then Mutex.unlock r.lock
+
+  (* [put_task] for the engines' hooks: node [node] of class [cls], by
+     its registered name; [c] is the PE index of a dispatch or a
+     completion. *)
+  let put_node t t_ns tag task instance c d cls node =
+    match t with
+    | Null -> ()
+    | Schedule s ->
+        lock s;
+        note s t_ns;
+        if tag = 3 then begin
+          let n = Vec.get s.s_names.nm (s.s_names.bases.(cls) + node) in
+          complete s t_ns task instance c n.n_app n.n_node n.n_pes.(c)
+        end
+        else set_pending s task (tag - 1) t_ns;
+        unlock s
+    | Ring r ->
+        if r.concurrent then Mutex.lock r.lock;
+        let i = slot r t_ns tag * istride in
+        r.ints.(i) <- task;
+        r.ints.(i + 1) <- instance;
+        r.ints.(i + 2) <- c;
+        r.ints.(i + 3) <- d;
+        r.ints.(i + 4) <- r.r_names.bases.(cls) + node;
         if r.concurrent then Mutex.unlock r.lock
 
   (* Each case writes the fields its constructor carries at the offsets
@@ -477,7 +537,9 @@ module Sink = struct
 
   let clear = function
     | Null -> ()
-    | Ring r -> enter r 0
+    | Ring r ->
+        enter r 0;
+        Vec.clear r.r_names.nm
     | Schedule s ->
         Array.fill s.pend 0 (Array.length s.pend) 0;
         Hashtbl.reset s.far;
@@ -485,7 +547,8 @@ module Sink = struct
         Hashtbl.reset s.injected;
         s.stalls <- [];
         s.latest <- 0;
-        s.count <- 0
+        s.count <- 0;
+        Vec.clear s.s_names.nm
 
   let recording = function
     | Null | Ring _ -> None
@@ -498,7 +561,7 @@ module Sink = struct
             rc_latest_ns = s.latest;
           }
 
-  let decode blk h =
+  let decode names blk h =
     let t_ns = blk.b_meta.(h) asr 5 in
     let i = h * istride in
     let a = blk.b_ints.(i)
@@ -511,8 +574,16 @@ module Sink = struct
     and s2 = blk.b_strs.(j + 1)
     and s3 = blk.b_strs.(j + 2)
     and s4 = blk.b_strs.(j + 3) in
+    let tag = blk.b_meta.(h) land 31 in
+    (* A task event by registered name (see [put_node]). *)
+    let s1, s2, s3 =
+      if tag >= 1 && tag <= 3 && e >= 0 then
+        let n = Vec.get names.nm e in
+        (n.n_app, n.n_node, if tag = 1 then "" else n.n_pes.(c))
+      else (s1, s2, s3)
+    in
     let body =
-      match blk.b_meta.(h) land 31 with
+      match tag with
       | 0 -> Instance_injected { instance = a; app = s1 }
       | 1 -> Task_ready { task = a; instance = b; app = s1; node = s2 }
       | 2 ->
@@ -567,7 +638,7 @@ module Sink = struct
     | Null | Schedule _ -> ()
     | Ring r as t ->
         for k = 0 to total t - 1 do
-          f (decode (Vec.get r.blocks (k / block_slots)) (k mod block_slots))
+          f (decode r.r_names (Vec.get r.blocks (k / block_slots)) (k mod block_slots))
         done
 
   let events t =
@@ -663,7 +734,7 @@ module Metrics = struct
   let incr ?(by = 1) c = c.c_count <- c.c_count + by
   let counter_value c = c.c_count
 
-  let[@inline] set g ~t_ns v =
+  let set g ~t_ns v =
     if v > g.g_max then g.g_max <- v;
     g.g_value <- v;
     (* Several updates at one backend timestamp collapse to the last, so
@@ -704,7 +775,7 @@ module Metrics = struct
 
   (* [observe h (float_of_int ns /. 1e3)], converted here: a float
      argument would be boxed at every call site. *)
-  let[@inline] observe_us h ns =
+  let observe_us h ns =
     if h.h_len = Array.length h.h_data then observe h 0.0 else h.h_len <- h.h_len + 1;
     h.h_data.(h.h_len - 1) <- float_of_int ns /. 1e3
 
@@ -916,7 +987,8 @@ let enabled t = t.active
 let sink t = t.sink
 let metrics t = t.metrics
 
-let attach_pes t ~pe_labels =
+let attach t ~pe_labels ~nodes =
+  Sink.name_nodes t.sink ~pe_labels nodes;
   match t.metrics with
   | None -> ()
   | Some m ->
@@ -961,13 +1033,13 @@ let on_instance_injected t ~now ~instance ~app =
   (match t.eng with Some e -> Metrics.incr e.c_injected | None -> ());
   Sink.emit t.sink now (Instance_injected { instance; app })
 
-let on_task_ready t ~now ~task ~instance ~app ~node ~ready_depth =
+let on_task_ready t ~now ~task ~instance ~cls ~node ~ready_depth =
   (match t.eng with
   | Some e -> Metrics.set e.m_ready ~t_ns:now ready_depth
   | None -> ());
-  Sink.put_task t.sink now 1 task instance 0 0 app node ""
+  Sink.put_node t.sink now 1 task instance 0 0 cls node
 
-let on_task_dispatched t ~now ~task ~instance ~app ~node ~pe ~pe_index ~wait_ns
+let on_task_dispatched t ~now ~task ~instance ~cls ~node ~pe_index ~wait_ns
     ~ready_depth ~pe_depth ~inflight =
   (match t.eng with
   | Some e ->
@@ -978,9 +1050,9 @@ let on_task_dispatched t ~now ~task ~instance ~app ~node ~pe ~pe_index ~wait_ns
         Metrics.set e.m_pe_depth.(pe_index) ~t_ns:now pe_depth;
       Metrics.observe_us e.m_wait wait_ns
   | None -> ());
-  Sink.put_task t.sink now 2 task instance pe_index wait_ns app node pe
+  Sink.put_node t.sink now 2 task instance pe_index wait_ns cls node
 
-let on_task_completed t ~now ~task ~instance ~app ~node ~pe ~pe_index ~service_ns
+let on_task_completed t ~now ~task ~instance ~cls ~node ~pe_index ~service_ns
     ~pe_depth ~inflight =
   (match t.eng with
   | Some e ->
@@ -990,7 +1062,7 @@ let on_task_completed t ~now ~task ~instance ~app ~node ~pe ~pe_index ~service_n
         Metrics.set e.m_pe_depth.(pe_index) ~t_ns:now pe_depth;
       Metrics.observe_us e.m_service service_ns
   | None -> ());
-  Sink.put_task t.sink now 3 task instance pe_index service_ns app node pe
+  Sink.put_node t.sink now 3 task instance pe_index service_ns cls node
 
 let on_sched t ~now ~ready ~examined ~ops ~cost_ns ~assigned =
   (match t.eng with

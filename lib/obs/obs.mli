@@ -314,12 +314,16 @@ val reset : t -> unit
     exactly as a freshly made one would, so a caller replaying many
     runs through one event log keeps the blocks it has grown. *)
 
-val attach_pes : t -> pe_labels:string array -> unit
-(** Called once per run by the engine before the WM starts: registers
+val attach : t -> pe_labels:string array -> nodes:(string * string array) array -> unit
+(** Called once per run by the engine before the WM starts.  Registers
     the engine gauge/histogram/counter handles (ready-queue depth,
     in-flight tasks, per-PE queue depth, wait/service/sched-cost
-    latencies) against the bundle's metrics registry.  A no-op without
-    metrics. *)
+    latencies) against the bundle's metrics registry, if any, and the
+    run's task names with the sink: [nodes.(c)] is the app name and
+    the node names, in declaration order, of the run's class [c]
+    ([Exec_model.node_names] in the runtime).  The task hooks name a
+    task by its class and node index, and its PE by [pe_index] into
+    [pe_labels]; the sink stores numbers, not strings. *)
 
 (** {2 Engine hooks}
 
@@ -330,17 +334,18 @@ val attach_pes : t -> pe_labels:string array -> unit
 val on_instance_injected : t -> now:int -> instance:int -> app:string -> unit
 
 val on_task_ready :
-  t -> now:int -> task:int -> instance:int -> app:string -> node:string ->
+  t -> now:int -> task:int -> instance:int -> cls:int -> node:int ->
   ready_depth:int -> unit
+(** [cls] and [node] name the task as registered by {!attach}. *)
 
 val on_task_dispatched :
-  t -> now:int -> task:int -> instance:int -> app:string -> node:string ->
-  pe:string -> pe_index:int -> wait_ns:int -> ready_depth:int -> pe_depth:int ->
+  t -> now:int -> task:int -> instance:int -> cls:int -> node:int ->
+  pe_index:int -> wait_ns:int -> ready_depth:int -> pe_depth:int ->
   inflight:int -> unit
 
 val on_task_completed :
-  t -> now:int -> task:int -> instance:int -> app:string -> node:string ->
-  pe:string -> pe_index:int -> service_ns:int -> pe_depth:int -> inflight:int ->
+  t -> now:int -> task:int -> instance:int -> cls:int -> node:int ->
+  pe_index:int -> service_ns:int -> pe_depth:int -> inflight:int ->
   unit
 
 val on_sched :

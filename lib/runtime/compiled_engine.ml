@@ -162,7 +162,9 @@ let exec ~obs ~fault ~service ~resume ~prng plan (params : Core.params) instance
      gauge — so [Metrics.pp] output is comparable byte-for-byte across
      engines. *)
   let traced = Obs.enabled obs in
-  Obs.attach_pes obs ~pe_labels:(Array.map (fun pe -> pe.Pe.label) model.Exec_model.pes);
+  Obs.attach obs
+    ~pe_labels:(Array.map (fun pe -> pe.Pe.label) model.Exec_model.pes)
+    ~nodes:(Exec_model.node_names model);
   let clock0 = match resume with Some r -> r.rs_clock | None -> 0 in
   let des = Des.create ~obs ~clock0 config in
   let now = Des.clock des in
@@ -323,8 +325,8 @@ let exec ~obs ~fault ~service ~resume ~prng plan (params : Core.params) instance
     incr ready_live;
     if traced then
       Obs.on_task_ready obs ~now:t.Task.ready_at ~task:t.Task.id
-        ~instance:t.Task.instance_id ~app:t.Task.app_name
-        ~node:t.Task.node.App_spec.node_name ~ready_depth:!ready_live
+        ~instance:t.Task.instance_id ~cls:t.Task.cls ~node:t.Task.index
+        ~ready_depth:!ready_live
   in
   (* The resilient-dispatch bookkeeping is the reference engine's own. *)
   let res =
@@ -511,8 +513,7 @@ let exec ~obs ~fault ~service ~resume ~prng plan (params : Core.params) instance
     if traced then begin
       incr tick_completions;
       Obs.on_task_completed obs ~now:task.Task.completed_at ~task:task.Task.id
-        ~instance:task.Task.instance_id ~app:task.Task.app_name
-        ~node:task.Task.node.App_spec.node_name ~pe:task.Task.pe_label
+        ~instance:task.Task.instance_id ~cls:task.Task.cls ~node:task.Task.index
         ~pe_index:h.Core.h_index
         ~service_ns:(task.Task.completed_at - task.Task.dispatched_at)
         ~pe_depth:h.Core.h_inflight ~inflight:!inflight
@@ -812,8 +813,7 @@ let exec ~obs ~fault ~service ~resume ~prng plan (params : Core.params) instance
     h.Core.h_busy_until <- from + (cls task).Exec_model.est.(row task pi);
     if traced then begin
       Obs.on_task_dispatched obs ~now:!now ~task:task.Task.id
-        ~instance:task.Task.instance_id ~app:task.Task.app_name
-        ~node:task.Task.node.App_spec.node_name ~pe:h.Core.h_pe.Pe.label
+        ~instance:task.Task.instance_id ~cls:task.Task.cls ~node:task.Task.index
         ~pe_index:pi ~wait_ns:(!now - task.Task.ready_at) ~ready_depth:!ready_live
         ~pe_depth:h.Core.h_inflight ~inflight:!inflight;
       if h.Core.h_capacity > 1 then

@@ -42,7 +42,7 @@ val create : ?obs:Dssoc_obs.Obs.t -> clock0:int -> Dssoc_soc.Config.t -> t
     core (the workload manager's); the other cores follow placement
     order, deduplicated by [core_id].  With metrics on [obs], registers
     [fabric_stall_ns] and [fabric_occupancy] (bus fabric only) and then
-    [event_heap_depth] — call it after {!Dssoc_obs.Obs.attach_pes} to
+    [event_heap_depth] — call it after {!Dssoc_obs.Obs.attach} to
     keep the engines' registration order. *)
 
 val clock : t -> int ref

@@ -472,8 +472,8 @@ let workload_manager ?(obs = Obs.disabled) ?(fault = Fault.disabled) (b : 'h bac
     incr ready_live;
     if Obs.enabled obs then
       Obs.on_task_ready obs ~now:task.Task.ready_at ~task:task.Task.id
-        ~instance:task.Task.instance_id ~app:task.Task.app_name
-        ~node:task.Task.node.App_spec.node_name ~ready_depth:!ready_live
+        ~instance:task.Task.instance_id ~cls:task.Task.cls ~node:task.Task.index
+        ~ready_depth:!ready_live
   in
   (* Fault handling is WM-owned and shared with the compiled engine's
      machine; its entry points are no-ops unless [fault_on]. *)
@@ -596,8 +596,7 @@ let workload_manager ?(obs = Obs.disabled) ?(fault = Fault.disabled) (b : 'h bac
             if Obs.enabled obs then begin
               let now = task.Task.dispatched_at in
               Obs.on_task_dispatched obs ~now ~task:task.Task.id
-                ~instance:task.Task.instance_id ~app:task.Task.app_name
-                ~node:task.Task.node.App_spec.node_name ~pe:h.h_pe.Pe.label
+                ~instance:task.Task.instance_id ~cls:task.Task.cls ~node:task.Task.index
                 ~pe_index:h.h_index ~wait_ns:(now - task.Task.ready_at)
                 ~ready_depth:!ready_live ~pe_depth:h.h_inflight ~inflight:!inflight;
               if h.h_capacity > 1 then
@@ -675,8 +674,7 @@ let workload_manager ?(obs = Obs.disabled) ?(fault = Fault.disabled) (b : 'h bac
               if Obs.enabled obs then
                 Obs.on_task_completed obs ~now:task.Task.completed_at
                   ~task:task.Task.id ~instance:task.Task.instance_id
-                  ~app:task.Task.app_name ~node:task.Task.node.App_spec.node_name
-                  ~pe:task.Task.pe_label ~pe_index:h.h_index
+                  ~cls:task.Task.cls ~node:task.Task.index ~pe_index:h.h_index
                   ~service_ns:(task.Task.completed_at - task.Task.dispatched_at)
                   ~pe_depth:h.h_inflight ~inflight:!inflight;
               process_completion task

@@ -223,5 +223,13 @@ let instantiate m ~fresh_stores =
     m.items
 
 let class_of m (task : Task.t) = m.classes.(task.Task.cls)
+
+let node_names m =
+  Array.map
+    (fun c ->
+      let tp = c.topology in
+      ( tp.Task.tp_spec.App_spec.app_name,
+        Array.map (fun (nd : App_spec.node) -> nd.App_spec.node_name) tp.Task.tp_nodes ))
+    m.classes
 let row m (task : Task.t) pe_index = (task.Task.index * m.n_pes) + pe_index
 let estimate m task pe_index = (class_of m task).est.(row m task pe_index)

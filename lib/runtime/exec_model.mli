@@ -99,6 +99,10 @@ val instantiate : t -> fresh_stores:bool -> Task.instance array
 val class_of : t -> Task.t -> cls
 (** The class of the task's instance ([classes.(task.cls)]). *)
 
+val node_names : t -> (string * string array) array
+(** Per class, its app name and its node names in declaration order:
+    the names a traced run registers with {!Dssoc_obs.Obs.attach}. *)
+
 val row : t -> Task.t -> int -> int
 (** [row m task pe_index]: the task's row in {!class_of}'s columns. *)
 

@@ -1,62 +1,43 @@
 module App_spec = Dssoc_apps.App_spec
-module Kernels = Dssoc_apps.Kernels
 module Store = Dssoc_apps.Store
 module Pe = Dssoc_soc.Pe
 
-(* A class's images by closure assignment.  Node [j] on PE [i] runs one
-   of the node's distinct closures, numbered in PE order; an instance's
-   key is the mixed-radix number of its nodes' closure numbers, and
-   [weight.(row)] is the closure number times the node's radix weight,
-   so the key is a sum over the tasks and the image one array read. *)
-type 'a keyed = { weight : int array; slots : 'a option array }
+(* A class's images by closure assignment.  [number.(row)] numbers the
+   distinct closures node [j] runs on the PEs that support it, in PE
+   order (row [j * n_pes + pe]); an instance's key is its tasks'
+   closure numbers, [-1] for a task that never completed. *)
+type 'a images = { number : int array; by_key : (int array, 'a) Hashtbl.t }
 
 type 'a memo = {
   model : Exec_model.t;
   derive : Store.t -> 'a;
-  keyed : 'a keyed option Lazy.t array;
-      (** per class; [None] when the class has more assignments than
-          [max_keys], whose images go to [images] *)
-  mutable images : (App_spec.t * Kernels.kernel option array * 'a) list;
+  classes : 'a images Lazy.t array;
 }
 
-let max_keys = 4096
-
-let keyed_class (m : Exec_model.t) (c : Exec_model.cls) =
+let images (m : Exec_model.t) (c : Exec_model.cls) =
   let tp = c.Exec_model.topology in
   let n_pes = m.Exec_model.n_pes in
-  let weight = Array.make (max 1 (Array.length tp.Task.tp_nodes * n_pes)) 0 in
-  let rec go j w =
-    if j = Array.length tp.Task.tp_nodes then Some { weight; slots = Array.make w None }
-    else begin
-      let nd = tp.Task.tp_nodes.(j) in
+  let number = Array.make (Array.length tp.Task.tp_nodes * n_pes) (-1) in
+  Array.iteri
+    (fun j nd ->
       let seen = ref [] in
       for i = 0 to n_pes - 1 do
         if c.Exec_model.est.((j * n_pes) + i) <> min_int then begin
           let k = Exec_model.node_kernel tp.Task.tp_spec nd m.Exec_model.pes.(i) in
-          let rec number d = function
+          let rec find d = function
             | [] ->
               seen := !seen @ [ k ];
               d
-            | k' :: rest -> if k' == k then d else number (d + 1) rest
+            | k' :: rest -> if k' == k then d else find (d + 1) rest
           in
-          weight.((j * n_pes) + i) <- number 0 !seen * w
+          number.((j * n_pes) + i) <- find 0 !seen
         end
-      done;
-      let radix = max 1 (List.length !seen) in
-      if w * radix > max_keys then None else go (j + 1) (w * radix)
-    end
-  in
-  go 0 1
+      done)
+    tp.Task.tp_nodes;
+  { number; by_key = Hashtbl.create 4 }
 
 let memo model derive =
-  {
-    model;
-    derive;
-    keyed = Array.map (fun c -> lazy (keyed_class model c)) model.Exec_model.classes;
-    images = [];
-  }
-
-let same a b = match (a, b) with Some k, Some k' -> k == k' | None, None -> true | _ -> false
+  { model; derive; classes = Array.map (fun c -> lazy (images model c)) model.Exec_model.classes }
 
 (* The PE a task ran on: its label is the PE's own string. *)
 let pe_index (m : Exec_model.t) label =
@@ -67,67 +48,43 @@ let pe_index (m : Exec_model.t) label =
   in
   go 0
 
-(* The final store of an instance whose tasks ran closures [ks]. *)
-let compute m (inst : Task.instance) ks =
+(* The final store of an instance: a fresh store with the closure each
+   completed task ran, on its recorded PE, applied in topological order. *)
+let compute m (inst : Task.instance) =
   let spec = inst.Task.app in
   let store = Store.create spec.App_spec.variables in
-  let index = Hashtbl.create (Array.length ks) in
-  Array.iteri
-    (fun j (t : Task.t) -> Hashtbl.replace index t.Task.node.App_spec.node_name j)
+  let index = Hashtbl.create (Array.length inst.Task.tasks) in
+  Array.iter
+    (fun (t : Task.t) -> Hashtbl.replace index t.Task.node.App_spec.node_name t)
     inst.Task.tasks;
   List.iter
     (fun (nd : App_spec.node) ->
-      Option.iter
-        (fun k -> k store nd.App_spec.arguments)
-        ks.(Hashtbl.find index nd.App_spec.node_name))
+      let t = Hashtbl.find index nd.App_spec.node_name in
+      if t.Task.status = Task.Done then
+        Exec_model.resolve_kernel t m.model.Exec_model.pes.(pe_index m.model t.Task.pe_label)
+          store nd.App_spec.arguments)
     (App_spec.topological_order spec);
   m.derive store
 
-(* The closure each task ran, on its recorded PE; none for a task that
-   never completed (an aborted run). *)
-let closures m (inst : Task.instance) =
-  Array.map
-    (fun (t : Task.t) ->
-      if t.Task.status <> Task.Done then None
-      else
-        Some
-          (Exec_model.resolve_kernel t m.model.Exec_model.pes.(pe_index m.model t.Task.pe_label)))
-    inst.Task.tasks
-
-let by_list m inst =
-  let ks = closures m inst in
-  let spec = inst.Task.app in
-  match List.find_opt (fun (s, ks', _) -> s == spec && Array.for_all2 same ks ks') m.images with
-  | Some (_, _, v) -> v
-  | None ->
-    let v = compute m inst ks in
-    m.images <- (spec, ks, v) :: m.images;
-    v
-
 let image m (inst : Task.instance) =
   let tasks = inst.Task.tasks in
-  match if Array.length tasks = 0 then None else Lazy.force m.keyed.(tasks.(0).Task.cls) with
-  | None -> by_list m inst
-  | Some kd ->
+  if Array.length tasks = 0 then compute m inst
+  else
+    let c = Lazy.force m.classes.(tasks.(0).Task.cls) in
     let n_pes = m.model.Exec_model.n_pes in
-    let rec key j acc =
-      if j = Array.length tasks then acc
-      else
-        let t = tasks.(j) in
-        if t.Task.status <> Task.Done then -1
-        else
-          let pe = pe_index m.model t.Task.pe_label in
-          key (j + 1) (acc + kd.weight.((t.Task.index * n_pes) + pe))
+    let key =
+      Array.map
+        (fun (t : Task.t) ->
+          if t.Task.status <> Task.Done then -1
+          else c.number.((t.Task.index * n_pes) + pe_index m.model t.Task.pe_label))
+        tasks
     in
-    let k = key 0 0 in
-    if k < 0 then by_list m inst
-    else (
-      match kd.slots.(k) with
-      | Some v -> v
-      | None ->
-        let v = compute m inst (closures m inst) in
-        kd.slots.(k) <- Some v;
-        v)
+    match Hashtbl.find_opt c.by_key key with
+    | Some v -> v
+    | None ->
+      let v = compute m inst in
+      Hashtbl.replace c.by_key key v;
+      v
 
 let fill_stores model instances =
   let m = memo model Fun.id in

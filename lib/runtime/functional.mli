@@ -18,10 +18,9 @@
 
     {b Memo.}  One image is computed per (class, closure each node ran)
     and shared by every instance that maps to it; closures are told
-    apart by physical equality.  A class numbers its nodes' distinct
-    closures, so an instance's assignment is a number and finding its
-    image one array read (classes with more than 4096 assignments
-    fall back to a search by spec and closures). *)
+    apart by physical equality.  A class numbers each node's distinct
+    closures, and its images sit in a table keyed by the instance's
+    closure numbers. *)
 
 type 'a memo
 (** The images of one run, each kept as the value derived from it. *)
