@@ -315,7 +315,7 @@ val reset : t -> unit
     runs through one event log keeps the blocks it has grown. *)
 
 val attach : t -> pe_labels:string array -> nodes:(string * string array) array -> unit
-(** Called once per run by the engine before the WM starts.  Registers
+(** Called once per traced run by the engine before the WM starts.  Registers
     the engine gauge/histogram/counter handles (ready-queue depth,
     in-flight tasks, per-PE queue depth, wait/service/sched-cost
     latencies) against the bundle's metrics registry, if any, and the

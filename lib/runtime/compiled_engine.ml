@@ -162,9 +162,10 @@ let exec ~obs ~fault ~service ~resume ~prng plan (params : Core.params) instance
      gauge — so [Metrics.pp] output is comparable byte-for-byte across
      engines. *)
   let traced = Obs.enabled obs in
-  Obs.attach obs
-    ~pe_labels:(Array.map (fun pe -> pe.Pe.label) model.Exec_model.pes)
-    ~nodes:(Exec_model.node_names model);
+  if traced then
+    Obs.attach obs
+      ~pe_labels:(Array.map (fun pe -> pe.Pe.label) model.Exec_model.pes)
+      ~nodes:(Exec_model.node_names model);
   let clock0 = match resume with Some r -> r.rs_clock | None -> 0 in
   let des = Des.create ~obs ~clock0 config in
   let now = Des.clock des in

@@ -171,9 +171,10 @@ let run_detailed ?(params = default_params) ?(obs = Obs.disabled) ?fault
   in
   let stats = Core.make_stats () in
   let fault = Core.compile_fault fault ~handlers in
-  Obs.attach obs
-    ~pe_labels:(Array.map (fun h -> h.Core.h_pe.Pe.label) handlers)
-    ~nodes:(Exec_model.node_names model);
+  if Obs.enabled obs then
+    Obs.attach obs
+      ~pe_labels:(Array.map (fun h -> h.Core.h_pe.Pe.label) handlers)
+      ~nodes:(Exec_model.node_names model);
   (* Handler domains emit into the sink concurrently with the WM, so
      switch the ring from its single-producer lock-free mode before any
      domain spawns. *)

@@ -184,9 +184,10 @@ let run_timed ~fresh_stores ?(params = default_params) ?(obs = Obs.disabled) ?fa
   in
   let stats = Core.make_stats () in
   let fault = Core.compile_fault fault ~handlers in
-  Obs.attach obs
-    ~pe_labels:(Array.map (fun h -> h.Core.h_pe.Pe.label) handlers)
-    ~nodes:(Exec_model.node_names model);
+  if Obs.enabled obs then
+    Obs.attach obs
+      ~pe_labels:(Array.map (fun h -> h.Core.h_pe.Pe.label) handlers)
+      ~nodes:(Exec_model.node_names model);
   let des = Des.create ~obs ~clock0:0 config in
   let b =
     backend des ~prng ~jitter:params.jitter
