@@ -1283,6 +1283,32 @@ let test_log_reset_rewinds () =
     (Format.asprintf "%a" Obs.Metrics.pp (Option.get (Obs.metrics fresh)))
     (Format.asprintf "%a" Obs.Metrics.pp (Option.get (Obs.metrics reused)))
 
+(* Task events store the number of a name their run registered, so a
+   log that two runs share without a reset decodes each run's events
+   with its own names: the shared log is the two runs' logs, one after
+   the other. *)
+let test_log_spans_runs () =
+  let run obs config apps =
+    ignore
+      (Emulator.run_exn ~engine:(Emulator.virtual_seeded ~jitter:0.0 1L) ~config
+         ~workload:(Workload.validation apps) ~obs ())
+  in
+  let first = (Config.zcu102_cores_ffts ~cores:2 ~ffts:1, [ (Reference_apps.wifi_tx (), 1) ])
+  and second =
+    (Config.zcu102_cores_ffts ~cores:1 ~ffts:2, [ (Reference_apps.range_detection (), 1) ])
+  in
+  let alone (config, apps) =
+    let obs = Obs.make ~sink:(Obs.Sink.ring ()) () in
+    run obs config apps;
+    Obs.recorded_events obs
+  in
+  let shared = Obs.make ~sink:(Obs.Sink.ring ()) () in
+  run shared (fst first) (snd first);
+  run shared (fst second) (snd second);
+  Alcotest.(check string) "both runs' events, each with its own names"
+    (Obs.to_jsonl (alone first @ alone second))
+    (Obs.to_jsonl (Obs.recorded_events shared))
+
 (* The native engine's handler domains emit concurrently with the WM,
    so blocks grow under the sink's mutex: a log spanning several blocks
    keeps every event and every task's completion. *)
@@ -1449,6 +1475,8 @@ let () =
           Alcotest.test_case "preallocation does not change the log" `Quick
             test_log_preallocation_invisible;
           Alcotest.test_case "reset rewinds to the first block" `Quick test_log_reset_rewinds;
+          Alcotest.test_case "a log shared by two runs keeps each run's names" `Quick
+            test_log_spans_runs;
           Alcotest.test_case "native log across blocks" `Quick test_native_log_across_blocks;
         ] );
       ( "metrics",
