@@ -231,5 +231,6 @@ let node_names m =
       ( tp.Task.tp_spec.App_spec.app_name,
         Array.map (fun (nd : App_spec.node) -> nd.App_spec.node_name) tp.Task.tp_nodes ))
     m.classes
+
 let row m (task : Task.t) pe_index = (task.Task.index * m.n_pes) + pe_index
 let estimate m task pe_index = (class_of m task).est.(row m task pe_index)
