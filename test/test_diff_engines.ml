@@ -506,6 +506,31 @@ let test_service_under_fault_plan () =
           (fun (h : Compiled.handler_snapshot) -> (h.Compiled.hs_busy_ns, h.Compiled.hs_tasks_run))
           sr.Compiled.sr_handlers))
 
+(* A PE death must abort the run when a task of an arrival not yet
+   injected loses its last supporting PE, not only a task of a live
+   instance: here the second instance arrives at 10 ms, after the only
+   CPU died at 5 ms, and wifi_tx's CRC runs only on a CPU. *)
+let test_abort_for_unarrived_instance () =
+  let config = Config.zcu102_cores_ffts ~cores:1 ~ffts:1 in
+  let wifi = Reference_apps.wifi_tx () in
+  let item i arrival_ns = { Workload.spec = wifi; arrival_ns; instance = i } in
+  let workload = { Workload.items = [ item 0 0; item 1 10_000_000 ]; window_ns = 0 } in
+  let fault = Result.get_ok (Fault.of_spec ~seed:1L "cpu0:die@5ms") in
+  let reason = "task wifi_tx/CRC supports no surviving PE" in
+  let check label (r : Stats.report) =
+    Alcotest.(check string) (label ^ ": verdict") ("aborted (" ^ reason ^ ")")
+      (match r.Stats.verdict with
+      | Stats.Aborted why -> "aborted (" ^ why ^ ")"
+      | v -> Stats.verdict_name v);
+    Alcotest.(check int) (label ^ ": makespan") 88_444 r.Stats.makespan_ns;
+    Alcotest.(check int) (label ^ ": records") 7 (List.length r.Stats.records)
+  in
+  check "reference" (fst (reference ~fault ~config ~workload ()));
+  let params = { Engine_core.seed = 1L; jitter = 0.0; reservation_depth = 0 } in
+  let module Compiled = Dssoc_runtime.Compiled_engine in
+  let plan = Compiled.compile ~config ~workload ~policy:Scheduler.frfs () in
+  check "pc machine" (Compiled.run ~fault plan params)
+
 (* ---------------- event-stream parity ---------------- *)
 
 (* Timings, PE choices and event interleavings legitimately differ
@@ -1599,6 +1624,8 @@ let () =
             test_fault_parity_across_policies;
           Alcotest.test_case "aborted run outputs" `Quick test_aborted_fault_outputs;
           Alcotest.test_case "service run under a fault plan" `Quick test_service_under_fault_plan;
+          Alcotest.test_case "abort for an arrival not yet injected" `Quick
+            test_abort_for_unarrived_instance;
         ] );
       ( "stores",
         [ Alcotest.test_case "placeholder unless outputs are read" `Quick test_placeholder_stores ] );
