@@ -665,11 +665,17 @@ let engine () =
     let sample = once () (* warm-up; also yields the per-run task count *) in
     (* Minor-heap words one emulation allocates, taken on a second run
        so one-time initialisation is excluded; deterministic for a given
-       build on the compiled engine, so CI gates it. *)
-    let minor_words =
+       build on the compiled engine, so CI gates it.  Promoted words
+       (what survives a minor collection) come from the same run, which
+       starts after a full major collection so that its collections
+       fall at the same points whatever ran before. *)
+    let minor_words, promoted_words =
+      Gc.full_major ();
+      let p0 = (Gc.quick_stat ()).Gc.promoted_words in
       let w0 = Gc.minor_words () in
       ignore (once ());
-      Gc.minor_words () -. w0
+      let w1 = Gc.minor_words () in
+      (w1 -. w0, (Gc.quick_stat ()).Gc.promoted_words -. p0)
     in
     let target_ns = 1_000_000_000 and min_runs = 3 in
     let t0 = Mclock.now_ns () in
@@ -688,7 +694,8 @@ let engine () =
       emu_per_s,
       emu_per_s *. float_of_int sample.Stats.task_count,
       compile_cost,
-      minor_words )
+      minor_words,
+      promoted_words )
   in
   let results = List.map measure scenarios in
   (* Lowered-tracing overhead on the compiled engine: replay the
@@ -786,7 +793,8 @@ let engine () =
                             emu_s,
                             task_s,
                             compile_cost,
-                            minor_words ) ->
+                            minor_words,
+                            promoted_words ) ->
                        Json.Obj
                          ([
                            ("name", Json.String name);
@@ -804,6 +812,7 @@ let engine () =
                            ("emulations_per_s", Json.Float emu_s);
                            ("tasks_per_s", Json.Float task_s);
                            ("minor_words_per_emulation", Json.Float minor_words);
+                           ("promoted_words_per_emulation", Json.Float promoted_words);
                          ]
                          @
                          match compile_cost with
@@ -835,7 +844,7 @@ let engine () =
            ]
          ~rows:
            (List.map
-              (fun (name, variant, (sample : Stats.report), runs, wall_s, emu_s, task_s, _, words) ->
+              (fun (name, variant, (sample : Stats.report), runs, wall_s, emu_s, task_s, _, words, _) ->
                 [
                   name;
                   variant;

@@ -18,9 +18,11 @@ module Fault = Dssoc_fault.Fault
    flattened into integer program counters; the fault bookkeeping that
    never suspends is Engine_core's own, called here.  Divergences are
    caught by the differential matrix in test_diff_engines.ml, and the
-   fault paths are also pinned to digests there.  Service mode (the
-   resident server's hooks and resume) exists only here; its output is
-   pinned by the serve goldens in test_serve.ml. *)
+   fault paths are also pinned to digests there.  Arrivals come from
+   one source, a fixed stream for a batch run ([fixed]) or the
+   resident server's hooks; resume from a checkpoint exists only here,
+   and the server's output is pinned by the serve goldens in
+   test_serve.ml. *)
 
 (* The five built-ins are specialised into the loop; any other policy
    is called through its closure over a [Scheduler.context], exactly as
@@ -74,12 +76,12 @@ let compile_specs ~config ~specs ~policy () =
 let model plan = plan.p_model
 
 (* ------------------------------------------------------------------ *)
-(* Resident service hooks                                              *)
+(* Arrival sources                                                     *)
 (* ------------------------------------------------------------------ *)
 
 type service_ops = {
   so_inject : Task.instance -> int;
-  so_cancel : Task.instance -> unit;
+  so_cancel : Task.instance -> bool;
   so_ready_live : unit -> int;
   so_inflight : unit -> int;
   so_completed : unit -> int;
@@ -89,7 +91,31 @@ type service = {
   sv_tick : service_ops -> now:int -> int;
   sv_next : now:int -> int option;
   sv_finished : service_ops -> now:int -> bool;
+  sv_unarrived : unit -> int Seq.t;
 }
+
+(* A workload known in advance: inject each instance once the clock
+   reaches its arrival, finish once all have completed. *)
+let fixed (instances : Task.instance array) =
+  let n = Array.length instances and next = ref 0 in
+  {
+    sv_tick =
+      (fun ops ~now ->
+        let made = ref 0 in
+        while !next < n && instances.(!next).Task.arrival_ns <= now do
+          made := !made + ops.so_inject instances.(!next);
+          incr next
+        done;
+        !made);
+    sv_next = (fun ~now:_ -> if !next < n then Some instances.(!next).Task.arrival_ns else None);
+    sv_finished = (fun ops ~now:_ -> ops.so_completed () = n);
+    sv_unarrived =
+      (fun () ->
+        Seq.concat_map
+          (fun (inst : Task.instance) ->
+            Seq.take 1 (Seq.map (fun (t : Task.t) -> t.Task.cls) (Array.to_seq inst.Task.tasks)))
+          (Seq.drop !next (Array.to_seq instances)));
+  }
 
 type handler_snapshot = { hs_busy_until : int; hs_busy_ns : int; hs_tasks_run : int }
 
@@ -100,10 +126,17 @@ type resume_state = {
 }
 
 type service_run = {
-  sr_instances : Task.instance array;
   sr_prng : int64 * int64 * int64 * int64;
   sr_handlers : handler_snapshot array;
+  sr_aborted : string option;
 }
+
+(* Instances and fault-path entry lists, by id. *)
+module Ids = Hashtbl.Make (struct
+  include Int
+
+  let hash i = i land max_int
+end)
 
 (* ------------------------------------------------------------------ *)
 (* The monomorphic event loop                                          *)
@@ -111,10 +144,10 @@ type service_run = {
 
 let sched_window = Cost_model.sched_examined_cap
 
-(* One run of the machine.  [service] replaces the fixed-workload
-   injection drain and termination test with the hooks; [resume]
-   starts the clock and the per-PE horizons from a checkpoint. *)
-let exec ~obs ~fault ~service ~resume ~prng plan (params : Core.params) instances =
+(* One run of the machine over the arrivals of [source]; [records]
+   keeps per-task records; [resume] starts the clock and the per-PE
+   horizons from a checkpoint. *)
+let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source =
   let config = plan.p_config in
   let model = plan.p_model in
   let n_pes = model.Exec_model.n_pes in
@@ -136,7 +169,7 @@ let exec ~obs ~fault ~service ~resume ~prng plan (params : Core.params) instance
   | None -> ()
   | Some r ->
     if Array.length r.rs_handlers <> n_pes then
-      invalid_arg "Compiled_engine.run_service: resume PE count mismatch";
+      invalid_arg "Compiled_engine.serve: resume PE count mismatch";
     Array.iteri
       (fun i (h : unit Core.handler) ->
         let s = r.rs_handlers.(i) in
@@ -148,13 +181,10 @@ let exec ~obs ~fault ~service ~resume ~prng plan (params : Core.params) instance
   let fault_on = Fault.enabled fault in
   let stats = Core.make_stats () in
   let aborted () = match stats.Core.aborted with None -> false | Some _ -> true in
-  (* A resident service never reads per-task records and would grow
-     the list without bound; its aggregates live in the service.  Nor
-     does it hold its instances in an array: the ones it injected and
-     that have not completed are looked up by id. *)
-  let service_mode = Option.is_some service in
-  let records = not service_mode in
-  let live : (int, Task.instance) Hashtbl.t = Hashtbl.create (if service_mode then 64 else 1) in
+  (* The instances injected and neither completed nor cancelled, by id:
+     the machine holds no array indexed by instance or task id, so its
+     memory follows the instances in flight. *)
+  let live : Task.instance Ids.t = Ids.create 64 in
   (* Observability lowering: [traced] is constant for the whole run, so
      the untraced loop pays one predictable branch per hook site.
      Metric registration order is the reference engine's — engine handles
@@ -243,22 +273,21 @@ let exec ~obs ~fault ~service ~resume ~prng plan (params : Core.params) instance
      keeps that order: [fifo_pos] numbers the entries, [fifo_head] is
      the FIFO's head as of the last scheduling round, [entries] keeps
      each task's entry positions from the head on, and a revived task
-     is linked in before the first task with a later position. *)
+     is linked in before the first task with a later position.  A
+     task leaves [entries] once it can never be Ready again. *)
   let fifo_pos = ref 0 and fifo_head = ref 0 in
-  let entries =
-    if not fault_on then [||]
-    else
-      Array.make
-        (Array.fold_left (fun n (i : Task.instance) -> n + Array.length i.Task.tasks) 0 instances)
-        []
-  in
+  let entries : int list Ids.t = Ids.create (if fault_on then 64 else 1) in
   let rl_insert (t : Task.t) =
     let pos = !fifo_pos in
     incr fifo_pos;
-    let live = List.filter (fun e -> e >= !fifo_head) entries.(t.Task.id) in
-    entries.(t.Task.id) <- live @ [ pos ];
+    let kept =
+      match Ids.find entries t.Task.id with
+      | l -> List.filter (fun e -> e >= !fifo_head) l
+      | exception Not_found -> []
+    in
+    Ids.replace entries t.Task.id (kept @ [ pos ]);
     let sl = rl_alloc t in
-    match live with
+    match kept with
     | [] ->
       !sl_pos.(sl) <- pos;
       rl_link sl (-1)
@@ -282,8 +311,6 @@ let exec ~obs ~fault ~service ~resume ~prng plan (params : Core.params) instance
   in
   let ready_live = ref 0 in
   let inflight = ref 0 in
-  let n_items = Array.length instances in
-  let pending_idx = ref 0 in
   let completed = ref 0 in
   let wm_pc = ref 0 in
   let sw_hi = ref 0 in
@@ -329,14 +356,29 @@ let exec ~obs ~fault ~service ~resume ~prng plan (params : Core.params) instance
         ~instance:t.Task.instance_id ~cls:t.Task.cls ~node:t.Task.index
         ~ready_depth:!ready_live
   in
-  (* The resilient-dispatch bookkeeping is the reference engine's own. *)
+  (* The resilient-dispatch bookkeeping is the reference engine's own.
+     A PE death checks the live instances in id order, then the
+     classes the source has yet to inject. *)
+  let unfinished () =
+    let insts = Ids.fold (fun _ inst acc -> inst :: acc) live [] in
+    let by_id (a : Task.instance) (b : Task.instance) = Int.compare a.Task.inst_id b.Task.inst_id in
+    Seq.append
+      (Core.unfinished_nodes (List.to_seq (List.sort by_id insts)))
+      (Seq.concat_map
+         (fun k ->
+           let tp = classes.(k).Exec_model.topology in
+           Seq.map
+             (fun node -> (tp.Task.tp_spec.App_spec.app_name, node))
+             (Array.to_seq tp.Task.tp_nodes))
+         (source.sv_unarrived ()))
+  in
   let res =
-    Core.resilience ~fault ~obs ~stats ~handlers ~instances ~inflight ~make_ready ~lock:ignore
+    Core.resilience ~fault ~obs ~stats ~handlers ~unfinished ~inflight ~make_ready ~lock:ignore
       ~unlock:ignore
   in
-  (* Capabilities handed to a service.  Cancelling withdraws the
-     instance's Ready tasks from the ready list; its successors are
-     never released, because completion checks [cancelled]. *)
+  (* Capabilities handed to the source.  Cancelling an instance with no
+     Running task forgets it: its Ready tasks leave the ready list and
+     its retries the backoff queue, so none of its tasks runs again. *)
   let ops =
     {
       so_inject =
@@ -344,23 +386,26 @@ let exec ~obs ~fault ~service ~resume ~prng plan (params : Core.params) instance
           if traced then
             Obs.on_instance_injected obs ~now:!now ~instance:inst.Task.inst_id
               ~app:inst.Task.app.App_spec.app_name;
-          Hashtbl.replace live inst.Task.inst_id inst;
+          Ids.replace live inst.Task.inst_id inst;
           List.iter make_ready inst.Task.entry;
           List.length inst.Task.entry);
       so_cancel =
         (fun (inst : Task.instance) ->
-          inst.Task.cancelled <- true;
-          (* A retry released after the cancellation still completes
-             against the instance. *)
-          if not fault_on then Hashtbl.remove live inst.Task.inst_id;
-          Array.iter
-            (fun (t : Task.t) ->
-              if t.Task.status = Task.Ready then begin
-                t.Task.status <- Task.Blocked;
-                rl_unlink (slot_of t);
-                decr ready_live
-              end)
-            inst.Task.tasks);
+          Array.for_all (fun (t : Task.t) -> t.Task.status <> Task.Running) inst.Task.tasks
+          && begin
+            Ids.remove live inst.Task.inst_id;
+            if fault_on then Core.withdraw_retries res ~instance:inst.Task.inst_id;
+            Array.iter
+              (fun (t : Task.t) ->
+                if fault_on then Ids.remove entries t.Task.id;
+                if t.Task.status = Task.Ready then begin
+                  t.Task.status <- Task.Blocked;
+                  rl_unlink (slot_of t);
+                  decr ready_live
+                end)
+              inst.Task.tasks;
+            true
+          end);
       so_ready_live = (fun () -> !ready_live);
       so_inflight = (fun () -> !inflight);
       so_completed = (fun () -> !completed);
@@ -532,27 +577,23 @@ let exec ~obs ~fault ~service ~resume ~prng plan (params : Core.params) instance
           completed_ns = task.Task.completed_at;
         }
         :: stats.Core.records;
-    let inst =
-      if service_mode then Hashtbl.find live task.Task.instance_id
-      else instances.(task.Task.instance_id)
-    in
-    let newly = ref 0 in
-    if not inst.Task.cancelled then begin
-      inst.Task.remaining <- inst.Task.remaining - 1;
-      if inst.Task.remaining = 0 then begin
-        inst.Task.completed_at <- !now;
-        incr completed;
-        if service_mode then Hashtbl.remove live inst.Task.inst_id
-      end;
-      List.iter
-        (fun (succ : Task.t) ->
-          succ.Task.unmet <- succ.Task.unmet - 1;
-          if succ.Task.unmet = 0 then begin
-            make_ready succ;
-            incr newly
-          end)
-        task.Task.successors
+    if fault_on then Ids.remove entries task.Task.id;
+    let inst = Ids.find live task.Task.instance_id in
+    inst.Task.remaining <- inst.Task.remaining - 1;
+    if inst.Task.remaining = 0 then begin
+      inst.Task.completed_at <- !now;
+      incr completed;
+      Ids.remove live inst.Task.inst_id
     end;
+    let newly = ref 0 in
+    List.iter
+      (fun (succ : Task.t) ->
+        succ.Task.unmet <- succ.Task.unmet - 1;
+        if succ.Task.unmet = 0 then begin
+          make_ready succ;
+          incr newly
+        end)
+      task.Task.successors;
     if !newly > 0 then
       wm_charge (Cost_model.ready_update_per_task_ns *. float_of_int !newly) 11
     else wm_after_completion ()
@@ -832,38 +873,11 @@ let exec ~obs ~fault ~service ~resume ~prng plan (params : Core.params) instance
     | _ -> wm_tick_tail ()
   and wm_inject () =
     (* An aborted run injects nothing more. *)
-    if aborted () then wm_fault_tail ()
-    else
-      match service with
-      | Some sv ->
-        let injected = sv.sv_tick ops ~now:!now in
-        if traced then tick_injected := injected;
-        wm_injected injected
-      | None -> wm_drain ()
-  and wm_drain () =
-    let injected = ref 0 in
-    let now_v = !now in
-    while
-      !pending_idx < n_items && instances.(!pending_idx).Task.arrival_ns <= now_v
-    do
-      let inst = instances.(!pending_idx) in
-      incr pending_idx;
-      if traced then
-        Obs.on_instance_injected obs ~now:now_v ~instance:inst.Task.inst_id
-          ~app:inst.Task.app.App_spec.app_name;
-      List.iter
-        (fun t ->
-          make_ready t;
-          incr injected)
-        inst.Task.entry
-    done;
-    if traced then tick_injected := !injected;
-    wm_injected !injected
-  and wm_injected injected =
+    let injected = if aborted () then 0 else source.sv_tick ops ~now:!now in
+    if traced then tick_injected := injected;
     if injected > 0 then
       wm_charge (Cost_model.ready_update_per_task_ns *. float_of_int injected) 14
     else wm_fault_tail ()
-  and wm_after_inject () = do_schedule 2
   and wm_fault_tail () =
     if fault_on && Core.fault_tick res ~now:!now then do_schedule 3 else wm_tick_tail ()
   and wm_tick_tail () =
@@ -871,13 +885,8 @@ let exec ~obs ~fault ~service ~resume ~prng plan (params : Core.params) instance
     if traced then
       Obs.on_wm_tick obs ~now:!now ~completions:!tick_completions
         ~injected:!tick_injected;
-    let finished =
-      match service with
-      | Some sv -> sv.sv_finished ops ~now:!now
-      | None -> !completed = n_items
-    in
     (* An aborted run stops once in-flight work has drained. *)
-    if finished || (aborted () && !inflight = 0) then
+    if source.sv_finished ops ~now:!now || (aborted () && !inflight = 0) then
       Array.iter
         (fun (h : unit Core.handler) ->
           h.Core.h_stop <- true;
@@ -885,20 +894,8 @@ let exec ~obs ~fault ~service ~resume ~prng plan (params : Core.params) instance
         handlers
     else wm_await ()
   and wm_await () =
-    match service with
-    | None when not fault_on ->
-      wm_then 15
-        (if !pending_idx < n_items then
-           Des.await_until des wm_th instances.(!pending_idx).Task.arrival_ns
-         else Des.await des wm_th)
-    | None ->
-      wm_await_until
-        (Core.wm_deadline res
-           (if !pending_idx < n_items then Some instances.(!pending_idx).Task.arrival_ns
-            else None))
-    | Some sv ->
-      let next = sv.sv_next ~now:!now in
-      wm_await_until (if fault_on then Core.wm_deadline res next else next)
+    let next = source.sv_next ~now:!now in
+    wm_await_until (if fault_on then Core.wm_deadline res next else next)
   and wm_await_until = function
     | Some t -> wm_then 15 (Des.await_until des wm_th t)
     | None -> wm_then 15 (Des.await des wm_th)
@@ -908,7 +905,7 @@ let exec ~obs ~fault ~service ~resume ~prng plan (params : Core.params) instance
     | 11 -> wm_after_completion ()
     | 12 -> wm_after_sched_work ()
     | 13 -> wm_dispatch_commit ()
-    | 14 -> wm_after_inject ()
+    | 14 -> do_schedule 2
     | 15 -> wm_tick_top ()
     | _ -> assert false
   in
@@ -929,7 +926,7 @@ let exec ~obs ~fault ~service ~resume ~prng plan (params : Core.params) instance
 let run_timed ~obs ~fault plan (params : Core.params) instances =
   let prng = Prng.create ~seed:params.Core.seed in
   let handlers, stats, des =
-    exec ~obs ~fault ~service:None ~resume:None ~prng plan params instances
+    exec ~obs ~fault ~records:true ~resume:None ~prng plan params (fixed instances)
   in
   let config = plan.p_config in
   Core.report ~host_name:config.Config.host.Host.name ~config ~policy:plan.p_policy
@@ -944,14 +941,14 @@ let run_detailed ?(obs = Obs.disabled) ?fault plan params =
   Functional.fill_stores plan.p_model instances;
   (report, instances)
 
-let start_prng resume (params : Core.params) =
-  match resume with
-  | Some r -> Prng.of_state r.rs_prng
-  | None -> Prng.create ~seed:params.Core.seed
-
-let service_run ~instances ~prng handlers =
+let serve ?(obs = Obs.disabled) ?fault ?resume plan (params : Core.params) source =
+  let prng =
+    match resume with
+    | Some r -> Prng.of_state r.rs_prng
+    | None -> Prng.create ~seed:params.Core.seed
+  in
+  let handlers, stats, _ = exec ~obs ~fault ~records:false ~resume ~prng plan params source in
   {
-    sr_instances = instances;
     sr_prng = Prng.state prng;
     sr_handlers =
       Array.map
@@ -962,19 +959,5 @@ let service_run ~instances ~prng handlers =
             hs_tasks_run = h.Core.h_tasks_run;
           })
         handlers;
+    sr_aborted = stats.Core.aborted;
   }
-
-let run_service ?(obs = Obs.disabled) ?fault ?resume plan (params : Core.params) ~service =
-  let prng = start_prng resume params in
-  let instances = Exec_model.instantiate plan.p_model ~fresh_stores:false in
-  let handlers, _, _ =
-    exec ~obs ~fault ~service:(Some (service instances)) ~resume ~prng plan params instances
-  in
-  service_run ~instances ~prng handlers
-
-let serve ?(obs = Obs.disabled) ?resume plan (params : Core.params) service =
-  let prng = start_prng resume params in
-  let handlers, _, _ =
-    exec ~obs ~fault:None ~service:(Some service) ~resume ~prng plan params [||]
-  in
-  service_run ~instances:[||] ~prng handlers

@@ -5,8 +5,8 @@
     spec's topology and per-(node, PE) prices, the classes every engine
     reads) plus the specialised policy — and then {!val:run}s the
     workload manager and the per-PE resource managers (Figs. 3-4 of the
-    paper) as an integer program-counter state machine over dense
-    task-id arrays, with no per-event closure allocation.  The clock,
+    paper) as an integer program-counter state machine over the
+    classes' price rows, with no per-event closure allocation.  The clock,
     event heap, shared host cores and fabric ledger are {!Des}'s.  It
     is the engine behind both deterministic names of {!Emulator}
     ([Virtual] and [Compiled]), {!Dssoc_explore.Sweep} and the
@@ -35,10 +35,11 @@
     fault plans, and digests captured before the two were unified pin
     the shared fault bookkeeping.
 
-    The same machine is the resident server's engine
-    ({!val:run_service}): service hooks replace the fixed workload's
-    injection schedule and termination test, and a run can resume from
-    a checkpoint.
+    Every run draws its arrivals from one source ({!type:service}): a
+    batch run's is the fixed stream of its instantiated workload
+    ({!val:fixed}), the resident server's ({!val:serve}) admits
+    arrivals as they come, and a service run can resume from a
+    checkpoint.
 
     Neither compilation nor {!val:run} executes a kernel: the loop is
     timing only, and a report-only run's instances share one empty
@@ -101,45 +102,56 @@ val run_detailed :
 (** Like {!val:run}, also returning the instances with their final
     stores ({!Functional.fill_stores}) for functional inspection. *)
 
-(** {1 Resident service}
+(** {1 Arrival sources}
 
-    A resident service (admission control, open-loop arrivals,
-    watchdog) plugs into the workload manager through these hooks.
-    The service decides {e which} instances enter the run and when;
-    the workload manager keeps owning the ready list, dispatch and
-    completion monitoring.  A service run keeps no per-task records,
-    and the engine holds an instance only from its injection to its
-    completion or cancellation. *)
+    The workload manager injects instances from one source.  The source
+    decides {e which} instances enter the run and when (a fixed stream,
+    or a resident service's admission control, open-loop arrivals and
+    watchdog); the workload manager keeps owning the ready list,
+    dispatch and completion monitoring.  The engine holds an instance
+    only from its injection to its completion or cancellation. *)
 
 type service_ops = {
   so_inject : Task.instance -> int;
       (** admit one instance now: emits the injection event, makes its
           entry tasks ready; returns how many tasks that was *)
-  so_cancel : Task.instance -> unit;
-      (** watchdog abort: marks the instance cancelled (suppressing
-          successor release) and withdraws its Ready tasks from the
-          ready list.  Only call on instances with no Running task — an
-          in-flight task must drain naturally first. *)
+  so_cancel : Task.instance -> bool;
+      (** watchdog abort, unless a task of the instance is Running (an
+          in-flight task drains naturally first): the engine forgets the
+          instance, withdrawing its Ready tasks from the ready list and
+          its retries from the backoff queue, so none of its tasks runs
+          again; [true] when it did *)
   so_ready_live : unit -> int;  (** ready-list length *)
   so_inflight : unit -> int;  (** dispatched-but-unmonitored count *)
   so_completed : unit -> int;
       (** instances completed so far in this run (cancelled ones never
-          complete): a service can skip its completion harvest while
+          complete): a source can skip its completion harvest while
           this has not moved *)
 }
 
 type service = {
   sv_tick : service_ops -> now:int -> int;
-      (** one service sweep per WM tick, replacing the fixed-workload
-          injection drain: admission control over due arrivals,
-          completion harvesting, watchdog; returns the number of tasks
-          made ready (charged like an injection burst) *)
+      (** the injection step of every WM tick: inject the arrivals due
+          (for a service, after admission control, completion
+          harvesting and the watchdog); returns the number of tasks
+          made ready (charged as one injection burst) *)
   sv_next : now:int -> int option;
-      (** next service deadline (arrival or watchdog expiry), strictly
+      (** next source deadline (arrival or watchdog expiry), strictly
           in the future; [None] when only completions can wake the WM *)
   sv_finished : service_ops -> now:int -> bool;
       (** termination test, evaluated at the end of every tick *)
+  sv_unarrived : unit -> int Seq.t;
+      (** the classes (of {!model}) of the arrivals not injected yet,
+          in instance-id order: under a fault plan, a PE death that
+          leaves a task of one of them with no surviving PE aborts the
+          run.  Only read when a PE dies. *)
 }
+
+val fixed : Task.instance array -> service
+(** The source of a batch run: each instance (sorted by arrival, ids
+    in that order) is injected at the first tick at or after its
+    arrival, and the run finishes once all have completed.
+    {!val:run} and {!val:run_detailed} run their instances through it. *)
 
 (** At a quiescent instant (empty ready list, nothing in flight) the
     only engine state that matters for the future of a run is the
@@ -155,42 +167,30 @@ type resume_state = {
 }
 
 type service_run = {
-  sr_instances : Task.instance array;
-      (** {!run_service}'s instances; empty for {!val:serve} *)
   sr_prng : int64 * int64 * int64 * int64;  (** engine PRNG state at the end *)
   sr_handlers : handler_snapshot array;
+  sr_aborted : string option;  (** the fault plan's abort reason, if the run aborted *)
 }
 
-val run_service :
+val serve :
   ?obs:Dssoc_obs.Obs.t ->
   ?fault:Dssoc_fault.Fault.plan ->
   ?resume:resume_state ->
   plan ->
   Engine_core.params ->
-  service:(Task.instance array -> service) ->
-  service_run
-(** Run a resident service.  The plan's workload must hold every
-    instance the service may ever admit; [service] receives the
-    instantiated instances (ids index this array, which share one
-    placeholder store) and returns the hooks that decide which of them
-    are injected and when.  With [resume] the clock, engine PRNG and
-    handler horizons start from the checkpointed values and the
-    workload manager starts with the await on [sv_next] instead of a
-    tick, reproducing the uninterrupted run's trajectory exactly.
-    @raise Invalid_argument on a PE-count mismatch with [resume]. *)
-
-val serve :
-  ?obs:Dssoc_obs.Obs.t ->
-  ?resume:resume_state ->
-  plan ->
-  Engine_core.params ->
   service ->
   service_run
-(** Run a resident service whose instances the service builds itself,
+(** Run the workload manager over a source's arrivals, keeping no
+    per-task records.  A resident service builds its instances itself,
     when it admits them, from the plan's classes ({!Exec_model.instance}
-    over {!model}; a shared placeholder store will do).  The engine
+    over {!model}; a shared placeholder store will do); ids are the
+    source's, and the engine only reports them in events.  The engine
     keeps no array indexed by instance or task id, so a run's memory
-    follows its instances in flight, not its window; ids are the
-    service's, and the engine only reports them in events.  [resume]
-    is {!run_service}'s.  No fault plan: fault injection runs through
-    {!run_service}, whose whole workload is instantiated. *)
+    follows its instances in flight, not its window.  [fault] is
+    {!val:run}'s; an aborted run stops once in-flight work has drained
+    and reports its reason in [sr_aborted].  With [resume] the clock,
+    engine PRNG and handler horizons start from the checkpointed values
+    and the workload manager starts with the await on [sv_next] instead
+    of a tick, reproducing the uninterrupted run's trajectory exactly.
+    @raise Invalid_argument on a PE-count mismatch with [resume], or
+    when a fault rule targets no PE. *)

@@ -174,7 +174,7 @@ type 'h resilience = {
   r_obs : Obs.t;
   r_stats : wm_stats;
   r_handlers : 'h handler array;
-  r_instances : Task.instance array;
+  r_unfinished : unit -> (string * App_spec.node) Seq.t;
   r_inflight : int ref;  (** the workload manager's dispatched-but-unmonitored count *)
   r_make_ready : Task.t -> unit;
   r_lock : 'h handler -> unit;
@@ -183,13 +183,13 @@ type 'h resilience = {
       (** tasks sleeping out a retry backoff, sorted by release time *)
 }
 
-let resilience ~fault ~obs ~stats ~handlers ~instances ~inflight ~make_ready ~lock ~unlock =
+let resilience ~fault ~obs ~stats ~handlers ~unfinished ~inflight ~make_ready ~lock ~unlock =
   {
     r_fault = fault;
     r_obs = obs;
     r_stats = stats;
     r_handlers = handlers;
-    r_instances = instances;
+    r_unfinished = unfinished;
     r_inflight = inflight;
     r_make_ready = make_ready;
     r_lock = lock;
@@ -200,12 +200,16 @@ let resilience ~fault ~obs ~stats ~handlers ~instances ~inflight ~make_ready ~lo
 let abort r reason = if r.r_stats.aborted = None then r.r_stats.aborted <- Some reason
 let pe_alive h = h.h_quarantined_until <> max_int
 
-let has_alive_support r (task : Task.t) =
-  Array.exists (fun h -> pe_alive h && Task.supports task h.h_pe) r.r_handlers
+let has_alive_support r node =
+  Array.exists (fun h -> pe_alive h && Option.is_some (Task.node_entry node h.h_pe)) r.r_handlers
 
-let no_surviving_pe (t : Task.t) =
-  Printf.sprintf "task %s/%s supports no surviving PE" t.Task.app_name
-    t.Task.node.App_spec.node_name
+let no_surviving_pe app (node : App_spec.node) =
+  Printf.sprintf "task %s/%s supports no surviving PE" app node.App_spec.node_name
+
+let unfinished_nodes instances =
+  Seq.concat_map (fun (inst : Task.instance) -> Array.to_seq inst.Task.tasks) instances
+  |> Seq.filter_map (fun (t : Task.t) ->
+         if t.Task.status = Task.Done then None else Some (t.Task.app_name, t.Task.node))
 
 (* Permanent loss of a PE: quarantine it forever, drain its reservation
    queue back to the ready list (those tasks never started, so
@@ -230,14 +234,9 @@ let kill_pe r h ~now =
         decr r.r_inflight;
         r.r_make_ready t)
       drained;
-    Array.iter
-      (fun inst ->
-        Array.iter
-          (fun (t : Task.t) ->
-            if t.Task.status <> Task.Done && not (has_alive_support r t) then
-              abort r (no_surviving_pe t))
-          inst.Task.tasks)
-      r.r_instances
+    match Seq.find (fun (_, node) -> not (has_alive_support r node)) (r.r_unfinished ()) with
+    | Some (app, node) -> abort r (no_surviving_pe app node)
+    | None -> ()
   end
 
 let quarantine_pe r h ~until ~now =
@@ -265,7 +264,8 @@ let handle_failure r h (task : Task.t) ~now =
     | _ when quarantine_ns = max_int -> kill_pe r h ~now
     | _ when quarantine_ns > 0 -> quarantine_pe r h ~until:(now + quarantine_ns) ~now
     | _ -> ());
-    if not (has_alive_support r task) then abort r (no_surviving_pe task)
+    if not (has_alive_support r task.Task.node) then
+      abort r (no_surviving_pe task.Task.app_name task.Task.node)
     else if task.Task.attempts >= Fault.max_attempts fault then
       abort r
         (Printf.sprintf "task %s/%s exhausted its %d-attempt budget" task.Task.app_name
@@ -286,6 +286,9 @@ let handle_failure r h (task : Task.t) ~now =
           ~attempt:task.Task.attempts ~backoff_ns:backoff
     end;
     true
+
+let withdraw_retries r ~instance =
+  r.r_retry_q <- List.filter (fun (_, (t : Task.t)) -> t.Task.instance_id <> instance) r.r_retry_q
 
 (* A PE at or past its scheduled death time must never receive work,
    even if the proactive kill sweep has not reached it yet: a dispatch
@@ -478,8 +481,9 @@ let workload_manager ?(obs = Obs.disabled) ?(fault = Fault.disabled) (b : 'h bac
   (* Fault handling is WM-owned and shared with the compiled engine's
      machine; its entry points are no-ops unless [fault_on]. *)
   let res =
-    resilience ~fault ~obs ~stats ~handlers ~instances ~inflight ~make_ready ~lock:b.b_lock
-      ~unlock:b.b_unlock
+    resilience ~fault ~obs ~stats ~handlers
+      ~unfinished:(fun () -> unfinished_nodes (Array.to_seq instances))
+      ~inflight ~make_ready ~lock:b.b_lock ~unlock:b.b_unlock
   in
   (* Scratch structures reused by every scheduling invocation: the
      policy-facing PE states are refreshed in place, and the ready

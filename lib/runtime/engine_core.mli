@@ -20,8 +20,8 @@
     as an integer-pc machine and calls the non-suspending pieces it
     shares with {!workload_manager} — handlers, statistics, jitter,
     report assembly and the resilient-dispatch bookkeeping — from here.
-    The resident server's service mode lives there
-    ({!Compiled_engine.run_service}), not here. *)
+    The resident server's arrival source plugs in there
+    ({!Compiled_engine.serve}), not here. *)
 
 (** {1 Parameters} *)
 
@@ -278,15 +278,21 @@ val resilience :
   obs:Dssoc_obs.Obs.t ->
   stats:wm_stats ->
   handlers:'h handler array ->
-  instances:Task.instance array ->
+  unfinished:(unit -> (string * Dssoc_apps.App_spec.node) Seq.t) ->
   inflight:int ref ->
   make_ready:(Task.t -> unit) ->
   lock:('h handler -> unit) ->
   unlock:('h handler -> unit) ->
   'h resilience
-(** [inflight] is the workload manager's dispatched-but-unmonitored
+(** [unfinished ()]: the app and node of every task that may still need
+    a PE, in instance-id order, arrivals not injected yet included; a PE
+    death aborts the run naming the first that no surviving PE supports.
+    [inflight] is the workload manager's dispatched-but-unmonitored
     count, [make_ready] its ready-list insertion; [lock]/[unlock] guard
     a handler's pending queue while a dead PE's reservations drain. *)
+
+val unfinished_nodes : Task.instance Seq.t -> (string * Dssoc_apps.App_spec.node) Seq.t
+(** The app and node of each task not [Done], in order. *)
 
 val handle_failure : 'h resilience -> 'h handler -> Task.t -> now:int -> bool
 (** Monitor one completed attempt: [false] if it succeeded.  Otherwise
@@ -295,6 +301,10 @@ val handle_failure : 'h resilience -> 'h handler -> Task.t -> now:int -> bool
     back to the ready list), then either queue a retry after a capped
     exponential backoff or abort the run (attempt budget spent, or no
     surviving PE supports the task), and return [true]. *)
+
+val withdraw_retries : 'h resilience -> instance:int -> unit
+(** Drop the instance's tasks that sleep out a retry backoff: a
+    cancelled instance's retry is never released. *)
 
 val pe_ok : 'h resilience -> 'h handler -> now:int -> bool
 (** Neither quarantined nor at or past its planned death time. *)

@@ -33,7 +33,6 @@ type instance = {
   entry : t list;
   mutable remaining : int;
   mutable completed_at : int;
-  mutable cancelled : bool;
 }
 
 type topology = {
@@ -100,7 +99,6 @@ let instance tp ~cls ~store ~task_id_base ~inst_id ~arrival_ns =
     entry = pick tp.tp_entry;
     remaining = Array.length tasks;
     completed_at = -1;
-    cancelled = false;
   }
 
 let instantiate ~task_id_base ~inst_id ~arrival_ns (spec : App_spec.t) =

@@ -46,10 +46,6 @@ type instance = {
   entry : t list;  (** tasks with no predecessors *)
   mutable remaining : int;  (** tasks not yet Done *)
   mutable completed_at : int;  (** -1 until the last task finishes *)
-  mutable cancelled : bool;
-      (** set by the service watchdog: remaining tasks are withdrawn
-          and successor release is suppressed (always [false] outside
-          service mode) *)
 }
 
 type topology = {

@@ -484,6 +484,7 @@ module Deque = struct
     q.len <- q.len + 1
 
   let front q = q.buf.(q.head)
+  let to_seq q = Seq.init q.len (fun k -> q.buf.(slot q k))
 
   let pop_front q =
     let x = q.buf.(q.head) in
@@ -866,9 +867,6 @@ let run ?(obs = Obs.disabled) ?(drain = fun ~now_ns:_ -> false) ?checkpoint ?res
   (* The engine models time only; a completion's output digest comes
      from its functional image, hashed once per distinct image. *)
   let digests = Functional.memo model store_digest in
-  let no_running (inst : Task.instance) =
-    Array.for_all (fun (t : Task.t) -> t.Task.status <> Task.Running) inst.Task.tasks
-  in
   let record_completion { ad_tenant; ad_inst = inst } =
     let ts = states.(ad_tenant) in
     let lat = inst.Task.completed_at - inst.Task.arrival_ns in
@@ -917,8 +915,9 @@ let run ?(obs = Obs.disabled) ?(drain = fun ~now_ns:_ -> false) ?checkpoint ?res
             record_completion ad;
             false
           end
-          else if watchdog && now >= deadline inst.Task.arrival_ns && no_running inst then begin
-            ops.Compiled_engine.so_cancel inst;
+          else if
+            watchdog && now >= deadline inst.Task.arrival_ns && ops.Compiled_engine.so_cancel inst
+          then begin
             time_out ~now ~tenant:ad.ad_tenant ~id:inst.Task.inst_id
               ~arrival_ns:inst.Task.arrival_ns;
             false
@@ -1059,10 +1058,20 @@ let run ?(obs = Obs.disabled) ?(drain = fun ~now_ns:_ -> false) ?checkpoint ?res
     end
     else false
   in
+  (* Each tenant's queued and due arrivals, then any app its stream
+     may still draw. *)
+  let sv_unarrived () =
+    let app a = a.ar_app and st ti = sc.streams.(ti) in
+    Array.to_seq states
+    |> Seq.mapi (fun ti ts ->
+           Seq.append (Seq.map app (Seq.append (Deque.to_seq ts.ts_queue) (Deque.to_seq ts.ts_due)))
+             (if exhausted sc (st ti) then Seq.empty else Array.to_seq (st ti).st_mix))
+    |> Seq.concat
+  in
   let params = { Core.seed = sp.sp_seed; jitter = sp.sp_jitter; reservation_depth = 0 } in
   let sr =
     Compiled_engine.serve ~obs ?resume plan params
-      { Compiled_engine.sv_tick; sv_next; sv_finished }
+      { Compiled_engine.sv_tick; sv_next; sv_finished; sv_unarrived }
   in
   let clock = !final_now in
   let drained = !stop_reason = Drained in

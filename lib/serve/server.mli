@@ -1,6 +1,6 @@
 (** Emulation-as-a-service: a resident multi-tenant workload server on
     top of the compiled engine's workload manager
-    ({!Dssoc_runtime.Compiled_engine.run_service}), with any scheduling
+    ({!Dssoc_runtime.Compiled_engine.serve}), with any scheduling
     policy.
 
     Instead of a fixed-count workload, each {e tenant} registers an

@@ -459,12 +459,12 @@ let test_aborted_fault_outputs () =
     (done_ > 0 && done_ < r.Stats.task_count);
   Oracle.check "aborted" ~config insts
 
-(* A resident service's run takes a fault plan like a batch run: a
-   service that admits every instance on arrival and finishes once all
-   have completed must leave every instance and every PE exactly where
-   the batch run of the same plan does. *)
+(* A service run takes a fault plan like a batch run: served over the
+   fixed stream of its workload, it must leave every instance and every
+   PE exactly where the batch run of the same plan does. *)
 let test_service_under_fault_plan () =
   let module Compiled = Dssoc_runtime.Compiled_engine in
+  let module Exec_model = Dssoc_runtime.Exec_model in
   let config = Config.zcu102_cores_ffts ~cores:2 ~ffts:1 in
   let wl () =
     Workload.validation
@@ -476,27 +476,13 @@ let test_service_under_fault_plan () =
   let params = { Engine_core.seed = 3L; jitter = 0.03; reservation_depth = 1 } in
   let plan = Compiled.compile ~config ~workload:(wl ()) ~policy:Scheduler.eft () in
   let batch, insts = Compiled.run_detailed ~fault plan params in
-  let service (insts : Task.instance array) =
-    let next = ref 0 and n = Array.length insts in
-    {
-      Compiled.sv_tick =
-        (fun ops ~now ->
-          let made = ref 0 in
-          while !next < n && insts.(!next).Task.arrival_ns <= now do
-            made := !made + ops.Compiled.so_inject insts.(!next);
-            incr next
-          done;
-          !made);
-      sv_next = (fun ~now:_ -> None);
-      sv_finished = (fun ops ~now:_ -> ops.Compiled.so_completed () = n);
-    }
-  in
-  let sr = Compiled.run_service ~fault plan params ~service in
+  let served = Exec_model.instantiate (Compiled.model plan) ~fresh_stores:false in
+  let sr = Compiled.serve ~fault plan params (Compiled.fixed served) in
   Alcotest.(check bool) "the plan struck" true (batch.Stats.resilience.Stats.task_retries > 0);
+  Alcotest.(check (option string)) "not aborted" None sr.Compiled.sr_aborted;
   Alcotest.(check (list int)) "instance completion times"
     (Array.to_list (Array.map (fun (i : Task.instance) -> i.Task.completed_at) insts))
-    (Array.to_list
-       (Array.map (fun (i : Task.instance) -> i.Task.completed_at) sr.Compiled.sr_instances));
+    (Array.to_list (Array.map (fun (i : Task.instance) -> i.Task.completed_at) served));
   Alcotest.(check (list (pair int int))) "per-PE busy time and tasks run"
     (List.map
        (fun (u : Stats.pe_usage) -> (u.Stats.busy_ns, u.Stats.tasks_run))
@@ -529,7 +515,11 @@ let test_abort_for_unarrived_instance () =
   let params = { Engine_core.seed = 1L; jitter = 0.0; reservation_depth = 0 } in
   let module Compiled = Dssoc_runtime.Compiled_engine in
   let plan = Compiled.compile ~config ~workload ~policy:Scheduler.frfs () in
-  check "pc machine" (Compiled.run ~fault plan params)
+  check "pc machine" (Compiled.run ~fault plan params);
+  let insts = Dssoc_runtime.Exec_model.instantiate (Compiled.model plan) ~fresh_stores:false in
+  let sr = Compiled.serve ~fault plan params (Compiled.fixed insts) in
+  Alcotest.(check (option string)) "served over the fixed stream" (Some reason)
+    sr.Compiled.sr_aborted
 
 (* ---------------- event-stream parity ---------------- *)
 
@@ -1239,27 +1229,9 @@ let test_placeholder_stores () =
   in
   ignore (Virtual_engine.run ~params ~config ~workload:(wl ()) ~policy:spy ());
   shared "report-only run" !seen;
-  let service (insts : Task.instance array) =
-    let next = ref 0 in
-    let n = Array.length insts in
-    {
-      Compiled.sv_tick =
-        (fun ops ~now ->
-          let made = ref 0 in
-          while !next < n && insts.(!next).Task.arrival_ns <= now do
-            made := !made + ops.Compiled.so_inject insts.(!next);
-            incr next
-          done;
-          !made);
-      sv_next = (fun ~now:_ -> None);
-      sv_finished =
-        (fun ops ~now:_ ->
-          !next = n && ops.Compiled.so_ready_live () = 0 && ops.Compiled.so_inflight () = 0);
-    }
-  in
   let plan = Compiled.compile ~config ~workload:(wl ()) ~policy:Scheduler.frfs () in
-  let sr = Compiled.run_service plan params ~service in
-  let served = sr.Compiled.sr_instances in
+  let served = Dssoc_runtime.Exec_model.instantiate (Compiled.model plan) ~fresh_stores:false in
+  ignore (Compiled.serve plan params (Compiled.fixed served));
   Alcotest.(check bool) "service run completes every instance" true
     (Array.for_all (fun (i : Task.instance) -> i.Task.completed_at >= 0) served);
   shared "service run" (Array.to_list (Array.map (fun (i : Task.instance) -> i.Task.store) served));
@@ -1275,6 +1247,75 @@ let test_placeholder_stores () =
         detailed)
     detailed;
   Oracle.check "run_detailed" ~config detailed
+
+(* A watchdog cancellation under a fault plan must free the instance.
+   Here the cancelled instance's task sleeps out a retry backoff: the
+   engine must drop the retry, so nothing of the instance is dispatched
+   after the cancel, and must forget the instance, so once the service
+   lets go of it a major collection reclaims it while the run goes on. *)
+let test_cancelled_instance_freed () =
+  let module Compiled = Dssoc_runtime.Compiled_engine in
+  let module Exec_model = Dssoc_runtime.Exec_model in
+  let config = Config.zcu102_cores_ffts ~cores:1 ~ffts:0 in
+  let plan =
+    Compiled.compile_specs ~config ~specs:[ Reference_apps.wifi_tx () ] ~policy:Scheduler.frfs ()
+  in
+  let fault =
+    Result.get_ok
+      (Fault.of_spec ~seed:1L "*:transient:p=1:recover=1us,retries=50,backoff=1ms,backoff-cap=1ms")
+  in
+  let obs = traced_obs () in
+  let weak = Weak.create 1 and held = ref None in
+  let cancelled_at = ref (-1) and freed = ref None in
+  (* Probe well after the retry would have been released. *)
+  let probe_at () = !cancelled_at + 5_000_000 in
+  let in_backoff (t : Task.t) = t.Task.status = Task.Blocked && t.Task.attempts > 0 in
+  let sv_tick (ops : Compiled.service_ops) ~now =
+    if !cancelled_at < 0 && Option.is_none !held then begin
+      let inst =
+        Exec_model.instance (Compiled.model plan) 0 ~store:(Store.create []) ~task_id_base:0
+          ~inst_id:0 ~arrival_ns:now
+      in
+      Weak.set weak 0 (Some inst);
+      held := Some inst;
+      ops.Compiled.so_inject inst
+    end
+    else begin
+      (match !held with
+      | Some inst when Array.exists in_backoff inst.Task.tasks && ops.Compiled.so_cancel inst ->
+        held := None;
+        cancelled_at := now
+      | _ -> ());
+      if !cancelled_at >= 0 && now >= probe_at () && Option.is_none !freed then begin
+        Gc.full_major ();
+        freed := Some (Option.is_none (Weak.get weak 0))
+      end;
+      0
+    end
+  in
+  let sr =
+    Compiled.serve ~obs ~fault plan
+      { Engine_core.seed = 1L; jitter = 0.0; reservation_depth = 0 }
+      {
+        Compiled.sv_tick;
+        sv_next =
+          (fun ~now -> if !cancelled_at >= 0 && now < probe_at () then Some (probe_at ()) else None);
+        sv_finished = (fun _ ~now:_ -> Option.is_some !freed);
+        sv_unarrived = (fun () -> Seq.empty);
+      }
+  in
+  Alcotest.(check bool) "cancelled while in backoff" true (!cancelled_at >= 0);
+  Alcotest.(check (option string)) "not aborted" None sr.Compiled.sr_aborted;
+  Alcotest.(check (option bool)) "collected after the cancel" (Some true) !freed;
+  let late =
+    List.filter
+      (fun (e : Obs.event) ->
+        match e.Obs.body with
+        | Obs.Task_dispatched { instance = 0; _ } -> e.Obs.t_ns >= !cancelled_at
+        | _ -> false)
+      (Obs.recorded_events obs)
+  in
+  Alcotest.(check int) "dispatches after the cancel" 0 (List.length late)
 
 (* ---------------- compiled engine: observability lowering ---------------- *)
 
@@ -1626,6 +1667,8 @@ let () =
           Alcotest.test_case "service run under a fault plan" `Quick test_service_under_fault_plan;
           Alcotest.test_case "abort for an arrival not yet injected" `Quick
             test_abort_for_unarrived_instance;
+          Alcotest.test_case "cancelled instance under a fault plan is freed" `Quick
+            test_cancelled_instance_freed;
         ] );
       ( "stores",
         [ Alcotest.test_case "placeholder unless outputs are read" `Quick test_placeholder_stores ] );
