@@ -1639,6 +1639,55 @@ let test_custom_policy_server () =
   in
   Alcotest.(check string) "report" golden_custom_server (Server.render_report (ok (Server.run spec)))
 
+(* ---------------- protocol invariants ---------------- *)
+
+(* Each engine's own event log, checked against the run's DAG without
+   a second engine (test/invariants.ml): a small mix on 2C+1F across
+   reservation depths, fabrics, fault plans and policies (two built-ins
+   and a test-registered one), on the native engine and the
+   deterministic one. *)
+let test_protocol_invariants () =
+  let wl () =
+    Workload.validation [ (Reference_apps.wifi_tx (), 2); (Reference_apps.range_detection (), 1) ]
+  in
+  let fault_of spec = Result.get_ok (Fault.of_spec ~seed:5L spec) in
+  List.iter
+    (fun (fabric_name, fabric) ->
+      let config =
+        Config.with_fabric
+          (Result.get_ok (Dssoc_soc.Fabric.of_spec fabric))
+          (Config.zcu102_cores_ffts ~cores:2 ~ffts:1)
+      in
+      List.iter
+        (fun (fault_name, fault) ->
+          List.iter
+            (fun policy ->
+              List.iter
+                (fun depth ->
+                  List.iter
+                    (fun (engine_name, engine) ->
+                      let label =
+                        Printf.sprintf "%s/%s/%s/%s/depth%d" engine_name fabric_name fault_name
+                          policy depth
+                      in
+                      let obs = Obs.make ~sink:(Obs.Sink.ring ()) () in
+                      let report, instances =
+                        Result.get_ok
+                          (Emulator.run_detailed ~engine ~policy ~obs
+                             ?fault:(Option.map fault_of fault) ~config ~workload:(wl ()) ())
+                      in
+                      Alcotest.(check bool) (label ^ ": not aborted") true
+                        (match report.Stats.verdict with Stats.Aborted _ -> false | _ -> true);
+                      Invariants.check label ~depth ~report ~instances obs)
+                    [
+                      ("native", Emulator.native_seeded ~reservation_depth:depth 1L);
+                      ("deterministic", Emulator.compiled_seeded ~reservation_depth:depth 1L);
+                    ])
+                [ 0; 2 ])
+            [ "FRFS"; "EFT"; "LIFO_TEST" ])
+        [ ("no faults", None); ("transient", Some "*:transient:p=0.05:recover=0.2ms,retries=6") ])
+    [ ("ideal", "ideal"); ("bus", "bus:bw=100MB/s,fifo=1") ]
+
 let () =
   Alcotest.run "diff_engines"
     [
@@ -1672,6 +1721,8 @@ let () =
         ] );
       ( "stores",
         [ Alcotest.test_case "placeholder unless outputs are read" `Quick test_placeholder_stores ] );
+      ( "protocol invariants",
+        [ Alcotest.test_case "own event log, native and deterministic" `Quick test_protocol_invariants ] );
       ( "missing kernel",
         [
           Alcotest.test_case "virtual" `Quick
