@@ -9,20 +9,20 @@ module Obs = Dssoc_obs.Obs
 module Core = Engine_core
 module Fault = Dssoc_fault.Fault
 
-(* The machine replays the event sequence of Engine_core's direct-style
-   workload and resource managers (the test suite's reference engine
-   runs those over effect threads on the same [Des]): what must match
-   is the protocol — every [Des] call in the order [Engine_core] makes
-   it, and PRNG draw interleaving.  Each block below mirrors a specific
-   suspension point of engine_core.ml, with the effect-handler closures
-   flattened into integer program counters; the fault bookkeeping that
-   never suspends is Engine_core's own, called here.  Divergences are
-   caught by the differential matrix in test_diff_engines.ml, and the
-   fault paths are also pinned to digests there.  Arrivals come from
-   one source, a fixed stream for a batch run ([fixed]) or the
-   resident server's hooks; resume from a checkpoint exists only here,
-   and the server's output is pinned by the serve goldens in
-   test_serve.ml. *)
+(* The one implementation of the workload-manager / resource-manager
+   protocol (Figs. 3-4), as integer program counters over a substrate:
+   [Des] for every deterministic run, OCaml 5 domains for the native
+   engine.  On [Des] the machine replays the event sequence of the test
+   suite's reference engine, direct-style managers over effect threads
+   on the same [Des]: what must match is every substrate call in the
+   reference's order, and PRNG draw interleaving.  Each block below
+   mirrors a suspension point of those managers; the fault bookkeeping
+   that never suspends is Engine_core's own, called here.  Divergences
+   are caught by the differential matrix in test_diff_engines.ml, and
+   the fault paths are also pinned to digests there.  Arrivals come
+   from one source, a fixed stream for a batch run ([fixed]) or the
+   resident server's hooks; the server's output is pinned by the serve
+   goldens in test_serve.ml. *)
 
 (* The five built-ins are specialised into the loop; any other policy
    is called through its closure over a [Scheduler.context], exactly as
@@ -47,6 +47,32 @@ let pcode_of (policy : Scheduler.policy) =
   else if policy == Scheduler.power then P_power
   else if policy == Scheduler.random then P_random
   else P_custom
+
+(* ------------------------------------------------------------------ *)
+(* Substrates                                                          *)
+(* ------------------------------------------------------------------ *)
+
+type substrate = {
+  s_now : unit -> int;
+  s_work : int -> int -> bool;
+  s_sleep : int -> int -> bool;
+  s_stream : int -> bytes:int -> int -> bool;
+  s_await : int -> bool;
+  s_await_until : int -> int -> bool;
+  s_signal : int -> unit;
+  s_lock : int -> unit;
+  s_unlock : int -> unit;
+  s_jitter : int -> int -> int;
+  s_cpu : int -> Task.t -> int -> bool;
+  s_compute : int -> Task.t -> int -> bool;
+  s_charge : float -> bool;
+  s_sched_start : unit -> int;
+  s_sched_done : int -> ready:int -> ops:int -> int;
+  s_tick_start : unit -> int;
+  s_tick_end : int -> unit;
+  s_counters : Core.fabric_counters;
+  s_run : on_start:(int -> unit) -> on_resume:(int -> unit) -> unit;
+}
 
 (* ------------------------------------------------------------------ *)
 (* Compilation                                                         *)
@@ -139,21 +165,78 @@ module Ids = Hashtbl.Make (struct
 end)
 
 (* ------------------------------------------------------------------ *)
+(* The deterministic substrate                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* [Des] in virtual time: executions and DMA occupy modelled host cores
+   and the fabric link, jitter draws from the run's one PRNG (the RANDOM
+   policy's too), and workload-manager costs are modelled and charged
+   on the overlay core. *)
+let des_substrate ~obs ~clock0 ~prng plan (params : Core.params) (stats : Core.wm_stats) =
+  let des = Des.create ~obs ~clock0 plan.p_config in
+  let clock = Des.clock des in
+  let wm_th = plan.p_model.Exec_model.n_pes in
+  let jitter = params.Core.jitter in
+  let scale ns = int_of_float (Float.round (ns /. plan.p_overlay_perf)) in
+  {
+    s_now = (fun () -> !clock);
+    s_work = (fun th ns -> Des.work des th ns);
+    s_sleep = (fun th ns -> Des.sleep des th ns);
+    s_stream = (fun th ~bytes ns -> Des.stream des th ~bytes ns);
+    s_await = (fun th -> Des.await des th);
+    s_await_until = (fun th t -> Des.await_until des th t);
+    s_signal = (fun th -> Des.signal des th);
+    (* one thread runs at a time *)
+    s_lock = ignore;
+    s_unlock = ignore;
+    s_jitter = (fun _ ns -> Core.jittered prng ~jitter ns);
+    (* Timing only: outputs come from [Functional] after the run. *)
+    s_cpu = (fun th _ ns -> Des.work des th ns);
+    s_compute = (fun th _ ns -> Des.sleep des th ns);
+    s_charge =
+      (fun ns ->
+        let c = scale ns in
+        stats.Core.wm_ns <- stats.Core.wm_ns + c;
+        Des.work des wm_th c);
+    s_sched_start = (fun () -> 0);
+    (* The calibrated cost for the live ready-list length, scaled by the
+       overlay core; the machine then charges it there. *)
+    s_sched_done =
+      (fun _ ~ready ~ops ->
+        let c = scale (float_of_int (plan.p_overhead ~ready ~ops)) in
+        stats.Core.wm_ns <- stats.Core.wm_ns + c;
+        c);
+    s_tick_start = (fun () -> 0);
+    s_tick_end = (fun _ -> Des.sample_depth des);
+    s_counters = Des.counters des;
+    (* Resource managers are threads [0 .. n_pes-1], the workload
+       manager thread [n_pes]; their first events are pushed in that
+       order. *)
+    s_run =
+      (fun ~on_start ~on_resume ->
+        for th = 0 to wm_th do
+          Des.start des th
+        done;
+        Des.run des ~on_start ~on_resume);
+  }
+
+(* ------------------------------------------------------------------ *)
 (* The monomorphic event loop                                          *)
 (* ------------------------------------------------------------------ *)
 
 let sched_window = Cost_model.sched_examined_cap
 
-(* One run of the machine over the arrivals of [source]; [records]
-   keeps per-task records; [resume] starts the clock and the per-PE
-   horizons from a checkpoint. *)
-let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source =
-  let config = plan.p_config in
+(* One run of the machine over the arrivals of [source], on the
+   substrate that [substrate] builds once the handlers, statistics and
+   engine metrics exist; [records] keeps per-task records; [resume]
+   starts the per-PE horizons from a checkpoint (the substrate's clock
+   starts at its instant). *)
+let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source substrate =
   let model = plan.p_model in
   let n_pes = model.Exec_model.n_pes in
   let stride = n_pes in
   let wm_th = n_pes in
-  let jitter = params.Core.jitter in
+
   (* Prices come from the task's class, at row [index * stride + pe];
      the policy loops inline the two loads. *)
   let classes = model.Exec_model.classes in
@@ -162,7 +245,7 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source =
   let handlers =
     Array.mapi
       (fun i pe ->
-        Core.make_handler ~pe ~index:i ~reservation_depth:params.Core.reservation_depth ())
+        Core.make_handler ~pe ~index:i ~reservation_depth:params.Core.reservation_depth)
       model.Exec_model.pes
   in
   (match resume with
@@ -171,7 +254,7 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source =
     if Array.length r.rs_handlers <> n_pes then
       invalid_arg "Compiled_engine.serve: resume PE count mismatch";
     Array.iteri
-      (fun i (h : unit Core.handler) ->
+      (fun i (h : Core.handler) ->
         let s = r.rs_handlers.(i) in
         h.Core.h_busy_until <- s.hs_busy_until;
         h.Core.h_busy_ns <- s.hs_busy_ns;
@@ -188,20 +271,20 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source =
   (* Observability lowering: [traced] is constant for the whole run, so
      the untraced loop pays one predictable branch per hook site.
      Metric registration order is the reference engine's — engine handles
-     here, then [Des.create]'s fabric instruments and event-heap depth
-     gauge — so [Metrics.pp] output is comparable byte-for-byte across
-     engines. *)
+     here, then the substrate's ([Des.create]'s fabric instruments and
+     event-heap depth gauge) — so [Metrics.pp] output is comparable
+     byte-for-byte across engines. *)
   let traced = Obs.enabled obs in
   if traced then
     Obs.attach obs
       ~pe_labels:(Array.map (fun pe -> pe.Pe.label) model.Exec_model.pes)
       ~nodes:(Exec_model.node_names model);
-  let clock0 = match resume with Some r -> r.rs_clock | None -> 0 in
-  let des = Des.create ~obs ~clock0 config in
-  let now = Des.clock des in
-  let jit ns = Core.jittered prng ~jitter ns in
-  let overlay_perf = plan.p_overlay_perf in
-  let scale ns = int_of_float (Float.round (ns /. overlay_perf)) in
+  let s = substrate handlers stats in
+  (* The per-handler lock guards [h_pending], [h_completed] and
+     [h_stop], which the native substrate shares between domains. *)
+  let lock (h : Core.handler) = s.s_lock h.Core.h_index
+  and unlock (h : Core.handler) = s.s_unlock h.Core.h_index in
+
   (* ---- workload-manager state ----
      The ready collection is an intrusive doubly-linked list over slots:
      a task takes a slot when it becomes Ready and gives it back when it
@@ -323,6 +406,7 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source =
   let ds_ops = ref 0 in
   let tick_completions = ref 0 in
   let tick_injected = ref 0 in
+  let tick_t0 = ref 0 in
   let idle = Array.make (max 1 n_pes) false in
   let avail = Array.make (max 1 n_pes) 0 in
   let cand = Array.make (max 1 n_pes) 0 in
@@ -348,7 +432,7 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source =
   let cx_estimate task i = Exec_model.estimate model task i in
   let make_ready (t : Task.t) =
     t.Task.status <- Task.Ready;
-    t.Task.ready_at <- !now;
+    t.Task.ready_at <- s.s_now ();
     if fault_on then rl_insert t else rl_link (rl_alloc t) (-1);
     incr ready_live;
     if traced then
@@ -373,8 +457,7 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source =
          (source.sv_unarrived ()))
   in
   let res =
-    Core.resilience ~fault ~obs ~stats ~handlers ~unfinished ~inflight ~make_ready ~lock:ignore
-      ~unlock:ignore
+    Core.resilience ~fault ~obs ~stats ~handlers ~unfinished ~inflight ~make_ready ~lock ~unlock
   in
   (* Capabilities handed to the source.  Cancelling an instance with no
      Running task forgets it: its Ready tasks leave the ready list and
@@ -384,7 +467,7 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source =
       so_inject =
         (fun (inst : Task.instance) ->
           if traced then
-            Obs.on_instance_injected obs ~now:!now ~instance:inst.Task.inst_id
+            Obs.on_instance_injected obs ~now:(s.s_now ()) ~instance:inst.Task.inst_id
               ~app:inst.Task.app.App_spec.app_name;
           Ids.replace live inst.Task.inst_id inst;
           List.iter make_ready inst.Task.entry;
@@ -411,7 +494,7 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source =
       so_completed = (fun () -> !completed);
     }
   in
-  (* ---- resource-manager threads (engine_core.resource_manager) ---- *)
+  (* ---- resource-manager threads (Fig. 4) ---- *)
   let rm_pc = Array.make (max 1 n_pes) 0 in
   let rm_task : Task.t option array = Array.make (max 1 n_pes) None in
   let rm_started = Array.make (max 1 n_pes) 0 in
@@ -422,81 +505,99 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source =
   let rm_cur i =
     match rm_task.(i) with Some t -> t | None -> assert false
   in
-  (* A [Des] call that suspended the thread parks it at [pc]; one that
-     did not lets it continue there at once. *)
+  (* A substrate call that suspended the thread parks it at [pc]; one
+     that did not lets it continue there at once.  Every transition is a
+     tail call: on a substrate that never suspends (native), a thread's
+     whole life is one chain of them on a bounded stack. *)
   let rec rm_then i pc suspended = if suspended then rm_pc.(i) <- pc else rm_goto i pc
-  and rm_await i = rm_then i 1 (Des.await des i)
-  and rm_wake i = if handlers.(i).Core.h_stop then () else rm_drain i
+  and rm_await i = rm_then i 1 (s.s_await i)
+  and rm_wake i =
+    let h = handlers.(i) in
+    lock h;
+    let stop = h.Core.h_stop in
+    unlock h;
+    if stop then () else rm_drain i
   and rm_drain i =
     let h = handlers.(i) in
-    match Queue.take_opt h.Core.h_pending with
+    lock h;
+    let next = Queue.take_opt h.Core.h_pending in
+    let left = Queue.length h.Core.h_pending in
+    unlock h;
+    match next with
     | None -> rm_await i
     | Some task ->
+      let now = s.s_now () in
       if traced && h.Core.h_capacity > 1 then
-        Obs.on_reservation_popped obs ~now:!now ~pe_index:i
-          ~depth:(Queue.length h.Core.h_pending);
+        Obs.on_reservation_popped obs ~now ~pe_index:i ~depth:left;
       rm_task.(i) <- Some task;
-      rm_started.(i) <- !now;
+      rm_started.(i) <- now;
       if not fault_on then rm_exec i task
       else begin
         (* A failing attempt never executes, so it draws no jitter. *)
         match
-          Core.decide_attempt ~fault ~obs h task ~now:!now
+          Core.decide_attempt ~fault ~obs h task ~now
             ~est_ns:(cls task).Exec_model.est.(row task i)
         with
         | Fault.Proceed -> rm_exec i task
         | Fault.Proceed_slow extra_ns ->
           rm_tail.(i) <- extra_ns;
           rm_exec i task
-        | Fault.Fail { after_ns; _ } -> rm_then i 8 (Des.sleep des i after_ns)
+        | Fault.Fail { after_ns; _ } -> rm_then i 8 (s.s_sleep i after_ns)
       end
   and rm_exec i task =
     let c = cls task and row = row task i in
-    if plan.p_pe_is_cpu.(i) then rm_work i (jit c.Exec_model.est.(row)) 2
+    if plan.p_pe_is_cpu.(i) then
+      rm_then i 2 (s.s_cpu i task (s.s_jitter i c.Exec_model.est.(row)))
     else begin
-      if traced then rm_ph0.(i) <- !now;
+      if traced then rm_ph0.(i) <- s.s_now ();
       let dem = c.Exec_model.demand_in.(row) in
-      if dem < 0 then rm_work i (jit c.Exec_model.dma_in.(row)) 3
-      else rm_then i 6 (Des.stream des i ~bytes:c.Exec_model.bytes_in.(row) (jit dem))
+      if dem < 0 then rm_work i (s.s_jitter i c.Exec_model.dma_in.(row)) 3
+      else rm_then i 6 (s.s_stream i ~bytes:c.Exec_model.bytes_in.(row) (s.s_jitter i dem))
     end
-  and rm_work i ns pc = rm_then i pc (Des.work des i ns)
+  and rm_work i ns pc = rm_then i pc (s.s_work i ns)
   and rm_acc_after_in i =
     let task = rm_cur i in
-    if traced then
-      Obs.on_phase obs ~now:!now ~task:task.Task.id ~pe_index:i ~phase:Obs.Dma_in
-        ~start_ns:rm_ph0.(i) ~dur_ns:(!now - rm_ph0.(i));
-    if traced then rm_ph0.(i) <- !now;
-    rm_then i 4 (Des.sleep des i (jit (cls task).Exec_model.compute.(row task i)))
+    if traced then begin
+      let now = s.s_now () in
+      Obs.on_phase obs ~now ~task:task.Task.id ~pe_index:i ~phase:Obs.Dma_in
+        ~start_ns:rm_ph0.(i) ~dur_ns:(now - rm_ph0.(i));
+      rm_ph0.(i) <- now
+    end;
+    rm_then i 4 (s.s_compute i task (s.s_jitter i (cls task).Exec_model.compute.(row task i)))
   and rm_acc_after_comp i =
     let task = rm_cur i in
     if traced then begin
-      Obs.on_phase obs ~now:!now ~task:task.Task.id ~pe_index:i
-        ~phase:Obs.Device_compute ~start_ns:rm_ph0.(i) ~dur_ns:(!now - rm_ph0.(i));
-      rm_ph0.(i) <- !now
+      let now = s.s_now () in
+      Obs.on_phase obs ~now ~task:task.Task.id ~pe_index:i ~phase:Obs.Device_compute
+        ~start_ns:rm_ph0.(i) ~dur_ns:(now - rm_ph0.(i));
+      rm_ph0.(i) <- now
     end;
     let c = cls task and row = row task i in
     let dem = c.Exec_model.demand_out.(row) in
-    if dem < 0 then rm_work i (jit c.Exec_model.dma_out.(row)) 5
-    else rm_then i 7 (Des.stream des i ~bytes:c.Exec_model.bytes_out.(row) (jit dem))
+    if dem < 0 then rm_work i (s.s_jitter i c.Exec_model.dma_out.(row)) 5
+    else rm_then i 7 (s.s_stream i ~bytes:c.Exec_model.bytes_out.(row) (s.s_jitter i dem))
   and rm_fab_fix i fix pc =
     (* Fixed chunk/hop latency after the shared-link service. *)
-    rm_then i pc (Des.sleep des i fix)
+    rm_then i pc (s.s_sleep i fix)
   and rm_executed i =
     let extra = rm_tail.(i) in
     if extra > 0 then begin
       rm_tail.(i) <- 0;
-      rm_then i 8 (Des.sleep des i extra)
+      rm_then i 8 (s.s_sleep i extra)
     end
     else rm_finish i
   and rm_finish i =
     let task = rm_cur i in
     let h = handlers.(i) in
-    task.Task.completed_at <- !now;
+    let now = s.s_now () in
+    task.Task.completed_at <- now;
     (* Every attempt occupied the PE; only successes count as run. *)
-    h.Core.h_busy_ns <- h.Core.h_busy_ns + (!now - rm_started.(i));
+    h.Core.h_busy_ns <- h.Core.h_busy_ns + (now - rm_started.(i));
     if Option.is_none task.Task.last_failure then h.Core.h_tasks_run <- h.Core.h_tasks_run + 1;
+    lock h;
     Queue.add task h.Core.h_completed;
-    Des.signal des wm_th;
+    unlock h;
+    s.s_signal wm_th;
     rm_drain i
   and rm_goto i pc =
     match pc with
@@ -505,8 +606,9 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source =
     | 5 ->
       if traced then begin
         let task = rm_cur i in
-        Obs.on_phase obs ~now:!now ~task:task.Task.id ~pe_index:i
-          ~phase:Obs.Dma_out ~start_ns:rm_ph0.(i) ~dur_ns:(!now - rm_ph0.(i))
+        let now = s.s_now () in
+        Obs.on_phase obs ~now ~task:task.Task.id ~pe_index:i ~phase:Obs.Dma_out
+          ~start_ns:rm_ph0.(i) ~dur_ns:(now - rm_ph0.(i))
       end;
       rm_executed i
     | 8 -> rm_finish i
@@ -520,20 +622,17 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source =
       rm_fab_fix i (cls task).Exec_model.fixed_out.(row task i) 5
     | _ -> assert false
   in
-  (* ---- workload-manager thread (engine_core.workload_manager;
-     observability lowered at the same protocol points) ---- *)
+  (* ---- workload-manager thread (Fig. 3) ---- *)
   let rec wm_then pc suspended = if suspended then wm_pc := pc else wm_goto pc
-  and wm_charge ns pc =
-    let c = scale ns in
-    stats.Core.wm_ns <- stats.Core.wm_ns + c;
-    wm_then pc (Des.work des wm_th c)
+  and wm_charge ns pc = wm_then pc (s.s_charge ns)
   and wm_tick_top () =
+    tick_t0 := s.s_tick_start ();
     if traced then begin
       tick_completions := 0;
       tick_injected := 0
     end;
     (* Planned deaths take effect before any dispatch of the tick. *)
-    if fault_on then Core.sweep_deaths res ~now:!now;
+    if fault_on then Core.sweep_deaths res ~now:(s.s_now ());
     wm_charge (Cost_model.monitor_per_pe_ns *. float_of_int n_pes) 10
   and wm_sweep_start () =
     sw_hi := 0;
@@ -545,14 +644,17 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source =
     end
     else begin
       let h = handlers.(!sw_hi) in
-      match Queue.take_opt h.Core.h_completed with
+      lock h;
+      let done_ = Queue.take_opt h.Core.h_completed in
+      unlock h;
+      match done_ with
       | None ->
         incr sw_hi;
         wm_sweep_cont ()
       | Some task ->
         h.Core.h_inflight <- h.Core.h_inflight - 1;
         decr inflight;
-        if fault_on && Core.handle_failure res h task ~now:!now then wm_after_completion ()
+        if fault_on && Core.handle_failure res h task ~now:(s.s_now ()) then wm_after_completion ()
         else wm_completed h task
     end
   and wm_completed h task =
@@ -581,7 +683,7 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source =
     let inst = Ids.find live task.Task.instance_id in
     inst.Task.remaining <- inst.Task.remaining - 1;
     if inst.Task.remaining = 0 then begin
-      inst.Task.completed_at <- !now;
+      inst.Task.completed_at <- s.s_now ();
       incr completed;
       Ids.remove live inst.Task.inst_id
     end;
@@ -605,12 +707,13 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source =
     end
   and do_schedule ret =
     ds_ret := ret;
+    let now = s.s_now () in
     if fault_on then begin
       (* The reference pops the stale entries ahead of its first Ready
          one as a round starts. *)
       fifo_head := if !rl_head >= 0 then !sl_pos.(!rl_head) else !fifo_pos;
       for i = 0 to n_pes - 1 do
-        pe_up.(i) <- Core.pe_ok res handlers.(i) ~now:!now
+        pe_up.(i) <- Core.pe_ok res handlers.(i) ~now
       done
     end;
     let n_idle = ref 0 in
@@ -629,11 +732,11 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source =
       end;
       as_n := 0;
       ds_ops := nready * n_pes;
-      run_policy nready !n_idle;
-      let cost = scale (float_of_int (plan.p_overhead ~ready:ready_len ~ops:!ds_ops)) in
+      let t0 = s.s_sched_start () in
+      run_policy now nready !n_idle;
+      let cost = s.s_sched_done t0 ~ready:ready_len ~ops:!ds_ops in
       ds_cost := cost;
-      stats.Core.wm_ns <- stats.Core.wm_ns + cost;
-      wm_then 12 (Des.work des wm_th cost)
+      wm_then 12 (s.s_work wm_th cost)
     end
   (* Same early exit as the built-ins in [Scheduler]: an assignment
      can only ever land on an idle PE and every other per-entry
@@ -641,7 +744,7 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source =
      rest of the <= [sched_window] window is unobservable (RANDOM
      included: its draws are idle-gated).  [ops] is charged as
      [nready * n_pes], the full window the walk stands for. *)
-  and run_policy nready n_idle0 =
+  and run_policy now nready n_idle0 =
     let emit (t : Task.t) i sl =
       if !as_n = Array.length !as_task then begin
         let cap = max n_pes (2 * !as_n) in
@@ -703,7 +806,7 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source =
         incr j
       done
     | P_eft ->
-      let now_v = !now in
+      let now_v = now in
       for i = 0 to n_pes - 1 do
         avail.(i) <- (if idle.(i) then now_v else handlers.(i).Core.h_busy_until)
       done;
@@ -801,7 +904,7 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source =
       done;
       let ctx =
         {
-          Scheduler.now = !now;
+          Scheduler.now = now;
           ready = !cx_ready;
           nready;
           pes = cx_pes;
@@ -818,7 +921,7 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source =
     stats.Core.sched_ns <- stats.Core.sched_ns + !ds_cost;
     stats.Core.sched_invocations <- stats.Core.sched_invocations + 1;
     if traced then
-      Obs.on_sched obs ~now:!now ~ready:!ds_ready ~examined:!ds_nready ~ops:!ds_ops
+      Obs.on_sched obs ~now:(s.s_now ()) ~ready:!ds_ready ~examined:!ds_nready ~ops:!ds_ops
         ~cost_ns:!ds_cost ~assigned:!as_n;
     ds_pos := 0;
     wm_dispatch_next ()
@@ -837,32 +940,35 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source =
     let task = !as_task.(j) and pi = !as_pe.(j) in
     task.Task.status = Task.Ready && pi >= 0 && pi < n_pes
     && (cls task).Exec_model.est.(row task pi) <> min_int
-    && ((not fault_on) || Core.usable res handlers.(pi) ~now:!now)
+    && ((not fault_on) || Core.usable res handlers.(pi) ~now:(s.s_now ()))
   and wm_dispatch_commit () =
     let j = !ds_pos in
     let task = !as_task.(j) and pi = !as_pe.(j) in
     let h = handlers.(pi) in
+    let now = s.s_now () in
     task.Task.status <- Task.Running;
     task.Task.attempts <- task.Task.attempts + 1;
     rl_unlink (if custom then slot_of task else !as_slot.(j));
     decr ready_live;
-    task.Task.dispatched_at <- !now;
+    task.Task.dispatched_at <- now;
     task.Task.pe_label <- h.Core.h_pe.Pe.label;
+    lock h;
     Queue.add task h.Core.h_pending;
+    let queued = Queue.length h.Core.h_pending in
+    unlock h;
     h.Core.h_inflight <- h.Core.h_inflight + 1;
     incr inflight;
-    let from = if h.Core.h_busy_until > !now then h.Core.h_busy_until else !now in
+    let from = if h.Core.h_busy_until > now then h.Core.h_busy_until else now in
     h.Core.h_busy_until <- from + (cls task).Exec_model.est.(row task pi);
     if traced then begin
-      Obs.on_task_dispatched obs ~now:!now ~task:task.Task.id
-        ~instance:task.Task.instance_id ~cls:task.Task.cls ~node:task.Task.index
-        ~pe_index:pi ~wait_ns:(!now - task.Task.ready_at) ~ready_depth:!ready_live
+      Obs.on_task_dispatched obs ~now ~task:task.Task.id ~instance:task.Task.instance_id
+        ~cls:task.Task.cls ~node:task.Task.index ~pe_index:pi
+        ~wait_ns:(now - task.Task.ready_at) ~ready_depth:!ready_live
         ~pe_depth:h.Core.h_inflight ~inflight:!inflight;
       if h.Core.h_capacity > 1 then
-        Obs.on_reservation_enqueued obs ~now:!now ~pe_index:pi
-          ~depth:(Queue.length h.Core.h_pending)
+        Obs.on_reservation_enqueued obs ~now ~pe_index:pi ~depth:queued
     end;
-    Des.signal des pi;
+    s.s_signal pi;
     incr ds_pos;
     wm_dispatch_next ()
   and ds_end () =
@@ -873,32 +979,34 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source =
     | _ -> wm_tick_tail ()
   and wm_inject () =
     (* An aborted run injects nothing more. *)
-    let injected = if aborted () then 0 else source.sv_tick ops ~now:!now in
+    let injected = if aborted () then 0 else source.sv_tick ops ~now:(s.s_now ()) in
     if traced then tick_injected := injected;
     if injected > 0 then
       wm_charge (Cost_model.ready_update_per_task_ns *. float_of_int injected) 14
     else wm_fault_tail ()
   and wm_fault_tail () =
-    if fault_on && Core.fault_tick res ~now:!now then do_schedule 3 else wm_tick_tail ()
+    if fault_on && Core.fault_tick res ~now:(s.s_now ()) then do_schedule 3 else wm_tick_tail ()
   and wm_tick_tail () =
-    Des.sample_depth des;
+    s.s_tick_end !tick_t0;
+    let now = s.s_now () in
     if traced then
-      Obs.on_wm_tick obs ~now:!now ~completions:!tick_completions
-        ~injected:!tick_injected;
+      Obs.on_wm_tick obs ~now ~completions:!tick_completions ~injected:!tick_injected;
     (* An aborted run stops once in-flight work has drained. *)
-    if source.sv_finished ops ~now:!now || (aborted () && !inflight = 0) then
+    if source.sv_finished ops ~now || (aborted () && !inflight = 0) then
       Array.iter
-        (fun (h : unit Core.handler) ->
+        (fun (h : Core.handler) ->
+          lock h;
           h.Core.h_stop <- true;
-          Des.signal des h.Core.h_index)
+          unlock h;
+          s.s_signal h.Core.h_index)
         handlers
     else wm_await ()
   and wm_await () =
-    let next = source.sv_next ~now:!now in
+    let next = source.sv_next ~now:(s.s_now ()) in
     wm_await_until (if fault_on then Core.wm_deadline res next else next)
   and wm_await_until = function
-    | Some t -> wm_then 15 (Des.await_until des wm_th t)
-    | None -> wm_then 15 (Des.await des wm_th)
+    | Some t -> wm_then 15 (s.s_await_until wm_th t)
+    | None -> wm_then 15 (s.s_await wm_th)
   and wm_goto pc =
     match pc with
     | 10 -> wm_sweep_start ()
@@ -910,36 +1018,42 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source =
     | _ -> assert false
   in
   (* ---- startup (resource managers, then the WM) and the event loop ---- *)
-  for th = 0 to wm_th do
-    Des.start des th
-  done;
   (* A checkpoint is taken right after the tick that observed a
      quiescent instant, whose next action is the await on the next
      service deadline: a resumed WM starts with that await, not with a
      tick whose monitoring charge the uninterrupted run never paid. *)
   let wm_start () = if Option.is_some resume then wm_await () else wm_tick_top () in
-  Des.run des
+  s.s_run
     ~on_start:(fun th -> if th = wm_th then wm_start () else rm_await th)
     ~on_resume:(fun th -> if th = wm_th then wm_goto !wm_pc else rm_goto th rm_pc.(th));
-  (handlers, stats, des)
+  (handlers, stats, s.s_counters)
 
-let run_timed ~obs ~fault plan (params : Core.params) instances =
+(* A batch run of [instances] on the substrate [substrate prng] builds;
+   [prng] is the run's engine PRNG, the RANDOM policy's. *)
+let run_timed ~obs ~fault plan (params : Core.params) substrate instances =
   let prng = Prng.create ~seed:params.Core.seed in
-  let handlers, stats, des =
+  let handlers, stats, counters =
     exec ~obs ~fault ~records:true ~resume:None ~prng plan params (fixed instances)
+      (substrate prng)
   in
   let config = plan.p_config in
   Core.report ~host_name:config.Config.host.Host.name ~config ~policy:plan.p_policy
-    ~handlers ~instances ~stats ~fabric:(Des.counters des)
+    ~handlers ~instances ~stats ~fabric:counters
+
+let on_des ~obs plan params prng _ stats = des_substrate ~obs ~clock0:0 ~prng plan params stats
 
 let run ?(obs = Obs.disabled) ?fault plan params =
-  run_timed ~obs ~fault plan params (Exec_model.instantiate plan.p_model ~fresh_stores:false)
+  run_timed ~obs ~fault plan params (on_des ~obs plan params)
+    (Exec_model.instantiate plan.p_model ~fresh_stores:false)
 
 let run_detailed ?(obs = Obs.disabled) ?fault plan params =
   let instances = Exec_model.instantiate plan.p_model ~fresh_stores:true in
-  let report = run_timed ~obs ~fault plan params instances in
+  let report = run_timed ~obs ~fault plan params (on_des ~obs plan params) instances in
   Functional.fill_stores plan.p_model instances;
   (report, instances)
+
+let run_on ?(obs = Obs.disabled) ?fault ~config ~policy model params substrate instances =
+  run_timed ~obs ~fault (plan_of ~config ~policy model) params (fun _ -> substrate) instances
 
 let serve ?(obs = Obs.disabled) ?fault ?resume plan (params : Core.params) source =
   let prng =
@@ -947,12 +1061,16 @@ let serve ?(obs = Obs.disabled) ?fault ?resume plan (params : Core.params) sourc
     | Some r -> Prng.of_state r.rs_prng
     | None -> Prng.create ~seed:params.Core.seed
   in
-  let handlers, stats, _ = exec ~obs ~fault ~records:false ~resume ~prng plan params source in
+  let clock0 = match resume with Some r -> r.rs_clock | None -> 0 in
+  let handlers, stats, _ =
+    exec ~obs ~fault ~records:false ~resume ~prng plan params source (fun _ stats ->
+        des_substrate ~obs ~clock0 ~prng plan params stats)
+  in
   {
     sr_prng = Prng.state prng;
     sr_handlers =
       Array.map
-        (fun (h : unit Core.handler) ->
+        (fun (h : Core.handler) ->
           {
             hs_busy_until = h.Core.h_busy_until;
             hs_busy_ns = h.Core.h_busy_ns;

@@ -1,4 +1,5 @@
-(** The deterministic emulation engine.
+(** The emulation engine: the one implementation of the runtime
+    protocol.
 
     This module {e compiles} one (workload x platform x policy) triple
     into a {!type:plan} — the run's {!Exec_model.t} (each distinct
@@ -6,29 +7,30 @@
     reads) plus the specialised policy — and then {!val:run}s the
     workload manager and the per-PE resource managers (Figs. 3-4 of the
     paper) as an integer program-counter state machine over the
-    classes' price rows, with no per-event closure allocation.  The clock,
-    event heap, shared host cores and fabric ledger are {!Des}'s.  It
-    is the engine behind both deterministic names of {!Emulator}
-    ([Virtual] and [Compiled]), {!Dssoc_explore.Sweep} and the
-    resident server.
+    classes' price rows, with no per-event closure allocation.  The
+    machine runs over a {!type:substrate}: {!Des} (virtual clock, event
+    heap, shared host cores and fabric ledger) for every deterministic
+    run — both deterministic names of {!Emulator} ([Virtual] and
+    [Compiled]), {!Dssoc_explore.Sweep} and the resident server — and
+    OCaml 5 domains for {!Native_engine} ({!val:run_on}).
 
-    Every deterministic input takes this one path: any seed, jitter,
-    reservation depth and policy, traced or not, fault plan or not.
-    The five built-in policies are specialised into the loop; any other
-    policy is called through its closure with a {!Scheduler.context}
-    built as {!Engine_core.workload_manager} builds it.  A fault plan
-    ([?fault] on {!val:run}) turns on resilient dispatch: attempts
-    consult the plan, failures are retried with capped backoff or abort
-    the run, PEs are quarantined, recover or die (a dead PE's
-    reservation queue drains back to the ready list).  That bookkeeping
-    is {!Engine_core}'s own ({!Engine_core.handle_failure} and its
-    siblings); the machine adds only what suspends.  Observability is
-    lowered into the loop rather than interpreted: a traced run emits
-    the event log and populates the metrics registry, while an
-    untraced run pays only one predictable branch per hook site.
+    Every input takes this one path: any seed, jitter, reservation
+    depth and policy, traced or not, fault plan or not.  The five
+    built-in policies are specialised into the loop; any other policy
+    is called through its closure with a {!Scheduler.context} over the
+    ready window.  A fault plan ([?fault] on {!val:run}) turns on
+    resilient dispatch: attempts consult the plan, failures are retried
+    with capped backoff or abort the run, PEs are quarantined, recover
+    or die (a dead PE's reservation queue drains back to the ready
+    list).  That bookkeeping is {!Engine_core}'s own
+    ({!Engine_core.handle_failure} and its siblings); the machine adds
+    only what suspends.  Observability is lowered into the loop rather
+    than interpreted: a traced run emits the event log and populates
+    the metrics registry, while an untraced run pays only one
+    predictable branch per hook site.
 
     The test suite keeps a second implementation of the same semantics
-    as a reference: the direct-style {!Engine_core} protocol over
+    as a reference: direct-style workload and resource managers over
     effect threads on {!Des}.  Its differential matrix pins exact
     replay — the same [Stats.report] (byte-identical [records_csv]),
     final stores, JSONL event log and [Metrics.pp] — with and without
@@ -41,10 +43,11 @@
     arrivals as they come, and a service run can resume from a
     checkpoint.
 
-    Neither compilation nor {!val:run} executes a kernel: the loop is
-    timing only, and a report-only run's instances share one empty
-    placeholder store.  {!val:run_detailed} gives each instance its
-    own store and fills it after the run with {!Functional}. *)
+    On {!Des}, neither compilation nor {!val:run} executes a kernel:
+    the loop is timing only, and a report-only run's instances share
+    one empty placeholder store.  {!val:run_detailed} gives each
+    instance its own store and fills it after the run with
+    {!Functional}. *)
 
 type plan
 
@@ -101,6 +104,80 @@ val run_detailed :
   Stats.report * Task.instance array
 (** Like {!val:run}, also returning the instances with their final
     stores ({!Functional.fill_stores}) for functional inspection. *)
+
+(** {1 Substrates}
+
+    The machine runs over a substrate: the clock, the blocking calls
+    and the execution of a task, built once per run.  {!Des} is the
+    substrate of every run above (and of {!serve}); {!Native_engine}
+    builds one over OCaml 5 domains.  Threads are known by index:
+    resource manager [i] is thread [i], the workload manager thread
+    [n_pes].  A blocking call returns [true] when it suspended the
+    thread, which the machine then resumes at [on_resume]; a substrate
+    whose calls block the calling domain returns [false], and each
+    thread's life is then one chain of tail calls from [on_start]. *)
+
+type substrate = {
+  s_now : unit -> int;  (** the clock, ns *)
+  s_work : int -> int -> bool;
+      (** [s_work th ns]: [ns] of modelled work on the thread's host
+          core (DMA that bypasses the fabric); native: nothing *)
+  s_sleep : int -> int -> bool;
+      (** [s_sleep th ns]: plain delay (fault-detection latency,
+          slowdown tail, fixed chunk/hop latency) *)
+  s_stream : int -> bytes:int -> int -> bool;
+      (** [s_stream th ~bytes ns]: one DMA stream of [ns] link service
+          through the fabric, stalling while its FIFO is full *)
+  s_await : int -> bool;  (** block the thread until it is signalled *)
+  s_await_until : int -> int -> bool;
+      (** {!s_await}, also waking at the absolute time given; a
+          polling substrate returns at once *)
+  s_signal : int -> unit;
+      (** wake the thread, or leave the signal pending for its next
+          await *)
+  s_lock : int -> unit;
+      (** [s_lock pe]: take handler [pe]'s lock, held around every
+          touch of its queues and [h_stop] *)
+  s_unlock : int -> unit;
+  s_jitter : int -> int -> int;
+      (** [s_jitter th ns]: one jitter draw on a modelled duration
+          ({!Engine_core.jittered}) *)
+  s_cpu : int -> Task.t -> int -> bool;
+      (** [s_cpu pe task ns]: execute the task on CPU [pe], modelled at
+          [ns] (jittered) *)
+  s_compute : int -> Task.t -> int -> bool;
+      (** [s_compute pe task ns]: the device compute of the task on
+          accelerator [pe], [ns] (jittered) long *)
+  s_charge : float -> bool;
+      (** account workload-manager bookkeeping, ns on the reference
+          overlay core *)
+  s_sched_start : unit -> int;  (** a token taken before a policy invocation *)
+  s_sched_done : int -> ready:int -> ops:int -> int;
+      (** close an invocation: its cost in ns, which the workload
+          manager then occupies its core for ({!s_work}) *)
+  s_tick_start : unit -> int;  (** a token taken at the top of a WM tick *)
+  s_tick_end : int -> unit;  (** close a WM tick *)
+  s_counters : Engine_core.fabric_counters;  (** fabric contention so far *)
+  s_run : on_start:(int -> unit) -> on_resume:(int -> unit) -> unit;
+      (** run every thread to its end: [on_start th] starts thread
+          [th], [on_resume th] continues a suspended one *)
+}
+
+val run_on :
+  ?obs:Dssoc_obs.Obs.t ->
+  ?fault:Dssoc_fault.Fault.plan ->
+  config:Dssoc_soc.Config.t ->
+  policy:Scheduler.policy ->
+  Exec_model.t ->
+  Engine_core.params ->
+  (Engine_core.handler array -> Engine_core.wm_stats -> substrate) ->
+  Task.instance array ->
+  Stats.report
+(** A batch run of the instances (of the lowering given) on the
+    substrate the function builds, given the run's handlers and
+    statistics once the engine's metrics are registered.  The engine
+    PRNG (the RANDOM policy's) is seeded from [params].  Exceptions
+    from the substrate's [s_run] propagate. *)
 
 (** {1 Arrival sources}
 

@@ -13,8 +13,9 @@ type engine =
       (** the deterministic virtual-time engine ({!Compiled_engine});
           used by all figure benches *)
   | Native of Engine_core.params
-      (** OCaml 5 domains executing the {!Engine_core} handler protocol
-          in real time on the machine running the emulator *)
+      (** {!Compiled_engine}'s machine over OCaml 5 domains, running
+          kernels in real time on the machine running the emulator
+          ({!Native_engine}) *)
   | Compiled of Engine_core.params
       (** the same engine as [Virtual], under the name of its
           implementation *)

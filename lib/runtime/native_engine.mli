@@ -1,26 +1,32 @@
 (** Native emulation engine: the framework running for real.
 
     One OCaml 5 domain per PE plays the resource-manager thread; the
-    calling domain plays the workload manager.  Both run the shared
-    {!Engine_core} protocol — the workload-manager loop and
-    resource-handler state machine that {!Compiled_engine} replays as a
-    program-counter machine — over a
-    backend of mutex/condvar handler queues, a polling manager loop
-    and the monotonic wall clock ({!Dssoc_util.Mclock}).
+    calling domain plays the workload manager.  Both run
+    {!Compiled_engine}'s program-counter machine — the one
+    implementation of the protocol, which every deterministic run also
+    runs over {!Des} — over a substrate of per-handler mutex/condvar
+    pairs, a polling workload manager and the monotonic wall clock
+    ({!Dssoc_util.Mclock}).  Nothing suspends on it: every call blocks
+    the calling domain, so each thread's life is one chain of tail
+    calls.  Built-in policies run as the machine's specialised loops
+    over its ready list, any other through its closure.
 
     Kernels execute for real and times are wall-clock measurements, so
     results vary with the machine — this engine demonstrates the
     framework is a genuine user-space runtime and cross-checks the
     deterministic engine's functional outputs.  Hardware accelerators do not
-    exist on the host, so an accelerator PE performs its DMA phases as
-    real buffer copies and emulates device compute with a timed sleep
-    of the modelled duration (substitution documented in DESIGN.md).
+    exist on the host, so an accelerator PE copies its pointer
+    arguments in place of its DMA transfers and emulates device compute
+    with a timed sleep of the modelled duration (substitution
+    documented in DESIGN.md); a bus fabric's link demand is a timed
+    sleep gated by its FIFO.  Scheduling cost is the policy call's
+    measured wall time, the workload manager's overhead each tick's.
 
     Because kernels and manager overheads are real, {!params} shapes
     rather than determines a native run: the seed drives the RANDOM
-    policy and the jitter on modelled device-compute sleeps, and
-    [reservation_depth] configures the same per-PE reservation queues
-    as the deterministic engine. *)
+    policy and, per resource manager, the jitter on modelled sleeps,
+    and [reservation_depth] configures the same per-PE reservation
+    queues as the deterministic engine. *)
 
 val default_params : Engine_core.params
 (** seed 7, no jitter, no reservation queues (the engine's historical
@@ -47,7 +53,7 @@ val run :
     schedule — the same schedule the deterministic engine replays for
     the same plan, since draws are keyed on (task, attempt) rather than
     timing — and turns on resilient dispatch (see
-    {!Engine_core.workload_manager}).
+    {!Engine_core.handle_failure}).
 
     Whatever happens — including a policy or kernel exception — every
     handler domain is stopped and joined before this function returns
