@@ -407,6 +407,7 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
   let tick_completions = ref 0 in
   let tick_injected = ref 0 in
   let tick_t0 = ref 0 in
+  let stopped_at = ref 0 in
   let idle = Array.make (max 1 n_pes) false in
   let avail = Array.make (max 1 n_pes) 0 in
   let cand = Array.make (max 1 n_pes) 0 in
@@ -992,7 +993,8 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
     if traced then
       Obs.on_wm_tick obs ~now ~completions:!tick_completions ~injected:!tick_injected;
     (* An aborted run stops once in-flight work has drained. *)
-    if source.sv_finished ops ~now || (aborted () && !inflight = 0) then
+    if source.sv_finished ops ~now || (aborted () && !inflight = 0) then begin
+      stopped_at := now;
       Array.iter
         (fun (h : Core.handler) ->
           lock h;
@@ -1000,6 +1002,7 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
           unlock h;
           s.s_signal h.Core.h_index)
         handlers
+    end
     else wm_await ()
   and wm_await () =
     let next = source.sv_next ~now:(s.s_now ()) in
@@ -1026,19 +1029,19 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
   s.s_run
     ~on_start:(fun th -> if th = wm_th then wm_start () else rm_await th)
     ~on_resume:(fun th -> if th = wm_th then wm_goto !wm_pc else rm_goto th rm_pc.(th));
-  (handlers, stats, s.s_counters)
+  (handlers, stats, s.s_counters, !stopped_at)
 
 (* A batch run of [instances] on the substrate [substrate prng] builds;
    [prng] is the run's engine PRNG, the RANDOM policy's. *)
 let run_timed ~obs ~fault plan (params : Core.params) substrate instances =
   let prng = Prng.create ~seed:params.Core.seed in
-  let handlers, stats, counters =
+  let handlers, stats, fabric, stopped_at =
     exec ~obs ~fault ~records:true ~resume:None ~prng plan params (fixed instances)
       (substrate prng)
   in
   let config = plan.p_config in
   Core.report ~host_name:config.Config.host.Host.name ~config ~policy:plan.p_policy
-    ~handlers ~instances ~stats ~fabric:counters
+    ~handlers ~instances ~stats ~fabric ~stopped_at
 
 let on_des ~obs plan params prng _ stats = des_substrate ~obs ~clock0:0 ~prng plan params stats
 
@@ -1062,7 +1065,7 @@ let serve ?(obs = Obs.disabled) ?fault ?resume plan (params : Core.params) sourc
     | None -> Prng.create ~seed:params.Core.seed
   in
   let clock0 = match resume with Some r -> r.rs_clock | None -> 0 in
-  let handlers, stats, _ =
+  let handlers, stats, _, _ =
     exec ~obs ~fault ~records:false ~resume ~prng plan params source (fun _ stats ->
         des_substrate ~obs ~clock0 ~prng plan params stats)
   in

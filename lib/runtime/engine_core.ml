@@ -339,17 +339,22 @@ let wm_deadline r next =
 
 let report ~host_name ~(config : Config.t) ~(policy : Scheduler.policy)
     ~(handlers : handler array) ~(instances : Task.instance array)
-    ~(stats : wm_stats) ~(fabric : fabric_counters) =
+    ~(stats : wm_stats) ~(fabric : fabric_counters) ~stopped_at =
+  (* An aborted run leaves instances unfinished ([completed_at] = -1):
+     its makespan is the instant its machine stopped, and latencies
+     cover the finished instances only. *)
   let makespan =
-    Array.fold_left (fun acc inst -> max acc inst.Task.completed_at) 0 instances
+    if stats.aborted <> None then stopped_at
+    else Array.fold_left (fun acc inst -> max acc inst.Task.completed_at) 0 instances
   in
   let app_tbl = Hashtbl.create 4 in
   Array.iter
     (fun inst ->
       let name = inst.Task.app.App_spec.app_name in
-      let lat = inst.Task.completed_at - inst.Task.arrival_ns in
       let lats = Option.value ~default:[] (Hashtbl.find_opt app_tbl name) in
-      Hashtbl.replace app_tbl name (lat :: lats))
+      let done_ = inst.Task.completed_at >= 0 in
+      Hashtbl.replace app_tbl name
+        (if done_ then (inst.Task.completed_at - inst.Task.arrival_ns) :: lats else lats))
     instances;
   let app_stats =
     Hashtbl.fold

@@ -217,7 +217,12 @@ val report :
   instances:Task.instance array ->
   stats:wm_stats ->
   fabric:fabric_counters ->
+  stopped_at:int ->
   Stats.report
 (** Assemble the run report: makespan, per-PE usage and energy,
     scheduling statistics, task records (oldest first), per-app
-    latency summaries and fabric contention counters. *)
+    latency summaries and fabric contention counters.  The makespan is
+    the latest instance completion, or for an aborted run [stopped_at],
+    the clock at which the workload manager stopped the run (at or
+    after every completion); per-app latencies cover the instances that
+    finished. *)

@@ -25,7 +25,7 @@ type pe_usage = {
 }
 
 type app_summary = {
-  instances : int;
+  instances : int;  (** finished instances: all of the app's unless the run aborted *)
   mean_latency_ns : float;  (** arrival to last-task completion *)
   max_latency_ns : int;
 }

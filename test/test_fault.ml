@@ -259,6 +259,29 @@ let test_no_survivor_aborts () =
   | Stats.Aborted _ -> Alcotest.(check bool) "nothing completed" true (r.Stats.records = [])
   | v -> Alcotest.failf "expected an abort, got %s" (Stats.verdict_name v)
 
+(* An aborted run's report describes the run that happened: the only
+   CPU dies 3 ms into a performance-mode run, before any instance
+   finished.  The makespan is the clock at which the run stopped, so
+   no PE is busy beyond it, and no latency is computed for an instance
+   that never finished. *)
+let test_aborted_report_sane () =
+  let config = Config.zcu102_cores_ffts ~cores:1 ~ffts:1 in
+  let workload = Workload.table2_workload ~rate:3.42 () in
+  let r = run_checked ~policy:"EFT" ~fault:(plan_of_spec "cpu0:die@3ms") ~config ~workload () in
+  Alcotest.(check string) "aborted" "aborted" (Stats.verdict_name r.Stats.verdict);
+  Alcotest.(check bool) "makespan covers the 3 ms before the death" true
+    (r.Stats.makespan_ns >= 3_000_000);
+  List.iter
+    (fun (u : Stats.pe_usage) ->
+      Alcotest.(check bool) (u.Stats.pe_label ^ " at most 100% busy") true
+        (u.Stats.busy_ns <= r.Stats.makespan_ns))
+    r.Stats.pe_usage;
+  List.iter
+    (fun (app, (s : Stats.app_summary)) ->
+      Alcotest.(check bool) (app ^ ": no negative latency") true
+        (s.Stats.mean_latency_ns >= 0.0 && s.Stats.max_latency_ns >= 0))
+    r.Stats.app_stats
+
 let test_deterministic_replay () =
   let spec = "fft2:die@1ms,*:transient:p=0.1:recover=0.2ms" in
   let r1 = run_fault (plan_of_spec ~seed:11L spec) in
@@ -476,6 +499,7 @@ let () =
           Alcotest.test_case "mid-run death degrades" `Slow test_midrun_death_degrades;
           Alcotest.test_case "budget exhaustion aborts" `Slow test_budget_exhaustion_aborts;
           Alcotest.test_case "no surviving PE aborts" `Quick test_no_survivor_aborts;
+          Alcotest.test_case "aborted run reports a sane makespan" `Quick test_aborted_report_sane;
           Alcotest.test_case "deterministic replay" `Slow test_deterministic_replay;
           Alcotest.test_case "retried task dispatched once" `Slow test_retry_dispatched_once;
           qtest prop_no_dispatch_to_quarantined;

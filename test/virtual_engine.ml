@@ -426,14 +426,16 @@ module Managers = struct
       (* An aborted run stops once in-flight work has drained: doomed
          tasks never complete, so [unfinished] cannot reach zero. *)
       let gave_up = stats.aborted <> None && !inflight = 0 in
-      if finished || gave_up then
+      if finished || gave_up then begin
         Array.iter
           (fun h ->
             b.b_lock h;
             h.h_stop <- true;
             b.b_notify_handler h;
             b.b_unlock h)
-          handlers
+          handlers;
+        b.b_now ()
+      end
       else begin
         let next = match !pending with [] -> None | i :: _ -> Some i.Task.arrival_ns in
         let deadline = if fault_on then wm_deadline res next else next in
@@ -620,16 +622,20 @@ let run_timed ~fresh_stores ?(params = default_params) ?(obs = Obs.disabled) ?fa
       ~model ~policy ~n_pes:(Array.length handlers) ~stats ~obs
   in
   (* Resource managers are threads [0 .. n_pes-1], the workload manager
-     thread [n_pes]; their first events are pushed in that order. *)
+     thread [n_pes]; their first events are pushed in that order.  The
+     workload manager returns the clock at which it stopped the run. *)
+  let stopped_at = ref 0 in
   run_threads des
     (Array.append
        (Array.map (fun h () -> Managers.resource_manager ~obs ~fault ~model b h) handlers)
        [|
          (fun () ->
-           Managers.workload_manager ~obs ~fault b ~handlers ~instances ~model ~policy ~prng ~stats);
+           stopped_at :=
+             Managers.workload_manager ~obs ~fault b ~handlers ~instances ~model ~policy ~prng
+               ~stats);
        |]);
   ( Core.report ~host_name:config.Config.host.Host.name ~config ~policy ~handlers
-      ~instances ~stats ~fabric:(Des.counters des),
+      ~instances ~stats ~fabric:(Des.counters des) ~stopped_at:!stopped_at,
     instances,
     model )
 
