@@ -592,9 +592,9 @@ let engine () =
      deterministic scenarios run Compiled_engine with the plan compiled
      once outside the timing loop (that is the engine's intended reuse
      pattern), so emulations/s measures the event loop alone.  One
-     native scenario tracks the real-domain backend of the Engine_core
-     protocol (its makespan is wall time, not simulated time, so only
-     throughput is comparable across machines). *)
+     native scenario tracks the same pc machine over OCaml 5 domains
+     (its makespan is wall time, not simulated time, so only throughput
+     is comparable across machines). *)
   let ideal_3c2f = Config.zcu102_cores_ffts ~cores:3 ~ffts:2 in
   let rate342 () = Workload.table2_workload ~rate:3.42 () in
   let scenarios =
@@ -813,6 +813,12 @@ let engine () =
                            ("tasks_per_s", Json.Float task_s);
                            ("minor_words_per_emulation", Json.Float minor_words);
                            ("promoted_words_per_emulation", Json.Float promoted_words);
+                           (* Manager costs of the sample run: modelled
+                              on the deterministic rows, measured wall
+                              time on the native one. *)
+                           ("sched_invocations", Json.Int sample.Stats.sched_invocations);
+                           ("sched_ns", Json.Int sample.Stats.sched_ns);
+                           ("wm_overhead_ns", Json.Int sample.Stats.wm_overhead_ns);
                          ]
                          @
                          match compile_cost with

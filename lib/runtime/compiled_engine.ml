@@ -3,7 +3,6 @@ module Host = Dssoc_soc.Host
 module Config = Dssoc_soc.Config
 module Cost_model = Dssoc_soc.Cost_model
 module App_spec = Dssoc_apps.App_spec
-module Workload = Dssoc_apps.Workload
 module Prng = Dssoc_util.Prng
 module Obs = Dssoc_obs.Obs
 module Core = Engine_core
@@ -60,15 +59,14 @@ type substrate = {
   s_await : int -> bool;
   s_await_until : int -> int -> bool;
   s_signal : int -> unit;
-  s_lock : int -> unit;
-  s_unlock : int -> unit;
+  s_lock : Core.handler -> unit;
+  s_unlock : Core.handler -> unit;
   s_jitter : int -> int -> int;
   s_cpu : int -> Task.t -> int -> bool;
   s_compute : int -> Task.t -> int -> bool;
   s_charge : float -> bool;
-  s_sched_start : unit -> int;
+  s_mark : unit -> int;
   s_sched_done : int -> ready:int -> ops:int -> int;
-  s_tick_start : unit -> int;
   s_tick_end : int -> unit;
   s_counters : Core.fabric_counters;
   s_run : on_start:(int -> unit) -> on_resume:(int -> unit) -> unit;
@@ -198,7 +196,7 @@ let des_substrate ~obs ~clock0 ~prng plan (params : Core.params) (stats : Core.w
         let c = scale ns in
         stats.Core.wm_ns <- stats.Core.wm_ns + c;
         Des.work des wm_th c);
-    s_sched_start = (fun () -> 0);
+    s_mark = (fun () -> 0);
     (* The calibrated cost for the live ready-list length, scaled by the
        overlay core; the machine then charges it there. *)
     s_sched_done =
@@ -206,7 +204,6 @@ let des_substrate ~obs ~clock0 ~prng plan (params : Core.params) (stats : Core.w
         let c = scale (float_of_int (plan.p_overhead ~ready ~ops)) in
         stats.Core.wm_ns <- stats.Core.wm_ns + c;
         c);
-    s_tick_start = (fun () -> 0);
     s_tick_end = (fun _ -> Des.sample_depth des);
     s_counters = Des.counters des;
     (* Resource managers are threads [0 .. n_pes-1], the workload
@@ -236,7 +233,6 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
   let n_pes = model.Exec_model.n_pes in
   let stride = n_pes in
   let wm_th = n_pes in
-
   (* Prices come from the task's class, at row [index * stride + pe];
      the policy loops inline the two loads. *)
   let classes = model.Exec_model.classes in
@@ -282,8 +278,7 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
   let s = substrate handlers stats in
   (* The per-handler lock guards [h_pending], [h_completed] and
      [h_stop], which the native substrate shares between domains. *)
-  let lock (h : Core.handler) = s.s_lock h.Core.h_index
-  and unlock (h : Core.handler) = s.s_unlock h.Core.h_index in
+  let lock = s.s_lock and unlock = s.s_unlock in
 
   (* ---- workload-manager state ----
      The ready collection is an intrusive doubly-linked list over slots:
@@ -627,7 +622,7 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
   let rec wm_then pc suspended = if suspended then wm_pc := pc else wm_goto pc
   and wm_charge ns pc = wm_then pc (s.s_charge ns)
   and wm_tick_top () =
-    tick_t0 := s.s_tick_start ();
+    tick_t0 := s.s_mark ();
     if traced then begin
       tick_completions := 0;
       tick_injected := 0
@@ -733,7 +728,7 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
       end;
       as_n := 0;
       ds_ops := nready * n_pes;
-      let t0 = s.s_sched_start () in
+      let t0 = s.s_mark () in
       run_policy now nready !n_idle;
       let cost = s.s_sched_done t0 ~ready:ready_len ~ops:!ds_ops in
       ds_cost := cost;

@@ -120,42 +120,29 @@ val run_detailed :
 type substrate = {
   s_now : unit -> int;  (** the clock, ns *)
   s_work : int -> int -> bool;
-      (** [s_work th ns]: [ns] of modelled work on the thread's host
-          core (DMA that bypasses the fabric); native: nothing *)
-  s_sleep : int -> int -> bool;
-      (** [s_sleep th ns]: plain delay (fault-detection latency,
-          slowdown tail, fixed chunk/hop latency) *)
+      (** [s_work th ns]: modelled work on the thread's host core (DMA
+          that bypasses the fabric, WM costs); native: nothing *)
+  s_sleep : int -> int -> bool;  (** [s_sleep th ns]: plain delay *)
   s_stream : int -> bytes:int -> int -> bool;
-      (** [s_stream th ~bytes ns]: one DMA stream of [ns] link service
-          through the fabric, stalling while its FIFO is full *)
+      (** [s_stream th ~bytes ns]: one DMA stream of [ns] link service,
+          stalling while the fabric FIFO is full *)
   s_await : int -> bool;  (** block the thread until it is signalled *)
   s_await_until : int -> int -> bool;
-      (** {!s_await}, also waking at the absolute time given; a
-          polling substrate returns at once *)
-  s_signal : int -> unit;
-      (** wake the thread, or leave the signal pending for its next
-          await *)
-  s_lock : int -> unit;
-      (** [s_lock pe]: take handler [pe]'s lock, held around every
-          touch of its queues and [h_stop] *)
-  s_unlock : int -> unit;
-  s_jitter : int -> int -> int;
-      (** [s_jitter th ns]: one jitter draw on a modelled duration
-          ({!Engine_core.jittered}) *)
+      (** {!s_await}, also waking at the absolute time given *)
+  s_signal : int -> unit;  (** wake the thread, or leave the signal pending *)
+  s_lock : Engine_core.handler -> unit;
+      (** held around every touch of the handler's queues and [h_stop] *)
+  s_unlock : Engine_core.handler -> unit;
+  s_jitter : int -> int -> int;  (** [s_jitter th ns]: one {!Engine_core.jittered} draw *)
   s_cpu : int -> Task.t -> int -> bool;
-      (** [s_cpu pe task ns]: execute the task on CPU [pe], modelled at
-          [ns] (jittered) *)
+      (** [s_cpu pe task ns]: execute the task on CPU [pe], modelled at [ns] *)
   s_compute : int -> Task.t -> int -> bool;
-      (** [s_compute pe task ns]: the device compute of the task on
-          accelerator [pe], [ns] (jittered) long *)
+      (** [s_compute pe task ns]: its device compute on accelerator [pe] *)
   s_charge : float -> bool;
-      (** account workload-manager bookkeeping, ns on the reference
-          overlay core *)
-  s_sched_start : unit -> int;  (** a token taken before a policy invocation *)
+      (** account WM bookkeeping, ns on the reference overlay core *)
+  s_mark : unit -> int;  (** a token taken before a policy call and at a WM tick's top *)
   s_sched_done : int -> ready:int -> ops:int -> int;
-      (** close an invocation: its cost in ns, which the workload
-          manager then occupies its core for ({!s_work}) *)
-  s_tick_start : unit -> int;  (** a token taken at the top of a WM tick *)
+      (** a policy call's cost, ns, which the WM then {!s_work}s *)
   s_tick_end : int -> unit;  (** close a WM tick *)
   s_counters : Engine_core.fabric_counters;  (** fabric contention so far *)
   s_run : on_start:(int -> unit) -> on_resume:(int -> unit) -> unit;

@@ -1,4 +1,3 @@
-module Pe = Dssoc_soc.Pe
 module Host = Dssoc_soc.Host
 module Config = Dssoc_soc.Config
 module Fabric = Dssoc_soc.Fabric
@@ -135,8 +134,8 @@ let substrate ~obs ~(config : Config.t) ~(params : Core.params) (handlers : Core
         end);
     s_await_until = (fun _ _ -> poll ());
     s_signal = signal;
-    s_lock = (fun i -> Mutex.lock mutex.(i));
-    s_unlock = (fun i -> Mutex.unlock mutex.(i));
+    s_lock = (fun h -> Mutex.lock mutex.(h.Core.h_index));
+    s_unlock = (fun h -> Mutex.unlock mutex.(h.Core.h_index));
     s_jitter = (fun th ns -> Core.jittered prngs.(th) ~jitter:params.Core.jitter ns);
     (* A CPU kernel runs for real; its own time is the execution. *)
     s_cpu =
@@ -167,9 +166,8 @@ let substrate ~obs ~(config : Config.t) ~(params : Core.params) (handlers : Core
        Scheduling cost is the policy call's wall time, and the WM's
        overhead each tick's. *)
     s_charge = (fun _ -> false);
-    s_sched_start = now;
+    s_mark = now;
     s_sched_done = (fun t0 ~ready:_ ~ops:_ -> now () - t0);
-    s_tick_start = now;
     s_tick_end = (fun t0 -> stats.Core.wm_ns <- stats.Core.wm_ns + (now () - t0));
     s_counters = counters;
     s_run =
