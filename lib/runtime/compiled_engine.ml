@@ -279,7 +279,6 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
   (* The per-handler lock guards [h_pending], [h_completed] and
      [h_stop], which the native substrate shares between domains. *)
   let lock = s.s_lock and unlock = s.s_unlock in
-
   (* ---- workload-manager state ----
      The ready collection is an intrusive doubly-linked list over slots:
      a task takes a slot when it becomes Ready and gives it back when it
@@ -802,9 +801,8 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
         incr j
       done
     | P_eft ->
-      let now_v = now in
       for i = 0 to n_pes - 1 do
-        avail.(i) <- (if idle.(i) then now_v else handlers.(i).Core.h_busy_until)
+        avail.(i) <- (if idle.(i) then now else handlers.(i).Core.h_busy_until)
       done;
       while !j < nready && !n_idle > 0 do
         let t = sl_task.(!cur) in
@@ -814,7 +812,7 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
           let e = est.(row + i) in
           if e <> min_int && pe_up.(i) then begin
             let a = avail.(i) in
-            let fin = (if a > now_v then a else now_v) + e in
+            let fin = (if a > now then a else now) + e in
             if !best < 0 || fin < !best_fin then begin
               best := i;
               best_fin := fin

@@ -1,11 +1,12 @@
 (** The differential suite's reference engine: the deterministic
     virtual-time engine in direct style.
 
-    It runs the shared {!Dssoc_runtime.Engine_core} workload manager
-    and resource managers — the protocol the native engine also runs —
-    as effect threads bridged onto the same discrete-event substrate
-    ({!Dssoc_runtime.Des}) the production engine
-    ({!Dssoc_runtime.Compiled_engine}'s integer-pc machine) runs on.
+    It runs direct-style workload and resource managers (defined here,
+    over a small backend record) as effect threads bridged onto the
+    same discrete-event substrate ({!Dssoc_runtime.Des}) that the
+    production engine ({!Dssoc_runtime.Compiled_engine}'s integer-pc
+    machine, which the native engine also runs) uses for every
+    deterministic run.
     The two protocols are written independently, so an exact-replay
     test that compares them (same records CSV, report, stores, JSONL
     event log and [Metrics.pp]) checks the pc machine against a second
@@ -73,7 +74,7 @@ val run :
     [fault] (default none) injects the plan's deterministic fault
     schedule and turns on the resilient-dispatch machinery
     (retries, quarantine, degradation — see
-    {!Dssoc_runtime.Engine_core.workload_manager});
+    {!Dssoc_runtime.Engine_core.handle_failure});
     the report's [verdict] and [resilience] fields record the outcome.
     Fault draws are keyed on the plan's own seed, not [params.seed].
     @raise Invalid_argument if some task supports no PE of the
