@@ -85,11 +85,6 @@ let jitter_arg =
           "Execution-time jitter stddev fraction (native runs apply it to the modelled \
            device-compute sleeps only).")
 
-let native_arg =
-  Arg.(
-    value & flag
-    & info [ "native" ] ~doc:"Run on real OCaml domains instead of the deterministic engine.")
-
 let engine_arg =
   Arg.(
     value & opt string "virtual"
@@ -98,17 +93,15 @@ let engine_arg =
           "Engine: virtual (default) or compiled, two names of the deterministic virtual-time \
            engine (the workload x platform x policy triple compiled into a flat-array event \
            loop; the names print the same output for every input, fault plans included), or \
-           native (real OCaml domains; same as --native).")
+           native (real OCaml domains).")
 
-let resolve_engine ~engine ~native ~jitter ~reservation ~seed =
+let resolve_engine ~engine ~jitter ~reservation ~seed =
   let seed = Int64.of_int seed in
-  match (String.lowercase_ascii engine, native) with
-  | ("virtual" | "compiled"), false ->
+  match String.lowercase_ascii engine with
+  | "virtual" | "compiled" ->
     Ok (Emulator.virtual_seeded ~jitter ~reservation_depth:reservation seed)
-  | ("virtual" | "native"), _ ->
-    Ok (Emulator.native_seeded ~jitter ~reservation_depth:reservation seed)
-  | "compiled", true -> Error "--native conflicts with --engine compiled"
-  | other, _ ->
+  | "native" -> Ok (Emulator.native_seeded ~jitter ~reservation_depth:reservation seed)
+  | other ->
     Error (Printf.sprintf "unknown engine %S (try virtual, native or compiled)" other)
 
 let reservation_arg =
@@ -336,7 +329,7 @@ let run_cmd =
     | Ok _ -> Ok ()
     | Error e -> Error (Printf.sprintf "%s: %s" path (Dssoc_json.Json.error_to_string e))
   in
-  let run host cores ffts big little policy seed jitter native engine_name reservation mode
+  let run host cores ffts big little policy seed jitter engine_name reservation mode
       apps_spec rate csv trace gantt trace_level events metrics_out metrics_period app_file
       faults fault_seed fabric =
     reporting_errors @@ fun () ->
@@ -391,7 +384,7 @@ let run_cmd =
             Ok (Some f)
           end
       in
-      let* engine = resolve_engine ~engine:engine_name ~native ~jitter ~reservation ~seed in
+      let* engine = resolve_engine ~engine:engine_name ~jitter ~reservation ~seed in
       let run_result = Emulator.run ~engine ~policy ~obs ?fault ~config ~workload () in
       (* The flusher holds an open channel: close (final snapshot) on
          both success and failure. *)
@@ -443,7 +436,7 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Run an emulation and print the collected statistics.")
     Term.(
       const run $ host_arg $ cores_arg $ ffts_arg $ big_arg $ little_arg $ policy_arg $ seed_arg
-      $ jitter_arg $ native_arg $ engine_arg $ reservation_arg $ mode $ apps $ rate $ csv
+      $ jitter_arg $ engine_arg $ reservation_arg $ mode $ apps $ rate $ csv
       $ trace $ gantt $ trace_level $ events $ metrics_out $ metrics_period $ app_file
       $ faults_arg $ fault_seed_arg $ fabric_arg)
 

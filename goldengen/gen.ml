@@ -34,7 +34,7 @@ let () =
      in test_observability.ml pins both against the same literal. *)
   let c =
     Emulator.run_exn
-      ~engine:(Emulator.compiled_seeded ~jitter:0.0 1L)
+      ~engine:(Emulator.virtual_seeded ~jitter:0.0 1L)
       ~config ~workload ()
   in
   print_string "===COMPILED-CSV===\n";

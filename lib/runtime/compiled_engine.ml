@@ -3,6 +3,7 @@ module Host = Dssoc_soc.Host
 module Config = Dssoc_soc.Config
 module Cost_model = Dssoc_soc.Cost_model
 module App_spec = Dssoc_apps.App_spec
+module Store = Dssoc_apps.Store
 module Prng = Dssoc_util.Prng
 module Obs = Dssoc_obs.Obs
 module Core = Engine_core
@@ -18,10 +19,7 @@ module Fault = Dssoc_fault.Fault
    mirrors a suspension point of those managers; the fault bookkeeping
    that never suspends is Engine_core's own, called here.  Divergences
    are caught by the differential matrix in test_diff_engines.ml, and
-   the fault paths are also pinned to digests there.  Arrivals come
-   from one source, a fixed stream for a batch run ([fixed]) or the
-   resident server's hooks; the server's output is pinned by the serve
-   goldens in test_serve.ml. *)
+   the fault paths are also pinned to digests there. *)
 
 (* The five built-ins are specialised into the loop; any other policy
    is called through its closure over a [Scheduler.context], exactly as
@@ -67,7 +65,7 @@ type substrate = {
   s_charge : float -> bool;
   s_mark : unit -> int;
   s_sched_done : int -> ready:int -> ops:int -> int;
-  s_tick_end : int -> unit;
+  s_tick_end : int -> busy:bool -> unit;
   s_counters : Core.fabric_counters;
   s_run : on_start:(int -> unit) -> on_resume:(int -> unit) -> unit;
 }
@@ -118,28 +116,44 @@ type service = {
   sv_unarrived : unit -> int Seq.t;
 }
 
-(* A workload known in advance: inject each instance once the clock
-   reaches its arrival, finish once all have completed. *)
-let fixed (instances : Task.instance array) =
-  let n = Array.length instances and next = ref 0 in
-  {
-    sv_tick =
-      (fun ops ~now ->
-        let made = ref 0 in
-        while !next < n && instances.(!next).Task.arrival_ns <= now do
-          made := !made + ops.so_inject instances.(!next);
-          incr next
-        done;
-        !made);
-    sv_next = (fun ~now:_ -> if !next < n then Some instances.(!next).Task.arrival_ns else None);
-    sv_finished = (fun ops ~now:_ -> ops.so_completed () = n);
-    sv_unarrived =
-      (fun () ->
-        Seq.concat_map
-          (fun (inst : Task.instance) ->
-            Seq.take 1 (Seq.map (fun (t : Task.t) -> t.Task.cls) (Array.to_seq inst.Task.tasks)))
-          (Seq.drop !next (Array.to_seq instances)));
-  }
+(* A workload known in advance: build item [i] as instance [i] (store
+   [store k] for class [k]; [keep] sees it) once the clock reaches its
+   arrival, finish once all have completed.  The function returned
+   builds the items an aborted run never reached. *)
+let fixed_source (m : Exec_model.t) ~store ~keep =
+  let items = m.Exec_model.items and arrivals = m.Exec_model.arrivals in
+  let n = Array.length items and next = ref 0 and task_base = ref 0 in
+  let build () =
+    let i = !next and k = items.(!next) in
+    let inst =
+      Exec_model.instance m k ~store:(store k) ~task_id_base:!task_base ~inst_id:i
+        ~arrival_ns:arrivals.(i)
+    in
+    task_base := !task_base + Exec_model.task_count m k;
+    incr next;
+    keep inst;
+    inst
+  in
+  ( {
+      sv_tick =
+        (fun ops ~now ->
+          let made = ref 0 in
+          while !next < n && arrivals.(!next) <= now do
+            made := !made + ops.so_inject (build ())
+          done;
+          !made);
+      sv_next = (fun ~now:_ -> if !next < n then Some arrivals.(!next) else None);
+      sv_finished = (fun ops ~now:_ -> ops.so_completed () = n);
+      sv_unarrived = (fun () -> Seq.drop !next (Array.to_seq items));
+    },
+    fun () ->
+      while !next < n do
+        ignore (build () : Task.instance)
+      done )
+
+let fixed m =
+  let placeholder = Store.create [] in
+  fst (fixed_source m ~store:(fun _ -> placeholder) ~keep:ignore)
 
 type handler_snapshot = { hs_busy_until : int; hs_busy_ns : int; hs_tasks_run : int }
 
@@ -204,7 +218,7 @@ let des_substrate ~obs ~clock0 ~prng plan (params : Core.params) (stats : Core.w
         let c = scale (float_of_int (plan.p_overhead ~ready ~ops)) in
         stats.Core.wm_ns <- stats.Core.wm_ns + c;
         c);
-    s_tick_end = (fun _ -> Des.sample_depth des);
+    s_tick_end = (fun _ ~busy:_ -> Des.sample_depth des);
     s_counters = Des.counters des;
     (* Resource managers are threads [0 .. n_pes-1], the workload
        manager thread [n_pes]; their first events are pushed in that
@@ -258,7 +272,7 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
       handlers);
   let fault = Core.compile_fault fault ~handlers in
   let fault_on = Fault.enabled fault in
-  let stats = Core.make_stats () in
+  let stats = Core.make_stats ~classes:(Array.length classes) in
   let aborted () = match stats.Core.aborted with None -> false | Some _ -> true in
   (* The instances injected and neither completed nor cancelled, by id:
      the machine holds no array indexed by instance or task id, so its
@@ -400,6 +414,8 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
   let ds_ops = ref 0 in
   let tick_completions = ref 0 in
   let tick_injected = ref 0 in
+  (* Whether the tick started a scheduling round: an idle one waited. *)
+  let tick_busy = ref false in
   let tick_t0 = ref 0 in
   let stopped_at = ref 0 in
   let idle = Array.make (max 1 n_pes) false in
@@ -465,8 +481,9 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
             Obs.on_instance_injected obs ~now:(s.s_now ()) ~instance:inst.Task.inst_id
               ~app:inst.Task.app.App_spec.app_name;
           Ids.replace live inst.Task.inst_id inst;
-          List.iter make_ready inst.Task.entry;
-          List.length inst.Task.entry);
+          let entry = (cls inst.Task.tasks.(0)).Exec_model.topology.Task.tp_entry in
+          Array.iter (fun j -> make_ready inst.Task.tasks.(j)) entry;
+          Array.length entry);
       so_cancel =
         (fun (inst : Task.instance) ->
           Array.for_all (fun (t : Task.t) -> t.Task.status <> Task.Running) inst.Task.tasks
@@ -622,6 +639,7 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
   and wm_charge ns pc = wm_then pc (s.s_charge ns)
   and wm_tick_top () =
     tick_t0 := s.s_mark ();
+    tick_busy := false;
     if traced then begin
       tick_completions := 0;
       tick_injected := 0
@@ -678,19 +696,22 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
     let inst = Ids.find live task.Task.instance_id in
     inst.Task.remaining <- inst.Task.remaining - 1;
     if inst.Task.remaining = 0 then begin
-      inst.Task.completed_at <- s.s_now ();
+      let now = s.s_now () in
+      inst.Task.completed_at <- now;
+      Core.instance_completed stats ~cls:task.Task.cls ~arrival_ns:inst.Task.arrival_ns ~now;
       incr completed;
       Ids.remove live inst.Task.inst_id
     end;
     let newly = ref 0 in
-    List.iter
-      (fun (succ : Task.t) ->
+    Array.iter
+      (fun j ->
+        let succ = inst.Task.tasks.(j) in
         succ.Task.unmet <- succ.Task.unmet - 1;
         if succ.Task.unmet = 0 then begin
           make_ready succ;
           incr newly
         end)
-      task.Task.successors;
+      (cls task).Exec_model.topology.Task.tp_succ.(task.Task.index);
     if !newly > 0 then
       wm_charge (Cost_model.ready_update_per_task_ns *. float_of_int !newly) 11
     else wm_after_completion ()
@@ -702,6 +723,7 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
     end
   and do_schedule ret =
     ds_ret := ret;
+    tick_busy := true;
     let now = s.s_now () in
     if fault_on then begin
       (* The reference pops the stale entries ahead of its first Ready
@@ -981,7 +1003,7 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
   and wm_fault_tail () =
     if fault_on && Core.fault_tick res ~now:(s.s_now ()) then do_schedule 3 else wm_tick_tail ()
   and wm_tick_tail () =
-    s.s_tick_end !tick_t0;
+    s.s_tick_end !tick_t0 ~busy:!tick_busy;
     let now = s.s_now () in
     if traced then
       Obs.on_wm_tick obs ~now ~completions:!tick_completions ~injected:!tick_injected;
@@ -1024,32 +1046,42 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
     ~on_resume:(fun th -> if th = wm_th then wm_goto !wm_pc else rm_goto th rm_pc.(th));
   (handlers, stats, s.s_counters, !stopped_at)
 
-(* A batch run of [instances] on the substrate [substrate prng] builds;
+(* A batch run over [source] on the substrate [substrate prng] builds;
    [prng] is the run's engine PRNG, the RANDOM policy's. *)
-let run_timed ~obs ~fault plan (params : Core.params) substrate instances =
+let run_timed ~obs ~fault plan (params : Core.params) substrate source =
   let prng = Prng.create ~seed:params.Core.seed in
   let handlers, stats, fabric, stopped_at =
-    exec ~obs ~fault ~records:true ~resume:None ~prng plan params (fixed instances)
-      (substrate prng)
+    exec ~obs ~fault ~records:true ~resume:None ~prng plan params source (substrate prng)
   in
   let config = plan.p_config in
   Core.report ~host_name:config.Config.host.Host.name ~config ~policy:plan.p_policy
-    ~handlers ~instances ~stats ~fabric ~stopped_at
+    ~handlers ~model:plan.p_model ~stats ~fabric ~stopped_at
 
 let on_des ~obs plan params prng _ stats = des_substrate ~obs ~clock0:0 ~prng plan params stats
 
 let run ?(obs = Obs.disabled) ?fault plan params =
-  run_timed ~obs ~fault plan params (on_des ~obs plan params)
-    (Exec_model.instantiate plan.p_model ~fresh_stores:false)
+  run_timed ~obs ~fault plan params (on_des ~obs plan params) (fixed plan.p_model)
+
+(* A batch run that keeps every instance, each with its own store. *)
+let run_kept ~obs ~fault plan params substrate =
+  let m = plan.p_model and kept = ref [] in
+  let source, rest =
+    fixed_source m
+      ~store:(fun k ->
+        Store.create m.Exec_model.classes.(k).Exec_model.topology.Task.tp_spec.App_spec.variables)
+      ~keep:(fun inst -> kept := inst :: !kept)
+  in
+  let report = run_timed ~obs ~fault plan params substrate source in
+  rest ();
+  (report, Array.of_list (List.rev !kept))
 
 let run_detailed ?(obs = Obs.disabled) ?fault plan params =
-  let instances = Exec_model.instantiate plan.p_model ~fresh_stores:true in
-  let report = run_timed ~obs ~fault plan params (on_des ~obs plan params) instances in
+  let report, instances = run_kept ~obs ~fault plan params (on_des ~obs plan params) in
   Functional.fill_stores plan.p_model instances;
   (report, instances)
 
-let run_on ?(obs = Obs.disabled) ?fault ~config ~policy model params substrate instances =
-  run_timed ~obs ~fault (plan_of ~config ~policy model) params (fun _ -> substrate) instances
+let run_on ?(obs = Obs.disabled) ?fault ~config ~policy model params substrate =
+  run_kept ~obs ~fault (plan_of ~config ~policy model) params (fun _ -> substrate)
 
 let serve ?(obs = Obs.disabled) ?fault ?resume plan (params : Core.params) source =
   let prng =

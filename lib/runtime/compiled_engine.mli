@@ -10,9 +10,9 @@
     classes' price rows, with no per-event closure allocation.  The
     machine runs over a {!type:substrate}: {!Des} (virtual clock, event
     heap, shared host cores and fabric ledger) for every deterministic
-    run — both deterministic names of {!Emulator} ([Virtual] and
-    [Compiled]), {!Dssoc_explore.Sweep} and the resident server — and
-    OCaml 5 domains for {!Native_engine} ({!val:run_on}).
+    run — {!Emulator}'s [Virtual] engine, {!Dssoc_explore.Sweep} and
+    the resident server — and OCaml 5 domains for {!Native_engine}
+    ({!val:run_on}).
 
     Every input takes this one path: any seed, jitter, reservation
     depth and policy, traced or not, fault plan or not.  The five
@@ -29,25 +29,22 @@
     the metrics registry, while an untraced run pays only one
     predictable branch per hook site.
 
-    The test suite keeps a second implementation of the same semantics
-    as a reference: direct-style workload and resource managers over
-    effect threads on {!Des}.  Its differential matrix pins exact
-    replay — the same [Stats.report] (byte-identical [records_csv]),
-    final stores, JSONL event log and [Metrics.pp] — with and without
-    fault plans, and digests captured before the two were unified pin
-    the shared fault bookkeeping.
+    The test suite's reference engine implements the same semantics
+    independently (direct-style managers over effect threads on
+    {!Des}); its differential matrix pins exact replay.
 
     Every run draws its arrivals from one source ({!type:service}): a
-    batch run's is the fixed stream of its instantiated workload
-    ({!val:fixed}), the resident server's ({!val:serve}) admits
-    arrivals as they come, and a service run can resume from a
-    checkpoint.
+    batch run's is the fixed stream of its workload ({!val:fixed}),
+    the resident server's ({!val:serve}) admits arrivals as they come,
+    and a service run can resume from a checkpoint.  Either way an
+    instance is built from its class when it arrives, and the DAG is
+    read from the class ([tp_succ], [tp_entry]).
 
     On {!Des}, neither compilation nor {!val:run} executes a kernel:
     the loop is timing only, and a report-only run's instances share
     one empty placeholder store.  {!val:run_detailed} gives each
-    instance its own store and fills it after the run with
-    {!Functional}. *)
+    instance its own store, keeps every instance and fills the stores
+    after the run with {!Functional}. *)
 
 type plan
 
@@ -88,8 +85,8 @@ val run :
   plan ->
   Engine_core.params ->
   Stats.report
-(** Execute one emulation of the plan: instantiate fresh instances,
-    run the workload-manager protocol, assemble the report.  With
+(** Execute one emulation of the plan over {!val:fixed} and assemble
+    the report.  With
     [?obs], also emit the event log and metrics.  [fault] (default
     none) injects the plan's deterministic fault schedule and turns on
     resilient dispatch; the report's [verdict] and [resilience] fields
@@ -102,8 +99,10 @@ val run_detailed :
   plan ->
   Engine_core.params ->
   Stats.report * Task.instance array
-(** Like {!val:run}, also returning the instances with their final
-    stores ({!Functional.fill_stores}) for functional inspection. *)
+(** Like {!val:run}, but each instance gets its own store and the run
+    keeps them all (an aborted run's arrivals never injected too),
+    returning them in id order with their final stores
+    ({!Functional.fill_stores}) for functional inspection. *)
 
 (** {1 Substrates}
 
@@ -143,7 +142,9 @@ type substrate = {
   s_mark : unit -> int;  (** a token taken before a policy call and at a WM tick's top *)
   s_sched_done : int -> ready:int -> ops:int -> int;
       (** a policy call's cost, ns, which the WM then {!s_work}s *)
-  s_tick_end : int -> unit;  (** close a WM tick *)
+  s_tick_end : int -> busy:bool -> unit;
+      (** close a WM tick, given its top's token; [busy] unless it
+          started no scheduling round (it found nothing to do) *)
   s_counters : Engine_core.fabric_counters;  (** fabric contention so far *)
   s_run : on_start:(int -> unit) -> on_resume:(int -> unit) -> unit;
       (** run every thread to its end: [on_start th] starts thread
@@ -158,13 +159,12 @@ val run_on :
   Exec_model.t ->
   Engine_core.params ->
   (Engine_core.handler array -> Engine_core.wm_stats -> substrate) ->
-  Task.instance array ->
-  Stats.report
-(** A batch run of the instances (of the lowering given) on the
-    substrate the function builds, given the run's handlers and
-    statistics once the engine's metrics are registered.  The engine
-    PRNG (the RANDOM policy's) is seeded from [params].  Exceptions
-    from the substrate's [s_run] propagate. *)
+  Stats.report * Task.instance array
+(** {!val:run_detailed} of the lowering's workload, without
+    {!Functional}, on the substrate the function builds, given the
+    run's handlers and statistics once the engine's metrics are
+    registered.  The engine PRNG (the RANDOM policy's) is seeded from
+    [params].  Exceptions from the substrate's [s_run] propagate. *)
 
 (** {1 Arrival sources}
 
@@ -211,11 +211,13 @@ type service = {
           run.  Only read when a PE dies. *)
 }
 
-val fixed : Task.instance array -> service
-(** The source of a batch run: each instance (sorted by arrival, ids
-    in that order) is injected at the first tick at or after its
-    arrival, and the run finishes once all have completed.
-    {!val:run} and {!val:run_detailed} run their instances through it. *)
+val fixed : Exec_model.t -> service
+(** The source of a batch run: workload item [i] is built as instance
+    [i] ({!Exec_model.instance}, task ids dense from 0 in item order)
+    at the first tick at or after its arrival, and the run finishes
+    once all have completed.  The instances share one empty
+    placeholder store and the source keeps none, so each lives only
+    from injection to completion. *)
 
 (** At a quiescent instant (empty ready list, nothing in flight) the
     only engine state that matters for the future of a run is the

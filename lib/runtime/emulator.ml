@@ -1,18 +1,10 @@
-type engine =
-  | Virtual of Engine_core.params
-  | Native of Engine_core.params
-  | Compiled of Engine_core.params
+type engine = Virtual of Engine_core.params | Native of Engine_core.params
 
 let virtual_seeded ?(jitter = 0.03) ?(reservation_depth = 0) seed =
   Virtual { Engine_core.seed; jitter; reservation_depth }
 
 let native_seeded ?(jitter = 0.0) ?(reservation_depth = 0) seed =
   Native { Engine_core.seed; jitter; reservation_depth }
-
-let compiled_seeded ?(jitter = 0.03) ?(reservation_depth = 0) seed =
-  Compiled { Engine_core.seed; jitter; reservation_depth }
-
-let native_default = Native Native_engine.default_params
 
 let with_policy name f =
   match Scheduler.find name with
@@ -24,9 +16,8 @@ let run ?(engine = Virtual Engine_core.default_params) ?(policy = "FRFS") ?obs ?
   with_policy policy (fun policy ->
       match engine with
       | Native params -> Native_engine.run ~params ?obs ?fault ~config ~workload ~policy ()
-      | Virtual params | Compiled params ->
-        Compiled_engine.run ?obs ?fault
-          (Compiled_engine.compile ~config ~workload ~policy ())
+      | Virtual params ->
+        Compiled_engine.run ?obs ?fault (Compiled_engine.compile ~config ~workload ~policy ())
           params)
 
 let run_exn ?engine ?policy ?obs ?fault ~config ~workload () =
@@ -40,7 +31,6 @@ let run_detailed ?(engine = Virtual Engine_core.default_params) ?(policy = "FRFS
       match engine with
       | Native params ->
         Native_engine.run_detailed ~params ?obs ?fault ~config ~workload ~policy ()
-      | Virtual params | Compiled params ->
-        Compiled_engine.run_detailed ?obs ?fault
-          (Compiled_engine.compile ~config ~workload ~policy ())
-          params)
+      | Virtual params ->
+        let plan = Compiled_engine.compile ~config ~workload ~policy () in
+        Compiled_engine.run_detailed ?obs ?fault plan params)

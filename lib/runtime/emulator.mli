@@ -5,8 +5,7 @@
     point.  There are two engines, and both take the same
     {!Engine_core.params}: the deterministic one ({!Compiled_engine},
     virtual nanoseconds on {!Des}) and the native one (real OCaml 5
-    domains).  [Virtual] and [Compiled] are two names of the
-    deterministic engine. *)
+    domains). *)
 
 type engine =
   | Virtual of Engine_core.params
@@ -16,29 +15,19 @@ type engine =
       (** {!Compiled_engine}'s machine over OCaml 5 domains, running
           kernels in real time on the machine running the emulator
           ({!Native_engine}) *)
-  | Compiled of Engine_core.params
-      (** the same engine as [Virtual], under the name of its
-          implementation *)
 
 val virtual_seeded : ?jitter:float -> ?reservation_depth:int -> int64 -> engine
 (** Convenience: the deterministic engine with the given seed (jitter
     defaults to 0.03, reservation queues off — see
-    {!Engine_core.params}). *)
+    {!Engine_core.params}).  Each call to {!run} compiles the triple
+    afresh; callers that re-run one workload many times should use
+    {!Compiled_engine.compile} once and {!Compiled_engine.run} per
+    emulation instead. *)
 
 val native_seeded : ?jitter:float -> ?reservation_depth:int -> int64 -> engine
 (** Convenience: native engine with the given seed (jitter defaults to
     0. — native kernels run for real; the jitter only shapes the
     modelled device-compute sleeps — reservation queues off). *)
-
-val compiled_seeded : ?jitter:float -> ?reservation_depth:int -> int64 -> engine
-(** Convenience: {!virtual_seeded} under its other name (same defaults
-    and runs).  Each call to {!run} on either name compiles the triple
-    afresh; callers that re-run one workload many times should use
-    {!Compiled_engine.compile} once and {!Compiled_engine.run} per
-    emulation instead. *)
-
-val native_default : engine
-(** Native engine with {!Native_engine.default_params}. *)
 
 val run :
   ?engine:engine ->

@@ -69,9 +69,13 @@ type wm_stats = {
   mutable quarantines : int;
   mutable pe_deaths : int;
   mutable aborted : string option;  (** first abort reason, if any *)
+  mutable last_completion : int;
+  latencies : latency array;  (** per class *)
 }
 
-let make_stats () =
+and latency = { mutable lat_count : int; mutable lat_sum : int; mutable lat_max : int }
+
+let make_stats ~classes =
   {
     sched_invocations = 0;
     sched_ns = 0;
@@ -82,7 +86,16 @@ let make_stats () =
     quarantines = 0;
     pe_deaths = 0;
     aborted = None;
+    last_completion = 0;
+    latencies = Array.init classes (fun _ -> { lat_count = 0; lat_sum = 0; lat_max = 0 });
   }
+
+let instance_completed stats ~cls ~arrival_ns ~now =
+  if now > stats.last_completion then stats.last_completion <- now;
+  let l = stats.latencies.(cls) and lat = now - arrival_ns in
+  l.lat_count <- l.lat_count + 1;
+  l.lat_sum <- l.lat_sum + lat;
+  if lat > l.lat_max then l.lat_max <- lat
 
 (* Fabric contention accumulator.  Virtual/compiled mutate it from the
    single event-loop thread; native guards it with the fabric mutex. *)
@@ -338,41 +351,37 @@ let wm_deadline r next =
 (* ------------------------------------------------------------------ *)
 
 let report ~host_name ~(config : Config.t) ~(policy : Scheduler.policy)
-    ~(handlers : handler array) ~(instances : Task.instance array)
-    ~(stats : wm_stats) ~(fabric : fabric_counters) ~stopped_at =
-  (* An aborted run leaves instances unfinished ([completed_at] = -1):
-     its makespan is the instant its machine stopped, and latencies
-     cover the finished instances only. *)
-  let makespan =
-    if stats.aborted <> None then stopped_at
-    else Array.fold_left (fun acc inst -> max acc inst.Task.completed_at) 0 instances
-  in
+    ~(handlers : handler array) ~(model : Exec_model.t) ~(stats : wm_stats)
+    ~(fabric : fabric_counters) ~stopped_at =
+  (* An aborted run leaves instances unfinished: its makespan is the
+     instant its machine stopped, and latencies cover the finished
+     instances only. *)
+  let makespan = if stats.aborted <> None then stopped_at else stats.last_completion in
+  (* Every app of the workload gets a row; classes of one app name
+     share it. *)
   let app_tbl = Hashtbl.create 4 in
-  Array.iter
-    (fun inst ->
-      let name = inst.Task.app.App_spec.app_name in
-      let lats = Option.value ~default:[] (Hashtbl.find_opt app_tbl name) in
-      let done_ = inst.Task.completed_at >= 0 in
-      Hashtbl.replace app_tbl name
-        (if done_ then (inst.Task.completed_at - inst.Task.arrival_ns) :: lats else lats))
-    instances;
+  Array.iteri
+    (fun k (c : Exec_model.cls) ->
+      let name = c.Exec_model.topology.Task.tp_spec.App_spec.app_name in
+      let l = stats.latencies.(k) in
+      let n, sum, mx = Option.value ~default:(0, 0, 0) (Hashtbl.find_opt app_tbl name) in
+      Hashtbl.replace app_tbl name (n + l.lat_count, sum + l.lat_sum, max mx l.lat_max))
+    model.Exec_model.classes;
   let app_stats =
     Hashtbl.fold
-      (fun name lats acc ->
-        let n = List.length lats in
-        let sum = List.fold_left ( + ) 0 lats in
+      (fun name (n, sum, mx) acc ->
         ( name,
           {
             Stats.instances = n;
             mean_latency_ns = float_of_int sum /. float_of_int (max 1 n);
-            max_latency_ns = List.fold_left max 0 lats;
+            max_latency_ns = mx;
           } )
         :: acc)
       app_tbl []
     |> List.sort compare
   in
   let task_count =
-    Array.fold_left (fun acc i -> acc + Array.length i.Task.tasks) 0 instances
+    Array.fold_left (fun acc k -> acc + Exec_model.task_count model k) 0 model.Exec_model.items
   in
   let verdict =
     match stats.aborted with
@@ -384,7 +393,7 @@ let report ~host_name ~(config : Config.t) ~(policy : Scheduler.policy)
     config_label = config.Config.label;
     policy_name = policy.Scheduler.name;
     makespan_ns = makespan;
-    job_count = Array.length instances;
+    job_count = Array.length model.Exec_model.items;
     task_count;
     pe_usage =
       Array.to_list

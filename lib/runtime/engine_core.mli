@@ -92,9 +92,18 @@ type wm_stats = {
   mutable quarantines : int;
   mutable pe_deaths : int;
   mutable aborted : string option;  (** first abort reason, if any *)
+  mutable last_completion : int;  (** latest instance completion, ns; 0 before any *)
+  latencies : latency array;  (** per class of the run's lowering *)
 }
 
-val make_stats : unit -> wm_stats
+and latency
+(** A class's completed instances: their count, latency sum and max. *)
+
+val make_stats : classes:int -> wm_stats
+
+val instance_completed : wm_stats -> cls:int -> arrival_ns:int -> now:int -> unit
+(** Fold an instance's completion at [now] into the makespan and its
+    class's latency count, sum and max. *)
 
 type fabric_counters = {
   mutable fc_streams : int;  (** DMA streams routed through the fabric *)
@@ -214,15 +223,16 @@ val report :
   config:Dssoc_soc.Config.t ->
   policy:Scheduler.policy ->
   handlers:handler array ->
-  instances:Task.instance array ->
+  model:Exec_model.t ->
   stats:wm_stats ->
   fabric:fabric_counters ->
   stopped_at:int ->
   Stats.report
-(** Assemble the run report: makespan, per-PE usage and energy,
-    scheduling statistics, task records (oldest first), per-app
-    latency summaries and fabric contention counters.  The makespan is
-    the latest instance completion, or for an aborted run [stopped_at],
-    the clock at which the workload manager stopped the run (at or
-    after every completion); per-app latencies cover the instances that
-    finished. *)
+(** Assemble the report of a batch run of the lowering's workload:
+    makespan, per-PE usage and energy, scheduling statistics, task
+    records (oldest first), per-app latency summaries and fabric
+    contention counters.  The makespan is the latest instance
+    completion, or for an aborted run [stopped_at], the clock at which
+    the workload manager stopped the run (at or after every
+    completion).  Every app of the workload has a row, covering the
+    instances that finished. *)

@@ -208,20 +208,6 @@ let task_count m k = Array.length m.classes.(k).topology.Task.tp_nodes
 let instance m k ~store ~task_id_base ~inst_id ~arrival_ns =
   Task.instance m.classes.(k).topology ~cls:k ~store ~task_id_base ~inst_id ~arrival_ns
 
-let instantiate m ~fresh_stores =
-  let placeholder = lazy (Store.create []) in
-  let base = ref 0 in
-  Array.mapi
-    (fun i k ->
-      let store =
-        if fresh_stores then Store.create m.classes.(k).topology.Task.tp_spec.App_spec.variables
-        else Lazy.force placeholder
-      in
-      let inst = instance m k ~store ~task_id_base:!base ~inst_id:i ~arrival_ns:m.arrivals.(i) in
-      base := !base + task_count m k;
-      inst)
-    m.items
-
 let class_of m (task : Task.t) = m.classes.(task.Task.cls)
 
 let node_names m =

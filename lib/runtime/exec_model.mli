@@ -76,9 +76,8 @@ val lower :
 
 val lower_specs :
   engine_name:string -> config:Dssoc_soc.Config.t -> Dssoc_apps.App_spec.t list -> t
-(** {!lower} for a run whose instances are built one at a time
-    ({!instance}): class [k] is the [k]-th spec's, and there are no
-    items. *)
+(** {!lower} for a resident service, which admits its own arrivals:
+    class [k] is the [k]-th spec's, and there are no items. *)
 
 val instance :
   t ->
@@ -90,11 +89,8 @@ val instance :
   Task.instance
 (** [instance m k ...] is one instance of class [k] ({!Task.instance}). *)
 
-val instantiate : t -> fresh_stores:bool -> Task.instance array
-(** One instance per workload item, with dense task ids from 0.  With
-    [fresh_stores] each instance gets its own initialised store;
-    otherwise every instance shares one empty placeholder, for runs
-    that never read a store. *)
+val task_count : t -> int -> int
+(** [task_count m k]: the number of tasks of a class-[k] instance. *)
 
 val class_of : t -> Task.t -> cls
 (** The class of the task's instance ([classes.(task.cls)]). *)

@@ -60,16 +60,15 @@ let stream f (c : Core.fabric_counters) ~obs ~now pe ~bytes ns =
 (* The machine over OCaml 5 domains: one domain per PE runs its
    resource manager, the calling domain the workload manager.  Every
    call blocks the calling domain and returns [false], so nothing ever
-   suspends.  A resource manager awaits on its handler's condition
-   variable; the workload manager polls.  Kernels run for real on the
-   task's store, modelled device compute and fabric demand are timed
-   sleeps, and manager costs are measured wall time. *)
+   suspends.  Each thread waits on a pipe of its own, leaving its core
+   to the others: a signal is a byte that stays pending until the next
+   wait reads it, and a wait can also end at a deadline.  Kernels run
+   for real on the task's store, modelled device compute and fabric
+   demand are timed sleeps, and manager costs are measured wall time. *)
 let substrate ~obs ~(config : Config.t) ~(params : Core.params) (handlers : Core.handler array)
     (stats : Core.wm_stats) =
   let n = Array.length handlers in
   let mutex = Array.init n (fun _ -> Mutex.create ()) in
-  let cond = Array.init n (fun _ -> Condition.create ()) in
-  let signalled = Array.make n false in
   (* Jitter draws come from a stream per resource manager, so domains
      never contend on — or nondeterministically interleave draws from —
      a shared one. *)
@@ -87,28 +86,39 @@ let substrate ~obs ~(config : Config.t) ~(params : Core.params) (handlers : Core
           f_fifo_depth = bus.Fabric.fifo_depth;
         }
   in
-  (* A resource manager that died raising is re-raised at the workload
-     manager's next poll. *)
-  let failed = Atomic.make None in
-  let poll () =
-    (match Atomic.get failed with
-    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> Domain.cpu_relax ());
-    false
-  in
-  let signal th =
-    if th < n then begin
-      Mutex.lock mutex.(th);
-      signalled.(th) <- true;
-      Condition.signal cond.(th);
-      Mutex.unlock mutex.(th)
-    end
-  in
   (* Handler domains emit into the sink concurrently with the WM, so
      switch the log from its single-producer mode before any spawns. *)
   Obs.Sink.synchronize (Obs.sink obs);
   let start = Mclock.now_ns () in
   let now () = Mclock.now_ns () - start in
+  let pipes =
+    Array.init (n + 1) (fun _ ->
+        let r, w = Unix.pipe ~cloexec:true () in
+        Unix.set_nonblock r;
+        Unix.set_nonblock w;
+        (r, w))
+  in
+  let one = Bytes.make 1 'x' in
+  let again f = try f () with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> () in
+  (* A full pipe already holds a pending signal. *)
+  let signal th = again (fun () -> ignore (Unix.single_write (snd pipes.(th)) one 0 1)) in
+  (* A resource manager that died raising signals the workload manager,
+     which re-raises when it wakes. *)
+  let failed = Atomic.make None in
+  let await th deadline =
+    let r = fst pipes.(th) in
+    let timeout =
+      match deadline with None -> -1.0 | Some t -> Float.max 0.0 (float_of_int (t - now ()) /. 1e9)
+    in
+    (match Unix.select [ r ] [] [] timeout with
+    | [], _, _ -> ()
+    | _ -> again (fun () -> ignore (Unix.read r (Bytes.create 64) 0 64))
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
+    (match Atomic.get failed with
+    | Some (e, bt) when th = n -> Printexc.raise_with_backtrace e bt
+    | _ -> ());
+    false
+  in
   {
     Compiled.s_now = now;
     s_work = (fun _ _ -> false);
@@ -120,19 +130,8 @@ let substrate ~obs ~(config : Config.t) ~(params : Core.params) (handlers : Core
       (fun th ~bytes ns ->
         (match fab with Some f -> stream f counters ~obs ~now th ~bytes ns | None -> ());
         false);
-    s_await =
-      (fun th ->
-        if th = n then poll ()
-        else begin
-          Mutex.lock mutex.(th);
-          while not signalled.(th) do
-            Condition.wait cond.(th) mutex.(th)
-          done;
-          signalled.(th) <- false;
-          Mutex.unlock mutex.(th);
-          false
-        end);
-    s_await_until = (fun _ _ -> poll ());
+    s_await = (fun th -> await th None);
+    s_await_until = (fun th t -> await th (Some t));
     s_signal = signal;
     s_lock = (fun h -> Mutex.lock mutex.(h.Core.h_index));
     s_unlock = (fun h -> Mutex.unlock mutex.(h.Core.h_index));
@@ -164,11 +163,13 @@ let substrate ~obs ~(config : Config.t) ~(params : Core.params) (handlers : Core
         false);
     (* Manager bookkeeping costs real time here: nothing to model.
        Scheduling cost is the policy call's wall time, and the WM's
-       overhead each tick's. *)
+       overhead each tick's that did work (a tick that found nothing to
+       do was waiting). *)
     s_charge = (fun _ -> false);
     s_mark = now;
     s_sched_done = (fun t0 ~ready:_ ~ops:_ -> now () - t0);
-    s_tick_end = (fun t0 -> stats.Core.wm_ns <- stats.Core.wm_ns + (now () - t0));
+    s_tick_end =
+      (fun t0 ~busy -> if busy then stats.Core.wm_ns <- stats.Core.wm_ns + (now () - t0));
     s_counters = counters;
     s_run =
       (fun ~on_start ~on_resume:_ ->
@@ -179,13 +180,14 @@ let substrate ~obs ~(config : Config.t) ~(params : Core.params) (handlers : Core
                   try on_start i
                   with e ->
                     (* A raising kernel ends this domain; the workload
-                       manager re-raises at its next poll instead of
+                       manager re-raises when it wakes instead of
                        waiting forever on a task that will never
                        complete. *)
                     ignore
                       (Atomic.compare_and_set failed None
                          (Some (e, Printexc.get_raw_backtrace ()))
-                        : bool)))
+                        : bool);
+                    signal n))
         in
         (* ...while the calling domain plays the workload manager (Fig. 3). *)
         let wm =
@@ -206,17 +208,16 @@ let substrate ~obs ~(config : Config.t) ~(params : Core.params) (handlers : Core
             signal i)
           handlers;
         Array.iter Domain.join domains;
+        Array.iter (fun (r, w) -> Unix.close r; Unix.close w) pipes;
         match wm with Error (e, bt) -> Printexc.raise_with_backtrace e bt | Ok () -> ());
   }
 
 let run_detailed ?(params = default_params) ?obs ?fault ~(config : Config.t)
     ~(workload : Workload.t) ~(policy : Scheduler.policy) () =
   let model = Exec_model.lower ~engine_name:"Native_engine.run" ~config workload in
-  let instances = Exec_model.instantiate model ~fresh_stores:true in
-  let report =
+  let report, instances =
     Compiled.run_on ?obs ?fault ~config ~policy model params
       (substrate ~obs:(Option.value obs ~default:Obs.disabled) ~config ~params)
-      instances
   in
   ({ report with Stats.host_name = config.Config.host.Host.name ^ " (native)" }, instances)
 

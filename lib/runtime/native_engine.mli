@@ -4,9 +4,8 @@
     calling domain plays the workload manager.  Both run
     {!Compiled_engine}'s program-counter machine — the one
     implementation of the protocol, which every deterministic run also
-    runs over {!Des} — over a substrate of per-handler mutex/condvar
-    pairs, a polling workload manager and the monotonic wall clock
-    ({!Dssoc_util.Mclock}).  Nothing suspends on it: every call blocks
+    runs over {!Des} — over a substrate of per-handler mutexes, a wake-up
+    pipe per thread and the monotonic wall clock ({!Dssoc_util.Mclock}).  Nothing suspends on it: every call blocks
     the calling domain, so each thread's life is one chain of tail
     calls.  Built-in policies run as the machine's specialised loops
     over its ready list, any other through its closure.
@@ -20,7 +19,8 @@
     with a timed sleep of the modelled duration (substitution
     documented in DESIGN.md); a bus fabric's link demand is a timed
     sleep gated by its FIFO.  Scheduling cost is the policy call's
-    measured wall time, the workload manager's overhead each tick's.
+    measured wall time, the workload manager's overhead that of each
+    tick that harvested a completion, injected or ran the policy.
 
     Because kernels and manager overheads are real, {!params} shapes
     rather than determines a native run: the seed drives the RANDOM
@@ -58,8 +58,8 @@ val run :
     Whatever happens — including a policy or kernel exception — every
     handler domain is stopped and joined before this function returns
     or re-raises; a poisoned run leaks no domains.  A kernel that
-    raises in a handler domain stops the workload manager at its next
-    poll, and its exception is the one re-raised.
+    raises in a handler domain wakes and stops the workload manager,
+    and its exception is the one re-raised.
     @raise Invalid_argument if some task supports no PE of the
     configuration, if a kernel does not resolve, if a fabric price
     overflows, or if a fault rule targets no PE — all before any

@@ -15,7 +15,6 @@ type t = {
   store : Store.t;
   mutable status : status;
   mutable unmet : int;
-  mutable successors : t list;
   mutable ready_at : int;
   mutable dispatched_at : int;
   mutable completed_at : int;
@@ -30,7 +29,6 @@ type instance = {
   store : Store.t;
   arrival_ns : int;
   tasks : t array;
-  entry : t list;
   mutable remaining : int;
   mutable completed_at : int;
 }
@@ -78,7 +76,6 @@ let instance tp ~cls ~store ~task_id_base ~inst_id ~arrival_ns =
           store;
           status = Blocked;
           unmet = tp.tp_unmet.(j);
-          successors = [];
           ready_at = -1;
           dispatched_at = -1;
           completed_at = -1;
@@ -88,15 +85,12 @@ let instance tp ~cls ~store ~task_id_base ~inst_id ~arrival_ns =
         })
       tp.tp_nodes
   in
-  let pick idx = Array.fold_right (fun k acc -> tasks.(k) :: acc) idx [] in
-  Array.iteri (fun j t -> t.successors <- pick tp.tp_succ.(j)) tasks;
   {
     inst_id;
     app = spec;
     store;
     arrival_ns;
     tasks;
-    entry = pick tp.tp_entry;
     remaining = Array.length tasks;
     completed_at = -1;
   }
@@ -118,9 +112,3 @@ let rec any_entry_matches pe = function
   | e :: rest -> entry_matches e pe || any_entry_matches pe rest
 
 let supports t pe = any_entry_matches pe t.node.App_spec.platforms
-
-let status_to_string = function
-  | Blocked -> "blocked"
-  | Ready -> "ready"
-  | Running -> "running"
-  | Done -> "done"

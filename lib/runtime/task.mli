@@ -25,7 +25,6 @@ type t = {
   store : Dssoc_apps.Store.t;  (** shared with the other tasks of the instance *)
   mutable status : status;
   mutable unmet : int;  (** outstanding predecessor count *)
-  mutable successors : t list;
   mutable ready_at : int;  (** ns, emulation time *)
   mutable dispatched_at : int;
   mutable completed_at : int;
@@ -42,8 +41,7 @@ type instance = {
   app : Dssoc_apps.App_spec.t;
   store : Dssoc_apps.Store.t;
   arrival_ns : int;
-  tasks : t array;  (** in spec declaration order *)
-  entry : t list;  (** tasks with no predecessors *)
+  tasks : t array;  (** in spec declaration order: node [j] of the {!topology} *)
   mutable remaining : int;  (** tasks not yet Done *)
   mutable completed_at : int;  (** -1 until the last task finishes *)
 }
@@ -68,7 +66,7 @@ val instance :
   inst_id:int ->
   arrival_ns:int ->
   instance
-(** Build linked task records over [store], which every task of the
+(** Build the task records over [store], which every task of the
     instance shares.  The tasks occupy ids
     [task_id_base ..= task_id_base + task_count - 1]. *)
 
@@ -85,5 +83,3 @@ val supports : t -> Dssoc_soc.Pe.t -> bool
 val node_entry :
   Dssoc_apps.App_spec.node -> Dssoc_soc.Pe.t -> Dssoc_apps.App_spec.platform_entry option
 (** The node's first platform entry matching the PE, if any. *)
-
-val status_to_string : status -> string

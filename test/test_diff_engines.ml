@@ -30,6 +30,23 @@ module Engine_core = Dssoc_runtime.Engine_core
 
 let policy_of name = Result.get_ok (Scheduler.find name)
 
+(* The fixed source of the plan's workload, also handing back every
+   instance it injected, in id order. *)
+let fixed_recorded plan =
+  let module Compiled = Dssoc_runtime.Compiled_engine in
+  let src = Compiled.fixed (Compiled.model plan) and injected = ref [] in
+  let record (ops : Compiled.service_ops) =
+    {
+      ops with
+      Compiled.so_inject =
+        (fun inst ->
+          injected := inst :: !injected;
+          ops.Compiled.so_inject inst);
+    }
+  in
+  ( { src with Compiled.sv_tick = (fun ops ~now -> src.Compiled.sv_tick (record ops) ~now) },
+    fun () -> Array.of_list (List.rev !injected) )
+
 (* A run of the reference engine, by default jitter-free with seed 1
    (the native comparisons' setting). *)
 let reference ?(params = { Engine_core.seed = 1L; jitter = 0.0; reservation_depth = 0 }) ?obs
@@ -40,7 +57,7 @@ let run_both config spec instances =
   let wl () = Workload.validation [ (spec, instances) ] in
   let vr, vi = reference ~config ~workload:(wl ()) () in
   let nr, ni =
-    Result.get_ok (Emulator.run_detailed ~engine:Emulator.native_default ~config ~workload:(wl ()) ())
+    Result.get_ok (Emulator.run_detailed ~engine:(Emulator.native_seeded 7L) ~config ~workload:(wl ()) ())
   in
   ((vr, vi), (nr, ni))
 
@@ -392,7 +409,7 @@ let test_fault_parity_across_policies () =
       let vr, vi = reference ~policy ~fault:(fault_plan ()) ~config ~workload:(wl ()) () in
       let nr, ni =
         Result.get_ok
-          (Emulator.run_detailed ~engine:Emulator.native_default ~policy
+          (Emulator.run_detailed ~engine:(Emulator.native_seeded 7L) ~policy
              ~fault:(fault_plan ()) ~config ~workload:(wl ()) ())
       in
       Alcotest.(check string)
@@ -464,7 +481,6 @@ let test_aborted_fault_outputs () =
    PE exactly where the batch run of the same plan does. *)
 let test_service_under_fault_plan () =
   let module Compiled = Dssoc_runtime.Compiled_engine in
-  let module Exec_model = Dssoc_runtime.Exec_model in
   let config = Config.zcu102_cores_ffts ~cores:2 ~ffts:1 in
   let wl () =
     Workload.validation
@@ -476,8 +492,9 @@ let test_service_under_fault_plan () =
   let params = { Engine_core.seed = 3L; jitter = 0.03; reservation_depth = 1 } in
   let plan = Compiled.compile ~config ~workload:(wl ()) ~policy:Scheduler.eft () in
   let batch, insts = Compiled.run_detailed ~fault plan params in
-  let served = Exec_model.instantiate (Compiled.model plan) ~fresh_stores:false in
-  let sr = Compiled.serve ~fault plan params (Compiled.fixed served) in
+  let source, served = fixed_recorded plan in
+  let sr = Compiled.serve ~fault plan params source in
+  let served = served () in
   Alcotest.(check bool) "the plan struck" true (batch.Stats.resilience.Stats.task_retries > 0);
   Alcotest.(check (option string)) "not aborted" None sr.Compiled.sr_aborted;
   Alcotest.(check (list int)) "instance completion times"
@@ -519,10 +536,39 @@ let test_abort_for_unarrived_instance () =
   let module Compiled = Dssoc_runtime.Compiled_engine in
   let plan = Compiled.compile ~config ~workload ~policy:Scheduler.frfs () in
   check "pc machine" (Compiled.run ~fault plan params);
-  let insts = Dssoc_runtime.Exec_model.instantiate (Compiled.model plan) ~fresh_stores:false in
-  let sr = Compiled.serve ~fault plan params (Compiled.fixed insts) in
+  let sr = Compiled.serve ~fault plan params (Compiled.fixed (Compiled.model plan)) in
   Alcotest.(check (option string)) "served over the fixed stream" (Some reason)
     sr.Compiled.sr_aborted
+
+(* A batch instance lives from injection to completion: once it has
+   completed, neither the engine nor the fixed source holds it.  The
+   second instance arrives 10 ms after the first, long after the first
+   completed; at that tick, before the second is built, a full major
+   collection must have freed the first. *)
+let test_completed_instance_freed () =
+  let module Compiled = Dssoc_runtime.Compiled_engine in
+  let config = Config.zcu102_cores_ffts ~cores:2 ~ffts:1 in
+  let spec = Reference_apps.wifi_tx () in
+  let item i arrival_ns = { Workload.spec; arrival_ns; instance = i } in
+  let workload = { Workload.items = [ item 0 0; item 1 10_000_000 ]; window_ns = 0 } in
+  let plan = Compiled.compile ~config ~workload ~policy:Scheduler.frfs () in
+  let params = { Engine_core.seed = 1L; jitter = 0.0; reservation_depth = 0 } in
+  let src = Compiled.fixed (Compiled.model plan) in
+  let injected = Weak.create 2 and first_alive = ref None in
+  let tick (ops : Compiled.service_ops) ~now =
+    if now >= 10_000_000 && !first_alive = None then begin
+      Alcotest.(check int) "the first instance completed" 1 (ops.Compiled.so_completed ());
+      Gc.full_major ();
+      first_alive := Some (Weak.check injected 0)
+    end;
+    let record inst =
+      Weak.set injected inst.Task.inst_id (Some inst);
+      ops.Compiled.so_inject inst
+    in
+    src.Compiled.sv_tick { ops with Compiled.so_inject = record } ~now
+  in
+  ignore (Compiled.serve plan params { src with Compiled.sv_tick = tick });
+  Alcotest.(check (option bool)) "the first instance was freed" (Some false) !first_alive
 
 (* ---------------- event-stream parity ---------------- *)
 
@@ -1233,8 +1279,10 @@ let test_placeholder_stores () =
   ignore (Virtual_engine.run ~params ~config ~workload:(wl ()) ~policy:spy ());
   shared "report-only run" !seen;
   let plan = Compiled.compile ~config ~workload:(wl ()) ~policy:Scheduler.frfs () in
-  let served = Dssoc_runtime.Exec_model.instantiate (Compiled.model plan) ~fresh_stores:false in
-  ignore (Compiled.serve plan params (Compiled.fixed served));
+  let source, served = fixed_recorded plan in
+  ignore (Compiled.serve plan params source);
+  let served = served () in
+  Alcotest.(check int) "service run injects every instance" 5 (Array.length served);
   Alcotest.(check bool) "service run completes every instance" true
     (Array.for_all (fun (i : Task.instance) -> i.Task.completed_at >= 0) served);
   shared "service run" (Array.to_list (Array.map (fun (i : Task.instance) -> i.Task.store) served));
@@ -1598,7 +1646,7 @@ let test_custom_policy_bad_assignments () =
   in
   let params = { Engine_core.seed = 5L; jitter = 0.03; reservation_depth = 0 } in
   let vr, vi = reference ~params ~policy:"BAD_TEST" ~config ~workload:(wl ()) () in
-  let cr, ci = run (Emulator.Compiled params) in
+  let cr, ci = run (Emulator.Virtual params) in
   Alcotest.(check bool) "the policy made unsupported assignments" true (!extras > 0);
   List.iter
     (fun (label, (r : Stats.report), insts) ->
@@ -1684,7 +1732,7 @@ let test_protocol_invariants () =
                       Invariants.check label ~depth ~report ~instances obs)
                     [
                       ("native", Emulator.native_seeded ~reservation_depth:depth 1L);
-                      ("deterministic", Emulator.compiled_seeded ~reservation_depth:depth 1L);
+                      ("deterministic", Emulator.virtual_seeded ~reservation_depth:depth 1L);
                     ])
                 [ 0; 2 ])
             [ "FRFS"; "EFT"; "LIFO_TEST" ])
@@ -1723,7 +1771,11 @@ let () =
             test_cancelled_instance_freed;
         ] );
       ( "stores",
-        [ Alcotest.test_case "placeholder unless outputs are read" `Quick test_placeholder_stores ] );
+        [
+          Alcotest.test_case "placeholder unless outputs are read" `Quick test_placeholder_stores;
+          Alcotest.test_case "a completed batch instance is freed" `Quick
+            test_completed_instance_freed;
+        ] );
       ( "protocol invariants",
         [ Alcotest.test_case "own event log, native and deterministic" `Quick test_protocol_invariants ] );
       ( "missing kernel",
@@ -1731,8 +1783,8 @@ let () =
           Alcotest.test_case "virtual" `Quick
             (test_missing_kernel (Emulator.virtual_seeded ~jitter:0.0 1L));
           Alcotest.test_case "compiled" `Quick
-            (test_missing_kernel (Emulator.compiled_seeded 1L));
-          Alcotest.test_case "native" `Quick (test_missing_kernel Emulator.native_default);
+            (test_missing_kernel (Emulator.virtual_seeded 1L));
+          Alcotest.test_case "native" `Quick (test_missing_kernel (Emulator.native_seeded 7L));
         ] );
       ( "event streams",
         [ Alcotest.test_case "task-lifecycle multiset parity" `Slow test_event_multiset_parity ] );

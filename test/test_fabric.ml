@@ -391,7 +391,7 @@ let test_mesh_topology_both_engines () =
       ~config ~workload:(wl ()) ~policy:Scheduler.frfs ()
   in
   Alcotest.(check bool) "virtual prices mesh hops" true (vr.Stats.makespan_ns > 0);
-  let cr = run "compiled" (Emulator.compiled_seeded 7L) in
+  let cr = run "compiled" (Emulator.virtual_seeded 7L) in
   Alcotest.(check int) "compiled matches virtual on the mesh" vr.Stats.makespan_ns
     cr.Stats.makespan_ns
 
@@ -414,7 +414,7 @@ let test_hop_latency_overflow () =
       | Ok r -> Alcotest.failf "%s: accepted, makespan %d ns" name r.Stats.makespan_ns)
     [
       ("virtual", Emulator.virtual_seeded ~jitter:0.0 7L, "FRFS", wl);
-      ("compiled", Emulator.compiled_seeded ~jitter:0.0 7L, "FRFS", wl);
+      ("compiled", Emulator.virtual_seeded ~jitter:0.0 7L, "FRFS", wl);
       ("native", Emulator.native_seeded 7L, "MET", unused_accel);
       ("virtual FRFS, accelerator unused", Emulator.virtual_seeded ~jitter:0.0 7L, "FRFS",
         unused_accel);

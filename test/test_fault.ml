@@ -282,6 +282,28 @@ let test_aborted_report_sane () =
         (s.Stats.mean_latency_ns >= 0.0 && s.Stats.max_latency_ns >= 0))
     r.Stats.app_stats
 
+(* An aborted run still lists every app of its workload.  The report
+   folds latencies as instances complete, so an app with no finished
+   instance has a row only because the report seeds one per app: this
+   run stops at the 40-us death of its only CPU before any instance
+   finishes. *)
+let test_aborted_keeps_app_rows () =
+  let config = Config.zcu102_cores_ffts ~cores:1 ~ffts:1 in
+  let workload =
+    Workload.validation [ (Reference_apps.wifi_tx (), 2); (Reference_apps.range_detection (), 1) ]
+  in
+  let r = run_checked ~fault:(plan_of_spec "cpu0:die@40us") ~config ~workload () in
+  Alcotest.(check string) "aborted" "aborted" (Stats.verdict_name r.Stats.verdict);
+  Alcotest.(check (pair int int)) "jobs and tasks of the workload" (3, 20)
+    (r.Stats.job_count, r.Stats.task_count);
+  Alcotest.(check (list string)) "a row per app, none finished"
+    [ "range_detection x0 0.000 0"; "wifi_tx x0 0.000 0" ]
+    (List.map
+       (fun (app, (s : Stats.app_summary)) ->
+         Printf.sprintf "%s x%d %.3f %d" app s.Stats.instances s.Stats.mean_latency_ns
+           s.Stats.max_latency_ns)
+       r.Stats.app_stats)
+
 let test_deterministic_replay () =
   let spec = "fft2:die@1ms,*:transient:p=0.1:recover=0.2ms" in
   let r1 = run_fault (plan_of_spec ~seed:11L spec) in
@@ -440,7 +462,7 @@ let test_native_raising_kernel () =
         Atomic.set outcome
           (Some
              (match
-                Emulator.run ~engine:Emulator.native_default ~config
+                Emulator.run ~engine:(Emulator.native_seeded 7L) ~config
                   ~workload:(Workload.validation [ (spec, 1) ]) ()
               with
              | _ -> "returned"
@@ -466,7 +488,7 @@ let test_emulator_surfaces_fault_plan_errors () =
       match Emulator.run ~engine ~fault:plan ~config:(config ()) ~workload:(workload ()) () with
       | Error msg -> Alcotest.(check bool) "names the target" true (contains ~needle:"fft9" msg)
       | Ok _ -> Alcotest.fail "a no-match fault rule must be rejected")
-    [ det_engine; Emulator.native_default ]
+    [ det_engine; Emulator.native_seeded 7L ]
 
 let () =
   Alcotest.run "fault"
@@ -500,6 +522,7 @@ let () =
           Alcotest.test_case "budget exhaustion aborts" `Slow test_budget_exhaustion_aborts;
           Alcotest.test_case "no surviving PE aborts" `Quick test_no_survivor_aborts;
           Alcotest.test_case "aborted run reports a sane makespan" `Quick test_aborted_report_sane;
+          Alcotest.test_case "aborted run keeps every app row" `Quick test_aborted_keeps_app_rows;
           Alcotest.test_case "deterministic replay" `Slow test_deterministic_replay;
           Alcotest.test_case "retried task dispatched once" `Slow test_retry_dispatched_once;
           qtest prop_no_dispatch_to_quarantined;

@@ -136,7 +136,7 @@ let test_compiled_records_csv_golden () =
   let config = Config.zcu102_cores_ffts ~cores:2 ~ffts:1 in
   let workload = Workload.validation [ (Reference_apps.wifi_tx (), 1) ] in
   let r =
-    Emulator.run_exn ~engine:(Emulator.compiled_seeded ~jitter:0.0 1L) ~config ~workload ()
+    Emulator.run_exn ~engine:(Emulator.virtual_seeded ~jitter:0.0 1L) ~config ~workload ()
   in
   Alcotest.(check string) "compiled records_csv pinned" golden_csv (Stats.records_csv r)
 

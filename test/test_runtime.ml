@@ -28,14 +28,16 @@ let test_instantiate () =
   Alcotest.(check int) "remaining" 6 inst.Task.remaining;
   Alcotest.(check int) "arrival" 55 inst.Task.arrival_ns;
   Alcotest.(check int) "id base" 100 inst.Task.tasks.(0).Task.id;
-  Alcotest.(check int) "entry nodes (LFM, FFT_0)" 2 (List.length inst.Task.entry);
+  (* The DAG lives in the topology, over the instance's task array. *)
+  let tp = Task.topology spec in
+  let names idx =
+    List.map (fun j -> inst.Task.tasks.(j).Task.node.App_spec.node_name) (Array.to_list idx)
+  in
+  Alcotest.(check (list string)) "entry nodes (LFM, FFT_0)" [ "LFM"; "FFT_0" ] (names tp.Task.tp_entry);
   let max_t = inst.Task.tasks.(5) in
   Alcotest.(check string) "last node" "MAX" max_t.Task.node.App_spec.node_name;
   Alcotest.(check int) "MAX waits on IFFT" 1 max_t.Task.unmet;
-  (* successors resolved to task records *)
-  let lfm = inst.Task.tasks.(0) in
-  Alcotest.(check (list string)) "LFM successors" [ "FFT_1" ]
-    (List.map (fun t -> t.Task.node.App_spec.node_name) lfm.Task.successors)
+  Alcotest.(check (list string)) "LFM successors" [ "FFT_1" ] (names tp.Task.tp_succ.(0))
 
 let test_supports_generic_cpu () =
   let spec = Reference_apps.range_detection () in
@@ -193,7 +195,7 @@ let lowered_reference config =
   in
   let wl = Workload.validation (List.map (fun s -> (s, 2)) (pinned :: Reference_apps.all ())) in
   let m = Exec_model.lower ~engine_name:"test" ~config wl in
-  (m, Exec_model.instantiate m ~fresh_stores:false)
+  (m, Virtual_engine.instantiate m ~fresh_stores:false)
 
 let iter_pairs (m : Exec_model.t) instances f =
   Array.iter
@@ -517,7 +519,7 @@ let test_native_engine_functional () =
   let spec = Reference_apps.wifi_rx () in
   let wl = Workload.validation [ (spec, 1) ] in
   let config = Config.zcu102_cores_ffts ~cores:2 ~ffts:1 in
-  match Emulator.run_detailed ~engine:Emulator.native_default ~config ~workload:wl () with
+  match Emulator.run_detailed ~engine:(Emulator.native_seeded 7L) ~config ~workload:wl () with
   | Error msg -> Alcotest.fail msg
   | Ok (report, instances) ->
     Alcotest.(check int) "all tasks ran" 9 (List.length report.Stats.records);
@@ -533,9 +535,36 @@ let test_native_matches_virtual_functionally () =
       ~params:{ Dssoc_runtime.Engine_core.seed = 1L; jitter = 0.0; reservation_depth = 0 }
       ~config ~workload:wl ~policy:Scheduler.frfs ()
   in
-  let _, ni = Result.get_ok (Emulator.run_detailed ~engine:Emulator.native_default ~config ~workload:wl ()) in
+  let _, ni = Result.get_ok (Emulator.run_detailed ~engine:(Emulator.native_seeded 7L) ~config ~workload:wl ()) in
   Alcotest.(check int) "same lag" (Store.get_i32 vi.(0).Task.store "lag")
     (Store.get_i32 ni.(0).Task.store "lag")
+
+(* The native workload manager's overhead is the wall time of the ticks
+   that did work (harvested a completion, injected or ran the policy);
+   counting every tick of a polling wait read 18-84% of this run's
+   makespan in 28 runs, never less.  A single wall-clock reading on a
+   host with fewer cores than threads is noisy: a tick counts in full
+   while a resource manager it woke holds its core, which read 15-71% in
+   24 of 40 runs on two cores.  So some run of twenty must read at most
+   10%. *)
+let test_native_wm_overhead () =
+  let config = Config.zcu102_cores_ffts ~cores:2 ~ffts:1 in
+  let workload =
+    Workload.validation [ (Reference_apps.wifi_rx (), 1); (Reference_apps.range_detection (), 1) ]
+  in
+  let engine = Emulator.native_seeded ~reservation_depth:1 3L in
+  let rec best left acc =
+    if left = 0 || acc <= 0.10 then acc
+    else begin
+      let r = Result.get_ok (Emulator.run ~engine ~config ~workload ()) in
+      let share = float_of_int r.Stats.wm_overhead_ns /. float_of_int r.Stats.makespan_ns in
+      best (left - 1) (Float.min acc share)
+    end
+  in
+  let b = best 20 infinity in
+  Alcotest.(check bool)
+    (Printf.sprintf "WM overhead at most 10%% of the makespan (best: %.1f%%)" (100. *. b))
+    true (b <= 0.10)
 
 (* ---------------------- Scheduler property tests ---------------------- *)
 
@@ -960,5 +989,6 @@ let () =
         [
           Alcotest.test_case "functional run" `Slow test_native_engine_functional;
           Alcotest.test_case "matches virtual" `Slow test_native_matches_virtual_functionally;
+          Alcotest.test_case "WM overhead counts working ticks" `Quick test_native_wm_overhead;
         ] );
     ]

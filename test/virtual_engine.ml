@@ -332,18 +332,21 @@ module Managers = struct
       let inst = instances.(task.Task.instance_id) in
       inst.Task.remaining <- inst.Task.remaining - 1;
       if inst.Task.remaining = 0 then begin
-        inst.Task.completed_at <- b.b_now ();
+        let now = b.b_now () in
+        inst.Task.completed_at <- now;
+        instance_completed stats ~cls:task.Task.cls ~arrival_ns:inst.Task.arrival_ns ~now;
         decr unfinished
       end;
       let newly_ready = ref 0 in
-      List.iter
-        (fun (succ : Task.t) ->
+      Array.iter
+        (fun j ->
+          let succ = inst.Task.tasks.(j) in
           succ.Task.unmet <- succ.Task.unmet - 1;
           if succ.Task.unmet = 0 then begin
             make_ready succ;
             incr newly_ready
           end)
-        task.Task.successors;
+        (Exec_model.class_of model task).Exec_model.topology.Task.tp_succ.(task.Task.index);
       if !newly_ready > 0 then
         b.b_charge (Cost_model.ready_update_per_task_ns *. float_of_int !newly_ready)
     in
@@ -402,11 +405,11 @@ module Managers = struct
           if Obs.enabled obs then
             Obs.on_instance_injected obs ~now ~instance:inst.Task.inst_id
               ~app:inst.Task.app.App_spec.app_name;
-          List.iter
-            (fun t ->
-              make_ready t;
+          Array.iter
+            (fun j ->
+              make_ready inst.Task.tasks.(j);
               incr injected)
-            inst.Task.entry;
+            (Exec_model.class_of model inst.Task.tasks.(0)).Exec_model.topology.Task.tp_entry;
           drain ()
         | _ -> ()
       in
@@ -596,11 +599,33 @@ let backend des ~prng ~jitter ~overlay_perf ~model ~(policy : Scheduler.policy) 
 (* Top-level run                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* Every instance of the workload up front, with dense task ids from 0:
+   the reference holds the whole array for the run.  With
+   [fresh_stores] each instance gets its own initialised store;
+   otherwise all share one empty placeholder. *)
+let instantiate (model : Exec_model.t) ~fresh_stores =
+  let placeholder = Dssoc_apps.Store.create [] in
+  let base = ref 0 in
+  Array.mapi
+    (fun i k ->
+      let tp = model.Exec_model.classes.(k).Exec_model.topology in
+      let store =
+        if fresh_stores then Dssoc_apps.Store.create tp.Task.tp_spec.Dssoc_apps.App_spec.variables
+        else placeholder
+      in
+      let inst =
+        Exec_model.instance model k ~store ~task_id_base:!base ~inst_id:i
+          ~arrival_ns:model.Exec_model.arrivals.(i)
+      in
+      base := !base + Exec_model.task_count model k;
+      inst)
+    model.Exec_model.items
+
 let run_timed ~fresh_stores ?(params = default_params) ?(obs = Obs.disabled) ?fault
     ~(config : Config.t) ~(workload : Workload.t) ~(policy : Scheduler.policy) () =
   let prng = Prng.create ~seed:params.seed in
   let model = Exec_model.lower ~engine_name:"Virtual_engine.run" ~config workload in
-  let instances = Exec_model.instantiate model ~fresh_stores in
+  let instances = instantiate model ~fresh_stores in
   let handlers =
     Array.of_list
       (List.mapi
@@ -609,7 +634,7 @@ let run_timed ~fresh_stores ?(params = default_params) ?(obs = Obs.disabled) ?fa
              ~reservation_depth:params.reservation_depth)
          config.Config.placements)
   in
-  let stats = Core.make_stats () in
+  let stats = Core.make_stats ~classes:(Array.length model.Exec_model.classes) in
   let fault = Core.compile_fault fault ~handlers in
   if Obs.enabled obs then
     Obs.attach obs
@@ -635,7 +660,7 @@ let run_timed ~fresh_stores ?(params = default_params) ?(obs = Obs.disabled) ?fa
                ~stats);
        |]);
   ( Core.report ~host_name:config.Config.host.Host.name ~config ~policy ~handlers
-      ~instances ~stats ~fabric:(Des.counters des) ~stopped_at:!stopped_at,
+      ~model ~stats ~fabric:(Des.counters des) ~stopped_at:!stopped_at,
     instances,
     model )
 

@@ -83,6 +83,13 @@ val run :
     ({!Dssoc_soc.Fabric.fixed_ns}) — all before the run starts
     ({!Dssoc_runtime.Exec_model.lower}). *)
 
+val instantiate :
+  Dssoc_runtime.Exec_model.t -> fresh_stores:bool -> Dssoc_runtime.Task.instance array
+(** Every instance of the lowering's workload up front, as the
+    reference runs them: item [i] is instance [i], task ids dense from
+    0.  With [fresh_stores] each gets its own initialised store;
+    otherwise all share one empty placeholder. *)
+
 val run_detailed :
   ?params:params ->
   ?obs:Dssoc_obs.Obs.t ->
