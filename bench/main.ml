@@ -428,7 +428,7 @@ let cs4 () =
   let r_fftw, i_fftw = run conv_opt.Driver.spec in
   let r_accel, i_accel = run accel_spec in
   let node_us (r : Stats.report) name =
-    let t = List.find (fun (t : Stats.task_record) -> t.Stats.node = name) r.Stats.records in
+    let t = List.find (fun t -> Stats.record_node r t = name) r.Stats.records in
     float_of_int (t.Stats.completed_ns - t.Stats.dispatched_ns) /. 1e3
   in
   let naive_avg = (node_us r_naive "KERNEL_5" +. node_us r_naive "KERNEL_7") /. 2.0 in
@@ -726,9 +726,8 @@ let engine () =
     in
     (* The event log `run --events` and `--trace` use, plus metrics,
        reused across runs with [Obs.reset]: the first run grows the
-       log's blocks and later runs rewind into them.  Sweep rows record
-       into a schedule sink instead; this gate keeps measuring the full
-       log. *)
+       log's blocks and later runs rewind into them.  Sweep rows run
+       untraced; this gate keeps measuring the full log. *)
     let obs = Obs.make ~sink:(Obs.Sink.ring ()) ~metrics:(Obs.Metrics.create ()) () in
     let untraced_once () = ignore (Compiled.run plan params) in
     let traced_once () =

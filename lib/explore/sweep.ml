@@ -5,7 +5,6 @@ module Engine_core = Dssoc_runtime.Engine_core
 module Json = Dssoc_json.Json
 module Table = Dssoc_stats.Table
 module Quantile = Dssoc_stats.Quantile
-module Obs = Dssoc_obs.Obs
 module Analyze = Dssoc_obs.Analyze
 module Fault = Dssoc_fault.Fault
 module App_spec = Dssoc_apps.App_spec
@@ -275,7 +274,7 @@ let plan_memo : (Config.t * Workload.t * string * Compiled_engine.plan) option r
     =
   Domain.DLS.new_key (fun () -> ref None)
 
-let emulate ?counters ~obs (grid : Grid.t) (p : Grid.point) =
+let emulate ?counters (grid : Grid.t) (p : Grid.point) =
   let bump f = match counters with Some c -> Atomic.incr (f c) | None -> () in
   let policy () =
     match Scheduler.find p.Grid.policy with Ok pol -> pol | Error msg -> invalid_arg msg
@@ -297,7 +296,7 @@ let emulate ?counters ~obs (grid : Grid.t) (p : Grid.point) =
         memo := Some (p.Grid.config, p.Grid.workload, p.Grid.policy, plan);
         plan
     in
-    Compiled_engine.run ~obs ?fault:grid.Grid.fault plan
+    Compiled_engine.run ?fault:grid.Grid.fault plan
       {
         Engine_core.seed = p.Grid.seed;
         jitter = grid.Grid.jitter;
@@ -336,62 +335,48 @@ let aborted_row (p : Grid.point) msg =
     crit_path_dma_frac = 0.0;
   }
 
-(* Both engine names evaluate a point on the one deterministic engine;
+(* A point's row is a pure function of its untraced run's report.
+   Both engine names evaluate a point on the one deterministic engine;
    the name only keys the result cache ({!point_digest}). *)
+let row_of_report (p : Grid.point) (r : Stats.report) =
+  let cp = Stats.critical_path r in
+  {
+    index = p.Grid.index;
+    config = p.Grid.config_label;
+    policy = p.Grid.policy;
+    workload = p.Grid.wl_label;
+    replicate = p.Grid.replicate;
+    seed = p.Grid.seed;
+    makespan_ns = r.Stats.makespan_ns;
+    job_count = r.Stats.job_count;
+    task_count = r.Stats.task_count;
+    sched_invocations = r.Stats.sched_invocations;
+    sched_ns = r.Stats.sched_ns;
+    wm_overhead_ns = r.Stats.wm_overhead_ns;
+    busy_energy_mj = Stats.total_busy_energy_mj r;
+    energy_mj = Stats.total_energy_mj r;
+    max_ready_depth = r.Stats.max_ready_depth;
+    max_inflight = r.Stats.max_inflight;
+    mean_wait_us = r.Stats.mean_wait_us;
+    p95_service_us = Stats.service_quantile_us r 0.95;
+    util_by_kind = Stats.mean_utilization_by_kind r;
+    verdict = r.Stats.verdict;
+    completed_fraction = Stats.completed_fraction r;
+    task_retries = r.Stats.resilience.Stats.task_retries;
+    fabric_stall_ns = r.Stats.fabric.Stats.fabric_stall_ns;
+    crit_path_us = float_of_int cp.Analyze.cp_length_ns /. 1e3;
+    crit_path_dma_frac = cp.Analyze.cp_dma_frac;
+  }
+
 let run_point_inner ?counters (grid : Grid.t) (p : Grid.point) =
-  (* Full observation per point: metrics feed the queue-depth /
-     latency columns, a schedule sink feeds the critical-path
-     analytics.  The schedule sink keeps only what the analysis reads,
-     and keeps all of it: no point drops an event, and none pays for an
-     event log. *)
-  let metrics = Obs.Metrics.create () in
-  let obs = Obs.make ~sink:(Obs.Sink.schedule ()) ~metrics () in
-  match emulate ?counters ~obs grid p with
+  match emulate ?counters grid p with
+  | Ok r -> row_of_report p r
   | Error msg ->
     (* A grid can span points a run rejects: configurations a fault
        plan cannot target (an [accel:...] rule over a 0-FFT point), or
        fabric latencies that overflow.  Record the rejection in the
        verdict column instead of killing the sweep. *)
     aborted_row p msg
-  | Ok r ->
-    let gauge_max name =
-      match Obs.Metrics.find_gauge metrics name with
-      | Some g -> Obs.Metrics.gauge_max g
-      | None -> 0
-    in
-    let hist f name =
-      match Obs.Metrics.find_histogram metrics name with
-      | Some h -> Option.value ~default:0.0 (f h)
-      | None -> 0.0
-    in
-    let cp = Analyze.critical_path (Analyze.of_sink (Obs.sink obs)) in
-    {
-      index = p.Grid.index;
-      config = p.Grid.config_label;
-      policy = p.Grid.policy;
-      workload = p.Grid.wl_label;
-      replicate = p.Grid.replicate;
-      seed = p.Grid.seed;
-      makespan_ns = r.Stats.makespan_ns;
-      job_count = r.Stats.job_count;
-      task_count = r.Stats.task_count;
-      sched_invocations = r.Stats.sched_invocations;
-      sched_ns = r.Stats.sched_ns;
-      wm_overhead_ns = r.Stats.wm_overhead_ns;
-      busy_energy_mj = Stats.total_busy_energy_mj r;
-      energy_mj = Stats.total_energy_mj r;
-      max_ready_depth = gauge_max "ready_queue_depth";
-      max_inflight = gauge_max "in_flight_tasks";
-      mean_wait_us = hist Obs.Metrics.histogram_mean "task_wait_us";
-      p95_service_us = hist (fun h -> Obs.Metrics.histogram_quantile h 0.95) "task_service_us";
-      util_by_kind = Stats.mean_utilization_by_kind r;
-      verdict = r.Stats.verdict;
-      completed_fraction = Stats.completed_fraction r;
-      task_retries = r.Stats.resilience.Stats.task_retries;
-      fabric_stall_ns = r.Stats.fabric.Stats.fabric_stall_ns;
-      crit_path_us = float_of_int cp.Analyze.cp_length_ns /. 1e3;
-      crit_path_dma_frac = cp.Analyze.cp_dma_frac;
-    }
 
 let run_point ~engine_kind:_ grid p = run_point_inner grid p
 

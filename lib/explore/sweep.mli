@@ -31,10 +31,10 @@ type row = {
   wm_overhead_ns : int;
   busy_energy_mj : float;
   energy_mj : float;
-  max_ready_depth : int;  (** peak live ready-queue depth (obs gauge) *)
+  max_ready_depth : int;  (** peak live ready-queue depth *)
   max_inflight : int;  (** peak dispatched-but-unmonitored task count *)
-  mean_wait_us : float;  (** mean ready-to-dispatch latency *)
-  p95_service_us : float;  (** p95 dispatch-to-completion latency *)
+  mean_wait_us : float;  (** mean ready-to-dispatch latency over every dispatch *)
+  p95_service_us : float;  (** p95 dispatch-to-completion latency of the completed tasks *)
   util_by_kind : (string * float) list;  (** mean utilisation per PE kind, sorted by kind *)
   verdict : Dssoc_runtime.Stats.verdict;
       (** [Completed] on fault-free grids; under a grid fault plan,
@@ -45,9 +45,10 @@ type row = {
       (** total ns DMA streams spent queued for a full interconnect
           FIFO (0 under {!Dssoc_soc.Fabric.Ideal}) *)
   crit_path_us : float;
-      (** realized critical-path length ({!Dssoc_obs.Analyze}) — equal
-          to the makespan by construction; the interesting signal is
-          its decomposition, below *)
+      (** realized critical-path length over the task records
+          ({!Dssoc_runtime.Stats.critical_path}) — equal to the
+          makespan by construction; the interesting signal is its
+          decomposition, below *)
   crit_path_dma_frac : float;
       (** fraction of the critical path spent in accelerator DMA
           phases — how interconnect-bound the binding chain is *)
@@ -147,12 +148,11 @@ val run_timed : ?jobs:int -> ?engine:engine_kind -> Grid.t -> table * int
 
 val run_point : engine_kind:engine_kind -> Grid.t -> Grid.point -> row
 (** Evaluate a single point (the unit of work {!run} shards); the
-    engine name does not change the row.  Every point runs under a
-    metrics + schedule-sink
-    observation bundle ({!Dssoc_obs.Obs}): metrics feed the
-    queueing/latency columns, the recorded schedule feeds the
-    {!Dssoc_obs.Analyze} critical-path columns.  Neither perturbs the
-    deterministic run. *)
+    engine name does not change the row.  A point is one untraced run:
+    its row is read from that run's report: its counters, the
+    ready-list, in-flight and wait figures the workload manager kept,
+    the p95 of the records' service times and the critical path over
+    the records ({!Dssoc_runtime.Stats.critical_path}). *)
 
 val of_cache : ?engine:engine_kind -> cache:Cache.t -> Grid.t -> (table, string) result
 (** Reassemble the grid's full table purely from cached rows — the

@@ -113,16 +113,29 @@ let edge_name = function
   | Dependency -> "dependency"
   | Resource -> "resource"
 
-type step = {
-  s_task : task_exec;
+type 'r fields = {
+  f_task : 'r -> int;
+  f_instance : 'r -> int;
+  f_pe_index : 'r -> int;
+  f_ready_ns : 'r -> int;
+  f_dispatched_ns : 'r -> int;
+  f_completed_ns : 'r -> int;
+  f_dma_ns : 'r -> int;
+  f_stall_ns : 'r -> int;
+}
+
+type 'r step_of = {
+  s_task : 'r;
   s_edge : edge;
   s_gap_ns : int;  (** predecessor completion (or t=0) to dispatch *)
   s_service_ns : int;
   s_slack_ns : int;  (** margin before the next-latest constraint binds *)
 }
 
-type critical_path = {
-  cp_steps : step list;
+type step = task_exec step_of
+
+type 'r path = {
+  cp_steps : 'r step_of list;
   cp_length_ns : int;
   cp_gap_ns : int;
   cp_service_ns : int;
@@ -131,6 +144,8 @@ type critical_path = {
   cp_stall_ns : int;
   cp_dma_frac : float;
 }
+
+type critical_path = task_exec path
 
 let empty_path =
   {
@@ -158,40 +173,30 @@ let empty_path =
    equal the run's makespan by construction.
 
    Ties: the latest completion binds, and among equal completions the
-   lowest task id (then the earliest log position).  Lookups are binary
-   searches in the task's instance or PE group, sorted by (completion,
-   task id, log position) — exactly those tie-breaks — so each backward
-   step does bounded work however long the log is. *)
-let critical_path t =
-  let n = Array.length t.a_tasks in
+   lowest task id (then the earliest position in [a]).  Lookups are
+   binary searches in the task's instance or PE group, sorted by
+   (completion, task id, position) — exactly those tie-breaks — so each
+   backward step does bounded work however long the schedule is. *)
+let path (f : 'r fields) (a : 'r array) ~makespan_ns ?(inject_ns = fun _ -> 0) () =
+  let n = Array.length a in
   if n = 0 then empty_path
   else begin
-    let tsk i = t.a_tasks.(i) in
-    let c k = t.a_tasks.(k).x_completed_ns in
+    let c k = f.f_completed_ns a.(k) and id k = f.f_task a.(k) in
     let best = ref 0 in
-    Array.iteri
-      (fun i x ->
-        let b = tsk !best in
-        if
-          x.x_completed_ns > b.x_completed_ns
-          || (x.x_completed_ns = b.x_completed_ns && x.x_task < b.x_task)
-        then best := i)
-      t.a_tasks;
-    let order a b =
-      let xa = tsk a and xb = tsk b in
-      if xa.x_completed_ns <> xb.x_completed_ns then compare xa.x_completed_ns xb.x_completed_ns
-      else compare xa.x_task xb.x_task
-    in
+    for i = 1 to n - 1 do
+      if c i > c !best || (c i = c !best && id i < id !best) then best := i
+    done;
+    let order i j = if c i <> c j then compare (c i) (c j) else compare (id i) (id j) in
     (* [index key i]: the group of tasks sharing task [i]'s [key], sorted
-       by [order] (stably, so log position breaks the remaining ties).
-       The tasks are bucketed by [key] in one pass the first time a
-       group is needed, and each group is sorted on first use. *)
-    let index (key : task_exec -> int) =
+       by [order] (stably, so position breaks the remaining ties).  The
+       tasks are bucketed by [key] in one pass the first time a group is
+       needed, and each group is sorted on first use. *)
+    let index (key : 'r -> int) =
       let buckets =
         lazy
           (let tbl = Int_tbl.create 64 in
            for k = n - 1 downto 0 do
-             let g = key (tsk k) in
+             let g = key a.(k) in
              match Int_tbl.find_opt tbl g with
              | Some ks -> ks := k :: !ks
              | None -> Int_tbl.add tbl g (ref [ k ])
@@ -200,13 +205,13 @@ let critical_path t =
       in
       let groups = Int_tbl.create 16 in
       fun i ->
-        let g = key (tsk i) in
+        let g = key a.(i) in
         match Int_tbl.find_opt groups g with
         | Some group -> group
         | None ->
             let group = Array.of_list !(Int_tbl.find (Lazy.force buckets) g) in
-            (* Engine logs list each PE's completions in order, so PE
-               groups usually arrive sorted. *)
+            (* Engines list each PE's completions in order, so PE groups
+               usually arrive sorted. *)
             let in_order = ref true in
             for p = 1 to Array.length group - 1 do
               if order group.(p - 1) group.(p) > 0 then in_order := false
@@ -215,35 +220,35 @@ let critical_path t =
             Int_tbl.add groups g group;
             group
     in
-    let by_instance = index (fun x -> x.x_instance) and by_pe = index (fun x -> x.x_pe_index) in
+    let by_instance = index f.f_instance and by_pe = index f.f_pe_index in
     (* First position in [g] whose completion is >= [v] ([strict]: > [v]). *)
     let search ?strict g v = search ?strict (Array.length g) (fun p -> c g.(p)) v in
     (* The task at position [p] of [g], or -1 off either end. *)
     let at g p = if p >= 0 && p < Array.length g then g.(p) else -1 in
     (* The last position at or before [p] not holding task [i]. *)
     let before g p i = if p >= 0 && g.(p) = i then p - 1 else p in
+    let ready i = f.f_ready_ns a.(i) and dispatched i = f.f_dispatched_ns a.(i) in
     let visited = Array.make n false in
     (* (index, edge, predecessor index option), forward order: consing
        while walking backwards reverses the walk. *)
     let chain = ref [] in
     let rec back i =
       visited.(i) <- true;
-      let x = tsk i in
       let res =
-        if x.x_dispatched_ns <= x.x_ready_ns then -1
+        if dispatched i <= ready i then -1
         else
           let g = by_pe i in
-          let hi = at g (before g (search ~strict:true g x.x_dispatched_ns - 1) i) in
-          if hi < 0 || c hi < x.x_ready_ns then -1
+          let hi = at g (before g (search ~strict:true g (dispatched i) - 1) i) in
+          if hi < 0 || c hi < ready i then -1
           else
             let lo = search g (c hi) in
             if g.(lo) = i then g.(lo + 1) else g.(lo)
       in
       let dep () =
         let g = by_instance i in
-        let p = search g x.x_ready_ns in
+        let p = search g (ready i) in
         let k = if at g p = i then at g (p + 1) else at g p in
-        if k >= 0 && c k = x.x_ready_ns then k else -1
+        if k >= 0 && c k = ready i then k else -1
       in
       let pick =
         if res >= 0 then Some (res, Resource)
@@ -258,9 +263,7 @@ let critical_path t =
       | _ -> chain := (i, Injection, None) :: !chain
     in
     back !best;
-    let inject_ns inst = Option.value ~default:0 (Hashtbl.find_opt t.a_inject_ns inst) in
     let slack_of i edge pred =
-      let x = tsk i in
       match (edge, pred) with
       | Injection, _ -> 0
       | Dependency, _ ->
@@ -268,38 +271,36 @@ let critical_path t =
              finished before the next-latest same-instance completion
              (or the injection itself) becomes the binding constraint. *)
           let g = by_instance i in
-          let k = at g (before g (search g x.x_ready_ns - 1) i) in
-          let alt = inject_ns x.x_instance in
-          x.x_ready_ns - if k >= 0 then max alt (c k) else alt
+          let k = at g (before g (search g (ready i) - 1) i) in
+          let alt = inject_ns (f.f_instance a.(i)) in
+          ready i - if k >= 0 then max alt (c k) else alt
       | Resource, Some pr ->
           (* [pr] itself completes at [pc], so the search skips it. *)
           let pc = c pr in
           let g = by_pe i in
           let k = at g (before g (search g pc - 1) i) in
-          pc - if k >= 0 && c k >= x.x_ready_ns then c k else x.x_ready_ns
+          pc - if k >= 0 && c k >= ready i then c k else ready i
       | Resource, None -> 0
     in
     let prev_end = ref 0 in
     let steps =
       List.map
         (fun (i, edge, pred) ->
-          let x = tsk i in
-          let gap = max 0 (x.x_dispatched_ns - !prev_end) in
-          prev_end := x.x_completed_ns;
+          let gap = max 0 (dispatched i - !prev_end) in
+          prev_end := c i;
           {
-            s_task = x;
+            s_task = a.(i);
             s_edge = edge;
             s_gap_ns = gap;
-            s_service_ns = x.x_completed_ns - x.x_dispatched_ns;
+            s_service_ns = c i - dispatched i;
             s_slack_ns = slack_of i edge pred;
           })
         !chain
     in
-    let gap = List.fold_left (fun a s -> a + s.s_gap_ns) 0 steps in
-    let service = List.fold_left (fun a s -> a + s.s_service_ns) 0 steps in
-    let dma = List.fold_left (fun a s -> a + s.s_task.x_dma_ns) 0 steps in
-    let stall = List.fold_left (fun a s -> a + s.s_task.x_stall_ns) 0 steps in
-    let observe = max 0 (t.a_makespan_ns - (tsk !best).x_completed_ns) in
+    let sum g = List.fold_left (fun acc s -> acc + g s) 0 steps in
+    let gap = sum (fun s -> s.s_gap_ns) and service = sum (fun s -> s.s_service_ns) in
+    let dma = sum (fun s -> f.f_dma_ns s.s_task) and stall = sum (fun s -> f.f_stall_ns s.s_task) in
+    let observe = max 0 (makespan_ns - c !best) in
     let length = gap + service + observe in
     {
       cp_steps = steps;
@@ -312,6 +313,23 @@ let critical_path t =
       cp_dma_frac = (if length <= 0 then 0.0 else float_of_int dma /. float_of_int length);
     }
   end
+
+let exec_fields =
+  {
+    f_task = (fun x -> x.x_task);
+    f_instance = (fun x -> x.x_instance);
+    f_pe_index = (fun x -> x.x_pe_index);
+    f_ready_ns = (fun x -> x.x_ready_ns);
+    f_dispatched_ns = (fun x -> x.x_dispatched_ns);
+    f_completed_ns = (fun x -> x.x_completed_ns);
+    f_dma_ns = (fun x -> x.x_dma_ns);
+    f_stall_ns = (fun x -> x.x_stall_ns);
+  }
+
+let critical_path t =
+  path exec_fields t.a_tasks ~makespan_ns:t.a_makespan_ns
+    ~inject_ns:(fun inst -> Option.value ~default:0 (Hashtbl.find_opt t.a_inject_ns inst))
+    ()
 
 (* ------------------------------------------------------------------ *)
 (* Utilization / occupancy                                             *)

@@ -62,16 +62,31 @@ type edge =
 
 val edge_name : edge -> string
 
-type step = {
-  s_task : task_exec;
+(** A realized schedule of another record type: what the walk reads
+    of each completed task. *)
+type 'r fields = {
+  f_task : 'r -> int;  (** task id, for tie-breaks *)
+  f_instance : 'r -> int;
+  f_pe_index : 'r -> int;
+  f_ready_ns : 'r -> int;
+  f_dispatched_ns : 'r -> int;
+  f_completed_ns : 'r -> int;
+  f_dma_ns : 'r -> int;
+  f_stall_ns : 'r -> int;
+}
+
+type 'r step_of = {
+  s_task : 'r;
   s_edge : edge;
   s_gap_ns : int;  (** predecessor completion (or t=0) to dispatch *)
   s_service_ns : int;
   s_slack_ns : int;  (** margin before the next-latest constraint binds *)
 }
 
-type critical_path = {
-  cp_steps : step list;  (** forward (injection-to-makespan) order *)
+type step = task_exec step_of
+
+type 'r path = {
+  cp_steps : 'r step_of list;  (** forward (injection-to-makespan) order *)
   cp_length_ns : int;
   cp_gap_ns : int;
   cp_service_ns : int;
@@ -83,16 +98,27 @@ type critical_path = {
   cp_dma_frac : float;  (** [cp_dma_ns / cp_length_ns] *)
 }
 
+type critical_path = task_exec path
+
+val path :
+  'r fields -> 'r array -> makespan_ns:int -> ?inject_ns:(int -> int) -> unit -> 'r path
+(** The critical path of the tasks in [a], in completion order, over a
+    run of [makespan_ns]; [inject_ns] gives an instance's injection
+    time, against which a dependency step's slack is measured (default
+    0).  Backward walk from the last completion.  Step gaps and
+    services partition [0, last completion] and [cp_observe_ns] covers
+    the rest, so [cp_length_ns] is [makespan_ns] whenever that is at or
+    after the last completion.  The latest completion binds; among
+    equal completions the lowest task id wins, then the earlier
+    position in [a].  Cost: O(log n) per step of the path, after one
+    bucketing pass of the tasks by instance and one by PE, each made the
+    first time the walk needs it, and a sort of each group it consults
+    unless that group is already in completion order. *)
+
 val critical_path : t -> critical_path
-(** Backward walk from the last completion.  Step gaps and services
-    partition [0, last completion] and [cp_observe_ns] covers the
-    rest, so [cp_length_ns = makespan_ns t] (the property the test
-    suite pins on random DAGs for both engines).  The latest
-    completion binds; among equal completions the lowest task id wins.
-    Cost: O(log n) per step of the path, after one bucketing pass of
-    the tasks by instance and one by PE, each made the first time the
-    walk needs it, and a sort of each group it consults unless that
-    group is already in completion order. *)
+(** {!path} over the log's tasks, its makespan and injection times:
+    [cp_length_ns = makespan_ns t] (the property the test suite pins
+    on random DAGs for both engines). *)
 
 (** {1 Utilization / occupancy} *)
 

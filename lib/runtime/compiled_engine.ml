@@ -272,7 +272,7 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
       handlers);
   let fault = Core.compile_fault fault ~handlers in
   let fault_on = Fault.enabled fault in
-  let stats = Core.make_stats ~classes:(Array.length classes) in
+  let stats = Core.make_stats model in
   let aborted () = match stats.Core.aborted with None -> false | Some _ -> true in
   (* The instances injected and neither completed nor cancelled, by id:
      the machine holds no array indexed by instance or task id, so its
@@ -446,6 +446,7 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
     t.Task.ready_at <- s.s_now ();
     if fault_on then rl_insert t else rl_link (rl_alloc t) (-1);
     incr ready_live;
+    Core.note_ready stats ~ready:!ready_live;
     if traced then
       Obs.on_task_ready obs ~now:t.Task.ready_at ~task:t.Task.id
         ~instance:t.Task.instance_id ~cls:t.Task.cls ~node:t.Task.index
@@ -512,7 +513,8 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
   let rm_started = Array.make (max 1 n_pes) 0 in
   (* A slowed attempt's extra PE time, slept after its execution. *)
   let rm_tail = Array.make (max 1 n_pes) 0 in
-  (* Start of the current accelerator phase, for traced Phase spans. *)
+  (* Start of the current accelerator phase: the DMA phases' spans make
+     the task's [dma_ns], and traced runs emit every span. *)
   let rm_ph0 = Array.make (max 1 n_pes) 0 in
   let rm_cur i =
     match rm_task.(i) with Some t -> t | None -> assert false
@@ -561,7 +563,7 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
     if plan.p_pe_is_cpu.(i) then
       rm_then i 2 (s.s_cpu i task (s.s_jitter i c.Exec_model.est.(row)))
     else begin
-      if traced then rm_ph0.(i) <- s.s_now ();
+      rm_ph0.(i) <- s.s_now ();
       let dem = c.Exec_model.demand_in.(row) in
       if dem < 0 then rm_work i (s.s_jitter i c.Exec_model.dma_in.(row)) 3
       else rm_then i 6 (s.s_stream i ~bytes:c.Exec_model.bytes_in.(row) (s.s_jitter i dem))
@@ -569,21 +571,20 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
   and rm_work i ns pc = rm_then i pc (s.s_work i ns)
   and rm_acc_after_in i =
     let task = rm_cur i in
-    if traced then begin
-      let now = s.s_now () in
+    let now = s.s_now () in
+    task.Task.dma_ns <- now - rm_ph0.(i);
+    if traced then
       Obs.on_phase obs ~now ~task:task.Task.id ~pe_index:i ~phase:Obs.Dma_in
         ~start_ns:rm_ph0.(i) ~dur_ns:(now - rm_ph0.(i));
-      rm_ph0.(i) <- now
-    end;
+    rm_ph0.(i) <- now;
     rm_then i 4 (s.s_compute i task (s.s_jitter i (cls task).Exec_model.compute.(row task i)))
   and rm_acc_after_comp i =
     let task = rm_cur i in
-    if traced then begin
-      let now = s.s_now () in
+    let now = s.s_now () in
+    if traced then
       Obs.on_phase obs ~now ~task:task.Task.id ~pe_index:i ~phase:Obs.Device_compute
         ~start_ns:rm_ph0.(i) ~dur_ns:(now - rm_ph0.(i));
-      rm_ph0.(i) <- now
-    end;
+    rm_ph0.(i) <- now;
     let c = cls task and row = row task i in
     let dem = c.Exec_model.demand_out.(row) in
     if dem < 0 then rm_work i (s.s_jitter i c.Exec_model.dma_out.(row)) 5
@@ -616,12 +617,12 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
     | 1 -> rm_wake i
     | 2 -> rm_executed i
     | 5 ->
-      if traced then begin
-        let task = rm_cur i in
-        let now = s.s_now () in
+      let task = rm_cur i in
+      let now = s.s_now () in
+      task.Task.dma_ns <- task.Task.dma_ns + (now - rm_ph0.(i));
+      if traced then
         Obs.on_phase obs ~now ~task:task.Task.id ~pe_index:i ~phase:Obs.Dma_out
-          ~start_ns:rm_ph0.(i) ~dur_ns:(now - rm_ph0.(i))
-      end;
+          ~start_ns:rm_ph0.(i) ~dur_ns:(now - rm_ph0.(i));
       rm_executed i
     | 8 -> rm_finish i
     | 3 -> rm_acc_after_in i
@@ -680,18 +681,7 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
         ~pe_depth:h.Core.h_inflight ~inflight:!inflight
     end;
     task.Task.status <- Task.Done;
-    if records then
-      stats.Core.records <-
-        {
-          Stats.app = task.Task.app_name;
-          instance = task.Task.instance_id;
-          node = task.Task.node.App_spec.node_name;
-          pe = task.Task.pe_label;
-          ready_ns = task.Task.ready_at;
-          dispatched_ns = task.Task.dispatched_at;
-          completed_ns = task.Task.completed_at;
-        }
-        :: stats.Core.records;
+    if records then Core.record_completion stats task ~pe_index:h.Core.h_index;
     if fault_on then Ids.remove entries task.Task.id;
     let inst = Ids.find live task.Task.instance_id in
     inst.Task.remaining <- inst.Task.remaining - 1;
@@ -967,7 +957,7 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
     rl_unlink (if custom then slot_of task else !as_slot.(j));
     decr ready_live;
     task.Task.dispatched_at <- now;
-    task.Task.pe_label <- h.Core.h_pe.Pe.label;
+    task.Task.pe <- pi;
     lock h;
     Queue.add task h.Core.h_pending;
     let queued = Queue.length h.Core.h_pending in
@@ -976,6 +966,7 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
     incr inflight;
     let from = if h.Core.h_busy_until > now then h.Core.h_busy_until else now in
     h.Core.h_busy_until <- from + (cls task).Exec_model.est.(row task pi);
+    Core.note_dispatch stats ~wait_ns:(now - task.Task.ready_at) ~inflight:!inflight;
     if traced then begin
       Obs.on_task_dispatched obs ~now ~task:task.Task.id ~instance:task.Task.instance_id
         ~cls:task.Task.cls ~node:task.Task.index ~pe_index:pi

@@ -71,11 +71,16 @@ type wm_stats = {
   mutable aborted : string option;  (** first abort reason, if any *)
   mutable last_completion : int;
   latencies : latency array;  (** per class *)
+  name_base : int array;  (** per class, its first node's name number *)
+  mutable max_ready : int;
+  mutable max_inflight : int;
+  mutable dispatches : int;
+  wait_us : Float.Array.t;  (** one cell: the waits' sum, unboxed *)
 }
 
 and latency = { mutable lat_count : int; mutable lat_sum : int; mutable lat_max : int }
 
-let make_stats ~classes =
+let make_stats (model : Exec_model.t) =
   {
     sched_invocations = 0;
     sched_ns = 0;
@@ -87,8 +92,35 @@ let make_stats ~classes =
     pe_deaths = 0;
     aborted = None;
     last_completion = 0;
-    latencies = Array.init classes (fun _ -> { lat_count = 0; lat_sum = 0; lat_max = 0 });
+    latencies =
+      Array.map (fun _ -> { lat_count = 0; lat_sum = 0; lat_max = 0 }) model.Exec_model.classes;
+    name_base = Exec_model.name_bases model;
+    max_ready = 0;
+    max_inflight = 0;
+    dispatches = 0;
+    wait_us = Float.Array.make 1 0.0;
   }
+
+let note_ready stats ~ready = if ready > stats.max_ready then stats.max_ready <- ready
+
+let note_dispatch stats ~wait_ns ~inflight =
+  if inflight > stats.max_inflight then stats.max_inflight <- inflight;
+  stats.dispatches <- stats.dispatches + 1;
+  Float.Array.set stats.wait_us 0 (Float.Array.get stats.wait_us 0 +. (float_of_int wait_ns /. 1e3))
+
+let record_completion stats (task : Task.t) ~pe_index =
+  stats.records <-
+    {
+      Stats.name = stats.name_base.(task.Task.cls) + task.Task.index;
+      instance = task.Task.instance_id;
+      task = task.Task.id;
+      pe_index;
+      ready_ns = task.Task.ready_at;
+      dispatched_ns = task.Task.dispatched_at;
+      completed_ns = task.Task.completed_at;
+      dma_ns = task.Task.dma_ns;
+    }
+    :: stats.records
 
 let instance_completed stats ~cls ~arrival_ns ~now =
   if now > stats.last_completion then stats.last_completion <- now;
@@ -416,6 +448,7 @@ let report ~host_name ~(config : Config.t) ~(policy : Scheduler.policy)
     sched_ns = stats.sched_ns;
     wm_overhead_ns = stats.wm_ns;
     records = List.rev stats.records;
+    names = Exec_model.names model;
     app_stats;
     verdict;
     resilience =
@@ -433,4 +466,9 @@ let report ~host_name ~(config : Config.t) ~(policy : Scheduler.policy)
         fabric_stall_ns = fabric.fc_stall_ns;
         max_inflight_streams = fabric.fc_max_inflight;
       };
+    max_ready_depth = stats.max_ready;
+    max_inflight = stats.max_inflight;
+    mean_wait_us =
+      (if stats.dispatches = 0 then 0.0
+       else Float.Array.get stats.wait_us 0 /. float_of_int stats.dispatches);
   }

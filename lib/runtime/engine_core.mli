@@ -94,12 +94,30 @@ type wm_stats = {
   mutable aborted : string option;  (** first abort reason, if any *)
   mutable last_completion : int;  (** latest instance completion, ns; 0 before any *)
   latencies : latency array;  (** per class of the run's lowering *)
+  name_base : int array;  (** per class, its first node's name number *)
+  mutable max_ready : int;  (** longest ready list after a task became ready *)
+  mutable max_inflight : int;  (** most in-flight tasks after a dispatch *)
+  mutable dispatches : int;
+  wait_us : Float.Array.t;
+      (** one cell: the ready-to-dispatch waits in us, summed in
+          dispatch order (a float array, so adding allocates nothing) *)
 }
 
 and latency
 (** A class's completed instances: their count, latency sum and max. *)
 
-val make_stats : classes:int -> wm_stats
+val make_stats : Exec_model.t -> wm_stats
+(** Zeroed statistics for a run of the lowering's classes. *)
+
+val note_ready : wm_stats -> ready:int -> unit
+(** A task became ready, leaving [ready] tasks in the ready list. *)
+
+val note_dispatch : wm_stats -> wait_ns:int -> inflight:int -> unit
+(** A dispatch after a wait of [wait_ns], leaving [inflight] tasks in
+    flight. *)
+
+val record_completion : wm_stats -> Task.t -> pe_index:int -> unit
+(** Keep the completed task's record (newest first). *)
 
 val instance_completed : wm_stats -> cls:int -> arrival_ns:int -> now:int -> unit
 (** Fold an instance's completion at [now] into the makespan and its
@@ -230,8 +248,9 @@ val report :
   Stats.report
 (** Assemble the report of a batch run of the lowering's workload:
     makespan, per-PE usage and energy, scheduling statistics, task
-    records (oldest first), per-app latency summaries and fabric
-    contention counters.  The makespan is the latest instance
+    records (oldest first) with the names they number, per-app latency
+    summaries, fabric contention counters and the ready-list, in-flight
+    and wait figures {!note_ready} and {!note_dispatch} gathered.  The makespan is the latest instance
     completion, or for an aborted run [stopped_at], the clock at which
     the workload manager stopped the run (at or after every
     completion).  Every app of the workload has a row, covering the

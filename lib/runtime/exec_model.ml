@@ -218,5 +218,19 @@ let node_names m =
         Array.map (fun (nd : App_spec.node) -> nd.App_spec.node_name) tp.Task.tp_nodes ))
     m.classes
 
+let name_bases m =
+  let next = ref 0 in
+  Array.map
+    (fun c ->
+      let base = !next in
+      next := base + Array.length c.topology.Task.tp_nodes;
+      base)
+    m.classes
+
+let names m =
+  Array.concat
+    (Array.to_list
+       (Array.map (fun (app, nodes) -> Array.map (fun node -> (app, node)) nodes) (node_names m)))
+
 let row m (task : Task.t) pe_index = (task.Task.index * m.n_pes) + pe_index
 let estimate m task pe_index = (class_of m task).est.(row m task pe_index)

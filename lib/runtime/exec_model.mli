@@ -99,6 +99,14 @@ val node_names : t -> (string * string array) array
 (** Per class, its app name and its node names in declaration order:
     the names a traced run registers with {!Dssoc_obs.Obs.attach}. *)
 
+val name_bases : t -> int array
+(** Per class, the number of its first node in {!node_names} read
+    flat: node [j] of class [k] is name [(name_bases m).(k) + j], as in
+    {!Dssoc_obs.Obs.attach}'s numbering. *)
+
+val names : t -> (string * string) array
+(** {!node_names} flattened to (app, node) by name number. *)
+
 val row : t -> Task.t -> int -> int
 (** [row m task pe_index]: the task's row in {!class_of}'s columns. *)
 

@@ -39,15 +39,6 @@ let images (m : Exec_model.t) (c : Exec_model.cls) =
 let memo model derive =
   { model; derive; classes = Array.map (fun c -> lazy (images model c)) model.Exec_model.classes }
 
-(* The PE a task ran on: its label is the PE's own string. *)
-let pe_index (m : Exec_model.t) label =
-  let rec go i =
-    if i = m.Exec_model.n_pes then invalid_arg ("Functional: unknown PE " ^ label)
-    else if m.Exec_model.pes.(i).Pe.label == label || m.Exec_model.pes.(i).Pe.label = label then i
-    else go (i + 1)
-  in
-  go 0
-
 (* The final store of an instance: a fresh store with the closure each
    completed task ran, on its recorded PE, applied in topological order. *)
 let compute m (inst : Task.instance) =
@@ -61,7 +52,7 @@ let compute m (inst : Task.instance) =
     (fun (nd : App_spec.node) ->
       let t = Hashtbl.find index nd.App_spec.node_name in
       if t.Task.status = Task.Done then
-        Exec_model.resolve_kernel t m.model.Exec_model.pes.(pe_index m.model t.Task.pe_label)
+        Exec_model.resolve_kernel t m.model.Exec_model.pes.(t.Task.pe)
           store nd.App_spec.arguments)
     (App_spec.topological_order spec);
   m.derive store
@@ -76,7 +67,7 @@ let image m (inst : Task.instance) =
       Array.map
         (fun (t : Task.t) ->
           if t.Task.status <> Task.Done then -1
-          else c.number.((t.Task.index * n_pes) + pe_index m.model t.Task.pe_label))
+          else c.number.((t.Task.index * n_pes) + t.Task.pe))
         tasks
     in
     match Hashtbl.find_opt c.by_key key with

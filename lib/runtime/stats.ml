@@ -1,11 +1,12 @@
 type task_record = {
-  app : string;
+  name : int;
   instance : int;
-  node : string;
-  pe : string;
+  task : int;
+  pe_index : int;
   ready_ns : int;
   dispatched_ns : int;
   completed_ns : int;
+  dma_ns : int;
 }
 
 type pe_usage = {
@@ -59,11 +60,46 @@ type report = {
   sched_ns : int;
   wm_overhead_ns : int;
   records : task_record list;
+  names : (string * string) array;
   app_stats : (string * app_summary) list;
   verdict : verdict;
   resilience : resilience;
   fabric : fabric;
+  max_ready_depth : int;
+  max_inflight : int;
+  mean_wait_us : float;
 }
+
+let record_app r t = fst r.names.(t.name)
+let record_node r t = snd r.names.(t.name)
+let record_pe r t = (List.nth r.pe_usage t.pe_index).pe_label
+
+(* The records as a realized schedule.  They see no fabric admission,
+   so no stall time is charged to them. *)
+let record_fields =
+  {
+    Dssoc_obs.Analyze.f_task = (fun t -> t.task);
+    f_instance = (fun t -> t.instance);
+    f_pe_index = (fun t -> t.pe_index);
+    f_ready_ns = (fun t -> t.ready_ns);
+    f_dispatched_ns = (fun t -> t.dispatched_ns);
+    f_completed_ns = (fun t -> t.completed_ns);
+    f_dma_ns = (fun t -> t.dma_ns);
+    f_stall_ns = (fun _ -> 0);
+  }
+
+let critical_path r =
+  Dssoc_obs.Analyze.path record_fields (Array.of_list r.records) ~makespan_ns:r.makespan_ns ()
+
+let service_quantile_us r q =
+  match r.records with
+  | [] -> 0.0
+  | records ->
+    let us = Array.make (List.length records) 0.0 in
+    List.iteri
+      (fun i t -> us.(i) <- float_of_int (t.completed_ns - t.dispatched_ns) /. 1e3)
+      records;
+    Dssoc_stats.Quantile.quantile us q
 
 let completed_fraction r =
   float_of_int (List.length r.records) /. float_of_int (max 1 r.task_count)
@@ -132,14 +168,15 @@ let pp_summary fmt r =
 
 let records_csv r =
   let field = Dssoc_stats.Table.csv_field in
+  let pes = Array.of_list (List.map (fun u -> u.pe_label) r.pe_usage) in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "app,instance,node,pe,ready_ns,dispatched_ns,completed_ns\n";
   List.iter
     (fun rec_ ->
+      let app, node = r.names.(rec_.name) in
       Buffer.add_string buf
-        (Printf.sprintf "%s,%d,%s,%s,%d,%d,%d\n" (field rec_.app) rec_.instance
-           (field rec_.node) (field rec_.pe) rec_.ready_ns rec_.dispatched_ns
-           rec_.completed_ns))
+        (Printf.sprintf "%s,%d,%s,%s,%d,%d,%d\n" (field app) rec_.instance (field node)
+           (field pes.(rec_.pe_index)) rec_.ready_ns rec_.dispatched_ns rec_.completed_ns))
     r.records;
   Buffer.contents buf
 
@@ -153,15 +190,16 @@ let chrome_trace ?obs r =
   let events =
     List.map
       (fun t ->
+        let app, node = r.names.(t.name) in
         Json.obj
           [
-            ("name", Json.str (Printf.sprintf "%s/%d:%s" t.app t.instance t.node));
-            ("cat", Json.str t.app);
+            ("name", Json.str (Printf.sprintf "%s/%d:%s" app t.instance node));
+            ("cat", Json.str app);
             ("ph", Json.str "X");
             ("ts", Json.float (float_of_int t.dispatched_ns /. 1e3));
             ("dur", Json.float (float_of_int (t.completed_ns - t.dispatched_ns) /. 1e3));
             ("pid", Json.int 1);
-            ("tid", Json.int (Option.value ~default:0 (List.assoc_opt t.pe pe_index)));
+            ("tid", Json.int t.pe_index);
             ("args", Json.obj [ ("ready_us", Json.float (float_of_int t.ready_ns /. 1e3)) ]);
           ])
       r.records
@@ -290,7 +328,7 @@ let gantt_alphabet = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ012345
 let gantt ?(width = 100) r =
   let width = max 1 width in
   let span = float_of_int (max 1 r.makespan_ns) in
-  let apps = List.sort_uniq compare (List.map (fun t -> t.app) r.records) in
+  let apps = List.sort_uniq compare (List.map (fun t -> record_app r t) r.records) in
   let letter app =
     match List.find_index (fun a -> a = app) apps with
     | Some i -> gantt_alphabet.[i mod String.length gantt_alphabet]
@@ -300,12 +338,12 @@ let gantt ?(width = 100) r =
   List.iter
     (fun (app : string) -> Buffer.add_string buf (Printf.sprintf "  %c = %s\n" (letter app) app))
     apps;
-  List.iter
-    (fun u ->
+  List.iteri
+    (fun pe u ->
       let row = Bytes.make width '.' in
       List.iter
         (fun t ->
-          if t.pe = u.pe_label then begin
+          if t.pe_index = pe then begin
             let pos ns =
               min (width - 1)
                 (max 0 (int_of_float (float_of_int ns /. span *. float_of_int width)))
@@ -317,7 +355,7 @@ let gantt ?(width = 100) r =
             let first = pos t.dispatched_ns in
             let last = max first (pos t.completed_ns) in
             for i = first to last do
-              Bytes.set row i (letter t.app)
+              Bytes.set row i (letter (record_app r t))
             done
           end)
         r.records;

@@ -2,14 +2,20 @@
     applications and their tasks" collected before termination,
     Section II-A). *)
 
+(** One completed task.  Its app, node and PE are numbers the report
+    resolves ({!record_app}, {!record_node}, {!record_pe}), so a record
+    holds no string. *)
 type task_record = {
-  app : string;
+  name : int;  (** the task's (app, node) in the report's [names] *)
   instance : int;
-  node : string;
-  pe : string;
+  task : int;  (** task id *)
+  pe_index : int;  (** the PE that ran it, a position in [pe_usage] *)
   ready_ns : int;
   dispatched_ns : int;
   completed_ns : int;
+  dma_ns : int;
+      (** an accelerator's DMA-in plus DMA-out time in the attempt that
+          ran (fabric queueing included); 0 on a CPU *)
 }
 
 type pe_usage = {
@@ -82,11 +88,38 @@ type report = {
           ready-list updates + scheduling + dispatch communication
           (the Fig. 10b definition) *)
   records : task_record list;  (** by completion time *)
+  names : (string * string) array;
+      (** (app, node) by name number: node [j] of the run's lowering
+          class [k] is number [j] plus the node counts of the classes
+          before [k] ({!Dssoc_obs.Obs.attach}'s numbering) *)
   app_stats : (string * app_summary) list;  (** sorted by app name *)
   verdict : verdict;
   resilience : resilience;
   fabric : fabric;
+  max_ready_depth : int;  (** the longest the ready list grew *)
+  max_inflight : int;  (** the most tasks dispatched and not yet monitored *)
+  mean_wait_us : float;
+      (** ready-to-dispatch wait over every dispatch, retries included:
+          the sum in dispatch order divided by the count (0 without
+          dispatches) *)
 }
+
+val record_app : report -> task_record -> string
+val record_node : report -> task_record -> string
+
+val record_pe : report -> task_record -> string
+(** The label of the record's PE. *)
+
+val critical_path : report -> task_record Dssoc_obs.Analyze.path
+(** {!Dssoc_obs.Analyze.path} over the records, bounded by the
+    report's makespan: its length equals [makespan_ns] unless no task
+    completed.  The records see no fabric admission, so no stall time
+    is charged; without injection times, a dependency step's slack
+    reaches back to 0 rather than to its instance's injection. *)
+
+val service_quantile_us : report -> float -> float
+(** Quantile of the records' dispatch-to-completion times, in us
+    ({!Dssoc_stats.Quantile.quantile}); 0 without records. *)
 
 val completed_fraction : report -> float
 (** Completed tasks over total tasks — 1.0 unless the run aborted. *)

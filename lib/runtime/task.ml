@@ -18,7 +18,8 @@ type t = {
   mutable ready_at : int;
   mutable dispatched_at : int;
   mutable completed_at : int;
-  mutable pe_label : string;
+  mutable dma_ns : int;
+  mutable pe : int;
   mutable attempts : int;
   mutable last_failure : (Dssoc_fault.Fault.failure * int) option;
 }
@@ -79,7 +80,8 @@ let instance tp ~cls ~store ~task_id_base ~inst_id ~arrival_ns =
           ready_at = -1;
           dispatched_at = -1;
           completed_at = -1;
-          pe_label = "";
+          dma_ns = 0;
+          pe = -1;
           attempts = 0;
           last_failure = None;
         })

@@ -28,7 +28,10 @@ type t = {
   mutable ready_at : int;  (** ns, emulation time *)
   mutable dispatched_at : int;
   mutable completed_at : int;
-  mutable pe_label : string;  (** PE that executed it, once dispatched *)
+  mutable dma_ns : int;
+      (** DMA-in plus DMA-out time of the attempt that ran on an
+          accelerator, measured by its resource manager *)
+  mutable pe : int;  (** index of the PE that executed it, once dispatched; -1 before *)
   mutable attempts : int;  (** dispatch count, incl. failed attempts *)
   mutable last_failure : (Dssoc_fault.Fault.failure * int) option;
       (** set by the resource handler when an attempt failed: the

@@ -12,8 +12,10 @@ val max : float array -> float
 
 val quantile : float array -> float -> float
 (** [quantile xs q] with [q] in \[0,1\], linear interpolation between
-    order statistics (type-7, the R/NumPy default).  Input need not be
-    sorted. *)
+    order statistics (type-7, the R/NumPy default), ordered as
+    [Array.sort compare] orders floats.  Input need not be sorted and
+    is not modified: the two order statistics are selected from a copy
+    in expected linear time. *)
 
 val median : float array -> float
 

@@ -21,9 +21,7 @@ let final_store ~(config : Config.t) (inst : Task.instance) =
           (Array.to_list inst.Task.tasks)
       in
       if task.Task.status = Task.Done then begin
-        let pe =
-          List.find (fun (pe : Pe.t) -> pe.Pe.label = task.Task.pe_label) (Config.pes config)
-        in
+        let pe = List.nth (Config.pes config) task.Task.pe in
         (Exec_model.resolve_kernel task pe) store node.App_spec.arguments
       end)
     (App_spec.topological_order inst.Task.app);

@@ -64,7 +64,10 @@ let run_both config spec instances =
 (* Completion order can differ between engines when several tasks run
    concurrently; compare records keyed by (instance, node) instead. *)
 let by_task (r : Stats.report) =
-  List.sort compare (List.map (fun (t : Stats.task_record) -> ((t.Stats.instance, t.Stats.node), t.Stats.pe)) r.Stats.records)
+  List.sort compare
+    (List.map
+       (fun t -> ((t.Stats.instance, Stats.record_node r t), Stats.record_pe r t))
+       r.Stats.records)
 
 let check_counts (vr : Stats.report) (nr : Stats.report) =
   Alcotest.(check int) "job count agrees" vr.Stats.job_count nr.Stats.job_count;
@@ -90,12 +93,13 @@ let test_chain_parity () =
   let config = Config.zcu102_cores_ffts ~cores:2 ~ffts:0 in
   let (vr, vi), (nr, ni) = run_both config (Reference_apps.wifi_tx ()) 1 in
   check_counts vr nr;
-  let order (r : Stats.report) = List.map (fun (t : Stats.task_record) -> t.Stats.node) r.Stats.records in
+  let order (r : Stats.report) = List.map (Stats.record_node r) r.Stats.records in
   Alcotest.(check (list string)) "same completion order" (order vr) (order nr);
   Alcotest.(check bool) "same per-task PE assignments" true (by_task vr = by_task nr);
   List.iter
-    (fun (t : Stats.task_record) ->
-      Alcotest.(check string) (t.Stats.node ^ " on first cpu") "cpu0" t.Stats.pe)
+    (fun t ->
+      Alcotest.(check string) (Stats.record_node nr t ^ " on first cpu") "cpu0"
+        (Stats.record_pe nr t))
     nr.Stats.records;
   check_makespan_band vr nr;
   (* functional outputs agree bit-for-bit *)
@@ -111,13 +115,13 @@ let test_dag_parity_single_pe () =
   let spec = Reference_apps.range_detection () in
   let (vr, vi), (nr, ni) = run_both config spec 1 in
   check_counts vr nr;
-  let order (r : Stats.report) = List.map (fun (t : Stats.task_record) -> t.Stats.node) r.Stats.records in
+  let order (r : Stats.report) = List.map (Stats.record_node r) r.Stats.records in
   Alcotest.(check (list string)) "same serialisation" (order vr) (order nr);
   Alcotest.(check bool) "all on the single PE" true
-    (List.for_all (fun (t : Stats.task_record) -> t.Stats.pe = "cpu0") nr.Stats.records);
+    (List.for_all (fun t -> Stats.record_pe nr t = "cpu0") nr.Stats.records);
   (* both serialisations are topological orders of the app DAG *)
   let check_topological (r : Stats.report) name =
-    let position = List.mapi (fun i (t : Stats.task_record) -> (t.Stats.node, i)) r.Stats.records in
+    let position = List.mapi (fun i t -> (Stats.record_node r t, i)) r.Stats.records in
     List.iter
       (fun (n : App_spec.node) ->
         List.iter
@@ -145,7 +149,7 @@ let test_multi_instance_parity () =
   Alcotest.(check bool) "same per-task PE assignments" true (by_task vr = by_task nr);
   let per_instance_order (r : Stats.report) inst =
     List.filter_map
-      (fun (t : Stats.task_record) -> if t.Stats.instance = inst then Some t.Stats.node else None)
+      (fun t -> if t.Stats.instance = inst then Some (Stats.record_node r t) else None)
       r.Stats.records
   in
   let chain = [ "CRC"; "SCRAMBLE"; "ENCODE"; "INTERLEAVE"; "MODULATE"; "PILOT"; "IFFT" ] in
@@ -205,14 +209,11 @@ let check_assignments_valid label config (instances : Task.instance array) =
           Alcotest.(check bool)
             (Printf.sprintf "%s: %s/%s done" label t.Task.app_name t.Task.node.App_spec.node_name)
             true (t.Task.status = Task.Done);
+          let pe = List.nth pes t.Task.pe in
           Alcotest.(check bool)
             (Printf.sprintf "%s: %s/%s ran on a supporting PE (%s)" label t.Task.app_name
-               t.Task.node.App_spec.node_name t.Task.pe_label)
-            true
-            (List.exists
-               (fun (pe : Dssoc_soc.Pe.t) ->
-                 pe.Dssoc_soc.Pe.label = t.Task.pe_label && Task.supports t pe)
-               pes))
+               t.Task.node.App_spec.node_name pe.Dssoc_soc.Pe.label)
+            true (Task.supports t pe))
         inst.Task.tasks)
     instances
 
@@ -305,8 +306,7 @@ let test_reservation_multi_instance_parity () =
         (by_task vr = by_task nr);
       let per_instance_order inst =
         List.filter_map
-          (fun (t : Stats.task_record) ->
-            if t.Stats.instance = inst then Some t.Stats.node else None)
+          (fun t -> if t.Stats.instance = inst then Some (Stats.record_node vr t) else None)
           vr.Stats.records
       in
       List.iter
@@ -353,8 +353,7 @@ let test_native_reservation_depth_differential () =
   let chain = [ "CRC"; "SCRAMBLE"; "ENCODE"; "INTERLEAVE"; "MODULATE"; "PILOT"; "IFFT" ] in
   let per_instance_order (r : Stats.report) inst =
     List.filter_map
-      (fun (t : Stats.task_record) ->
-        if t.Stats.instance = inst then Some t.Stats.node else None)
+      (fun t -> if t.Stats.instance = inst then Some (Stats.record_node r t) else None)
       r.Stats.records
   in
   List.iter
@@ -394,7 +393,7 @@ let fault_plan () =
 let completed_multiset (r : Stats.report) =
   List.sort compare
     (List.map
-       (fun (t : Stats.task_record) -> (t.Stats.app, t.Stats.instance, t.Stats.node))
+       (fun t -> (Stats.record_app r t, t.Stats.instance, Stats.record_node r t))
        r.Stats.records)
 
 let test_fault_parity_across_policies () =
@@ -438,9 +437,9 @@ let test_fault_parity_across_policies () =
       List.iter
         (fun (r : Stats.report) ->
           List.iter
-            (fun (t : Stats.task_record) ->
+            (fun t ->
               Alcotest.(check bool) (label ^ ": dead PE executed nothing") true
-                (t.Stats.pe <> "fft2"))
+                (Stats.record_pe r t <> "fft2"))
             r.Stats.records)
         [ vr; nr ];
       check_stores_agree label vi ni;
@@ -1144,11 +1143,10 @@ let test_compiled_memo_distinct_closures () =
                       Array.to_list
                         (Array.map
                            (fun (t : Task.t) ->
-                             List.exists
-                               (fun (pe : Dssoc_soc.Pe.t) ->
-                                 pe.Dssoc_soc.Pe.label = t.Task.pe_label
-                                 && not (Dssoc_soc.Pe.is_cpu pe.Dssoc_soc.Pe.kind))
-                               (Config.pes config))
+                             t.Task.pe >= 0
+                             && not
+                                  (Dssoc_soc.Pe.is_cpu
+                                     (List.nth (Config.pes config) t.Task.pe).Dssoc_soc.Pe.kind))
                            inst.Task.tasks))
                     ci))
           in
@@ -1485,12 +1483,12 @@ let qcheck_compiled_respects_adjacency =
          completed: the CSR lowering round-trips the DAG. *)
       let completed = Hashtbl.create 16 in
       List.iter
-        (fun (t : Stats.task_record) ->
-          Hashtbl.replace completed (t.Stats.instance, t.Stats.node) t.Stats.completed_ns)
+        (fun t ->
+          Hashtbl.replace completed (t.Stats.instance, Stats.record_node r t) t.Stats.completed_ns)
         r.Stats.records;
       List.for_all
-        (fun (t : Stats.task_record) ->
-          let node = App_spec.node spec t.Stats.node in
+        (fun t ->
+          let node = App_spec.node spec (Stats.record_node r t) in
           List.for_all
             (fun pred ->
               match Hashtbl.find_opt completed (t.Stats.instance, pred) with
@@ -1651,7 +1649,7 @@ let test_custom_policy_bad_assignments () =
   List.iter
     (fun (label, (r : Stats.report), insts) ->
       let keys =
-        List.map (fun (x : Stats.task_record) -> (x.Stats.instance, x.Stats.node)) r.Stats.records
+        List.map (fun x -> (x.Stats.instance, Stats.record_node r x)) r.Stats.records
       in
       Alcotest.(check int) (label ^ ": every task ran") (tasks insts) (List.length keys);
       Alcotest.(check int) (label ^ ": no task ran twice") (List.length keys)
@@ -1782,8 +1780,6 @@ let () =
         [
           Alcotest.test_case "virtual" `Quick
             (test_missing_kernel (Emulator.virtual_seeded ~jitter:0.0 1L));
-          Alcotest.test_case "compiled" `Quick
-            (test_missing_kernel (Emulator.virtual_seeded 1L));
           Alcotest.test_case "native" `Quick (test_missing_kernel (Emulator.native_seeded 7L));
         ] );
       ( "event streams",

@@ -372,9 +372,10 @@ let test_saturated_bus_stalls_and_slows () =
     true
     (contended.Stats.makespan_ns > ideal.Stats.makespan_ns)
 
-(* The compiled engine used to refuse mesh fabrics; both engines now
-   price mesh hops, and from one seed they agree on the makespan. *)
-let test_mesh_topology_both_engines () =
+(* The compiled engine used to refuse mesh fabrics; the pc machine now
+   prices mesh hops, and from one seed it agrees with the reference
+   engine on the makespan. *)
+let test_mesh_topology_matches_reference () =
   let config =
     Config.with_fabric (fabric_of "bus:bw=500MB/s,hop=100ns,hops=mesh2x2")
       (Config.zcu102_cores_ffts ~cores:2 ~ffts:2)
@@ -385,15 +386,16 @@ let test_mesh_topology_both_engines () =
     | Ok r -> r
     | Error e -> Alcotest.failf "%s rejected mesh fabric: %s" name e
   in
-  let vr =
+  let reference =
     Virtual_engine.run
       ~params:{ Engine_core.seed = 7L; jitter = 0.03; reservation_depth = 0 }
       ~config ~workload:(wl ()) ~policy:Scheduler.frfs ()
   in
-  Alcotest.(check bool) "virtual prices mesh hops" true (vr.Stats.makespan_ns > 0);
-  let cr = run "compiled" (Emulator.virtual_seeded 7L) in
-  Alcotest.(check int) "compiled matches virtual on the mesh" vr.Stats.makespan_ns
-    cr.Stats.makespan_ns
+  Alcotest.(check bool) "the reference prices mesh hops" true
+    (reference.Stats.makespan_ns > 0);
+  let r = run "the pc machine" (Emulator.virtual_seeded 7L) in
+  Alcotest.(check int) "the pc machine matches the reference on the mesh"
+    reference.Stats.makespan_ns r.Stats.makespan_ns
 
 (* A hop latency near [max_int] used to wrap the fixed DMA latency
    into a shorter run; every engine must now refuse it before the run
@@ -414,7 +416,6 @@ let test_hop_latency_overflow () =
       | Ok r -> Alcotest.failf "%s: accepted, makespan %d ns" name r.Stats.makespan_ns)
     [
       ("virtual", Emulator.virtual_seeded ~jitter:0.0 7L, "FRFS", wl);
-      ("compiled", Emulator.virtual_seeded ~jitter:0.0 7L, "FRFS", wl);
       ("native", Emulator.native_seeded 7L, "MET", unused_accel);
       ("virtual FRFS, accelerator unused", Emulator.virtual_seeded ~jitter:0.0 7L, "FRFS",
         unused_accel);
@@ -578,8 +579,8 @@ let () =
         [
           Alcotest.test_case "saturated bus stalls and slows" `Quick
             test_saturated_bus_stalls_and_slows;
-          Alcotest.test_case "mesh topology: virtual yes, compiled yes" `Quick
-            test_mesh_topology_both_engines;
+          Alcotest.test_case "mesh: pc machine = reference" `Quick
+            test_mesh_topology_matches_reference;
           Alcotest.test_case "hop latency overflow is a typed error" `Quick
             test_hop_latency_overflow;
         ] );

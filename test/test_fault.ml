@@ -224,11 +224,11 @@ let test_accel_death_cpu_fallback () =
   Alcotest.(check int) "one death" 1 r.Stats.resilience.Stats.pe_deaths;
   Alcotest.(check (float 1e-9)) "workload survives" 1.0 (Stats.completed_fraction r);
   List.iter
-    (fun (t : Stats.task_record) ->
+    (fun t ->
       Alcotest.(check bool)
-        (Printf.sprintf "%s/%s avoided the dead PE" t.Stats.app t.Stats.node)
+        (Printf.sprintf "%s/%s avoided the dead PE" (Stats.record_app r t) (Stats.record_node r t))
         true
-        (t.Stats.pe <> "fft2"))
+        (Stats.record_pe r t <> "fft2"))
     r.Stats.records
 
 let test_midrun_death_degrades () =
@@ -336,11 +336,11 @@ let test_retry_dispatched_once () =
     in
     let seen = Hashtbl.create 8192 in
     List.iter
-      (fun (t : Stats.task_record) ->
-        let key = (t.Stats.instance, t.Stats.node) in
+      (fun t ->
+        let key = (t.Stats.instance, Stats.record_node r t) in
         if Hashtbl.mem seen key then
-          Alcotest.failf "seed index %d: %s/%d:%s completed twice" i t.Stats.app t.Stats.instance
-            t.Stats.node;
+          Alcotest.failf "seed index %d: %s/%d:%s completed twice" i (Stats.record_app r t)
+            t.Stats.instance (Stats.record_node r t);
         Hashtbl.replace seen key ())
       r.Stats.records
   done

@@ -15,16 +15,8 @@ module Quantile = Dssoc_stats.Quantile
 
 (* ---------------------- hand-built reports for Gantt edges ---------------------- *)
 
-let mk_record ~app ~node ~pe ~d ~c =
-  {
-    Stats.app;
-    instance = 0;
-    node;
-    pe;
-    ready_ns = 0;
-    dispatched_ns = d;
-    completed_ns = c;
-  }
+(* A record by its names; [mk_report] numbers them. *)
+let mk_record ~app ~node ~pe ~d ~c = (app, node, pe, d, c)
 
 let mk_usage label =
   {
@@ -37,6 +29,9 @@ let mk_usage label =
   }
 
 let mk_report ?(makespan = 1_000_000) records pe_labels =
+  let pe_index pe =
+    match List.find_index (String.equal pe) pe_labels with Some i -> i | None -> 0
+  in
   {
     Stats.host_name = "ZCU102";
     config_label = "test";
@@ -48,11 +43,28 @@ let mk_report ?(makespan = 1_000_000) records pe_labels =
     sched_invocations = 0;
     sched_ns = 0;
     wm_overhead_ns = 0;
-    records;
+    records =
+      List.mapi
+        (fun i (_, _, pe, d, c) ->
+          {
+            Stats.name = i;
+            instance = 0;
+            task = i;
+            pe_index = pe_index pe;
+            ready_ns = 0;
+            dispatched_ns = d;
+            completed_ns = c;
+            dma_ns = 0;
+          })
+        records;
+    names = Array.of_list (List.map (fun (app, node, _, _, _) -> (app, node)) records);
     app_stats = [];
     verdict = Stats.Completed;
     resilience = Stats.no_faults;
     fabric = Stats.no_fabric;
+    max_ready_depth = 0;
+    max_inflight = 0;
+    mean_wait_us = 0.0;
   }
 
 let contains ~needle haystack =

@@ -366,7 +366,7 @@ let test_report_invariants () =
 let test_predecessors_complete_first () =
   let r = run_validation (cfg_3c2f ()) [ (Reference_apps.wifi_tx (), 1) ] in
   (* wifi_tx is a linear chain: completion order must follow it. *)
-  let order = List.map (fun (t : Stats.task_record) -> t.Stats.node) r.Stats.records in
+  let order = List.map (Stats.record_node r) r.Stats.records in
   Alcotest.(check (list string)) "chain order"
     [ "CRC"; "SCRAMBLE"; "ENCODE"; "INTERLEAVE"; "MODULATE"; "PILOT"; "IFFT" ]
     order
@@ -453,7 +453,7 @@ let test_reservation_dependency_order () =
       ~engine:(Emulator.virtual_seeded ~jitter:0.0 ~reservation_depth:4 1L)
       (cfg_3c2f ()) [ (Reference_apps.wifi_tx (), 1) ]
   in
-  let order = List.map (fun (t : Stats.task_record) -> t.Stats.node) r.Stats.records in
+  let order = List.map (Stats.record_node r) r.Stats.records in
   Alcotest.(check (list string)) "chain order preserved with queues"
     [ "CRC"; "SCRAMBLE"; "ENCODE"; "INTERLEAVE"; "MODULATE"; "PILOT"; "IFFT" ]
     order

@@ -50,6 +50,53 @@ let prop_quantile_within_range =
       let v = Quantile.quantile xs q in
       v >= Quantile.min xs -. 1e-9 && v <= Quantile.max xs +. 1e-9)
 
+(* The sort-based definition [Quantile.quantile] selects instead of
+   sorting for: type-7 interpolation between order statistics of a
+   sorted copy. *)
+let quantile_by_sort xs q =
+  let sorted = Array.copy xs in
+  Array.sort compare sorted;
+  let n = Array.length sorted in
+  let h = q *. float_of_int (n - 1) in
+  let lo = int_of_float (Float.floor h) in
+  let hi = Stdlib.min (n - 1) (lo + 1) in
+  let frac = h -. float_of_int lo in
+  sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
+
+(* Samples heavy in ties, sorted and reversed runs, and the odd NaN or
+   infinity; [Float.equal] treats NaN as equal to itself. *)
+let prop_quantile_selects_as_sort =
+  let open QCheck in
+  let sample =
+    Gen.(
+      oneof
+        [
+          map float_of_int (int_range (-4) 4);
+          float_range (-1e3) 1e3;
+          float;
+          oneofl [ nan; infinity; neg_infinity; 0.0; -0.0 ];
+        ])
+  in
+  let layout xs = function
+    | 0 -> xs
+    | 1 -> List.sort compare xs
+    | _ -> List.rev (List.sort compare xs)
+  in
+  let gen =
+    Gen.(
+      map3
+        (fun xs order q -> (Array.of_list (layout xs order), q))
+        (list_size (int_range 1 400) sample)
+        (int_range 0 2)
+        (oneof [ return 0.0; return 1.0; return 0.95; float_range 0.0 1.0 ]))
+  in
+  Test.make ~name:"quantile selects what the sort-based definition reads" ~count:1000
+    (make ~print:Print.(pair (array float) float) gen)
+    (fun (xs, q) ->
+      let before = Array.copy xs in
+      let v = Quantile.quantile xs q in
+      Float.equal v (quantile_by_sort xs q) && Array.for_all2 Float.equal before xs)
+
 let test_table_render () =
   let s = Table.render ~header:[ "a"; "bb" ] ~rows:[ [ "1"; "2" ]; [ "333" ] ] in
   let lines = String.split_on_char '\n' s in
@@ -112,6 +159,7 @@ let () =
           Alcotest.test_case "boxplot" `Quick test_boxplot;
           qtest prop_quantile_monotone;
           qtest prop_quantile_within_range;
+          qtest prop_quantile_selects_as_sort;
         ] );
       ( "table",
         [

@@ -174,6 +174,7 @@ module Managers = struct
       task.Task.ready_at <- b.b_now ();
       rq_push task;
       incr ready_live;
+      note_ready stats ~ready:!ready_live;
       if Obs.enabled obs then
         Obs.on_task_ready obs ~now:task.Task.ready_at ~task:task.Task.id
           ~instance:task.Task.instance_id ~cls:task.Task.cls ~node:task.Task.index
@@ -292,12 +293,14 @@ module Managers = struct
               task.Task.attempts <- task.Task.attempts + 1;
               decr ready_live;
               task.Task.dispatched_at <- b.b_now ();
-              task.Task.pe_label <- h.h_pe.Pe.label;
+              task.Task.pe <- h.h_index;
               Queue.add task h.h_pending;
               h.h_inflight <- h.h_inflight + 1;
               incr inflight;
               h.h_busy_until <-
                 max (b.b_now ()) h.h_busy_until + estimate task h.h_index;
+              note_dispatch stats ~wait_ns:(task.Task.dispatched_at - task.Task.ready_at)
+                ~inflight:!inflight;
               if Obs.enabled obs then begin
                 let now = task.Task.dispatched_at in
                 Obs.on_task_dispatched obs ~now ~task:task.Task.id
@@ -316,19 +319,9 @@ module Managers = struct
     in
     (* Bookkeeping for one completed task: statistics, instance
        accounting, and releasing newly ready successors. *)
-    let process_completion (task : Task.t) =
+    let process_completion h (task : Task.t) =
       task.Task.status <- Task.Done;
-      stats.records <-
-        {
-          Stats.app = task.Task.app_name;
-          instance = task.Task.instance_id;
-          node = task.Task.node.App_spec.node_name;
-          pe = task.Task.pe_label;
-          ready_ns = task.Task.ready_at;
-          dispatched_ns = task.Task.dispatched_at;
-          completed_ns = task.Task.completed_at;
-        }
-        :: stats.records;
+      record_completion stats task ~pe_index:h.h_index;
       let inst = instances.(task.Task.instance_id) in
       inst.Task.remaining <- inst.Task.remaining - 1;
       if inst.Task.remaining = 0 then begin
@@ -385,7 +378,7 @@ module Managers = struct
                     ~cls:task.Task.cls ~node:task.Task.index ~pe_index:h.h_index
                     ~service_ns:(task.Task.completed_at - task.Task.dispatched_at)
                     ~pe_depth:h.h_inflight ~inflight:!inflight;
-                process_completion task
+                process_completion h task
               end;
               if h.h_capacity <= 1 then
                 (* No reservation queue: the scheduler runs once per
@@ -548,6 +541,7 @@ let backend des ~prng ~jitter ~overlay_perf ~model ~(policy : Scheduler.policy) 
       let t0 = !now in
       dma ~ideal:c.Exec_model.dma_in.(row) ~demand:c.Exec_model.demand_in.(row)
         ~fixed:c.Exec_model.fixed_in.(row) ~bytes:c.Exec_model.bytes_in.(row);
+      task.Task.dma_ns <- !now - t0;
       phase_end Obs.Dma_in t0;
       (* ...then the thread sleeps while the device computes... *)
       let t1 = !now in
@@ -557,6 +551,7 @@ let backend des ~prng ~jitter ~overlay_perf ~model ~(policy : Scheduler.policy) 
       let t2 = !now in
       dma ~ideal:c.Exec_model.dma_out.(row) ~demand:c.Exec_model.demand_out.(row)
         ~fixed:c.Exec_model.fixed_out.(row) ~bytes:c.Exec_model.bytes_out.(row);
+      task.Task.dma_ns <- task.Task.dma_ns + (!now - t2);
       phase_end Obs.Dma_out t2
   in
   {
@@ -634,7 +629,7 @@ let run_timed ~fresh_stores ?(params = default_params) ?(obs = Obs.disabled) ?fa
              ~reservation_depth:params.reservation_depth)
          config.Config.placements)
   in
-  let stats = Core.make_stats ~classes:(Array.length model.Exec_model.classes) in
+  let stats = Core.make_stats model in
   let fault = Core.compile_fault fault ~handlers in
   if Obs.enabled obs then
     Obs.attach obs
