@@ -428,7 +428,7 @@ let cs4 () =
   let r_fftw, i_fftw = run conv_opt.Driver.spec in
   let r_accel, i_accel = run accel_spec in
   let node_us (r : Stats.report) name =
-    let t = List.find (fun t -> Stats.record_node r t = name) r.Stats.records in
+    let t = List.find (fun t -> Stats.record_node r t = name) (Stats.record_list r) in
     float_of_int (t.Stats.completed_ns - t.Stats.dispatched_ns) /. 1e3
   in
   let naive_avg = (node_us r_naive "KERNEL_5" +. node_us r_naive "KERNEL_7") /. 2.0 in

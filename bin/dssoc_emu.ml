@@ -408,7 +408,7 @@ let run_cmd =
       | None -> ()
       | Some path ->
         Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc (Stats.records_csv report));
-        Printf.printf "wrote %d task records to %s\n" (List.length report.Stats.records) path);
+        Printf.printf "wrote %d task records to %s\n" (Stats.record_count report) path);
       let failures = ref [] in
       (match events with
       | None -> ()

@@ -23,7 +23,7 @@ let run spec =
   Result.get_ok (Emulator.run_detailed ~engine ~config ~workload ())
 
 let node_us (report : Stats.report) name =
-  match List.find_opt (fun t -> Stats.record_node report t = name) report.Stats.records with
+  match List.find_opt (fun t -> Stats.record_node report t = name) (Stats.record_list report) with
   | Some t -> float_of_int (t.Stats.completed_ns - t.Stats.dispatched_ns) /. 1e3
   | None -> nan
 

@@ -131,5 +131,5 @@ let () =
   (* 5. The same workload runs natively on OCaml domains. *)
   let native = Emulator.run_exn ~engine:(Emulator.native_seeded 7L) ~config ~workload () in
   Format.printf "@.native run on this machine: %d tasks in %.3f ms wall time@."
-    (List.length native.Stats.records)
+    (Stats.record_count native)
     (float_of_int native.Stats.makespan_ns /. 1e6)

@@ -122,8 +122,8 @@ let set_bits t name bits =
 let get_raw t name = (find t name).data
 
 let copy t =
-  let t' = Hashtbl.create (Hashtbl.length t) in
-  Hashtbl.iter (fun k s -> Hashtbl.replace t' k { s with data = Bytes.copy s.data }) t;
+  let t' = Hashtbl.copy t in
+  Hashtbl.filter_map_inplace (fun _ s -> Some { s with data = Bytes.copy s.data }) t';
   t'
 
 let blit_from dst ~src =

@@ -177,11 +177,10 @@ let empty_path =
    binary searches in the task's instance or PE group, sorted by
    (completion, task id, position) — exactly those tie-breaks — so each
    backward step does bounded work however long the schedule is. *)
-let path (f : 'r fields) (a : 'r array) ~makespan_ns ?(inject_ns = fun _ -> 0) () =
-  let n = Array.length a in
+let walk (f : 'r fields) (a : int -> 'r) n ~makespan_ns ~inject_ns =
   if n = 0 then empty_path
   else begin
-    let c k = f.f_completed_ns a.(k) and id k = f.f_task a.(k) in
+    let c k = f.f_completed_ns (a k) and id k = f.f_task (a k) in
     let best = ref 0 in
     for i = 1 to n - 1 do
       if c i > c !best || (c i = c !best && id i < id !best) then best := i
@@ -196,7 +195,7 @@ let path (f : 'r fields) (a : 'r array) ~makespan_ns ?(inject_ns = fun _ -> 0) (
         lazy
           (let tbl = Int_tbl.create 64 in
            for k = n - 1 downto 0 do
-             let g = key a.(k) in
+             let g = key (a k) in
              match Int_tbl.find_opt tbl g with
              | Some ks -> ks := k :: !ks
              | None -> Int_tbl.add tbl g (ref [ k ])
@@ -205,7 +204,7 @@ let path (f : 'r fields) (a : 'r array) ~makespan_ns ?(inject_ns = fun _ -> 0) (
       in
       let groups = Int_tbl.create 16 in
       fun i ->
-        let g = key a.(i) in
+        let g = key (a i) in
         match Int_tbl.find_opt groups g with
         | Some group -> group
         | None ->
@@ -227,7 +226,7 @@ let path (f : 'r fields) (a : 'r array) ~makespan_ns ?(inject_ns = fun _ -> 0) (
     let at g p = if p >= 0 && p < Array.length g then g.(p) else -1 in
     (* The last position at or before [p] not holding task [i]. *)
     let before g p i = if p >= 0 && g.(p) = i then p - 1 else p in
-    let ready i = f.f_ready_ns a.(i) and dispatched i = f.f_dispatched_ns a.(i) in
+    let ready i = f.f_ready_ns (a i) and dispatched i = f.f_dispatched_ns (a i) in
     let visited = Array.make n false in
     (* (index, edge, predecessor index option), forward order: consing
        while walking backwards reverses the walk. *)
@@ -272,7 +271,7 @@ let path (f : 'r fields) (a : 'r array) ~makespan_ns ?(inject_ns = fun _ -> 0) (
              (or the injection itself) becomes the binding constraint. *)
           let g = by_instance i in
           let k = at g (before g (search g (ready i) - 1) i) in
-          let alt = inject_ns (f.f_instance a.(i)) in
+          let alt = inject_ns (f.f_instance (a i)) in
           ready i - if k >= 0 then max alt (c k) else alt
       | Resource, Some pr ->
           (* [pr] itself completes at [pc], so the search skips it. *)
@@ -289,7 +288,7 @@ let path (f : 'r fields) (a : 'r array) ~makespan_ns ?(inject_ns = fun _ -> 0) (
           let gap = max 0 (dispatched i - !prev_end) in
           prev_end := c i;
           {
-            s_task = a.(i);
+            s_task = a i;
             s_edge = edge;
             s_gap_ns = gap;
             s_service_ns = c i - dispatched i;
@@ -313,6 +312,12 @@ let path (f : 'r fields) (a : 'r array) ~makespan_ns ?(inject_ns = fun _ -> 0) (
       cp_dma_frac = (if length <= 0 then 0.0 else float_of_int dma /. float_of_int length);
     }
   end
+
+let path f a ~makespan_ns ?(inject_ns = fun _ -> 0) () =
+  walk f (Array.get a) (Array.length a) ~makespan_ns ~inject_ns
+
+let path_rows f n ~makespan_ns ?(inject_ns = fun _ -> 0) () =
+  walk f Fun.id n ~makespan_ns ~inject_ns
 
 let exec_fields =
   {

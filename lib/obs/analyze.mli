@@ -115,6 +115,11 @@ val path :
     first time the walk needs it, and a sort of each group it consults
     unless that group is already in completion order. *)
 
+val path_rows :
+  int fields -> int -> makespan_ns:int -> ?inject_ns:(int -> int) -> unit -> int path
+(** [path_rows f n]: {!path} over rows [0 .. n-1], a task being its row
+    number, for records kept as columns. *)
+
 val critical_path : t -> critical_path
 (** {!path} over the log's tasks, its makespan and injection times:
     [cp_length_ns = makespan_ns t] (the property the test suite pins

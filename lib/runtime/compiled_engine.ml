@@ -35,6 +35,9 @@ type plan = {
   p_pe_busy_w : float array;
   p_overlay_perf : float;
   p_overhead : ready:int -> ops:int -> int;  (** the policy's scheduling-cost formula *)
+  p_est : int array;  (** every class's [est], class after class *)
+  p_est_base : int array;  (** per class, its first row in [p_est] *)
+  p_node_bits : int;  (** a task handle's node field: every class's node count fits *)
 }
 
 let pcode_of (policy : Scheduler.policy) =
@@ -60,8 +63,8 @@ type substrate = {
   s_lock : Core.handler -> unit;
   s_unlock : Core.handler -> unit;
   s_jitter : int -> int -> int;
-  s_cpu : int -> Task.t -> int -> bool;
-  s_compute : int -> Task.t -> int -> bool;
+  s_cpu : int -> Task.state -> int -> int -> bool;
+  s_compute : int -> Task.state -> int -> int -> bool;
   s_charge : float -> bool;
   s_mark : unit -> int;
   s_sched_done : int -> ready:int -> ops:int -> int;
@@ -77,6 +80,10 @@ type substrate = {
 let engine_name = "Compiled_engine.compile"
 
 let plan_of ~(config : Config.t) ~(policy : Scheduler.policy) model =
+  let classes = model.Exec_model.classes in
+  let nodes = Array.map (fun (c : Exec_model.cls) -> Array.length c.Exec_model.topology.Task.tp_nodes) classes in
+  let rec bits b = if 1 lsl b >= Array.fold_left max 1 nodes then b else bits (b + 1) in
+  let base = ref 0 in
   {
     p_config = config;
     p_policy = policy;
@@ -87,6 +94,15 @@ let plan_of ~(config : Config.t) ~(policy : Scheduler.policy) model =
     p_overlay_perf = config.Config.host.Host.overlay.Host.core_class.Pe.perf_factor;
     p_overhead =
       Scheduler.overhead ~policy_name:policy.Scheduler.name ~pes:model.Exec_model.n_pes;
+    p_est = Array.concat (Array.to_list (Array.map (fun (c : Exec_model.cls) -> c.Exec_model.est) classes));
+    p_est_base =
+      Array.map
+        (fun n ->
+          let b = !base in
+          base := b + (n * model.Exec_model.n_pes);
+          b)
+        nodes;
+    p_node_bits = bits 0;
   }
 
 let compile ~config ~workload ~policy () =
@@ -102,8 +118,8 @@ let model plan = plan.p_model
 (* ------------------------------------------------------------------ *)
 
 type service_ops = {
-  so_inject : Task.instance -> int;
-  so_cancel : Task.instance -> bool;
+  so_inject : Task.state -> int;
+  so_cancel : Task.state -> bool;
   so_ready_live : unit -> int;
   so_inflight : unit -> int;
   so_completed : unit -> int;
@@ -116,17 +132,17 @@ type service = {
   sv_unarrived : unit -> int Seq.t;
 }
 
-(* A workload known in advance: build item [i] as instance [i] (store
-   [store k] for class [k]; [keep] sees it) once the clock reaches its
-   arrival, finish once all have completed.  The function returned
-   builds the items an aborted run never reached. *)
+(* A workload known in advance: build item [i]'s state as instance [i]
+   (store [store k] for class [k]; [keep] sees it) once the clock
+   reaches its arrival, finish once all have completed.  The function
+   returned builds the items an aborted run never reached. *)
 let fixed_source (m : Exec_model.t) ~store ~keep =
   let items = m.Exec_model.items and arrivals = m.Exec_model.arrivals in
   let n = Array.length items and next = ref 0 and task_base = ref 0 in
   let build () =
     let i = !next and k = items.(!next) in
     let inst =
-      Exec_model.instance m k ~store:(store k) ~task_id_base:!task_base ~inst_id:i
+      Exec_model.state m k ~store:(store k) ~task_id_base:!task_base ~inst_id:i
         ~arrival_ns:arrivals.(i)
     in
     task_base := !task_base + Exec_model.task_count m k;
@@ -148,7 +164,7 @@ let fixed_source (m : Exec_model.t) ~store ~keep =
     },
     fun () ->
       while !next < n do
-        ignore (build () : Task.instance)
+        ignore (build () : Task.state)
       done )
 
 let fixed m =
@@ -169,7 +185,7 @@ type service_run = {
   sr_aborted : string option;
 }
 
-(* Instances and fault-path entry lists, by id. *)
+(* Fault-path entry lists, by task id. *)
 module Ids = Hashtbl.Make (struct
   include Int
 
@@ -203,8 +219,8 @@ let des_substrate ~obs ~clock0 ~prng plan (params : Core.params) (stats : Core.w
     s_unlock = ignore;
     s_jitter = (fun _ ns -> Core.jittered prng ~jitter ns);
     (* Timing only: outputs come from [Functional] after the run. *)
-    s_cpu = (fun th _ ns -> Des.work des th ns);
-    s_compute = (fun th _ ns -> Des.sleep des th ns);
+    s_cpu = (fun th _ _ ns -> Des.work des th ns);
+    s_compute = (fun th _ _ ns -> Des.sleep des th ns);
     s_charge =
       (fun ns ->
         let c = scale ns in
@@ -237,6 +253,20 @@ let des_substrate ~obs ~clock0 ~prng plan (params : Core.params) (stats : Core.w
 
 let sched_window = Cost_model.sched_examined_cap
 
+(* The slot of an instance that completed or was cancelled: holding no
+   state, it keeps none alive. *)
+let no_state =
+  {
+    Task.st_id = -1;
+    st_cls = 0;
+    st_task_base = 0;
+    st_arrival_ns = 0;
+    st_store = Store.create [];
+    st_nodes = [||];
+    st_remaining = 0;
+    st_completed_at = -1;
+  }
+
 (* One run of the machine over the arrivals of [source], on the
    substrate that [substrate] builds once the handlers, statistics and
    engine metrics exist; [records] keeps per-task records; [resume]
@@ -247,11 +277,12 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
   let n_pes = model.Exec_model.n_pes in
   let stride = n_pes in
   let wm_th = n_pes in
-  (* Prices come from the task's class, at row [index * stride + pe];
-     the policy loops inline the two loads. *)
+  (* Prices come from the task's class, at row [node * stride + pe];
+     the policy loops read [p_est] at the row cached in the ready-list
+     slot. *)
   let classes = model.Exec_model.classes in
-  let cls (t : Task.t) = classes.(t.Task.cls) in
-  let row (t : Task.t) i = (t.Task.index * stride) + i in
+  let est = plan.p_est and est_base = plan.p_est_base in
+  let w = Task.width in
   let handlers =
     Array.mapi
       (fun i pe ->
@@ -272,12 +303,8 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
       handlers);
   let fault = Core.compile_fault fault ~handlers in
   let fault_on = Fault.enabled fault in
-  let stats = Core.make_stats model in
+  let stats = Core.make_stats ~records model in
   let aborted () = match stats.Core.aborted with None -> false | Some _ -> true in
-  (* The instances injected and neither completed nor cancelled, by id:
-     the machine holds no array indexed by instance or task id, so its
-     memory follows the instances in flight. *)
-  let live : Task.instance Ids.t = Ids.create 64 in
   (* Observability lowering: [traced] is constant for the whole run, so
      the untraced loop pays one predictable branch per hook site.
      Metric registration order is the reference engine's — engine handles
@@ -290,9 +317,49 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
       ~pe_labels:(Array.map (fun pe -> pe.Pe.label) model.Exec_model.pes)
       ~nodes:(Exec_model.node_names model);
   let s = substrate handlers stats in
-  (* The per-handler lock guards [h_pending], [h_completed] and
-     [h_stop], which the native substrate shares between domains. *)
+  (* The per-handler lock guards [h_pending], [h_completed], [h_failed]
+     and [h_stop], which the native substrate shares between domains. *)
   let lock = s.s_lock and unlock = s.s_unlock in
+  (* ---- instance states ----
+     The instances injected and neither completed nor cancelled sit in
+     slots, which are reused: the machine holds no array indexed by
+     instance or task id, so its memory follows the instances in
+     flight.  A task is known by its handle, its instance's slot and
+     its node: [(slot lsl bits) lor node]. *)
+  let bits = plan.p_node_bits in
+  let node_mask = (1 lsl bits) - 1 in
+  let lv = ref [||] and lv_free = ref [||] and n_lv_free = ref 0 and n_lv = ref 0 in
+  let st_of hd = !lv.(hd lsr bits) in
+  let lv_alloc st =
+    let sl =
+      if !n_lv_free > 0 then begin
+        decr n_lv_free;
+        !lv_free.(!n_lv_free)
+      end
+      else begin
+        let sl = !n_lv in
+        if sl = Array.length !lv then begin
+          let b = Array.make (max 16 (2 * sl)) no_state in
+          Array.blit !lv 0 b 0 sl;
+          (* A resource manager reads the slots under its handler's
+             lock, so the new array is published under all of them. *)
+          Array.iter lock handlers;
+          lv := b;
+          Array.iter unlock handlers;
+          lv_free := Array.make (Array.length b) 0
+        end;
+        incr n_lv;
+        sl
+      end
+    in
+    !lv.(sl) <- st;
+    sl
+  in
+  let lv_release sl =
+    !lv.(sl) <- no_state;
+    !lv_free.(!n_lv_free) <- sl;
+    incr n_lv_free
+  in
   (* ---- workload-manager state ----
      The ready collection is an intrusive doubly-linked list over slots:
      a task takes a slot when it becomes Ready and gives it back when it
@@ -302,8 +369,9 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
      order — the same sequence the reference engine's queue exposes
      once stale (already-dispatched) entries are skipped — so the
      scheduling window never rescans stale entries and never
-     allocates. *)
-  let sl_task : Task.t array ref = ref [||] in
+     allocates.  A slot holds the task's handle and its price row in
+     [est]. *)
+  let sl_h = ref [||] and sl_row = ref [||] in
   let sl_nxt = ref [||] and sl_prv = ref [||] in
   let sl_free = ref [||] and n_free = ref 0 and n_slots = ref 0 in
   (* Under a fault plan, each slot's position in the reference FIFO
@@ -311,7 +379,7 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
   let sl_pos = ref [||] in
   let rl_head = ref (-1) in
   let rl_tail = ref (-1) in
-  let rl_alloc (t : Task.t) =
+  let rl_alloc hd row =
     let sl =
       if !n_free > 0 then begin
         decr n_free;
@@ -319,7 +387,7 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
       end
       else begin
         let sl = !n_slots in
-        if sl = Array.length !sl_task then begin
+        if sl = Array.length !sl_h then begin
           (* the free stack is empty here, so it restarts at the new size *)
           let cap = max 64 (2 * sl) in
           let grow a fill =
@@ -327,7 +395,8 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
             Array.blit a 0 b 0 sl;
             b
           in
-          sl_task := grow !sl_task t;
+          sl_h := grow !sl_h 0;
+          sl_row := grow !sl_row 0;
           sl_nxt := grow !sl_nxt (-1);
           sl_prv := grow !sl_prv (-1);
           if fault_on then sl_pos := grow !sl_pos 0;
@@ -337,7 +406,8 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
         sl
       end
     in
-    !sl_task.(sl) <- t;
+    !sl_h.(sl) <- hd;
+    !sl_row.(sl) <- row;
     sl
   in
   (* Link slot [sl] in before slot [next] ([-1]: at the tail). *)
@@ -368,16 +438,16 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
      task leaves [entries] once it can never be Ready again. *)
   let fifo_pos = ref 0 and fifo_head = ref 0 in
   let entries : int list Ids.t = Ids.create (if fault_on then 64 else 1) in
-  let rl_insert (t : Task.t) =
+  let rl_insert hd row id =
     let pos = !fifo_pos in
     incr fifo_pos;
     let kept =
-      match Ids.find entries t.Task.id with
+      match Ids.find entries id with
       | l -> List.filter (fun e -> e >= !fifo_head) l
       | exception Not_found -> []
     in
-    Ids.replace entries t.Task.id (kept @ [ pos ]);
-    let sl = rl_alloc t in
+    Ids.replace entries id (kept @ [ pos ]);
+    let sl = rl_alloc hd row in
     match kept with
     | [] ->
       !sl_pos.(sl) <- pos;
@@ -390,12 +460,12 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
       done;
       rl_link sl !next
   in
-  (* The slot of a Ready task, for the callers that hold only the task
+  (* The slot of a Ready task, for the callers that hold only its handle
      (a custom policy's assignment, a cancellation): a walk from the
      head, which finds a task from the window within the window. *)
-  let slot_of (t : Task.t) =
+  let slot_of hd =
     let sl = ref !rl_head in
-    while !sl_task.(!sl) != t do
+    while !sl_h.(!sl) <> hd do
       sl := !sl_nxt.(!sl)
     done;
     !sl
@@ -423,53 +493,69 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
   let cand = Array.make (max 1 n_pes) 0 in
   (* Under a fault plan, whether each PE may take work this round. *)
   let pe_up = Array.make (max 1 n_pes) true in
-  (* One invocation's assignments, in the policy's order.  A custom
+  (* One invocation's assignments, in the policy's order, by handle
+     ([-1]: a custom policy's task from outside the window).  A custom
      policy may return more than one per PE (the dispatch loop drops
      the unusable ones). *)
-  let as_task : Task.t array ref = ref [||] in
+  let as_h : int array ref = ref [||] in
   let as_pe : int array ref = ref [||] in
   let as_slot : int array ref = ref [||] in
   let as_n = ref 0 in
   let custom = plan.p_pcode = P_custom in
-  (* A custom policy's context, built as [Engine_core]'s: the window is
-     reusable scratch sized to the examination cap, the PE states are
-     refreshed in place. *)
+  (* A custom policy's context, built as the reference engine's: the
+     window is reusable scratch sized to the examination cap, holding a
+     task record per entry built for the round ([cx_h] its handle), and
+     the PE states are refreshed in place. *)
   let cx_ready : Task.t array ref = ref [||] in
+  let cx_h = Array.make (if custom then sched_window else 0) 0 in
   let cx_pes =
     Array.map
       (fun pe -> { Scheduler.pe; idle = false; busy_until = 0; available = true })
       model.Exec_model.pes
   in
   let cx_estimate task i = Exec_model.estimate model task i in
-  let make_ready (t : Task.t) =
-    t.Task.status <- Task.Ready;
-    t.Task.ready_at <- s.s_now ();
-    if fault_on then rl_insert t else rl_link (rl_alloc t) (-1);
+  let make_ready hd =
+    let st = st_of hd and j = hd land node_mask in
+    let a = st.Task.st_nodes and b = j * w in
+    let now = s.s_now () in
+    a.(b + Task.f_status) <- Task.ready;
+    a.(b + Task.f_ready) <- now;
+    let row = est_base.(st.Task.st_cls) + (j * stride) in
+    if fault_on then rl_insert hd row (st.Task.st_task_base + j)
+    else rl_link (rl_alloc hd row) (-1);
     incr ready_live;
     Core.note_ready stats ~ready:!ready_live;
     if traced then
-      Obs.on_task_ready obs ~now:t.Task.ready_at ~task:t.Task.id
-        ~instance:t.Task.instance_id ~cls:t.Task.cls ~node:t.Task.index
-        ~ready_depth:!ready_live
+      Obs.on_task_ready obs ~now ~task:(st.Task.st_task_base + j) ~instance:st.Task.st_id
+        ~cls:st.Task.st_cls ~node:j ~ready_depth:!ready_live
   in
   (* The resilient-dispatch bookkeeping is the reference engine's own.
      A PE death checks the live instances in id order, then the
      classes the source has yet to inject. *)
   let unfinished () =
-    let insts = Ids.fold (fun _ inst acc -> inst :: acc) live [] in
-    let by_id (a : Task.instance) (b : Task.instance) = Int.compare a.Task.inst_id b.Task.inst_id in
+    let insts = ref [] in
+    for sl = !n_lv - 1 downto 0 do
+      if !lv.(sl) != no_state then insts := !lv.(sl) :: !insts
+    done;
+    let by_id (a : Task.state) (b : Task.state) = Int.compare a.Task.st_id b.Task.st_id in
     Seq.append
-      (Core.unfinished_nodes (List.to_seq (List.sort by_id insts)))
+      (Seq.concat_map
+         (fun (st : Task.state) ->
+           let a = st.Task.st_nodes in
+           Core.unfinished_nodes ~cls:st.Task.st_cls ~nodes:(Array.length a / w)
+             ~finished:(fun j -> a.((j * w) + Task.f_status) = Task.done_))
+         (List.to_seq (List.sort by_id !insts)))
       (Seq.concat_map
          (fun k ->
-           let tp = classes.(k).Exec_model.topology in
-           Seq.map
-             (fun node -> (tp.Task.tp_spec.App_spec.app_name, node))
-             (Array.to_seq tp.Task.tp_nodes))
+           Core.unfinished_nodes ~cls:k ~nodes:(Exec_model.task_count model k)
+             ~finished:(fun _ -> false))
          (source.sv_unarrived ()))
   in
   let res =
-    Core.resilience ~fault ~obs ~stats ~handlers ~unfinished ~inflight ~make_ready ~lock ~unlock
+    Core.resilience ~fault ~obs ~stats ~model ~handlers ~unfinished ~inflight ~make_ready
+      ~blocked:(fun hd ->
+        (st_of hd).Task.st_nodes.(((hd land node_mask) * w) + Task.f_status) <- Task.blocked)
+      ~lock ~unlock
   in
   (* Capabilities handed to the source.  Cancelling an instance with no
      Running task forgets it: its Ready tasks leave the ready list and
@@ -477,29 +563,38 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
   let ops =
     {
       so_inject =
-        (fun (inst : Task.instance) ->
+        (fun (st : Task.state) ->
+          let tp = classes.(st.Task.st_cls).Exec_model.topology in
           if traced then
-            Obs.on_instance_injected obs ~now:(s.s_now ()) ~instance:inst.Task.inst_id
-              ~app:inst.Task.app.App_spec.app_name;
-          Ids.replace live inst.Task.inst_id inst;
-          let entry = (cls inst.Task.tasks.(0)).Exec_model.topology.Task.tp_entry in
-          Array.iter (fun j -> make_ready inst.Task.tasks.(j)) entry;
+            Obs.on_instance_injected obs ~now:(s.s_now ()) ~instance:st.Task.st_id
+              ~app:tp.Task.tp_spec.App_spec.app_name;
+          let sl = lv_alloc st in
+          let entry = tp.Task.tp_entry in
+          Array.iter (fun j -> make_ready ((sl lsl bits) lor j)) entry;
           Array.length entry);
       so_cancel =
-        (fun (inst : Task.instance) ->
-          Array.for_all (fun (t : Task.t) -> t.Task.status <> Task.Running) inst.Task.tasks
+        (fun (st : Task.state) ->
+          let a = st.Task.st_nodes and n = Array.length st.Task.st_nodes / w in
+          let running = ref false in
+          for j = 0 to n - 1 do
+            if a.((j * w) + Task.f_status) = Task.running then running := true
+          done;
+          (not !running)
           && begin
-            Ids.remove live inst.Task.inst_id;
-            if fault_on then Core.withdraw_retries res ~instance:inst.Task.inst_id;
-            Array.iter
-              (fun (t : Task.t) ->
-                if fault_on then Ids.remove entries t.Task.id;
-                if t.Task.status = Task.Ready then begin
-                  t.Task.status <- Task.Blocked;
-                  rl_unlink (slot_of t);
-                  decr ready_live
-                end)
-              inst.Task.tasks;
+            let sl = ref (-1) in
+            for k = 0 to !n_lv - 1 do
+              if !lv.(k) == st then sl := k
+            done;
+            if fault_on then Core.withdraw_retries res ~instance:st.Task.st_id;
+            for j = 0 to n - 1 do
+              if fault_on then Ids.remove entries (st.Task.st_task_base + j);
+              if a.((j * w) + Task.f_status) = Task.ready then begin
+                a.((j * w) + Task.f_status) <- Task.blocked;
+                rl_unlink (slot_of ((!sl lsl bits) lor j));
+                decr ready_live
+              end
+            done;
+            if !sl >= 0 then lv_release !sl;
             true
           end);
       so_ready_live = (fun () -> !ready_live);
@@ -509,16 +604,23 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
   in
   (* ---- resource-manager threads (Fig. 4) ---- *)
   let rm_pc = Array.make (max 1 n_pes) 0 in
-  let rm_task : Task.t option array = Array.make (max 1 n_pes) None in
+  (* The attempt in hand: its task's handle, instance state (read under
+     the handler's lock, released at the attempt's end) and fault-plan
+     decision. *)
+  let rm_h = Array.make (max 1 n_pes) 0 in
+  let rm_st = Array.make (max 1 n_pes) no_state in
+  let rm_dec = Array.make (max 1 n_pes) Fault.Proceed in
   let rm_started = Array.make (max 1 n_pes) 0 in
   (* A slowed attempt's extra PE time, slept after its execution. *)
   let rm_tail = Array.make (max 1 n_pes) 0 in
   (* Start of the current accelerator phase: the DMA phases' spans make
-     the task's [dma_ns], and traced runs emit every span. *)
+     the task's DMA time, and traced runs emit every span. *)
   let rm_ph0 = Array.make (max 1 n_pes) 0 in
-  let rm_cur i =
-    match rm_task.(i) with Some t -> t | None -> assert false
-  in
+  let rm_node i = rm_h.(i) land node_mask in
+  let rm_row i = (rm_node i * stride) + i in
+  let rm_cls i = classes.(rm_st.(i).Task.st_cls) in
+  let rm_id i = rm_st.(i).Task.st_task_base + rm_node i in
+  let rm_dma i = (rm_node i * w) + Task.f_dma in
   (* A substrate call that suspended the thread parks it at [pc]; one
      that did not lets it continue there at once.  Every transition is a
      tail call: on a substrate that never suspends (native), a thread's
@@ -534,34 +636,38 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
   and rm_drain i =
     let h = handlers.(i) in
     lock h;
-    let next = Queue.take_opt h.Core.h_pending in
+    let next = if Queue.is_empty h.Core.h_pending then -1 else Queue.take h.Core.h_pending in
     let left = Queue.length h.Core.h_pending in
+    if next >= 0 then rm_st.(i) <- st_of next;
     unlock h;
-    match next with
-    | None -> rm_await i
-    | Some task ->
+    if next < 0 then rm_await i
+    else begin
       let now = s.s_now () in
       if traced && h.Core.h_capacity > 1 then
         Obs.on_reservation_popped obs ~now ~pe_index:i ~depth:left;
-      rm_task.(i) <- Some task;
+      rm_h.(i) <- next;
       rm_started.(i) <- now;
-      if not fault_on then rm_exec i task
+      if not fault_on then rm_exec i
       else begin
         (* A failing attempt never executes, so it draws no jitter. *)
-        match
-          Core.decide_attempt ~fault ~obs h task ~now
-            ~est_ns:(cls task).Exec_model.est.(row task i)
-        with
-        | Fault.Proceed -> rm_exec i task
+        let d =
+          Core.decide_attempt ~fault ~obs h ~task:(rm_id i)
+            ~attempt:rm_st.(i).Task.st_nodes.((rm_node i * w) + Task.f_attempts)
+            ~now ~est_ns:(rm_cls i).Exec_model.est.(rm_row i)
+        in
+        rm_dec.(i) <- d;
+        match d with
+        | Fault.Proceed -> rm_exec i
         | Fault.Proceed_slow extra_ns ->
           rm_tail.(i) <- extra_ns;
-          rm_exec i task
+          rm_exec i
         | Fault.Fail { after_ns; _ } -> rm_then i 8 (s.s_sleep i after_ns)
       end
-  and rm_exec i task =
-    let c = cls task and row = row task i in
+    end
+  and rm_exec i =
+    let c = rm_cls i and row = rm_row i in
     if plan.p_pe_is_cpu.(i) then
-      rm_then i 2 (s.s_cpu i task (s.s_jitter i c.Exec_model.est.(row)))
+      rm_then i 2 (s.s_cpu i rm_st.(i) (rm_node i) (s.s_jitter i c.Exec_model.est.(row)))
     else begin
       rm_ph0.(i) <- s.s_now ();
       let dem = c.Exec_model.demand_in.(row) in
@@ -570,22 +676,22 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
     end
   and rm_work i ns pc = rm_then i pc (s.s_work i ns)
   and rm_acc_after_in i =
-    let task = rm_cur i in
     let now = s.s_now () in
-    task.Task.dma_ns <- now - rm_ph0.(i);
+    rm_st.(i).Task.st_nodes.(rm_dma i) <- now - rm_ph0.(i);
     if traced then
-      Obs.on_phase obs ~now ~task:task.Task.id ~pe_index:i ~phase:Obs.Dma_in
-        ~start_ns:rm_ph0.(i) ~dur_ns:(now - rm_ph0.(i));
+      Obs.on_phase obs ~now ~task:(rm_id i) ~pe_index:i ~phase:Obs.Dma_in ~start_ns:rm_ph0.(i)
+        ~dur_ns:(now - rm_ph0.(i));
     rm_ph0.(i) <- now;
-    rm_then i 4 (s.s_compute i task (s.s_jitter i (cls task).Exec_model.compute.(row task i)))
+    rm_then i 4
+      (s.s_compute i rm_st.(i) (rm_node i)
+         (s.s_jitter i (rm_cls i).Exec_model.compute.(rm_row i)))
   and rm_acc_after_comp i =
-    let task = rm_cur i in
     let now = s.s_now () in
     if traced then
-      Obs.on_phase obs ~now ~task:task.Task.id ~pe_index:i ~phase:Obs.Device_compute
+      Obs.on_phase obs ~now ~task:(rm_id i) ~pe_index:i ~phase:Obs.Device_compute
         ~start_ns:rm_ph0.(i) ~dur_ns:(now - rm_ph0.(i));
     rm_ph0.(i) <- now;
-    let c = cls task and row = row task i in
+    let c = rm_cls i and row = rm_row i in
     let dem = c.Exec_model.demand_out.(row) in
     if dem < 0 then rm_work i (s.s_jitter i c.Exec_model.dma_out.(row)) 5
     else rm_then i 7 (s.s_stream i ~bytes:c.Exec_model.bytes_out.(row) (s.s_jitter i dem))
@@ -600,15 +706,15 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
     end
     else rm_finish i
   and rm_finish i =
-    let task = rm_cur i in
     let h = handlers.(i) in
     let now = s.s_now () in
-    task.Task.completed_at <- now;
+    rm_st.(i).Task.st_nodes.((rm_node i * w) + Task.f_completed) <- now;
+    rm_st.(i) <- no_state;
+    let d = rm_dec.(i) in
+    rm_dec.(i) <- Fault.Proceed;
     (* Every attempt occupied the PE; only successes count as run. *)
-    h.Core.h_busy_ns <- h.Core.h_busy_ns + (now - rm_started.(i));
-    if Option.is_none task.Task.last_failure then h.Core.h_tasks_run <- h.Core.h_tasks_run + 1;
     lock h;
-    Queue.add task h.Core.h_completed;
+    Core.finish_attempt h rm_h.(i) d ~busy_ns:(now - rm_started.(i));
     unlock h;
     s.s_signal wm_th;
     rm_drain i
@@ -617,25 +723,29 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
     | 1 -> rm_wake i
     | 2 -> rm_executed i
     | 5 ->
-      let task = rm_cur i in
       let now = s.s_now () in
-      task.Task.dma_ns <- task.Task.dma_ns + (now - rm_ph0.(i));
+      let a = rm_st.(i).Task.st_nodes in
+      a.(rm_dma i) <- a.(rm_dma i) + (now - rm_ph0.(i));
       if traced then
-        Obs.on_phase obs ~now ~task:task.Task.id ~pe_index:i ~phase:Obs.Dma_out
+        Obs.on_phase obs ~now ~task:(rm_id i) ~pe_index:i ~phase:Obs.Dma_out
           ~start_ns:rm_ph0.(i) ~dur_ns:(now - rm_ph0.(i));
       rm_executed i
     | 8 -> rm_finish i
     | 3 -> rm_acc_after_in i
     | 4 -> rm_acc_after_comp i
-    | 6 ->
-      let task = rm_cur i in
-      rm_fab_fix i (cls task).Exec_model.fixed_in.(row task i) 3
-    | 7 ->
-      let task = rm_cur i in
-      rm_fab_fix i (cls task).Exec_model.fixed_out.(row task i) 5
+    | 6 -> rm_fab_fix i (rm_cls i).Exec_model.fixed_in.(rm_row i) 3
+    | 7 -> rm_fab_fix i (rm_cls i).Exec_model.fixed_out.(rm_row i) 5
     | _ -> assert false
   in
   (* ---- workload-manager thread (Fig. 3) ---- *)
+  (* Monitor a completed attempt under the plan: [true] when it failed. *)
+  let failed h hd =
+    let st = st_of hd and j = hd land node_mask in
+    Core.handle_failure res h ~task:hd ~id:(st.Task.st_task_base + j) ~instance:st.Task.st_id
+      ~cls:st.Task.st_cls ~node:j
+      ~attempt:st.Task.st_nodes.((j * w) + Task.f_attempts)
+      ~now:(s.s_now ())
+  in
   let rec wm_then pc suspended = if suspended then wm_pc := pc else wm_goto pc
   and wm_charge ns pc = wm_then pc (s.s_charge ns)
   and wm_tick_top () =
@@ -659,49 +769,57 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
     else begin
       let h = handlers.(!sw_hi) in
       lock h;
-      let done_ = Queue.take_opt h.Core.h_completed in
+      let hd = if Queue.is_empty h.Core.h_completed then -1 else Queue.take h.Core.h_completed in
       unlock h;
-      match done_ with
-      | None ->
+      if hd < 0 then begin
         incr sw_hi;
         wm_sweep_cont ()
-      | Some task ->
+      end
+      else begin
         h.Core.h_inflight <- h.Core.h_inflight - 1;
         decr inflight;
-        if fault_on && Core.handle_failure res h task ~now:(s.s_now ()) then wm_after_completion ()
-        else wm_completed h task
+        if fault_on && failed h hd then wm_after_completion () else wm_completed h hd
+      end
     end
-  and wm_completed h task =
+  and wm_completed h hd =
+    let sl = hd lsr bits and j = hd land node_mask in
+    let st = !lv.(sl) in
+    let a = st.Task.st_nodes and b = j * w and cls = st.Task.st_cls in
+    let id = st.Task.st_task_base + j in
+    let completed_at = a.(b + Task.f_completed) in
     if traced then begin
       incr tick_completions;
-      Obs.on_task_completed obs ~now:task.Task.completed_at ~task:task.Task.id
-        ~instance:task.Task.instance_id ~cls:task.Task.cls ~node:task.Task.index
+      Obs.on_task_completed obs ~now:completed_at ~task:id ~instance:st.Task.st_id ~cls ~node:j
         ~pe_index:h.Core.h_index
-        ~service_ns:(task.Task.completed_at - task.Task.dispatched_at)
+        ~service_ns:(completed_at - a.(b + Task.f_dispatched))
         ~pe_depth:h.Core.h_inflight ~inflight:!inflight
     end;
-    task.Task.status <- Task.Done;
-    if records then Core.record_completion stats task ~pe_index:h.Core.h_index;
-    if fault_on then Ids.remove entries task.Task.id;
-    let inst = Ids.find live task.Task.instance_id in
-    inst.Task.remaining <- inst.Task.remaining - 1;
-    if inst.Task.remaining = 0 then begin
+    a.(b + Task.f_status) <- Task.done_;
+    if records then
+      Core.record_completion stats ~cls ~node:j ~instance:st.Task.st_id ~task:id
+        ~pe_index:h.Core.h_index ~ready_ns:a.(b + Task.f_ready)
+        ~dispatched_ns:a.(b + Task.f_dispatched) ~completed_ns:completed_at
+        ~dma_ns:a.(b + Task.f_dma);
+    if fault_on then Ids.remove entries id;
+    st.Task.st_remaining <- st.Task.st_remaining - 1;
+    let finished = st.Task.st_remaining = 0 in
+    if finished then begin
       let now = s.s_now () in
-      inst.Task.completed_at <- now;
-      Core.instance_completed stats ~cls:task.Task.cls ~arrival_ns:inst.Task.arrival_ns ~now;
-      incr completed;
-      Ids.remove live inst.Task.inst_id
+      st.Task.st_completed_at <- now;
+      Core.instance_completed stats ~cls ~arrival_ns:st.Task.st_arrival_ns ~now;
+      incr completed
     end;
     let newly = ref 0 in
-    Array.iter
-      (fun j ->
-        let succ = inst.Task.tasks.(j) in
-        succ.Task.unmet <- succ.Task.unmet - 1;
-        if succ.Task.unmet = 0 then begin
-          make_ready succ;
-          incr newly
-        end)
-      (cls task).Exec_model.topology.Task.tp_succ.(task.Task.index);
+    let succ = classes.(cls).Exec_model.topology.Task.tp_succ.(j) in
+    for k = 0 to Array.length succ - 1 do
+      let u = (succ.(k) * w) + Task.f_unmet in
+      a.(u) <- a.(u) - 1;
+      if a.(u) = 0 then begin
+        make_ready ((sl lsl bits) lor succ.(k));
+        incr newly
+      end
+    done;
+    if finished then lv_release sl;
     if !newly > 0 then
       wm_charge (Cost_model.ready_update_per_task_ns *. float_of_int !newly) 11
     else wm_after_completion ()
@@ -752,32 +870,31 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
      included: its draws are idle-gated).  [ops] is charged as
      [nready * n_pes], the full window the walk stands for. *)
   and run_policy now nready n_idle0 =
-    let emit (t : Task.t) i sl =
-      if !as_n = Array.length !as_task then begin
+    let emit hd i sl =
+      if !as_n = Array.length !as_h then begin
         let cap = max n_pes (2 * !as_n) in
-        let grow a fill =
-          let b = Array.make cap fill in
+        let grow a =
+          let b = Array.make cap 0 in
           Array.blit a 0 b 0 !as_n;
           b
         in
-        as_task := grow !as_task t;
-        as_pe := grow !as_pe 0;
-        as_slot := grow !as_slot 0
+        as_h := grow !as_h;
+        as_pe := grow !as_pe;
+        as_slot := grow !as_slot
       end;
-      !as_task.(!as_n) <- t;
+      !as_h.(!as_n) <- hd;
       !as_pe.(!as_n) <- i;
       !as_slot.(!as_n) <- sl;
       incr as_n
     in
-    let sl_task = !sl_task and sl_nxt = !sl_nxt in
+    let sl_h = !sl_h and sl_row = !sl_row and sl_nxt = !sl_nxt in
     let n_idle = ref n_idle0 in
     let cur = ref !rl_head in
     let j = ref 0 in
     (match plan.p_pcode with
     | P_frfs ->
       while !j < nready && !n_idle > 0 do
-        let t = sl_task.(!cur) in
-        let est = classes.(t.Task.cls).Exec_model.est and row = t.Task.index * stride in
+        let row = sl_row.(!cur) in
         let chosen = ref (-1) in
         for i = 0 to n_pes - 1 do
           if !chosen < 0 && idle.(i) && est.(row + i) <> min_int then chosen := i
@@ -785,15 +902,14 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
         if !chosen >= 0 then begin
           idle.(!chosen) <- false;
           decr n_idle;
-          emit t !chosen !cur
+          emit sl_h.(!cur) !chosen !cur
         end;
         cur := sl_nxt.(!cur);
         incr j
       done
     | P_met ->
       while !j < nready && !n_idle > 0 do
-        let t = sl_task.(!cur) in
-        let est = classes.(t.Task.cls).Exec_model.est and row = t.Task.index * stride in
+        let row = sl_row.(!cur) in
         let best = ref (-1) and best_est = ref 0 in
         for i = 0 to n_pes - 1 do
           if idle.(i) then begin
@@ -807,7 +923,7 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
         if !best >= 0 then begin
           idle.(!best) <- false;
           decr n_idle;
-          emit t !best !cur
+          emit sl_h.(!cur) !best !cur
         end;
         cur := sl_nxt.(!cur);
         incr j
@@ -817,8 +933,7 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
         avail.(i) <- (if idle.(i) then now else handlers.(i).Core.h_busy_until)
       done;
       while !j < nready && !n_idle > 0 do
-        let t = sl_task.(!cur) in
-        let est = classes.(t.Task.cls).Exec_model.est and row = t.Task.index * stride in
+        let row = sl_row.(!cur) in
         let best = ref (-1) and best_fin = ref 0 in
         for i = 0 to n_pes - 1 do
           let e = est.(row + i) in
@@ -836,7 +951,7 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
           if idle.(!best) then begin
             idle.(!best) <- false;
             decr n_idle;
-            emit t !best !cur
+            emit sl_h.(!cur) !best !cur
           end
         end;
         cur := sl_nxt.(!cur);
@@ -844,8 +959,7 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
       done
     | P_power ->
       while !j < nready && !n_idle > 0 do
-        let t = sl_task.(!cur) in
-        let est = classes.(t.Task.cls).Exec_model.est and row = t.Task.index * stride in
+        let row = sl_row.(!cur) in
         let best = ref (-1) and best_energy = ref 0.0 and best_est = ref 0 in
         for i = 0 to n_pes - 1 do
           if idle.(i) then begin
@@ -866,15 +980,14 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
         if !best >= 0 then begin
           idle.(!best) <- false;
           decr n_idle;
-          emit t !best !cur
+          emit sl_h.(!cur) !best !cur
         end;
         cur := sl_nxt.(!cur);
         incr j
       done
     | P_random ->
       while !j < nready && !n_idle > 0 do
-        let t = sl_task.(!cur) in
-        let est = classes.(t.Task.cls).Exec_model.est and row = t.Task.index * stride in
+        let row = sl_row.(!cur) in
         let cn = ref 0 in
         for i = 0 to n_pes - 1 do
           if idle.(i) && est.(row + i) <> min_int then begin
@@ -890,15 +1003,21 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
           let i = cand.(!cn - 1 - k) in
           idle.(i) <- false;
           decr n_idle;
-          emit t i !cur
+          emit sl_h.(!cur) i !cur
         end;
         cur := sl_nxt.(!cur);
         incr j
       done
     | P_custom ->
-      if Array.length !cx_ready = 0 then cx_ready := Array.make sched_window sl_task.(!cur);
       while !j < nready do
-        !cx_ready.(!j) <- sl_task.(!cur);
+        let hd = sl_h.(!cur) in
+        let st = st_of hd in
+        let t =
+          Task.view classes.(st.Task.st_cls).Exec_model.topology st (hd land node_mask)
+        in
+        if Array.length !cx_ready = 0 then cx_ready := Array.make sched_window t;
+        !cx_ready.(!j) <- t;
+        cx_h.(!j) <- hd;
         cur := sl_nxt.(!cur);
         incr j
       done;
@@ -919,8 +1038,16 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
           ops = 0;
         }
       in
+      let handle_of (t : Task.t) =
+        let k = ref 0 in
+        while !k < nready && !cx_ready.(!k) != t do
+          incr k
+        done;
+        if !k < nready then cx_h.(!k) else -1
+      in
       List.iter
-        (fun (a : Scheduler.assignment) -> emit a.Scheduler.task a.Scheduler.pe_index (-1))
+        (fun (a : Scheduler.assignment) ->
+          emit (handle_of a.Scheduler.task) a.Scheduler.pe_index (-1))
         (plan.p_policy.Scheduler.schedule ctx);
       ds_ops := ctx.Scheduler.ops)
   and wm_after_sched_work () =
@@ -939,38 +1066,44 @@ let exec ~obs ~fault ~records ~resume ~prng plan (params : Core.params) source s
     end
     else wm_charge Cost_model.dispatch_per_task_ns 13
   (* A custom policy's assignment is dropped, uncharged, unless its
-     task is still Ready (not listed twice) and its PE exists and
-     supports it; under a fault plan, any assignment is, unless its PE
-     can still take work now. *)
-  and dispatchable j =
-    let task = !as_task.(j) and pi = !as_pe.(j) in
-    task.Task.status = Task.Ready && pi >= 0 && pi < n_pes
-    && (cls task).Exec_model.est.(row task pi) <> min_int
+     task is from the window and still Ready (not listed twice) and its
+     PE exists and supports it; under a fault plan, any assignment is,
+     unless its PE can still take work now. *)
+  and dispatchable k =
+    let hd = !as_h.(k) and pi = !as_pe.(k) in
+    hd >= 0
+    &&
+    let st = st_of hd and j = hd land node_mask in
+    st.Task.st_nodes.((j * w) + Task.f_status) = Task.ready
+    && pi >= 0 && pi < n_pes
+    && est.(est_base.(st.Task.st_cls) + (j * stride) + pi) <> min_int
     && ((not fault_on) || Core.usable res handlers.(pi) ~now:(s.s_now ()))
   and wm_dispatch_commit () =
-    let j = !ds_pos in
-    let task = !as_task.(j) and pi = !as_pe.(j) in
+    let k = !ds_pos in
+    let hd = !as_h.(k) and pi = !as_pe.(k) in
+    let st = st_of hd and j = hd land node_mask in
+    let a = st.Task.st_nodes and b = j * w in
     let h = handlers.(pi) in
     let now = s.s_now () in
-    task.Task.status <- Task.Running;
-    task.Task.attempts <- task.Task.attempts + 1;
-    rl_unlink (if custom then slot_of task else !as_slot.(j));
+    a.(b + Task.f_status) <- Task.running;
+    a.(b + Task.f_attempts) <- a.(b + Task.f_attempts) + 1;
+    rl_unlink (if custom then slot_of hd else !as_slot.(k));
     decr ready_live;
-    task.Task.dispatched_at <- now;
-    task.Task.pe <- pi;
+    a.(b + Task.f_dispatched) <- now;
+    a.(b + Task.f_pe) <- pi;
     lock h;
-    Queue.add task h.Core.h_pending;
+    Queue.add hd h.Core.h_pending;
     let queued = Queue.length h.Core.h_pending in
     unlock h;
     h.Core.h_inflight <- h.Core.h_inflight + 1;
     incr inflight;
     let from = if h.Core.h_busy_until > now then h.Core.h_busy_until else now in
-    h.Core.h_busy_until <- from + (cls task).Exec_model.est.(row task pi);
-    Core.note_dispatch stats ~wait_ns:(now - task.Task.ready_at) ~inflight:!inflight;
+    h.Core.h_busy_until <- from + est.(est_base.(st.Task.st_cls) + (j * stride) + pi);
+    let wait_ns = now - a.(b + Task.f_ready) in
+    Core.note_dispatch stats ~wait_ns ~inflight:!inflight;
     if traced then begin
-      Obs.on_task_dispatched obs ~now ~task:task.Task.id ~instance:task.Task.instance_id
-        ~cls:task.Task.cls ~node:task.Task.index ~pe_index:pi
-        ~wait_ns:(now - task.Task.ready_at) ~ready_depth:!ready_live
+      Obs.on_task_dispatched obs ~now ~task:(st.Task.st_task_base + j) ~instance:st.Task.st_id
+        ~cls:st.Task.st_cls ~node:j ~pe_index:pi ~wait_ns ~ready_depth:!ready_live
         ~pe_depth:h.Core.h_inflight ~inflight:!inflight;
       if h.Core.h_capacity > 1 then
         Obs.on_reservation_enqueued obs ~now ~pe_index:pi ~depth:queued
@@ -1053,18 +1186,16 @@ let on_des ~obs plan params prng _ stats = des_substrate ~obs ~clock0:0 ~prng pl
 let run ?(obs = Obs.disabled) ?fault plan params =
   run_timed ~obs ~fault plan params (on_des ~obs plan params) (fixed plan.p_model)
 
-(* A batch run that keeps every instance, each with its own store. *)
+(* A batch run that keeps every instance, each with its own store,
+   and returns them as task records. *)
 let run_kept ~obs ~fault plan params substrate =
   let m = plan.p_model and kept = ref [] in
   let source, rest =
-    fixed_source m
-      ~store:(fun k ->
-        Store.create m.Exec_model.classes.(k).Exec_model.topology.Task.tp_spec.App_spec.variables)
-      ~keep:(fun inst -> kept := inst :: !kept)
+    fixed_source m ~store:(Exec_model.stores m) ~keep:(fun st -> kept := st :: !kept)
   in
   let report = run_timed ~obs ~fault plan params substrate source in
   rest ();
-  (report, Array.of_list (List.rev !kept))
+  (report, Array.of_list (List.rev_map (Exec_model.instance_of_state m) !kept))
 
 let run_detailed ?(obs = Obs.disabled) ?fault plan params =
   let report, instances = run_kept ~obs ~fault plan params (on_des ~obs plan params) in

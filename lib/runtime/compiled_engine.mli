@@ -40,11 +40,23 @@
     instance is built from its class when it arrives, and the DAG is
     read from the class ([tp_succ], [tp_entry]).
 
+    The machine holds an instance as a {!Task.state}: a class index and
+    one int array of node fields, no record per task.  A task is an int
+    handle (its instance's slot and its node), which the ready list and
+    the handlers' queues carry; each ready-list slot caches the task's
+    price row, so the policy loops read prices without dereferencing
+    any record.  Records are written into the report's columns
+    ({!Stats.columns}).  A {!Task.t} is built only where something
+    outside the machine reads one: a custom policy's ready window, and
+    the instances {!val:run_detailed} and {!val:run_on} return.  A
+    report-only batch run or a {!val:serve} run builds none.
+
     On {!Des}, neither compilation nor {!val:run} executes a kernel:
     the loop is timing only, and a report-only run's instances share
     one empty placeholder store.  {!val:run_detailed} gives each
-    instance its own store, keeps every instance and fills the stores
-    after the run with {!Functional}. *)
+    instance its own store (a copy of its class's initialised store),
+    keeps every instance and fills the stores after the run with
+    {!Functional}. *)
 
 type plan
 
@@ -101,7 +113,8 @@ val run_detailed :
   Stats.report * Task.instance array
 (** Like {!val:run}, but each instance gets its own store and the run
     keeps them all (an aborted run's arrivals never injected too),
-    returning them in id order with their final stores
+    returning them in id order, as task records built from their final
+    states ({!Exec_model.instance_of_state}), with their final stores
     ({!Functional.fill_stores}) for functional inspection. *)
 
 (** {1 Substrates}
@@ -133,10 +146,11 @@ type substrate = {
       (** held around every touch of the handler's queues and [h_stop] *)
   s_unlock : Engine_core.handler -> unit;
   s_jitter : int -> int -> int;  (** [s_jitter th ns]: one {!Engine_core.jittered} draw *)
-  s_cpu : int -> Task.t -> int -> bool;
-      (** [s_cpu pe task ns]: execute the task on CPU [pe], modelled at [ns] *)
-  s_compute : int -> Task.t -> int -> bool;
-      (** [s_compute pe task ns]: its device compute on accelerator [pe] *)
+  s_cpu : int -> Task.state -> int -> int -> bool;
+      (** [s_cpu pe st j ns]: execute node [j] of the instance on CPU
+          [pe], modelled at [ns] *)
+  s_compute : int -> Task.state -> int -> int -> bool;
+      (** [s_compute pe st j ns]: its device compute on accelerator [pe] *)
   s_charge : float -> bool;
       (** account WM bookkeeping, ns on the reference overlay core *)
   s_mark : unit -> int;  (** a token taken before a policy call and at a WM tick's top *)
@@ -176,10 +190,10 @@ val run_on :
     only from its injection to its completion or cancellation. *)
 
 type service_ops = {
-  so_inject : Task.instance -> int;
+  so_inject : Task.state -> int;
       (** admit one instance now: emits the injection event, makes its
           entry tasks ready; returns how many tasks that was *)
-  so_cancel : Task.instance -> bool;
+  so_cancel : Task.state -> bool;
       (** watchdog abort, unless a task of the instance is Running (an
           in-flight task drains naturally first): the engine forgets the
           instance, withdrawing its Ready tasks from the ready list and
@@ -213,7 +227,7 @@ type service = {
 
 val fixed : Exec_model.t -> service
 (** The source of a batch run: workload item [i] is built as instance
-    [i] ({!Exec_model.instance}, task ids dense from 0 in item order)
+    [i] ({!Exec_model.state}, task ids dense from 0 in item order)
     at the first tick at or after its arrival, and the run finishes
     once all have completed.  The instances share one empty
     placeholder store and the source keeps none, so each lives only
@@ -248,7 +262,7 @@ val serve :
   service_run
 (** Run the workload manager over a source's arrivals, keeping no
     per-task records.  A resident service builds its instances itself,
-    when it admits them, from the plan's classes ({!Exec_model.instance}
+    when it admits them, from the plan's classes ({!Exec_model.state}
     over {!model}; a shared placeholder store will do); ids are the
     source's, and the engine only reports them in events.  The engine
     keeps no array indexed by instance or task id, so a run's memory

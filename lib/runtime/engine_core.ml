@@ -28,8 +28,11 @@ type handler = {
   h_pe : Pe.t;
   h_index : int;  (** this handler's PE index (column of the price classes) *)
   h_capacity : int;  (** 1 + reservation-queue depth (1 = the paper's baseline) *)
-  h_pending : Task.t Queue.t;  (** dispatched by the WM, not yet executed *)
-  h_completed : Task.t Queue.t;  (** executed, awaiting WM bookkeeping *)
+  h_pending : int Queue.t;  (** dispatched by the WM, not yet executed *)
+  h_completed : int Queue.t;  (** executed, awaiting WM bookkeeping *)
+  mutable h_failed : (int * Fault.failure * int) list;
+      (** the completed attempts that failed, not yet monitored: the
+          task, its failure and the PE's quarantine *)
   mutable h_inflight : int;  (** pending + currently executing; WM-owned *)
   mutable h_stop : bool;
   mutable h_busy_ns : int;  (** occupancy (execution time), not queue residence *)
@@ -47,6 +50,7 @@ let make_handler ~pe ~index ~reservation_depth =
     h_capacity = 1 + max 0 reservation_depth;
     h_pending = Queue.create ();
     h_completed = Queue.create ();
+    h_failed = [];
     h_inflight = 0;
     h_stop = false;
     h_busy_ns = 0;
@@ -63,7 +67,7 @@ type wm_stats = {
   mutable sched_invocations : int;
   mutable sched_ns : int;
   mutable wm_ns : int;
-  mutable records : Stats.task_record list;
+  records : Stats.columns;
   mutable faults : int;  (** failed or slowed execution attempts *)
   mutable retries : int;
   mutable quarantines : int;
@@ -80,12 +84,15 @@ type wm_stats = {
 
 and latency = { mutable lat_count : int; mutable lat_sum : int; mutable lat_max : int }
 
-let make_stats (model : Exec_model.t) =
+let workload_tasks (model : Exec_model.t) =
+  Array.fold_left (fun acc k -> acc + Exec_model.task_count model k) 0 model.Exec_model.items
+
+let make_stats ~records (model : Exec_model.t) =
   {
     sched_invocations = 0;
     sched_ns = 0;
     wm_ns = 0;
-    records = [];
+    records = Stats.columns (if records then workload_tasks model else 0);
     faults = 0;
     retries = 0;
     quarantines = 0;
@@ -108,19 +115,10 @@ let note_dispatch stats ~wait_ns ~inflight =
   stats.dispatches <- stats.dispatches + 1;
   Float.Array.set stats.wait_us 0 (Float.Array.get stats.wait_us 0 +. (float_of_int wait_ns /. 1e3))
 
-let record_completion stats (task : Task.t) ~pe_index =
-  stats.records <-
-    {
-      Stats.name = stats.name_base.(task.Task.cls) + task.Task.index;
-      instance = task.Task.instance_id;
-      task = task.Task.id;
-      pe_index;
-      ready_ns = task.Task.ready_at;
-      dispatched_ns = task.Task.dispatched_at;
-      completed_ns = task.Task.completed_at;
-      dma_ns = task.Task.dma_ns;
-    }
-    :: stats.records
+let record_completion stats ~cls ~node ~instance ~task ~pe_index ~ready_ns ~dispatched_ns
+    ~completed_ns ~dma_ns =
+  Stats.add_record stats.records ~name:(stats.name_base.(cls) + node) ~instance ~task ~pe_index
+    ~ready_ns ~dispatched_ns ~completed_ns ~dma_ns
 
 let instance_completed stats ~cls ~arrival_ns ~now =
   if now > stats.last_completion then stats.last_completion <- now;
@@ -166,51 +164,60 @@ let compile_fault plan ~(handlers : handler array) =
 (* Resilient dispatch: the non-suspending fault bookkeeping            *)
 (* ------------------------------------------------------------------ *)
 
-(* One fault-plan consultation at the start of an attempt.  A failing
-   attempt is marked for the workload manager; the caller then models
-   the attempt's PE time (execution, slowdown tail or detection
-   latency), which is where the engines differ. *)
-let decide_attempt ~fault ~obs (h : handler) (task : Task.t) ~now ~est_ns =
-  let d =
-    Fault.decide fault ~pe:h.h_index ~now ~task_id:task.Task.id ~attempt:task.Task.attempts
-      ~est_ns
-  in
+(* One fault-plan consultation at the start of an attempt.  The caller
+   then models the attempt's PE time (execution, slowdown tail or
+   detection latency), which is where the engines differ, and hands
+   the decision to [finish_attempt]. *)
+let decide_attempt ~fault ~obs (h : handler) ~task ~attempt ~now ~est_ns =
+  let d = Fault.decide fault ~pe:h.h_index ~now ~task_id:task ~attempt ~est_ns in
   let injected name =
     if Obs.enabled obs then
-      Obs.on_fault_injected obs ~now ~task:task.Task.id ~pe:h.h_pe.Pe.label ~pe_index:h.h_index
-        ~fault:name ~attempt:task.Task.attempts
+      Obs.on_fault_injected obs ~now ~task ~pe:h.h_pe.Pe.label ~pe_index:h.h_index ~fault:name
+        ~attempt
   in
   (match d with
   | Fault.Proceed -> ()
   | Fault.Proceed_slow _ -> injected "slowdown"
-  | Fault.Fail { reason; quarantine_ns; _ } ->
-    injected (Fault.failure_name reason);
-    task.Task.last_failure <- Some (reason, quarantine_ns));
+  | Fault.Fail { reason; _ } -> injected (Fault.failure_name reason));
   d
+
+let finish_attempt h handle (d : Fault.decision) ~busy_ns =
+  h.h_busy_ns <- h.h_busy_ns + busy_ns;
+  (match d with
+  | Fault.Fail { reason; quarantine_ns; _ } ->
+    h.h_failed <- (handle, reason, quarantine_ns) :: h.h_failed
+  | Fault.Proceed | Fault.Proceed_slow _ -> h.h_tasks_run <- h.h_tasks_run + 1);
+  Queue.add handle h.h_completed
 
 type resilience = {
   r_fault : Fault.t;
   r_obs : Obs.t;
   r_stats : wm_stats;
+  r_model : Exec_model.t;
   r_handlers : handler array;
-  r_unfinished : unit -> (string * App_spec.node) Seq.t;
+  r_unfinished : unit -> (int * int) Seq.t;
   r_inflight : int ref;  (** the workload manager's dispatched-but-unmonitored count *)
-  r_make_ready : Task.t -> unit;
+  r_make_ready : int -> unit;
+  r_blocked : int -> unit;
   r_lock : handler -> unit;
   r_unlock : handler -> unit;
-  mutable r_retry_q : (int * Task.t) list;
-      (** tasks sleeping out a retry backoff, sorted by release time *)
+  mutable r_retry_q : (int * int * int) list;
+      (** (release time, task, instance) of the tasks sleeping out a
+          retry backoff, sorted by release time *)
 }
 
-let resilience ~fault ~obs ~stats ~handlers ~unfinished ~inflight ~make_ready ~lock ~unlock =
+let resilience ~fault ~obs ~stats ~model ~handlers ~unfinished ~inflight ~make_ready ~blocked
+    ~lock ~unlock =
   {
     r_fault = fault;
     r_obs = obs;
     r_stats = stats;
+    r_model = model;
     r_handlers = handlers;
     r_unfinished = unfinished;
     r_inflight = inflight;
     r_make_ready = make_ready;
+    r_blocked = blocked;
     r_lock = lock;
     r_unlock = unlock;
     r_retry_q = [];
@@ -219,16 +226,24 @@ let resilience ~fault ~obs ~stats ~handlers ~unfinished ~inflight ~make_ready ~l
 let abort r reason = if r.r_stats.aborted = None then r.r_stats.aborted <- Some reason
 let pe_alive h = h.h_quarantined_until <> max_int
 
-let has_alive_support r node =
-  Array.exists (fun h -> pe_alive h && Option.is_some (Task.node_entry node h.h_pe)) r.r_handlers
+(* Whether a live PE supports node [node] of class [cls]: its price is
+   [min_int] exactly where it does not. *)
+let has_alive_support r ~cls ~node =
+  let est = r.r_model.Exec_model.classes.(cls).Exec_model.est in
+  let row = node * r.r_model.Exec_model.n_pes in
+  Array.exists (fun h -> pe_alive h && est.(row + h.h_index) <> min_int) r.r_handlers
 
-let no_surviving_pe app (node : App_spec.node) =
-  Printf.sprintf "task %s/%s supports no surviving PE" app node.App_spec.node_name
+(* "app/node" of node [node] of class [cls]. *)
+let task_name r ~cls ~node =
+  let tp = r.r_model.Exec_model.classes.(cls).Exec_model.topology in
+  (tp.Task.tp_spec.App_spec.app_name, tp.Task.tp_nodes.(node).App_spec.node_name)
 
-let unfinished_nodes instances =
-  Seq.concat_map (fun (inst : Task.instance) -> Array.to_seq inst.Task.tasks) instances
-  |> Seq.filter_map (fun (t : Task.t) ->
-         if t.Task.status = Task.Done then None else Some (t.Task.app_name, t.Task.node))
+let no_surviving_pe r ~cls ~node =
+  let app, node = task_name r ~cls ~node in
+  Printf.sprintf "task %s/%s supports no surviving PE" app node
+
+let unfinished_nodes ~cls ~nodes ~finished =
+  Seq.filter_map (fun j -> if finished j then None else Some (cls, j)) (Seq.init nodes Fun.id)
 
 (* Permanent loss of a PE: quarantine it forever, drain its reservation
    queue back to the ready list (those tasks never started, so
@@ -253,8 +268,8 @@ let kill_pe r h ~now =
         decr r.r_inflight;
         r.r_make_ready t)
       drained;
-    match Seq.find (fun (_, node) -> not (has_alive_support r node)) (r.r_unfinished ()) with
-    | Some (app, node) -> abort r (no_surviving_pe app node)
+    match Seq.find (fun (cls, node) -> not (has_alive_support r ~cls ~node)) (r.r_unfinished ()) with
+    | Some (cls, node) -> abort r (no_surviving_pe r ~cls ~node)
     | None -> ()
   end
 
@@ -267,47 +282,57 @@ let quarantine_pe r h ~until ~now =
         ~permanent:false
   end
 
-let handle_failure r h (task : Task.t) ~now =
-  match task.Task.last_failure with
+(* The failure of the attempt of [task] that [h] completed, taken out
+   of the handler's list. *)
+let take_failure r h task =
+  r.r_lock h;
+  let found = List.find_opt (fun (t, _, _) -> t = task) h.h_failed in
+  if Option.is_some found then h.h_failed <- List.filter (fun (t, _, _) -> t <> task) h.h_failed;
+  r.r_unlock h;
+  found
+
+let handle_failure r h ~task ~id ~instance ~cls ~node ~attempt ~now =
+  match take_failure r h task with
   | None -> false
-  | Some (reason, quarantine_ns) ->
-    task.Task.last_failure <- None;
+  | Some (_, reason, quarantine_ns) ->
     let stats = r.r_stats and obs = r.r_obs and fault = r.r_fault in
     stats.faults <- stats.faults + 1;
-    if Obs.enabled obs then
-      Obs.on_task_failed obs ~now ~task:task.Task.id ~instance:task.Task.instance_id
-        ~app:task.Task.app_name ~node:task.Task.node.App_spec.node_name ~pe:h.h_pe.Pe.label
-        ~pe_index:h.h_index ~fault:(Fault.failure_name reason) ~attempt:task.Task.attempts;
+    if Obs.enabled obs then begin
+      let app, node = task_name r ~cls ~node in
+      Obs.on_task_failed obs ~now ~task:id ~instance ~app ~node ~pe:h.h_pe.Pe.label
+        ~pe_index:h.h_index ~fault:(Fault.failure_name reason) ~attempt
+    end;
     (match reason with
     | Fault.Pe_dead -> kill_pe r h ~now
     | _ when quarantine_ns = max_int -> kill_pe r h ~now
     | _ when quarantine_ns > 0 -> quarantine_pe r h ~until:(now + quarantine_ns) ~now
     | _ -> ());
-    if not (has_alive_support r task.Task.node) then
-      abort r (no_surviving_pe task.Task.app_name task.Task.node)
-    else if task.Task.attempts >= Fault.max_attempts fault then
+    if not (has_alive_support r ~cls ~node) then abort r (no_surviving_pe r ~cls ~node)
+    else if attempt >= Fault.max_attempts fault then begin
+      let app, node = task_name r ~cls ~node in
       abort r
-        (Printf.sprintf "task %s/%s exhausted its %d-attempt budget" task.Task.app_name
-           task.Task.node.App_spec.node_name (Fault.max_attempts fault))
+        (Printf.sprintf "task %s/%s exhausted its %d-attempt budget" app node
+           (Fault.max_attempts fault))
+    end
     else begin
       stats.retries <- stats.retries + 1;
-      let backoff = Fault.backoff_ns fault ~attempt:task.Task.attempts in
+      let backoff = Fault.backoff_ns fault ~attempt in
       let at = now + backoff in
-      task.Task.status <- Task.Blocked;
+      r.r_blocked task;
       let rec ins = function
-        | ((t, _) as hd) :: tl when t <= at -> hd :: ins tl
-        | rest -> (at, task) :: rest
+        | ((t, _, _) as hd) :: tl when t <= at -> hd :: ins tl
+        | rest -> (at, task, instance) :: rest
       in
       r.r_retry_q <- ins r.r_retry_q;
-      if Obs.enabled obs then
-        Obs.on_task_retried obs ~now ~task:task.Task.id ~instance:task.Task.instance_id
-          ~app:task.Task.app_name ~node:task.Task.node.App_spec.node_name
-          ~attempt:task.Task.attempts ~backoff_ns:backoff
+      if Obs.enabled obs then begin
+        let app, node = task_name r ~cls ~node in
+        Obs.on_task_retried obs ~now ~task:id ~instance ~app ~node ~attempt ~backoff_ns:backoff
+      end
     end;
     true
 
 let withdraw_retries r ~instance =
-  r.r_retry_q <- List.filter (fun (_, (t : Task.t)) -> t.Task.instance_id <> instance) r.r_retry_q
+  r.r_retry_q <- List.filter (fun (_, _, i) -> i <> instance) r.r_retry_q
 
 (* A PE at or past its scheduled death time must never receive work,
    even if the proactive kill sweep has not reached it yet: a dispatch
@@ -348,7 +373,7 @@ let fault_tick r ~now =
   let released = ref 0 in
   let rec release () =
     match r.r_retry_q with
-    | (t, task) :: rest when t <= now && r.r_stats.aborted = None ->
+    | (t, task, _) :: rest when t <= now && r.r_stats.aborted = None ->
       r.r_retry_q <- rest;
       r.r_make_ready task;
       incr released;
@@ -367,7 +392,7 @@ let wm_deadline r next =
   else begin
     let best = ref next in
     let add t = match !best with Some b when b <= t -> () | _ -> best := Some t in
-    (match r.r_retry_q with (t, _) :: _ -> add t | [] -> ());
+    (match r.r_retry_q with (t, _, _) :: _ -> add t | [] -> ());
     Array.iter
       (fun h ->
         if pe_alive h then begin
@@ -412,9 +437,7 @@ let report ~host_name ~(config : Config.t) ~(policy : Scheduler.policy)
       app_tbl []
     |> List.sort compare
   in
-  let task_count =
-    Array.fold_left (fun acc k -> acc + Exec_model.task_count model k) 0 model.Exec_model.items
-  in
+  let task_count = workload_tasks model in
   let verdict =
     match stats.aborted with
     | Some reason -> Stats.Aborted reason
@@ -447,7 +470,7 @@ let report ~host_name ~(config : Config.t) ~(policy : Scheduler.policy)
     sched_invocations = stats.sched_invocations;
     sched_ns = stats.sched_ns;
     wm_overhead_ns = stats.wm_ns;
-    records = List.rev stats.records;
+    records = stats.records;
     names = Exec_model.names model;
     app_stats;
     verdict;
@@ -457,7 +480,7 @@ let report ~host_name ~(config : Config.t) ~(policy : Scheduler.policy)
         task_retries = stats.retries;
         pe_quarantines = stats.quarantines;
         pe_deaths = stats.pe_deaths;
-        tasks_lost = task_count - List.length stats.records;
+        tasks_lost = task_count - stats.records.Stats.count;
       };
     fabric =
       {

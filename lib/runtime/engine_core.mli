@@ -58,8 +58,12 @@ type handler = {
   h_pe : Dssoc_soc.Pe.t;
   h_index : int;  (** this handler's PE index (column of the price classes) *)
   h_capacity : int;  (** 1 + reservation-queue depth (1 = the paper's baseline) *)
-  h_pending : Task.t Queue.t;  (** dispatched by the WM, not yet executed *)
-  h_completed : Task.t Queue.t;  (** executed, awaiting WM bookkeeping *)
+  h_pending : int Queue.t;  (** dispatched by the WM, not yet executed *)
+  h_completed : int Queue.t;  (** executed, awaiting WM bookkeeping *)
+  mutable h_failed : (int * Dssoc_fault.Fault.failure * int) list;
+      (** the completed attempts that failed and await the WM: the
+          task, its failure and the quarantine to impose on the PE (ns;
+          [max_int] = permanent).  Empty without a fault plan. *)
   mutable h_inflight : int;  (** pending + currently executing; WM-owned *)
   mutable h_stop : bool;
   mutable h_busy_ns : int;  (** occupancy (execution time), not queue residence *)
@@ -69,7 +73,10 @@ type handler = {
       (** fault state: 0 = healthy, [max_int] = permanently dead, else
           the emulation time the quarantine lifts; WM-owned *)
 }
-(** One per PE.  The queues and [h_stop] are shared between the
+(** One per PE.  Tasks travel through the queues as ints, each engine
+    its own handles (the pc machine's name an instance slot and a node,
+    the reference engine's are task ids).  The queues, [h_failed] and
+    [h_stop] are shared between the
     workload manager and the handler's resource manager and must only
     be touched under the substrate's per-handler lock (a no-op on
     {!Des}, whose event loop runs one thread at a time);
@@ -86,7 +93,9 @@ type wm_stats = {
   mutable sched_invocations : int;
   mutable sched_ns : int;  (** modelled (virtual) or measured (native) *)
   mutable wm_ns : int;
-  mutable records : Stats.task_record list;  (** newest first *)
+  records : Stats.columns;
+      (** sized to the workload's task count, or empty when the run
+          keeps no records *)
   mutable faults : int;  (** failed or slowed execution attempts *)
   mutable retries : int;
   mutable quarantines : int;
@@ -106,8 +115,9 @@ type wm_stats = {
 and latency
 (** A class's completed instances: their count, latency sum and max. *)
 
-val make_stats : Exec_model.t -> wm_stats
-(** Zeroed statistics for a run of the lowering's classes. *)
+val make_stats : records:bool -> Exec_model.t -> wm_stats
+(** Zeroed statistics for a run of the lowering's classes; with
+    [records], columns for every task of its workload. *)
 
 val note_ready : wm_stats -> ready:int -> unit
 (** A task became ready, leaving [ready] tasks in the ready list. *)
@@ -116,8 +126,20 @@ val note_dispatch : wm_stats -> wait_ns:int -> inflight:int -> unit
 (** A dispatch after a wait of [wait_ns], leaving [inflight] tasks in
     flight. *)
 
-val record_completion : wm_stats -> Task.t -> pe_index:int -> unit
-(** Keep the completed task's record (newest first). *)
+val record_completion :
+  wm_stats ->
+  cls:int ->
+  node:int ->
+  instance:int ->
+  task:int ->
+  pe_index:int ->
+  ready_ns:int ->
+  dispatched_ns:int ->
+  completed_ns:int ->
+  dma_ns:int ->
+  unit
+(** Append the record of the completed task, node [node] of a class-[cls]
+    instance, to the columns. *)
 
 val instance_completed : wm_stats -> cls:int -> arrival_ns:int -> now:int -> unit
 (** Fold an instance's completion at [now] into the makespan and its
@@ -151,6 +173,11 @@ val compile_fault :
     {!Compiled_engine}'s machine (and by the test suite's reference
     engine, so both run one implementation of it).  The machine keeps
     only what suspends: the PE time of an attempt and the ready list.
+    These helpers take the ints they read of a task (its handle, id,
+    instance, class, node and attempt count), never a task record, so
+    each engine keeps its own task layout; they reach a task's status
+    and the ready list through the [make_ready] and [blocked]
+    callbacks a {!resilience} is built with.
 
     With a fault plan the workload manager becomes resilient: failed
     attempts are counted and retried with capped exponential backoff
@@ -168,13 +195,21 @@ val decide_attempt :
   fault:Dssoc_fault.Fault.t ->
   obs:Dssoc_obs.Obs.t ->
   handler ->
-  Task.t ->
+  task:int ->
+  attempt:int ->
   now:int ->
   est_ns:int ->
   Dssoc_fault.Fault.decision
-(** Consult the plan at the start of an attempt ({!Dssoc_fault.Fault.decide}
-    for the task's current attempt): emits [Fault_injected] for a
-    slowdown or failure and marks a failing task's [last_failure]. *)
+(** Consult the plan at the start of attempt [attempt] of task id
+    [task] ({!Dssoc_fault.Fault.decide}); emits [Fault_injected] for a
+    slowdown or failure. *)
+
+val finish_attempt : handler -> int -> Dssoc_fault.Fault.decision -> busy_ns:int -> unit
+(** [finish_attempt h task d ~busy_ns], under the handler's lock: the
+    attempt decided [d] ({!Dssoc_fault.Fault.Proceed} without a plan)
+    occupied the PE [busy_ns] and is done.  Counts it as run unless it
+    failed, in which case its failure joins [h_failed] for
+    {!handle_failure}; then queues [task] on [h_completed]. *)
 
 type resilience
 (** A run's fault state: the compiled plan and the retry queue, plus
@@ -184,30 +219,48 @@ val resilience :
   fault:Dssoc_fault.Fault.t ->
   obs:Dssoc_obs.Obs.t ->
   stats:wm_stats ->
+  model:Exec_model.t ->
   handlers:handler array ->
-  unfinished:(unit -> (string * Dssoc_apps.App_spec.node) Seq.t) ->
+  unfinished:(unit -> (int * int) Seq.t) ->
   inflight:int ref ->
-  make_ready:(Task.t -> unit) ->
+  make_ready:(int -> unit) ->
+  blocked:(int -> unit) ->
   lock:(handler -> unit) ->
   unlock:(handler -> unit) ->
   resilience
-(** [unfinished ()]: the app and node of every task that may still need
-    a PE, in instance-id order, arrivals not injected yet included; a PE
-    death aborts the run naming the first that no surviving PE supports.
-    [inflight] is the workload manager's dispatched-but-unmonitored
-    count, [make_ready] its ready-list insertion; [lock]/[unlock] guard
-    a handler's pending queue while a dead PE's reservations drain. *)
+(** [unfinished ()]: the (class, node) of every task that may still
+    need a PE, in instance-id order, arrivals not injected yet
+    included; a PE death aborts the run naming the first that no
+    surviving PE supports.  [inflight] is the workload manager's
+    dispatched-but-unmonitored count; [make_ready] its ready-list
+    insertion and [blocked] the status change of a task that waits out
+    a retry backoff, both given the engine's task handle;
+    [lock]/[unlock] guard a handler's queues and [h_failed]. *)
 
-val unfinished_nodes : Task.instance Seq.t -> (string * Dssoc_apps.App_spec.node) Seq.t
-(** The app and node of each task not [Done], in order. *)
+val unfinished_nodes : cls:int -> nodes:int -> finished:(int -> bool) -> (int * int) Seq.t
+(** [(cls, j)] for each node [j < nodes] of a class-[cls] instance that
+    is not [finished], in node order. *)
 
-val handle_failure : resilience -> handler -> Task.t -> now:int -> bool
-(** Monitor one completed attempt: [false] if it succeeded.  Otherwise
-    clear its [last_failure], count the fault, kill or quarantine the
+val handle_failure :
+  resilience ->
+  handler ->
+  task:int ->
+  id:int ->
+  instance:int ->
+  cls:int ->
+  node:int ->
+  attempt:int ->
+  now:int ->
+  bool
+(** Monitor one completed attempt of the task with handle [task] (task
+    id [id], node [node] of instance [instance] of class [cls], on its
+    [attempt]-th attempt): [false] if it succeeded.  Otherwise take its
+    failure out of [h_failed], count the fault, kill or quarantine the
     PE as the failure dictates (a killed PE's reservation queue drains
-    back to the ready list), then either queue a retry after a capped
-    exponential backoff or abort the run (attempt budget spent, or no
-    surviving PE supports the task), and return [true]. *)
+    back to the ready list), then either mark the task [blocked] and
+    queue a retry after a capped exponential backoff or abort the run
+    (attempt budget spent, or no surviving PE supports the task), and
+    return [true]. *)
 
 val withdraw_retries : resilience -> instance:int -> unit
 (** Drop the instance's tasks that sleep out a retry backoff: a

@@ -208,6 +208,22 @@ let task_count m k = Array.length m.classes.(k).topology.Task.tp_nodes
 let instance m k ~store ~task_id_base ~inst_id ~arrival_ns =
   Task.instance m.classes.(k).topology ~cls:k ~store ~task_id_base ~inst_id ~arrival_ns
 
+let state m k ~store ~task_id_base ~inst_id ~arrival_ns =
+  Task.state m.classes.(k).topology ~cls:k ~store ~task_id_base ~inst_id ~arrival_ns
+
+let instance_of_state m (st : Task.state) =
+  Task.instance_of_state m.classes.(st.Task.st_cls).topology st
+
+let stores m =
+  let templates = Array.make (Array.length m.classes) None in
+  fun k ->
+    match templates.(k) with
+    | Some t -> Store.copy t
+    | None ->
+      let t = Store.create m.classes.(k).topology.Task.tp_spec.App_spec.variables in
+      templates.(k) <- Some t;
+      Store.copy t
+
 let class_of m (task : Task.t) = m.classes.(task.Task.cls)
 
 let node_names m =

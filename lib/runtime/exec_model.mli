@@ -11,7 +11,9 @@
     spec's topology and one row per (node, PE).  All three engines, the
     scheduling context's estimates and fault-latency scaling read their
     tasks and prices from the classes; no engine prices a task at
-    dispatch time. *)
+    dispatch time.  An instance is built from its class: as the
+    machine's compact {!Task.state} ({!state}) or as task records
+    ({!instance}). *)
 
 val estimate_ns : Task.t -> Dssoc_soc.Pe.t -> int
 (** Full turnaround estimate on the given PE, computed from the cost
@@ -88,6 +90,25 @@ val instance :
   arrival_ns:int ->
   Task.instance
 (** [instance m k ...] is one instance of class [k] ({!Task.instance}). *)
+
+val state :
+  t ->
+  int ->
+  store:Dssoc_apps.Store.t ->
+  task_id_base:int ->
+  inst_id:int ->
+  arrival_ns:int ->
+  Task.state
+(** [state m k ...] is the machine's state of one class-[k] instance
+    ({!Task.state}). *)
+
+val instance_of_state : t -> Task.state -> Task.instance
+(** The state as task records ({!Task.instance_of_state}). *)
+
+val stores : t -> int -> Dssoc_apps.Store.t
+(** [stores m] gives fresh initialised stores by class: each class's
+    store is built once ({!Dssoc_apps.Store.create}) on first use and
+    every call returns a {!Dssoc_apps.Store.copy} of it. *)
 
 val task_count : t -> int -> int
 (** [task_count m k]: the number of tasks of a class-[k] instance. *)

@@ -11,6 +11,7 @@ type 'a images = { number : int array; by_key : (int array, 'a) Hashtbl.t }
 type 'a memo = {
   model : Exec_model.t;
   derive : Store.t -> 'a;
+  store : int -> Store.t;  (** fresh initialised stores by class *)
   classes : 'a images Lazy.t array;
 }
 
@@ -37,48 +38,62 @@ let images (m : Exec_model.t) (c : Exec_model.cls) =
   { number; by_key = Hashtbl.create 4 }
 
 let memo model derive =
-  { model; derive; classes = Array.map (fun c -> lazy (images model c)) model.Exec_model.classes }
+  {
+    model;
+    derive;
+    store = Exec_model.stores model;
+    classes = Array.map (fun c -> lazy (images model c)) model.Exec_model.classes;
+  }
 
-(* The final store of an instance: a fresh store with the closure each
-   completed task ran, on its recorded PE, applied in topological order. *)
-let compute m (inst : Task.instance) =
-  let spec = inst.Task.app in
-  let store = Store.create spec.App_spec.variables in
-  let index = Hashtbl.create (Array.length inst.Task.tasks) in
-  Array.iter
-    (fun (t : Task.t) -> Hashtbl.replace index t.Task.node.App_spec.node_name t)
-    inst.Task.tasks;
+(* The final store of a class-[cls] instance whose node [j] completed
+   on PE [pe_of j] ([-1]: it never did): a fresh store with the closure
+   each completed task ran, on its recorded PE, applied in topological
+   order. *)
+let compute m cls pe_of =
+  let tp = m.model.Exec_model.classes.(cls).Exec_model.topology in
+  let spec = tp.Task.tp_spec in
+  let store = m.store cls in
+  let index = Hashtbl.create (Array.length tp.Task.tp_nodes) in
+  Array.iteri
+    (fun j (nd : App_spec.node) -> Hashtbl.replace index nd.App_spec.node_name j)
+    tp.Task.tp_nodes;
   List.iter
     (fun (nd : App_spec.node) ->
-      let t = Hashtbl.find index nd.App_spec.node_name in
-      if t.Task.status = Task.Done then
-        Exec_model.resolve_kernel t m.model.Exec_model.pes.(t.Task.pe)
-          store nd.App_spec.arguments)
+      let pe = pe_of (Hashtbl.find index nd.App_spec.node_name) in
+      if pe >= 0 then
+        Exec_model.node_kernel spec nd m.model.Exec_model.pes.(pe) store nd.App_spec.arguments)
     (App_spec.topological_order spec);
   m.derive store
 
-let image m (inst : Task.instance) =
-  let tasks = inst.Task.tasks in
-  if Array.length tasks = 0 then compute m inst
-  else
-    let c = Lazy.force m.classes.(tasks.(0).Task.cls) in
-    let n_pes = m.model.Exec_model.n_pes in
-    let key =
-      Array.map
-        (fun (t : Task.t) ->
-          if t.Task.status <> Task.Done then -1
-          else c.number.((t.Task.index * n_pes) + t.Task.pe))
-        tasks
-    in
-    match Hashtbl.find_opt c.by_key key with
-    | Some v -> v
-    | None ->
-      let v = compute m inst in
-      Hashtbl.replace c.by_key key v;
-      v
+let image_of m cls n pe_of =
+  let c = Lazy.force m.classes.(cls) in
+  let n_pes = m.model.Exec_model.n_pes in
+  let key =
+    Array.init n (fun j ->
+        let pe = pe_of j in
+        if pe < 0 then -1 else c.number.((j * n_pes) + pe))
+  in
+  match Hashtbl.find_opt c.by_key key with
+  | Some v -> v
+  | None ->
+    let v = compute m cls pe_of in
+    Hashtbl.replace c.by_key key v;
+    v
+
+let image m (st : Task.state) =
+  image_of m st.Task.st_cls
+    (Array.length st.Task.st_nodes / Task.width)
+    (Task.completed_pe st)
 
 let fill_stores model instances =
   let m = memo model Fun.id in
   Array.iter
-    (fun (inst : Task.instance) -> Store.blit_from inst.Task.store ~src:(image m inst))
+    (fun (inst : Task.instance) ->
+      let tasks = inst.Task.tasks in
+      if Array.length tasks > 0 then
+        Store.blit_from inst.Task.store
+          ~src:
+            (image_of m tasks.(0).Task.cls (Array.length tasks) (fun j ->
+                 let t = tasks.(j) in
+                 if t.Task.status = Task.Done then t.Task.pe else -1)))
     instances

@@ -65,8 +65,8 @@ let stream f (c : Core.fabric_counters) ~obs ~now pe ~bytes ns =
    wait reads it, and a wait can also end at a deadline.  Kernels run
    for real on the task's store, modelled device compute and fabric
    demand are timed sleeps, and manager costs are measured wall time. *)
-let substrate ~obs ~(config : Config.t) ~(params : Core.params) (handlers : Core.handler array)
-    (stats : Core.wm_stats) =
+let substrate ~obs ~(config : Config.t) ~(params : Core.params) ~(model : Exec_model.t)
+    (handlers : Core.handler array) (stats : Core.wm_stats) =
   let n = Array.length handlers in
   let mutex = Array.init n (fun _ -> Mutex.create ()) in
   (* Jitter draws come from a stream per resource manager, so domains
@@ -119,6 +119,12 @@ let substrate ~obs ~(config : Config.t) ~(params : Core.params) (handlers : Core
     | _ -> ());
     false
   in
+  (* The kernel node [j] of the instance runs on PE [pe], and its arguments. *)
+  let kernel pe (st : Task.state) j =
+    let tp = model.Exec_model.classes.(st.Task.st_cls).Exec_model.topology in
+    let node = tp.Task.tp_nodes.(j) in
+    (Exec_model.node_kernel tp.Task.tp_spec node handlers.(pe).Core.h_pe, node.App_spec.arguments)
+  in
   {
     Compiled.s_now = now;
     s_work = (fun _ _ -> false);
@@ -138,17 +144,18 @@ let substrate ~obs ~(config : Config.t) ~(params : Core.params) (handlers : Core
     s_jitter = (fun th ns -> Core.jittered prngs.(th) ~jitter:params.Core.jitter ns);
     (* A CPU kernel runs for real; its own time is the execution. *)
     s_cpu =
-      (fun pe task _ ->
-        Exec_model.resolve_kernel task handlers.(pe).Core.h_pe task.Task.store
-          task.Task.node.App_spec.arguments;
+      (fun pe st j _ ->
+        let k, args = kernel pe st j in
+        k st.Task.st_store args;
         false);
     (* An accelerator does not exist on the host: real copies of the
        task's pointer arguments stand in for its transfers, and a timed
        sleep of the modelled duration for its compute.  A task with no
        pointer arguments moves no data, so no buffer is allocated. *)
     s_compute =
-      (fun pe task ns ->
-        let store = task.Task.store and args = task.Task.node.App_spec.arguments in
+      (fun pe st j ns ->
+        let k, args = kernel pe st j in
+        let store = st.Task.st_store in
         let scratch =
           match List.filter (fun a -> (Store.spec store a).Store.is_ptr) args with
           | [] -> None
@@ -157,7 +164,7 @@ let substrate ~obs ~(config : Config.t) ~(params : Core.params) (handlers : Core
             List.iter (fun a -> Buffer.add_bytes buf (Store.get_raw store a)) ptr_args;
             Some buf
         in
-        Exec_model.resolve_kernel task handlers.(pe).Core.h_pe store args;
+        k store args;
         sleep_ns ns;
         Option.iter (fun buf -> ignore (Buffer.contents buf)) scratch;
         false);
@@ -217,7 +224,7 @@ let run_detailed ?(params = default_params) ?obs ?fault ~(config : Config.t)
   let model = Exec_model.lower ~engine_name:"Native_engine.run" ~config workload in
   let report, instances =
     Compiled.run_on ?obs ?fault ~config ~policy model params
-      (substrate ~obs:(Option.value obs ~default:Obs.disabled) ~config ~params)
+      (substrate ~obs:(Option.value obs ~default:Obs.disabled) ~config ~params ~model)
   in
   ({ report with Stats.host_name = config.Config.host.Host.name ^ " (native)" }, instances)
 

@@ -9,6 +9,44 @@ type task_record = {
   dma_ns : int;
 }
 
+type columns = {
+  mutable count : int;
+  c_name : int array;
+  c_instance : int array;
+  c_task : int array;
+  c_pe_index : int array;
+  c_ready_ns : int array;
+  c_dispatched_ns : int array;
+  c_completed_ns : int array;
+  c_dma_ns : int array;
+}
+
+let columns n =
+  let col () = Array.make n 0 in
+  {
+    count = 0;
+    c_name = col ();
+    c_instance = col ();
+    c_task = col ();
+    c_pe_index = col ();
+    c_ready_ns = col ();
+    c_dispatched_ns = col ();
+    c_completed_ns = col ();
+    c_dma_ns = col ();
+  }
+
+let add_record c ~name ~instance ~task ~pe_index ~ready_ns ~dispatched_ns ~completed_ns ~dma_ns =
+  let i = c.count in
+  c.c_name.(i) <- name;
+  c.c_instance.(i) <- instance;
+  c.c_task.(i) <- task;
+  c.c_pe_index.(i) <- pe_index;
+  c.c_ready_ns.(i) <- ready_ns;
+  c.c_dispatched_ns.(i) <- dispatched_ns;
+  c.c_completed_ns.(i) <- completed_ns;
+  c.c_dma_ns.(i) <- dma_ns;
+  c.count <- i + 1
+
 type pe_usage = {
   pe_label : string;
   pe_kind : string;
@@ -59,7 +97,7 @@ type report = {
   sched_invocations : int;
   sched_ns : int;
   wm_overhead_ns : int;
-  records : task_record list;
+  records : columns;
   names : (string * string) array;
   app_stats : (string * app_summary) list;
   verdict : verdict;
@@ -70,39 +108,55 @@ type report = {
   mean_wait_us : float;
 }
 
+let record_count r = r.records.count
+
+let record r i =
+  let c = r.records in
+  if i < 0 || i >= c.count then invalid_arg "Stats.record";
+  {
+    name = c.c_name.(i);
+    instance = c.c_instance.(i);
+    task = c.c_task.(i);
+    pe_index = c.c_pe_index.(i);
+    ready_ns = c.c_ready_ns.(i);
+    dispatched_ns = c.c_dispatched_ns.(i);
+    completed_ns = c.c_completed_ns.(i);
+    dma_ns = c.c_dma_ns.(i);
+  }
+
+let record_list r = List.init r.records.count (record r)
+
 let record_app r t = fst r.names.(t.name)
 let record_node r t = snd r.names.(t.name)
 let record_pe r t = (List.nth r.pe_usage t.pe_index).pe_label
 
-(* The records as a realized schedule.  They see no fabric admission,
-   so no stall time is charged to them. *)
-let record_fields =
-  {
-    Dssoc_obs.Analyze.f_task = (fun t -> t.task);
-    f_instance = (fun t -> t.instance);
-    f_pe_index = (fun t -> t.pe_index);
-    f_ready_ns = (fun t -> t.ready_ns);
-    f_dispatched_ns = (fun t -> t.dispatched_ns);
-    f_completed_ns = (fun t -> t.completed_ns);
-    f_dma_ns = (fun t -> t.dma_ns);
-    f_stall_ns = (fun _ -> 0);
-  }
-
+(* The records as a realized schedule, a record being its row.  They
+   see no fabric admission, so no stall time is charged to them. *)
 let critical_path r =
-  Dssoc_obs.Analyze.path record_fields (Array.of_list r.records) ~makespan_ns:r.makespan_ns ()
+  let c = r.records in
+  Dssoc_obs.Analyze.path_rows
+    {
+      Dssoc_obs.Analyze.f_task = Array.get c.c_task;
+      f_instance = Array.get c.c_instance;
+      f_pe_index = Array.get c.c_pe_index;
+      f_ready_ns = Array.get c.c_ready_ns;
+      f_dispatched_ns = Array.get c.c_dispatched_ns;
+      f_completed_ns = Array.get c.c_completed_ns;
+      f_dma_ns = Array.get c.c_dma_ns;
+      f_stall_ns = (fun _ -> 0);
+    }
+    c.count ~makespan_ns:r.makespan_ns ()
 
 let service_quantile_us r q =
-  match r.records with
-  | [] -> 0.0
-  | records ->
-    let us = Array.make (List.length records) 0.0 in
-    List.iteri
-      (fun i t -> us.(i) <- float_of_int (t.completed_ns - t.dispatched_ns) /. 1e3)
-      records;
-    Dssoc_stats.Quantile.quantile us q
+  let c = r.records in
+  if c.count = 0 then 0.0
+  else
+    Dssoc_stats.Quantile.quantile
+      (Array.init c.count (fun i ->
+           float_of_int (c.c_completed_ns.(i) - c.c_dispatched_ns.(i)) /. 1e3))
+      q
 
-let completed_fraction r =
-  float_of_int (List.length r.records) /. float_of_int (max 1 r.task_count)
+let completed_fraction r = float_of_int r.records.count /. float_of_int (max 1 r.task_count)
 
 let utilization r =
   let span = float_of_int (max 1 r.makespan_ns) in
@@ -171,13 +225,14 @@ let records_csv r =
   let pes = Array.of_list (List.map (fun u -> u.pe_label) r.pe_usage) in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "app,instance,node,pe,ready_ns,dispatched_ns,completed_ns\n";
-  List.iter
-    (fun rec_ ->
-      let app, node = r.names.(rec_.name) in
-      Buffer.add_string buf
-        (Printf.sprintf "%s,%d,%s,%s,%d,%d,%d\n" (field app) rec_.instance (field node)
-           (field pes.(rec_.pe_index)) rec_.ready_ns rec_.dispatched_ns rec_.completed_ns))
-    r.records;
+  let c = r.records in
+  for i = 0 to c.count - 1 do
+    let app, node = r.names.(c.c_name.(i)) in
+    Buffer.add_string buf
+      (Printf.sprintf "%s,%d,%s,%s,%d,%d,%d\n" (field app) c.c_instance.(i) (field node)
+         (field pes.(c.c_pe_index.(i))) c.c_ready_ns.(i) c.c_dispatched_ns.(i)
+         c.c_completed_ns.(i))
+  done;
   Buffer.contents buf
 
 let chrome_trace ?obs r =
@@ -202,7 +257,7 @@ let chrome_trace ?obs r =
             ("tid", Json.int t.pe_index);
             ("args", Json.obj [ ("ready_us", Json.float (float_of_int t.ready_ns /. 1e3)) ]);
           ])
-      r.records
+      (record_list r)
   in
   let threads =
     List.map
@@ -328,7 +383,8 @@ let gantt_alphabet = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ012345
 let gantt ?(width = 100) r =
   let width = max 1 width in
   let span = float_of_int (max 1 r.makespan_ns) in
-  let apps = List.sort_uniq compare (List.map (fun t -> record_app r t) r.records) in
+  let records = record_list r in
+  let apps = List.sort_uniq compare (List.map (fun t -> record_app r t) records) in
   let letter app =
     match List.find_index (fun a -> a = app) apps with
     | Some i -> gantt_alphabet.[i mod String.length gantt_alphabet]
@@ -358,7 +414,7 @@ let gantt ?(width = 100) r =
               Bytes.set row i (letter (record_app r t))
             done
           end)
-        r.records;
+        records;
       Buffer.add_string buf (Printf.sprintf "%-8s |%s|\n" u.pe_label (Bytes.to_string row)))
     r.pe_usage;
   Buffer.add_string buf

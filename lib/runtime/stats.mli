@@ -18,6 +18,38 @@ type task_record = {
           ran (fabric queueing included); 0 on a CPU *)
 }
 
+(** A run's records as columns, one int array per {!task_record}
+    field: row [i] of every column is the [i]-th completed task. *)
+type columns = {
+  mutable count : int;  (** rows written; each column holds at least this many *)
+  c_name : int array;
+  c_instance : int array;
+  c_task : int array;
+  c_pe_index : int array;
+  c_ready_ns : int array;
+  c_dispatched_ns : int array;
+  c_completed_ns : int array;
+  c_dma_ns : int array;
+}
+
+val columns : int -> columns
+(** [columns n]: no rows, room for [n].  A run sizes its columns once,
+    to its task count, and never grows them. *)
+
+val add_record :
+  columns ->
+  name:int ->
+  instance:int ->
+  task:int ->
+  pe_index:int ->
+  ready_ns:int ->
+  dispatched_ns:int ->
+  completed_ns:int ->
+  dma_ns:int ->
+  unit
+(** Write the next row.
+    @raise Invalid_argument when the columns are full. *)
+
 type pe_usage = {
   pe_label : string;
   pe_kind : string;
@@ -87,7 +119,7 @@ type report = {
       (** total workload-manager overhead: completion monitoring +
           ready-list updates + scheduling + dispatch communication
           (the Fig. 10b definition) *)
-  records : task_record list;  (** by completion time *)
+  records : columns;  (** by completion time *)
   names : (string * string) array;
       (** (app, node) by name number: node [j] of the run's lowering
           class [k] is number [j] plus the node counts of the classes
@@ -104,14 +136,25 @@ type report = {
           dispatches) *)
 }
 
+val record_count : report -> int
+(** The number of records. *)
+
+val record : report -> int -> task_record
+(** [record r i]: row [i] of the records, as a record.
+    @raise Invalid_argument when there is no such row. *)
+
+val record_list : report -> task_record list
+(** Every record, by completion time, built on demand. *)
+
 val record_app : report -> task_record -> string
 val record_node : report -> task_record -> string
 
 val record_pe : report -> task_record -> string
 (** The label of the record's PE. *)
 
-val critical_path : report -> task_record Dssoc_obs.Analyze.path
-(** {!Dssoc_obs.Analyze.path} over the records, bounded by the
+val critical_path : report -> int Dssoc_obs.Analyze.path
+(** {!Dssoc_obs.Analyze.path_rows} over the record columns (a step's
+    task is its row, {!record}), bounded by the
     report's makespan: its length equals [makespan_ns] unless no task
     completed.  The records see no fabric admission, so no stall time
     is charged; without injection times, a dependency step's slack

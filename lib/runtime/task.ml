@@ -21,7 +21,6 @@ type t = {
   mutable dma_ns : int;
   mutable pe : int;
   mutable attempts : int;
-  mutable last_failure : (Dssoc_fault.Fault.failure * int) option;
 }
 
 type instance = {
@@ -40,6 +39,34 @@ type topology = {
   tp_unmet : int array;
   tp_succ : int array array;
   tp_entry : int array;
+  tp_state : int array;
+}
+
+(* Instance state: [width] ints per node, node-major. *)
+let width = 8
+let f_status = 0
+let f_unmet = 1
+let f_ready = 2
+let f_dispatched = 3
+let f_completed = 4
+let f_dma = 5
+let f_pe = 6
+let f_attempts = 7
+let blocked = 0
+let ready = 1
+let running = 2
+let done_ = 3
+let status_of_code = function 0 -> Blocked | 1 -> Ready | 2 -> Running | _ -> Done
+
+type state = {
+  st_id : int;
+  st_cls : int;
+  st_task_base : int;
+  st_arrival_ns : int;
+  st_store : Store.t;
+  st_nodes : int array;
+  mutable st_remaining : int;
+  mutable st_completed_at : int;
 }
 
 let topology (spec : App_spec.t) =
@@ -49,6 +76,16 @@ let topology (spec : App_spec.t) =
   let unmet = Array.map (fun (nd : App_spec.node) -> List.length nd.App_spec.predecessors) nodes in
   let entry = ref [] in
   Array.iteri (fun j u -> if u = 0 then entry := j :: !entry) unmet;
+  let state = Array.make (width * Array.length nodes) 0 in
+  Array.iteri
+    (fun j u ->
+      let b = j * width in
+      state.(b + f_unmet) <- u;
+      state.(b + f_ready) <- -1;
+      state.(b + f_dispatched) <- -1;
+      state.(b + f_completed) <- -1;
+      state.(b + f_pe) <- -1)
+    unmet;
   {
     tp_spec = spec;
     tp_nodes = nodes;
@@ -59,6 +96,7 @@ let topology (spec : App_spec.t) =
           Array.of_list (List.map (Hashtbl.find by_name) nd.App_spec.successors))
         nodes;
     tp_entry = Array.of_list (List.rev !entry);
+    tp_state = state;
   }
 
 let instance tp ~cls ~store ~task_id_base ~inst_id ~arrival_ns =
@@ -83,7 +121,6 @@ let instance tp ~cls ~store ~task_id_base ~inst_id ~arrival_ns =
           dma_ns = 0;
           pe = -1;
           attempts = 0;
-          last_failure = None;
         })
       tp.tp_nodes
   in
@@ -95,6 +132,58 @@ let instance tp ~cls ~store ~task_id_base ~inst_id ~arrival_ns =
     tasks;
     remaining = Array.length tasks;
     completed_at = -1;
+  }
+
+let state tp ~cls ~store ~task_id_base ~inst_id ~arrival_ns =
+  {
+    st_id = inst_id;
+    st_cls = cls;
+    st_task_base = task_id_base;
+    st_arrival_ns = arrival_ns;
+    st_store = store;
+    st_nodes = Array.copy tp.tp_state;
+    st_remaining = Array.length tp.tp_nodes;
+    st_completed_at = -1;
+  }
+
+let status st j = status_of_code st.st_nodes.((j * width) + f_status)
+let attempts st j = st.st_nodes.((j * width) + f_attempts)
+
+let completed_pe st j =
+  let b = j * width in
+  if st.st_nodes.(b + f_status) = done_ then st.st_nodes.(b + f_pe) else -1
+
+let view tp st j =
+  let f k = st.st_nodes.((j * width) + k) in
+  let spec = tp.tp_spec in
+  {
+    id = st.st_task_base + j;
+    index = j;
+    instance_id = st.st_id;
+    cls = st.st_cls;
+    app_name = spec.App_spec.app_name;
+    node = tp.tp_nodes.(j);
+    spec;
+    store = st.st_store;
+    status = status_of_code (f f_status);
+    unmet = f f_unmet;
+    ready_at = f f_ready;
+    dispatched_at = f f_dispatched;
+    completed_at = f f_completed;
+    dma_ns = f f_dma;
+    pe = f f_pe;
+    attempts = f f_attempts;
+  }
+
+let instance_of_state tp st =
+  {
+    inst_id = st.st_id;
+    app = tp.tp_spec;
+    store = st.st_store;
+    arrival_ns = st.st_arrival_ns;
+    tasks = Array.init (Array.length tp.tp_nodes) (view tp st);
+    remaining = st.st_remaining;
+    completed_at = st.st_completed_at;
   }
 
 let instantiate ~task_id_base ~inst_id ~arrival_ns (spec : App_spec.t) =

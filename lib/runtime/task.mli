@@ -2,7 +2,17 @@
 
     A task is one DAG node of one application instance; it carries the
     bookkeeping the workload manager needs for scheduling, dispatch
-    and measurement (the "DAG node data structure" of Section II-C). *)
+    and measurement (the "DAG node data structure" of Section II-C).
+
+    Two layouts hold that bookkeeping.  {!Compiled_engine}'s machine
+    keeps an instance as a {!state}: its class, a few header fields and
+    one int array indexed by node, so a task costs [width] words and no
+    record.  A {!t} per task, gathered in an {!instance}, is what code
+    outside the machine reads: the functional path ({!instantiate},
+    {!Functional}), the instances a detailed run returns (built from
+    their states after the run, {!instance_of_state}), a custom
+    policy's ready window ({!view}) and the test suite's reference
+    engine. *)
 
 type status =
   | Blocked  (** waiting on unfinished predecessors *)
@@ -33,10 +43,6 @@ type t = {
           accelerator, measured by its resource manager *)
   mutable pe : int;  (** index of the PE that executed it, once dispatched; -1 before *)
   mutable attempts : int;  (** dispatch count, incl. failed attempts *)
-  mutable last_failure : (Dssoc_fault.Fault.failure * int) option;
-      (** set by the resource handler when an attempt failed: the
-          failure and the quarantine to impose on the PE (ns;
-          [max_int] = permanent).  Cleared by the workload manager. *)
 }
 
 type instance = {
@@ -55,11 +61,76 @@ type topology = {
   tp_unmet : int array;  (** initial unmet-predecessor counts *)
   tp_succ : int array array;  (** successor node indices, JSON order *)
   tp_entry : int array;  (** nodes with no predecessors, node order *)
+  tp_state : int array;  (** a fresh {!state}'s [st_nodes], copied by {!state} *)
 }
 (** A spec's DAG as index arrays over node positions, worked out once
     and shared by every instance built from it. *)
 
 val topology : Dssoc_apps.App_spec.t -> topology
+
+(** {1 Instance state}
+
+    Node [j]'s fields sit at [st_nodes.(j * width + f)], [f] one of the
+    offsets below; times are ns, [-1] until set. *)
+
+val width : int
+(** Ints per node: 8. *)
+
+val f_status : int
+(** The status, as one of {!blocked}, {!ready}, {!running}, {!done_}. *)
+
+val f_unmet : int
+val f_ready : int
+val f_dispatched : int
+val f_completed : int
+val f_dma : int
+val f_pe : int
+val f_attempts : int
+
+val blocked : int
+val ready : int
+val running : int
+val done_ : int
+
+type state = {
+  st_id : int;  (** the instance id *)
+  st_cls : int;  (** its class in the run's lowering *)
+  st_task_base : int;  (** node [j]'s task id is [st_task_base + j] *)
+  st_arrival_ns : int;
+  st_store : Dssoc_apps.Store.t;
+  st_nodes : int array;  (** [width] ints per node: the fields of a {!t} that change *)
+  mutable st_remaining : int;  (** tasks not yet Done *)
+  mutable st_completed_at : int;  (** -1 until the last task finishes *)
+}
+(** An instance as the machine holds it. *)
+
+val state :
+  topology ->
+  cls:int ->
+  store:Dssoc_apps.Store.t ->
+  task_id_base:int ->
+  inst_id:int ->
+  arrival_ns:int ->
+  state
+(** A fresh state: every node Blocked on its predecessors, one copy of
+    [tp_state]. *)
+
+val status : state -> int -> status
+(** [status st j]: node [j]'s status. *)
+
+val attempts : state -> int -> int
+(** [attempts st j]: node [j]'s dispatch count. *)
+
+val completed_pe : state -> int -> int
+(** [completed_pe st j]: the PE that ran node [j], once it is Done;
+    [-1] before. *)
+
+val view : topology -> state -> int -> t
+(** [view tp st j]: node [j] of the state as a fresh task record, a
+    snapshot that later changes to the state do not reach. *)
+
+val instance_of_state : topology -> state -> instance
+(** Every node's {!view}, as an instance over the state's store. *)
 
 val instance :
   topology ->

@@ -516,7 +516,7 @@ type tstate = {
 }
 
 (* An admitted instance, in flight until it completes or times out. *)
-type admitted = { ad_tenant : int; ad_inst : Task.instance }
+type admitted = { ad_tenant : int; ad_inst : Task.state }
 
 type stop_reason = Running | Finished | Drained
 
@@ -869,13 +869,13 @@ let run ?(obs = Obs.disabled) ?(drain = fun ~now_ns:_ -> false) ?checkpoint ?res
   let digests = Functional.memo model store_digest in
   let record_completion { ad_tenant; ad_inst = inst } =
     let ts = states.(ad_tenant) in
-    let lat = inst.Task.completed_at - inst.Task.arrival_ns in
+    let lat = inst.Task.st_completed_at - inst.Task.st_arrival_ns in
     ts.ts_completed <- ts.ts_completed + 1;
     Vec.push ts.ts_latencies lat;
     if lat > ts.ts_slo_ns then ts.ts_slo_miss <- ts.ts_slo_miss + 1;
     ts.ts_digest <-
-      chain_digest ts.ts_digest ~inst_id:inst.Task.inst_id ~digest:(Functional.image digests inst);
-    Dispo.set dispo inst.Task.inst_id 'C'
+      chain_digest ts.ts_digest ~inst_id:inst.Task.st_id ~digest:(Functional.image digests inst);
+    Dispo.set dispo inst.Task.st_id 'C'
   in
   let shed_instance ~now ~victim_tenant a =
     let ts = states.(victim_tenant) in
@@ -911,19 +911,19 @@ let run ?(obs = Obs.disabled) ?(drain = fun ~now_ns:_ -> false) ?checkpoint ?res
       Vec.filter_in_place
         (fun ad ->
           let inst = ad.ad_inst in
-          if inst.Task.completed_at >= 0 then begin
+          if inst.Task.st_completed_at >= 0 then begin
             record_completion ad;
             false
           end
           else if
-            watchdog && now >= deadline inst.Task.arrival_ns && ops.Compiled_engine.so_cancel inst
+            watchdog && now >= deadline inst.Task.st_arrival_ns && ops.Compiled_engine.so_cancel inst
           then begin
-            time_out ~now ~tenant:ad.ad_tenant ~id:inst.Task.inst_id
-              ~arrival_ns:inst.Task.arrival_ns;
+            time_out ~now ~tenant:ad.ad_tenant ~id:inst.Task.st_id
+              ~arrival_ns:inst.Task.st_arrival_ns;
             false
           end
           else begin
-            if watchdog then wd_first := Int.min !wd_first (deadline inst.Task.arrival_ns);
+            if watchdog then wd_first := Int.min !wd_first (deadline inst.Task.st_arrival_ns);
             true
           end)
         active
@@ -994,7 +994,7 @@ let run ?(obs = Obs.disabled) ?(drain = fun ~now_ns:_ -> false) ?checkpoint ?res
           time_out ~now ~tenant:ti ~id:a.ar_id ~arrival_ns:a.ar_t
         else begin
           let inst =
-            Exec_model.instance model a.ar_app ~store:placeholder ~task_id_base:a.ar_base
+            Exec_model.state model a.ar_app ~store:placeholder ~task_id_base:a.ar_base
               ~inst_id:a.ar_id ~arrival_ns:a.ar_t
           in
           made := !made + ops.Compiled_engine.so_inject inst;
@@ -1030,7 +1030,7 @@ let run ?(obs = Obs.disabled) ?(drain = fun ~now_ns:_ -> false) ?checkpoint ?res
     else
       Vec.iter
         (fun ad ->
-          let e = deadline ad.ad_inst.Task.arrival_ns in
+          let e = deadline ad.ad_inst.Task.st_arrival_ns in
           if e > now then add e)
         active;
     if !best = max_int then None else Some !best

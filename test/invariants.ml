@@ -37,9 +37,9 @@ let check label ~depth ~(report : Stats.report) ~(instances : Task.instance arra
       | _ -> ())
     events;
   (* (i) *)
-  if Hashtbl.length completed <> List.length report.Stats.records then
+  if Hashtbl.length completed <> Stats.record_count report then
     fail "%d completions, %d records" (Hashtbl.length completed)
-      (List.length report.Stats.records);
+      (Stats.record_count report);
   let find tbl what (t : Task.t) =
     match Hashtbl.find_opt tbl t.Task.id with
     | Some ns -> ns

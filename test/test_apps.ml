@@ -78,6 +78,53 @@ let test_store_copy_independent () =
   Store.set_i32 store "n" 2;
   Alcotest.(check int) "copy unaffected" 1 (Store.get_i32 copy "n")
 
+(* A run builds each class's initialised store once and copies it
+   ([Exec_model.stores]): for every reference app a copy holds exactly
+   the bytes [Store.create] writes, and shares no block with the
+   template or with another copy. *)
+let test_store_template_copies () =
+  let module Exec_model = Dssoc_runtime.Exec_model in
+  let apps = Reference_apps.all () in
+  let same_bytes label a b =
+    Alcotest.(check (list string)) (label ^ ": variables") (Store.names a) (Store.names b);
+    List.iter
+      (fun n ->
+        Alcotest.(check string) (label ^ ": " ^ n)
+          (Bytes.to_string (Store.get_raw a n))
+          (Bytes.to_string (Store.get_raw b n)))
+      (Store.names a)
+  in
+  let disjoint label a b =
+    List.iter
+      (fun n ->
+        Alcotest.(check bool) (label ^ ": " ^ n ^ " not shared") true
+          (Store.get_raw a n != Store.get_raw b n))
+      (Store.names a)
+  in
+  List.iter
+    (fun (spec : App_spec.t) ->
+      let label = spec.App_spec.app_name in
+      let template = Store.create spec.App_spec.variables in
+      let copy = Store.copy template in
+      same_bytes label (Store.create spec.App_spec.variables) copy;
+      disjoint label template copy)
+    apps;
+  let model =
+    Exec_model.lower ~engine_name:"test"
+      ~config:(Dssoc_soc.Config.zcu102_cores_ffts ~cores:2 ~ffts:1)
+      (Workload.validation (List.map (fun a -> (a, 1)) apps))
+  in
+  let stores = Exec_model.stores model in
+  Array.iteri
+    (fun k (c : Exec_model.cls) ->
+      let spec = c.Exec_model.topology.Dssoc_runtime.Task.tp_spec in
+      let label = "class " ^ spec.App_spec.app_name in
+      let a = stores k and b = stores k in
+      same_bytes label (Store.create spec.App_spec.variables) a;
+      same_bytes label a b;
+      disjoint label a b)
+    model.Exec_model.classes
+
 let test_store_duplicate () =
   Alcotest.(check bool) "duplicate rejected" true
     (try
@@ -356,6 +403,7 @@ let () =
           Alcotest.test_case "slice bounds" `Quick test_store_slice_bounds;
           Alcotest.test_case "bits" `Quick test_store_bits;
           Alcotest.test_case "copy independence" `Quick test_store_copy_independent;
+          Alcotest.test_case "initialised copies = create" `Quick test_store_template_copies;
           Alcotest.test_case "duplicate names" `Quick test_store_duplicate;
         ] );
       ( "app_spec",

@@ -299,7 +299,7 @@ let test_substitution_speedup () =
   let r0, _ = run_dag conv.Driver.spec in
   let r1, _ = run_dag conv_opt.Driver.spec in
   let node_time (r : Stats.report) name =
-    let t = List.find (fun t -> Stats.record_node r t = name) r.Stats.records in
+    let t = List.find (fun t -> Stats.record_node r t = name) (Stats.record_list r) in
     t.Stats.completed_ns - t.Stats.dispatched_ns
   in
   let naive = node_time r0 "KERNEL_5" in

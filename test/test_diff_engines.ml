@@ -67,13 +67,13 @@ let by_task (r : Stats.report) =
   List.sort compare
     (List.map
        (fun t -> ((t.Stats.instance, Stats.record_node r t), Stats.record_pe r t))
-       r.Stats.records)
+       (Stats.record_list r))
 
 let check_counts (vr : Stats.report) (nr : Stats.report) =
   Alcotest.(check int) "job count agrees" vr.Stats.job_count nr.Stats.job_count;
   Alcotest.(check int) "task count agrees" vr.Stats.task_count nr.Stats.task_count;
-  Alcotest.(check int) "record count agrees" (List.length vr.Stats.records)
-    (List.length nr.Stats.records)
+  Alcotest.(check int) "record count agrees" (Stats.record_count vr)
+    (Stats.record_count nr)
 
 let check_makespan_band (vr : Stats.report) (nr : Stats.report) =
   (* Deliberately coarse: the two clocks measure different machines.
@@ -93,14 +93,14 @@ let test_chain_parity () =
   let config = Config.zcu102_cores_ffts ~cores:2 ~ffts:0 in
   let (vr, vi), (nr, ni) = run_both config (Reference_apps.wifi_tx ()) 1 in
   check_counts vr nr;
-  let order (r : Stats.report) = List.map (Stats.record_node r) r.Stats.records in
+  let order (r : Stats.report) = List.map (Stats.record_node r) (Stats.record_list r) in
   Alcotest.(check (list string)) "same completion order" (order vr) (order nr);
   Alcotest.(check bool) "same per-task PE assignments" true (by_task vr = by_task nr);
   List.iter
     (fun t ->
       Alcotest.(check string) (Stats.record_node nr t ^ " on first cpu") "cpu0"
         (Stats.record_pe nr t))
-    nr.Stats.records;
+    (Stats.record_list nr);
   check_makespan_band vr nr;
   (* functional outputs agree bit-for-bit *)
   Alcotest.(check bool) "same transmitted time-domain signal" true
@@ -115,13 +115,13 @@ let test_dag_parity_single_pe () =
   let spec = Reference_apps.range_detection () in
   let (vr, vi), (nr, ni) = run_both config spec 1 in
   check_counts vr nr;
-  let order (r : Stats.report) = List.map (Stats.record_node r) r.Stats.records in
+  let order (r : Stats.report) = List.map (Stats.record_node r) (Stats.record_list r) in
   Alcotest.(check (list string)) "same serialisation" (order vr) (order nr);
   Alcotest.(check bool) "all on the single PE" true
-    (List.for_all (fun t -> Stats.record_pe nr t = "cpu0") nr.Stats.records);
+    (List.for_all (fun t -> Stats.record_pe nr t = "cpu0") (Stats.record_list nr));
   (* both serialisations are topological orders of the app DAG *)
   let check_topological (r : Stats.report) name =
-    let position = List.mapi (fun i t -> (Stats.record_node r t, i)) r.Stats.records in
+    let position = List.mapi (fun i t -> (Stats.record_node r t, i)) (Stats.record_list r) in
     List.iter
       (fun (n : App_spec.node) ->
         List.iter
@@ -150,7 +150,7 @@ let test_multi_instance_parity () =
   let per_instance_order (r : Stats.report) inst =
     List.filter_map
       (fun t -> if t.Stats.instance = inst then Some (Stats.record_node r t) else None)
-      r.Stats.records
+      (Stats.record_list r)
   in
   let chain = [ "CRC"; "SCRAMBLE"; "ENCODE"; "INTERLEAVE"; "MODULATE"; "PILOT"; "IFFT" ] in
   List.iter
@@ -307,7 +307,7 @@ let test_reservation_multi_instance_parity () =
       let per_instance_order inst =
         List.filter_map
           (fun t -> if t.Stats.instance = inst then Some (Stats.record_node vr t) else None)
-          vr.Stats.records
+          (Stats.record_list vr)
       in
       List.iter
         (fun inst ->
@@ -354,7 +354,7 @@ let test_native_reservation_depth_differential () =
   let per_instance_order (r : Stats.report) inst =
     List.filter_map
       (fun t -> if t.Stats.instance = inst then Some (Stats.record_node r t) else None)
-      r.Stats.records
+      (Stats.record_list r)
   in
   List.iter
     (fun inst ->
@@ -394,7 +394,7 @@ let completed_multiset (r : Stats.report) =
   List.sort compare
     (List.map
        (fun t -> (Stats.record_app r t, t.Stats.instance, Stats.record_node r t))
-       r.Stats.records)
+       (Stats.record_list r))
 
 let test_fault_parity_across_policies () =
   let config = Config.zcu102_cores_ffts ~cores:2 ~ffts:1 in
@@ -440,7 +440,7 @@ let test_fault_parity_across_policies () =
             (fun t ->
               Alcotest.(check bool) (label ^ ": dead PE executed nothing") true
                 (Stats.record_pe r t <> "fft2"))
-            r.Stats.records)
+            (Stats.record_list r))
         [ vr; nr ];
       check_stores_agree label vi ni;
       Oracle.check (label ^ "/virtual") ~config vi)
@@ -475,6 +475,32 @@ let test_aborted_fault_outputs () =
     (done_ > 0 && done_ < r.Stats.task_count);
   Oracle.check "aborted" ~config insts
 
+(* The report's record columns, sized to the task count, against the
+   list definitions of its readings, on a run that aborts with fewer
+   records than tasks: the reference's report and the pc machine's. *)
+let test_aborted_record_columns () =
+  let module Compiled = Dssoc_runtime.Compiled_engine in
+  let config = Config.zcu102_cores_ffts ~cores:2 ~ffts:1 in
+  let fault =
+    Result.get_ok (Fault.of_spec ~seed:5L "*:transient:p=0.3:recover=0.2ms,retries=2")
+  in
+  let wl () =
+    Workload.validation [ (Reference_apps.wifi_tx (), 1); (Reference_apps.range_detection (), 1) ]
+  in
+  let vr, _ = reference ~fault ~config ~workload:(wl ()) () in
+  let plan = Compiled.compile ~config ~workload:(wl ()) ~policy:Scheduler.frfs () in
+  let cr = Compiled.run ~fault plan { Engine_core.seed = 1L; jitter = 0.0; reservation_depth = 0 } in
+  List.iter
+    (fun (label, (r : Stats.report)) ->
+      Alcotest.(check string) (label ^ ": aborted") "aborted" (Stats.verdict_name r.Stats.verdict);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: fewer records (%d) than tasks (%d)" label (Stats.record_count r)
+           r.Stats.task_count)
+        true
+        (Stats.record_count r > 0 && Stats.record_count r < r.Stats.task_count);
+      Record_list.check label r)
+    [ ("reference", vr); ("pc machine", cr) ]
+
 (* A service run takes a fault plan like a batch run: served over the
    fixed stream of its workload, it must leave every instance and every
    PE exactly where the batch run of the same plan does. *)
@@ -498,7 +524,7 @@ let test_service_under_fault_plan () =
   Alcotest.(check (option string)) "not aborted" None sr.Compiled.sr_aborted;
   Alcotest.(check (list int)) "instance completion times"
     (Array.to_list (Array.map (fun (i : Task.instance) -> i.Task.completed_at) insts))
-    (Array.to_list (Array.map (fun (i : Task.instance) -> i.Task.completed_at) served));
+    (Array.to_list (Array.map (fun (i : Task.state) -> i.Task.st_completed_at) served));
   Alcotest.(check (list (pair int int))) "per-PE busy time and tasks run"
     (List.map
        (fun (u : Stats.pe_usage) -> (u.Stats.busy_ns, u.Stats.tasks_run))
@@ -528,7 +554,7 @@ let test_abort_for_unarrived_instance () =
        instance completed (at 88,444 ns): an aborted run's makespan is
        the clock at which its machine stopped. *)
     Alcotest.(check int) (label ^ ": makespan") 5_000_700 r.Stats.makespan_ns;
-    Alcotest.(check int) (label ^ ": records") 7 (List.length r.Stats.records)
+    Alcotest.(check int) (label ^ ": records") 7 (Stats.record_count r)
   in
   check "reference" (fst (reference ~fault ~config ~workload ()));
   let params = { Engine_core.seed = 1L; jitter = 0.0; reservation_depth = 0 } in
@@ -540,10 +566,11 @@ let test_abort_for_unarrived_instance () =
     sr.Compiled.sr_aborted
 
 (* A batch instance lives from injection to completion: once it has
-   completed, neither the engine nor the fixed source holds it.  The
-   second instance arrives 10 ms after the first, long after the first
+   completed, neither the engine (its slot, a resource manager's
+   attempt in hand) nor the fixed source holds its state.  The second
+   instance arrives 10 ms after the first, long after the first
    completed; at that tick, before the second is built, a full major
-   collection must have freed the first. *)
+   collection must have freed the first's state. *)
 let test_completed_instance_freed () =
   let module Compiled = Dssoc_runtime.Compiled_engine in
   let config = Config.zcu102_cores_ffts ~cores:2 ~ffts:1 in
@@ -560,9 +587,9 @@ let test_completed_instance_freed () =
       Gc.full_major ();
       first_alive := Some (Weak.check injected 0)
     end;
-    let record inst =
-      Weak.set injected inst.Task.inst_id (Some inst);
-      ops.Compiled.so_inject inst
+    let record (st : Task.state) =
+      Weak.set injected st.Task.st_id (Some st);
+      ops.Compiled.so_inject st
     in
     src.Compiled.sv_tick { ops with Compiled.so_inject = record } ~now
   in
@@ -995,6 +1022,7 @@ let check_same_run label ~config (vr, vi) (cr, ci) =
   Alcotest.(check (float 1e-9)) (label ^ ": same total energy") (Stats.total_energy_mj vr)
     (Stats.total_energy_mj cr);
   Alcotest.(check bool) (label ^ ": same report") true (vr = cr);
+  Record_list.check label cr;
   check_stores_identical label vi ci;
   Oracle.check (label ^ "/virtual") ~config vi;
   Oracle.check (label ^ "/compiled") ~config ci
@@ -1282,8 +1310,8 @@ let test_placeholder_stores () =
   let served = served () in
   Alcotest.(check int) "service run injects every instance" 5 (Array.length served);
   Alcotest.(check bool) "service run completes every instance" true
-    (Array.for_all (fun (i : Task.instance) -> i.Task.completed_at >= 0) served);
-  shared "service run" (Array.to_list (Array.map (fun (i : Task.instance) -> i.Task.store) served));
+    (Array.for_all (fun (i : Task.state) -> i.Task.st_completed_at >= 0) served);
+  shared "service run" (Array.to_list (Array.map (fun (i : Task.state) -> i.Task.st_store) served));
   let _, detailed =
     Virtual_engine.run_detailed ~params ~config ~workload:(wl ()) ~policy:Scheduler.frfs ()
   in
@@ -1318,11 +1346,11 @@ let test_cancelled_instance_freed () =
   let cancelled_at = ref (-1) and freed = ref None in
   (* Probe well after the retry would have been released. *)
   let probe_at () = !cancelled_at + 5_000_000 in
-  let in_backoff (t : Task.t) = t.Task.status = Task.Blocked && t.Task.attempts > 0 in
+  let in_backoff (st : Task.state) j = Task.status st j = Task.Blocked && Task.attempts st j > 0 in
   let sv_tick (ops : Compiled.service_ops) ~now =
     if !cancelled_at < 0 && Option.is_none !held then begin
       let inst =
-        Exec_model.instance (Compiled.model plan) 0 ~store:(Store.create []) ~task_id_base:0
+        Exec_model.state (Compiled.model plan) 0 ~store:(Store.create []) ~task_id_base:0
           ~inst_id:0 ~arrival_ns:now
       in
       Weak.set weak 0 (Some inst);
@@ -1331,7 +1359,10 @@ let test_cancelled_instance_freed () =
     end
     else begin
       (match !held with
-      | Some inst when Array.exists in_backoff inst.Task.tasks && ops.Compiled.so_cancel inst ->
+      | Some inst
+        when List.exists (in_backoff inst)
+               (List.init (Exec_model.task_count (Compiled.model plan) 0) Fun.id)
+             && ops.Compiled.so_cancel inst ->
         held := None;
         cancelled_at := now
       | _ -> ());
@@ -1469,9 +1500,9 @@ let qcheck_compiled_respects_adjacency =
       in
       (* every task completed exactly once... *)
       let n = List.length spec.App_spec.nodes in
-      if List.length r.Stats.records <> 2 * n then
+      if Stats.record_count r <> 2 * n then
         QCheck.Test.fail_reportf "expected %d records, got %d" (2 * n)
-          (List.length r.Stats.records);
+          (Stats.record_count r);
       (* ...the kernel ran once per task (adjacency lost no node)... *)
       Array.iter
         (fun (inst : Task.instance) ->
@@ -1485,7 +1516,7 @@ let qcheck_compiled_respects_adjacency =
       List.iter
         (fun t ->
           Hashtbl.replace completed (t.Stats.instance, Stats.record_node r t) t.Stats.completed_ns)
-        r.Stats.records;
+        (Stats.record_list r);
       List.for_all
         (fun t ->
           let node = App_spec.node spec (Stats.record_node r t) in
@@ -1495,7 +1526,7 @@ let qcheck_compiled_respects_adjacency =
               | Some c -> c <= t.Stats.dispatched_ns
               | None -> false)
             node.App_spec.predecessors)
-        r.Stats.records)
+        (Stats.record_list r))
 
 let qcheck_compiled_replays_virtual =
   QCheck.Test.make ~name:"compiled replays virtual on random DAGs" ~count:30
@@ -1588,6 +1619,7 @@ let qcheck_faulted_replay =
       let vr, _ = reference ~params ~obs:vobs ~fault ~config ~workload:(wl ()) ~policy () in
       let plan = Compiled.compile ~config ~workload:(wl ()) ~policy:(policy_of policy) () in
       let cr = Compiled.run ~obs:cobs ~fault plan params in
+      Record_list.check (Printf.sprintf "seed %d policy %s depth %d" seed policy depth) cr;
       let same what a b =
         if not (String.equal a b) then
           QCheck.Test.fail_reportf "%s diverges for seed %d policy %s depth %d plan %S" what
@@ -1649,7 +1681,7 @@ let test_custom_policy_bad_assignments () =
   List.iter
     (fun (label, (r : Stats.report), insts) ->
       let keys =
-        List.map (fun x -> (x.Stats.instance, Stats.record_node r x)) r.Stats.records
+        List.map (fun x -> (x.Stats.instance, Stats.record_node r x)) (Stats.record_list r)
       in
       Alcotest.(check int) (label ^ ": every task ran") (tasks insts) (List.length keys);
       Alcotest.(check int) (label ^ ": no task ran twice") (List.length keys)
@@ -1762,6 +1794,7 @@ let () =
           Alcotest.test_case "fault parity across the policy matrix" `Slow
             test_fault_parity_across_policies;
           Alcotest.test_case "aborted run outputs" `Quick test_aborted_fault_outputs;
+          Alcotest.test_case "aborted run's record columns" `Quick test_aborted_record_columns;
           Alcotest.test_case "service run under a fault plan" `Quick test_service_under_fault_plan;
           Alcotest.test_case "abort for an arrival not yet injected" `Quick
             test_abort_for_unarrived_instance;

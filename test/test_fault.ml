@@ -229,7 +229,7 @@ let test_accel_death_cpu_fallback () =
         (Printf.sprintf "%s/%s avoided the dead PE" (Stats.record_app r t) (Stats.record_node r t))
         true
         (Stats.record_pe r t <> "fft2"))
-    r.Stats.records
+    (Stats.record_list r)
 
 let test_midrun_death_degrades () =
   let r = run_fault (plan_of_spec "fft2:die@100us") in
@@ -256,7 +256,7 @@ let test_no_survivor_aborts () =
   let workload = Workload.validation [ (Reference_apps.wifi_tx (), 1) ] in
   let r = run_checked ~fault:(plan_of_spec "cpu0:die@0") ~config ~workload () in
   match r.Stats.verdict with
-  | Stats.Aborted _ -> Alcotest.(check bool) "nothing completed" true (r.Stats.records = [])
+  | Stats.Aborted _ -> Alcotest.(check bool) "nothing completed" true (Stats.record_count r = 0)
   | v -> Alcotest.failf "expected an abort, got %s" (Stats.verdict_name v)
 
 (* An aborted run's report describes the run that happened: the only
@@ -342,7 +342,7 @@ let test_retry_dispatched_once () =
           Alcotest.failf "seed index %d: %s/%d:%s completed twice" i (Stats.record_app r t)
             t.Stats.instance (Stats.record_node r t);
         Hashtbl.replace seen key ())
-      r.Stats.records
+      (Stats.record_list r)
   done
 
 (* ---------------- event-level safety property ---------------- *)
@@ -397,7 +397,7 @@ let test_faulted_log_keeps_every_task () =
   let events = Obs.recorded_events obs in
   Alcotest.(check bool) "tasks were retried" true (r.Stats.resilience.Stats.task_retries > 0);
   Alcotest.(check int) "every event retained" (Obs.Sink.total (Obs.sink obs)) (List.length events);
-  Alcotest.(check int) "analysis sees every completed task" (List.length r.Stats.records)
+  Alcotest.(check int) "analysis sees every completed task" (Stats.record_count r)
     (List.length (Dssoc_obs.Analyze.tasks (Dssoc_obs.Analyze.of_sink (Obs.sink obs))))
 
 (* ---------------- native teardown (satellite) ---------------- *)

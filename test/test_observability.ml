@@ -44,19 +44,13 @@ let mk_report ?(makespan = 1_000_000) records pe_labels =
     sched_ns = 0;
     wm_overhead_ns = 0;
     records =
-      List.mapi
-        (fun i (_, _, pe, d, c) ->
-          {
-            Stats.name = i;
-            instance = 0;
-            task = i;
-            pe_index = pe_index pe;
-            ready_ns = 0;
-            dispatched_ns = d;
-            completed_ns = c;
-            dma_ns = 0;
-          })
-        records;
+      (let cols = Stats.columns (List.length records) in
+       List.iteri
+         (fun i (_, _, pe, d, c) ->
+           Stats.add_record cols ~name:i ~instance:0 ~task:i ~pe_index:(pe_index pe) ~ready_ns:0
+             ~dispatched_ns:d ~completed_ns:c ~dma_ns:0)
+         records;
+       cols);
     names = Array.of_list (List.map (fun (app, node, _, _, _) -> (app, node)) records);
     app_stats = [];
     verdict = Stats.Completed;

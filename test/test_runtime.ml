@@ -296,7 +296,7 @@ let test_rd_emulation_functional () =
     let store = instances.(0).Task.store in
     Alcotest.(check int) "lag recovered through full emulation"
       Reference_apps.Truth.rd_echo_delay (Store.get_i32 store "lag");
-    Alcotest.(check int) "all records present" 6 (List.length report.Stats.records);
+    Alcotest.(check int) "all records present" 6 (Stats.record_count report);
     Alcotest.(check int) "task count" 6 report.Stats.task_count
 
 let test_wifi_rx_emulation_functional () =
@@ -318,7 +318,7 @@ let test_determinism_same_seed () =
   let r1 = run_validation (cfg_3c2f ()) [ (spec, 3) ] in
   let r2 = run_validation (cfg_3c2f ()) [ (spec, 3) ] in
   Alcotest.(check int) "same makespan" r1.Stats.makespan_ns r2.Stats.makespan_ns;
-  Alcotest.(check bool) "same records" true (r1.Stats.records = r2.Stats.records)
+  Alcotest.(check bool) "same records" true (Stats.record_list r1 = Stats.record_list r2)
 
 let test_jitter_produces_variance () =
   let spec = Reference_apps.range_detection () in
@@ -348,14 +348,14 @@ let test_report_invariants () =
   let r = run_validation (cfg_3c2f ()) mix in
   Alcotest.(check int) "jobs" 4 r.Stats.job_count;
   Alcotest.(check int) "tasks" (770 + 6 + 7 + 9) r.Stats.task_count;
-  Alcotest.(check int) "records complete" r.Stats.task_count (List.length r.Stats.records);
+  Alcotest.(check int) "records complete" r.Stats.task_count (Stats.record_count r);
   (* all dispatch/complete stamps ordered *)
   List.iter
     (fun (t : Stats.task_record) ->
       Alcotest.(check bool) "ready <= dispatched" true (t.Stats.ready_ns <= t.Stats.dispatched_ns);
       Alcotest.(check bool) "dispatched < completed" true (t.Stats.dispatched_ns < t.Stats.completed_ns);
       Alcotest.(check bool) "completed <= makespan" true (t.Stats.completed_ns <= r.Stats.makespan_ns))
-    r.Stats.records;
+    (Stats.record_list r);
   (* busy time within makespan per PE *)
   List.iter
     (fun u -> Alcotest.(check bool) "util <= 1" true (u.Stats.busy_ns <= r.Stats.makespan_ns))
@@ -366,7 +366,7 @@ let test_report_invariants () =
 let test_predecessors_complete_first () =
   let r = run_validation (cfg_3c2f ()) [ (Reference_apps.wifi_tx (), 1) ] in
   (* wifi_tx is a linear chain: completion order must follow it. *)
-  let order = List.map (Stats.record_node r) r.Stats.records in
+  let order = List.map (Stats.record_node r) (Stats.record_list r) in
   Alcotest.(check (list string)) "chain order"
     [ "CRC"; "SCRAMBLE"; "ENCODE"; "INTERLEAVE"; "MODULATE"; "PILOT"; "IFFT" ]
     order
@@ -392,7 +392,7 @@ let test_policies_complete_workload () =
   List.iter
     (fun policy ->
       let r = run_validation ~policy (cfg_3c2f ()) mix in
-      Alcotest.(check int) (policy ^ " completes") (770 + 6 + 7 + 9) (List.length r.Stats.records))
+      Alcotest.(check int) (policy ^ " completes") (770 + 6 + 7 + 9) (Stats.record_count r))
     [ "FRFS"; "MET"; "EFT"; "RANDOM" ]
 
 let test_performance_mode_run () =
@@ -407,7 +407,7 @@ let test_odroid_runs_same_apps () =
   (* Case Study 3 portability: identical JSON apps run on big.LITTLE. *)
   let config = Config.odroid_big_little ~big:2 ~little:1 in
   let r = run_validation config [ (Reference_apps.wifi_rx (), 1) ] in
-  Alcotest.(check int) "completes" 9 (List.length r.Stats.records)
+  Alcotest.(check int) "completes" 9 (Stats.record_count r)
 
 let test_utilization_bounds () =
   let mix = List.map (fun a -> (a, 1)) (Reference_apps.all ()) in
@@ -429,7 +429,7 @@ let test_reservation_queue_reduces_overhead () =
       (cfg_3c2f ()) [ (spec, 1) ]
   in
   let r0 = run 0 and r2 = run 2 in
-  Alcotest.(check int) "same work done" (List.length r0.Stats.records) (List.length r2.Stats.records);
+  Alcotest.(check int) "same work done" (Stats.record_count r0) (Stats.record_count r2);
   Alcotest.(check bool) "fewer scheduling invocations" true
     (r2.Stats.sched_invocations < r0.Stats.sched_invocations);
   Alcotest.(check bool) "shorter makespan" true (r2.Stats.makespan_ns < r0.Stats.makespan_ns)
@@ -453,7 +453,7 @@ let test_reservation_dependency_order () =
       ~engine:(Emulator.virtual_seeded ~jitter:0.0 ~reservation_depth:4 1L)
       (cfg_3c2f ()) [ (Reference_apps.wifi_tx (), 1) ]
   in
-  let order = List.map (Stats.record_node r) r.Stats.records in
+  let order = List.map (Stats.record_node r) (Stats.record_list r) in
   Alcotest.(check (list string)) "chain order preserved with queues"
     [ "CRC"; "SCRAMBLE"; "ENCODE"; "INTERLEAVE"; "MODULATE"; "PILOT"; "IFFT" ]
     order
@@ -522,7 +522,7 @@ let test_native_engine_functional () =
   match Emulator.run_detailed ~engine:(Emulator.native_seeded 7L) ~config ~workload:wl () with
   | Error msg -> Alcotest.fail msg
   | Ok (report, instances) ->
-    Alcotest.(check int) "all tasks ran" 9 (List.length report.Stats.records);
+    Alcotest.(check int) "all tasks ran" 9 (Stats.record_count report);
     Alcotest.(check int) "crc ok" 1 (Store.get_i32 instances.(0).Task.store "crc_ok");
     Alcotest.(check bool) "wall clock advanced" true (report.Stats.makespan_ns > 0)
 

@@ -65,22 +65,27 @@ module Managers = struct
   (* ------------------------------------------------------------------ *)
 
   let resource_manager ?(obs = Obs.disabled) ?(fault = Fault.disabled) ~model
-      (b : backend) (h : handler) =
-    (* One execution attempt.  A faulted attempt burns PE time but never
-       reaches [b_execute], where the native backend runs the kernel in
-       place: only the final (successful) attempt may mutate the store. *)
+      ~(tasks : Task.t array) (b : backend) (h : handler) =
+    (* One execution attempt, returning the fault plan's decision.  A
+       faulted attempt burns PE time but never reaches [b_execute]:
+       only the final (successful) attempt may mutate the store. *)
     let execute (task : Task.t) started =
-      if not (Fault.enabled fault) then b.b_execute h task
+      if not (Fault.enabled fault) then begin
+        b.b_execute h task;
+        Fault.Proceed
+      end
       else begin
-        match
-          decide_attempt ~fault ~obs h task ~now:started
-            ~est_ns:(Exec_model.estimate model task h.h_index)
-        with
+        let d =
+          decide_attempt ~fault ~obs h ~task:task.Task.id ~attempt:task.Task.attempts
+            ~now:started ~est_ns:(Exec_model.estimate model task h.h_index)
+        in
+        (match d with
         | Fault.Proceed -> b.b_execute h task
         | Fault.Proceed_slow extra_ns ->
           b.b_execute h task;
           if extra_ns > 0 then b.b_delay h extra_ns
-        | Fault.Fail { after_ns; _ } -> if after_ns > 0 then b.b_delay h after_ns
+        | Fault.Fail { after_ns; _ } -> if after_ns > 0 then b.b_delay h after_ns);
+        d
       end
     in
     let rec loop () =
@@ -94,13 +99,14 @@ module Managers = struct
         let rec drain () =
           match Queue.take_opt h.h_pending with
           | None -> ()
-          | Some task ->
+          | Some id ->
+            let task = tasks.(id) in
             if h.h_capacity > 1 && Obs.enabled obs then
               Obs.on_reservation_popped obs ~now:(b.b_now ()) ~pe_index:h.h_index
                 ~depth:(Queue.length h.h_pending);
             b.b_unlock h;
             let started = b.b_now () in
-            execute task started;
+            let d = execute task started in
             let finished = b.b_now () in
             task.Task.completed_at <- finished;
             b.b_lock h;
@@ -108,9 +114,7 @@ module Managers = struct
                meaningful when a reservation queue is configured.  Failed
                attempts still occupied the PE, but only successful runs
                count as tasks run. *)
-            h.h_busy_ns <- h.h_busy_ns + (finished - started);
-            if task.Task.last_failure = None then h.h_tasks_run <- h.h_tasks_run + 1;
-            Queue.add task h.h_completed;
+            finish_attempt h id d ~busy_ns:(finished - started);
             b.b_notify_wm ();
             drain ()
         in
@@ -133,7 +137,7 @@ module Managers = struct
   let sched_window = Cost_model.sched_examined_cap
 
   let workload_manager ?(obs = Obs.disabled) ?(fault = Fault.disabled) (b : backend)
-      ~(handlers : handler array) ~(instances : Task.instance array) ~model
+      ~(handlers : handler array) ~(instances : Task.instance array) ~(tasks : Task.t array) ~model
       ~(policy : Scheduler.policy) ~prng ~(stats : wm_stats) =
     let n_pes = Array.length handlers in
     let fault_on = Fault.enabled fault in
@@ -183,9 +187,20 @@ module Managers = struct
     (* Fault handling is WM-owned and shared with the compiled engine's
        machine; its entry points are no-ops unless [fault_on]. *)
     let res =
-      resilience ~fault ~obs ~stats ~handlers
-        ~unfinished:(fun () -> unfinished_nodes (Array.to_seq instances))
-        ~inflight ~make_ready ~lock:b.b_lock ~unlock:b.b_unlock
+      resilience ~fault ~obs ~stats ~model ~handlers
+        ~unfinished:(fun () ->
+          Seq.concat_map
+            (fun (inst : Task.instance) ->
+              let ts = inst.Task.tasks in
+              if Array.length ts = 0 then Seq.empty
+              else
+                unfinished_nodes ~cls:ts.(0).Task.cls ~nodes:(Array.length ts) ~finished:(fun j ->
+                    ts.(j).Task.status = Task.Done))
+            (Array.to_seq instances))
+        ~inflight
+        ~make_ready:(fun id -> make_ready tasks.(id))
+        ~blocked:(fun id -> tasks.(id).Task.status <- Task.Blocked)
+        ~lock:b.b_lock ~unlock:b.b_unlock
     in
     (* Scratch structures reused by every scheduling invocation: the
        policy-facing PE states are refreshed in place, and the ready
@@ -201,14 +216,7 @@ module Managers = struct
     (* A task with a revived stale entry sits in the FIFO twice; the
        snapshot keeps only its first entry, marking each task taken with
        the invocation's stamp (indexed by task id). *)
-    let taken_in =
-      Array.make
-        (Array.fold_left
-           (fun acc (inst : Task.instance) ->
-             Array.fold_left (fun acc (t : Task.t) -> max acc (t.Task.id + 1)) acc inst.Task.tasks)
-           0 instances)
-        0
-    in
+    let taken_in = Array.make (Array.length tasks) 0 in
     let stamp = ref 0 in
     let estimate task i = Exec_model.estimate model task i in
     (* One scheduling invocation: snapshot the ready window, run the
@@ -294,7 +302,7 @@ module Managers = struct
               decr ready_live;
               task.Task.dispatched_at <- b.b_now ();
               task.Task.pe <- h.h_index;
-              Queue.add task h.h_pending;
+              Queue.add task.Task.id h.h_pending;
               h.h_inflight <- h.h_inflight + 1;
               incr inflight;
               h.h_busy_until <-
@@ -321,7 +329,10 @@ module Managers = struct
        accounting, and releasing newly ready successors. *)
     let process_completion h (task : Task.t) =
       task.Task.status <- Task.Done;
-      record_completion stats task ~pe_index:h.h_index;
+      record_completion stats ~cls:task.Task.cls ~node:task.Task.index
+        ~instance:task.Task.instance_id ~task:task.Task.id ~pe_index:h.h_index
+        ~ready_ns:task.Task.ready_at ~dispatched_ns:task.Task.dispatched_at
+        ~completed_ns:task.Task.completed_at ~dma_ns:task.Task.dma_ns;
       let inst = instances.(task.Task.instance_id) in
       inst.Task.remaining <- inst.Task.remaining - 1;
       if inst.Task.remaining = 0 then begin
@@ -366,11 +377,18 @@ module Managers = struct
             | None ->
               b.b_unlock h;
               continue_ := false
-            | Some task ->
+            | Some id ->
+              let task = tasks.(id) in
               b.b_unlock h;
               h.h_inflight <- h.h_inflight - 1;
               decr inflight;
-              if not (handle_failure res h task ~now:(b.b_now ())) then begin
+              if
+                not
+                  (Fault.enabled fault
+                  && handle_failure res h ~task:id ~id ~instance:task.Task.instance_id
+                       ~cls:task.Task.cls ~node:task.Task.index ~attempt:task.Task.attempts
+                       ~now:(b.b_now ()))
+              then begin
                 incr completions;
                 if Obs.enabled obs then
                   Obs.on_task_completed obs ~now:task.Task.completed_at
@@ -629,7 +647,9 @@ let run_timed ~fresh_stores ?(params = default_params) ?(obs = Obs.disabled) ?fa
              ~reservation_depth:params.reservation_depth)
          config.Config.placements)
   in
-  let stats = Core.make_stats model in
+  let stats = Core.make_stats ~records:true model in
+  (* Task [id] of the run, for the handles the handlers' queues carry. *)
+  let tasks = Array.concat (Array.to_list (Array.map (fun (i : Task.instance) -> i.Task.tasks) instances)) in
   let fault = Core.compile_fault fault ~handlers in
   if Obs.enabled obs then
     Obs.attach obs
@@ -647,11 +667,11 @@ let run_timed ~fresh_stores ?(params = default_params) ?(obs = Obs.disabled) ?fa
   let stopped_at = ref 0 in
   run_threads des
     (Array.append
-       (Array.map (fun h () -> Managers.resource_manager ~obs ~fault ~model b h) handlers)
+       (Array.map (fun h () -> Managers.resource_manager ~obs ~fault ~model ~tasks b h) handlers)
        [|
          (fun () ->
            stopped_at :=
-             Managers.workload_manager ~obs ~fault b ~handlers ~instances ~model ~policy ~prng
+             Managers.workload_manager ~obs ~fault b ~handlers ~instances ~tasks ~model ~policy ~prng
                ~stats);
        |]);
   ( Core.report ~host_name:config.Config.host.Host.name ~config ~policy ~handlers
