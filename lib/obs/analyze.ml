@@ -10,7 +10,7 @@ module Json = Dssoc_json.Json
    emitted, so it applies identically to virtual, compiled and native
    logs (and to logs reloaded from disk via [Obs.event_of_json]). *)
 
-type task_exec = Obs.task_exec = {
+type task_exec = {
   x_task : int;
   x_instance : int;
   x_app : string;
@@ -77,27 +77,102 @@ let attribute_stalls stalls arr =
       arr
   end
 
-(* A schedule sink already holds the fold of its log; any other sink's
-   retained events are replayed into one, so live and reloaded logs
-   share that single fold.  The makespan is the latest timestamp: the
-   engine reports the WM-observed completion of the last instance,
-   which trails the last task completion by the final sweep's overhead
-   charge, and the last event in the log — the WM tick of that sweep —
-   carries exactly that time. *)
-let rec of_sink sink =
-  match Obs.Sink.recording sink with
-  | None -> of_events (Obs.Sink.events sink)
-  | Some r ->
-      {
-        a_tasks = attribute_stalls r.Obs.rc_stalls r.Obs.rc_tasks;
-        a_makespan_ns = r.Obs.rc_latest_ns;
-        a_inject_ns = r.Obs.rc_injected;
-      }
+(* The fold keeps, per task id, a pending (ready, dispatched, DMA)
+   triple from the task's first event to its completion.  Triples live
+   in one flat array indexed by task id while ids stay within a small
+   multiple of the events seen — the engines number tasks densely from
+   0 — and in [far] otherwise, so a reloaded log with hostile ids
+   (negative, or ~2^40) costs memory in proportion to its length, never
+   to an id's value.  The flat triples are for speed: folding a
+   29k-task fig10 log with every pending task in a hash table took
+   twice as long, and allocated a record and a bucket per task. *)
+type pending = {
+  mutable dense : int array;  (* 3 ints per dense task id; 0 = none *)
+  far : (int, int array) Hashtbl.t;  (* pending triples of other ids *)
+  mutable seen : int;  (* events folded so far *)
+}
 
-and of_events events =
-  let sink = Obs.Sink.schedule () in
-  List.iter (fun { Obs.t_ns; body } -> Obs.Sink.emit sink t_ns body) events;
-  of_sink sink
+(* Offset of [task]'s triple in [p.dense], growing the table to cover
+   it while its id stays within four times the events seen (plus
+   slack); -1 if the triple belongs in [far].  The table only grows
+   while [far] is empty, so every id held in [far] stays outside it and
+   no triple is ever split between the two. *)
+let dense p task =
+  let len = Array.length p.dense / 3 in
+  if task >= 0 && task < len then 3 * task
+  else if task >= len && task < 4 * (p.seen + 1024) && Hashtbl.length p.far = 0 then begin
+    let a = Array.make (3 * max (task + 1) (2 * len)) 0 in
+    Array.blit p.dense 0 a 0 (3 * len);
+    p.dense <- a;
+    3 * task
+  end
+  else -1
+
+let far p task =
+  match Hashtbl.find_opt p.far task with
+  | Some a -> a
+  | None ->
+      let a = Array.make 3 0 in
+      Hashtbl.replace p.far task a;
+      a
+
+(* Field [k] of [task]'s pending triple: 0 ready, 1 dispatched, 2 DMA. *)
+let pending p task k =
+  let i = dense p task in
+  if i >= 0 then p.dense.(i + k) else (far p task).(k)
+
+let set_pending p task k v =
+  let i = dense p task in
+  if i >= 0 then p.dense.(i + k) <- v else (far p task).(k) <- v
+
+(* A completion finalizes the task's triple and forgets it.  The
+   makespan is the latest timestamp: the engine reports the
+   WM-observed completion of the last instance, which trails the last
+   task completion by the final sweep's overhead charge, and the last
+   event in the log — the WM tick of that sweep — carries exactly that
+   time. *)
+let of_events events =
+  let p = { dense = [||]; far = Hashtbl.create 8; seen = 0 } in
+  let finished = Vec.create () and injected = Hashtbl.create 64 in
+  let stalls = ref [] and latest = ref 0 in
+  List.iter
+    (fun { Obs.t_ns; body } ->
+      p.seen <- p.seen + 1;
+      if t_ns > !latest then latest := t_ns;
+      match body with
+      | Obs.Task_ready { task; _ } -> set_pending p task 0 t_ns
+      | Obs.Task_dispatched { task; _ } -> set_pending p task 1 t_ns
+      | Obs.Phase { task; phase = Obs.Dma_in | Obs.Dma_out; dur_ns; _ } ->
+          set_pending p task 2 (pending p task 2 + dur_ns)
+      | Obs.Task_completed { task; instance; app; node; pe; pe_index; _ } ->
+          let i = dense p task in
+          let a = if i >= 0 then p.dense else far p task and o = max i 0 in
+          Vec.push finished
+            {
+              x_task = task;
+              x_instance = instance;
+              x_app = app;
+              x_node = node;
+              x_pe = pe;
+              x_pe_index = pe_index;
+              x_ready_ns = a.(o);
+              x_dispatched_ns = a.(o + 1);
+              x_completed_ns = t_ns;
+              x_dma_ns = a.(o + 2);
+              x_stall_ns = 0;
+            };
+          if i >= 0 then Array.fill p.dense i 3 0 else Hashtbl.remove p.far task
+      | Obs.Instance_injected { instance; _ } ->
+          if not (Hashtbl.mem injected instance) then Hashtbl.replace injected instance t_ns
+      | Obs.Stream_admitted { pe_index; stall_ns; _ } when stall_ns > 0 ->
+          stalls := (t_ns, pe_index, stall_ns) :: !stalls
+      | _ -> ())
+    events;
+  {
+    a_tasks = attribute_stalls !stalls (Vec.to_array finished);
+    a_makespan_ns = !latest;
+    a_inject_ns = injected;
+  }
 
 let tasks t = Array.to_list t.a_tasks
 let makespan_ns t = t.a_makespan_ns

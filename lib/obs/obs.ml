@@ -83,27 +83,6 @@ type body =
 
 type event = { t_ns : int; body : body }
 
-type task_exec = {
-  x_task : int;
-  x_instance : int;
-  x_app : string;
-  x_node : string;
-  x_pe : string;
-  x_pe_index : int;
-  x_ready_ns : int;
-  x_dispatched_ns : int;
-  x_completed_ns : int;
-  x_dma_ns : int;
-  x_stall_ns : int;
-}
-
-type recording = {
-  rc_tasks : task_exec array;
-  rc_stalls : (int * int * int) list;
-  rc_injected : (int, int) Hashtbl.t;
-  rc_latest_ns : int;
-}
-
 module Sink = struct
   (* The event log stores events decomposed into flat arrays — a packed
      timestamp+tag word, up to five int fields, up to four string
@@ -136,11 +115,6 @@ module Sink = struct
   (* One registered (app, node) with the PE labels of its run. *)
   type name = { n_app : string; n_node : string; n_pes : string array }
 
-  (* A run's registered names, and each class's first name number. *)
-  type names = { nm : name Vec.t; mutable bases : int array }
-
-  let new_names () = { nm = Vec.create (); bases = [||] }
-
   let new_block () =
     {
       b_meta = Array.make block_slots 0;
@@ -155,52 +129,15 @@ module Sink = struct
     mutable ints : int array;  (* block [cur]: [istride] int fields per slot *)
     mutable strs : string array;  (* block [cur]: [sstride] string fields per slot *)
     mutable head : int;  (* next write slot in block [cur] *)
-    r_names : names;
+    names : name Vec.t;  (* registered names, by number *)
+    mutable bases : int array;  (* each class's first name number *)
     lock : Mutex.t;
     mutable concurrent : bool;  (* emitters on several domains? *)
   }
 
-  (* The schedule recorder keeps what [Analyze] folds a log into and
-     nothing else, so it needs no capacity and never drops an event.
-     Pending per-task accumulators live in a flat (ready, dispatched,
-     DMA) triple per task id while ids stay within a small multiple of
-     the events seen — the engines number tasks densely from 0 — and in
-     [far] otherwise, so a reloaded log with hostile ids (negative, or
-     ~2^40) costs memory in proportion to its length, never to an id's
-     value.  The flat triples are for speed: replaying a 29k-task fig10
-     log into a recorder that kept every pending task in a hash table
-     took twice as long, and allocated a record and a bucket per task. *)
-  type schedule = {
-    mutable pend : int array;  (* 3 ints per dense task id; 0 = none *)
-    far : (int, int array) Hashtbl.t;  (* pending triples of other ids *)
-    finished : task_exec Vec.t;  (* completion order *)
-    injected : (int, int) Hashtbl.t;  (* instance -> first injection *)
-    mutable stalls : (int * int * int) list;  (* (t_ns, pe_index, stall_ns), newest first *)
-    mutable latest : int;  (* latest timestamp, at least 0 *)
-    mutable count : int;  (* lifetime emits *)
-    s_names : names;
-    s_lock : Mutex.t;
-    mutable s_concurrent : bool;
-  }
-
-  type t = Null | Ring of recorder | Schedule of schedule
+  type t = Null | Ring of recorder
 
   let null = Null
-
-  let schedule () =
-    Schedule
-      {
-        pend = [||];
-        far = Hashtbl.create 8;
-        finished = Vec.create ();
-        injected = Hashtbl.create 64;
-        stalls = [];
-        latest = 0;
-        count = 0;
-        s_names = new_names ();
-        s_lock = Mutex.create ();
-        s_concurrent = false;
-      }
 
   (* Makes block [i] the one being written, from its first slot. *)
   let enter r i =
@@ -219,12 +156,12 @@ module Sink = struct
     done;
     let r =
       { blocks; cur = 0; meta = [||]; ints = [||]; strs = [||]; head = 0;
-        r_names = new_names (); lock = Mutex.create (); concurrent = false }
+        names = Vec.create (); bases = [||]; lock = Mutex.create (); concurrent = false }
     in
     enter r 0;
     Ring r
 
-  let is_null = function Null -> true | Ring _ | Schedule _ -> false
+  let is_null = function Null -> true | Ring _ -> false
 
   (* The deterministic engine emits from one thread, so the log skips
      its mutex unless the native engine has declared concurrent
@@ -234,27 +171,26 @@ module Sink = struct
   let synchronize = function
     | Null -> ()
     | Ring r -> r.concurrent <- true
-    | Schedule s -> s.s_concurrent <- true
 
   (* Registers a run's names: [nodes.(c)] is class [c]'s app and node
      names, and node [j] of class [c] becomes name [bases.(c) + j].
      Names accumulate until [clear], so a log spanning runs decodes
      each run's events with its own names. *)
   let name_nodes t ~pe_labels nodes =
-    let register ns =
-      let next = ref (Vec.length ns.nm) in
-      ns.bases <-
-        Array.map
-          (fun (app, node_names) ->
-            let base = !next in
-            Array.iter
-              (fun node -> Vec.push ns.nm { n_app = app; n_node = node; n_pes = pe_labels })
-              node_names;
-            next := base + Array.length node_names;
-            base)
-          nodes
-    in
-    match t with Null -> () | Ring r -> register r.r_names | Schedule s -> register s.s_names
+    match t with
+    | Null -> ()
+    | Ring r ->
+        let next = ref (Vec.length r.names) in
+        r.bases <-
+          Array.map
+            (fun (app, node_names) ->
+              let base = !next in
+              Array.iter
+                (fun node -> Vec.push r.names { n_app = app; n_node = node; n_pes = pe_labels })
+                node_names;
+              next := base + Array.length node_names;
+              base)
+            nodes
 
   let phase_tag = function Dma_in -> 0 | Device_compute -> 1 | Dma_out -> 2
   let phase_of_tag = function 0 -> Dma_in | 1 -> Device_compute | _ -> Dma_out
@@ -276,80 +212,12 @@ module Sink = struct
     r.head <- h + 1;
     h
 
-  let lock s = if s.s_concurrent then Mutex.lock s.s_lock
-  let unlock s = if s.s_concurrent then Mutex.unlock s.s_lock
-
-  let note s t_ns =
-    if t_ns > s.latest then s.latest <- t_ns;
-    s.count <- s.count + 1
-
-  (* Offset of [task]'s pending triple in [s.pend], growing the dense
-     table to cover it while its id stays within four times the events
-     seen (plus slack); -1 if the triple belongs in [far].  The table
-     only grows while [far] is empty, so every id held in [far] stays
-     outside it and no triple is ever split between the two. *)
-  let dense s task =
-    let len = Array.length s.pend / 3 in
-    if task >= 0 && task < len then 3 * task
-    else if task >= len && task < 4 * (s.count + 1024) && Hashtbl.length s.far = 0 then begin
-      let a = Array.make (3 * max (task + 1) (2 * len)) 0 in
-      Array.blit s.pend 0 a 0 (3 * len);
-      s.pend <- a;
-      3 * task
-    end
-    else -1
-
-  let far s task =
-    match Hashtbl.find_opt s.far task with
-    | Some p -> p
-    | None ->
-        let p = Array.make 3 0 in
-        Hashtbl.replace s.far task p;
-        p
-
-  (* Field [k] of [task]'s pending triple: 0 ready, 1 dispatched, 2 DMA. *)
-  let pending s task k =
-    let i = dense s task in
-    if i >= 0 then s.pend.(i + k) else (far s task).(k)
-
-  let set_pending s task k v =
-    let i = dense s task in
-    if i >= 0 then s.pend.(i + k) <- v else (far s task).(k) <- v
-
-  (* A completion finalizes the task's pending triple (a retried task
-     has overwritten ready/dispatch in place, so the record reflects
-     the successful attempt) and forgets it. *)
-  let complete s t_ns task instance pe_index app node pe =
-    let i = dense s task in
-    let p = if i >= 0 then s.pend else far s task and o = max i 0 in
-    Vec.push s.finished
-      {
-        x_task = task;
-        x_instance = instance;
-        x_app = app;
-        x_node = node;
-        x_pe = pe;
-        x_pe_index = pe_index;
-        x_ready_ns = p.(o);
-        x_dispatched_ns = p.(o + 1);
-        x_completed_ns = t_ns;
-        x_dma_ns = p.(o + 2);
-        x_stall_ns = 0;
-      };
-    if i >= 0 then Array.fill s.pend i 3 0 else Hashtbl.remove s.far task
-
   (* Body-free writers for the hot events: their hooks store the fields
      directly, so a traced run allocates no record per such event.
      Unused trailing fields are written as 0 / "" and never read. *)
   let put_ints t t_ns tag a b c d e =
     match t with
     | Null -> ()
-    | Schedule s ->
-        lock s;
-        note s t_ns;
-        (* A DMA-in or DMA-out phase (tags 0 and 2) of task [a]. *)
-        if tag = 7 && c <> 1 then set_pending s a 2 (pending s a 2 + e);
-        unlock s
     | Ring r ->
         if r.concurrent then Mutex.lock r.lock;
         let i = slot r t_ns tag * istride in
@@ -363,12 +231,6 @@ module Sink = struct
   let put_task t t_ns tag task instance c d app node pe =
     match t with
     | Null -> ()
-    | Schedule s ->
-        lock s;
-        note s t_ns;
-        if tag = 3 then complete s t_ns task instance c app node pe
-        else set_pending s task (tag - 1) t_ns;
-        unlock s
     | Ring r ->
         if r.concurrent then Mutex.lock r.lock;
         let h = slot r t_ns tag in
@@ -390,15 +252,6 @@ module Sink = struct
   let put_node t t_ns tag task instance c d cls node =
     match t with
     | Null -> ()
-    | Schedule s ->
-        lock s;
-        note s t_ns;
-        if tag = 3 then begin
-          let n = Vec.get s.s_names.nm (s.s_names.bases.(cls) + node) in
-          complete s t_ns task instance c n.n_app n.n_node n.n_pes.(c)
-        end
-        else set_pending s task (tag - 1) t_ns;
-        unlock s
     | Ring r ->
         if r.concurrent then Mutex.lock r.lock;
         let i = slot r t_ns tag * istride in
@@ -406,7 +259,7 @@ module Sink = struct
         r.ints.(i + 1) <- instance;
         r.ints.(i + 2) <- c;
         r.ints.(i + 3) <- d;
-        r.ints.(i + 4) <- r.r_names.bases.(cls) + node;
+        r.ints.(i + 4) <- r.bases.(cls) + node;
         if r.concurrent then Mutex.unlock r.lock
 
   (* Each case writes the fields its constructor carries at the offsets
@@ -426,16 +279,6 @@ module Sink = struct
         put_ints t t_ns 7 task pe_index (phase_tag phase) start_ns dur_ns
     | _, Wm_tick { completions; injected } -> put_ints t t_ns 8 completions injected 0 0 0
     | Null, _ -> ()
-    | Schedule s, _ ->
-        lock s;
-        note s t_ns;
-        (match body with
-        | Instance_injected { instance; _ } ->
-            if not (Hashtbl.mem s.injected instance) then Hashtbl.replace s.injected instance t_ns
-        | Stream_admitted { pe_index; stall_ns; _ } when stall_ns > 0 ->
-            s.stalls <- (t_ns, pe_index, stall_ns) :: s.stalls
-        | _ -> ());
-        unlock s
     | Ring r, _ ->
         if r.concurrent then Mutex.lock r.lock;
         (match body with
@@ -533,33 +376,12 @@ module Sink = struct
   let total = function
     | Null -> 0
     | Ring r -> (r.cur * block_slots) + r.head
-    | Schedule s -> s.count
 
   let clear = function
     | Null -> ()
     | Ring r ->
         enter r 0;
-        Vec.clear r.r_names.nm
-    | Schedule s ->
-        Array.fill s.pend 0 (Array.length s.pend) 0;
-        Hashtbl.reset s.far;
-        Vec.clear s.finished;
-        Hashtbl.reset s.injected;
-        s.stalls <- [];
-        s.latest <- 0;
-        s.count <- 0;
-        Vec.clear s.s_names.nm
-
-  let recording = function
-    | Null | Ring _ -> None
-    | Schedule s ->
-        Some
-          {
-            rc_tasks = Vec.to_array s.finished;
-            rc_stalls = s.stalls;
-            rc_injected = Hashtbl.copy s.injected;
-            rc_latest_ns = s.latest;
-          }
+        Vec.clear r.names
 
   let decode names blk h =
     let t_ns = blk.b_meta.(h) asr 5 in
@@ -578,7 +400,7 @@ module Sink = struct
     (* A task event by registered name (see [put_node]). *)
     let s1, s2, s3 =
       if tag >= 1 && tag <= 3 && e >= 0 then
-        let n = Vec.get names.nm e in
+        let n = Vec.get names e in
         (n.n_app, n.n_node, if tag = 1 then "" else n.n_pes.(c))
       else (s1, s2, s3)
     in
@@ -635,10 +457,10 @@ module Sink = struct
     { t_ns; body }
 
   let iter f = function
-    | Null | Schedule _ -> ()
+    | Null -> ()
     | Ring r as t ->
         for k = 0 to total t - 1 do
-          f (decode r.r_names (Vec.get r.blocks (k / block_slots)) (k mod block_slots))
+          f (decode r.names (Vec.get r.blocks (k / block_slots)) (k mod block_slots))
         done
 
   let events t =

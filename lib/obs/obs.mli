@@ -1,22 +1,26 @@
-(** Structured event tracing and metrics for the shared engine core.
+(** Structured event tracing and metrics for the emulation engines.
 
-    One observation bundle ([Obs.t]) is threaded through
-    [Engine_core]'s workload-manager loop and both engine backends.
-    Every hook is timestamped with the backend clock — the virtual
-    engine's discrete-event clock or the native engine's monotonic
-    clock — so virtual-engine event logs are bit-identical for a
-    given seed.
+    One observation bundle ([Obs.t]) is threaded through the
+    workload and resource managers of [Compiled_engine]'s pc machine,
+    over either substrate: the discrete-event one of every
+    deterministic run and the OCaml 5 domains of the native engine.
+    Every hook is timestamped with the backend clock — the
+    discrete-event clock or the native engine's monotonic clock — so
+    deterministic event logs are bit-identical for a given seed.
 
     Determinism / threading contract:
     - the null sink and absent metrics make every hook a no-op
       (engines guard hook sites with {!enabled}, keeping the default
       path free of observation cost);
     - metrics are updated only from the workload-manager thread;
-    - the event-log and schedule sinks are lock-free for the
-      single-producer deterministic engine; the native engine calls
-      {!Sink.synchronize} before spawning handler domains, which makes
-      emits mutex-protected there (handler domains emit phase and
-      reservation-pop events concurrently). *)
+    - the event log is lock-free for the single-producer deterministic
+      engine; the native engine calls {!Sink.synchronize} before
+      spawning handler domains, which makes emits mutex-protected there
+      (handler domains emit phase and reservation-pop events
+      concurrently).
+
+    [Dssoc_obs.Analyze.of_events] folds a log's events into the
+    realized schedule. *)
 
 type phase = Dma_in | Device_compute | Dma_out
 
@@ -108,34 +112,6 @@ type body =
 
 type event = { t_ns : int; body : body }
 
-type task_exec = {
-  x_task : int;
-  x_instance : int;
-  x_app : string;
-  x_node : string;
-  x_pe : string;
-  x_pe_index : int;
-  x_ready_ns : int;
-  x_dispatched_ns : int;
-  x_completed_ns : int;
-  x_dma_ns : int;  (** dma_in + dma_out phase time *)
-  x_stall_ns : int;  (** fabric admission stalls inside the service window *)
-}
-(** One completed task of the realized schedule, as
-    {!Dssoc_obs.Analyze} reads it (re-exported there). *)
-
-type recording = {
-  rc_tasks : task_exec array;
-      (** completed tasks in completion order, [x_stall_ns = 0] (stalls
-          are attributed by the analysis) *)
-  rc_stalls : (int * int * int) list;
-      (** [(t_ns, pe_index, stall_ns)] of every admission that stalled
-          ([stall_ns > 0]), newest first *)
-  rc_injected : (int, int) Hashtbl.t;  (** instance -> first injection time *)
-  rc_latest_ns : int;  (** latest event timestamp, at least 0 *)
-}
-(** What a schedule sink ({!Sink.schedule}) has recorded. *)
-
 (** Event sinks: where emitted events go. *)
 module Sink : sig
   type t
@@ -151,18 +127,6 @@ module Sink : sig
       preallocate, rounded up to whole blocks (default one block); it
       never limits the log.
       @raise Invalid_argument if [capacity <= 0]. *)
-
-  val schedule : unit -> t
-  (** Schedule recorder: keeps only what the analysis folds an event
-      log into — per task, the pending ready/dispatch times and DMA
-      phase time; the completed tasks' records in completion order; the
-      first injection time of each instance; the stalled stream
-      admissions; the latest timestamp and the event count.  It has no
-      capacity and never drops an event, and it retains no events
-      ({!events} is [[]]).  Memory grows with the log's
-      length, never with the value of a task id.  A retried task's
-      later ready/dispatch overwrite the earlier ones and its DMA time
-      accumulates across attempts, exactly as a replayed log would. *)
 
   val is_null : t -> bool
 
@@ -186,16 +150,11 @@ module Sink : sig
       run outgrows the earlier ones.  No-op on the null sink. *)
 
   val events : t -> event list
-  (** An event log's events, oldest first; [[]] for the null and
-      schedule sinks. *)
+  (** An event log's events, oldest first; [[]] for the null sink. *)
 
   val iter : (event -> unit) -> t -> unit
   (** {!events}, decoded and handed over one at a time: the log is
       never a list. *)
-
-  val recording : t -> recording option
-  (** A schedule sink's record (a snapshot: later emits and {!clear}
-      do not change it); [None] for the null sink and an event log. *)
 end
 
 (** Registry of named counters, gauges and histogram series.
@@ -403,8 +362,8 @@ val on_checkpoint_written : t -> now:int -> path:string -> instances_done:int ->
 (** {2 Export} *)
 
 val recorded_events : t -> event list
-(** The sink's retained events, oldest first ([[]] for the null and
-    schedule sinks). *)
+(** The sink's events, oldest first ([[]] for the null sink): the
+    input of [Dssoc_obs.Analyze.of_events]. *)
 
 val counter_tracks : t -> (string * (int * int) list) list
 (** Every gauge's (name, step series) in registration order — the

@@ -280,6 +280,7 @@ let chrome_trace ?obs r =
     match obs with
     | None -> []
     | Some o ->
+      let events = Obs.recorded_events o in
       let phases =
         List.filter_map
           (fun (e : Obs.event) ->
@@ -298,7 +299,7 @@ let chrome_trace ?obs r =
                      ("args", Json.obj [ ("task", Json.int p.task) ]);
                    ])
             | _ -> None)
-          (Obs.recorded_events o)
+          events
       in
       let counters =
         List.concat_map
@@ -320,7 +321,7 @@ let chrome_trace ?obs r =
          schedule on its own thread row, one span per step, so the
          bottleneck sequence reads straight across the trace. *)
       let crit =
-        let cp = Analyze.critical_path (Analyze.of_events (Obs.recorded_events o)) in
+        let cp = Analyze.critical_path (Analyze.of_events events) in
         match cp.Analyze.cp_steps with
         | [] -> []
         | steps ->

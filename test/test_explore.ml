@@ -179,7 +179,7 @@ let test_sweep_row_fields () =
 (* Each row of [table] against the test-local reference engine's traced
    run of its point: the report fields, the metrics-derived columns read
    from the reference's registry, and the critical-path columns
-   replayed from its event log (the sweep reads a schedule recorder
+   folded from its event log (the sweep reads its untraced run's report
    instead). *)
 let check_rows_against_reference (g : Grid.t) (table : Sweep.table) =
   let module Obs = Dssoc_obs.Obs in
@@ -386,9 +386,9 @@ let test_row_from_report_matches_traced () =
    rate-6.92 row (29k tasks), and bound the words the second allocates.
    Recording into a ring sized for a drop-free log and replaying it cost
    ~14.4 M major and ~8 M minor words on this row, a fresh 9.3 M-word
-   ring included; a traced run into a schedule recorder and a metrics
-   registry, with a sorted copy for the p95, cost about 3.25 M major
-   and 5.7 M minor; reading the row from the report took about 1.5 M
+   ring included; a traced run into a schedule sink (since deleted) and
+   a metrics registry, with a sorted copy for the p95, cost about
+   3.25 M major and 5.7 M minor; reading the row from the report took about 1.5 M
    major and 2.4 M minor while every task was a record and its records
    a list, and takes about 0.98 M major and 1.06 M minor with instance
    state in int arrays and records in columns.  Deterministic counts,

@@ -398,7 +398,7 @@ let test_faulted_log_keeps_every_task () =
   Alcotest.(check bool) "tasks were retried" true (r.Stats.resilience.Stats.task_retries > 0);
   Alcotest.(check int) "every event retained" (Obs.Sink.total (Obs.sink obs)) (List.length events);
   Alcotest.(check int) "analysis sees every completed task" (Stats.record_count r)
-    (List.length (Dssoc_obs.Analyze.tasks (Dssoc_obs.Analyze.of_sink (Obs.sink obs))))
+    (List.length (Dssoc_obs.Analyze.tasks (Dssoc_obs.Analyze.of_events events)))
 
 (* ---------------- native teardown (satellite) ---------------- *)
 

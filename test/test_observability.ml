@@ -918,7 +918,7 @@ let test_critical_path_emulation_logs () =
       Alcotest.(check bool) (policy ^ " log agrees") true (critical_paths_agree events))
     [ ("FRFS", 0.03, 2.0, 100); ("EFT", 0.0, 100.0, 1000) ]
 
-(* ---------------------- schedule recorder ---------------------- *)
+(* ---------------------- the fold: Analyze.of_events ---------------------- *)
 
 module Compiled_engine = Dssoc_runtime.Compiled_engine
 module Engine_core = Dssoc_runtime.Engine_core
@@ -926,38 +926,61 @@ module Scheduler = Dssoc_runtime.Scheduler
 module Fabric = Dssoc_soc.Fabric
 module Fault = Dssoc_fault.Fault
 
-(* [run obs] traced twice, into a ring and into a schedule sink: the
-   analysis built from the recorder must equal the one replayed from
-   the ring's log, field for field.  Returns the recorder's analysis
-   and the ring run's report. *)
-let recorder_matches_ring label run =
-  let ring = Obs.Sink.ring () and recorder = Obs.Sink.schedule () in
-  let report = run (Obs.make ~sink:ring ()) in
-  ignore (run (Obs.make ~sink:recorder ()));
-  Alcotest.(check int) (label ^ ": same event count") (Obs.Sink.total ring)
-    (Obs.Sink.total recorder);
-  let a = Analyze.of_events (Obs.Sink.events ring) and b = Analyze.of_sink recorder in
-  let same what x y =
-    Alcotest.(check bool) (Printf.sprintf "%s: same %s" label what) true (x = y)
-  in
-  same "tasks" (Analyze.tasks a) (Analyze.tasks b);
-  same "makespan" (Analyze.makespan_ns a) (Analyze.makespan_ns b);
-  let ca = Analyze.critical_path a and cb = Analyze.critical_path b in
-  same "critical-path steps (edges, slack, DMA, stall)" ca.Analyze.cp_steps cb.Analyze.cp_steps;
-  same "critical path" ca cb;
-  same "utilization" (Analyze.utilization a) (Analyze.utilization b);
-  same "occupancy" (Analyze.occupancy_by_class a) (Analyze.occupancy_by_class b);
-  same "queueing" (Analyze.queueing a) (Analyze.queueing b);
-  Alcotest.(check string) (label ^ ": same report") (Json.to_string (Analyze.to_json a))
-    (Json.to_string (Analyze.to_json b));
-  Alcotest.(check bool) (label ^ ": a ring sink replays into the same analysis") true
-    (Analyze.tasks (Analyze.of_sink ring) = Analyze.tasks b);
-  (b, report)
+(* Oracle for [Analyze.of_events]' per-task fold: one hash table of
+   pending (ready, dispatched, DMA) triples keyed by task id, finalized
+   and forgotten at each completion. *)
+let reference_tasks events =
+  let pend = Hashtbl.create 16 in
+  let get task = Option.value ~default:(0, 0, 0) (Hashtbl.find_opt pend task) in
+  List.fold_left
+    (fun acc { Obs.t_ns; body } ->
+      match body with
+      | Obs.Task_ready { task; _ } ->
+          let _, d, m = get task in
+          Hashtbl.replace pend task (t_ns, d, m);
+          acc
+      | Obs.Task_dispatched { task; _ } ->
+          let r, _, m = get task in
+          Hashtbl.replace pend task (r, t_ns, m);
+          acc
+      | Obs.Phase { task; phase = Obs.Dma_in | Obs.Dma_out; dur_ns; _ } ->
+          let r, d, m = get task in
+          Hashtbl.replace pend task (r, d, m + dur_ns);
+          acc
+      | Obs.Task_completed { task; instance; pe_index; _ } ->
+          let r, d, m = get task in
+          Hashtbl.remove pend task;
+          (task, instance, pe_index, r, d, t_ns, m) :: acc
+      | _ -> acc)
+    [] events
+  |> List.rev
+
+(* What the oracle folds of each task: all but the attributed stall. *)
+let fold_fields x =
+  Analyze.
+    ( x.x_task,
+      x.x_instance,
+      x.x_pe_index,
+      x.x_ready_ns,
+      x.x_dispatched_ns,
+      x.x_completed_ns,
+      x.x_dma_ns )
+
+(* [run obs] traced into an event log: the analysis of the log, whose
+   per-task fold must match the oracle's, and the run's report. *)
+let traced_analysis label run =
+  let obs = Obs.make ~sink:(Obs.Sink.ring ()) () in
+  let report = run obs in
+  let events = Obs.recorded_events obs in
+  let a = Analyze.of_events events in
+  Alcotest.(check bool) (label ^ ": fold matches the per-task reference") true
+    (List.map fold_fields (Analyze.tasks a) = reference_tasks events);
+  (a, report)
 
 (* No preset sweep row has a nonzero DMA share of its critical path,
    so byte-identical sweep tables do not pin the DMA accounting: an
    FFT-heavy mix on a starved one-deep bus does, on both engines. *)
-let test_recorder_matches_ring_contended () =
+let test_fold_contended () =
   let config =
     Config.with_fabric
       (Result.get_ok (Fabric.of_spec "bus:bw=100MB/s,fifo=1"))
@@ -968,7 +991,7 @@ let test_recorder_matches_ring_contended () =
       [ (Reference_apps.wifi_tx (), 3); (Reference_apps.range_detection (), 3) ]
   in
   let check label run =
-    let a, report = recorder_matches_ring label run in
+    let a, report = traced_analysis label run in
     let cp = Analyze.critical_path a in
     Alcotest.(check bool) (label ^ ": path DMA is nonzero") true (cp.Analyze.cp_dma_ns > 0);
     Alcotest.(check bool) (label ^ ": path fabric stall is nonzero") true
@@ -989,8 +1012,9 @@ let test_recorder_matches_ring_contended () =
         { Engine_core.seed = 7L; jitter = 0.0; reservation_depth = 0 })
 
 (* Retries overwrite a task's ready/dispatch times and add to its DMA
-   time: the recorder must fold those exactly as the replayed log. *)
-let test_recorder_matches_ring_faulted () =
+   time: the fold must keep the final attempt's times and the summed
+   DMA, as the oracle does. *)
+let test_fold_faulted () =
   let fault =
     Result.get_ok
       (Fault.of_spec ~seed:11L "accel:transient:p=0.3:recover=0.05ms,accel:dma:p=0.3,retries=8")
@@ -1001,7 +1025,7 @@ let test_recorder_matches_ring_faulted () =
       (Config.zcu102_cores_ffts ~cores:2 ~ffts:2)
   in
   let _, report =
-    recorder_matches_ring "faulted" (fun obs ->
+    traced_analysis "faulted" (fun obs ->
         Emulator.run_exn ~engine:(Emulator.virtual_seeded ~jitter:0.03 3L) ~policy:"FRFS" ~obs
           ~fault ~config
           ~workload:
@@ -1068,7 +1092,7 @@ let hostile_events =
 (* A reloaded log is a total input: whatever its task ids, the analysis
    neither raises nor allocates in proportion to an id's value, and it
    folds the log as it always has (the values below are the analysis of
-   this log before the schedule recorder existed). *)
+   this log from before the fold kept pending tasks in a flat table). *)
 let test_analyze_hostile_task_ids () =
   let b0 = Gc.allocated_bytes () in
   let a = Analyze.of_events hostile_events in
@@ -1106,39 +1130,11 @@ let test_analyze_hostile_task_ids () =
        cp.Analyze.cp_steps);
   Alcotest.(check int) "observe tail" 10 cp.Analyze.cp_observe_ns
 
-(* Oracle for the recorder's per-task fold: one hash table of pending
-   (ready, dispatched, DMA) triples keyed by task id, finalized and
-   forgotten at each completion. *)
-let reference_tasks events =
-  let pend = Hashtbl.create 16 in
-  let get task = Option.value ~default:(0, 0, 0) (Hashtbl.find_opt pend task) in
-  List.fold_left
-    (fun acc { Obs.t_ns; body } ->
-      match body with
-      | Obs.Task_ready { task; _ } ->
-          let _, d, m = get task in
-          Hashtbl.replace pend task (t_ns, d, m);
-          acc
-      | Obs.Task_dispatched { task; _ } ->
-          let r, _, m = get task in
-          Hashtbl.replace pend task (r, t_ns, m);
-          acc
-      | Obs.Phase { task; phase = Obs.Dma_in | Obs.Dma_out; dur_ns; _ } ->
-          let r, d, m = get task in
-          Hashtbl.replace pend task (r, d, m + dur_ns);
-          acc
-      | Obs.Task_completed { task; instance; pe_index; _ } ->
-          let r, d, m = get task in
-          Hashtbl.remove pend task;
-          (task, instance, pe_index, r, d, t_ns, m) :: acc
-      | _ -> acc)
-    [] events
-  |> List.rev
-
 (* Random interleavings of lifecycle events over ids drawn from dense,
    negative and huge ranges, with repeats: whichever of its two stores
-   the recorder keeps a task's triple in, it must fold like the oracle. *)
-let prop_recorder_fold_matches_reference =
+   [Analyze.of_events] keeps a task's triple in, it must fold like the
+   oracle. *)
+let prop_fold_matches_reference =
   let id_gen =
     QCheck.Gen.(
       frequency
@@ -1175,21 +1171,10 @@ let prop_recorder_fold_matches_reference =
           { Obs.t_ns = t; body })
         (int_bound 5) id_gen (int_bound 1000))
   in
-  QCheck.Test.make ~name:"recorder fold matches the per-task reference" ~count:300
+  QCheck.Test.make ~name:"of_events fold matches the per-task reference" ~count:300
     (QCheck.make QCheck.Gen.(list_size (int_range 0 400) event_gen))
     (fun events ->
-      List.map
-        (fun x ->
-          Analyze.
-            ( x.x_task,
-              x.x_instance,
-              x.x_pe_index,
-              x.x_ready_ns,
-              x.x_dispatched_ns,
-              x.x_completed_ns,
-              x.x_dma_ns ))
-        (Analyze.tasks (Analyze.of_events events))
-      = reference_tasks events)
+      List.map fold_fields (Analyze.tasks (Analyze.of_events events)) = reference_tasks events)
 
 (* ---------------------- event log growth ---------------------- *)
 
@@ -1515,13 +1500,11 @@ let () =
             test_critical_path_many_instances;
           Alcotest.test_case "critical path on emulation logs" `Slow
             test_critical_path_emulation_logs;
-          Alcotest.test_case "recorder equals ring on a contended bus" `Quick
-            test_recorder_matches_ring_contended;
-          Alcotest.test_case "recorder equals ring under faults" `Quick
-            test_recorder_matches_ring_faulted;
+          Alcotest.test_case "of_events fold on a contended bus" `Quick test_fold_contended;
+          Alcotest.test_case "of_events fold under faults" `Quick test_fold_faulted;
           Alcotest.test_case "hostile task ids in a reloaded log" `Quick
             test_analyze_hostile_task_ids;
-          QCheck_alcotest.to_alcotest prop_recorder_fold_matches_reference;
+          QCheck_alcotest.to_alcotest prop_fold_matches_reference;
         ] );
       ( "metrics flusher",
         [

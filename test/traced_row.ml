@@ -1,8 +1,8 @@
 (* A sweep row read from an observation bundle, as the sweep once read
-   every row: the point runs traced, with a metrics registry and a
-   schedule sink; the queueing columns come from the registry's gauges
-   and histograms and the critical-path columns from the sink's
-   recorded schedule.  The sweep now reads every column from one
+   every row: the point runs traced, with a metrics registry and an
+   event log; the queueing columns come from the registry's gauges and
+   histograms and the critical-path columns from the analysis of the
+   log.  The sweep now reads every column from one
    untraced run's report ([Sweep.row_of_report]); this is the
    reference it is compared with. *)
 
@@ -19,7 +19,7 @@ module Sweep = Dssoc_explore.Sweep
    row for it). *)
 let row (grid : Grid.t) (p : Grid.point) =
   let metrics = Obs.Metrics.create () in
-  let obs = Obs.make ~sink:(Obs.Sink.schedule ()) ~metrics () in
+  let obs = Obs.make ~sink:(Obs.Sink.ring ()) ~metrics () in
   match
     let plan =
       Compiled_engine.compile ~config:p.Grid.config ~workload:p.Grid.workload
@@ -45,7 +45,7 @@ let row (grid : Grid.t) (p : Grid.point) =
       | Some h -> Option.value ~default:0.0 (f h)
       | None -> 0.0
     in
-    let cp = Analyze.critical_path (Analyze.of_sink (Obs.sink obs)) in
+    let cp = Analyze.critical_path (Analyze.of_events (Obs.recorded_events obs)) in
     Some
       {
         Sweep.index = p.Grid.index;
